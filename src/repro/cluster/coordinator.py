@@ -419,15 +419,21 @@ class ClusterCoordinator(TickLoop):
         for slot, shard in enumerate(self.shards):
             if shard.interest is None or slot in self._dead:
                 continue
+            # Relaying never changes an index, so which shards subscribe to a
+            # chunk is decided once per chunk, not once per event.
+            subscribed: dict[tuple[int, int], list] = {}
             for chunk, entries, drift, source_player_id in shard.interest.drain_dirty_log():
-                for other_slot, other in enumerate(self.shards):
-                    if other_slot == slot or other.interest is None or other_slot in self._dead:
-                        continue
-                    if other.interest.has_subscribers(chunk):
-                        other.interest.note_external(
-                            chunk, entries, drift, source_player_id
-                        )
-                        events_relayed += 1
+                targets = subscribed.get(chunk)
+                if targets is None:
+                    targets = subscribed[chunk] = []
+                    for other_slot, other in enumerate(self.shards):
+                        if other_slot == slot or other.interest is None or other_slot in self._dead:
+                            continue
+                        if other.interest.has_subscribers(chunk):
+                            targets.append(other.interest)
+                for interest in targets:
+                    interest.note_external(chunk, entries, drift, source_player_id)
+                events_relayed += len(targets)
         if events_relayed:
             self.engine.metrics.increment("interest_cross_shard_events", events_relayed)
 

@@ -3,9 +3,13 @@
 The :class:`InterestMap` is the broadcast path's routing table.  Each
 connected session holds one :class:`Subscription` covering the square of
 chunks within ``radius_chunks`` (Chebyshev) of its avatar's chunk; the map
-maintains the inverse index — chunk to subscribers — incrementally, updated
-only when a player joins, leaves, migrates or crosses a chunk boundary, so
-routing one dirty entry is O(subscribers of that chunk), not O(players).
+maintains the inverse index — chunk to its near-tier and far-tier subscribers
+— incrementally, updated only when a player joins, leaves, migrates or crosses
+a chunk boundary.  Routing costs O(1) per near-tier event plus O(near
+subscribers) per dirty chunk per settle (near state is integer-only, so a
+chunk's events are summed and scattered once), and O(far subscribers) per
+far-tier event: ``far_drift`` is a float accumulated per subscriber in event
+order against a threshold, so re-associating that sum could flip a flush.
 
 Consistency follows the dyconit model.  A subscription's footprint splits
 into two tiers by distance from its center: *near* chunks (within
@@ -41,11 +45,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ChunkKey = tuple[int, int]
 
 
+NEAR, FAR = 0, 1  # positions of the two tiers in an index entry
+
+
 @lru_cache(maxsize=32)
-def _square_offsets(radius_chunks: int) -> tuple[ChunkKey, ...]:
-    """Chunk offsets within Chebyshev ``radius_chunks`` of the origin."""
+def _tiered_offsets(
+    radius_chunks: int, near_radius_chunks: int
+) -> tuple[tuple[int, int, int], ...]:
+    """Sorted ``(dx, dz, tier)`` within Chebyshev ``radius_chunks`` of the origin."""
     return tuple(
-        (dx, dz)
+        (dx, dz, NEAR if max(abs(dx), abs(dz)) <= near_radius_chunks else FAR)
         for dx in range(-radius_chunks, radius_chunks + 1)
         for dz in range(-radius_chunks, radius_chunks + 1)
     )
@@ -136,8 +145,17 @@ class InterestMap:
         self.max_staleness_ticks = int(max_staleness_ticks)
         self.max_drift_blocks = float(max_drift_blocks)
         self._subs: dict[int, Subscription] = {}
-        #: inverse index: chunk -> insertion-ordered subscribers
-        self._chunk_subs: dict[ChunkKey, dict[int, Subscription]] = {}
+        #: inverse index: chunk -> (near subscribers, far subscribers), each
+        #: insertion-ordered by player id; a chunk nobody covers has no entry
+        self._index: dict[
+            ChunkKey, tuple[dict[int, Subscription], dict[int, Subscription]]
+        ] = {}
+        #: near-tier entries noted per chunk since the last settle.  A source
+        #: that is a near subscriber of the chunk is debited its own entries
+        #: when they are noted, so until ``_settle`` a subscription's
+        #: ``near_entries`` is short by its share of this (even negative);
+        #: every reader and every index mutation settles first
+        self._pending_near: dict[ChunkKey, int] = {}
         #: entries encoded since the last flush (encode-on-write accounting)
         self._entries_encoded = 0
         #: the tick entries noted now belong to (advanced by ``flush``)
@@ -158,20 +176,51 @@ class InterestMap:
         return len(self._subs)
 
     def subscription(self, player_id: int) -> Optional[Subscription]:
+        """The player's subscription, current as of this call.
+
+        Entries noted afterwards reach its ``near_entries`` only at the next
+        call of this or any other reading or mutating method of the map.
+        """
+        self._settle()
         return self._subs.get(player_id)
 
     def has_subscribers(self, chunk: ChunkKey) -> bool:
         """True when at least one session subscribes to ``chunk``."""
-        return chunk in self._chunk_subs
+        return chunk in self._index
 
     @staticmethod
     def chunk_of(position) -> ChunkKey:
         """The chunk key of a block position (matches the chunk manager's)."""
         return (position.x // CHUNK_SIZE, position.z // CHUNK_SIZE)
 
-    def _footprint(self, center: ChunkKey) -> set[ChunkKey]:
+    def _footprint(self, center: ChunkKey) -> dict[ChunkKey, int]:
+        """The chunks a subscription centered on ``center`` covers, sorted, with tiers."""
         cx, cz = center
-        return {(cx + dx, cz + dz) for dx, dz in _square_offsets(self.radius_chunks)}
+        offsets = _tiered_offsets(self.radius_chunks, self.near_radius_chunks)
+        return {(cx + dx, cz + dz): tier for dx, dz, tier in offsets}
+
+    def _index_add(self, chunk: ChunkKey, tier: int, sub: Subscription) -> None:
+        tiers = self._index.get(chunk)
+        if tiers is None:
+            tiers = self._index[chunk] = ({}, {})
+        tiers[tier][sub.player_id] = sub
+
+    def _index_drop(self, chunk: ChunkKey, tier: int, player_id: int) -> None:
+        tiers = self._index[chunk]
+        del tiers[tier][player_id]
+        if not tiers[NEAR] and not tiers[FAR]:
+            del self._index[chunk]
+
+    def _settle(self) -> None:
+        """Scatter each pending chunk's near-tier total to its near subscribers."""
+        pending = self._pending_near
+        if not pending:
+            return
+        index = self._index
+        for chunk, total in pending.items():
+            for sub in index[chunk][NEAR].values():
+                sub.near_entries += total
+        pending.clear()
 
     # -- membership ------------------------------------------------------------------
 
@@ -180,14 +229,15 @@ class InterestMap:
         player_id = session.player_id
         if player_id in self._subs:
             raise ValueError(f"player {player_id} is already subscribed")
+        self._settle()
         sub = Subscription(
             player_id=player_id,
             session=session,
             center=self.chunk_of(session.avatar.position),
         )
         self._subs[player_id] = sub
-        for chunk in sorted(self._footprint(sub.center)):
-            self._chunk_subs.setdefault(chunk, {})[player_id] = sub
+        for chunk, tier in self._footprint(sub.center).items():
+            self._index_add(chunk, tier, sub)
         return sub
 
     def unsubscribe(self, player_id: int) -> Optional[SubscriptionState]:
@@ -195,12 +245,9 @@ class InterestMap:
         sub = self._subs.pop(player_id, None)
         if sub is None:
             return None
-        for chunk in sorted(self._footprint(sub.center)):
-            owners = self._chunk_subs.get(chunk)
-            if owners is not None:
-                owners.pop(player_id, None)
-                if not owners:
-                    del self._chunk_subs[chunk]
+        self._settle()
+        for chunk, tier in self._footprint(sub.center).items():
+            self._index_drop(chunk, tier, player_id)
         return sub.export_state()
 
     def update_center(self, player_id: int, center: ChunkKey) -> None:
@@ -208,16 +255,16 @@ class InterestMap:
         sub = self._subs.get(player_id)
         if sub is None or sub.center == center:
             return
+        self._settle()
         old_footprint = self._footprint(sub.center)
         new_footprint = self._footprint(center)
-        for chunk in sorted(old_footprint - new_footprint):
-            owners = self._chunk_subs.get(chunk)
-            if owners is not None:
-                owners.pop(player_id, None)
-                if not owners:
-                    del self._chunk_subs[chunk]
-        for chunk in sorted(new_footprint - old_footprint):
-            self._chunk_subs.setdefault(chunk, {})[player_id] = sub
+        # Add before dropping, so a chunk that only changes tier keeps its entry.
+        for chunk, tier in new_footprint.items():
+            if old_footprint.get(chunk) != tier:
+                self._index_add(chunk, tier, sub)
+        for chunk, tier in old_footprint.items():
+            if new_footprint.get(chunk) != tier:
+                self._index_drop(chunk, tier, player_id)
         sub.center = center
 
     # -- migration handoff -----------------------------------------------------------
@@ -247,6 +294,7 @@ class InterestMap:
             )
 
     def export_state(self, player_id: int) -> Optional[SubscriptionState]:
+        self._settle()
         sub = self._subs.get(player_id)
         return sub.export_state() if sub is not None else None
 
@@ -291,28 +339,31 @@ class InterestMap:
         drift: float,
         source_player_id: Optional[int],
     ) -> None:
-        subscribers = self._chunk_subs.get(chunk)
-        if not subscribers:
+        tiers = self._index.get(chunk)
+        if tiers is None:
             return
-        near_radius = self.near_radius_chunks
-        tick = self._tick
-        delivered = False
-        for sub in subscribers.values():
-            if sub.player_id == source_player_id:
-                continue  # a player needs no update about its own action
-            delivered = True
-            center = sub.center
-            if (
-                abs(chunk[0] - center[0]) <= near_radius
-                and abs(chunk[1] - center[1]) <= near_radius
-            ):
-                sub.near_entries += entries
-            else:
+        near, far = tiers
+        # A player needs no update about its own action.
+        others = len(near) + len(far)
+        if near:
+            pending = self._pending_near
+            pending[chunk] = pending.get(chunk, 0) + entries
+            source = near.get(source_player_id)
+            if source is not None:
+                source.near_entries -= entries
+                others -= 1
+        if far:
+            # Per event and in arrival order: far_drift is a float sum.
+            tick = self._tick
+            for sub in far.values():
+                if sub.player_id == source_player_id:
+                    others -= 1
+                    continue
                 sub.far_entries += entries
                 sub.far_drift += drift
                 if sub.far_first_tick is None:
                     sub.far_first_tick = tick
-        if delivered:
+        if others:
             # Encode-on-write: the entry is serialized once and shared by
             # every subscriber's batch.
             self._entries_encoded += entries
@@ -331,6 +382,7 @@ class InterestMap:
         (the least-stale ones are deferred first, widening their budgets
         instead of blacking anyone out).
         """
+        self._settle()
         report = FlushReport()
         report.entries_encoded = self._entries_encoded
         self._entries_encoded = 0
@@ -406,12 +458,17 @@ class InterestMap:
     # -- invariants (test support) ---------------------------------------------------
 
     def verify_index(self) -> bool:
-        """True when the inverse index matches a from-scratch recomputation."""
-        rebuilt: dict[ChunkKey, set[int]] = {}
+        """True when the index matches a from-scratch recomputation, tiers included."""
+        radius, near_radius = self.radius_chunks, self.near_radius_chunks
+        rebuilt: dict[ChunkKey, tuple[set[int], set[int]]] = {}
         for sub in self._subs.values():
-            for chunk in self._footprint(sub.center):  # det: allow[DET003] builds sets compared by ==; fully order-insensitive
-                rebuilt.setdefault(chunk, set()).add(sub.player_id)
+            cx, cz = sub.center
+            for x in range(cx - radius, cx + radius + 1):
+                for z in range(cz - radius, cz + radius + 1):
+                    near = abs(x - cx) <= near_radius and abs(z - cz) <= near_radius
+                    tiers = rebuilt.setdefault((x, z), (set(), set()))
+                    tiers[NEAR if near else FAR].add(sub.player_id)
         current = {
-            chunk: set(owners) for chunk, owners in self._chunk_subs.items() if owners
+            chunk: (set(near), set(far)) for chunk, (near, far) in self._index.items()
         }
         return current == rebuilt

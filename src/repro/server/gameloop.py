@@ -40,7 +40,7 @@ from repro.sim.metrics import (
 )
 from repro.storage.base import StorageBackend, StorageOperation
 from repro.world.block import BlockType
-from repro.world.coords import BlockPos, ChunkPos, block_to_chunk
+from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, block_to_chunk
 from repro.world.world import ChunkNotLoadedError, VoxelWorld
 
 
@@ -176,6 +176,8 @@ class GameServer(TickLoop):
         #: cell positions per construct, so removal is O(cells of that construct)
         self._construct_positions: dict[int, list[BlockPos]] = {}
         self._construct_pins: dict[int, list[ChunkPos]] = {}
+        #: interest chunk key of each placed construct's first cell
+        self._construct_anchors: dict[int, tuple[int, int]] = {}
         #: lazily rebuilt position -> construct id map covering cells and their
         #: 6-neighbour halo (the block-edit hot path probes it once per edit)
         self._edit_lookup: Optional[dict[BlockPos, int]] = None
@@ -334,6 +336,8 @@ class GameServer(TickLoop):
         # Construct areas stay loaded so their simulation never pauses mid-experiment.
         pins = sorted({block_to_chunk(pos) for pos in positions})
         self._construct_pins[construct.construct_id] = pins
+        if positions:
+            self._construct_anchors[construct.construct_id] = InterestMap.chunk_of(positions[0])
         self.chunks.protect(pins)
 
     def remove_construct(self, construct_id: int) -> None:
@@ -347,6 +351,7 @@ class GameServer(TickLoop):
         self._edit_lookup = None
         # Release the eviction pins place_construct took for this construct.
         self.chunks.unprotect(self._construct_pins.pop(construct_id, []))
+        self._construct_anchors.pop(construct_id, None)
 
     @property
     def construct_count(self) -> int:
@@ -364,7 +369,8 @@ class GameServer(TickLoop):
             distance = avatar.move_to(target)
             if self.interest is not None:
                 self.interest.note_dirty(
-                    self.interest.chunk_of(target),
+                    # chunk_of, inlined: this runs once per move message
+                    (target.x // CHUNK_SIZE, target.z // CHUNK_SIZE),
                     drift=distance,
                     source_player_id=avatar.player_id,
                 )
@@ -447,7 +453,7 @@ class GameServer(TickLoop):
         """Mark a block edit dirty for interest routing (no-op in legacy mode)."""
         if self.interest is not None:
             self.interest.note_dirty(
-                self.interest.chunk_of(position),
+                (position.x // CHUNK_SIZE, position.z // CHUNK_SIZE),
                 drift=1.0,
                 source_player_id=player_id,
             )
@@ -535,11 +541,11 @@ class GameServer(TickLoop):
             self._broadcast_clock.advance()
         else:
             if construct_report.construct_tick:
-                # Each construct that actually stepped produces one dirty
-                # entry at its anchor chunk, visible to nearby subscribers.
-                for positions in self._construct_positions.values():
-                    if positions:
-                        self.interest.note_dirty(self.interest.chunk_of(positions[0]))
+                # On a construct tick every placed construct, stepped or
+                # quiescent, produces one dirty entry at its anchor chunk,
+                # visible to nearby subscribers.
+                for anchor in self._construct_anchors.values():
+                    self.interest.note_dirty(anchor)
             shed_far = (
                 self.degradation.shed_flush_count if self.degradation is not None else None
             )

@@ -61,6 +61,25 @@ def test_update_center_moves_only_the_footprint_delta(make_session):
     assert interest.verify_index()
 
 
+def test_update_center_moves_chunks_between_tiers(make_session):
+    interest = InterestMap(radius_chunks=2, near_radius_chunks=1)
+    interest.subscribe(make_session(1))  # center (0, 0)
+    interest.update_center(1, (1, 0))
+    interest.note_dirty((2, 0))  # was far (distance 2), now near
+    interest.note_dirty((-1, 0), entries=3)  # was near, now far
+    sub = interest.subscription(1)
+    assert (sub.near_entries, sub.far_entries) == (1, 3)
+    assert interest.verify_index()
+
+
+def test_verify_index_checks_the_tier_not_only_the_footprint(make_session):
+    interest = InterestMap(radius_chunks=2, near_radius_chunks=1)
+    interest.subscribe(make_session(1))
+    near, far = interest._index[(2, 0)]
+    near[1] = far.pop(1)  # still indexed under the chunk, but in the wrong half
+    assert not interest.verify_index()
+
+
 def test_gameloop_churn_keeps_the_index_verified(engine):
     """Connect, walk across chunk boundaries, disconnect — index never drifts."""
     config = GameConfig(world_type="flat", interest_radius_chunks=2)

@@ -1,11 +1,10 @@
 """Determinism regression: the inverse chunk index is built in sorted order.
 
-``InterestMap`` maintains ``_chunk_subs``, an insertion-ordered dict keyed by
-chunk.  Subscribe/unsubscribe/recenter used to populate and prune it in
-set-iteration order, so the dict's key order — which downstream flushing and
-dirty-log iteration observe — depended on how the footprint sets hashed.
-The fixed paths iterate footprints (and footprint differences) through
-``sorted()``; these tests pin the observable key order.
+``InterestMap`` maintains ``_index``, an insertion-ordered dict from chunk to
+its ``(near, far)`` subscriber dicts.  Subscribe/unsubscribe/recenter used to
+populate and prune it in set-iteration order, so the dict's key order depended
+on how the footprint sets hashed.  The fixed paths iterate footprints in
+sorted chunk order; these tests pin the observable key order.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from repro.world.coords import BlockPos
 def _keys_for(interest: InterestMap, player_id: int) -> list:
     return [
         chunk
-        for chunk, owners in interest._chunk_subs.items()
-        if player_id in owners
+        for chunk, (near, far) in interest._index.items()
+        if player_id in near or player_id in far
     ]
 
 
@@ -39,9 +38,7 @@ def test_recenter_appends_fresh_footprint_chunks_in_sorted_order(make_session):
     session.avatar.position = BlockPos(8 + 3 * 16, 65, 8 + 2 * 16)
     interest.update_center(1, (3, 2))
     old_footprint = interest._footprint((0, 0))
-    fresh = [
-        chunk for chunk in interest._chunk_subs if chunk not in old_footprint
-    ]
+    fresh = [chunk for chunk in interest._index if chunk not in old_footprint]
     assert fresh, "recentering must index the newly covered chunks"
     assert fresh == sorted(fresh)
 
@@ -51,9 +48,9 @@ def test_unsubscribe_prunes_cleanly_regardless_of_iteration_order(make_session):
     interest.subscribe(make_session(1))
     interest.subscribe(make_session(2, x=8 + 16, z=8))
     interest.unsubscribe(1)
-    assert all(1 not in owners for owners in interest._chunk_subs.values())
-    survivors = list(interest._chunk_subs)
+    assert not _keys_for(interest, 1)
+    survivors = list(interest._index)
     # Player 2's index entries survive, still in their original sorted order.
     assert [c for c in survivors if c in interest._footprint((1, 0))]
     interest.unsubscribe(2)
-    assert not interest._chunk_subs, "the last unsubscribe must empty the index"
+    assert not interest._index, "the last unsubscribe must empty the index"
