@@ -20,7 +20,7 @@ import numpy as np
 from repro.world.block import BlockType
 from repro.world.chunk import CHUNK_HEIGHT, Chunk
 from repro.world.coords import CHUNK_SIZE, ChunkPos, chunk_origin
-from repro.world.noise import LayeredNoise
+from repro.world.noise import LayeredNoise, sample_fields
 
 SEA_LEVEL = 62
 FLAT_SURFACE_LEVEL = 64
@@ -78,6 +78,28 @@ class FlatTerrainGenerator(TerrainGenerator):
         return 0.1
 
 
+def _strata_columns() -> np.ndarray:
+    """The column under and over every possible surface height: ``[height, y]``.
+
+    Bedrock floor, stone, three blocks of dirt, then water up to sea level
+    over low terrain; the surface block itself depends on moisture too and is
+    left for the generator to write.
+    """
+    y = np.arange(CHUNK_HEIGHT, dtype=np.int16)
+    height = y.reshape(CHUNK_HEIGHT, 1)
+    blocks = [BlockType.DIRT, BlockType.STONE, BlockType.BEDROCK, BlockType.WATER]
+    return np.select(
+        [(y >= height - 3) & (y < height), (y >= 1) & (y < height - 3), y == 0,
+         (y > height) & (y <= SEA_LEVEL)],
+        [np.uint8(block) for block in blocks],
+        default=np.uint8(BlockType.AIR),
+    )
+
+
+_STRATA_COLUMNS = _strata_columns()
+_COLUMN_X, _COLUMN_Z = np.indices((CHUNK_SIZE, CHUNK_SIZE))
+
+
 class DefaultTerrainGenerator(TerrainGenerator):
     """Noise-based terrain with mountains, beaches, water and snow caps."""
 
@@ -85,59 +107,40 @@ class DefaultTerrainGenerator(TerrainGenerator):
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)
-        self._height_noise = LayeredNoise(seed=self.seed, octaves=5, base_scale=96.0)
-        self._roughness_noise = LayeredNoise(seed=self.seed + 7919, octaves=3, base_scale=256.0)
-        self._moisture_noise = LayeredNoise(seed=self.seed + 104729, octaves=3, base_scale=160.0)
-
-    def surface_height_at(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Surface height for world columns (vectorised)."""
-        base = self._height_noise.sample(x, z)
-        roughness = self._roughness_noise.sample(x, z)
-        # Roughness modulates the terrain amplitude: plains vs mountains.
-        amplitude = 20.0 + 70.0 * roughness
-        height = SEA_LEVEL - 10.0 + amplitude * base
-        return np.clip(np.round(height), 1, CHUNK_HEIGHT - 2).astype(np.int64)
+        #: base height, roughness (plains vs mountains) and moisture
+        self._fields = (
+            LayeredNoise(seed=self.seed, octaves=5, base_scale=96.0),
+            LayeredNoise(seed=self.seed + 7919, octaves=3, base_scale=256.0),
+            LayeredNoise(seed=self.seed + 104729, octaves=3, base_scale=160.0),
+        )
 
     def generate_chunk(self, position: ChunkPos) -> Chunk:
-        chunk = Chunk(position=position, generated_by=f"default:{self.seed}")
         origin = chunk_origin(position)
-        xs = np.arange(origin.x, origin.x + CHUNK_SIZE)
-        zs = np.arange(origin.z, origin.z + CHUNK_SIZE)
-        grid_x, grid_z = np.meshgrid(xs, zs, indexing="ij")
-        heights = self.surface_height_at(grid_x, grid_z)
-        moisture = self._moisture_noise.sample(grid_x, grid_z)
-
-        blocks = chunk.blocks
-        blocks[:, 0, :] = int(BlockType.BEDROCK)
-        y_axis = np.arange(CHUNK_HEIGHT).reshape(1, CHUNK_HEIGHT, 1)
-        height_grid = heights.reshape(CHUNK_SIZE, 1, CHUNK_SIZE)
-
-        # Fill stone below the surface, dirt near the surface.
-        stone_mask = (y_axis >= 1) & (y_axis < height_grid - 3)
-        dirt_mask = (y_axis >= height_grid - 3) & (y_axis < height_grid)
-        blocks[stone_mask.nonzero()] = int(BlockType.STONE)
-        blocks[dirt_mask.nonzero()] = int(BlockType.DIRT)
+        xs = np.arange(origin.x, origin.x + CHUNK_SIZE).reshape(CHUNK_SIZE, 1)
+        zs = np.arange(origin.z, origin.z + CHUNK_SIZE).reshape(1, CHUNK_SIZE)
+        base, roughness, moisture = sample_fields(self._fields, xs, zs)
+        # Roughness modulates the terrain amplitude: plains vs mountains.
+        height = SEA_LEVEL - 10.0 + (20.0 + 70.0 * roughness) * base
+        heights = np.clip(np.round(height), 1, CHUNK_HEIGHT - 2).astype(np.intp)
 
         # Surface material depends on altitude and moisture.
-        for lx in range(CHUNK_SIZE):
-            for lz in range(CHUNK_SIZE):
-                surface_y = int(heights[lx, lz])
-                wetness = float(moisture[lx, lz])
-                if surface_y <= SEA_LEVEL:
-                    surface = BlockType.SAND if wetness < 0.6 else BlockType.GRAVEL
-                elif surface_y >= SEA_LEVEL + 55:
-                    surface = BlockType.SNOW
-                elif wetness < 0.25:
-                    surface = BlockType.SAND
-                else:
-                    surface = BlockType.GRASS
-                blocks[lx, surface_y, lz] = int(surface)
-                # Fill water above low terrain up to sea level.
-                if surface_y < SEA_LEVEL:
-                    blocks[lx, surface_y + 1:SEA_LEVEL + 1, lz] = int(BlockType.WATER)
-
-        chunk.dirty = False
-        return chunk
+        surface = np.where(
+            heights <= SEA_LEVEL,
+            np.where(moisture < 0.6, int(BlockType.SAND), int(BlockType.GRAVEL)),
+            np.where(
+                heights >= SEA_LEVEL + 55,
+                int(BlockType.SNOW),
+                np.where(moisture < 0.25, int(BlockType.SAND), int(BlockType.GRASS)),
+            ),
+        )
+        columns = _STRATA_COLUMNS[heights]  # [x, z, y]
+        columns[_COLUMN_X, _COLUMN_Z, heights] = surface
+        return Chunk(
+            position=position,
+            blocks=np.ascontiguousarray(columns.transpose(0, 2, 1)),
+            generated_by=f"default:{self.seed}",
+            dirty=False,
+        )
 
     def generation_work_units(self) -> float:
         return 1.0
