@@ -14,10 +14,7 @@ the host: wall-clock ticks per second for
 Each scenario runs twice back to back; the run is rejected unless both runs
 produce identical determinism hashes (tick-duration sequences plus final
 construct state digests), which guards the invariant that wall-clock
-optimisations never change virtual-time results.  A ``parallel`` series
-additionally runs the cluster scenario at ``workers=1`` and ``workers=N``
-(the :mod:`repro.cluster.parallel` round executor) and fails unless the two
-hashes are identical.
+optimisations never change virtual-time results.
 
 The results are written to ``BENCH_core_hotpaths.json`` together with the
 recorded pre-optimisation baseline, so the speedup trajectory of perf PRs is
@@ -185,22 +182,11 @@ def run_construct_heavy(
     return HotPathResult(name=name, ticks=ticks, wall_s=wall_s, determinism_hash=digest)
 
 
-def run_cluster_quick(
-    rounds: int, players: int = 80, shards: int = 2, workers: int = 1
-) -> HotPathResult:
-    """Scenario (b): the quick-scale Servo cluster under player load.
-
-    ``workers`` > 1 enables the parallel round executor; the resulting hash
-    must be identical to the serial run's — that equality is asserted by the
-    ``parallel`` series below and in CI.
-    """
+def run_cluster_quick(rounds: int, players: int = 80, shards: int = 2) -> HotPathResult:
+    """Scenario (b): the quick-scale Servo cluster under player load."""
     engine = SimulationEngine(seed=SEED)
     cluster = build_game_server(
-        "servo-cluster",
-        engine,
-        GameConfig(world_type="flat"),
-        shards=shards,
-        workers=workers,
+        "servo-cluster", engine, GameConfig(world_type="flat"), shards=shards
     )
     cluster.chunks.preload_area(cluster.config.spawn_position, 96.0)
     fleet = _construct_fleet()[:12]
@@ -216,7 +202,6 @@ def run_cluster_quick(
     digest = _hash_run(
         [record.duration_ms for record in cluster.tick_records], constructs
     )
-    cluster.executor.close()
     return HotPathResult(
         name="cluster_quick", ticks=rounds, wall_s=wall_s, determinism_hash=digest
     )
@@ -252,14 +237,6 @@ def main(argv: list | None = None) -> int:
         help="fail unless the determinism hashes match the recorded pre-PR "
         "hashes (quick scale only; proves virtual results are bit-identical)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker count for the parallel cluster series (default: 2; "
-        "the series always runs workers=1 alongside for the hash gate)",
-    )
     args = parser.parse_args(argv)
 
     scale = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
@@ -282,18 +259,6 @@ def main(argv: list | None = None) -> int:
             f"{name}: {result.ticks} ticks in {result.wall_s:.2f}s wall "
             f"-> {result.ticks_per_s:.1f} ticks/s [{marker}]"
         )
-
-    # The parallel series: the cluster scenario at workers=1 and workers=N.
-    # Parallel execution is wall-clock only, so the two hashes MUST be equal
-    # — a divergence is a correctness bug, not a perf regression.
-    serial = run_cluster_quick(cluster_rounds, workers=1)
-    parallel = run_cluster_quick(cluster_rounds, workers=max(2, args.workers))
-    parallel_identical = serial.determinism_hash == parallel.determinism_hash
-    marker = "ok" if parallel_identical else "HASH DIVERGENCE"
-    print(
-        f"parallel: workers=1 {serial.ticks_per_s:.1f} t/s vs "
-        f"workers={max(2, args.workers)} {parallel.ticks_per_s:.1f} t/s [{marker}]"
-    )
 
     # The interest series: the same construct-heavy server with the
     # area-of-interest broadcast on.  The legacy run above doubles as its
@@ -323,12 +288,6 @@ def main(argv: list | None = None) -> int:
         "baseline_pre_pr": PRE_PR_BASELINE,
         "current": {name: result.as_dict() for name, result in results.items()},
         "deterministic": deterministic,
-        "parallel": {
-            "workers": max(2, args.workers),
-            "cluster_quick_workers_1": serial.as_dict(),
-            "cluster_quick_workers_n": parallel.as_dict(),
-            "hashes_identical": parallel_identical,
-        },
         "interest": {
             "legacy": legacy_result.as_dict(),
             "radius_4": interest_on.as_dict(),
@@ -353,9 +312,6 @@ def main(argv: list | None = None) -> int:
 
     if not deterministic:
         print("FAIL: determinism hashes drifted between back-to-back runs")
-        return 1
-    if not parallel_identical:
-        print("FAIL: workers=1 and workers=N produced different virtual results")
         return 1
     if not legacy_hash_ok:
         print("FAIL: legacy broadcast drifted from the recorded pre-PR hash")

@@ -29,7 +29,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     install_requires=["numpy"],
     entry_points={
         "console_scripts": [

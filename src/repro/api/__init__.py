@@ -41,7 +41,6 @@ _EXPORTS = {
     "build_host": "repro.api.hosts",
     "host_names": "repro.api.hosts",
     "cluster_host_names": "repro.api.hosts",
-    "GameFactoryView": "repro.api.hosts",
     # scenarios
     "SCENARIOS": "repro.api.scenarios",
     "register_scenario": "repro.api.scenarios",

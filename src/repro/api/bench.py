@@ -47,32 +47,14 @@ def _summary_digest(summary: dict) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def run_bench(
-    duration_s: float = 5.0, repeats: int = 2, workers: int | None = None
-) -> dict[str, Any]:
-    """Run every bench spec ``repeats`` times; report rates and determinism.
-
-    With ``workers`` set, every cluster scenario runs once more with that
-    worker count, and its summary digest enters the same determinism check:
-    the parallel run must be bit-identical to the serial ones.
-    """
+def run_bench(duration_s: float = 5.0, repeats: int = 2) -> dict[str, Any]:
+    """Run every bench spec ``repeats`` times; report rates and determinism."""
     if repeats < 2:
         raise ValueError("repeats must be at least 2 to check determinism")
     report: dict[str, Any] = {"duration_s": duration_s, "scenarios": {}}
-    if workers is not None:
-        report["workers"] = workers
     for name, base in BENCH_SPECS.items():
         spec = RunSpec.from_dict({**base, "duration_s": duration_s})
         results = [run_spec(spec) for _ in range(repeats)]
-        if workers is not None and "shards" in base["host"]:
-            parallel_host = {**base["host"], "workers": workers}
-            results.append(
-                run_spec(
-                    RunSpec.from_dict(
-                        {**base, "host": parallel_host, "duration_s": duration_s}
-                    )
-                )
-            )
         digests = {_summary_digest(result.summary()) for result in results}
         ticks = [len(result.host.tick_records) for result in results]
         best_wall = min(result.wall_seconds for result in results)

@@ -16,7 +16,7 @@ Commands:
   Chrome trace-event schema and print the per-subsystem virtual-time
   breakdown.
 * ``repro lint`` — statically enforce the determinism contract (rules
-  DET001–DET005) over the package source; non-zero exit on any unsuppressed
+  DET001–003, 005) over the package source; non-zero exit on any unsuppressed
   finding, ``--format json`` for CI.
 * ``repro --version`` — the package version.
 """
@@ -71,12 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario parameter (repeatable; value parsed as JSON when possible)",
     )
     run.add_argument("--shards", type=int, help="shard count for cluster hosts")
-    run.add_argument(
-        "--workers",
-        type=int,
-        help="host worker processes for parallel round execution "
-        "(wall-clock only; virtual results are identical)",
-    )
     run.add_argument("--world-type", choices=("default", "flat"), help="game world type")
     run.add_argument(
         "--interest-radius",
@@ -143,13 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--repeats", type=int, default=2, help="runs per scenario (>= 2)"
     )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the cluster scenario (determinism-checked "
-        "against the serial run)",
-    )
     bench.add_argument("--out", metavar="PATH", help="write the JSON report here")
     bench.set_defaults(handler=_cmd_bench)
 
@@ -173,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="statically enforce the determinism contract (rules DET001-DET005)",
+        help="statically enforce the determinism contract (rules DET001-003, 005)",
     )
     lint.add_argument(
         "paths",
@@ -231,8 +218,6 @@ def _spec_dict_from_args(args: argparse.Namespace) -> dict:
         host["game"] = args.game
     if args.shards is not None:
         host["shards"] = args.shards
-    if args.workers is not None:
-        host["workers"] = args.workers
     if args.world_type is not None:
         game_config["world_type"] = args.world_type
     if args.interest_radius is not None:
@@ -335,9 +320,7 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.api.bench import format_bench, run_bench
 
-    report = run_bench(
-        duration_s=args.duration_s, repeats=args.repeats, workers=args.workers
-    )
+    report = run_bench(duration_s=args.duration_s, repeats=args.repeats)
     print(format_bench(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -10,8 +10,7 @@ themselves with :func:`register_host` where they are defined::
         ...
 
 :func:`build_host` then constructs any variant by name, passing only the
-optional knobs (``servo_config``, ``shards``, ``workers``) the factory's
-signature accepts
+optional knobs (``servo_config``, ``shards``) the factory's signature accepts
 — there is no per-name branching anywhere.  Passing a knob a host does not
 accept is an error that names the host and the knob, rather than a silent
 no-op.
@@ -24,14 +23,13 @@ imported automatically on first lookup).
 from __future__ import annotations
 
 import inspect
-from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.api.registry import Registry
 
 #: the optional keyword knobs a host factory may accept, in canonical order
-HOST_KNOBS = ("servo_config", "shards", "workers")
+HOST_KNOBS = ("servo_config", "shards")
 
 
 def _load_builtin_hosts() -> None:
@@ -82,7 +80,7 @@ def register_host(name: str, *, cluster: bool = False, replace: bool = False):
     """Class/function decorator registering a host factory under ``name``.
 
     The factory must accept ``(engine, game_config=None)`` positionally; the
-    optional knobs it supports (``servo_config``, ``shards``, ``workers``) are discovered
+    optional knobs it supports (``servo_config``, ``shards``) are discovered
     from its signature, so :func:`build_host` can delegate uniformly.
     """
 
@@ -120,66 +118,13 @@ def build_host(
 ):
     """Build a registered host by name.
 
-    ``servo_config``, ``shards`` and ``workers`` are forwarded only when
-    given (not ``None``); giving one to a host that does not accept it is a
+    ``servo_config`` and ``shards`` are forwarded only when given (not
+    ``None``); giving one to a host that does not accept it is a
     ``ValueError``.
     """
-    return host_entry(name).build(
-        engine, game_config, servo_config=servo_config, shards=shards, workers=workers
-    )
-
-
-class GameFactoryView(Mapping):
-    """Live, read-only mapping view of the host registry, keyed by host name.
-
-    Kept for backward compatibility with the historical ``GAME_FACTORIES``
-    dict (``items()``/``values()``/``get()`` and friends come from
-    :class:`~collections.abc.Mapping`): each value is a callable
-    ``(engine, game_config, *, servo_config=None, shards=None, workers=None)``
-    that delegates to the registered factory with whatever knobs it accepts.
-    """
-
-    def __getitem__(self, name: str) -> Callable[..., Any]:
-        entry = host_entry(name)
-
-        def factory(engine, game_config=None, *, servo_config=None, shards=None, workers=None):
-            return entry.build(
-                engine,
-                game_config,
-                servo_config=servo_config,
-                shards=shards,
-                workers=workers,
-            )
-
-        factory.__name__ = f"build_{name.replace('-', '_')}"
-        factory.__doc__ = f"Build the {name!r} host (registered via @register_host)."
-        return factory
-
-    def __iter__(self):
-        return iter(host_names())
-
-    def __len__(self) -> int:
-        return len(HOSTS)
-
-    def __repr__(self) -> str:
-        return f"GameFactoryView({host_names()})"
-
-
-class ClusterGameView(Set):
-    """Live, read-only set view of the registered cluster host names.
-
-    Tracks the registry (unlike a frozen snapshot), so third-party clusters
-    registered after import are still classified correctly.
-    """
-
-    def __contains__(self, name: object) -> bool:
-        return name in cluster_host_names()
-
-    def __iter__(self):
-        return iter(sorted(cluster_host_names()))
-
-    def __len__(self) -> int:
-        return len(cluster_host_names())
-
-    def __repr__(self) -> str:
-        return f"ClusterGameView({sorted(cluster_host_names())})"
+    # Residue of the removed process pool; last reader is bench/workloads.py:166.
+    if workers not in (None, 1):
+        raise ValueError(
+            f"host worker processes were removed; workers must be None or 1, got {workers!r}"
+        )
+    return host_entry(name).build(engine, game_config, servo_config=servo_config, shards=shards)

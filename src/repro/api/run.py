@@ -52,7 +52,6 @@ def run_spec(spec: Union[RunSpec, dict, str, os.PathLike]) -> RunResult:
         spec.host.build_game_config(),
         servo_config=spec.host.build_servo_config(),
         shards=spec.host.shards,
-        workers=spec.host.workers,
     )
     scenario = build_scenario(spec.workload.scenario, **spec.workload.params)
     overrides = {}

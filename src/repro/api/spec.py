@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -74,13 +73,10 @@ def servo_config_from_overrides(overrides: Mapping[str, Any]) -> ServoConfig:
 class HostSpec:
     """The host half of a spec: which topology to build, with which knobs."""
 
-    KEYS = frozenset({"game", "shards", "workers", "game_config", "servo_config"})
+    KEYS = frozenset({"game", "shards", "game_config", "servo_config"})
 
     game: str
     shards: Optional[int] = None
-    #: host worker processes for parallel round execution (wall-clock only;
-    #: virtual results are identical for every value)
-    workers: Optional[int] = None
     game_config: dict = field(default_factory=dict)
     servo_config: Optional[dict] = None
 
@@ -91,20 +87,6 @@ class HostSpec:
             isinstance(self.shards, bool) or not isinstance(self.shards, int) or self.shards < 1
         ):
             raise ValueError(f"host.shards must be a positive integer, got {self.shards!r}")
-        if self.workers is not None and (
-            isinstance(self.workers, bool) or not isinstance(self.workers, int) or self.workers < 1
-        ):
-            raise ValueError(f"host.workers must be a positive integer, got {self.workers!r}")
-        if (
-            self.workers is not None
-            and self.shards is not None
-            and self.workers > self.shards
-        ):
-            warnings.warn(
-                f"host.workers={self.workers} exceeds host.shards={self.shards}; "
-                "extra workers beyond the per-round compute rarely help",
-                stacklevel=2,
-            )
         if self.game_config is None:  # mirror the host factories' game_config=None default
             object.__setattr__(self, "game_config", {})
         _check_config_overrides(self.game_config, _GAME_CONFIG_KNOBS, "game_config")
@@ -124,7 +106,6 @@ class HostSpec:
         return cls(
             game=data["game"],
             shards=data.get("shards"),
-            workers=data.get("workers"),
             game_config=game_config,
             servo_config=servo_config,
         )
@@ -133,8 +114,6 @@ class HostSpec:
         out: dict[str, Any] = {"game": self.game}
         if self.shards is not None:
             out["shards"] = self.shards
-        if self.workers is not None:
-            out["workers"] = self.workers
         if self.game_config:
             out["game_config"] = dict(self.game_config)
         if self.servo_config is not None:

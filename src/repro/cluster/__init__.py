@@ -14,45 +14,29 @@ store:
 * :mod:`repro.cluster.assembly` — cluster construction for the Servo and
   Opencraft variants, built from the same :class:`~repro.server.ServerBuilder`
   parts as the single-server stack.
-* :mod:`repro.cluster.parallel` — the round executors (serial and
-  process-pool) cluster rounds run their pure compute on.
-
-The re-exports resolve lazily (PEP 562): :mod:`repro.cluster.parallel` has no
-dependency on the server layer and is imported *by* it, so eagerly importing
-:mod:`repro.cluster.assembly` here would close an import cycle through
-``repro.server``.
 """
 
-_EXPORTS = {
-    "WorldPartitioner": "repro.cluster.partition",
-    "ZoneRegion": "repro.cluster.partition",
-    "ClusterChunks": "repro.cluster.coordinator",
-    "ClusterCoordinator": "repro.cluster.coordinator",
-    "ClusterSession": "repro.cluster.coordinator",
-    "MigrationRecord": "repro.cluster.coordinator",
-    "build_servo_cluster": "repro.cluster.assembly",
-    "build_opencraft_cluster": "repro.cluster.assembly",
-    "DEFAULT_ZONE_WIDTH_CHUNKS": "repro.cluster.assembly",
-    "ShardRoundExecutor": "repro.cluster.parallel",
-    "SerialExecutor": "repro.cluster.parallel",
-    "ParallelExecutor": "repro.cluster.parallel",
-    "TerrainTask": "repro.cluster.parallel",
-    "make_executor": "repro.cluster.parallel",
-}
+from repro.cluster.assembly import (
+    DEFAULT_ZONE_WIDTH_CHUNKS,
+    build_opencraft_cluster,
+    build_servo_cluster,
+)
+from repro.cluster.coordinator import (
+    ClusterChunks,
+    ClusterCoordinator,
+    ClusterSession,
+    MigrationRecord,
+)
+from repro.cluster.partition import WorldPartitioner, ZoneRegion
 
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__ = [
+    "WorldPartitioner",
+    "ZoneRegion",
+    "ClusterChunks",
+    "ClusterCoordinator",
+    "ClusterSession",
+    "MigrationRecord",
+    "build_servo_cluster",
+    "build_opencraft_cluster",
+    "DEFAULT_ZONE_WIDTH_CHUNKS",
+]

@@ -21,7 +21,6 @@ import itertools
 
 from repro.api.hosts import register_host
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.parallel import make_executor
 from repro.cluster.partition import WorldPartitioner
 from repro.core.config import ServoConfig
 from repro.core.servo import build_servo_server, make_servo_blob, make_servo_platform
@@ -42,19 +41,12 @@ def build_servo_cluster(
     servo_config: ServoConfig | None = None,
     shards: int = 2,
     zone_width_chunks: int = DEFAULT_ZONE_WIDTH_CHUNKS,
-    workers: int = 1,
 ) -> ClusterCoordinator:
-    """Build a Servo cluster: N zone shards over one platform and blob store.
-
-    ``workers`` > 1 runs each round's pure compute (construct batches, chunk
-    content) on a process pool; virtual results are bit-identical for every
-    value (see :mod:`repro.cluster.parallel`).
-    """
+    """Build a Servo cluster: N zone shards over one platform and blob store."""
     game_config = game_config or GameConfig()
     servo_config = servo_config or ServoConfig()
     partitioner = WorldPartitioner(shards, zone_width_chunks=zone_width_chunks)
-    executor = make_executor(workers)
-    platform = make_servo_platform(engine, servo_config, executor=executor)
+    platform = make_servo_platform(engine, servo_config)
     blob = make_servo_blob(engine, servo_config)
     player_ids = itertools.count(1)
 
@@ -85,7 +77,6 @@ def build_servo_cluster(
         config=game_config,
         session_store=blob,
         name="servo-cluster",
-        executor=executor,
         shard_factory=shard_factory,
     )
 
@@ -96,12 +87,10 @@ def build_opencraft_cluster(
     game_config: GameConfig | None = None,
     shards: int = 2,
     zone_width_chunks: int = DEFAULT_ZONE_WIDTH_CHUNKS,
-    workers: int = 1,
 ) -> ClusterCoordinator:
     """Build an Opencraft cluster: N all-local zone shards over one shared disk."""
     game_config = game_config or GameConfig()
     partitioner = WorldPartitioner(shards, zone_width_chunks=zone_width_chunks)
-    executor = make_executor(workers)
     shared_disk = LocalDiskStorage(rng=engine.rng("cluster-disk"))
     player_ids = itertools.count(1)
 
@@ -113,10 +102,6 @@ def build_opencraft_cluster(
             .with_storage(shared_disk)
             .with_region(partitioner.region(zone))
             .with_player_ids(player_ids)
-            # Shards share the coordinator's executor (terrain content may
-            # come from the pool); in cluster rounds the coordinator drives
-            # stepping.
-            .with_executor(executor)
             .build()
         )
 
@@ -128,6 +113,5 @@ def build_opencraft_cluster(
         config=game_config,
         session_store=shared_disk,
         name="opencraft-cluster",
-        executor=executor,
         shard_factory=shard_factory,
     )

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.cluster.parallel import SerialExecutor, ShardRoundExecutor
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import ShardKill
@@ -167,7 +165,6 @@ class ClusterCoordinator(TickLoop):
         session_store: Optional[StorageBackend] = None,
         name: str = "cluster",
         boundary_spawn_every: int = 4,
-        executor: Optional[ShardRoundExecutor] = None,
         shard_factory: Optional[Callable[[int, int], GameServer]] = None,
     ) -> None:
         if len(shards) != partitioner.shard_count:
@@ -181,9 +178,6 @@ class ClusterCoordinator(TickLoop):
         self.config = config
         self.session_store = session_store
         self.name = name
-        #: where each round's pure compute runs (construct batches); shards
-        #: tick through the coordinator's executor rather than their own
-        self.executor = executor if executor is not None else SerialExecutor()
         #: every Nth player spawns near a zone boundary (0 disables); the
         #: bounded-area workloads then wander across it, exercising migration
         self.boundary_spawn_every = int(boundary_spawn_every)
@@ -564,13 +558,10 @@ class ClusterCoordinator(TickLoop):
     def tick(self) -> TickRecord:
         """Execute one cluster round: tick every shard, migrate, advance once.
 
-        Shards tick strictly in shard order, each begin/step/finish in full
-        before the next begins: they share named RNG streams (platform, blob,
-        disk, terrain latency), so interleaving phases across shards would
-        reorder draws and change virtual results.  Only the construct batch —
-        pure integer compute between ``tick_begin`` and ``tick_finish`` — is
-        handed to the round executor, which may scatter it across worker
-        processes without touching the draw order.
+        Shards tick strictly in shard order, each in full before the next
+        begins: they share named RNG streams (platform, blob, disk, terrain
+        latency), so interleaving shards would reorder draws and change
+        virtual results.
         """
         telemetry = self.engine.telemetry
         if telemetry.enabled and telemetry.profiler is not None:
@@ -582,7 +573,6 @@ class ClusterCoordinator(TickLoop):
         if self.fault_injector is not None:
             self._apply_shard_faults()
         start_ms = self.engine.now_ms
-        executor = self.executor
         shard_records = []
         for slot, shard in enumerate(self.shards):
             dead = self._dead.get(slot)
@@ -595,12 +585,8 @@ class ClusterCoordinator(TickLoop):
                     if not proxy.disconnected and proxy.shard_index == slot
                 )
                 continue
-            progress = shard.tick_begin()
-            fixed_points = executor.step_circuits(
-                progress.construct_plan.circuits, slot=slot
-            )
             shard_records.append(
-                shard.tick_finish(progress, fixed_points, advance_clock=False)
+                shard.tick_finish(shard.tick_begin(), advance_clock=False)
             )
         if self._interest_routing:
             self._route_cross_shard_updates()

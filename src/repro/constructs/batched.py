@@ -29,10 +29,7 @@ keeps the construct the single source of truth exactly as the compiled path
 does.
 
 The arithmetic itself lives in :func:`advance_states`, a pure function of a
-:class:`CircuitBatchLayout` (arrays only, picklable) and a state vector.
-That split is what lets :mod:`repro.cluster.parallel` ship slices of a batch
-to worker processes: the workers run the exact same kernel, so a scattered
-step is bit-identical to a local one by construction.
+:class:`CircuitBatchLayout` (arrays only) and a state vector.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from repro.constructs.compiled import (
     CompiledCircuit,
 )
 from repro.constructs.components import MAX_POWER
-from repro.lint.markers import pure_kernel
 
 #: below this many circuits a batched step costs more than it saves
 DEFAULT_MIN_BATCH = 8
@@ -72,10 +68,9 @@ def _batch_signature(circuits: list[CompiledCircuit]) -> tuple:
 
 
 class CircuitBatchLayout:
-    """The state-independent arrays of one packed batch (picklable).
+    """The state-independent arrays of one packed batch.
 
-    Holds only numpy arrays and scalars — no cells, constructs or circuits —
-    so a layout can be pickled to a worker process once and reused there.
+    Holds only numpy arrays and scalars — no cells, constructs or circuits.
     """
 
     __slots__ = (
@@ -145,13 +140,12 @@ class CircuitBatchLayout:
         self.comparator_idx = np.nonzero(codes == _COMPARATOR)[0]
 
 
-@pure_kernel
 def advance_states(layout: CircuitBatchLayout, states: np.ndarray) -> np.ndarray:
     """One synchronous step of every packed circuit: pure integer numpy math.
 
     A pure function of (layout, states): no construct access, no randomness,
-    no global state — safe to execute in a worker process and bit-identical
-    to running ``CompiledCircuit.step`` on each circuit individually.
+    no global state — bit-identical to running ``CompiledCircuit.step`` on
+    each circuit individually.
     """
     # Output pass (mirrors the first loop of CompiledCircuit.step).
     outputs = np.zeros(layout.total + 1, dtype=np.int64)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.api.hosts import register_host
-from repro.cluster.parallel import ShardRoundExecutor, make_executor
 from repro.core.config import ServoConfig
 from repro.core.offload import SC_SIMULATION_FUNCTION, make_simulation_handler
 from repro.core.speculative import SpeculativeConstructBackend
@@ -61,27 +60,14 @@ class ServoRuntime(ServerRuntime):
         return self.platform.billing.cost_per_hour_usd(window_ms)
 
 
-def make_servo_platform(
-    engine: SimulationEngine,
-    servo_config: ServoConfig,
-    executor: Optional[ShardRoundExecutor] = None,
-) -> FaasPlatform:
-    """Create a FaaS platform with the two Servo functions deployed.
-
-    ``executor`` lets the terrain function compute chunk content in host
-    worker processes between virtual request and completion (wall-clock only;
-    the simulated invocations are unchanged).
-    """
+def make_servo_platform(engine: SimulationEngine, servo_config: ServoConfig) -> FaasPlatform:
+    """Create a FaaS platform with the two Servo functions deployed."""
     platform = FaasPlatform(engine, provider=provider_by_name(servo_config.provider))
-    deploy_servo_functions(platform, servo_config, executor=executor)
+    deploy_servo_functions(platform, servo_config)
     return platform
 
 
-def deploy_servo_functions(
-    platform: FaasPlatform,
-    servo_config: ServoConfig,
-    executor: Optional[ShardRoundExecutor] = None,
-) -> None:
+def deploy_servo_functions(platform: FaasPlatform, servo_config: ServoConfig) -> None:
     """Deploy the Servo functions onto ``platform`` (idempotent)."""
     if not platform.is_registered(SC_SIMULATION_FUNCTION):
         platform.register(
@@ -96,7 +82,7 @@ def deploy_servo_functions(
         platform.register(
             FunctionDefinition(
                 name=TERRAIN_GENERATION_FUNCTION,
-                handler=make_terrain_handler(executor),
+                handler=make_terrain_handler(),
                 memory_mb=servo_config.terrain_function_memory_mb,
                 description="procedural generation of one terrain chunk",
             )
@@ -120,8 +106,6 @@ def build_servo_server(
     name: str = "servo",
     region: Optional[OwnershipRegion] = None,
     player_ids: Optional[Iterator[int]] = None,
-    workers: Optional[int] = None,
-    executor: Optional[ShardRoundExecutor] = None,
 ) -> GameServer:
     """Build a game server running the Servo serverless backend.
 
@@ -129,19 +113,14 @@ def build_servo_server(
     (Requirement R4); only the backend services change.  ``platform`` and
     ``blob`` default to fresh instances; a cluster passes shared ones so all
     shards bill against one provider account and persist into one store.
-    ``workers`` (or a shared ``executor``) enables host-side parallel
-    execution of the round's pure compute — wall-clock only, bit-identical
-    virtual results.
     """
     game_config = game_config or GameConfig()
     servo_config = servo_config or ServoConfig()
-    if executor is None and workers is not None:
-        executor = make_executor(workers)
 
     if platform is None:
-        platform = make_servo_platform(engine, servo_config, executor=executor)
+        platform = make_servo_platform(engine, servo_config)
     else:
-        deploy_servo_functions(platform, servo_config, executor=executor)
+        deploy_servo_functions(platform, servo_config)
     if blob is None:
         blob = make_servo_blob(engine, servo_config)
 
@@ -180,7 +159,6 @@ def build_servo_server(
         .with_runtime(runtime)
         .with_region(region)
         .with_player_ids(player_ids)
-        .with_executor(executor)
         .build()
     )
 

@@ -295,8 +295,7 @@ class SpeculativeConstructBackend(ConstructBackend):
         virtual results are bit-identical.
 
         The split exposes phase 2 as the plan's pure batch: phase 1 runs
-        here, phases 3 runs in ``finish`` once the batch has been stepped —
-        by this backend inline, or by a cluster round's executor.
+        here, phase 3 runs in ``finish`` once the batch has been stepped.
         """
         report = ConstructTickReport(
             total_constructs=len(self._constructs), construct_tick=True

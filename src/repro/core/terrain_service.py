@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.cluster.parallel import ShardRoundExecutor, TerrainTask
 from repro.faas.function import FunctionOutput, Invocation
 from repro.faas.platform import FaasPlatform
 from repro.server.chunkmanager import GenerationResult, TerrainProvider
@@ -46,21 +45,11 @@ class TerrainRequest:
     cz: int
 
 
-def make_terrain_handler(
-    executor: Optional[ShardRoundExecutor] = None,
-) -> Callable[[TerrainRequest], FunctionOutput]:
+def make_terrain_handler() -> Callable[[TerrainRequest], FunctionOutput]:
     """Create the FaaS handler that generates terrain chunks.
 
     Generators are cached per (world type, seed) inside the handler, mirroring
     a warm function container reusing its initialised generator.
-
-    With a round ``executor``, the handler returns a
-    :class:`~repro.cluster.parallel.TerrainTask` instead of the chunk itself:
-    the platform runs handlers at (virtual) request time but delivers results
-    at completion time, so a pooled executor generates the chunk in a worker
-    process during that window.  The simulated invocation — its virtual work,
-    latency and billing — is unchanged; generation is pure, so the resolved
-    chunk is byte-identical.
     """
     generators: dict[tuple[str, int], TerrainGenerator] = {}
 
@@ -73,9 +62,6 @@ def make_terrain_handler(
         generator = generators[key]
         work_ms = terrain_generation_work_ms(generator)
         position = ChunkPos(payload.cx, payload.cz)
-        if executor is not None:
-            task = executor.submit_terrain(generator, position)
-            return FunctionOutput(value=task, work_ms_single_vcpu=work_ms)
         return FunctionOutput(
             value=generator.generate_chunk(position), work_ms_single_vcpu=work_ms
         )
@@ -127,10 +113,6 @@ class ServerlessTerrainProvider(TerrainProvider):
         def on_reply(invocation: Invocation) -> None:
             self._pending -= 1
             chunk = invocation.result
-            if isinstance(chunk, TerrainTask):
-                # The handler deferred generation to a worker process; the
-                # chunk is (at worst: becomes) ready now, at completion time.
-                chunk = chunk.resolve()
             telemetry = self.engine.telemetry
             if telemetry.enabled:
                 telemetry.span(

@@ -13,9 +13,7 @@ from repro.experiments.cluster_scalability import (
     run_cluster_scalability,
 )
 from repro.experiments.harness import (
-    CLUSTER_GAMES,
     ExperimentSettings,
-    GAME_FACTORIES,
     PAPER_SETTINGS,
     QUICK_SETTINGS,
     build_game_server,
@@ -26,8 +24,6 @@ from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 __all__ = [
     "ExperimentSettings",
-    "GAME_FACTORIES",
-    "CLUSTER_GAMES",
     "QUICK_SETTINGS",
     "PAPER_SETTINGS",
     "settings_for_scale",

@@ -10,24 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.api.hosts import ClusterGameView, GameFactoryView, build_host
+from repro.api.hosts import build_host
 from repro.api.registry import unknown_name_error
 from repro.core import ServoConfig
 from repro.server import GameConfig
 from repro.sim import SimulationEngine
 from repro.workload import GameHost
-
-#: game name -> factory(engine, game_config, *, servo_config=None, shards=None).
-#: A live, read-only view of the :data:`repro.api.hosts.HOSTS` registry —
-#: every factory accepts the keyword knobs its variant supports, and variants
-#: registered with ``@register_host`` (including third-party ones) appear here
-#: automatically.  Kept under its historical name for backward compatibility.
-GAME_FACTORIES = GameFactoryView()
-
-#: the game names that build a multi-shard cluster rather than one server
-#: (a live view, like GAME_FACTORIES)
-CLUSTER_GAMES = ClusterGameView()
-
 
 @dataclass(frozen=True)
 class ExperimentSettings:
@@ -83,7 +71,6 @@ def build_game_server(
     game_config: GameConfig | None = None,
     servo_config: ServoConfig | None = None,
     shards: int | None = None,
-    workers: int | None = None,
 ) -> GameHost:
     """Build a game host by name, via the :mod:`repro.api.hosts` registry.
 
@@ -92,17 +79,11 @@ def build_game_server(
     "servo-cluster") return a :class:`~repro.cluster.ClusterCoordinator` with
     ``shards`` zone shards.  Both satisfy the
     :class:`~repro.workload.GameHost` surface the experiments drive.  The
-    ``servo_config``, ``shards`` and ``workers`` knobs are forwarded only
-    when given; giving one to a variant that does not accept it is a
-    ``ValueError``.
+    ``servo_config`` and ``shards`` knobs are forwarded only when given;
+    giving one to a variant that does not accept it is a ``ValueError``.
     """
     return build_host(
-        game,
-        engine,
-        game_config or GameConfig(),
-        servo_config=servo_config,
-        shards=shards,
-        workers=workers,
+        game, engine, game_config or GameConfig(), servo_config=servo_config, shards=shards
     )
 
 

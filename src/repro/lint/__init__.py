@@ -1,18 +1,14 @@
 """Determinism linter: the repo's reproducibility contract as static rules.
 
 ``repro lint`` (see :mod:`repro.lint.engine`) walks the package source with
-the stdlib :mod:`ast` and enforces five named, suppressible rules — DET001
+the stdlib :mod:`ast` and enforces four named, suppressible rules — DET001
 wall clock, DET002 ambient randomness, DET003 unordered-set iteration,
-DET004 pool-boundary kernel purity, DET005 address-dependent values.  Inline
-``# det: allow[DET00x] reason`` pragmas (reason mandatory) and the
-``lint.toml`` quarantine table are the only ways to silence a finding.
+DET005 address-dependent values.  Inline ``# det: allow[DET00x] reason``
+pragmas (reason mandatory) and the ``lint.toml`` quarantine table are the only
+ways to silence a finding.
 
-Only :func:`~repro.lint.markers.pure_kernel` is imported eagerly — engine
-modules tag their kernels with it, and that import must stay feather-light.
-Everything else loads lazily (PEP 562), exactly like :mod:`repro.cluster`.
+The exports load lazily (PEP 562), so importing the package stays cheap.
 """
-
-from repro.lint.markers import is_pure_kernel, pure_kernel
 
 _LAZY = {
     "Finding": ("repro.lint.findings", "Finding"),
@@ -23,7 +19,7 @@ _LAZY = {
     "load_config": ("repro.lint.config", "load_config"),
 }
 
-__all__ = ["pure_kernel", "is_pure_kernel", *sorted(_LAZY)]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

@@ -1,4 +1,4 @@
-"""Lint configuration: per-rule path allowlists and registered kernel roots.
+"""Lint configuration: per-rule path allowlists.
 
 The defaults below are the repo's determinism contract in table form.  A
 ``lint.toml`` next to the source tree (searched upward from the linted
@@ -8,9 +8,6 @@ the code it exempts::
     [lint.allow]
     # package-relative fnmatch globs, forward slashes
     DET001 = ["obs/profiling.py"]
-
-    [lint.kernels]
-    roots = ["repro.cluster.parallel._generate_chunk_task"]
 """
 
 from __future__ import annotations
@@ -27,17 +24,6 @@ DEFAULT_ALLOWLIST: dict[str, tuple[str, ...]] = {
     "DET001": ("obs/profiling.py",),
 }
 
-#: functions that cross the process-pool boundary of
-#: :mod:`repro.cluster.parallel` and therefore must satisfy DET004 even
-#: without a ``@pure_kernel`` decorator (the decorator is preferred; this
-#: table exists so un-importable or third-party-registered entry points can
-#: still be pinned by qualified name).
-DEFAULT_KERNEL_ROOTS: tuple[str, ...] = (
-    "repro.constructs.batched.advance_states",
-    "repro.cluster.parallel._generate_chunk_task",
-    "repro.cluster.parallel._advance_batch_task",
-)
-
 CONFIG_FILENAME = "lint.toml"
 
 
@@ -48,7 +34,6 @@ class LintConfig:
     allowlist: dict[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_ALLOWLIST)
     )
-    kernel_roots: tuple[str, ...] = DEFAULT_KERNEL_ROOTS
     source: str = "<defaults>"
 
     def is_path_allowed(self, rule_id: str, rel_path: str) -> bool:
@@ -93,15 +78,7 @@ def load_config(explicit_path: Path | None = None, search_from: Path | None = No
             raise ValueError(f"{path}: lint.allow.{rule} must be a list of path globs")
         allowlist.setdefault(str(rule), [])
         allowlist[str(rule)].extend(patterns)
-    kernels = data.get("kernels") or {}
-    roots = list(DEFAULT_KERNEL_ROOTS)
-    for name in kernels.get("roots", ()):
-        if not isinstance(name, str):
-            raise ValueError(f"{path}: lint.kernels.roots must be a list of qualified names")
-        if name not in roots:
-            roots.append(name)
     return LintConfig(
         allowlist={rule: tuple(patterns) for rule, patterns in allowlist.items()},
-        kernel_roots=tuple(roots),
         source=str(path),
     )

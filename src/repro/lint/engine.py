@@ -14,8 +14,6 @@ from pathlib import Path
 from repro.lint.config import LintConfig, load_config
 from repro.lint.findings import SCHEMA_VERSION, Finding
 from repro.lint.model import ModuleInfo, build_module_info
-from repro.lint.purity import HINT as DET004_HINT
-from repro.lint.purity import PurityChecker
 from repro.lint.rules import MODULE_RULES
 
 #: rule id used for lint-infrastructure problems (malformed pragmas, parse
@@ -23,7 +21,7 @@ from repro.lint.rules import MODULE_RULES
 META_RULE = "DET000"
 
 #: every rule id the pragma parser accepts
-KNOWN_RULES = ("DET001", "DET002", "DET003", "DET004", "DET005")
+KNOWN_RULES = ("DET001", "DET002", "DET003", "DET005")
 
 RULE_TABLE: dict[str, dict[str, str]] = {
     META_RULE: {
@@ -33,10 +31,6 @@ RULE_TABLE: dict[str, dict[str, str]] = {
     **{
         rule.rule_id: {"title": rule.title, "hint": rule.hint}
         for rule in MODULE_RULES
-    },
-    "DET004": {
-        "title": "pool-boundary kernels must be pure, transitively",
-        "hint": DET004_HINT,
     },
 }
 
@@ -129,29 +123,20 @@ def _apply_suppressions(finding: Finding, module: ModuleInfo, config: LintConfig
     return finding
 
 
-def lint_tree(
-    package_dir: Path | str,
-    config: LintConfig | None = None,
-    package_name: str = "repro",
-) -> LintReport:
+def lint_tree(package_dir: Path | str, config: LintConfig | None = None) -> LintReport:
     """Lint every ``*.py`` under ``package_dir`` (a package source root)."""
     package_dir = Path(package_dir)
     if config is None:
         config = load_config(search_from=package_dir)
     report = LintReport(target=str(package_dir), config_source=config.source)
 
-    modules: dict[str, ModuleInfo] = {}
     findings: list[Finding] = []
     for path in sorted(package_dir.rglob("*.py")):
         rel = path.relative_to(package_dir).as_posix()
-        dotted = rel[: -len(".py")].replace("/", ".")
-        if dotted.endswith("__init__"):
-            dotted = dotted[: -len(".__init__")] if "." in dotted else ""
-        module_name = f"{package_name}.{dotted}" if dotted else package_name
         report.files += 1
         try:
             source = path.read_text(encoding="utf-8")
-            module = build_module_info(path, rel, module_name, source)
+            module = build_module_info(path, rel, source)
         except (SyntaxError, UnicodeDecodeError) as error:
             findings.append(Finding(
                 rule=META_RULE, path=rel,
@@ -160,16 +145,10 @@ def lint_tree(
                 hint="the linter cannot vouch for a file it cannot read",
             ))
             continue
-        modules[module_name] = module
         findings.extend(_pragma_problems(module))
         for rule in MODULE_RULES:
             for finding in rule.check(module):
                 findings.append(_apply_suppressions(finding, module, config))
-
-    purity = PurityChecker(modules, config.kernel_roots)
-    by_rel = {module.rel_path: module for module in modules.values()}
-    for finding in purity.check():
-        findings.append(_apply_suppressions(finding, by_rel[finding.path], config))
 
     report.findings = sorted(findings, key=_sort_key)
     return report

@@ -41,13 +41,10 @@ class ModuleInfo:
 
     path: Path
     rel_path: str  # package-relative posix path, e.g. "server/chunkmanager.py"
-    module_name: str  # dotted module name, e.g. "repro.server.chunkmanager"
     source: str
     lines: list[str]
     tree: ast.Module
     aliases: dict[str, str] = field(default_factory=dict)
-    global_names: set[str] = field(default_factory=set)
-    functions: dict[str, ast.FunctionDef] = field(default_factory=dict)
     set_returning_functions: set[str] = field(default_factory=set)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     pragmas: dict[int, Pragma] = field(default_factory=dict)
@@ -142,13 +139,12 @@ def _is_set_literalish(expr: ast.AST) -> bool:
     return False
 
 
-def build_module_info(path: Path, rel_path: str, module_name: str, source: str) -> ModuleInfo:
+def build_module_info(path: Path, rel_path: str, source: str) -> ModuleInfo:
     tree = ast.parse(source, filename=str(path))
     lines = source.splitlines()
     info = ModuleInfo(
         path=path,
         rel_path=rel_path,
-        module_name=module_name,
         source=source,
         lines=lines,
         tree=tree,
@@ -156,21 +152,10 @@ def build_module_info(path: Path, rel_path: str, module_name: str, source: str) 
         pragmas=extract_pragmas(lines),
     )
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            info.functions[node.name] = node
-            if is_set_annotation(node.returns):
-                info.set_returning_functions.add(node.name)
+        if isinstance(node, ast.FunctionDef) and is_set_annotation(node.returns):
+            info.set_returning_functions.add(node.name)
         elif isinstance(node, ast.ClassDef):
             info.classes[node.name] = _collect_class_info(node)
-            info.global_names.add(node.name)
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    info.global_names.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            info.global_names.add(node.target.id)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info.global_names.add(node.name)
     for parent in ast.walk(tree):
         for child in ast.iter_child_nodes(parent):
             info.parents[child] = parent

@@ -13,8 +13,8 @@ The rules (see README "Static analysis" for the contract they enforce):
   sinks without an explicit ``sorted()``.
 * **DET005** — no ``id()`` / ``hash(object)`` / address-dependent ordering.
 
-(**DET004**, transitive kernel purity, needs the whole-package call graph
-and lives in :mod:`repro.lint.purity`.)
+(The id between DET003 and DET005 belonged to a rule that was deleted with
+the code it guarded; ids are not renumbered.)
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ class AddressDependenceRule(Rule):
                         )
 
 
-#: the per-module rules, in report order (DET004 is cross-module, see purity.py)
+#: the rules, in report order
 MODULE_RULES: tuple[Rule, ...] = (
     WallClockRule(),
     AmbientRandomnessRule(),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.cluster.parallel import ShardRoundExecutor, make_executor
 from repro.interest import InterestMap
 from repro.server.chunkmanager import (
     ChunkManager,
@@ -55,7 +54,6 @@ class ServerBuilder:
         self._terrain_provider: Optional[TerrainProvider] = None
         self._construct_backend: Optional[ConstructBackend] = None
         self._generation_workers = 2
-        self._executor: Optional[ShardRoundExecutor] = None
         self._region: Optional[OwnershipRegion] = None
         self._runtime: Optional[ServerRuntime] = None
         self._player_ids: Optional[Iterator[int]] = None
@@ -84,21 +82,6 @@ class ServerBuilder:
 
     def with_construct_backend(self, backend: ConstructBackend) -> "ServerBuilder":
         self._construct_backend = backend
-        return self
-
-    def with_workers(self, workers: Optional[int]) -> "ServerBuilder":
-        """Host worker processes for the round executor (``None``/1 = inline).
-
-        Wall-clock only: virtual results are bit-identical for every value
-        (see :mod:`repro.cluster.parallel`).
-        """
-        if workers is not None:
-            self._executor = make_executor(workers)
-        return self
-
-    def with_executor(self, executor: Optional[ShardRoundExecutor]) -> "ServerBuilder":
-        """Use a specific round executor (cluster shards share the coordinator's)."""
-        self._executor = executor
         return self
 
     # -- cluster / runtime ----------------------------------------------------------
@@ -146,10 +129,7 @@ class ServerBuilder:
         if storage is None and self._use_default_storage:
             storage = LocalDiskStorage(rng=self.engine.rng(f"{self.name}-disk"))
         provider = self._terrain_provider or LocalTerrainProvider(
-            self.engine,
-            generator,
-            workers=self._generation_workers,
-            executor=self._executor,
+            self.engine, generator, workers=self._generation_workers
         )
         backend = self._construct_backend or LocalConstructBackend(
             interval=self._cost_model.construct_tick_interval
@@ -176,6 +156,5 @@ class ServerBuilder:
             runtime=self._runtime,
             region=self._region,
             player_ids=self._player_ids,
-            executor=self._executor,
             interest=interest,
         )

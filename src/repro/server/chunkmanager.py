@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, block_to_chunk, c
 from repro.world.serialization import chunk_from_bytes, chunk_to_bytes
 from repro.world.terrain import TerrainGenerator
 from repro.world.world import VoxelWorld
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.parallel import ShardRoundExecutor
 
 #: virtual milliseconds of on-server work to generate one default-world chunk
 CHUNK_GENERATION_WORK_MS = 250.0
@@ -125,7 +122,6 @@ class LocalTerrainProvider(TerrainProvider):
         generator: TerrainGenerator,
         workers: int = 2,
         work_ms: float | None = None,
-        executor: "ShardRoundExecutor | None" = None,
     ) -> None:
         if workers < 1:
             raise ValueError("a local terrain provider needs at least one worker")
@@ -140,10 +136,6 @@ class LocalTerrainProvider(TerrainProvider):
         self._worker_free_at_ms = [0.0] * self.workers
         self._pending = 0
         self._rng = engine.rng("local-terrain")
-        #: optional round executor: chunk content is then computed in a worker
-        #: process between the virtual request and completion times (identical
-        #: bytes — generation is pure in seed and position)
-        self.executor = executor
 
     def request(
         self, position: ChunkPos, callback: Callable[[Chunk, GenerationResult], None]
@@ -157,17 +149,10 @@ class LocalTerrainProvider(TerrainProvider):
         finish = start + duration
         self._worker_free_at_ms[worker_index] = finish
         self._pending += 1
-        task = (
-            self.executor.submit_terrain(self.generator, position)
-            if self.executor is not None
-            else None
-        )
 
         def complete() -> None:
             self._pending -= 1
-            chunk = (
-                task.resolve() if task is not None else self.generator.generate_chunk(position)
-            )
+            chunk = self.generator.generate_chunk(position)
             result = GenerationResult(
                 position=position,
                 latency_ms=finish - now,

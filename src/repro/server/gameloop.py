@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
-    from repro.cluster.parallel import ShardRoundExecutor
+from typing import Callable, Iterator, Optional
 
 from repro.constructs.circuit import SimulatedConstruct
 from repro.interest import InterestMap
@@ -71,8 +68,7 @@ class TickInProgress:
     """A tick split at the construct-batch boundary (see ``tick_begin``).
 
     Holds everything ``tick_finish`` needs to complete the tick once the
-    construct plan's pure batch has been stepped — by the server itself, or
-    by a cluster coordinator's round executor.
+    construct plan's pure batch has been stepped.
     """
 
     start_ms: float
@@ -135,6 +131,9 @@ class ServerStatistics:
 class GameServer(TickLoop):
     """One MVE server instance (one virtual world)."""
 
+    # Residue of the removed process pool; last reader is bench/spans.py:185.
+    executor = None
+
     def __init__(
         self,
         engine: SimulationEngine,
@@ -148,7 +147,6 @@ class GameServer(TickLoop):
         runtime: Optional[ServerRuntime] = None,
         region: Optional[OwnershipRegion] = None,
         player_ids: Optional[Iterator[int]] = None,
-        executor: Optional["ShardRoundExecutor"] = None,
         interest: Optional[InterestMap] = None,
     ) -> None:
         self.engine = engine
@@ -159,9 +157,6 @@ class GameServer(TickLoop):
         self.cost_model = cost_model
         self.storage = storage
         self.name = name
-        #: steps this server's construct batches when set (``--workers`` knob);
-        #: cluster shards leave this None — the coordinator's executor is used
-        self.executor = executor
         #: typed handle to backend-specific services (e.g. ServoRuntime)
         self.runtime = runtime
         #: ownership region when this server is one shard of a cluster
@@ -507,26 +502,15 @@ class GameServer(TickLoop):
             construct_plan=construct_plan,
         )
 
-    def tick_finish(
-        self,
-        progress: TickInProgress,
-        fixed_points: Optional[list[bool]] = None,
-        advance_clock: bool = True,
-    ) -> TickRecord:
-        """Complete a tick started by :meth:`tick_begin`.
-
-        ``fixed_points`` are the construct batch's per-circuit fixed-point
-        flags when the caller stepped the batch itself (a cluster round);
-        ``None`` steps the batch inline.
-        """
+    def tick_finish(self, progress: TickInProgress, advance_clock: bool = True) -> TickRecord:
+        """Complete a tick started by :meth:`tick_begin`."""
         start_ms = progress.start_ms
         work = progress.work
         chunk_report = progress.chunk_report
-        if fixed_points is None:
-            fixed_points = progress.construct_plan.step_inline()
 
-        # 3b. Construct bookkeeping after the batch step.
-        construct_report = progress.construct_plan.finish(fixed_points)
+        # 3b. Step the construct batch, then the bookkeeping after it.
+        construct_plan = progress.construct_plan
+        construct_report = construct_plan.finish(construct_plan.step_inline())
         work.constructs_total = construct_report.total_constructs
         work.constructs_simulated_locally = construct_report.simulated_locally
         work.constructs_merged = construct_report.merged_speculative
@@ -659,8 +643,7 @@ class GameServer(TickLoop):
         ticks at the same virtual start time; the coordinator then advances
         the shared clock once by the slowest shard's duration (lockstep).
         The coordinator drives :meth:`tick_begin`/:meth:`tick_finish`
-        directly instead of this method, interposing its round executor at
-        the construct-batch boundary.
+        directly instead of this method.
         """
         telemetry = self.engine.telemetry
         if telemetry.enabled and telemetry.profiler is not None:
@@ -669,11 +652,7 @@ class GameServer(TickLoop):
         return self._tick(advance_clock)
 
     def _tick(self, advance_clock: bool) -> TickRecord:
-        progress = self.tick_begin()
-        fixed_points = None
-        if self.executor is not None:
-            fixed_points = self.executor.step_circuits(progress.construct_plan.circuits)
-        return self.tick_finish(progress, fixed_points, advance_clock=advance_clock)
+        return self.tick_finish(self.tick_begin(), advance_clock=advance_clock)
 
     # -- reporting ---------------------------------------------------------------------------
 

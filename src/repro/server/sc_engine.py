@@ -55,26 +55,22 @@ class ConstructTickPlan:
     """A backend tick split at its pure-compute boundary.
 
     ``circuits`` is the batch of independent compiled circuits the tick must
-    advance by exactly one step — pure integer compute with no randomness, so
-    a :class:`~repro.cluster.parallel.ShardRoundExecutor` may run it anywhere
-    (inline, scattered over worker processes) as long as the resulting
-    fixed-point flags are handed to ``finish`` in circuit order.  Everything
-    that touches shared simulation state (RNG streams, metrics, speculation
-    records) stays inside ``begin_tick``/``finish`` on the coordinator side.
+    advance by exactly one step — pure integer compute with no randomness —
+    and ``finish`` takes the resulting fixed-point flags in circuit order.
+    Everything that touches shared simulation state (RNG streams, metrics,
+    speculation records) stays inside ``begin_tick``/``finish``.
     """
 
     circuits: list[CompiledCircuit]
     finish: Callable[[list[bool]], ConstructTickReport]
-    #: the backend's own stepper, for inline execution outside a cluster round
+    #: the backend's own stepper (only a plan without circuits may omit it)
     stepper: Optional[BatchedCircuitStepper] = None
 
     def step_inline(self) -> list[bool]:
-        """Advance the plan's circuits locally (the non-cluster path)."""
+        """Advance the plan's circuits one step; returns the fixed-point flags."""
         if not self.circuits:
             return []
-        if self.stepper is not None:
-            return self.stepper.step_batch(self.circuits)
-        return [circuit.step() for circuit in self.circuits]
+        return self.stepper.step_batch(self.circuits)
 
 
 class ConstructBackend:
@@ -101,8 +97,7 @@ class ConstructBackend:
         """Split the tick at its pure-compute boundary (see ConstructTickPlan).
 
         Backends that cannot split simply run the whole tick now and return
-        an empty plan; backends with a batchable step override this so a
-        cluster round can execute the batch through its executor.
+        an empty plan.
         """
         report = self.tick(tick_index)
         return ConstructTickPlan(circuits=[], finish=lambda _flags: report)

@@ -25,23 +25,17 @@ def _make_local_server(
     cost_model: TickCostModel,
     name: str,
     generation_workers: int,
-    workers: int | None = None,
 ) -> GameServer:
     return (
         ServerBuilder(engine, config, name=name)
         .with_cost_model(cost_model)
         .with_generation_workers(generation_workers)
-        .with_workers(workers)
         .build()
     )
 
 
 @register_host("opencraft")
-def make_opencraft(
-    engine: SimulationEngine,
-    config: GameConfig | None = None,
-    workers: int | None = None,
-) -> GameServer:
+def make_opencraft(engine: SimulationEngine, config: GameConfig | None = None) -> GameServer:
     """Build an Opencraft baseline server (all components local)."""
     return _make_local_server(
         engine=engine,
@@ -49,16 +43,11 @@ def make_opencraft(
         cost_model=OPENCRAFT_COST_MODEL,
         name="opencraft",
         generation_workers=2,
-        workers=workers,
     )
 
 
 @register_host("minecraft")
-def make_minecraft(
-    engine: SimulationEngine,
-    config: GameConfig | None = None,
-    workers: int | None = None,
-) -> GameServer:
+def make_minecraft(engine: SimulationEngine, config: GameConfig | None = None) -> GameServer:
     """Build a Minecraft baseline server (all components local, official-server profile)."""
     return _make_local_server(
         engine=engine,
@@ -66,5 +55,4 @@ def make_minecraft(
         cost_model=MINECRAFT_COST_MODEL,
         name="minecraft",
         generation_workers=2,
-        workers=workers,
     )

@@ -15,7 +15,7 @@ from repro.api import (
     scenario_names,
     scenario_parameters,
 )
-from repro.experiments import GAME_FACTORIES, build_game_server, settings_for_scale
+from repro.experiments import build_game_server, settings_for_scale
 from repro.experiments.registry import run_experiment
 from repro.experiments.tab01_overview import scenario_for
 from repro.core import ServoConfig
@@ -100,26 +100,24 @@ def test_register_host_decorator_adds_buildable_variant():
         )
         assert host.name == "test-tiny"
         assert host.servo.config.provider == "azure"
-        assert "test-tiny" in GAME_FACTORIES  # the legacy view tracks the registry
+        assert "test-tiny" in host_names()
     finally:
         HOSTS.unregister("test-tiny")
-    assert "test-tiny" not in GAME_FACTORIES
+    assert "test-tiny" not in host_names()
 
 
 def test_cluster_games_is_a_live_view():
-    from repro.experiments import CLUSTER_GAMES
-
     @register_host("test-cluster", cluster=True)
     def build_fake(engine, game_config=None, shards=2):
         raise NotImplementedError
 
     try:
-        assert "test-cluster" in CLUSTER_GAMES
-        assert "test-cluster" in GAME_FACTORIES
+        assert "test-cluster" in cluster_host_names()
+        assert "test-cluster" in host_names()
     finally:
         HOSTS.unregister("test-cluster")
-    assert "test-cluster" not in CLUSTER_GAMES
-    assert {"opencraft-cluster", "servo-cluster"} <= set(CLUSTER_GAMES)
+    assert "test-cluster" not in cluster_host_names()
+    assert {"opencraft-cluster", "servo-cluster"} <= cluster_host_names()
 
 
 def test_duplicate_host_registration_rejected():
@@ -156,6 +154,31 @@ def test_builtin_collision_fails_at_registration_site_in_fresh_process():
     assert "registry survived" in completed.stdout
 
 
+@pytest.mark.parametrize("first", ["repro.cluster", "repro.server", "repro.api"])
+def test_each_layer_imports_first_in_a_fresh_interpreter(first):
+    # repro.cluster's exports are plain imports, so no layer may need another
+    # one imported before it.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        f"import {first}\n"
+        "from repro.api import build_host\n"
+        "from repro.cluster import ClusterCoordinator\n"
+        "from repro.sim import SimulationEngine\n"
+        "host = build_host('servo-cluster', SimulationEngine(seed=0), shards=2)\n"
+        "assert isinstance(host, ClusterCoordinator)\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
 def test_rejected_knob_names_host_and_knob():
     with pytest.raises(ValueError) as excinfo:
         build_game_server(
@@ -168,20 +191,27 @@ def test_rejected_knob_names_host_and_knob():
 
 
 def test_game_factories_entries_accept_keyword_knobs():
-    cluster = GAME_FACTORIES["servo-cluster"](
+    cluster = build_host(
+        "servo-cluster",
         SimulationEngine(seed=0),
         GameConfig(world_type="flat"),
         servo_config=ServoConfig(tick_lead=10),
         shards=3,
     )
     assert cluster.shard_count == 3
-    baseline = GAME_FACTORIES["opencraft"](
-        SimulationEngine(seed=0), GameConfig(world_type="flat")
-    )
+    baseline = build_host("opencraft", SimulationEngine(seed=0), GameConfig(world_type="flat"))
     assert baseline.name == "opencraft"
-    assert len(GAME_FACTORIES) >= 5
-    assert sorted(GAME_FACTORIES) == sorted(GAME_FACTORIES.keys())
-    assert all(callable(factory) for _, factory in GAME_FACTORIES.items())
+    assert len(host_names()) >= 5
+    assert all(callable(entry.factory) for _, entry in HOSTS.items())
+
+
+def test_build_host_workers_residue_accepts_only_none_or_one():
+    # bench/workloads.py still passes workers=1 for cluster hosts; nothing is forwarded.
+    config = GameConfig(world_type="flat")
+    cluster = build_host("servo-cluster", SimulationEngine(seed=0), config, shards=2, workers=1)
+    assert cluster.shard_count == 2
+    with pytest.raises(ValueError, match="host worker processes were removed"):
+        build_host("servo-cluster", SimulationEngine(seed=0), config, shards=2, workers=2)
 
 
 # -- scenario registry --------------------------------------------------------------------

@@ -71,10 +71,8 @@ def test_minimal_spec_defaults():
         ({"seed": -3}, "seed must be non-negative"),
         ({"seed": 1.5}, "seed must be an integer"),
         ({"host": {"game": "servo", "shards": 0}}, "shards must be a positive integer"),
-        ({"host": {"game": "servo", "workers": 0}}, "workers must be a positive integer"),
-        ({"host": {"game": "servo", "workers": -2}}, "workers must be a positive integer"),
-        ({"host": {"game": "servo", "workers": True}}, "workers must be a positive integer"),
-        ({"host": {"game": "servo", "workers": 1.5}}, "workers must be a positive integer"),
+        # host worker processes were removed: the key is unknown, whatever its value
+        ({"host": {"game": "servo", "workers": 1}}, "unknown host key(s) ['workers']"),
         ({"host": {}}, "host requires a 'game'"),
         ({"workload": {}}, "workload requires a 'scenario'"),
     ],
@@ -84,30 +82,6 @@ def test_validation_rejects(mutation, fragment):
     with pytest.raises(ValueError) as excinfo:
         RunSpec.from_dict(data)
     assert fragment in str(excinfo.value)
-
-
-def test_workers_round_trips_losslessly():
-    data = {
-        "host": {"game": "servo-cluster", "shards": 2, "workers": 2},
-        "workload": {"scenario": "behaviour_a"},
-    }
-    spec = RunSpec.from_dict(data)
-    assert spec.host.workers == 2
-    assert spec.to_dict()["host"]["workers"] == 2
-    assert RunSpec.from_dict(spec.to_dict()) == spec
-    assert RunSpec.from_json(spec.to_json()) == spec
-    # Unset workers must stay absent from the emitted dict (lossless).
-    bare = RunSpec.from_dict(
-        {"host": {"game": "servo"}, "workload": {"scenario": "sinc"}}
-    )
-    assert bare.host.workers is None
-    assert "workers" not in bare.to_dict()["host"]
-
-
-def test_workers_above_shards_warns_but_is_accepted():
-    with pytest.warns(UserWarning, match="exceeds host.shards"):
-        spec = HostSpec(game="servo-cluster", shards=2, workers=8)
-    assert spec.workers == 8
 
 
 def test_missing_sections_rejected():

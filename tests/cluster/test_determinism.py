@@ -6,10 +6,17 @@ identical per-shard metrics — the virtual-time lockstep and named random
 streams make the whole cluster a deterministic function of the seed.
 """
 
+import hashlib
+
+import pytest
+
+from repro.api import build_host
 from repro.cluster import build_servo_cluster
+from repro.constructs.library import build_clock, build_wire_line
 from repro.server import GameConfig
 from repro.sim import SimulationEngine
 from repro.workload import behaviour_a
+from repro.world.coords import BlockPos
 
 
 def run_cluster(seed: int):
@@ -48,3 +55,40 @@ def test_different_seeds_diverge():
     _, _, result_a = run_cluster(seed=1)
     _, _, result_b = run_cluster(seed=2)
     assert result_a.tick_durations_ms != result_b.tick_durations_ms
+
+
+# Computed at commit e50b367 with ``workers=1`` and with ``workers=2`` (the
+# process pool scattered batches of >= 16 circuits), before the pool was deleted.
+FLEET_HASHES = {
+    "opencraft-cluster": "e8ebb036cfb1627933a0a75e722b1028213877640f8cf199e38d0bd41b9626bf",
+    "servo-cluster": "4afb4849a940fc150d9a724839038b8ddabf9ab4977a83e19b3ff46786d1656e",
+}
+
+
+@pytest.mark.parametrize("game", sorted(FLEET_HASHES))
+def test_a_fleet_on_one_shard_steps_through_its_backend_and_reproduces_the_pin(game):
+    engine = SimulationEngine(seed=1234)
+    cluster = build_host(game, engine, GameConfig(world_type="flat"), shards=2)
+    cluster.chunks.preload_area(cluster.config.spawn_position, 96.0)
+    # 20 structurally distinct circuits, all anchored in shard 0's zone.
+    for i in range(10):
+        cluster.place_construct(
+            build_clock(period=4 + 2 * i, origin=BlockPos(8 + 6 * i, 64, 8), lamps=1 + i % 3)
+        )
+    for i in range(10):
+        cluster.place_construct(build_wire_line(3 + i, origin=BlockPos(8, 64, 24 + 3 * i)))
+    for i in range(4):
+        cluster.connect_player(f"b{i}")
+    cluster.run_ticks(40)
+
+    assert len(cluster.shards[0].constructs.constructs()) == 20
+    stepper = cluster.shards[0].constructs._stepper
+    assert stepper.batched_steps >= 16 and stepper.fallback_steps == 0
+    hasher = hashlib.sha256()
+    for record in cluster.tick_records:
+        hasher.update(repr(record.duration_ms).encode())
+    for shard in cluster.shards:
+        for construct in shard.constructs.constructs():
+            hasher.update(str(construct.step).encode())
+            hasher.update(construct.snapshot().digest().encode())
+    assert hasher.hexdigest() == FLEET_HASHES[game]

@@ -12,7 +12,7 @@ from repro.lint.engine import LintReport, lint_tree
 
 @pytest.fixture
 def lint_snippets(tmp_path):
-    """Write a {relative path: source} mapping and lint it as package ``pkg``."""
+    """Write a {relative path: source} mapping under ``pkg/`` and lint it."""
 
     def _lint(
         files: dict[str, str], config: LintConfig | None = None
@@ -22,6 +22,6 @@ def lint_snippets(tmp_path):
             path = package_dir / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(source), encoding="utf-8")
-        return lint_tree(package_dir, config=config or LintConfig(), package_name="pkg")
+        return lint_tree(package_dir, config=config or LintConfig())
 
     return _lint

@@ -149,97 +149,6 @@ def test_det003_tracks_assignments_attributes_and_set_algebra(lint_snippets):
     assert "self._pending - done" in report.unsuppressed[0].message
 
 
-# -- DET004: kernel purity ------------------------------------------------------------
-
-
-def test_det004_flags_parameter_mutation_global_state_and_io(lint_snippets):
-    report = lint_snippets({
-        "mod.py": """
-            def pure_kernel(func):
-                return func
-
-            _CACHE = {}
-
-            @pure_kernel
-            def bad_kernel(layout, states):
-                states[0] = 1
-                layout.total = 2
-                states.sort()
-                _CACHE["k"] = states
-                print("debug")
-                return states
-        """
-    })
-    messages = [finding.message for finding in report.unsuppressed]
-    assert rules_of(report) == ["DET004"] * 5
-    assert any("writes element of parameter 'states'" in m for m in messages)
-    assert any("writes attribute of parameter 'layout'" in m for m in messages)
-    assert any("mutates parameter 'states' via .sort()" in m for m in messages)
-    assert any("module-level state '_CACHE'" in m for m in messages)
-    assert any("performs I/O: print()" in m for m in messages)
-
-
-def test_det004_transitive_through_intra_package_calls(lint_snippets):
-    report = lint_snippets({
-        "mod.py": """
-            def pure_kernel(func):
-                return func
-
-            STATE = []
-
-            def helper(x):
-                STATE.append(x)
-                return x
-
-            @pure_kernel
-            def kernel(x):
-                return helper(x) + 1
-        """
-    })
-    assert rules_of(report) == ["DET004"]
-    assert "calls impure" in report.unsuppressed[0].message
-
-
-def test_det004_accepts_pure_compute_and_vetted_callees(lint_snippets):
-    report = lint_snippets({
-        "mod.py": """
-            def pure_kernel(func):
-                return func
-
-            _MEMO = {}
-
-            def warm(key):
-                value = _MEMO.get(key)
-                if value is None:
-                    value = _MEMO[key] = key * 2  # det: allow[DET004] per-process memo; value is a pure function of the key
-                return value
-
-            @pure_kernel
-            def kernel(states):
-                fresh = states.copy()
-                fresh += 1
-                local = []
-                local.append(warm(3))
-                return fresh, local
-        """
-    })
-    # The vetted callee is cleared silently: no findings at all, suppressed
-    # or otherwise (the pragma applies inside `warm`, which is not a root).
-    assert report.clean
-    assert not report.findings
-
-
-def test_det004_config_roots_cover_undetected_kernels(lint_snippets):
-    config = LintConfig(kernel_roots=("pkg.mod.registered",))
-    report = lint_snippets({
-        "mod.py": """
-            def registered(out):
-                out.append(1)
-        """
-    }, config=config)
-    assert rules_of(report) == ["DET004"]
-
-
 # -- DET005: address dependence -------------------------------------------------------
 
 

@@ -10,7 +10,6 @@ cover chunk bytes, so this file is the content gate.
 import pytest
 from reference_terrain import generate_default_chunk
 
-from repro.cluster.parallel import _generate_chunk_task
 from repro.core.terrain_service import (
     ServerlessTerrainProvider,
     TerrainRequest,
@@ -49,4 +48,3 @@ def test_every_generation_route_returns_the_pinned_chunk(engine):
         engine, FaasPlatform(engine, provider=AWS_LAMBDA), world_type="default", seed=seed
     )
     assert provider._generate_locally(ChunkPos(cx, cz)).content_hash() == content_hash
-    assert _generate_chunk_task("default", seed, cx, cz).content_hash() == content_hash
