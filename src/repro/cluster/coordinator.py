@@ -35,7 +35,7 @@ from repro.server.gameloop import GameServer, TickLoop, TickRecord
 from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
 from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend
-from repro.world.coords import BlockPos
+from repro.world.coords import CHUNK_SIZE, BlockPos
 
 
 @dataclass(frozen=True)
@@ -384,7 +384,7 @@ class ClusterCoordinator(TickLoop):
         for proxy in list(self.sessions.values()):
             if proxy.disconnected or not self._shard_alive(proxy.shard_index):
                 continue
-            target_zone = self.partitioner.zone_of_block(proxy.avatar.position)
+            target_zone = self.partitioner.zone_of_cx(proxy.avatar.position.x // CHUNK_SIZE)
             if target_zone != proxy.shard_index:
                 if not self._shard_alive(target_zone):
                     # The owning shard is down: the player stays where it is

@@ -68,16 +68,20 @@ class WorldPartitioner:
 
     # -- ownership -------------------------------------------------------------------
 
-    def zone_of(self, position: ChunkPos) -> int:
-        """The zone owning a chunk (clamped: outer zones are unbounded)."""
+    def zone_of_cx(self, cx: int) -> int:
+        """The zone owning chunk column ``cx`` (clamped: outer zones are unbounded)."""
         if self.shard_count == 1:
             return 0
-        index = (position.cx - self.origin_cx) // self.zone_width_chunks
+        index = (cx - self.origin_cx) // self.zone_width_chunks
         return max(0, min(self.shard_count - 1, index))
+
+    def zone_of(self, position: ChunkPos) -> int:
+        """The zone owning a chunk."""
+        return self.zone_of_cx(position.cx)
 
     def zone_of_block(self, position: BlockPos) -> int:
         """The zone owning a block position."""
-        return self.zone_of(block_to_chunk(position))
+        return self.zone_of_cx(position.x // CHUNK_SIZE)
 
     def region(self, zone_id: int) -> ZoneRegion:
         """The ownership region of one zone."""

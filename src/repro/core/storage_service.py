@@ -17,7 +17,7 @@ from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend, StorageOperation
 from repro.storage.blob import BlobStorage
 from repro.storage.cache import CachedStorage
-from repro.storage.prefetch import DistancePrefetchPolicy
+from repro.storage.prefetch import DistancePrefetcher, DistancePrefetchPolicy
 
 
 class ServoStorageService(StorageBackend):
@@ -46,6 +46,7 @@ class ServoStorageService(StorageBackend):
             view_distance_blocks=view_distance_blocks,
             prefetch_margin_blocks=prefetch_margin_blocks,
         )
+        self._prefetcher = DistancePrefetcher(self.policy, self.cache, remote)
         self.metrics = engine.metrics
 
     def _backend(self) -> StorageBackend:
@@ -84,19 +85,9 @@ class ServoStorageService(StorageBackend):
         """
         if not self.enable_cache:
             return 0
-        if getattr(self.remote, "object_count", 1) == 0:
+        if self.remote.object_count == 0:
             return 0  # nothing persisted yet; planning would be pointless work
-        plan = self.policy.plan([avatar.position for avatar in avatars])
-        fetched = 0
-        candidates = sorted(
-            plan.prefetch | plan.required, key=lambda pos: (pos.cx, pos.cz)
-        )
-        for chunk_pos in candidates:
-            key = chunk_pos.key()
-            if self.cache.is_cached(key) or not self.remote.exists(key):
-                continue
-            self.cache.prefetch(key)
-            fetched += 1
+        fetched = self._prefetcher.prefetch([avatar.position for avatar in avatars])
         if fetched:
             self.metrics.increment("prefetched_objects", fetched)
         return fetched

@@ -20,7 +20,7 @@ from repro.storage.base import StorageBackend
 from repro.storage.blob import AZURE_BLOB_STANDARD, BlobStorage
 from repro.storage.cache import CachedStorage
 from repro.storage.local import LocalDiskStorage
-from repro.storage.prefetch import DistancePrefetchPolicy
+from repro.storage.prefetch import DistancePrefetcher, DistancePrefetchPolicy
 from repro.world.chunk import Chunk
 from repro.world.coords import BlockPos, ChunkPos, block_to_chunk
 from repro.world.serialization import chunk_to_bytes
@@ -123,17 +123,15 @@ def run_fig13(
             blob = BlobStorage(rng=engine.rng("blob"), profile=AZURE_BLOB_STANDARD)
             storage = blob
             reader = CachedStorage(remote=blob, rng=engine.rng("cache"), capacity_objects=8192)
-            prefetcher = DistancePrefetchPolicy(prefetch_margin_blocks=48.0)
+            prefetcher = DistancePrefetcher(
+                DistancePrefetchPolicy(prefetch_margin_blocks=48.0), reader, blob
+            )
 
         _populate(storage, trace.all_chunks)
         latencies: list[float] = []
         for positions, new_chunks in trace.steps:
-            if prefetcher is not None and isinstance(reader, CachedStorage):
-                plan = prefetcher.plan(positions)
-                for chunk_pos in sorted(plan.prefetch | plan.required):
-                    key = chunk_pos.key()
-                    if storage.exists(key) and not reader.is_cached(key):
-                        reader.prefetch(key)
+            if prefetcher is not None:
+                prefetcher.prefetch(positions)
             for chunk_pos in new_chunks:
                 operation = reader.read(chunk_pos.key())
                 latencies.append(operation.latency_ms)

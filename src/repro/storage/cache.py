@@ -10,7 +10,7 @@ store's latency tail from the game loop (Figure 13, "Serverless+Cache").
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class CacheStatistics:
     prefetches: int = 0
     evictions: int = 0
     writebacks: int = 0
-    read_latencies_ms: list[float] = field(default_factory=list)
 
     @property
     def reads(self) -> int:
@@ -104,7 +103,6 @@ class CachedStorage(StorageBackend):
             data = self._entries[key]
             latency = self._hit_latency.sample(self._rng)
             self.stats.hits += 1
-            self.stats.read_latencies_ms.append(latency)
             return StorageOperation(
                 key=key, operation="read", latency_ms=latency, size_bytes=len(data),
                 hit=True, data=data,
@@ -113,7 +111,6 @@ class CachedStorage(StorageBackend):
         self._insert(key, remote_op.data or b"")
         self.stats.misses += 1
         latency = remote_op.latency_ms + self._hit_latency.sample(self._rng)
-        self.stats.read_latencies_ms.append(latency)
         return StorageOperation(
             key=key, operation="read", latency_ms=latency,
             size_bytes=remote_op.size_bytes, hit=False, data=remote_op.data,

@@ -2,48 +2,34 @@
 
 Servo hides blob-storage latency by prefetching terrain data that is outside
 of, but close to, the players' view distance (Section III-E).  The policy
-computes, from the current avatar positions, the set of chunks that should be
-resident (the view set) and the set that should be prefetched (the ring just
-beyond the view distance).
+computes, from the current avatar positions, the chunks that should be
+resident (the view set) and those that should be prefetched (the ring just
+beyond the view distance), as one packed ``int64`` array; the prefetcher
+pulls whichever of them are persisted but not cached into the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
+from repro.storage.base import StorageBackend
+from repro.storage.cache import CachedStorage
 from repro.world.coords import (
     CHUNK_SIZE,
     BlockPos,
     ChunkPos,
-    chunk_offsets_within_blocks,
+    pack_chunk,
+    packed_chunk_keys,
+    packed_chunk_ring,
+    unpack_chunks,
 )
-
-#: chunk coordinates are packed into one int64 as ``cx * 2**21 + (cz + 2**20)``
-#: so per-avatar rings become flat integer arrays that numpy can union
-_PACK_BITS = 21
-_PACK_HALF = 1 << 20
-_PACK_MASK = (1 << _PACK_BITS) - 1
-
-
-@lru_cache(maxsize=2048)
-def _packed_offsets(offset_x: int, offset_z: int, radius_blocks: float) -> np.ndarray:
-    """The memoised chunk-offset ring as packed int64 coordinates."""
-    offsets = chunk_offsets_within_blocks(offset_x, offset_z, radius_blocks)
-    return np.fromiter(
-        ((dx << _PACK_BITS) + dz + _PACK_HALF for dx, dz in offsets),
-        dtype=np.int64,
-        count=len(offsets),
-    )
 
 
 def _unpack(packed: np.ndarray) -> frozenset[ChunkPos]:
-    xs = (packed >> _PACK_BITS).tolist()
-    zs = ((packed & _PACK_MASK) - _PACK_HALF).tolist()
-    return frozenset(ChunkPos(x, z) for x, z in zip(xs, zs))
+    return frozenset(ChunkPos(cx, cz) for cx, cz in zip(*unpack_chunks(packed)))
 
 
 @dataclass(frozen=True)
@@ -65,40 +51,81 @@ class DistancePrefetchPolicy:
     view_distance_blocks: float = 128.0
     prefetch_margin_blocks: float = 48.0
 
-    def plan(self, avatar_positions: Iterable[BlockPos]) -> PrefetchPlan:
-        """Compute required and prefetch chunk sets for the given avatar positions.
+    def _ring_union(self, avatar_positions: Iterable[BlockPos], radius_blocks: float) -> np.ndarray:
+        """The sorted, unique packed chunks within ``radius_blocks`` of any avatar."""
+        parts = [
+            pack_chunk(position.x // CHUNK_SIZE, position.z // CHUNK_SIZE)
+            + packed_chunk_ring(position.x % CHUNK_SIZE, position.z % CHUNK_SIZE, radius_blocks)
+            for position in avatar_positions
+        ]
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate(parts))
 
-        The per-avatar chunk rings come from the memoised translation-
-        invariant offset table, and the unions accumulate plain integer
-        tuples; ``ChunkPos`` objects are only materialised for the (much
-        smaller, heavily overlapping) final sets.
+    def candidates(self, avatar_positions: Iterable[BlockPos]) -> np.ndarray:
+        """Every chunk worth having in the cache, packed, in ``(cx, cz)`` order.
+
+        This is the union of the avatars' *extended* rings.  An avatar's
+        view ring lies inside its extended ring, so the union already holds
+        every required chunk, and packed order is ``(cx, cz)`` order, so the
+        array is the order in which the prefetcher visits it.
         """
-        view_radius = float(self.view_distance_blocks)
-        extended_radius = view_radius + float(self.prefetch_margin_blocks)
-        required_parts: list[np.ndarray] = []
-        extended_parts: list[np.ndarray] = []
-        for position in avatar_positions:
-            base = ((position.x // CHUNK_SIZE) << _PACK_BITS) + (position.z // CHUNK_SIZE)
-            offset_x = position.x % CHUNK_SIZE
-            offset_z = position.z % CHUNK_SIZE
-            required_parts.append(base + _packed_offsets(offset_x, offset_z, view_radius))
-            extended_parts.append(
-                base + _packed_offsets(offset_x, offset_z, extended_radius)
-            )
-        if not required_parts:
-            return PrefetchPlan(required=frozenset(), prefetch=frozenset())
-        required_packed = np.unique(np.concatenate(required_parts))
-        extended_packed = np.unique(np.concatenate(extended_parts))
-        prefetch_packed = np.setdiff1d(extended_packed, required_packed, assume_unique=True)
+        return self._ring_union(
+            avatar_positions, float(self.view_distance_blocks) + float(self.prefetch_margin_blocks)
+        )
+
+    def plan(self, avatar_positions: Iterable[BlockPos]) -> PrefetchPlan:
+        """The candidates split into the view set and the ring just beyond it.
+
+        A ``ChunkPos`` view over the packed unions; the prefetcher itself
+        works from :meth:`candidates` and never builds these sets.
+        """
+        positions = list(avatar_positions)
+        required = self._ring_union(positions, float(self.view_distance_blocks))
         return PrefetchPlan(
-            required=_unpack(required_packed),
-            prefetch=_unpack(prefetch_packed),
+            required=_unpack(required),
+            prefetch=_unpack(
+                np.setdiff1d(self.candidates(positions), required, assume_unique=True)
+            ),
         )
 
     def eviction_candidates(
         self, resident: Iterable[ChunkPos], avatar_positions: Iterable[BlockPos]
     ) -> list[ChunkPos]:
         """Resident chunks outside the extended radius (safe to drop from memory)."""
-        plan = self.plan(avatar_positions)
-        keep = plan.all_chunks
+        keep = _unpack(self.candidates(avatar_positions))
         return sorted(pos for pos in resident if pos not in keep)
+
+
+class DistancePrefetcher:
+    """Pulls a policy's candidates into a cache: the one prefetch loop.
+
+    Only the candidate *set* is remembered between evaluations (the packed
+    array with its key strings, rebuilt when the array differs).  What to
+    fetch is decided afresh every time: a key missing from the remote store
+    now can be persisted before the next evaluation, and a cached key can be
+    evicted.
+    """
+
+    def __init__(
+        self, policy: DistancePrefetchPolicy, cache: CachedStorage, remote: StorageBackend
+    ) -> None:
+        self.policy = policy
+        self.cache = cache
+        self.remote = remote
+        self._packed = np.empty(0, dtype=np.int64)
+        self._keys: list[str] = []
+
+    def prefetch(self, avatar_positions: Iterable[BlockPos]) -> int:
+        """Fetch every candidate that is persisted but not cached; returns how many."""
+        packed = self.policy.candidates(avatar_positions)
+        if not np.array_equal(packed, self._packed):
+            self._packed = packed
+            self._keys = packed_chunk_keys(packed)
+        fetched = 0
+        for key in self._keys:
+            if self.cache.is_cached(key) or not self.remote.exists(key):
+                continue
+            self.cache.prefetch(key)
+            fetched += 1
+        return fetched

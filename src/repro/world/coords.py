@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 CHUNK_SIZE = 16
 
 
@@ -79,46 +81,58 @@ def chunk_origin(pos: ChunkPos) -> BlockPos:
     return BlockPos(pos.cx * CHUNK_SIZE, 0, pos.cz * CHUNK_SIZE)
 
 
-@lru_cache(maxsize=2048)
-def chunk_offsets_within_blocks(
-    offset_x: int, offset_z: int, radius_blocks: float
-) -> tuple[tuple[int, int], ...]:
-    """Chunk offsets within ``radius_blocks`` of an intra-chunk center offset.
+#: A chunk packs into one int64 as ``cx * 2**21 + cz + 2**20``, so packed
+#: order *is* ``(cx, cz)`` order and a ring of chunks is a flat array numpy
+#: can translate, union and sort.  ``cz`` has 21 bits: centres are held to
+#: ``|cz| < 2**20 - 2**10`` and rings to a reach of ``2**10`` chunks, which
+#: keeps every ``cz + dz`` inside its field instead of aliasing a neighbour.
+_PACK_BITS = 21
+_PACK_HALF = 1 << 20
+_PACK_REACH = 1 << 10
 
-    The chunk grid is uniform, so the set of chunks within a radius of a
-    block depends only on the block's offset *inside* its own chunk
-    (``x % 16``, ``z % 16``) — not on where in the world the chunk sits.
-    This translation-invariant core is memoised: callers that sweep many
-    avatar positions (the prefetch planner runs per avatar, several times a
-    second of virtual time) reduce the O(radius²) nearest-edge scan to a
-    cache lookup plus a translation.
+
+def pack_chunk(cx: int, cz: int) -> int:
+    """The packed form of chunk ``(cx, cz)``; add a :func:`packed_chunk_ring` to it."""
+    if not -_PACK_HALF + _PACK_REACH <= cz < _PACK_HALF - _PACK_REACH:
+        raise ValueError(f"chunk z {cz} is outside the packable range")
+    return (cx << _PACK_BITS) + cz + _PACK_HALF
+
+
+def unpack_chunks(packed: np.ndarray) -> tuple[list[int], list[int]]:
+    """The ``cx`` and ``cz`` lists of a packed chunk array."""
+    return (
+        (packed >> _PACK_BITS).tolist(),
+        ((packed & ((1 << _PACK_BITS) - 1)) - _PACK_HALF).tolist(),
+    )
+
+
+def packed_chunk_keys(packed: np.ndarray) -> list[str]:
+    """``ChunkPos(cx, cz).key()`` for each packed chunk, without the objects."""
+    return [f"chunk_{cx}_{cz}" for cx, cz in zip(*unpack_chunks(packed))]
+
+
+@lru_cache(maxsize=2048)
+def packed_chunk_ring(offset_x: int, offset_z: int, radius_blocks: float) -> np.ndarray:
+    """Packed offsets of the chunks within ``radius_blocks`` of an intra-chunk offset.
+
+    A chunk is in the ring when the nearest block of its footprint lies
+    within the radius.  The chunk grid is uniform, so the ring depends only
+    on the centre's offset *inside* its own chunk (``x % 16``, ``z % 16``),
+    not on where the chunk sits: ``pack_chunk(cx, cz) + ring`` is the ring
+    around any block of chunk ``(cx, cz)`` with that offset, in ``(cx, cz)``
+    order.  The result is memoised and read-only.
     """
     if radius_blocks < 0:
         raise ValueError("radius_blocks must be non-negative")
-    chunk_radius = int(math.ceil(radius_blocks / CHUNK_SIZE)) + 1
-    result = []
-    for dx in range(-chunk_radius, chunk_radius + 1):
-        for dz in range(-chunk_radius, chunk_radius + 1):
-            origin_x = dx * CHUNK_SIZE
-            origin_z = dz * CHUNK_SIZE
-            # Nearest point of the chunk's footprint to the center.
-            nearest_x = min(max(offset_x, origin_x), origin_x + CHUNK_SIZE - 1)
-            nearest_z = min(max(offset_z, origin_z), origin_z + CHUNK_SIZE - 1)
-            if math.hypot(offset_x - nearest_x, offset_z - nearest_z) <= radius_blocks:
-                result.append((dx, dz))
-    return tuple(result)
-
-
-def chunks_within_blocks(center: BlockPos, radius_blocks: float) -> list[ChunkPos]:
-    """All chunk positions whose nearest edge lies within ``radius_blocks`` of ``center``.
-
-    Used by the chunk manager to decide which chunks must be loaded for a
-    player's view distance, and by the prefetcher for its slightly larger ring.
-    """
-    center_chunk = block_to_chunk(center)
-    offsets = chunk_offsets_within_blocks(
-        center.x % CHUNK_SIZE, center.z % CHUNK_SIZE, float(radius_blocks)
-    )
-    return [
-        ChunkPos(center_chunk.cx + dx, center_chunk.cz + dz) for dx, dz in offsets
-    ]
+    reach = int(math.ceil(radius_blocks / CHUNK_SIZE)) + 1
+    if reach > _PACK_REACH:
+        raise ValueError(f"a radius of {radius_blocks} blocks is outside the packable range")
+    steps = np.arange(-reach, reach + 1, dtype=np.int64)
+    origins = steps * CHUNK_SIZE
+    # Per axis, the gap between the centre and the nearest block of each chunk.
+    gap_x = offset_x - np.clip(offset_x, origins, origins + CHUNK_SIZE - 1)
+    gap_z = offset_z - np.clip(offset_z, origins, origins + CHUNK_SIZE - 1)
+    inside = np.sqrt(np.add.outer(gap_x * gap_x, gap_z * gap_z)) <= radius_blocks
+    ring = np.add.outer(steps << _PACK_BITS, steps)[inside]
+    ring.flags.writeable = False
+    return ring

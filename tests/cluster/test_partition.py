@@ -43,6 +43,9 @@ def test_every_chunk_has_exactly_one_owner():
         position = ChunkPos(cx, 7)
         owners = [region.zone_id for region in regions if region.contains(position)]
         assert owners == [partitioner.zone_of(position)]
+        # The three spellings of "who owns this" agree, negatives included.
+        assert owners == [partitioner.zone_of_cx(cx)]
+        assert owners == [partitioner.zone_of_block(BlockPos(cx * CHUNK_SIZE + 5, 65, -3))]
 
 
 def test_block_exactly_on_zone_edge_belongs_to_the_right_zone():

@@ -8,7 +8,9 @@ from repro.world.coords import (
     ChunkPos,
     block_to_chunk,
     chunk_origin,
-    chunks_within_blocks,
+    pack_chunk,
+    packed_chunk_ring,
+    unpack_chunks,
 )
 
 
@@ -52,20 +54,26 @@ def test_chunk_key_is_stable():
     assert ChunkPos(3, -4).key() == "chunk_3_-4"
 
 
-def test_chunks_within_blocks_contains_center_chunk():
-    positions = chunks_within_blocks(BlockPos(8, 64, 8), 1.0)
-    assert ChunkPos(0, 0) in positions
+def _ring_around(center: BlockPos, radius_blocks: float) -> set[ChunkPos]:
+    chunk = block_to_chunk(center)
+    ring = pack_chunk(chunk.cx, chunk.cz) + packed_chunk_ring(center.x % 16, center.z % 16, radius_blocks)
+    return {ChunkPos(cx, cz) for cx, cz in zip(*unpack_chunks(ring))}
 
 
-def test_chunks_within_blocks_radius_grows_set():
-    small = set(chunks_within_blocks(BlockPos(0, 64, 0), 16.0))
-    large = set(chunks_within_blocks(BlockPos(0, 64, 0), 128.0))
+def test_packed_chunk_ring_contains_center_chunk():
+    assert ChunkPos(0, 0) in _ring_around(BlockPos(8, 64, 8), 1.0)
+    assert ChunkPos(-3, 2) in _ring_around(BlockPos(-40, 64, 35), 0.0)
+
+
+def test_packed_chunk_ring_radius_grows_set():
+    small = _ring_around(BlockPos(0, 64, 0), 16.0)
+    large = _ring_around(BlockPos(0, 64, 0), 128.0)
     assert small < large
 
 
-def test_chunks_within_blocks_rejects_negative_radius():
+def test_packed_chunk_ring_rejects_negative_radius():
     with pytest.raises(ValueError):
-        chunks_within_blocks(BlockPos(0, 0, 0), -1.0)
+        packed_chunk_ring(0, 0, -1.0)
 
 
 @given(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 255), st.integers(-10 ** 6, 10 ** 6))
