@@ -1,0 +1,30 @@
+"""Benchmark: the player ceiling area-of-interest broadcast buys (extension).
+
+Not a paper figure: the fig07a max-players search on the Opencraft baseline
+without constructs, once with the legacy observe-everything broadcast and
+once with ``interest_radius_chunks=4``.
+Expected shape: interest management sustains at least 1.5x the legacy
+player ceiling at the same P99 tick budget (200 -> 500 at quick scale).
+"""
+
+from repro.experiments.max_players import find_max_players
+from repro.server import GameConfig
+
+
+def run_ceilings(settings):
+    interest = GameConfig(world_type="flat", interest_radius_chunks=4)
+    return (
+        find_max_players("opencraft", 0, settings).max_players,
+        find_max_players("opencraft", 0, settings, game_config=interest).max_players,
+    )
+
+
+def test_interest_lifts_the_player_ceiling(benchmark, settings, report_sink):
+    # The legacy ceiling sits at the shared sweep's upper end; search past it.
+    wide = settings.scaled(max_players=600)
+    legacy, interest = benchmark.pedantic(run_ceilings, args=(wide,), rounds=1, iterations=1)
+    report_sink.append(
+        ("Interest ceiling: max players", f"legacy {legacy} -> interest {interest}")
+    )
+    assert legacy > 0
+    assert interest >= 1.5 * legacy

@@ -38,7 +38,7 @@ def main(players: int = 20, constructs: int = 25, duration_s: float = 30.0,
     print(result.format_summary())
 
     server = result.host
-    runtime = server.servo
+    runtime = server.runtime
     efficiency = server.engine.metrics.histogram("speculation_efficiency")
     print("\nServerless offloading")
     print(f"  function invocations:      {runtime.billing.invocation_count}")

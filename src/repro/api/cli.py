@@ -9,7 +9,6 @@ Commands:
   both are given.
 * ``repro experiments list`` — every registered experiment id.
 * ``repro experiments run <id>`` — run one experiment and print its report.
-* ``repro bench`` — quick wall-clock benchmark with a determinism check.
 * ``repro spec <file>`` — validate a spec file and print its canonical JSON
   (``--check`` additionally asserts dict/JSON round-trips, for CI).
 * ``repro report <trace.json>`` — validate a ``--trace`` file against the
@@ -127,18 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--repetitions", type=int, help="override the repetition count"
     )
     exp_run.set_defaults(handler=_cmd_experiments_run)
-
-    bench = commands.add_parser(
-        "bench", help="quick wall-clock benchmark (determinism-checked)"
-    )
-    bench.add_argument(
-        "--duration-s", type=float, default=5.0, help="virtual seconds per scenario"
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=2, help="runs per scenario (>= 2)"
-    )
-    bench.add_argument("--out", metavar="PATH", help="write the JSON report here")
-    bench.set_defaults(handler=_cmd_bench)
 
     spec = commands.add_parser(
         "spec", help="validate a spec file and print its canonical JSON"
@@ -315,18 +302,6 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
     _, report = run_experiment(args.id, settings)
     print(report)
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.api.bench import format_bench, run_bench
-
-    report = run_bench(duration_s=args.duration_s, repeats=args.repeats)
-    print(format_bench(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"JSON report written to {args.out}")
-    return 0 if report["deterministic"] else 1
 
 
 def _cmd_spec(args: argparse.Namespace) -> int:

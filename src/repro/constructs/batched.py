@@ -215,53 +215,6 @@ class BatchedCircuitStepper:
         self.batched_steps = 0
         self.fallback_steps = 0
 
-    def pack(self, circuits: list[CompiledCircuit]) -> _PackedBatch:
-        """The cached packed form of ``circuits``, params refreshed.
-
-        Honours pending player edits exactly like ``CompiledCircuit.step()``
-        before fingerprinting, so an edit always forces a repack.
-        """
-        for circuit in circuits:
-            if circuit.construct.modification_counter != circuit._params_modification:
-                circuit._refresh_params()
-        packed = self._packed
-        if packed is None or packed.signature != _batch_signature(circuits):
-            packed = _PackedBatch(circuits)
-            self._packed = packed
-        return packed
-
-    @staticmethod
-    def read_states(packed: _PackedBatch) -> np.ndarray:
-        """The batch's current state vector, read from the live cells."""
-        return np.fromiter(
-            (cell.state for cell in packed.flat_cells),
-            dtype=np.int64,
-            count=packed.layout.total,
-        )
-
-    def apply_new_states(
-        self, packed: _PackedBatch, states: np.ndarray, new_states: np.ndarray
-    ) -> list[bool]:
-        """Write a computed step back to the cells; return fixed-point flags.
-
-        Writes back only the cells that changed (usually few) and advances
-        every construct's step counter, exactly like the per-circuit path.
-        """
-        changed = new_states != states
-        # Per-circuit fixed-point flags: any changed cell in the segment.
-        row_changed = np.logical_or.reduceat(changed, packed.layout.row_starts)
-
-        changed_positions = np.nonzero(changed)[0]
-        if changed_positions.size:
-            flat_cells = packed.flat_cells
-            changed_values = new_states[changed_positions].tolist()
-            for position, value in zip(changed_positions.tolist(), changed_values):
-                flat_cells[position].state = value
-        for circuit in packed.circuits:
-            circuit.construct.step += 1
-        self.batched_steps += len(packed.circuits)
-        return np.logical_not(row_changed).tolist()
-
     def step_batch(self, circuits: list[CompiledCircuit]) -> list[bool]:
         """Advance every circuit one step; returns per-circuit fixed-point flags.
 
@@ -271,7 +224,33 @@ class BatchedCircuitStepper:
         if len(circuits) < self.min_batch_circuits:
             self.fallback_steps += len(circuits)
             return [circuit.step() for circuit in circuits]
-        packed = self.pack(circuits)
-        states = self.read_states(packed)
-        new_states = advance_states(packed.layout, states)
-        return self.apply_new_states(packed, states, new_states)
+        # Honour pending player edits exactly like ``CompiledCircuit.step()``
+        # before fingerprinting, so an edit always forces a repack.
+        for circuit in circuits:
+            if circuit.construct.modification_counter != circuit._params_modification:
+                circuit._refresh_params()
+        packed = self._packed
+        if packed is None or packed.signature != _batch_signature(circuits):
+            packed = self._packed = _PackedBatch(circuits)
+        layout = packed.layout
+        flat_cells = packed.flat_cells
+        # The live cells stay the single source of truth: read, step, write back.
+        states = np.fromiter(
+            (cell.state for cell in flat_cells), dtype=np.int64, count=layout.total
+        )
+        new_states = advance_states(layout, states)
+
+        changed = new_states != states
+        # Per-circuit fixed-point flags: any changed cell in the segment.
+        row_changed = np.logical_or.reduceat(changed, layout.row_starts)
+        # Write back only the cells that changed (usually few) and advance
+        # every construct's step counter, exactly like the per-circuit path.
+        changed_positions = np.nonzero(changed)[0]
+        if changed_positions.size:
+            changed_values = new_states[changed_positions].tolist()
+            for position, value in zip(changed_positions.tolist(), changed_values):
+                flat_cells[position].state = value
+        for circuit in circuits:
+            circuit.construct.step += 1
+        self.batched_steps += len(circuits)
+        return np.logical_not(row_changed).tolist()

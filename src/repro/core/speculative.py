@@ -381,10 +381,6 @@ class SpeculativeConstructBackend(ConstructBackend):
 
         return ConstructTickPlan(circuits=circuits, finish=finish, stepper=self._stepper)
 
-    def tick(self, tick_index: int) -> ConstructTickReport:
-        plan = self.begin_tick(tick_index)
-        return plan.finish(plan.step_inline())
-
     # -- introspection -----------------------------------------------------------------------
 
     def record_for(self, construct_id: int) -> SpeculationRecord:

@@ -8,8 +8,8 @@ chaos draws never perturb the existing simulation streams, and two runs with
 the same seed and the same plan make bit-identical fault decisions — the
 whole chaos run, including its fault timeline, is reproducible.
 
-Every injected fault is appended to a :class:`FaultTimeline`, whose digest is
-what the chaos-smoke gate compares across same-seed reruns.
+Every injected fault is appended to a :class:`FaultTimeline`, whose digest
+two same-seed runs of one plan must share.
 """
 
 from __future__ import annotations

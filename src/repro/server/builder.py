@@ -57,7 +57,6 @@ class ServerBuilder:
         self._region: Optional[OwnershipRegion] = None
         self._runtime: Optional[ServerRuntime] = None
         self._player_ids: Optional[Iterator[int]] = None
-        self._interest: Optional[InterestMap] = None
 
     # -- services -------------------------------------------------------------------
 
@@ -101,22 +100,12 @@ class ServerBuilder:
         self._player_ids = player_ids
         return self
 
-    def with_interest(self, interest: Optional[InterestMap]) -> "ServerBuilder":
-        """Use a pre-built area-of-interest map (tests, custom budgets).
-
-        Without this, :meth:`build` derives one from the config's
-        ``interest_radius_chunks`` knobs; a ``None`` radius keeps the legacy
-        observe-everything broadcast.
-        """
-        self._interest = interest
-        return self
-
     # -- assembly -------------------------------------------------------------------
 
     def build(self) -> GameServer:
         config = self.config
-        interest = self._interest
-        if interest is None and config.interest_enabled:
+        interest = None
+        if config.interest_enabled:
             interest = InterestMap(
                 radius_chunks=config.interest_radius_chunks,
                 near_radius_chunks=config.interest_near_radius_chunks,

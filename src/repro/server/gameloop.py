@@ -185,13 +185,6 @@ class GameServer(TickLoop):
         self._broadcast_clock = BroadcastClock()
         #: area-of-interest routing table; None = legacy observe-everything
         self.interest = interest
-        if self.interest is None and config.interest_enabled:
-            self.interest = InterestMap(
-                radius_chunks=config.interest_radius_chunks,
-                near_radius_chunks=config.interest_near_radius_chunks,
-                max_staleness_ticks=config.interest_max_staleness_ticks,
-                max_drift_blocks=config.interest_max_drift_blocks,
-            )
         if self.interest is not None:
             # Subscription centers ride the chunk manager's existing
             # boundary-crossing detection.
@@ -212,11 +205,6 @@ class GameServer(TickLoop):
         self.degradation = None
         #: the run's fault injector (timeline access), set when faults install
         self.fault_injector = None
-
-    @property
-    def servo(self) -> Optional[ServerRuntime]:
-        """Backward-compatible alias for the typed :attr:`runtime` handle."""
-        return self.runtime
 
     # -- player lifecycle -----------------------------------------------------------
 

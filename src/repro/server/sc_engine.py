@@ -9,7 +9,7 @@ The game loop delegates construct simulation to a pluggable backend:
   :mod:`repro.core.speculative` and implements the same interface.
 
 Backends really advance construct state (using
-:class:`repro.constructs.ConstructSimulator`), so block/lamp states are
+:class:`repro.constructs.batched.BatchedCircuitStepper`), so block/lamp states are
 functionally correct in every variant; the *cost* of the work they report is
 translated into tick time by the cost model.
 """
@@ -22,7 +22,6 @@ from typing import Callable, Optional
 from repro.constructs.batched import BatchedCircuitStepper
 from repro.constructs.circuit import SimulatedConstruct
 from repro.constructs.compiled import CompiledCircuit, compile_circuit
-from repro.constructs.simulator import ConstructSimulator
 from repro.constructs.state import ConstructState
 from repro.world.coords import BlockPos
 
@@ -89,18 +88,14 @@ class ConstructBackend:
         """Called when a player modifies a construct (or terrain adjacent to it)."""
         raise NotImplementedError
 
-    def tick(self, tick_index: int) -> ConstructTickReport:
-        """Advance construct simulation for one game tick."""
+    def begin_tick(self, tick_index: int) -> ConstructTickPlan:
+        """Split the tick at its pure-compute boundary (see ConstructTickPlan)."""
         raise NotImplementedError
 
-    def begin_tick(self, tick_index: int) -> ConstructTickPlan:
-        """Split the tick at its pure-compute boundary (see ConstructTickPlan).
-
-        Backends that cannot split simply run the whole tick now and return
-        an empty plan.
-        """
-        report = self.tick(tick_index)
-        return ConstructTickPlan(circuits=[], finish=lambda _flags: report)
+    def tick(self, tick_index: int) -> ConstructTickReport:
+        """Advance construct simulation for one game tick."""
+        plan = self.begin_tick(tick_index)
+        return plan.finish(plan.step_inline())
 
 
 class LocalConstructBackend(ConstructBackend):
@@ -118,7 +113,6 @@ class LocalConstructBackend(ConstructBackend):
             raise ValueError("construct simulation interval must be at least 1")
         self.interval = int(interval)
         self._constructs: dict[int, SimulatedConstruct] = {}
-        self._simulator = ConstructSimulator()
         self._stepper = BatchedCircuitStepper()
         self._groups: list[list[int]] = []
         self._groups_dirty = True
@@ -235,7 +229,3 @@ class LocalConstructBackend(ConstructBackend):
             return report
 
         return ConstructTickPlan(circuits=circuits, finish=finish, stepper=self._stepper)
-
-    def tick(self, tick_index: int) -> ConstructTickReport:
-        plan = self.begin_tick(tick_index)
-        return plan.finish(plan.step_inline())

@@ -9,14 +9,11 @@ paper's figures are built from.
 The paper's workload families are registered with the
 :mod:`repro.api.scenarios` registry (``behaviour_a``, ``star``, ``sinc``,
 ``random``, plus the pass-through ``custom``), so run specs and the CLI can
-instantiate them by name; the historical ``Scenario.behaviour_a`` /
-``Scenario.star`` / ``Scenario.sinc`` / ``Scenario.random`` static methods
-remain as deprecated aliases.
+instantiate them by name.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -86,33 +83,6 @@ class Scenario:
         if self.faults is not None:
             FaultPlan.from_dict(self.faults)  # validate eagerly
 
-    # -- construction helpers (deprecated aliases of the registered factories) -------------
-
-    @staticmethod
-    def behaviour_a(players: int, constructs: int, duration_s: float = 30.0) -> "Scenario":
-        """Deprecated alias of the registered ``behaviour_a`` scenario."""
-        _warn_static_alias("behaviour_a")
-        return behaviour_a(players, constructs, duration_s)
-
-    @staticmethod
-    def star(players: int, speed: float, duration_s: float = 120.0,
-             join_interval_s: Optional[float] = 10.0) -> "Scenario":
-        """Deprecated alias of the registered ``star`` scenario."""
-        _warn_static_alias("star")
-        return star(players, speed, duration_s, join_interval_s)
-
-    @staticmethod
-    def sinc(players: int = 5, duration_s: float = 1000.0) -> "Scenario":
-        """Deprecated alias of the registered ``sinc`` scenario."""
-        _warn_static_alias("sinc")
-        return sinc(players, duration_s)
-
-    @staticmethod
-    def random(players: int, duration_s: float = 120.0) -> "Scenario":
-        """Deprecated alias of the registered ``random`` scenario."""
-        _warn_static_alias("random")
-        return random_walk(players, duration_s)
-
     # -- execution -------------------------------------------------------------------------
 
     def build_swarm(self) -> BotSwarm:
@@ -172,15 +142,6 @@ class Scenario:
             tick_durations_ms=[record.duration_ms for record in records],
             view_range_series=view_samples,
         )
-
-
-def _warn_static_alias(name: str) -> None:
-    warnings.warn(
-        f"Scenario.{name}() is deprecated; use "
-        f"repro.api.build_scenario({name!r}, ...) or the module-level factory",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 # -- registered workload families (Table I) ------------------------------------------------

@@ -110,11 +110,3 @@ def test_spec_rejects_invalid_file(tmp_path, capsys):
     assert main(["spec", str(bad), "--check"]) == 2
     assert "duration_s must be positive" in capsys.readouterr().err
 
-
-def test_bench_reports_determinism(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--duration-s", "1", "--out", str(out)]) == 0
-    assert "bit-identical" in capsys.readouterr().out
-    report = json.loads(out.read_text())
-    assert report["deterministic"] is True
-    assert set(report["scenarios"]) == {"construct-heavy", "servo-cluster-2shard"}

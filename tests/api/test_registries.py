@@ -21,7 +21,6 @@ from repro.experiments.tab01_overview import scenario_for
 from repro.core import ServoConfig
 from repro.server import GameConfig
 from repro.sim import SimulationEngine
-from repro.workload import Scenario
 from repro.workload.scenarios import behaviour_a
 
 
@@ -99,7 +98,7 @@ def test_register_host_decorator_adds_buildable_variant():
             servo_config=ServoConfig(provider="azure"),
         )
         assert host.name == "test-tiny"
-        assert host.servo.config.provider == "azure"
+        assert host.runtime.config.provider == "azure"
         assert "test-tiny" in host_names()
     finally:
         HOSTS.unregister("test-tiny")
@@ -256,14 +255,3 @@ def test_register_scenario_decorator():
         SCENARIOS.unregister("test-lonely")
     assert "test-lonely" not in scenario_names()
 
-
-def test_deprecated_static_aliases_still_work_and_warn():
-    with pytest.deprecated_call():
-        alias = Scenario.behaviour_a(players=4, constructs=2, duration_s=3.0)
-    assert alias == behaviour_a(players=4, constructs=2, duration_s=3.0)
-    with pytest.deprecated_call():
-        assert Scenario.star(10, 3).behavior_code == "S3"
-    with pytest.deprecated_call():
-        assert Scenario.sinc().behavior_code == "Sinc"
-    with pytest.deprecated_call():
-        assert Scenario.random(10).behavior_code == "R"

@@ -24,7 +24,7 @@ def test_servo_config_validation():
 
 def test_build_servo_server_deploys_both_functions(engine):
     server = build_servo_server(engine, GameConfig(world_type="flat"))
-    runtime = server.servo
+    runtime = server.runtime
     assert runtime.platform.is_registered(SC_SIMULATION_FUNCTION)
     assert runtime.platform.is_registered(TERRAIN_GENERATION_FUNCTION)
     assert server.cost_model.name == "servo"
@@ -35,8 +35,8 @@ def test_servo_uses_azure_when_configured(engine):
     server = build_servo_server(
         engine, GameConfig(world_type="flat"), ServoConfig(provider="azure")
     )
-    assert server.servo.platform.provider.name == "azure-functions"
-    assert "azure" in server.servo.storage.remote.profile.name
+    assert server.runtime.platform.provider.name == "azure-functions"
+    assert "azure" in server.runtime.storage.remote.profile.name
 
 
 def test_servo_runs_a_construct_workload_and_offloads(engine):
@@ -44,7 +44,7 @@ def test_servo_runs_a_construct_workload_and_offloads(engine):
     scenario = behaviour_a(players=5, constructs=10, duration_s=5.0)
     scenario.warmup_s = 1.0
     result = scenario.run(server)
-    runtime = server.servo
+    runtime = server.runtime
     assert len(result.tick_durations_ms) > 80
     assert runtime.platform.billing.invocation_count >= 10
     assert engine.metrics.counter("offload_invocations") >= 10
@@ -72,7 +72,7 @@ def test_servo_matches_opencraft_construct_states_functionally():
     opencraft.run_ticks(80)
     servo_states = [
         [cell.state for cell in construct.cells]
-        for construct in servo.servo.construct_backend.constructs()
+        for construct in servo.runtime.construct_backend.constructs()
     ]
     opencraft_states = [
         [cell.state for cell in construct.cells]
@@ -87,7 +87,7 @@ def test_servo_terrain_generation_is_fully_serverless(engine):
     session = server.connect_player()
     session.move(400, 65, 400)  # teleport far away: new terrain must be generated
     server.run_for_seconds(10.0)
-    terrain_invocations = server.servo.platform.invocations_for(TERRAIN_GENERATION_FUNCTION)
+    terrain_invocations = server.runtime.platform.invocations_for(TERRAIN_GENERATION_FUNCTION)
     assert terrain_invocations, "moving into new terrain must invoke the generation function"
     assert engine.metrics.counter("chunks_generated") > 0
 
@@ -101,8 +101,8 @@ def test_servo_persists_and_reloads_terrain_through_blob_storage(engine):
 
     server.world.set_block(BlockPos(1, 70, 1), BlockType.STONE)
     server.chunks.persist_dirty()
-    server.servo.storage.flush()
-    assert any(key.startswith("chunk_") for key in server.servo.storage.remote.list_keys())
+    server.runtime.storage.flush()
+    assert any(key.startswith("chunk_") for key in server.runtime.storage.remote.list_keys())
 
 
 def test_servo_cost_accounting_is_exposed(engine):
@@ -110,7 +110,7 @@ def test_servo_cost_accounting_is_exposed(engine):
     scenario = behaviour_a(players=2, constructs=5, duration_s=3.0)
     scenario.warmup_s = 0.5
     scenario.run(server)
-    runtime = server.servo
+    runtime = server.runtime
     window_ms = engine.now_ms
     assert runtime.billing.total_cost_usd() > 0
     assert runtime.cost_per_hour_usd(window_ms) > 0

@@ -20,18 +20,20 @@ from repro.obs.report import trace_breakdown, validate_chrome_trace
 
 #: small Servo cluster exercising every span category: ticks/rounds from the
 #: loop, migrations from the coordinator, faas+fault spans from construct
-#: offload under an injected failure rate.
+#: offload under an injected failure rate.  Seed, population and length are
+#: chosen so the wandering players do cross the shard split (16 migrations)
+#: and the failure rate does fire; smaller runs emit no migration span.
 CLUSTER_SPEC = {
     "host": {
         "game": "servo-cluster",
         "shards": 2,
         "game_config": {"world_type": "flat"},
     },
-    "workload": {"scenario": "behaviour_a", "params": {"players": 4, "constructs": 4}},
-    "faults": {"faas": {"failure_rate": 0.2}},
-    "seed": 11,
-    "duration_s": 2.0,
-    "warmup_s": 0.5,
+    "workload": {"scenario": "behaviour_a", "params": {"players": 12, "constructs": 6}},
+    "faults": {"faas": {"failure_rate": 0.3}},
+    "seed": 7,
+    "duration_s": 6.0,
+    "warmup_s": 1.0,
     "telemetry": {"enabled": True},
 }
 
@@ -65,11 +67,11 @@ class TestSameSeedTraces:
     def test_trace_covers_the_expected_categories(self):
         result = traced_run()
         categories = set(result.telemetry.categories())
-        assert {"tick", "round", "faas", "fault"} <= categories
+        assert {"tick", "round", "migration", "faas", "fault"} <= categories
         trace = chrome_trace(result.telemetry)
         assert validate_chrome_trace(trace) == []
         rows, instants = trace_breakdown(trace)
-        assert {row.category for row in rows} >= {"tick", "round", "faas"}
+        assert {row.category for row in rows} >= {"tick", "round", "migration", "faas"}
         assert instants.get("fault", 0) > 0
 
     def test_different_seed_changes_the_trace(self):

@@ -1,0 +1,179 @@
+"""Whole-run identity: the oldest pinned hashes, and same-seed rerun identity.
+
+* Determinism hashes recorded before any optimisation PR must still
+  reproduce: no host-side speed-up, fault hook, telemetry hook or interest
+  plumbing may change a virtual-time result.  Each run executes once; rerun
+  identity is the second test's job.
+* The same spec with the same seed, run twice, must agree on
+  :func:`fingerprint`.  Subsystem tests assert rerun identity of their own
+  state; this is the one whole-run check, and each case also asserts what
+  its scenario exists to show.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.api import build_host, run_spec
+from repro.constructs.library import (
+    build_clock,
+    build_counter_farm,
+    build_lamp_grid,
+    build_sized_construct,
+    build_wire_line,
+)
+from repro.server import GameConfig
+from repro.sim import SimulationEngine
+from repro.workload.behavior import behavior_by_code
+from repro.workload.bots import BotSwarm, JoinSchedule
+from repro.world.coords import BlockPos
+
+SEED = 42
+
+
+def construct_fleet() -> list:
+    """43 structurally distinct circuits, always-active and settling mixed."""
+    origins = (BlockPos((i % 8) * 64, 64, (i // 8) * 64) for i in range(43))
+    fleet = [
+        build_lamp_grid(width, depth, next(origins))
+        for width in (4, 5, 6, 7, 8)
+        for depth in (3, 4, 5)
+    ]
+    fleet += [
+        build_clock(period=period, origin=next(origins), lamps=6)
+        for period in (4, 6, 8, 10, 12, 16)
+    ]
+    fleet += [
+        build_wire_line(length, next(origins), powered=True) for length in range(8, 40, 2)
+    ]
+    fleet += [build_counter_farm(hoppers, next(origins)) for hoppers in (2, 3, 4, 5)]
+    fleet += [build_sized_construct(size, next(origins)) for size in (120, 252)]
+    return fleet
+
+
+# The radius-None hashes were recorded at commit 479c82c, before any
+# optimisation PR; the radius-4 hash at a3e50a2, when interest management
+# landed (it must differ: the interest cost model is a different one).
+@pytest.mark.parametrize(
+    "game, shards, interest_radius, circuits, players, ticks, pinned",
+    [
+        pytest.param(
+            "opencraft", None, None, 43, 25, 600,
+            "fcec4b5eb07e8241581f28b65a436b73639e3940e84b6465bc0d9ce56876fd5c",
+            id="construct_heavy",
+        ),
+        pytest.param(
+            "servo-cluster", 2, None, 12, 80, 240,
+            "3d86e8733630e515d6069764a882cc92a185f54be7ccef47357a479b9947909a",
+            id="cluster_quick",
+        ),
+        pytest.param(
+            "opencraft", None, 4, 43, 25, 600,
+            "cb02ebaa1f025968ac5c544da2d5e58ad3b3ff02fd7d4cd10aaa4dd200dad277",
+            id="construct_heavy_interest_r4",
+        ),
+    ],
+)
+def test_virtual_results_still_match_the_pinned_hashes(
+    game, shards, interest_radius, circuits, players, ticks, pinned
+):
+    engine = SimulationEngine(seed=SEED)
+    config = GameConfig(world_type="flat", interest_radius_chunks=interest_radius)
+    host = build_host(game, engine, config, shards=shards)
+    host.chunks.preload_area(host.config.spawn_position, 96.0)
+    for construct in construct_fleet()[:circuits]:
+        host.place_construct(construct)
+    swarm = BotSwarm(
+        [behavior_by_code("A", direction_index=i) for i in range(players)],
+        schedule=JoinSchedule.all_at_start(),
+    )
+    host.run_ticks(ticks, before_tick=swarm.install(host))
+
+    # Tick durations, then every construct's step and state digest by id.
+    hasher = hashlib.sha256()
+    for record in host.tick_records:
+        hasher.update(repr(record.duration_ms).encode("ascii") + b";")
+    servers = getattr(host, "shards", [host])
+    constructs = [c for server in servers for c in server.constructs.constructs()]
+    for construct in sorted(constructs, key=lambda c: c.construct_id):
+        hasher.update(str(construct.step).encode("ascii"))
+        hasher.update(construct.snapshot().digest().encode("ascii") + b"|")
+    assert hasher.hexdigest() == pinned
+
+
+def fingerprint(result) -> tuple:
+    """Everything two same-seed runs of one spec must agree on."""
+    host = result.host
+    injector = host.fault_injector
+    return (
+        injector.timeline.digest() if injector is not None else None,
+        tuple(getattr(host, "recovery_records", ())),
+        tuple(sorted(result.counters.items())),
+        result.end_virtual_ms,
+        tuple(result.scenario.tick_durations_ms),
+    )
+
+
+def check_shard_kill(result) -> None:
+    (record,) = result.host.recovery_records
+    assert record.sessions_lost == 0
+    assert record.sessions_recovered > 0
+    assert record.downtime_rounds > 0  # a finite, non-zero MTTR
+
+
+def check_brownout(result) -> None:
+    counters = result.counters
+    injected = sum(
+        counters.get(name, 0.0)
+        for name in ("faas_failures", "faas_throttles", "faas_forced_timeouts")
+    )
+    assert injected > 0, "no FaaS fault fired"
+    assert counters.get("faas_retries", 0.0) > 0, "faults fired but nothing retried"
+
+
+SHARD_KILL_SPEC = {
+    "host": {"game": "servo-cluster", "shards": 2},
+    "workload": {
+        "scenario": "shard_kill_at_peak",
+        "params": {
+            "players": 16,
+            "constructs": 8,
+            "duration_s": 16.0,
+            "kill_at_s": 8.0,
+            "respawn_after_s": 2.0,
+            "shard": 0,
+        },
+    },
+    "seed": SEED,
+}
+
+BROWNOUT_SPEC = {
+    "host": {"game": "servo"},
+    "workload": {
+        "scenario": "offload_brownout",
+        "params": {
+            "players": 10,
+            "constructs": 12,
+            "duration_s": 10.0,
+            "failure_rate": 0.25,
+            "throttle_rate": 0.1,
+            "timeout_rate": 0.05,
+        },
+    },
+    "seed": SEED,
+}
+
+
+@pytest.mark.parametrize(
+    "spec, check",
+    [
+        pytest.param(SHARD_KILL_SPEC, check_shard_kill, id="shard_kill_at_peak"),
+        pytest.param(BROWNOUT_SPEC, check_brownout, id="offload_brownout"),
+    ],
+)
+def test_same_spec_same_seed_reruns_share_one_fingerprint(spec, check):
+    first, second = run_spec(spec), run_spec(spec)
+    check(first)
+    assert fingerprint(first) == fingerprint(second)
