@@ -4,14 +4,16 @@ The paper drives its experiments with bot players exhibiting four behaviours
 (Section IV-A): ``A`` (movement inside a bounded area, used for construct
 experiments), ``Sx`` (star-shaped walks away from spawn at x blocks/s),
 ``Sinc`` (star walk with increasing speed) and ``R`` (randomised behaviour
-with the action mix of Table II).  Scenarios bundle a behaviour, a player
-count, a join schedule, a world type and a construct workload, mirroring the
-rows of Table I.
+with the action mix of Table II).  A fifth, ``C`` (converge on one point,
+then mill around it), models a flash crowd.  Scenarios bundle a behaviour, a
+player count, a join schedule, a world type and a construct workload,
+mirroring the rows of Table I.
 """
 
 from repro.workload.behavior import (
     Behavior,
     BoundedAreaBehavior,
+    ConvergeBehavior,
     IncreasingSpeedStarBehavior,
     RandomBehavior,
     StarBehavior,
@@ -33,6 +35,7 @@ from repro.workload.scenarios import (
 __all__ = [
     "Behavior",
     "BoundedAreaBehavior",
+    "ConvergeBehavior",
     "StarBehavior",
     "IncreasingSpeedStarBehavior",
     "RandomBehavior",

@@ -1,18 +1,32 @@
 """Player behaviours (Section IV-A and Table II).
 
 A behaviour decides, every tick, which client messages a bot sends.  All
-behaviours are deterministic given the bot's random stream, so experiment
-repetitions with the same seed produce identical action streams.
+behaviours are deterministic given the swarm's one shared random stream, so
+experiment repetitions with the same seed produce identical action streams.
 
 Avatars move by fractions of a block per tick (e.g. 3 blocks/s is 0.15 blocks
-per tick at 20 Hz), so each behaviour instance keeps a continuous position and
-sends the rounded block position to the server.
+per tick at 20 Hz), so every bot has a continuous position and sends the
+rounded block position to the server.
+
+The four *walkers* — ``A``, ``C``, ``Sx`` and ``Sinc`` — send exactly one
+``MOVE`` per tick.  Their classes only hold parameters; :class:`WalkerArrays`
+steps a run of them as struct-of-arrays, one batched draw and one array step
+per tick.  ``R`` draws from four distributions depending on what it drew
+before, so it keeps a per-bot :meth:`Behavior.act`.
+
+**Draw order is bot order.**  ``Generator.uniform(lo, hi, size=k)`` returns
+the values ``k`` scalar calls would and leaves the stream where they would
+(pinned by ``tests/workload/test_numpy_contract.py``), so a batched draw over
+the drawing bots of a run, in bot order, is the draw the scalar bots made.
+The scalar bots are kept as the executable spec in
+``tests/workload/reference_behaviors.py``; every operation below is the one
+they perform, in their order, so positions agree to the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +36,11 @@ from repro.world.coords import BlockPos
 
 
 class Behavior:
-    """Interface: produce the messages a bot sends this tick."""
+    """Interface: produce the messages a bot sends this tick.
+
+    The swarm calls ``act`` once per tick for every connected bot whose
+    behaviour is not a :class:`WalkerBehavior`.
+    """
 
     code: str = "?"
 
@@ -38,34 +56,17 @@ class Behavior:
         raise NotImplementedError
 
 
-def _move_message(player_id: int, position: BlockPos) -> Message:
-    return Message(
-        MessageKind.MOVE,
-        player_id,
-        {"x": position.x, "y": position.y, "z": position.z},
-    )
+class WalkerBehavior(Behavior):
+    """The parameters of one walker; :class:`WalkerArrays` does the stepping.
+
+    Parameters are read when the bot connects, so set them before
+    ``BotSwarm.install`` (as ``Scenario.run`` does for ``C``'s target).
+    """
+
+    speed_blocks_per_s: float
 
 
-class _ContinuousWalker(Behavior):
-    """Shared plumbing: continuous (sub-block) position tracking."""
-
-    def __init__(self) -> None:
-        self._float_x: float | None = None
-        self._float_z: float | None = None
-
-    def _current(self, position: BlockPos) -> tuple[float, float]:
-        if self._float_x is None or self._float_z is None:
-            self._float_x = float(position.x)
-            self._float_z = float(position.z)
-        return self._float_x, self._float_z
-
-    def _move_to(self, player_id: int, position: BlockPos, x: float, z: float) -> Message:
-        self._float_x = x
-        self._float_z = z
-        return _move_message(player_id, BlockPos(int(round(x)), position.y, int(round(z))))
-
-
-class BoundedAreaBehavior(_ContinuousWalker):
+class BoundedAreaBehavior(WalkerBehavior):
     """Behaviour ``A``: only move actions, inside a bounded area around spawn.
 
     Used by the simulated-construct experiments because it generates no new
@@ -75,22 +76,11 @@ class BoundedAreaBehavior(_ContinuousWalker):
     code = "A"
 
     def __init__(self, radius_blocks: float = 12.0, speed_blocks_per_s: float = 3.0) -> None:
-        super().__init__()
         self.radius_blocks = float(radius_blocks)
         self.speed_blocks_per_s = float(speed_blocks_per_s)
 
-    def act(self, player_id, position, spawn, tick_index, tick_interval_ms, rng):
-        x, z = self._current(position)
-        step = self.speed_blocks_per_s * tick_interval_ms / 1000.0
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        new_x = min(max(x + step * math.cos(angle), spawn.x - self.radius_blocks),
-                    spawn.x + self.radius_blocks)
-        new_z = min(max(z + step * math.sin(angle), spawn.z - self.radius_blocks),
-                    spawn.z + self.radius_blocks)
-        return [self._move_to(player_id, position, new_x, new_z)]
 
-
-class ConvergeBehavior(_ContinuousWalker):
+class ConvergeBehavior(WalkerBehavior):
     """Behaviour ``C``: converge on one point, then mill around it.
 
     Models a flash crowd: every bot beelines for the convergence point at
@@ -115,36 +105,12 @@ class ConvergeBehavior(_ContinuousWalker):
         crowd_radius_blocks: float = 8.0,
         target: BlockPos | None = None,
     ) -> None:
-        super().__init__()
         self.speed_blocks_per_s = float(speed_blocks_per_s)
         self.crowd_radius_blocks = float(crowd_radius_blocks)
         self.target = target
 
-    def act(self, player_id, position, spawn, tick_index, tick_interval_ms, rng):
-        spawn = self.target if self.target is not None else spawn
-        x, z = self._current(position)
-        step = self.speed_blocks_per_s * tick_interval_ms / 1000.0
-        dx, dz = spawn.x - x, spawn.z - z
-        distance = math.hypot(dx, dz)
-        if distance > self.crowd_radius_blocks:
-            # Still approaching: head straight for the convergence point.
-            if distance <= step:
-                return [self._move_to(player_id, position, float(spawn.x), float(spawn.z))]
-            return [
-                self._move_to(
-                    player_id, position, x + step * dx / distance, z + step * dz / distance
-                )
-            ]
-        # Arrived: mill around inside the crowd radius.
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        new_x = min(max(x + step * math.cos(angle), spawn.x - self.crowd_radius_blocks),
-                    spawn.x + self.crowd_radius_blocks)
-        new_z = min(max(z + step * math.sin(angle), spawn.z - self.crowd_radius_blocks),
-                    spawn.z + self.crowd_radius_blocks)
-        return [self._move_to(player_id, position, new_x, new_z)]
 
-
-class StarBehavior(_ContinuousWalker):
+class StarBehavior(WalkerBehavior):
     """Behaviour ``Sx``: walk away from spawn in a fixed direction at x blocks/s.
 
     Bots get evenly spread directions (a star pattern) so each explores new
@@ -157,7 +123,6 @@ class StarBehavior(_ContinuousWalker):
         direction_index: int = 0,
         direction_count: int = 8,
     ) -> None:
-        super().__init__()
         self.speed_blocks_per_s = float(speed_blocks_per_s)
         self.direction_index = int(direction_index)
         self.direction_count = int(direction_count)
@@ -169,16 +134,11 @@ class StarBehavior(_ContinuousWalker):
     def _angle(self) -> float:
         return 2.0 * math.pi * (self.direction_index % self.direction_count) / self.direction_count
 
-    def current_speed(self, tick_index: int, tick_interval_ms: float) -> float:
-        """Speed at this tick (constant for Sx; overridden by Sinc)."""
-        return self.speed_blocks_per_s
 
-    def act(self, player_id, position, spawn, tick_index, tick_interval_ms, rng):
-        x, z = self._current(position)
-        speed = self.current_speed(tick_index, tick_interval_ms)
-        step = speed * tick_interval_ms / 1000.0
-        angle = self._angle()
-        return [self._move_to(player_id, position, x + step * math.cos(angle), z + step * math.sin(angle))]
+def _increasing_speed(initial, interval_s, tick_index: int, tick_interval_ms: float):
+    """``Sinc``'s speed schedule, for one bot (floats) or a run of them (arrays)."""
+    elapsed_s = tick_index * tick_interval_ms / 1000.0
+    return initial + elapsed_s // interval_s
 
 
 class IncreasingSpeedStarBehavior(StarBehavior):
@@ -208,12 +168,137 @@ class IncreasingSpeedStarBehavior(StarBehavior):
         return "Sinc"
 
     def current_speed(self, tick_index: int, tick_interval_ms: float) -> float:
-        elapsed_s = tick_index * tick_interval_ms / 1000.0
-        increments = int(elapsed_s // self.speed_increase_interval_s)
-        return self.initial_speed_blocks_per_s + increments
+        """Speed at this tick: the schedule :class:`WalkerArrays` applies."""
+        return _increasing_speed(
+            self.initial_speed_blocks_per_s, self.speed_increase_interval_s,
+            tick_index, tick_interval_ms,
+        )
 
 
-class RandomBehavior(_ContinuousWalker):
+class WalkerArrays:
+    """A run of walkers in bot order, stepped as struct-of-arrays.
+
+    Row ``i`` is the run's ``i``-th bot.  :meth:`bind` fills a row when its
+    bot connects, :meth:`set_active` names the connected rows, and
+    :meth:`step` moves exactly those: the active ``A`` rows and the active
+    ``C`` rows that have arrived share one ``rng.uniform`` call, in row
+    order, and nobody else draws.
+    """
+
+    def __init__(self, behaviors: Sequence[WalkerBehavior]) -> None:
+        self.behaviors = list(behaviors)
+        count = len(self.behaviors)
+        #: continuous position
+        self.x = np.zeros(count)
+        self.z = np.zeros(count)
+        self.speed = np.zeros(count)
+        #: A and C: centre and radius of the area the random walk is clamped to
+        self.centre_x = np.zeros(count)
+        self.centre_z = np.zeros(count)
+        self.radius = np.zeros(count)
+        #: Sx and Sinc: the fixed heading
+        self.cos = np.zeros(count)
+        self.sin = np.zeros(count)
+        #: Sinc: the speed schedule
+        self.initial_speed = np.zeros(count)
+        self.speed_increase_interval_s = np.zeros(count)
+        self.set_active([])
+
+    def bind(self, row: int, spawn: BlockPos) -> None:
+        """Put row ``row`` at ``spawn`` and read its behaviour's parameters."""
+        behavior = self.behaviors[row]
+        self.x[row], self.z[row] = spawn.x, spawn.z
+        self.speed[row] = behavior.speed_blocks_per_s
+        if isinstance(behavior, StarBehavior):
+            angle = behavior._angle()
+            self.cos[row], self.sin[row] = math.cos(angle), math.sin(angle)
+            if isinstance(behavior, IncreasingSpeedStarBehavior):
+                self.initial_speed[row] = behavior.initial_speed_blocks_per_s
+                self.speed_increase_interval_s[row] = behavior.speed_increase_interval_s
+        elif isinstance(behavior, ConvergeBehavior):
+            centre = behavior.target if behavior.target is not None else spawn
+            self.centre_x[row], self.centre_z[row] = centre.x, centre.z
+            self.radius[row] = behavior.crowd_radius_blocks
+        else:
+            self.centre_x[row], self.centre_z[row] = spawn.x, spawn.z
+            self.radius[row] = behavior.radius_blocks
+
+    def set_active(self, rows: Sequence[int]) -> None:
+        """Step only ``rows`` (ascending, each one bound) from now on."""
+
+        def of_kind(kind: type) -> np.ndarray:
+            return np.array(
+                [row for row in rows if isinstance(self.behaviors[row], kind)], dtype=np.intp
+            )
+
+        self._rows = np.array(rows, dtype=np.intp)
+        self._bounded = of_kind(BoundedAreaBehavior)
+        self._converge = of_kind(ConvergeBehavior)
+        self._star = of_kind(StarBehavior)
+        self._sinc = of_kind(IncreasingSpeedStarBehavior)
+
+    def step(
+        self, tick_index: int, tick_interval_ms: float, rng: np.random.Generator
+    ) -> tuple[list[int], list[int]]:
+        """Move every active row one tick; their block ``x`` and ``z``, in row order."""
+        x, z, speed = self.x, self.z, self.speed
+        sinc = self._sinc
+        if sinc.size:
+            speed[sinc] = _increasing_speed(
+                self.initial_speed[sinc], self.speed_increase_interval_s[sinc],
+                tick_index, tick_interval_ms,
+            )
+
+        milling = self._bounded
+        rows = self._converge
+        if rows.size:
+            dx = self.centre_x[rows] - x[rows]
+            dz = self.centre_z[rows] - z[rows]
+            # math.hypot is CPython's own correctly-rounded routine; np.hypot is libm's.
+            distance = np.array(list(map(math.hypot, dx.tolist(), dz.tolist())))
+            approaching = distance > self.radius[rows]
+            # Arrived: mill around inside the crowd radius, as A does around spawn.
+            milling = np.sort(np.concatenate((milling, rows[~approaching])))
+            # Still approaching: head straight for the convergence point.
+            rows, dx, dz, distance = (
+                rows[approaching], dx[approaching], dz[approaching], distance[approaching]
+            )
+            stride = speed[rows] * tick_interval_ms / 1000.0
+            reached = distance <= stride
+            x[rows] = np.where(reached, self.centre_x[rows], x[rows] + stride * dx / distance)
+            z[rows] = np.where(reached, self.centre_z[rows], z[rows] + stride * dz / distance)
+
+        rows = milling
+        if rows.size:
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=rows.size).tolist()
+            # math.cos/sin, not np.cos/sin: numpy picks its SIMD trig by CPU.
+            cos = np.array(list(map(math.cos, angles)))
+            sin = np.array(list(map(math.sin, angles)))
+            stride = speed[rows] * tick_interval_ms / 1000.0
+            radius = self.radius[rows]
+            centre = self.centre_x[rows]
+            x[rows] = np.minimum(
+                np.maximum(x[rows] + stride * cos, centre - radius), centre + radius
+            )
+            centre = self.centre_z[rows]
+            z[rows] = np.minimum(
+                np.maximum(z[rows] + stride * sin, centre - radius), centre + radius
+            )
+
+        rows = self._star
+        if rows.size:
+            stride = speed[rows] * tick_interval_ms / 1000.0
+            x[rows] += stride * self.cos[rows]
+            z[rows] += stride * self.sin[rows]
+
+        rows = self._rows
+        return (
+            np.rint(x[rows]).astype(np.int64).tolist(),
+            np.rint(z[rows]).astype(np.int64).tolist(),
+        )
+
+
+class RandomBehavior(Behavior):
     """Behaviour ``R``: the randomised action mix of Table II.
 
     Every tick the bot continues its current activity; when the activity ends
@@ -226,8 +311,9 @@ class RandomBehavior(_ContinuousWalker):
     code = "R"
 
     def __init__(self, roam_radius_blocks: float = 64.0) -> None:
-        super().__init__()
         self.roam_radius_blocks = float(roam_radius_blocks)
+        #: continuous position, taken from the avatar at the first move activity
+        self._xz: tuple[float, float] | None = None
         self._target: tuple[float, float] | None = None
         self._speed: float = 2.0
         self._idle_ticks: int = 0
@@ -236,7 +322,9 @@ class RandomBehavior(_ContinuousWalker):
         roll = rng.random()
         if roll < 0.40:
             # Move to a random destination at 1 to 8 blocks per second.
-            x, z = self._current(position)
+            if self._xz is None:
+                self._xz = (float(position.x), float(position.z))
+            x, z = self._xz
             self._speed = float(rng.uniform(1.0, 8.0))
             self._target = (
                 x + float(rng.uniform(-self.roam_radius_blocks, self.roam_radius_blocks)),
@@ -266,19 +354,19 @@ class RandomBehavior(_ContinuousWalker):
             self._idle_ticks -= 1
             return []
         if self._target is not None:
-            x, z = self._current(position)
+            x, z = self._xz  # set when the target was picked
             target_x, target_z = self._target
             step = self._speed * tick_interval_ms / 1000.0
             dx, dz = target_x - x, target_z - z
             distance = math.hypot(dx, dz)
             if distance <= step:
                 self._target = None
-                return [self._move_to(player_id, position, target_x, target_z)]
-            return [
-                self._move_to(
-                    player_id, position, x + step * dx / distance, z + step * dz / distance
-                )
-            ]
+                x, z = target_x, target_z
+            else:
+                x, z = x + step * dx / distance, z + step * dz / distance
+            self._xz = (x, z)
+            payload = {"x": int(round(x)), "y": position.y, "z": int(round(z))}
+            return [Message(MessageKind.MOVE, player_id, payload)]
         return self._pick_activity(player_id, position, rng)
 
 
@@ -298,5 +386,7 @@ def behavior_by_code(code: str, direction_index: int = 0) -> Behavior:
             speed = float(normalized[1:])
         except ValueError as error:
             raise ValueError(f"unknown behaviour code {code!r}") from error
-        return StarBehavior(speed_blocks_per_s=speed, direction_index=direction_index)
+        # float() also reads "nan", "inf" and "1e400"; none of them is a walking speed.
+        if math.isfinite(speed) and speed >= 0.0:
+            return StarBehavior(speed_blocks_per_s=speed, direction_index=direction_index)
     raise ValueError(f"unknown behaviour code {code!r}")

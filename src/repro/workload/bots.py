@@ -5,6 +5,13 @@ according to a :class:`JoinSchedule` (all at once or staggered, as in
 Figure 12a where a player joins every ten seconds), and produces the per-tick
 driver callback the game loop runs before every tick.
 
+Each tick the driver goes through the bots in bot order.  Every maximal run
+of consecutive walker bots is stepped as one array segment
+(:class:`~repro.workload.behavior.WalkerArrays`), after which each of its
+connected bots sends its one ``MOVE`` through its own session; any other bot
+(``R``) acts on its own.  All draw from the swarm's one ``"bots"`` stream, in
+bot order, so the stream is consumed exactly as if every bot acted by itself.
+
 The swarm addresses any :class:`GameHost`: a single
 :class:`~repro.server.GameServer` or a
 :class:`~repro.cluster.ClusterCoordinator`.  In a cluster the bots talk to
@@ -16,16 +23,17 @@ to the workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, groupby
 from typing import Callable, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.net.message import Message
+from repro.net.message import Message, MessageKind
 from repro.server.config import GameConfig
 from repro.server.entities import Avatar
 from repro.server.gameloop import TickRecord
 from repro.sim.engine import SimulationEngine
-from repro.workload.behavior import Behavior
+from repro.workload.behavior import Behavior, WalkerArrays, WalkerBehavior
 from repro.world.coords import BlockPos
 
 
@@ -95,7 +103,7 @@ class BotPlayer:
         return self.session is not None and not self.session.disconnected
 
     def act(self, server: GameHost, tick_index: int, rng: np.random.Generator) -> None:
-        """Queue this tick's messages on the bot's session."""
+        """Queue this tick's messages on the bot's session (not for walkers)."""
         if not self.connected:
             return
         assert self.session is not None and self.spawn is not None
@@ -129,6 +137,41 @@ class JoinSchedule:
         return JoinSchedule(initial=initial, interval_s=interval_s)
 
 
+class _WalkerRun:
+    """A maximal run of consecutive walker bots: one array segment of the swarm."""
+
+    def __init__(self, bots: list[BotPlayer]) -> None:
+        self.bots = bots
+        self.walkers = WalkerArrays([bot.behavior for bot in bots])
+        self._connected = [False] * len(bots)
+        #: (session, player id, y) of each connected bot, in bot order
+        self._senders: list[tuple[SessionHandle, int, int]] = []
+
+    def _connection_changed(self, connected: list[bool]) -> None:
+        """A bot joined or was disconnected (a session never reconnects)."""
+        for row, (now, before) in enumerate(zip(connected, self._connected)):
+            if now and not before:
+                self.walkers.bind(row, self.bots[row].spawn)
+        self._connected = connected
+        self.walkers.set_active([row for row, now in enumerate(connected) if now])
+        # The server applies a MOVE verbatim, so an avatar keeps its spawn's y.
+        self._senders = [
+            (bot.session, bot.session.player_id, bot.spawn.y)
+            for bot in compress(self.bots, connected)
+        ]
+
+    def act(self, server: GameHost, tick_index: int, rng: np.random.Generator) -> None:
+        """Step the connected bots and queue each one's ``MOVE``, in bot order."""
+        # BotPlayer.connected, inlined: a frame per bot is what this path exists to avoid.
+        sessions = [bot.session for bot in self.bots]
+        connected = [s is not None and not s.disconnected for s in sessions]
+        if connected != self._connected:
+            self._connection_changed(connected)
+        xs, zs = self.walkers.step(tick_index, server.config.tick_interval_ms, rng)
+        for (session, player_id, y), x, z in zip(self._senders, xs, zs):
+            session.enqueue(Message(MessageKind.MOVE, player_id, {"x": x, "y": y, "z": z}))
+
+
 class BotSwarm:
     """A population of bots driving one game host (a server or a cluster)."""
 
@@ -142,6 +185,12 @@ class BotSwarm:
             BotPlayer(name=f"{name_prefix}-{index}", behavior=behavior)
             for index, behavior in enumerate(behaviors)
         ]
+        #: what the driver steps each tick, in bot order
+        self._steps: list[_WalkerRun | BotPlayer] = []
+        for walkers, run in groupby(
+            self.bots, key=lambda bot: isinstance(bot.behavior, WalkerBehavior)
+        ):
+            self._steps += [_WalkerRun(list(run))] if walkers else run
         self.schedule = schedule or JoinSchedule.all_at_start()
         self._next_join_index = 0
         self._rng: np.random.Generator | None = None
@@ -176,7 +225,7 @@ class BotSwarm:
                 target = initial + int(elapsed_s // self.schedule.interval_s)
                 while self._next_join_index < min(target, len(self.bots)):
                     self._connect_next(driven_server)
-            for bot in self.bots:
-                bot.act(driven_server, tick_index, self._rng)
+            for step in self._steps:
+                step.act(driven_server, tick_index, self._rng)
 
         return driver

@@ -80,6 +80,7 @@ class Scenario:
             raise ValueError("players must be non-negative")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
+        behavior_by_code(self.behavior_code)  # validate eagerly
         if self.faults is not None:
             FaultPlan.from_dict(self.faults)  # validate eagerly
 

@@ -4,34 +4,33 @@ import math
 
 import numpy as np
 import pytest
+from stub_host import SPAWN, StubHost
 
 from repro.net.message import MessageKind
 from repro.workload.behavior import (
     BoundedAreaBehavior,
+    ConvergeBehavior,
     IncreasingSpeedStarBehavior,
     RandomBehavior,
     StarBehavior,
     behavior_by_code,
 )
+from repro.workload.bots import BotSwarm
 from repro.world.coords import BlockPos
 
-SPAWN = BlockPos(0, 65, 0)
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def drive(behavior, ticks, rng=None, start=SPAWN):
-    """Run a behaviour for a number of ticks, applying its move messages."""
-    rng = rng or np.random.default_rng(0)
-    position = start
+def drive(behavior, ticks, seed=0):
+    """Run a one-bot swarm for a number of ticks: where it ends up, and all it sent."""
+    host = StubHost(seed)
+    swarm = BotSwarm([behavior])
+    driver = swarm.install(host)
     messages = []
     for tick in range(ticks):
-        out = behavior.act(1, position, SPAWN, tick, 50.0, rng)
-        messages.extend(out)
-        for message in out:
-            if message.kind is MessageKind.MOVE:
-                position = BlockPos(
-                    message.payload["x"], message.payload["y"], message.payload["z"]
-                )
-    return position, messages
+        driver(host, tick)
+        messages.extend(host.end_tick())
+    return swarm.bots[0].session.avatar.position, messages
 
 
 def test_bounded_behavior_stays_within_radius():
@@ -113,15 +112,14 @@ def test_random_behavior_activity_mix_follows_table_ii_probabilities():
 
 def test_random_behavior_is_deterministic_for_a_seed():
     def run():
-        behavior = RandomBehavior()
-        rng = np.random.default_rng(3)
-        return drive(behavior, 500, rng=rng)[0]
+        return drive(RandomBehavior(), 500, seed=3)
 
     assert run() == run()
 
 
 def test_behavior_by_code_dispatch():
     assert isinstance(behavior_by_code("A"), BoundedAreaBehavior)
+    assert isinstance(behavior_by_code("C"), ConvergeBehavior)
     assert isinstance(behavior_by_code("R"), RandomBehavior)
     assert isinstance(behavior_by_code("Sinc"), IncreasingSpeedStarBehavior)
     star = behavior_by_code("S8", direction_index=2)
@@ -131,3 +129,10 @@ def test_behavior_by_code_dispatch():
         behavior_by_code("Sfast")
     with pytest.raises(ValueError):
         behavior_by_code("X")
+
+
+@pytest.mark.parametrize("code", ["Snan", "Sinf", "S1e400", "S-3"])
+def test_behavior_by_code_rejects_speeds_nobody_can_walk_at(code):
+    """``float()`` reads all four; the first three used to reach ``int(round(x))``."""
+    with pytest.raises(ValueError, match="unknown behaviour code"):
+        behavior_by_code(code)

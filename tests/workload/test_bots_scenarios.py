@@ -4,7 +4,7 @@ import pytest
 
 from repro.server import GameConfig, make_opencraft
 from repro.sim import SimulationEngine
-from repro.workload import JoinSchedule, Scenario, behaviour_a, random_walk, sinc, star
+from repro.workload import JoinSchedule, Scenario, behaviour_a, custom, random_walk, sinc, star
 from repro.workload.behavior import BoundedAreaBehavior
 from repro.workload.bots import BotSwarm
 from repro.workload.constructs import place_standard_constructs
@@ -62,6 +62,11 @@ def test_scenario_validation():
         Scenario(name="bad", players=-1)
     with pytest.raises(ValueError):
         Scenario(name="bad", players=1, duration_s=0)
+    # A code that parses to a speed no bot can walk at fails here, not on tick one.
+    with pytest.raises(ValueError, match="unknown behaviour code"):
+        Scenario(name="bad", players=1, behavior_code="Snan")
+    with pytest.raises(ValueError, match="unknown behaviour code"):
+        custom(name="bad", players=1, behavior_code="Sinf")
 
 
 def test_scenario_run_collects_tick_durations_and_qos():
