@@ -293,10 +293,6 @@ class ClusterCoordinator(TickLoop):
 
     # -- constructs ------------------------------------------------------------------
 
-    def shard_for_block(self, position: BlockPos) -> GameServer:
-        """The shard owning a block position."""
-        return self.shards[self.partitioner.zone_of_block(position)]
-
     def place_construct(self, construct: SimulatedConstruct) -> None:
         """Route a construct to the shard owning its anchor (minimum) cell."""
         zone = self.partitioner.zone_of_block(construct.positions[0])

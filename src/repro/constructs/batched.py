@@ -1,20 +1,19 @@
 """Batched circuit stepping: every active circuit in one numpy step.
 
-:class:`~repro.constructs.compiled.CompiledCircuit` made a *single* construct
-step a tight integer loop; backends still pay that loop once per circuit per
-tick.  The :class:`BatchedCircuitStepper` packs the state vectors of *all*
-circuits it is handed into one flat ``int64`` batch and advances every circuit
-with a fixed number of vectorised numpy operations, independent of the circuit
+A :class:`~repro.constructs.compiled.CompiledCircuit` steps one construct in
+a tight integer loop, paid once per circuit per tick.  The
+:class:`BatchedCircuitStepper` packs the state vectors of *all* circuits it
+is handed into one flat ``int64`` batch and advances every circuit with a
+fixed number of vectorised numpy operations, independent of the circuit
 count.  Fixed points (quiescence) are detected per circuit, so the backends'
-skip logic keeps working unchanged.
+skip logic works the same on either path.
 
 Bit-identity is the contract: every arithmetic branch below mirrors
 ``CompiledCircuit.step`` (which itself mirrors ``components.py``) on plain
 int64 integers, so a batched step produces exactly the state bytes a
 per-circuit step would — the equivalence suite pins this against the
-reference simulator.  Circuits whose batch is too small to amortise the numpy
-call overhead fall back to the per-circuit compiled path, which stays fully
-supported.
+reference simulator.  A batch too small to amortise the numpy call overhead
+is stepped circuit by circuit on the compiled path.
 
 Layout: cells of all circuits are concatenated into one flat vector (no
 padding — circuit sizes in real worlds vary by an order of magnitude, so a
@@ -24,9 +23,9 @@ to; neighbour inputs come from a single flat gather against an output vector
 with one trailing sentinel slot that always holds 0 (cells with fewer than
 the maximum neighbour count point their spare slots there).  The packed
 layout is cached while the circuit set and modification counters are
-unchanged; cell *states* are re-read from the live cells on every step, which
-keeps the construct the single source of truth exactly as the compiled path
-does.
+unchanged.  Cell *states* live on the ``Cell`` objects, exactly as for the
+compiled path: each step gathers them into the batch vector and writes back
+the cells that changed.
 
 The arithmetic itself lives in :func:`advance_states`, a pure function of a
 :class:`CircuitBatchLayout` (arrays only) and a state vector.

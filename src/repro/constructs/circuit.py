@@ -94,10 +94,6 @@ class SimulatedConstruct:
     def contains(self, pos: BlockPos) -> bool:
         return pos in self._cells
 
-    def neighbours_of(self, pos: BlockPos) -> list[Cell]:
-        """Cells adjacent (6-connectivity) to ``pos`` within this construct."""
-        return [self._cells[p] for p in pos.neighbours() if p in self._cells]
-
     def bounding_box(self) -> tuple[BlockPos, BlockPos]:
         xs = [p.x for p in self._cells]
         ys = [p.y for p in self._cells]
@@ -131,27 +127,18 @@ class SimulatedConstruct:
             self._cells[pos].state = int(value)
         self.step = int(new_step)
 
-    def apply_state_unchecked(self, values: Mapping[BlockPos, int], step: int) -> None:
-        """Overwrite cell states without validating the position set.
-
-        Internal fast path for the speculative merge loop, which applies states
-        that were produced from this construct's own structure and therefore
-        cannot reference unknown positions.  Everyone else should use
-        :meth:`apply_state`.
-        """
-        cells = self._cells
-        for pos, value in values.items():
-            cells[pos].state = value
-        self.step = int(step)
-
     def apply_values(self, values: list[int], step: int) -> None:
         """Overwrite cell states from a list aligned with :attr:`cells` order.
 
-        The fastest merge path: callers that repeatedly re-apply the same
-        snapshots (looping speculative sequences) align the values once and
-        skip the per-cell position hashing of :meth:`apply_state_unchecked`.
+        The merge path of speculative execution: replies carry states in
+        sorted cell order, so applying one needs no position lookups.
         """
-        for cell, value in zip(self._sorted_cells, values):
+        cells = self._sorted_cells
+        if len(values) != len(cells):
+            raise ValueError(
+                f"construct {self.name} has {len(cells)} cells, got {len(values)} values"
+            )
+        for cell, value in zip(cells, values):
             cell.state = value
         self.step = step
 

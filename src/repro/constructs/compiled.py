@@ -1,41 +1,31 @@
 """Compiled construct circuits: the simulator's index-based hot path.
 
-``ConstructSimulator.step`` originally rebuilt two ``BlockPos``-keyed dicts
-per step (neighbour outputs and new states) and dispatched every cell through
-the :func:`~repro.constructs.components.output_power` /
-:func:`~repro.constructs.components.next_state` functions, paying enum
-comparisons, dict hashing of frozen dataclasses and ``properties.get`` calls
-on every cell of every step.  At cluster scale (hundreds of constructs over
-thousands of ticks) that made the simulator itself the wall-clock bottleneck.
-
 A :class:`CompiledCircuit` flattens a construct once into parallel,
-index-aligned lists — integer component codes, precomputed per-cell
-parameters (clock period, repeater delay/mask) and neighbour *index* tuples —
-so stepping becomes tight integer loops over small lists.  The compiled form
-is cached on the construct (the cell set of a :class:`SimulatedConstruct`
-never changes after construction) and shared by every consumer: the local
-backend, Servo's speculative fallback and the offload function.  Per-cell
-parameters are refreshed whenever the construct's modification counter moves,
-so sanctioned player edits are always honoured; cell *states* are read from
-and written back to the live ``Cell`` objects on every step, which keeps the
-construct the single source of truth for everyone else (snapshots,
-equivalence grouping, offload payloads).
+index-aligned lists in sorted cell order — integer component codes,
+precomputed per-cell parameters (clock period, repeater delay/mask) and
+neighbour *index* tuples — so stepping is two tight integer loops over small
+lists, with no ``BlockPos`` hashing, enum comparison or ``properties.get`` per
+cell.  The compiled form is cached on the construct (the cell set of a
+:class:`SimulatedConstruct` never changes after construction) and shared by
+every consumer: the local backend, Servo's speculative fallback and the
+offload function.  Per-cell parameters are refreshed whenever the construct's
+modification counter moves, so sanctioned player edits are always honoured.
+Cell *states* live on the ``Cell`` objects: a step reads them and writes back
+the ones that changed, so the construct stays the single source of truth for
+snapshots, equivalence grouping and offload requests.
 
 The compiled step is semantically bit-identical to the reference simulator:
 every arithmetic branch below mirrors ``components.py`` exactly, and the
 equivalence test suite asserts identical :class:`ConstructState` sequences
 across the construct library.
 
-As a byproduct of writing states back, :meth:`CompiledCircuit.step` reports
-whether the step was a *fixed point* (no cell changed state).  Because a
-step is a pure function of the state vector, a fixed point persists until a
-player edit — which is what lets backends skip re-simulating quiescent
-circuits entirely.
+:meth:`CompiledCircuit.step` also reports whether the step was a *fixed
+point* (no cell changed state).  Because a step is a pure function of the
+state vector, a fixed point persists until a player edit — which is what lets
+backends skip re-simulating quiescent circuits entirely.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 from repro.constructs.components import MAX_POWER, ComponentType
 
@@ -79,7 +69,6 @@ class CompiledCircuit:
         "_params",
         "_masks",
         "_neighbours",
-        "_digest_prefixes",
         "_params_modification",
     )
 
@@ -92,12 +81,6 @@ class CompiledCircuit:
         adjacency = construct.adjacency()
         self._neighbours = [
             tuple(index_of[pos] for pos in adjacency[cell.position]) for cell in cells
-        ]
-        # Byte prefixes for the content digest, identical to state_hash():
-        # "x,y,z=" per cell in sorted-position order.
-        self._digest_prefixes = [
-            f"{cell.position.x},{cell.position.y},{cell.position.z}=".encode("ascii")
-            for cell in cells
         ]
         self._params: list[int] = []
         self._masks: list[int] = []
@@ -140,9 +123,9 @@ class CompiledCircuit:
     def step(self) -> bool:
         """Advance the construct one step; return True on a fixed point.
 
-        States are read from and written back to the live cells, and the
-        construct's step counter advances — exactly like the reference
-        simulator, minus the per-step dict rebuilding.
+        States are read from the live cells, the ones that changed are
+        written back, and the construct's step counter advances — exactly
+        like the reference simulator.
         """
         construct = self.construct
         if construct.modification_counter != self._params_modification:
@@ -213,26 +196,6 @@ class CompiledCircuit:
 
         construct.step += 1
         return fixed_point
-
-    def run(self, steps: int) -> bool:
-        """Advance ``steps`` steps; return True if the last step was a fixed point."""
-        fixed_point = False
-        for _ in range(int(steps)):
-            fixed_point = self.step()
-        return fixed_point
-
-    def digest(self) -> str:
-        """The construct's current content hash.
-
-        Identical to ``state_hash(construct.snapshot().states)`` but computed
-        straight from the (already position-sorted) cells, without building
-        and re-sorting a snapshot dict.
-        """
-        hasher = hashlib.sha256()
-        for prefix, cell in zip(self._digest_prefixes, self._cells):
-            hasher.update(prefix)
-            hasher.update(f"{int(cell.state)};".encode("ascii"))
-        return hasher.hexdigest()
 
 
 def compile_circuit(construct) -> CompiledCircuit:

@@ -68,16 +68,6 @@ class ConstructSimulator:
             trace.cell_updates += construct.block_count
         return trace
 
-    def simulate_detached(self, construct: SimulatedConstruct, steps: int) -> SimulationTrace:
-        """Simulate ``steps`` ahead on a copy, leaving the construct untouched.
-
-        This is what the offload function does: it receives the construct's
-        current state, works ahead speculatively and returns the state
-        sequence without mutating the server-side construct.
-        """
-        clone = clone_construct(construct)
-        return self.run(clone, steps)
-
 
 class ReferenceConstructSimulator(ConstructSimulator):
     """The dict-based reference formulation (executable specification).

@@ -1,9 +1,11 @@
 """Construct state snapshots and hashing.
 
-A construct's state is the mapping from cell positions to integer states.  The
-loop detector (Section III-C1 of the paper) hashes each step's state to detect
-repeating cycles; speculation compares states by hash to know whether a
-speculative sequence is still valid.
+A construct's state is the mapping from cell positions to integer states.
+:class:`ConstructState` is the public, position-keyed view of it — what
+``SimulatedConstruct.snapshot()`` returns and what the equivalence suites and
+run digests compare.  The speculative-offload path does not use it: requests
+and replies carry bare value rows in sorted cell order
+(:mod:`repro.core.loop_detection`).
 """
 
 from __future__ import annotations

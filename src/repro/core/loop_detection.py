@@ -2,116 +2,130 @@
 
 Many player-built constructs loop through a fixed list of states indefinitely
 (clocks, lamps on timers, some farms).  Simulating such a construct remotely
-over and over wastes money, so Servo's offload function hashes every produced
-state; when a state repeats, the function truncates the result to one period
-of the loop plus an index, and the server can replay the loop forever without
-invoking the function again (Section III-C1).
+over and over wastes money, so Servo's offload function compares every
+produced state with the ones before it; when a state repeats, the function
+truncates the result to one period of the loop plus an index, and the server
+can replay the loop forever without invoking the function again
+(Section III-C1).
+
+A state here is a *row*: the construct's cell values in sorted cell order
+(``SimulatedConstruct.cells``).  Positions are not part of it, so a sequence
+computed for one construct serves every structurally identical construct
+wherever it stands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
-from repro.constructs.state import ConstructState
+import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CompressedStateSequence:
     """A state sequence, possibly truncated to a prefix plus a repeating loop.
 
-    ``start_step`` is the construct step *before* the first state in
-    ``prefix`` (i.e. ``prefix[0]`` is the state after step ``start_step + 1``).
-    If ``loop_states`` is non-empty, the sequence continues forever by
-    repeating ``loop_states`` after the prefix.
+    ``start_step`` is the construct step *before* the first row of ``states``
+    (i.e. ``states[0]`` is the state after step ``start_step + 1``).  If
+    ``loop_start`` is set, the sequence continues forever by repeating
+    ``states[loop_start:]`` after the last stored row.
     """
 
     start_step: int
-    prefix: list[ConstructState] = field(default_factory=list)
-    loop_states: list[ConstructState] = field(default_factory=list)
+    #: read-only ``(stored states, cells)`` ``int64`` matrix
+    states: np.ndarray
+    loop_start: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.states.ndim != 2:
+            raise ValueError("states must be a (steps, cells) matrix")
+        self.states.flags.writeable = False
+
+    @classmethod
+    def from_rows(
+        cls, start_step: int, rows: list[Sequence[int]], loop_start: Optional[int] = None
+    ) -> "CompressedStateSequence":
+        """Stack equally long rows (one per step) into a sequence."""
+        matrix = np.array(rows, dtype=np.int64) if rows else np.empty((0, 0), np.int64)
+        return cls(start_step, matrix, loop_start)
 
     @property
     def is_looping(self) -> bool:
-        return bool(self.loop_states)
+        return self.loop_start is not None
 
     @property
     def explicit_length(self) -> int:
         """Number of explicitly stored states."""
-        return len(self.prefix) + len(self.loop_states)
+        return len(self.states)
+
+    @property
+    def cell_count(self) -> int:
+        return self.states.shape[1]
+
+    @property
+    def last_step(self) -> int:
+        """The step of the last stored row (a looping sequence continues past it)."""
+        return self.start_step + len(self.states)
 
     def covers(self, step: int) -> bool:
         """True if the sequence can produce the state after ``step`` steps."""
         if step <= self.start_step:
             return False
-        if self.is_looping:
-            return True
-        return step <= self.start_step + len(self.prefix)
+        return self.is_looping or step <= self.last_step
 
-    def raw_state_at(self, step: int) -> ConstructState:
-        """The stored snapshot for ``step`` without re-stamping its step counter.
+    def settled_by(self, step: int) -> bool:
+        """True if ``step`` and every later step hold one and the same state."""
+        return (
+            self.loop_start is not None
+            and self.loop_start == len(self.states) - 1
+            and step > self.start_step + self.loop_start
+        )
 
-        This avoids copying the state mapping; callers that need the correct
-        absolute step (e.g. :meth:`state_at`) re-stamp it themselves.
-        """
+    def values_at(self, step: int) -> list[int]:
+        """The cell values after ``step`` total steps, in sorted cell order."""
         if not self.covers(step):
             raise KeyError(
                 f"sequence starting at {self.start_step} does not cover step {step}"
             )
         offset = step - self.start_step - 1
-        if offset < len(self.prefix):
-            return self.prefix[offset]
-        loop_offset = (offset - len(self.prefix)) % len(self.loop_states)
-        return self.loop_states[loop_offset]
-
-    def state_at(self, step: int) -> ConstructState:
-        """The construct state after ``step`` total steps."""
-        snapshot = self.raw_state_at(step)
-        # Re-stamp the snapshot with the absolute step so applying it keeps the
-        # construct's step counter correct.
-        return ConstructState(step=step, states=snapshot.states)
+        if offset >= len(self.states):
+            loop_length = len(self.states) - self.loop_start
+            offset = self.loop_start + (offset - self.loop_start) % loop_length
+        return self.states[offset].tolist()
 
 
 class LoopDetector:
-    """Detects state cycles in a stream of construct states."""
+    """Detects state cycles in a stream of construct state rows."""
 
     def __init__(self) -> None:
-        self._seen: dict[str, int] = {}
-        self._states: list[ConstructState] = []
+        self._seen: dict[tuple, int] = {}
 
-    def observe(self, state: ConstructState) -> Optional[int]:
-        """Record a state; returns the index of the earlier identical state if this one repeats."""
-        digest = state.digest()
-        if digest in self._seen:
-            return self._seen[digest]
-        self._seen[digest] = len(self._states)
-        self._states.append(state)
-        return None
-
-    @property
-    def observed_states(self) -> list[ConstructState]:
-        return list(self._states)
-
-    def compress(self, start_step: int) -> CompressedStateSequence:
-        """Compress the observed states, using the last observation's loop if any."""
-        return CompressedStateSequence(start_step=start_step, prefix=list(self._states))
+    def observe(self, row: Sequence[int]) -> Optional[int]:
+        """Record a row; returns the index of the earlier identical row if this one repeats."""
+        key = tuple(row)
+        repeat_of = self._seen.get(key)
+        if repeat_of is None:
+            self._seen[key] = len(self._seen)
+        return repeat_of
 
 
 def compress_trace(
-    start_step: int, states: list[ConstructState]
+    start_step: int, rows: Iterable[Sequence[int]]
 ) -> CompressedStateSequence:
     """Compress a simulated state sequence by detecting a repeated state.
 
-    If state ``i`` reappears at position ``j`` (``j > i``), everything from
-    ``i`` onwards forms the repeating loop: the prefix is ``states[:i]`` and
-    the loop is ``states[i:j]``.
+    If row ``i`` reappears at position ``j`` (``j > i``), everything from
+    ``i`` onwards forms the repeating loop: rows ``0..j-1`` are kept and
+    ``loop_start`` is ``i``.  ``rows`` is consumed lazily and not read past
+    the first repeat, so a caller that simulates on demand stops there.
     """
     detector = LoopDetector()
-    for index, state in enumerate(states):
-        repeat_of = detector.observe(state)
-        if repeat_of is not None:
-            return CompressedStateSequence(
-                start_step=start_step,
-                prefix=list(states[:repeat_of]),
-                loop_states=list(states[repeat_of:index]),
-            )
-    return CompressedStateSequence(start_step=start_step, prefix=list(states))
+    kept: list[Sequence[int]] = []
+    loop_start = None
+    for row in rows:
+        loop_start = detector.observe(row)
+        if loop_start is not None:
+            break
+        kept.append(row)
+    return CompressedStateSequence.from_rows(start_step, kept, loop_start)

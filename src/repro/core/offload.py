@@ -1,21 +1,27 @@
 """Construct offloading: requests, replies and the remote simulation function.
 
-An offload request carries the construct's current state, the number of steps
-to simulate and the logical timestamp of the last player modification.  The
-function simulates the requested steps (optionally compressing a detected
-loop) and echoes the timestamp so the server can discard replies that were
-computed from a state the player has since modified (Section III-C).
+An offload request carries the construct's structure and current state, the
+number of steps to simulate and the logical timestamp of the last player
+modification.  The function simulates the requested steps (optionally
+compressing a detected loop) and echoes the timestamp so the server can
+discard replies that were computed from a state the player has since modified
+(Section III-C).
+
+One state representation travels in both directions: cell values in the
+construct's sorted cell order (``SimulatedConstruct.cells``).  The request's
+``structure`` is anchor-relative and in that order, so neither the request
+nor the reply mentions a world position, and one reply serves every
+structurally identical construct wherever it stands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.constructs.circuit import Cell, SimulatedConstruct
 from repro.constructs.compiled import compile_circuit
 from repro.constructs.components import ComponentType
-from repro.constructs.state import state_hash
 from repro.core.loop_detection import CompressedStateSequence, compress_trace
 from repro.faas.function import FunctionOutput
 from repro.world.coords import BlockPos
@@ -48,12 +54,11 @@ class OffloadRequest:
     """The payload of one construct-simulation invocation."""
 
     construct_id: int
-    #: structural description: (dx, dy, dz, component value, properties) per cell
+    #: structural description: (dx, dy, dz, component value, properties) per
+    #: cell, relative to the construct's anchor, in sorted cell order
     structure: tuple[tuple[int, int, int, str, tuple], ...]
-    #: absolute positions matching the structure entries
-    positions: tuple[tuple[int, int, int], ...]
-    #: current cell states keyed by position tuple
-    states: Mapping[tuple[int, int, int], int]
+    #: current cell states, aligned with ``structure``
+    states: tuple[int, ...]
     #: construct step counter at request time
     start_step: int
     #: steps to simulate
@@ -68,11 +73,9 @@ class OffloadRequest:
         construct: SimulatedConstruct, steps: int, detect_loops: bool = True
     ) -> "OffloadRequest":
         anchor = construct.anchor()
-        structure = []
-        positions = []
-        states = {}
-        for cell in construct.cells:
-            structure.append(
+        return OffloadRequest(
+            construct_id=construct.construct_id,
+            structure=tuple(
                 (
                     cell.position.x - anchor.x,
                     cell.position.y - anchor.y,
@@ -80,67 +83,23 @@ class OffloadRequest:
                     cell.component.value,
                     tuple(sorted(cell.properties.items())),
                 )
-            )
-            positions.append((cell.position.x, cell.position.y, cell.position.z))
-            states[(cell.position.x, cell.position.y, cell.position.z)] = cell.state
-        return OffloadRequest(
-            construct_id=construct.construct_id,
-            structure=tuple(structure),
-            positions=tuple(positions),
-            states=states,
+                for cell in construct.cells
+            ),
+            states=tuple(cell.state for cell in construct.cells),
             start_step=construct.step,
             steps=int(steps),
             timestamp=construct.modification_counter,
             detect_loops=detect_loops,
         )
 
-    def rebuild_construct(self) -> SimulatedConstruct:
-        """Reconstruct the construct inside the function from the request payload."""
-        cells = []
-        for (x, y, z), (dx, dy, dz, component_value, properties) in zip(
-            self.positions, self.structure
-        ):
-            cells.append(
-                Cell(
-                    position=BlockPos(x, y, z),
-                    component=ComponentType(component_value),
-                    state=int(self.states[(x, y, z)]),
-                    properties=dict(properties),
-                )
-            )
-        construct = SimulatedConstruct(cells, construct_id=self.construct_id)
-        construct.step = self.start_step
-        return construct
-
-    def anchor(self) -> tuple[int, int, int]:
-        """The world position of the construct's anchor (minimum corner)."""
-        (x, y, z) = self.positions[0]
-        (dx, dy, dz, _, _) = self.structure[0]
-        return (x - dx, y - dy, z - dz)
-
-    def relative_states(self) -> dict[BlockPos, int]:
-        """Cell states keyed by anchor-relative positions."""
-        ax, ay, az = self.anchor()
-        return {
-            BlockPos(x - ax, y - ay, z - az): int(value)
-            for (x, y, z), value in self.states.items()
-        }
-
     def cache_key(self) -> tuple:
-        """A memoisation key in anchor-relative coordinates.
+        """A memoisation key that ignores where the construct stands.
 
         Structurally identical constructs in the same state produce identical
         simulations regardless of where they sit in the world, so their
-        requests share one cache entry; the cached (relative) reply is
-        translated back to each construct's absolute positions.
+        requests share one cache entry and receive the same reply sequence.
         """
-        return (
-            self.structure,
-            state_hash(self.relative_states()),
-            self.start_step,
-            self.steps,
-            self.detect_loops,
-        )
+        return (self.structure, self.states, self.start_step, self.steps, self.detect_loops)
 
 
 @dataclass(frozen=True)
@@ -156,69 +115,31 @@ class OffloadReply:
     loop_detected: bool = False
 
 
-@dataclass
-class _HandlerCache:
-    """Bounded memoisation of identical simulation requests."""
-
-    capacity: int = 512
-    entries: dict = field(default_factory=dict)
-    order: list = field(default_factory=list)
-
-    def get(self, key):
-        return self.entries.get(key)
-
-    def put(self, key, value) -> None:
-        if key in self.entries:
-            return
-        self.entries[key] = value
-        self.order.append(key)
-        while len(self.order) > self.capacity:
-            oldest = self.order.pop(0)
-            self.entries.pop(oldest, None)
-
-
 def _build_canonical_construct(payload: OffloadRequest) -> SimulatedConstruct:
     """Rebuild the construct in anchor-relative coordinates."""
-    relative_states = payload.relative_states()
-    cells = []
-    for (dx, dy, dz, component_value, properties) in payload.structure:
-        position = BlockPos(dx, dy, dz)
-        cells.append(
-            Cell(
-                position=position,
-                component=ComponentType(component_value),
-                state=relative_states[position],
-                properties=dict(properties),
-            )
+    cells = [
+        Cell(
+            position=BlockPos(dx, dy, dz),
+            component=ComponentType(component_value),
+            state=state,
+            properties=dict(properties),
         )
+        for (dx, dy, dz, component_value, properties), state in zip(
+            payload.structure, payload.states, strict=True
+        )
+    ]
     construct = SimulatedConstruct(cells, construct_id=payload.construct_id)
     construct.step = payload.start_step
     return construct
 
 
-def _translate_sequence(
-    sequence: CompressedStateSequence, anchor: tuple[int, int, int]
-) -> CompressedStateSequence:
-    """Translate a relative-coordinate state sequence to absolute world positions."""
-    ax, ay, az = anchor
-
-    def translate_states(states: list) -> list:
-        return [
-            type(state)(
-                step=state.step,
-                states={
-                    BlockPos(pos.x + ax, pos.y + ay, pos.z + az): value
-                    for pos, value in state.states.items()
-                },
-            )
-            for state in states
-        ]
-
-    return CompressedStateSequence(
-        start_step=sequence.start_step,
-        prefix=translate_states(sequence.prefix),
-        loop_states=translate_states(sequence.loop_states),
-    )
+def _simulated_rows(payload: OffloadRequest) -> Iterator[list[int]]:
+    """Step the rebuilt construct on demand, yielding its cell values after each step."""
+    construct = _build_canonical_construct(payload)
+    compiled = compile_circuit(construct)
+    for _ in range(payload.steps):
+        compiled.step()
+        yield [cell.state for cell in construct.cells]
 
 
 def make_simulation_handler(cache_capacity: int = 512):
@@ -227,17 +148,12 @@ def make_simulation_handler(cache_capacity: int = 512):
     The handler is a pure function of its request: it rebuilds the construct,
     simulates the requested number of steps (stopping early if loop detection
     finds a repeating state, the paper's cost optimisation), and reports the
-    single-vCPU work the simulation represents.  Simulation happens in
-    anchor-relative coordinates and identical requests are memoised — their
-    replies are identical up to translation — which keeps large experiments
+    single-vCPU work the simulation represents.  Identical requests are
+    memoised (at most ``cache_capacity`` of them, oldest evicted first) and
+    answered with the same read-only sequence, which keeps large experiments
     fast without changing behaviour.
-
-    Simulation steps through the construct's compiled circuit; the loop
-    detector hashes the compiled state arrays directly (the digest is
-    identical to hashing the snapshot), so a cache miss only builds one
-    snapshot dict per simulated step.
     """
-    cache = _HandlerCache(capacity=cache_capacity)
+    cache: dict[tuple, tuple[CompressedStateSequence, int, float]] = {}
 
     def handler(payload: OffloadRequest) -> FunctionOutput:
         if not isinstance(payload, OffloadRequest):
@@ -246,38 +162,19 @@ def make_simulation_handler(cache_capacity: int = 512):
         key = payload.cache_key()
         cached = cache.get(key)
         if cached is None:
-            construct = _build_canonical_construct(payload)
-            compiled = compile_circuit(construct)
-            states = []
-            relative_sequence = None
-            seen: dict[str, int] = {}
-            steps_executed = 0
-            for index in range(payload.steps):
-                compiled.step()
-                state = construct.snapshot()
-                steps_executed += 1
-                if payload.detect_loops:
-                    digest = compiled.digest()
-                    repeat_of = seen.get(digest)
-                    if repeat_of is not None:
-                        relative_sequence = CompressedStateSequence(
-                            start_step=payload.start_step,
-                            prefix=list(states[:repeat_of]),
-                            loop_states=list(states[repeat_of:]),
-                        )
-                        break
-                    seen[digest] = index
-                states.append(state)
-            if relative_sequence is None:
-                relative_sequence = CompressedStateSequence(
-                    start_step=payload.start_step, prefix=list(states)
-                )
+            rows = _simulated_rows(payload)
+            if payload.detect_loops:
+                sequence = compress_trace(payload.start_step, rows)
+            else:
+                sequence = CompressedStateSequence.from_rows(payload.start_step, list(rows))
+            # The step that revealed a repeat was simulated but is not stored.
+            steps_executed = sequence.explicit_length + (1 if sequence.is_looping else 0)
             work_ms = simulation_work_ms(len(payload.structure), steps_executed)
-            cached = (relative_sequence, steps_executed, work_ms)
-            cache.put(key, cached)
+            cached = cache[key] = (sequence, steps_executed, work_ms)
+            if len(cache) > cache_capacity:
+                del cache[next(iter(cache))]
 
-        relative_sequence, steps_executed, work_ms = cached
-        sequence = _translate_sequence(relative_sequence, payload.anchor())
+        sequence, steps_executed, work_ms = cached
         reply = OffloadReply(
             construct_id=payload.construct_id,
             timestamp=payload.timestamp,

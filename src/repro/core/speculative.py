@@ -24,13 +24,12 @@ because the reply arrived too late.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.constructs.batched import BatchedCircuitStepper
 from repro.constructs.circuit import SimulatedConstruct
 from repro.constructs.compiled import compile_circuit
-from repro.constructs.simulator import clone_construct
 from repro.core.config import ServoConfig
 from repro.core.loop_detection import CompressedStateSequence
 from repro.core.offload import SC_SIMULATION_FUNCTION, OffloadReply, OffloadRequest
@@ -70,78 +69,49 @@ class _PendingInvocation:
 
 
 @dataclass
-class _AvailableSequence:
-    """A speculative sequence the server has received and may still use."""
-
-    sequence: CompressedStateSequence
-    timestamp: int
-    last_step: int
-    #: per-snapshot value lists aligned with the construct's sorted cell
-    #: order, keyed by snapshot identity (snapshots are owned by
-    #: ``sequence``, so their ids are stable for this entry's lifetime);
-    #: looping sequences re-apply the same few snapshots for many ticks,
-    #: and the aligned form skips per-cell position hashing on each merge
-    aligned: dict[int, list[int]] = field(default_factory=dict)
-
-    def covers(self, step: int) -> bool:
-        if self.sequence.is_looping:
-            return self.sequence.covers(step)
-        return self.sequence.covers(step) and step <= self.last_step
-
-    def aligned_values(self, construct: SimulatedConstruct, step: int) -> list[int]:
-        """The snapshot for ``step`` as a cell-order-aligned value list."""
-        snapshot = self.sequence.raw_state_at(step)
-        key = id(snapshot)  # det: allow[DET005] per-object memo of a content-pure alignment; key is never ordered, iterated or persisted
-        values = self.aligned.get(key)
-        if values is None:
-            states = snapshot.states
-            values = [states[cell.position] for cell in construct.cells]
-            self.aligned[key] = values
-        return values
-
-
-@dataclass
 class SpeculationRecord:
     """Per-construct speculation state."""
 
     construct_id: int
-    available: list[_AvailableSequence] = field(default_factory=list)
+    #: replies received and possibly still useful; each is valid only while
+    #: its timestamp equals the construct's modification counter
+    available: list[OffloadReply] = field(default_factory=list)
     pending: Optional[_PendingInvocation] = None
     invocations_issued: int = 0
     merged_steps: int = 0
     fallback_steps: int = 0
 
-    def valid_sequences(self, construct: SimulatedConstruct) -> list[_AvailableSequence]:
+    def valid_sequences(self, construct: SimulatedConstruct) -> list[CompressedStateSequence]:
         return [
-            entry
-            for entry in self.available
-            if entry.timestamp == construct.modification_counter
+            reply.sequence
+            for reply in self.available
+            if reply.timestamp == construct.modification_counter
         ]
 
     def coverage_end(self, construct: SimulatedConstruct) -> int:
         """The last step any valid sequence covers (construct.step when none do)."""
         end = construct.step
-        for entry in self.valid_sequences(construct):
-            if entry.sequence.is_looping:
+        for sequence in self.valid_sequences(construct):
+            if sequence.is_looping:
                 return _UNBOUNDED_COVERAGE
-            end = max(end, entry.last_step)
+            end = max(end, sequence.last_step)
         return end
 
     def sequence_for(
         self, construct: SimulatedConstruct, step: int
-    ) -> Optional[_AvailableSequence]:
-        for entry in self.valid_sequences(construct):
-            if entry.covers(step):
-                return entry
+    ) -> Optional[CompressedStateSequence]:
+        for sequence in self.valid_sequences(construct):
+            if sequence.covers(step):
+                return sequence
         return None
 
     def drop_exhausted(self, construct: SimulatedConstruct) -> None:
         """Forget sequences that can no longer produce a useful state."""
         self.available = [
-            entry
-            for entry in self.available
-            if entry.timestamp == construct.modification_counter
-            and (entry.sequence.is_looping or entry.last_step > construct.step)
+            reply
+            for reply in self.available
+            if reply.timestamp == construct.modification_counter
+            and (reply.sequence.is_looping or reply.sequence.last_step > construct.step)
         ]
 
 
@@ -218,19 +188,19 @@ class SpeculativeConstructBackend(ConstructBackend):
         if coverage_end >= _UNBOUNDED_COVERAGE:
             return  # a looping sequence covers everything; no more invocations
 
-        if coverage_end > construct.step:
-            # Speculate onwards from the end of the current coverage.
-            entry = record.sequence_for(construct, coverage_end)
-            source = clone_construct(construct)
-            source.apply_state(entry.sequence.state_at(coverage_end))
-        else:
-            source = construct
-
         request = OffloadRequest.from_construct(
-            source,
+            construct,
             steps=self.config.steps_per_invocation,
             detect_loops=self.config.enable_loop_detection,
         )
+        if coverage_end > construct.step:
+            # Speculate onwards from the end of the current coverage.
+            sequence = record.sequence_for(construct, coverage_end)
+            request = replace(
+                request,
+                start_step=coverage_end,
+                states=tuple(sequence.values_at(coverage_end)),
+            )
         # With a fault plan installed the platform answers injected failures
         # with retry/backoff; without one this is a plain invoke.
         invocation = self.platform.invoke_with_retry(self.function_name, request)
@@ -248,10 +218,15 @@ class SpeculativeConstructBackend(ConstructBackend):
             return
         record.pending = None
         reply = pending.invocation.result
-        if pending.invocation.status != "ok" or not isinstance(reply, OffloadReply):
-            # The invocation (and its retries, if any) produced nothing: the
-            # construct keeps advancing on the local-fallback path until the
-            # follow-up invocation issued in this tick's phase 3 delivers.
+        if (
+            pending.invocation.status != "ok"
+            or not isinstance(reply, OffloadReply)
+            or reply.sequence.cell_count != construct.block_count
+        ):
+            # The invocation (and its retries, if any) produced nothing this
+            # construct can merge: it keeps advancing on the local-fallback
+            # path until the follow-up invocation issued in this tick's
+            # phase 3 delivers.
             self.metrics.increment("offload_failures")
             self.metrics.increment("offload_local_fallbacks")
             return
@@ -270,13 +245,7 @@ class SpeculativeConstructBackend(ConstructBackend):
             return
         if reply.loop_detected:
             self.metrics.increment("loops_detected")
-        record.available.append(
-            _AvailableSequence(
-                sequence=reply.sequence,
-                timestamp=reply.timestamp,
-                last_step=reply.sequence.start_step + len(reply.sequence.prefix),
-            )
-        )
+        record.available.append(reply)
 
     # -- the per-tick work ----------------------------------------------------------------
 
@@ -325,19 +294,12 @@ class SpeculativeConstructBackend(ConstructBackend):
             self._promote_pending(record, construct, now_ms)
 
             target_step = construct.step + 1
-            entry = record.sequence_for(construct, target_step)
-            if entry is not None:
-                construct.apply_values(
-                    entry.aligned_values(construct, target_step), step=target_step
-                )
+            sequence = record.sequence_for(construct, target_step)
+            if sequence is not None:
+                construct.apply_values(sequence.values_at(target_step), step=target_step)
                 record.merged_steps += 1
                 report.merged_speculative += 1
-                sequence = entry.sequence
-                if (
-                    record.pending is None
-                    and len(sequence.loop_states) == 1
-                    and target_step > sequence.start_step + len(sequence.prefix)
-                ):
+                if record.pending is None and sequence.settled_by(target_step):
                     # The loop has a single state and the construct has just
                     # been set to it: every future step is this exact state.
                     quiescent.add(construct.construct_id)

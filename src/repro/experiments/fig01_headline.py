@@ -23,9 +23,6 @@ class HeadlineResult:
     constructs: int
     max_players: dict[str, int] = field(default_factory=dict)
 
-    def improvement_over(self, baseline: str) -> int:
-        return self.max_players["servo"] - self.max_players[baseline]
-
 
 def run_fig01(settings: ExperimentSettings | None = None) -> HeadlineResult:
     """Reproduce Figure 1."""

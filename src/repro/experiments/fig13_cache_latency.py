@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments.harness import ExperimentSettings, format_table
 from repro.sim import SimulationEngine
-from repro.sim.metrics import inverse_cdf, percentile
+from repro.sim.metrics import percentile
 from repro.storage.base import StorageBackend
 from repro.storage.blob import AZURE_BLOB_STANDARD, BlobStorage
 from repro.storage.cache import CachedStorage
@@ -92,9 +92,6 @@ class Fig13Result:
 
     def percentile(self, configuration: str, q: float) -> float:
         return percentile(self.latencies_ms[configuration], q)
-
-    def icdf(self, configuration: str, thresholds: tuple[float, ...] = (16.0, 50.0, 100.0, 250.0, 500.0)):
-        return inverse_cdf(self.latencies_ms[configuration], thresholds)
 
 
 def run_fig13(

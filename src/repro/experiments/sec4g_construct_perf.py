@@ -69,7 +69,8 @@ def run_sec4g(
             rates.append(steps / (invocation.execution_ms / 1000.0))
             # Advance the construct so consecutive samples cover different state
             # windows, then space invocations out to stay on warm environments.
-            construct.apply_state(invocation.result.sequence.state_at(construct.step + steps))
+            end_step = construct.step + steps
+            construct.apply_values(invocation.result.sequence.values_at(end_step), end_step)
             engine.advance_by(1000.0)
         result.rates_per_size[size] = rates
     return result

@@ -112,14 +112,8 @@ class FlushReport:
     flushes_shed: int = 0
     #: largest staleness (ticks) observed across this tick's flushes
     staleness_max: int = 0
-    #: sum of flush staleness values (mean = staleness_sum / flushes)
-    staleness_sum: int = 0
     #: largest accumulated drift (blocks) observed at a far flush
     drift_max: float = 0.0
-
-    @property
-    def staleness_mean(self) -> float:
-        return self.staleness_sum / self.flushes if self.flushes else 0.0
 
 
 class InterestMap:
@@ -418,7 +412,6 @@ class InterestMap:
                 sub.far_first_tick if sub.far_first_tick is not None else tick_index
             )
             self._send(sub, FAR_TIER, first_tick, tick_index, report)
-            report.staleness_sum += staleness
             report.staleness_max = max(report.staleness_max, staleness)
             sub.far_entries = 0
             sub.far_first_tick = None

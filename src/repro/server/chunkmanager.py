@@ -550,7 +550,3 @@ class ChunkManager:
     @property
     def pending_chunks(self) -> int:
         return len(self._pending)
-
-    @property
-    def ready_backlog(self) -> int:
-        return len(self._ready)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.world.coords import BlockPos
 
@@ -27,24 +27,3 @@ class Avatar:
         self.position = new_position
         self.distance_travelled += distance
         return distance
-
-
-@dataclass
-class EntityPopulation:
-    """Non-player entities in the world (mobs, items).
-
-    The paper's workloads do not exercise entities directly, but the server
-    models their presence because the baseline games spend a small amount of
-    tick time on them proportional to the loaded area.
-    """
-
-    entities_per_chunk: float = 0.8
-    _extra: int = 0
-
-    def spawn_extra(self, count: int) -> None:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        self._extra += count
-
-    def count_for(self, loaded_chunks: int) -> int:
-        return int(loaded_chunks * self.entities_per_chunk) + self._extra

@@ -8,7 +8,7 @@ block- and chunk-level access plus bookkeeping about which chunks exist.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from repro.world.block import BlockType
 from repro.world.chunk import Chunk
@@ -39,9 +39,6 @@ class VoxelWorld:
         if position not in self._chunks:
             raise ChunkNotLoadedError(f"chunk {position} is not loaded")
         return self._chunks[position]
-
-    def maybe_chunk(self, position: ChunkPos) -> Optional[Chunk]:
-        return self._chunks.get(position)
 
     def is_loaded(self, position: ChunkPos) -> bool:
         return position in self._chunks
@@ -88,9 +85,6 @@ class VoxelWorld:
     def dirty_chunks(self) -> list[Chunk]:
         """Chunks modified since they were loaded (candidates for persistence)."""
         return [chunk for chunk in self._chunks.values() if chunk.dirty]
-
-    def total_non_air_blocks(self) -> int:
-        return sum(chunk.non_air_count() for chunk in self._chunks.values())
 
     def missing_chunks(self, wanted: Iterable[ChunkPos]) -> list[ChunkPos]:
         """The subset of ``wanted`` chunk positions that is not loaded."""

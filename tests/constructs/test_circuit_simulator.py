@@ -87,16 +87,6 @@ def test_simulator_run_collects_trace_and_counts_work():
     assert trace.final_state().step == construct.step
 
 
-def test_simulate_detached_does_not_mutate_original():
-    construct = build_clock(period=4)
-    simulator = ConstructSimulator()
-    before = construct.snapshot()
-    trace = simulator.simulate_detached(construct, steps=12)
-    assert trace.steps == 12
-    assert construct.snapshot().same_values(before)
-    assert construct.step == 0
-
-
 def test_clone_construct_preserves_identity_and_state():
     construct = build_lamp_grid(3, 2)
     construct.step = 5
@@ -125,6 +115,19 @@ def test_apply_state_rejects_unknown_positions():
     construct = build_wire_line(length=2)
     with pytest.raises(KeyError):
         construct.apply_state({BlockPos(99, 99, 99): 1}, step=1)
+
+
+def test_apply_values_rejects_a_wrong_length():
+    construct = build_wire_line(length=4)
+    before = [cell.state for cell in construct.cells]
+    for values in (before[:-1], before + [0]):
+        with pytest.raises(ValueError, match="cells"):
+            construct.apply_values(values, step=3)
+    assert [cell.state for cell in construct.cells] == before
+    assert construct.step == 0
+    construct.apply_values([7] * construct.block_count, step=3)
+    assert [cell.state for cell in construct.cells] == [7] * construct.block_count
+    assert construct.step == 3
 
 
 def test_apply_state_requires_step_for_raw_mapping():

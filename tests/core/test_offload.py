@@ -1,12 +1,20 @@
 """Tests for offload requests/replies and the remote simulation handler."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.constructs.library import build_clock, build_counter_farm, build_sized_construct
+from repro.constructs.library import (
+    build_clock,
+    build_counter_farm,
+    build_sized_construct,
+    build_wire_line,
+)
 from repro.constructs.simulator import ConstructSimulator, clone_construct
 from repro.core.offload import (
     OffloadReply,
     OffloadRequest,
+    _build_canonical_construct,
     make_simulation_handler,
     simulation_work_ms,
 )
@@ -22,28 +30,57 @@ def test_request_captures_construct_state_and_timestamp():
     assert request.start_step == construct.step
     assert request.timestamp == construct.modification_counter == 1
     assert len(request.structure) == construct.block_count
-    assert len(request.states) == construct.block_count
+    assert request.states == tuple(cell.state for cell in construct.cells)
 
 
 def test_request_rebuild_matches_original():
+    """What the handler rebuilds from a request is the original construct, moved to the origin."""
     construct = build_clock(period=6)
     ConstructSimulator().run(construct, 5)
     request = OffloadRequest.from_construct(construct, steps=10)
-    rebuilt = request.rebuild_construct()
+    rebuilt = _build_canonical_construct(request)
     assert rebuilt.block_count == construct.block_count
     assert rebuilt.step == construct.step
-    assert rebuilt.snapshot().same_values(construct.snapshot())
+    # Same shape and state, cell for cell in sorted order — only the anchor moved.
+    assert rebuilt.anchor() == BlockPos(0, 0, 0)
+    for own, original in zip(rebuilt.cells, construct.cells, strict=True):
+        assert own.component is original.component
+        assert own.properties == original.properties
+        assert own.state == original.state
+    # The rebuilt construct steps exactly like the original.
+    simulator = ConstructSimulator()
+    for _ in range(12):
+        simulator.step(rebuilt)
+        simulator.step(construct)
+        assert [c.state for c in rebuilt.cells] == [c.state for c in construct.cells]
+
+
+def test_a_request_whose_states_do_not_match_its_structure_is_rejected():
+    request = OffloadRequest.from_construct(build_clock(period=6), steps=10)
+    short = replace(request, states=request.states[:-1])
+    with pytest.raises(ValueError):
+        make_simulation_handler()(short)
 
 
 def test_request_anchor_and_relative_states_are_translation_invariant():
+    """A request is anchor-relative throughout: moving the construct changes no field but its id."""
     at_origin = build_clock(period=4, origin=BlockPos(0, 64, 0))
     translated = build_clock(period=4, origin=BlockPos(320, 70, -48))
+    ConstructSimulator().run(at_origin, 3)
+    ConstructSimulator().run(translated, 3)
     request_a = OffloadRequest.from_construct(at_origin, steps=10)
     request_b = OffloadRequest.from_construct(translated, steps=10)
-    assert request_a.relative_states() == request_b.relative_states()
+    assert at_origin.anchor() != translated.anchor()
+    # Nothing on the wire mentions where the construct stands.
+    assert request_a.structure == request_b.structure
+    assert request_a.states == request_b.states
     assert request_a.cache_key() == request_b.cache_key()
-    assert request_a.anchor() == (0, 64, 0)
-    assert request_b.anchor() == (320, 70, -48)
+    assert replace(request_b, construct_id=request_a.construct_id) == request_a
+    # ... but state, start step, length and loop detection all key the memo.
+    ConstructSimulator().step(translated)
+    assert OffloadRequest.from_construct(translated, steps=10).cache_key() != request_a.cache_key()
+    assert replace(request_a, steps=11).cache_key() != request_a.cache_key()
+    assert replace(request_a, detect_loops=False).cache_key() != request_a.cache_key()
 
 
 def test_simulation_work_grows_with_size_and_steps():
@@ -69,8 +106,10 @@ def test_handler_reply_matches_local_simulation():
     local = clone_construct(construct)
     simulator = ConstructSimulator()
     for step in range(1, 26):
-        expected = simulator.step(local)
-        assert reply.sequence.state_at(step).same_values(expected)
+        simulator.step(local)
+        assert reply.sequence.values_at(step) == [cell.state for cell in local.cells]
+    # The request did not touch the server-side construct.
+    assert construct.step == 0
 
 
 def test_handler_detects_loops_and_stops_early():
@@ -86,8 +125,8 @@ def test_handler_detects_loops_and_stops_early():
     local = clone_construct(construct)
     simulator = ConstructSimulator()
     for step in range(1, 60):
-        expected = simulator.step(local)
-        assert reply.sequence.state_at(step).same_values(expected)
+        simulator.step(local)
+        assert reply.sequence.values_at(step) == [cell.state for cell in local.cells]
 
 
 def test_handler_echoes_timestamp():
@@ -105,11 +144,40 @@ def test_handler_memoises_identical_requests_across_translations():
     second = build_sized_construct(60, origin=BlockPos(512, 64, 512))
     reply_a = handler(OffloadRequest.from_construct(first, steps=30)).value
     reply_b = handler(OffloadRequest.from_construct(second, steps=30)).value
-    # Same dynamics, but each reply is expressed in its own world coordinates.
-    state_a = reply_a.sequence.state_at(5)
-    state_b = reply_b.sequence.state_at(5)
-    assert state_a.states != state_b.states
-    assert sorted(state_a.states.values()) == sorted(state_b.states.values())
+    # Same dynamics: the memo hands both constructs the very same matrix, and
+    # each reads it against its own cells.
+    assert reply_a.sequence.states is reply_b.sequence.states
+    assert not reply_a.sequence.states.flags.writeable
+    assert (reply_a.construct_id, reply_b.construct_id) == (first.construct_id, second.construct_id)
+    ConstructSimulator().run(second, 5)
+    assert reply_b.sequence.values_at(5) == [cell.state for cell in second.cells]
+
+
+def test_handler_memo_keys_on_the_state_not_only_the_shape_and_step():
+    handler = make_simulation_handler()
+    off = build_wire_line(3, origin=BlockPos(0, 64, 0), powered=False)
+    on = build_wire_line(3, origin=BlockPos(0, 64, 0), powered=False)
+    on.toggle_lever(on.positions[0])
+    request_off = OffloadRequest.from_construct(off, steps=8)
+    request_on = OffloadRequest.from_construct(on, steps=8)
+    assert request_off.structure == request_on.structure
+    assert request_off.start_step == request_on.start_step
+    assert request_off.cache_key() != request_on.cache_key()
+    dark = handler(request_off).value.sequence
+    lit = handler(request_on).value.sequence
+    assert dark.values_at(8)[-1] == 0 and lit.values_at(8)[-1] == 1  # the lamp
+
+
+def test_handler_memo_evicts_its_oldest_entry_first():
+    handler = make_simulation_handler(cache_capacity=2)
+    requests = [
+        OffloadRequest.from_construct(build_counter_farm(hoppers=n), steps=4) for n in (1, 2, 3)
+    ]
+    first = [handler(request).value.sequence for request in requests]
+    # Capacity 2: the third request pushed the first one out, the other two hit.
+    assert handler(requests[1]).value.sequence is first[1]
+    assert handler(requests[2]).value.sequence is first[2]
+    assert handler(requests[0]).value.sequence is not first[0]
 
 
 def test_handler_rejects_non_request_payloads():

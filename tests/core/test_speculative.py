@@ -1,10 +1,13 @@
 """Tests for the speculative execution unit (Servo's construct backend)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.constructs.library import build_clock, build_counter_farm, standard_construct
 from repro.constructs.simulator import ConstructSimulator
 from repro.core import ServoConfig
+from repro.core.loop_detection import CompressedStateSequence
 from repro.core.offload import SC_SIMULATION_FUNCTION, make_simulation_handler
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
@@ -120,6 +123,41 @@ def test_stale_replies_are_discarded(engine):
     run_ticks(engine, backend, 120)
     assert engine.metrics.counter("speculation_discarded") >= 1
     assert construct.step == 120
+
+
+def test_a_reply_of_the_wrong_width_is_counted_as_a_failure_and_never_merged(engine):
+    """A reply whose rows do not fit the construct is dropped whole; the construct advances locally."""
+    inner = make_simulation_handler()
+
+    def narrow_handler(request):
+        output = inner(request)
+        sequence = output.value.sequence
+        narrow = CompressedStateSequence(
+            sequence.start_step, sequence.states[:, :-1].copy(), sequence.loop_start
+        )
+        return replace(output, value=replace(output.value, sequence=narrow))
+
+    platform = FaasPlatform(engine, provider=AWS_LAMBDA)
+    platform.register(
+        FunctionDefinition(name=SC_SIMULATION_FUNCTION, handler=narrow_handler, memory_mb=1769)
+    )
+    backend = SpeculativeConstructBackend(
+        engine, platform, ServoConfig(steps_per_invocation=20, tick_lead=5)
+    )
+    construct = build_counter_farm(hoppers=2)
+    reference = build_counter_farm(hoppers=2)
+    backend.register_construct(construct)
+    reports = run_ticks(engine, backend, 200)
+
+    failures = engine.metrics.counter("offload_failures")
+    assert failures >= 2, "every consumed reply must have been rejected"
+    assert engine.metrics.counter("offload_local_fallbacks") == failures
+    assert platform.billing.invocation_count > failures  # it kept trying
+    assert not backend.record_for(construct.construct_id).available
+    assert sum(report.merged_speculative for report in reports) == 0
+    assert sum(report.simulated_locally for report in reports) == 200
+    ConstructSimulator().run(reference, 200)
+    assert [c.state for c in construct.cells] == [c.state for c in reference.cells]
 
 
 def test_efficiency_samples_are_recorded_between_zero_and_one(engine):
