@@ -17,7 +17,6 @@ messages go straight into the inbox — the zero-fault hot path is untouched.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.message import Message
@@ -83,7 +82,7 @@ class FaultyMessageChannel:
         player_id = message.player_id
         sequence = self._sequences.get(player_id, 0) + 1
         self._sequences[player_id] = sequence
-        stamped = replace(message, sequence=sequence)
+        stamped = message._replace(sequence=sequence)
 
         faults = self.faults
         draw = float(self._rng.random())

@@ -3,9 +3,9 @@
 The chunk manager keeps the voxel world populated around the players.  Every
 tick it:
 
-1. determines the set of chunks required by the players' view distances
-   (tracked incrementally: a player's required set only changes when the
-   player crosses a chunk boundary),
+1. moves the required chunk set of each player the game loop names in
+   ``moved`` — the ones that joined or whose MOVE left its chunk; the loop
+   sees every position change, so nobody else's view is looked at,
 2. requests missing chunks — from persistent storage if they exist there,
    otherwise from the terrain provider (local worker threads for the
    baselines, serverless functions for Servo),
@@ -21,6 +21,7 @@ Figure 10a.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -31,7 +32,7 @@ from repro.server.entities import Avatar
 from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend
 from repro.world.chunk import Chunk
-from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, block_to_chunk, chunk_origin
+from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, block_to_chunk
 from repro.world.serialization import chunk_from_bytes, chunk_to_bytes
 from repro.world.terrain import TerrainGenerator
 from repro.world.world import VoxelWorld
@@ -371,16 +372,17 @@ class ChunkManager:
         return ring
 
     def _refresh_player_view(self, avatar: Avatar) -> None:
-        """Update the avatar's required chunk set; cheap unless it crossed a chunk."""
+        """Move the avatar's required chunk set to the chunk it now stands in."""
         position = avatar.position
         current_chunk = (position.x // CHUNK_SIZE, position.z // CHUNK_SIZE)
         cached = self._player_views.get(avatar.player_id)
         if cached is not None and cached[0] == current_chunk:
-            return
+            return  # listed twice, or it crossed and came back within one tick
         required = self._required_for_center(current_chunk)
         old_required = cached[1] if cached is not None else frozenset()
+        entered = sorted(required - old_required)
         refcounts = self._chunk_refcounts
-        for position in sorted(required - old_required):
+        for position in entered:
             count = refcounts.get(position, 0)
             refcounts[position] = count + 1
             if count == 0 and not self.world.is_loaded(position):
@@ -405,7 +407,7 @@ class ChunkManager:
         sent = self._player_sent.setdefault(avatar.player_id, set())
         queue = self._player_send_queue.setdefault(avatar.player_id, [])
         queued = set(queue)
-        for position in sorted(required - old_required):
+        for position in entered:
             if position not in sent and position not in queued:
                 queue.append(position)
 
@@ -438,17 +440,20 @@ class ChunkManager:
             self._player_send_queue[player_id] = remaining
         return streamed
 
-    def update(self, avatars: list[Avatar]) -> ChunkTickReport:
-        """Run one tick of chunk management and report the work done."""
+    def update(self, avatars: list[Avatar], moved: list[Avatar]) -> ChunkTickReport:
+        """Run one tick of chunk management and report the work done.
+
+        ``moved`` names the avatars (of ``avatars``) that joined or changed
+        chunk since the last call; nobody else's view is looked at.
+        """
         self._tick_counter += 1
         report = ChunkTickReport()
 
         # 1. Determine required chunks and request missing ones.  The
         # unavailable set is maintained incrementally, so in the steady state
-        # (everything resident) this step touches nothing.
-        for avatar in avatars:
+        # (everything resident, nobody crossing) this step touches nothing.
+        for avatar in moved:
             self._refresh_player_view(avatar)
-        required_union = self._chunk_refcounts
         if self._unavailable:
             # Prune entries loaded outside the integration path (preloads).
             is_loaded = self.world.is_loaded
@@ -479,20 +484,18 @@ class ChunkManager:
 
         # 5. View-range metric: distance to the closest missing required chunk.
         report.generation_backlog = self.provider.pending_count()
-        report.min_view_range_blocks = self._view_range(avatars, required_union)
+        report.min_view_range_blocks = self._view_range(avatars)
         return report
 
     def _evict(self, avatars: list[Avatar]) -> int:
         keep: set[ChunkPos] = set(self._protected)
-        for avatar in avatars:
-            position = avatar.position
-            keep.update(
-                _ring_chunks(
-                    position.x // CHUNK_SIZE,
-                    position.z // CHUNK_SIZE,
-                    self._keep_radius_chunks,
-                )
-            )
+        # One ring per distinct centre: a crowd shares a handful of chunks.
+        centres = dict.fromkeys(
+            (avatar.position.x // CHUNK_SIZE, avatar.position.z // CHUNK_SIZE)
+            for avatar in avatars
+        )
+        for cx, cz in centres:
+            keep.update(_ring_chunks(cx, cz, self._keep_radius_chunks))
         evicted = 0
         for position in list(self.world.loaded_chunk_positions):
             if position in keep:
@@ -505,9 +508,7 @@ class ChunkManager:
                 self.storage.write(position.key(), chunk_to_bytes(chunk))
         return evicted
 
-    def _view_range(
-        self, avatars: list[Avatar], required_union: dict[ChunkPos, int] | set[ChunkPos]
-    ) -> float:
+    def _view_range(self, avatars: list[Avatar]) -> float:
         if not avatars or not self._unavailable:
             return self.view_distance_blocks
         # Broadcast avatars against unavailable chunk centers instead of a
@@ -533,6 +534,39 @@ class ChunkManager:
         dz = avatars_z[:, None] - centers_z[None, :]
         closest = math.sqrt(float((dx * dx + dz * dz).min()))
         return min(self.view_distance_blocks, closest)
+
+    # -- invariants (test support) -------------------------------------------------------
+
+    def verify_views(self, avatars: list[Avatar]) -> bool:
+        """True when the view caches match a from-scratch recomputation.
+
+        Holds between ticks: every cached view is centred on the chunk its
+        avatar stands in and covers exactly the owned chunks of that ring,
+        no view outlives its player, the reference counts are the sum of the
+        views, and the unavailable set is exactly the required chunks that
+        are not resident.  An avatar with no view yet (it joined after the
+        last :meth:`update`) requires nothing.
+        """
+        by_player = {avatar.player_id: avatar for avatar in avatars}
+        if not self._player_views.keys() <= by_player.keys():
+            return False
+        counts: Counter[ChunkPos] = Counter()
+        for player_id, (center, required) in self._player_views.items():
+            position = by_player[player_id].position
+            if center != (position.x // CHUNK_SIZE, position.z // CHUNK_SIZE):
+                return False
+            owned_ring = {
+                chunk
+                for dx, dz in _ring_offsets(self._view_radius_chunks)
+                if self._owns(chunk := ChunkPos(center[0] + dx, center[1] + dz))
+            }
+            if required != owned_ring:
+                return False
+            counts.update(required)
+        is_loaded = self.world.is_loaded
+        return self._chunk_refcounts == counts and self._unavailable == {
+            chunk for chunk in counts if not is_loaded(chunk)
+        }
 
     # -- persistence --------------------------------------------------------------------
 

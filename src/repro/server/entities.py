@@ -20,10 +20,3 @@ class Avatar:
     chat_messages_sent: int = 0
     blocks_placed: int = 0
     blocks_broken: int = 0
-
-    def move_to(self, new_position: BlockPos) -> float:
-        """Move the avatar and return the horizontal distance covered."""
-        distance = self.position.horizontal_distance_to(new_position)
-        self.position = new_position
-        self.distance_travelled += distance
-        return distance

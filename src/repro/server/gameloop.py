@@ -11,6 +11,7 @@ game server under overload.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -180,6 +181,9 @@ class GameServer(TickLoop):
         #: register themselves on their first enqueue, so the tick only
         #: touches players that actually sent something
         self._pending_messages: dict[int, None] = {}
+        #: avatars that joined or changed chunk since the last tick — the only
+        #: ones whose chunk view (and interest centre) the tick has to refresh
+        self._moved: list[Avatar] = []
         #: advanced once per tick; sessions derive updates_sent from it
         #: (legacy broadcast only — interest mode counts actual flushes)
         self._broadcast_clock = BroadcastClock()
@@ -252,12 +256,6 @@ class GameServer(TickLoop):
             session.attach_channel(self.message_channel)
         self.sessions[player_id] = session
         self.stats.players_connected_total += 1
-        if self.interest is not None:
-            self.interest.subscribe(session)
-            # The arrival itself is a visible state change for nearby players.
-            self.interest.note_dirty(
-                self.interest.chunk_of(avatar.position), source_player_id=player_id
-            )
         if self.storage is not None and restore:
             # Player data is loaded from persistent storage on connect (Figure 3).
             key = f"player_{player_name}"
@@ -270,6 +268,15 @@ class GameServer(TickLoop):
                 )
             else:
                 self.storage.write(key, snapshot_session(session))
+        # Only now is the avatar where it will stand (a reconnect restores its
+        # stored position), so only now can anything be centred on it.
+        self._moved.append(avatar)
+        if self.interest is not None:
+            self.interest.subscribe(session)
+            # The arrival itself is a visible state change for nearby players.
+            self.interest.note_dirty(
+                self.interest.chunk_of(avatar.position), source_player_id=player_id
+            )
         return session
 
     def disconnect_player(self, player_id: int, persist: bool = True) -> Optional[StorageOperation]:
@@ -346,16 +353,20 @@ class GameServer(TickLoop):
         avatar = session.avatar
         kind = message.kind
         if kind is MessageKind.MOVE:
-            target = BlockPos(
-                int(message.payload["x"]), int(message.payload["y"]), int(message.payload["z"])
-            )
-            distance = avatar.move_to(target)
+            # Inlined throughout (chunk_of, the distance, the move itself):
+            # this runs once per player per tick.
+            payload = message.payload
+            x, z = int(payload["x"]), int(payload["z"])
+            old = avatar.position
+            distance = math.hypot(old.x - x, old.z - z)
+            avatar.position = BlockPos(x, int(payload["y"]), z)
+            avatar.distance_travelled += distance
+            cx, cz = x // CHUNK_SIZE, z // CHUNK_SIZE
+            if cx != old.x // CHUNK_SIZE or cz != old.z // CHUNK_SIZE:
+                self._moved.append(avatar)
             if self.interest is not None:
                 self.interest.note_dirty(
-                    # chunk_of, inlined: this runs once per move message
-                    (target.x // CHUNK_SIZE, target.z // CHUNK_SIZE),
-                    drift=distance,
-                    source_player_id=avatar.player_id,
+                    (cx, cz), drift=distance, source_player_id=avatar.player_id
                 )
         elif kind is MessageKind.PLACE_BLOCK:
             target = BlockPos(
@@ -473,8 +484,14 @@ class GameServer(TickLoop):
                     work.actions += 1
                     self.stats.messages_processed += 1
 
-        # 2. Chunk management.
-        chunk_report = self.chunks.update([session.avatar for session in self.sessions.values()])
+        # 2. Chunk management.  A player who joined or crossed and has left
+        # since is dropped here: refreshing its view would undo forget_player.
+        sessions = self.sessions
+        moved = [avatar for avatar in self._moved if avatar.player_id in sessions]
+        self._moved.clear()
+        chunk_report = self.chunks.update(
+            [session.avatar for session in sessions.values()], moved
+        )
         work.chunks_integrated = chunk_report.chunks_integrated
         work.local_generations_completed = chunk_report.local_generations_completed
         work.generation_backlog = chunk_report.generation_backlog

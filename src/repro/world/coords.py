@@ -3,21 +3,26 @@
 The world uses Minecraft's conventions: blocks are addressed by integer
 ``(x, y, z)`` positions where ``y`` is the vertical axis; chunks are 16x16
 columns addressed by ``(cx, cz)``.
+
+:class:`BlockPos` and :class:`ChunkPos` are named tuples: building, hashing,
+comparing and ordering them runs in C, which is what lets sets of thousands
+of chunks be differenced on the tick path.  They hash and order exactly like
+the plain tuple of their fields — and therefore *equal* it, and ``+``
+concatenates rather than adds; use :meth:`BlockPos.offset` to translate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 CHUNK_SIZE = 16
 
 
-@dataclass(frozen=True, order=True)
-class BlockPos:
+class BlockPos(NamedTuple):
     """An integer block position."""
 
     x: int
@@ -46,8 +51,7 @@ class BlockPos:
         return abs(self.x - other.x) + abs(self.y - other.y) + abs(self.z - other.z)
 
 
-@dataclass(frozen=True, order=True)
-class ChunkPos:
+class ChunkPos(NamedTuple):
     """A chunk column position (16x16 blocks horizontally)."""
 
     cx: int

@@ -27,10 +27,14 @@ def count_constructions(action) -> dict:
     counts = {"BlockPos": 0, "ConstructState": 0}
 
     def on_event(frame, event, _argument):
-        if event == "call" and frame.f_code.co_name == "__init__":
+        if event != "call":
+            return
+        if frame.f_code.co_name == "__init__":  # a dataclass
             kind = type(frame.f_locals.get("self")).__name__
-            if kind in counts:
-                counts[kind] += 1
+        else:  # a named tuple is built by its generated ``__new__(_cls, ...)``
+            kind = getattr(frame.f_locals.get("_cls"), "__name__", None)
+        if kind in counts:
+            counts[kind] += 1
 
     sys.setprofile(on_event)
     try:

@@ -58,7 +58,7 @@ class World:
         if kind == "move":
             avatar = self.avatars[args[0] % len(self.avatars)]
             here = avatar.position
-            avatar.move_to(BlockPos(here.x + args[1], here.y, here.z + args[2]))
+            avatar.position = BlockPos(here.x + args[1], here.y, here.z + args[2])
         elif kind == "write":  # dirty in the cache; persisted by a flush or an eviction
             self.service.write(ChunkPos(*args).key(), b"edited")
         elif kind == "persist":
@@ -189,7 +189,7 @@ def test_a_moved_avatar_rebuilds_the_keys_and_finds_a_newly_persisted_chunk(monk
     assert world.service.prefetch_for_avatars(world.avatars) == 0
 
     counts = _count_calls(monkeypatch)
-    world.avatars[0].move_to(BlockPos(600, 65, 8))
+    world.avatars[0].position = BlockPos(600, 65, 8)
     assert world.service.prefetch_for_avatars(world.avatars) == 1
     assert world.prefetched == ["chunk_0_0", "chunk_40_0"]
     assert counts == {"ChunkPos": 0, "keys": 1}

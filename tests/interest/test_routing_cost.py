@@ -4,7 +4,8 @@ Every bot moves every tick inside the same chunk, so each tick routes one
 near-tier event per player to a chunk all players subscribe to — the
 flash-crowd case.  Function-call counts under ``cProfile`` repeat exactly on
 any machine, so the bound cannot flake; the per-event subscriber walk this
-guards against measured about 10× the legacy count at this size.
+guards against added about 250 calls per player per tick at this size, the
+batched routing adds 9.4.
 """
 
 import cProfile
@@ -38,7 +39,10 @@ def _calls_for(interest_radius_chunks):
     return sum(entry.callcount for entry in profiler.getstats())
 
 
-def test_interest_routing_costs_at_most_half_again_the_legacy_calls():
+def test_interest_routing_adds_at_most_ten_calls_per_player_per_tick():
+    """A difference, not a ratio: both modes share the per-player MOVE path, so
+    making that path cheaper must not read as routing getting dearer — and
+    making it cheaper for legacy mode only must read as exactly that."""
     legacy = _calls_for(None)
     interest = _calls_for(4)
-    assert interest <= 1.5 * legacy, (interest, legacy)
+    assert interest - legacy <= 10 * BOTS * TICKS, (interest, legacy)

@@ -45,7 +45,7 @@ def test_preload_area_loads_chunks_synchronously(engine):
 def test_missing_chunks_are_requested_and_eventually_integrated(engine):
     manager, world, provider = make_manager(engine)
     avatar = avatar_at(0, 0)
-    report = manager.update([avatar])
+    report = manager.update([avatar], [avatar])
     assert report.chunks_requested > 0
     assert manager.pending_chunks > 0
     assert world.loaded_chunk_count == 0
@@ -53,7 +53,7 @@ def test_missing_chunks_are_requested_and_eventually_integrated(engine):
     total_integrated = 0
     for _ in range(40):
         engine.advance_by(100.0)
-        total_integrated += manager.update([avatar]).chunks_integrated
+        total_integrated += manager.update([avatar], []).chunks_integrated
     assert total_integrated > 0
     assert world.loaded_chunk_count > 0
     assert manager.pending_chunks == 0
@@ -62,9 +62,9 @@ def test_missing_chunks_are_requested_and_eventually_integrated(engine):
 def test_integrations_are_bounded_per_tick(engine):
     manager, world, _ = make_manager(engine)
     avatar = avatar_at(0, 0)
-    manager.update([avatar])
+    manager.update([avatar], [avatar])
     engine.advance_by(60_000.0)  # let every generation finish
-    report = manager.update([avatar])
+    report = manager.update([avatar], [])
     assert report.chunks_integrated <= manager.max_integrations_per_tick
 
 
@@ -75,17 +75,19 @@ def test_chunks_load_from_storage_when_persisted(engine):
     # Persist the chunk the avatar stands on before it is ever requested.
     chunk = generator.generate_chunk(ChunkPos(0, 0))
     storage.write(ChunkPos(0, 0).key(), chunk_to_bytes(chunk))
-    manager.update([avatar_at(0, 0)])
+    avatar = avatar_at(0, 0)
+    manager.update([avatar], [avatar])
     engine.advance_by(1_000.0)
-    manager.update([avatar_at(0, 0)])
+    manager.update([avatar], [])
     assert engine.metrics.counter("chunks_loaded_from_storage") >= 1
 
 
 def test_terrain_retrieval_latency_is_recorded(engine):
     manager, _, _ = make_manager(engine)
-    manager.update([avatar_at(0, 0)])
+    avatar = avatar_at(0, 0)
+    manager.update([avatar], [avatar])
     engine.advance_by(30_000.0)
-    manager.update([avatar_at(0, 0)])
+    manager.update([avatar], [])
     histogram = engine.metrics.histogram("terrain_retrieval_ms")
     assert len(histogram) > 0
     assert min(histogram.samples) > 0
@@ -93,11 +95,12 @@ def test_terrain_retrieval_latency_is_recorded(engine):
 
 def test_view_range_reports_distance_to_missing_terrain(engine):
     manager, _, _ = make_manager(engine, view_distance=64.0)
-    report = manager.update([avatar_at(0, 0)])
+    avatar = avatar_at(0, 0)
+    report = manager.update([avatar], [avatar])
     # Nothing is loaded yet: the closest missing chunk is the one under the avatar.
     assert report.min_view_range_blocks < 16.0
     manager.preload_area(BlockPos(0, 65, 0), 96.0)
-    report = manager.update([avatar_at(0, 0)])
+    report = manager.update([avatar], [])
     assert report.min_view_range_blocks == 64.0
 
 
@@ -105,19 +108,19 @@ def test_streaming_counts_only_new_chunks_for_moving_players(engine):
     manager, _, _ = make_manager(engine, view_distance=48.0)
     manager.preload_area(BlockPos(0, 65, 0), 300.0)
     avatar = avatar_at(0, 0)
-    first = manager.update([avatar])
+    first = manager.update([avatar], [avatar])
     # The initial view download is not charged to the game loop.
     assert first.chunks_streamed == 0
     # Crossing into a new chunk streams the newly visible column of chunks.
     avatar.position = BlockPos(16, 65, 0)
-    streamed = 0
-    for _ in range(10):
-        streamed += manager.update([avatar]).chunks_streamed
+    streamed = manager.update([avatar], [avatar]).chunks_streamed
+    for _ in range(9):
+        streamed += manager.update([avatar], []).chunks_streamed
     assert streamed > 0
     # Moving back over already-sent terrain streams nothing new.
     avatar.position = BlockPos(0, 65, 0)
-    manager.update([avatar])
-    again = sum(manager.update([avatar]).chunks_streamed for _ in range(5))
+    manager.update([avatar], [avatar])
+    again = sum(manager.update([avatar], []).chunks_streamed for _ in range(5))
     assert again == 0
 
 
@@ -129,28 +132,30 @@ def test_eviction_removes_far_chunks_and_persists_dirty_ones(engine):
     world.set_block(BlockPos(0, 64, 0), world.get_block(BlockPos(0, 64, 0)))
     world.get_chunk(ChunkPos(0, 0)).dirty = True
     avatar = avatar_at(2000, 2000)
-    evicted_total = 0
-    for _ in range(manager.eviction_interval_ticks + 1):
-        evicted_total += manager.update([avatar]).chunks_evicted
+    evicted_total = manager.update([avatar], [avatar]).chunks_evicted
+    for _ in range(manager.eviction_interval_ticks):
+        evicted_total += manager.update([avatar], []).chunks_evicted
     assert evicted_total > 0
     assert storage.exists(ChunkPos(0, 0).key())
     assert not world.is_loaded(ChunkPos(0, 0))
 
 
-def test_protected_chunks_survive_eviction(engine):
+def test_a_protected_chunk_far_from_every_player_survives_eviction(engine):
     manager, world, _ = make_manager(engine, view_distance=32.0)
     manager.preload_area(BlockPos(0, 65, 0), 16.0)
     manager.protect([ChunkPos(0, 0)])
     avatar = avatar_at(5000, 5000)
-    for _ in range(manager.eviction_interval_ticks + 1):
-        manager.update([avatar])
+    manager.update([avatar], [avatar])
+    for _ in range(manager.eviction_interval_ticks):
+        manager.update([avatar], [])
     assert world.is_loaded(ChunkPos(0, 0))
 
 
 def test_forget_player_releases_view_references(engine):
     manager, _, _ = make_manager(engine)
     manager.preload_area(BlockPos(0, 65, 0), 200.0)
-    manager.update([avatar_at(0, 0, player_id=7)])
+    avatar = avatar_at(0, 0, player_id=7)
+    manager.update([avatar], [avatar])
     assert manager._chunk_refcounts
     manager.forget_player(7)
     assert not manager._chunk_refcounts
@@ -212,12 +217,13 @@ def test_protected_chunks_survive_eviction(engine):
     # Move the player far away and run enough ticks to trigger eviction.
     far = avatar_at(2000, 2000)
     manager.preload_area(far.position, 48.0)
-    for _ in range(6):
-        manager.update([far])
+    manager.update([far], [far])
+    for _ in range(5):
+        manager.update([far], [])
     assert world.is_loaded(pin)
     manager.unprotect([pin])
     for _ in range(6):
-        manager.update([far])
+        manager.update([far], [])
     assert not world.is_loaded(pin)
 
 
@@ -243,10 +249,11 @@ def test_ownership_region_filters_loading_and_preload(engine):
     manager.preload_area(BlockPos(0, 65, 0), 64.0)
     assert all(position.cx >= 0 for position in world.loaded_chunk_positions)
     # An avatar straddling the region edge only requests owned chunks.
-    manager.update([avatar_at(0, 0)])
+    avatar = avatar_at(0, 0)
+    manager.update([avatar], [avatar])
     for _ in range(50):
         engine.advance_by(60.0)
-        manager.update([avatar_at(0, 0)])
+        manager.update([avatar], [])
     assert all(position.cx >= 0 for position in world.loaded_chunk_positions)
     assert all(position.cx >= 0 for position in manager._chunk_refcounts)
 
@@ -263,13 +270,13 @@ def test_view_crossing_queues_and_requests_chunks_in_sorted_order(engine):
     """
     manager, _, _ = make_manager(engine, view_distance=64.0)
     avatar = avatar_at(0, 0)
-    manager.update([avatar])
+    manager.update([avatar], [avatar])
     assert manager._player_send_queue[avatar.player_id] == []
 
     # A diagonal jump across several chunk boundaries at once exposes the
     # iteration order of a large `required - old_required` set difference.
     avatar.position = BlockPos(40, 65, 24)
-    manager.update([avatar])
+    manager.update([avatar], [avatar])
     queue = list(manager._player_send_queue[avatar.player_id])
     assert queue, "a boundary crossing must queue newly visible chunks"
     assert queue == sorted(queue)

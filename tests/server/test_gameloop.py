@@ -157,6 +157,28 @@ def test_disconnect_persists_player_state_and_records_save_latency(engine):
     assert restored.restore_latency_ms > 0.0
 
 
+def test_a_reconnecting_player_is_subscribed_where_its_stored_position_puts_it(engine):
+    config = GameConfig(world_type="flat", interest_radius_chunks=4)
+    server = make_opencraft(engine, config)
+    server.chunks.preload_area(config.spawn_position, 200.0)
+    session = server.connect_player("dave")
+    for step in range(1, 21):
+        session.move(config.spawn_position.x + 5 * step, 65, 8)
+        server.tick()
+    server.disconnect_player(session.player_id)
+    server.interest.record_dirty_log = True
+
+    back = server.connect_player("dave")
+    assert back.avatar.position == BlockPos(108, 65, 8)
+    assert server.interest.subscription(back.player_id).center == (6, 0)
+    # The arrival is announced where the player appears, not at spawn.
+    assert [entry[0] for entry in server.interest.drain_dirty_log()] == [(6, 0)]
+    server.tick()
+    assert server.interest.subscription(back.player_id).center == (6, 0)
+    assert server.interest.verify_index()
+    assert server.chunks.verify_views([back.avatar])
+
+
 def test_disconnect_with_persist_disabled_skips_the_storage_write(engine):
     server = make_opencraft(engine, GameConfig(world_type="flat"))
     session = server.connect_player("dave")

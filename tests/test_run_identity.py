@@ -8,11 +8,18 @@
   :func:`fingerprint`.  Subsystem tests assert rerun identity of their own
   state; this is the one whole-run check, and each case also asserts what
   its scenario exists to show.
+* The same spec with the same seed must agree on :func:`fingerprint` under
+  every ``PYTHONHASHSEED``: the hash seed reorders every set and every
+  string-keyed dict, and none of those orders may reach a result.  Run as a
+  script, this module prints the digest the test compares.
 """
 
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +184,38 @@ def test_same_spec_same_seed_reruns_share_one_fingerprint(spec, check):
     first, second = run_spec(spec), run_spec(spec)
     check(first)
     assert fingerprint(first) == fingerprint(second)
+
+
+# Interest on, two shards, a lossy wire: migrations, cross-shard relays,
+# sequence-stamped messages and subscription re-centring all run.
+HASH_SEED_SPEC = {
+    "host": {
+        "game": "servo-cluster",
+        "shards": 2,
+        "game_config": {"world_type": "flat", "interest_radius_chunks": 4},
+    },
+    "workload": {"scenario": "flaky_network", "params": {"players": 24, "duration_s": 6.0}},
+    "seed": SEED,
+}
+
+
+def hash_seed_digest() -> str:
+    return hashlib.sha256(repr(fingerprint(run_spec(HASH_SEED_SPEC))).encode("utf-8")).hexdigest()
+
+
+def test_every_hash_seed_gives_one_fingerprint():
+    root = Path(__file__).resolve().parent.parent
+    digests = {"in-process": hash_seed_digest()}
+    for hash_seed in ("0", "1", "2"):
+        digests[hash_seed] = subprocess.run(
+            [sys.executable, __file__],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": hash_seed},
+        ).stdout.strip()
+    assert len(set(digests.values())) == 1, digests
+
+
+if __name__ == "__main__":
+    print(hash_seed_digest())

@@ -51,8 +51,8 @@ class StubHost:
         for message in messages:
             if message.kind is MessageKind.MOVE:
                 payload = message.payload
-                self.sessions[message.player_id].avatar.move_to(
-                    BlockPos(payload["x"], payload["y"], payload["z"])
+                self.sessions[message.player_id].avatar.position = BlockPos(
+                    payload["x"], payload["y"], payload["z"]
                 )
         self.engine.advance_by(self.config.tick_interval_ms)
         return messages

@@ -34,7 +34,7 @@ def test_a_tick_of_walkers_enters_a_fixed_number_of_workload_frames(bots):
         code = frame.f_code
         if "repro/workload/" in code.co_filename.replace("\\", "/"):
             counts["workload frames"] += 1
-        if code.co_name == "__init__" and type(frame.f_locals.get("self")) is BlockPos:
+        if frame.f_locals.get("_cls") is BlockPos:  # the named tuple's generated ``__new__``
             counts["BlockPos"] += 1
 
     sys.setprofile(on_event)

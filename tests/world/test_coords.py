@@ -1,5 +1,8 @@
 """Tests for block/chunk coordinates."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -83,3 +86,44 @@ def test_block_always_inside_its_chunk(x, y, z):
     origin = chunk_origin(chunk)
     assert origin.x <= pos.x < origin.x + 16
     assert origin.z <= pos.z < origin.z + 16
+
+
+# -- positions are named tuples ------------------------------------------------------------
+
+coordinates = st.integers(-10 ** 6, 10 ** 6)
+
+
+@given(coordinates, coordinates, coordinates)
+def test_positions_hash_like_the_tuple_of_their_fields(x, y, z):
+    """Every pinned digest stands on this: set and dict order is the tuple's."""
+    assert hash(BlockPos(x, y, z)) == hash((x, y, z))
+    assert hash(ChunkPos(x, z)) == hash((x, z))
+
+
+@given(st.lists(st.tuples(coordinates, coordinates, coordinates), max_size=8))
+def test_positions_order_like_tuples(triples):
+    assert sorted(BlockPos(*triple) for triple in triples) == sorted(triples)
+    assert sorted(ChunkPos(x, z) for x, _, z in triples) == sorted((x, z) for x, _, z in triples)
+
+
+def test_positions_print_their_field_names():
+    assert repr(BlockPos(1, -2, 3)) == "BlockPos(x=1, y=-2, z=3)"
+    assert repr(ChunkPos(-4, 5)) == "ChunkPos(cx=-4, cz=5)"
+
+
+@pytest.mark.parametrize("position", [BlockPos(1, 2, 3), ChunkPos(4, 5)])
+def test_positions_are_immutable_and_survive_copy_and_pickle(position):
+    with pytest.raises(AttributeError):
+        position.x = 9
+    with pytest.raises(AttributeError):
+        position.extra = 9
+    for clone in (copy.deepcopy(position), pickle.loads(pickle.dumps(position))):
+        assert clone == position and type(clone) is type(position)
+
+
+def test_a_position_equals_its_plain_tuple_and_plus_concatenates():
+    """Stated so nobody is surprised: translate with ``offset``, not ``+``."""
+    assert BlockPos(1, 2, 3) == (1, 2, 3)
+    assert ChunkPos(1, 2) == (1, 2) and ChunkPos(1, 2) != BlockPos(1, 2, 0)
+    assert BlockPos(1, 2, 3) + BlockPos(1, 1, 1) == (1, 2, 3, 1, 1, 1)
+    assert BlockPos(1, 2, 3).offset(1, 1, 1) == BlockPos(2, 3, 4)
