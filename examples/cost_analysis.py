@@ -37,7 +37,7 @@ def cost_per_hour(steps: int, memory_mb: int, constructs: int = 50,
         request = OffloadRequest.from_construct(construct, steps=steps, detect_loops=False)
         invocation = platform.invoke(SC_SIMULATION_FUNCTION, request)
         end_step = construct.step + steps
-        construct.apply_values(invocation.result.sequence.values_at(end_step), end_step)
+        construct.apply_row(invocation.result.sequence.row_at(end_step), end_step)
         engine.advance_by(steps * 50.0)
     single_construct_cost = platform.billing.cost_per_hour_usd(game_time_ms)
     return single_construct_cost * constructs

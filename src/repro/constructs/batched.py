@@ -23,9 +23,10 @@ to; neighbour inputs come from a single flat gather against an output vector
 with one trailing sentinel slot that always holds 0 (cells with fewer than
 the maximum neighbour count point their spare slots there).  The packed
 layout is cached while the circuit set and modification counters are
-unchanged.  Cell *states* live on the ``Cell`` objects, exactly as for the
-compiled path: each step gathers them into the batch vector and writes back
-the cells that changed.
+unchanged.  Cell *states* live in each construct's ``states`` vector: a step
+concatenates the batch's vectors, advances them, and hands every construct its
+slice of the result — disjoint views of one fresh array, so no two constructs
+share memory and no ``Cell`` object is touched.
 
 The arithmetic itself lives in :func:`advance_states`, a pure function of a
 :class:`CircuitBatchLayout` (arrays only) and a state vector.
@@ -54,27 +55,16 @@ from repro.constructs.components import MAX_POWER
 DEFAULT_MIN_BATCH = 8
 
 
-def _batch_signature(circuits: list[CompiledCircuit]) -> tuple:
-    """Identity + modification fingerprint of a circuit batch.
-
-    Circuit objects are cached on their constructs for the construct's
-    lifetime, so ``id`` is a stable identity while the batch holds strong
-    references to the circuits.
-    """
-    return tuple(
-        (id(circuit), circuit.construct.modification_counter) for circuit in circuits  # det: allow[DET005] identity key compared only for equality, never ordered or persisted; the batch holds strong refs
-    )
-
-
 class CircuitBatchLayout:
     """The state-independent arrays of one packed batch.
 
-    Holds only numpy arrays and scalars — no cells, constructs or circuits.
+    Holds only numpy arrays, scalars and slices — no cells, constructs or circuits.
     """
 
     __slots__ = (
         "total",
         "row_starts",
+        "row_slices",
         "flat_gather",
         "wirelike_idx",
         "binary_idx",
@@ -111,6 +101,7 @@ class CircuitBatchLayout:
         total = offset
         self.total = total
         self.row_starts = np.asarray(row_starts, dtype=np.int64)
+        self.row_slices = [slice(a, b) for a, b in zip(row_starts, row_starts[1:] + [total])]
 
         degree = max((len(n) for n in neighbour_lists), default=0)
         degree = max(degree, 1)
@@ -190,17 +181,13 @@ def advance_states(layout: CircuitBatchLayout, states: np.ndarray) -> np.ndarray
 
 
 class _PackedBatch:
-    """A cached layout plus the live-cell bindings of one circuit batch."""
+    """A cached layout and what it was packed from."""
 
-    __slots__ = ("signature", "circuits", "flat_cells", "layout")
+    __slots__ = ("circuits", "modifications", "layout")
 
-    def __init__(self, circuits: list[CompiledCircuit]) -> None:
+    def __init__(self, circuits: list[CompiledCircuit], modifications: list[int]) -> None:
         self.circuits = circuits
-        self.signature = _batch_signature(circuits)
-        flat_cells = []
-        for circuit in circuits:
-            flat_cells.extend(circuit._cells)
-        self.flat_cells = flat_cells
+        self.modifications = modifications
         self.layout = CircuitBatchLayout(circuits)
 
 
@@ -224,32 +211,33 @@ class BatchedCircuitStepper:
             self.fallback_steps += len(circuits)
             return [circuit.step() for circuit in circuits]
         # Honour pending player edits exactly like ``CompiledCircuit.step()``
-        # before fingerprinting, so an edit always forces a repack.
+        # before comparing, so an edit always forces a repack.
+        modifications = []
         for circuit in circuits:
-            if circuit.construct.modification_counter != circuit._params_modification:
+            modification = circuit.construct.modification_counter
+            if modification != circuit._params_modification:
                 circuit._refresh_params()
+            modifications.append(modification)
+        # Reuse the pack for the same, unedited circuit objects in the same order (list
+        # ``==`` tests identity first); it holds a copy of the list, which callers reuse.
         packed = self._packed
-        if packed is None or packed.signature != _batch_signature(circuits):
-            packed = self._packed = _PackedBatch(circuits)
+        if (
+            packed is None
+            or packed.circuits != circuits
+            or packed.modifications != modifications
+        ):
+            packed = self._packed = _PackedBatch(list(circuits), modifications)
         layout = packed.layout
-        flat_cells = packed.flat_cells
-        # The live cells stay the single source of truth: read, step, write back.
-        states = np.fromiter(
-            (cell.state for cell in flat_cells), dtype=np.int64, count=layout.total
-        )
+        states = np.concatenate([circuit.construct.states for circuit in circuits])
         new_states = advance_states(layout, states)
 
-        changed = new_states != states
-        # Per-circuit fixed-point flags: any changed cell in the segment.
-        row_changed = np.logical_or.reduceat(changed, layout.row_starts)
-        # Write back only the cells that changed (usually few) and advance
-        # every construct's step counter, exactly like the per-circuit path.
-        changed_positions = np.nonzero(changed)[0]
-        if changed_positions.size:
-            changed_values = new_states[changed_positions].tolist()
-            for position, value in zip(changed_positions.tolist(), changed_values):
-                flat_cells[position].state = value
-        for circuit in circuits:
-            circuit.construct.step += 1
+        # Each construct takes its slice of the fresh result (and so keeps that
+        # array alive until it is next stepped or merged) and counts the step.
+        for circuit, segment in zip(circuits, layout.row_slices):
+            construct = circuit.construct
+            construct.states = new_states[segment]
+            construct.step += 1
         self.batched_steps += len(circuits)
+        # Per-circuit fixed-point flags: no changed cell in the segment.
+        row_changed = np.logical_or.reduceat(new_states != states, layout.row_starts)
         return np.logical_not(row_changed).tolist()

@@ -5,13 +5,22 @@ cells (stateful blocks with a component behaviour, optional properties and an
 integer state) and a monotonically increasing *modification counter* that
 serves as the logical timestamp the paper uses to invalidate stale speculative
 results after a player edits the construct.
+
+``SimulatedConstruct.states`` — one 1-D array in ``cells`` (sorted-position)
+order — is the only copy of the cell states: the steppers read and rebind it,
+a merge copies a reply row into it, ``Cell.state`` and ``snapshot()`` are
+views built on demand.  Invariants (``ConstructBackend.verify_states``): it is
+writable ``int64`` of length ``block_count``; no two constructs' vectors share
+memory; no ``np.int64`` leaves through ``Cell.state``, ``snapshot()`` or a
+request — digests and JSON see Python ``int``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from repro.constructs.components import ComponentType, block_for_component
 from repro.constructs.state import ConstructState
@@ -21,18 +30,44 @@ from repro.world.coords import BlockPos
 _construct_ids = itertools.count(1)
 
 
-@dataclass
 class Cell:
-    """One stateful block inside a construct."""
+    """One stateful block; once a construct adopts it, ``state`` is its slot of ``states``."""
 
-    position: BlockPos
-    component: ComponentType
-    state: int = 0
-    properties: dict = field(default_factory=dict)
+    __slots__ = ("position", "component", "properties", "_state", "_owner", "_index")
+
+    def __init__(
+        self,
+        position: BlockPos,
+        component: ComponentType,
+        state: int = 0,
+        properties: dict | None = None,
+    ) -> None:
+        self.position = position
+        self.component = component
+        self.properties = {} if properties is None else properties
+        self._state = state
+        self._owner: SimulatedConstruct | None = None
+        self._index = 0
+
+    @property
+    def state(self) -> int:
+        if self._owner is None:
+            return self._state
+        return int(self._owner.states[self._index])
+
+    @state.setter
+    def state(self, value: int) -> None:
+        if self._owner is None:
+            self._state = value
+        else:
+            self._owner.states[self._index] = value
 
     @property
     def block_type(self) -> BlockType:
         return block_for_component(self.component)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Cell({self.position!r}, {self.component!r}, {self.state!r}, {self.properties!r})"
 
 
 class SimulatedConstruct:
@@ -46,58 +81,54 @@ class SimulatedConstruct:
     ) -> None:
         self.construct_id = int(construct_id) if construct_id is not None else next(_construct_ids)
         self.name = name or f"construct-{self.construct_id}"
-        self._cells: dict[BlockPos, Cell] = {}
-        for cell in cells:
-            if cell.position in self._cells:
-                raise ValueError(f"duplicate cell at {cell.position} in construct {self.name}")
-            self._cells[cell.position] = cell
-        if not self._cells:
+        # The cell set never changes, so everything derived from it is computed once.
+        self.cells: list[Cell] = sorted(cells, key=lambda cell: cell.position)
+        self.positions = [cell.position for cell in self.cells]
+        #: position -> index in ``cells`` / ``positions`` / ``states``
+        self.index_of = {pos: index for index, pos in enumerate(self.positions)}
+        if not self.positions:
             raise ValueError("a simulated construct must contain at least one cell")
+        if len(self.index_of) != len(self.positions):
+            raise ValueError(f"two cells share a position in construct {self.name}")
+        if any(cell._owner is not None for cell in self.cells):
+            raise ValueError(f"construct {self.name} was given a cell another construct owns")
+        #: the cell states in ``cells`` order (see the module docstring)
+        self.states = np.array([cell._state for cell in self.cells], dtype=np.int64)
+        for index, cell in enumerate(self.cells):
+            cell._owner, cell._index = self, index
         #: logical timestamp, incremented whenever a player modifies the construct
         self.modification_counter = 0
         #: simulation step counter (how many ticks this construct has been simulated)
         self.step = 0
-        # The cell set never changes after construction, so the sorted cell
-        # list and the adjacency map are computed once and reused by the
-        # simulator's hot loop.
-        self._sorted_cells = [self._cells[pos] for pos in sorted(self._cells)]
         self._adjacency: dict[BlockPos, list[BlockPos]] | None = None
 
     # -- structure ----------------------------------------------------------------
-
-    @property
-    def cells(self) -> list[Cell]:
-        return self._sorted_cells
 
     def adjacency(self) -> dict[BlockPos, list[BlockPos]]:
         """Neighbour positions (within the construct) per cell, cached."""
         if self._adjacency is None:
             self._adjacency = {
-                pos: [p for p in pos.neighbours() if p in self._cells]
-                for pos in self._cells
+                pos: [p for p in pos.neighbours() if p in self.index_of]
+                for pos in self.positions
             }
         return self._adjacency
 
     @property
-    def positions(self) -> list[BlockPos]:
-        return sorted(self._cells)
-
-    @property
     def block_count(self) -> int:
-        return len(self._cells)
+        return len(self.positions)
 
     def cell_at(self, pos: BlockPos) -> Cell:
-        if pos not in self._cells:
+        if pos not in self.index_of:
             raise KeyError(f"construct {self.name} has no cell at {pos}")
-        return self._cells[pos]
+        return self.cells[self.index_of[pos]]
 
     def contains(self, pos: BlockPos) -> bool:
-        return pos in self._cells
+        return pos in self.index_of
 
     def bounding_box(self) -> tuple[BlockPos, BlockPos]:
-        xs = [p.x for p in self._cells]
-        ys = [p.y for p in self._cells]
-        zs = [p.z for p in self._cells]
+        xs = [p.x for p in self.positions]
+        ys = [p.y for p in self.positions]
+        zs = [p.z for p in self.positions]
         return BlockPos(min(xs), min(ys), min(zs)), BlockPos(max(xs), max(ys), max(zs))
 
     def anchor(self) -> BlockPos:
@@ -108,7 +139,7 @@ class SimulatedConstruct:
 
     def snapshot(self) -> ConstructState:
         """An immutable snapshot of the current cell states."""
-        return ConstructState(step=self.step, states={p: c.state for p, c in self._cells.items()})
+        return ConstructState(step=self.step, states=dict(zip(self.positions, self.states.tolist())))
 
     def apply_state(self, state: ConstructState | Mapping[BlockPos, int], step: int | None = None) -> None:
         """Overwrite cell states from a snapshot (used when applying speculation)."""
@@ -120,45 +151,35 @@ class SimulatedConstruct:
             if step is None:
                 raise ValueError("step must be provided when applying a raw state mapping")
             new_step = step
-        unknown = set(values) - set(self._cells)
+        unknown = [pos for pos in values if pos not in self.index_of]
         if unknown:
             raise KeyError(f"state refers to positions not in construct {self.name}: {sorted(unknown)[:3]}")
-        for pos, value in values.items():
-            self._cells[pos].state = int(value)
+        self.states[[self.index_of[pos] for pos in values]] = [int(v) for v in values.values()]
         self.step = int(new_step)
 
-    def apply_values(self, values: list[int], step: int) -> None:
-        """Overwrite cell states from a list aligned with :attr:`cells` order.
+    def apply_row(self, row: np.ndarray, step: int) -> None:
+        """The merge path: replace the state vector with a *copy* of ``row``.
 
-        The merge path of speculative execution: replies carry states in
-        sorted cell order, so applying one needs no position lookups.
+        Reply rows are read-only and shared by every structurally identical
+        construct; the copy keeps this vector writable and private.
         """
-        cells = self._sorted_cells
-        if len(values) != len(cells):
+        states = np.array(row, dtype=np.int64)
+        if states.shape != self.states.shape:
             raise ValueError(
-                f"construct {self.name} has {len(cells)} cells, got {len(values)} values"
+                f"construct {self.name} has {self.block_count} cells, got a row of shape {states.shape}"
             )
-        for cell, value in zip(cells, values):
-            cell.state = value
+        self.states = states
         self.step = step
 
     def copy_state_from(self, other: "SimulatedConstruct") -> None:
         """Copy cell states (and the step counter) from a structurally identical construct.
 
         Cells are matched by their sorted order, so the two constructs may sit
-        at different world positions as long as their shapes match.  Used to
-        share one functional simulation between identical constructs.
+        at different world positions as long as their shapes match.
         """
-        if other.block_count != self.block_count:
-            raise ValueError(
-                f"cannot copy state between constructs of different sizes "
-                f"({other.block_count} vs {self.block_count})"
-            )
-        for own_cell, other_cell in zip(self.cells, other.cells):
-            if own_cell.component is not other_cell.component:
-                raise ValueError("cannot copy state between structurally different constructs")
-            own_cell.state = other_cell.state
-        self.step = other.step
+        if [cell.component for cell in self.cells] != [cell.component for cell in other.cells]:
+            raise ValueError("cannot copy state between structurally different constructs")
+        self.apply_row(other.states, other.step)
 
     # -- player interaction ---------------------------------------------------------
 
@@ -172,9 +193,6 @@ class SimulatedConstruct:
         """
         if new_state is not None:
             self.cell_at(pos).state = int(new_state)
-        elif pos not in self._cells:
-            # Terrain edits adjacent to the construct still invalidate speculation.
-            pass
         self.modification_counter += 1
         return self.modification_counter
 

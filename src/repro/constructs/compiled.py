@@ -10,9 +10,9 @@ cell.  The compiled form is cached on the construct (the cell set of a
 every consumer: the local backend, Servo's speculative fallback and the
 offload function.  Per-cell parameters are refreshed whenever the construct's
 modification counter moves, so sanctioned player edits are always honoured.
-Cell *states* live on the ``Cell`` objects: a step reads them and writes back
-the ones that changed, so the construct stays the single source of truth for
-snapshots, equivalence grouping and offload requests.
+Cell *states* are not compiled: a step reads the construct's ``states`` vector
+with one ``tolist()`` and, if any cell changed, rebinds it to one new array, so
+the construct stays the single source of truth for snapshots and requests.
 
 The compiled step is semantically bit-identical to the reference simulator:
 every arithmetic branch below mirrors ``components.py`` exactly, and the
@@ -26,6 +26,8 @@ backends skip re-simulating quiescent circuits entirely.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.constructs.components import MAX_POWER, ComponentType
 
@@ -77,10 +79,9 @@ class CompiledCircuit:
         cells = construct.cells  # sorted by position, fixed for the lifetime
         self._cells = cells
         self._codes = [_CODE_BY_COMPONENT[cell.component] for cell in cells]
-        index_of = {cell.position: index for index, cell in enumerate(cells)}
-        adjacency = construct.adjacency()
+        index_of, adjacency = construct.index_of, construct.adjacency()
         self._neighbours = [
-            tuple(index_of[pos] for pos in adjacency[cell.position]) for cell in cells
+            tuple(index_of[p] for p in adjacency[pos]) for pos in construct.positions
         ]
         self._params: list[int] = []
         self._masks: list[int] = []
@@ -93,12 +94,6 @@ class CompiledCircuit:
         the construct's modification counter moves, so player edits that touch
         properties are picked up.
         """
-        # Snapshot the counter once, before reading any properties: if an edit
-        # lands mid-refresh, the stored value stays behind the live counter and
-        # the next step() triggers another refresh instead of recording
-        # half-updated parameters as current.  This also makes the compiled
-        # form safe to serialize while the owning construct is being edited.
-        modification = self.construct.modification_counter
         params = []
         masks = []
         for code, cell in zip(self._codes, self._cells):
@@ -114,7 +109,7 @@ class CompiledCircuit:
                 masks.append(0)
         self._params = params
         self._masks = masks
-        self._params_modification = modification
+        self._params_modification = self.construct.modification_counter
 
     @property
     def cell_count(self) -> int:
@@ -123,19 +118,17 @@ class CompiledCircuit:
     def step(self) -> bool:
         """Advance the construct one step; return True on a fixed point.
 
-        States are read from the live cells, the ones that changed are
-        written back, and the construct's step counter advances — exactly
-        like the reference simulator.
+        The construct's state vector is read once and replaced by one new
+        array if any cell changed; the step counter advances — exactly like
+        the reference simulator.
         """
         construct = self.construct
         if construct.modification_counter != self._params_modification:
             self._refresh_params()
-        cells = self._cells
         codes = self._codes
         params = self._params
-        count = len(cells)
-
-        states = [cell.state for cell in cells]
+        states = construct.states.tolist()
+        count = len(states)
         outputs = [0] * count
         for index in range(count):
             code = codes[index]
@@ -158,7 +151,7 @@ class CompiledCircuit:
             else:  # _POWER_SOURCE
                 outputs[index] = MAX_POWER
 
-        fixed_point = True
+        new_states = [0] * count
         neighbours = self._neighbours
         masks = self._masks
         for index in range(count):
@@ -190,12 +183,13 @@ class CompiledCircuit:
                 new_state = state
             else:  # _POWER_SOURCE
                 new_state = MAX_POWER
-            if new_state != state:
-                fixed_point = False
-                cells[index].state = new_state
+            new_states[index] = new_state
 
         construct.step += 1
-        return fixed_point
+        if new_states == states:
+            return True
+        construct.states = np.array(new_states, dtype=np.int64)
+        return False
 
 
 def compile_circuit(construct) -> CompiledCircuit:

@@ -82,8 +82,8 @@ class CompressedStateSequence:
             and step > self.start_step + self.loop_start
         )
 
-    def values_at(self, step: int) -> list[int]:
-        """The cell values after ``step`` total steps, in sorted cell order."""
+    def row_at(self, step: int) -> np.ndarray:
+        """The (read-only) matrix row after ``step`` total steps, in sorted cell order."""
         if not self.covers(step):
             raise KeyError(
                 f"sequence starting at {self.start_step} does not cover step {step}"
@@ -92,7 +92,7 @@ class CompressedStateSequence:
         if offset >= len(self.states):
             loop_length = len(self.states) - self.loop_start
             offset = self.loop_start + (offset - self.loop_start) % loop_length
-        return self.states[offset].tolist()
+        return self.states[offset]
 
 
 class LoopDetector:

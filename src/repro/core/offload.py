@@ -85,7 +85,7 @@ class OffloadRequest:
                 )
                 for cell in construct.cells
             ),
-            states=tuple(cell.state for cell in construct.cells),
+            states=tuple(construct.states.tolist()),
             start_step=construct.step,
             steps=int(steps),
             timestamp=construct.modification_counter,
@@ -139,7 +139,7 @@ def _simulated_rows(payload: OffloadRequest) -> Iterator[list[int]]:
     compiled = compile_circuit(construct)
     for _ in range(payload.steps):
         compiled.step()
-        yield [cell.state for cell in construct.cells]
+        yield construct.states.tolist()
 
 
 def make_simulation_handler(cache_capacity: int = 512):

@@ -199,7 +199,7 @@ class SpeculativeConstructBackend(ConstructBackend):
             request = replace(
                 request,
                 start_step=coverage_end,
-                states=tuple(sequence.values_at(coverage_end)),
+                states=tuple(sequence.row_at(coverage_end).tolist()),
             )
         # With a fault plan installed the platform answers injected failures
         # with retry/backoff; without one this is a plain invoke.
@@ -296,7 +296,7 @@ class SpeculativeConstructBackend(ConstructBackend):
             target_step = construct.step + 1
             sequence = record.sequence_for(construct, target_step)
             if sequence is not None:
-                construct.apply_values(sequence.values_at(target_step), step=target_step)
+                construct.apply_row(sequence.row_at(target_step), target_step)
                 record.merged_steps += 1
                 report.merged_speculative += 1
                 if record.pending is None and sequence.settled_by(target_step):

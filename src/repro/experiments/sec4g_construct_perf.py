@@ -70,7 +70,7 @@ def run_sec4g(
             # Advance the construct so consecutive samples cover different state
             # windows, then space invocations out to stay on warm environments.
             end_step = construct.step + steps
-            construct.apply_values(invocation.result.sequence.values_at(end_step), end_step)
+            construct.apply_row(invocation.result.sequence.row_at(end_step), end_step)
             engine.advance_by(1000.0)
         result.rates_per_size[size] = rates
     return result

@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.constructs.batched import BatchedCircuitStepper
 from repro.constructs.circuit import SimulatedConstruct
 from repro.constructs.compiled import CompiledCircuit, compile_circuit
-from repro.constructs.state import ConstructState
+from repro.constructs.simulator import clone_construct
 from repro.world.coords import BlockPos
 
 
@@ -97,6 +99,40 @@ class ConstructBackend:
         plan = self.begin_tick(tick_index)
         return plan.finish(plan.step_inline())
 
+    def verify_states(self) -> bool:
+        """True when every registered construct's state vector keeps its invariants.
+
+        Holds between ticks: each ``states`` is a writable 1-D ``int64`` array
+        of ``block_count`` values, every ``cell.state`` is a plain ``int``
+        equal to its slot, no two constructs' vectors share memory, and every
+        construct parked in ``_quiescent`` really is at a fixed point (one
+        compiled step of a clone changes nothing).
+        """
+        constructs = {construct.construct_id: construct for construct in self.constructs()}
+        for construct in constructs.values():
+            states = construct.states
+            if not (
+                isinstance(states, np.ndarray)
+                and states.dtype == np.int64
+                and states.shape == (construct.block_count,)
+                and states.flags.writeable
+            ):
+                return False
+            seen = [cell.state for cell in construct.cells]
+            if seen != states.tolist() or any(type(value) is not int for value in seen):
+                return False
+        vectors = [construct.states for construct in constructs.values()]
+        if any(
+            np.shares_memory(first, second)
+            for index, first in enumerate(vectors)
+            for second in vectors[index + 1 :]
+        ):
+            return False
+        return all(
+            compile_circuit(clone_construct(constructs[construct_id])).step()
+            for construct_id in sorted(self._quiescent)
+        )
+
 
 class LocalConstructBackend(ConstructBackend):
     """Simulate every construct on the server, every ``interval`` ticks.
@@ -156,10 +192,10 @@ class LocalConstructBackend(ConstructBackend):
                 cell.position.y - anchor.y,
                 cell.position.z - anchor.z,
                 cell.component.value,
-                cell.state,
+                state,
                 tuple(sorted(cell.properties.items())),
             )
-            for cell in construct.cells
+            for cell, state in zip(construct.cells, construct.states.tolist())
         )
 
     def _rebuild_groups(self) -> None:
@@ -201,10 +237,8 @@ class LocalConstructBackend(ConstructBackend):
             if members[0] in quiescent:
                 # Fixed point: the states are provably what re-simulation
                 # would produce, so only the step counters advance.
-                representative = constructs[members[0]]
-                representative.step += 1
-                for construct_id in members[1:]:
-                    constructs[construct_id].step = representative.step
+                for construct_id in members:
+                    constructs[construct_id].step += 1
                 report.skipped_quiescent += len(members)
             else:
                 active_groups.append(members)
@@ -218,9 +252,13 @@ class LocalConstructBackend(ConstructBackend):
             for members, fixed_point in zip(active_groups, fixed_points):
                 if fixed_point:
                     quiescent.add(members[0])
-                representative = constructs[members[0]]
+                # Members take a copy of the representative's vector and
+                # advance their own step counters: equal states do not mean
+                # equal ages (a construct placed later can join the group).
+                states = constructs[members[0]].states
                 for construct_id in members[1:]:
-                    constructs[construct_id].copy_state_from(representative)
+                    member = constructs[construct_id]
+                    member.apply_row(states, member.step + 1)
             # The simulated baseline server does this work for every
             # construct; the cost model must keep seeing it (virtual time is
             # unchanged by the host-side skip).

@@ -88,6 +88,7 @@ def test_a_fleet_on_one_shard_steps_through_its_backend_and_reproduces_the_pin(g
     for record in cluster.tick_records:
         hasher.update(repr(record.duration_ms).encode())
     for shard in cluster.shards:
+        assert shard.constructs.verify_states()
         for construct in shard.constructs.constructs():
             hasher.update(str(construct.step).encode())
             hasher.update(construct.snapshot().digest().encode())

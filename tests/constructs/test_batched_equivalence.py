@@ -146,6 +146,53 @@ def test_batch_membership_can_change_between_steps():
         assert_fleets_identical(fleet, reference_fleet)
 
 
+def test_an_edit_a_reordered_batch_and_a_replaced_construct_each_force_a_repack():
+    fleet = make_fleet()
+    reference_fleet = [clone_construct(construct) for construct in fleet]
+    stepper = BatchedCircuitStepper(min_batch_circuits=1)
+    reference = ReferenceConstructSimulator()
+
+    def step_and_compare(order):
+        stepper.step_batch([compile_circuit(fleet[index]) for index in order])
+        for construct in reference_fleet:
+            reference.step(construct)
+        assert_fleets_identical(fleet, reference_fleet)
+        return stepper._packed
+
+    order = list(range(len(fleet)))
+    packed = step_and_compare(order)
+    assert step_and_compare(order) is packed, "an equal batch in a new list reuses the pack"
+
+    clock = next(i for i, c in enumerate(fleet) if c.name.startswith("clock"))
+    for subject in (fleet[clock], reference_fleet[clock]):  # a player retunes the clock
+        subject.cells[0].properties["period"] = 3
+        subject.player_modify(subject.positions[0])
+    edited = step_and_compare(order)
+    assert edited is not packed, "an edit must force a repack"
+
+    reordered = step_and_compare(order[::-1])
+    assert reordered is not edited, "the same circuits in another order are another batch"
+
+    # Re-place a different construct under a reused id, in the same batch slot.
+    replacement = build_clock(period=5, lamps=1)
+    replacement.construct_id = fleet[0].construct_id
+    fleet[0], reference_fleet[0] = replacement, clone_construct(replacement)
+    assert step_and_compare(order[::-1]) is not reordered
+
+    # The stepper keeps its own copy of the batch: a caller that reuses and
+    # mutates one list between steps still gets a repack.
+    batch = [compile_circuit(construct) for construct in fleet]
+    stepper.step_batch(batch)
+    packed = stepper._packed
+    batch.reverse()
+    stepper.step_batch(batch)
+    assert stepper._packed is not packed
+    for construct in reference_fleet:
+        reference.step(construct)
+        reference.step(construct)
+    assert_fleets_identical(fleet, reference_fleet)
+
+
 def test_advance_states_is_pure_and_reusable():
     import numpy as np
 
@@ -183,7 +230,7 @@ def test_reregistered_construct_id_does_not_inherit_quiescence(backend_interval)
     backend.register_construct(settled)
     for tick in range(0, 16 * backend_interval, 1):
         backend.tick(tick)
-    assert settled.construct_id in backend._quiescent
+    assert settled.construct_id in backend._quiescent and backend.verify_states()
 
     # Remove it and re-register a *different* construct under the same id.
     backend.remove_construct(settled.construct_id)
@@ -194,3 +241,4 @@ def test_reregistered_construct_id_does_not_inherit_quiescence(backend_interval)
     assert report.skipped_quiescent == 0, (
         "a re-used construct id must never inherit the old fixed-point status"
     )
+    assert backend.verify_states()

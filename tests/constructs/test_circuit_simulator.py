@@ -1,5 +1,6 @@
 """Tests for constructs, the step simulator and state snapshots."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +29,21 @@ def test_construct_rejects_duplicate_positions():
     cell = Cell(BlockPos(0, 64, 0), ComponentType.WIRE)
     with pytest.raises(ValueError):
         SimulatedConstruct([cell, Cell(BlockPos(0, 64, 0), ComponentType.LAMP)])
+
+
+def test_a_cell_is_adopted_once_and_its_state_is_a_view_of_the_vector():
+    cell = Cell(BlockPos(1, 64, 0), ComponentType.WIRE, state=3)
+    cell.state = 5  # unadopted: the cell's own value
+    assert cell.state == 5
+    construct = SimulatedConstruct([cell, Cell(BlockPos(0, 64, 0), ComponentType.LEVER)])
+    assert construct.states.tolist() == [0, 5] and construct.cells[1] is cell
+    cell.state = 9  # adopted: a store into the construct's vector, in place
+    assert construct.states.tolist() == [0, 9]
+    construct.states = np.array([1, 2], dtype=np.int64)  # as a stepper rebinds it
+    assert (cell.state, type(cell.state)) == (2, int)
+    assert construct.snapshot().states == {BlockPos(0, 64, 0): 1, BlockPos(1, 64, 0): 2}
+    with pytest.raises(ValueError, match="another construct owns"):
+        SimulatedConstruct([cell])
 
 
 def test_wire_line_propagates_power_one_block_per_step():
@@ -117,17 +133,21 @@ def test_apply_state_rejects_unknown_positions():
         construct.apply_state({BlockPos(99, 99, 99): 1}, step=1)
 
 
-def test_apply_values_rejects_a_wrong_length():
+def test_apply_row_rejects_a_wrong_length_and_copies_the_row():
     construct = build_wire_line(length=4)
     before = [cell.state for cell in construct.cells]
-    for values in (before[:-1], before + [0]):
+    for values in (before[:-1], before + [0], [before]):
         with pytest.raises(ValueError, match="cells"):
-            construct.apply_values(values, step=3)
+            construct.apply_row(np.array(values, dtype=np.int64), step=3)
     assert [cell.state for cell in construct.cells] == before
     assert construct.step == 0
-    construct.apply_values([7] * construct.block_count, step=3)
+    row = np.full(construct.block_count, 7, dtype=np.int64)
+    row.flags.writeable = False
+    construct.apply_row(row, step=3)
     assert [cell.state for cell in construct.cells] == [7] * construct.block_count
     assert construct.step == 3
+    construct.cells[0].state = 1  # the construct's vector is its own, and writable
+    assert row[0] == 7 and not np.shares_memory(row, construct.states)
 
 
 def test_apply_state_requires_step_for_raw_mapping():

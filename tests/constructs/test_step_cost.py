@@ -1,0 +1,104 @@
+"""Step-cost guard: a construct step moves arrays, it visits no ``Cell``.
+
+Python-frame and C-call counts under ``sys.setprofile`` repeat exactly on any
+machine, so the bounds cannot flake.  The path this guards against rebuilt
+the batch vector from ``cell.state`` one generator resume per cell per step
+(``constructs.py_calls_per_tick`` 2 307 of ``construct_fleet``'s 2 580) and
+merged a speculative row with one attribute store per cell.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from repro.constructs.batched import BatchedCircuitStepper
+from repro.constructs.compiled import compile_circuit
+from repro.constructs.library import build_clock, build_wire_line
+from repro.core import ServoConfig
+from repro.core.offload import SC_SIMULATION_FUNCTION, make_simulation_handler
+from repro.core.speculative import SpeculativeConstructBackend
+from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
+from repro.world.coords import BlockPos
+
+#: per circuit: one ``append`` of its modification counter; nothing per cell
+CALLS_PER_CIRCUIT = 1
+#: per merged construct (22 today): finding the valid sequence that covers the
+#: step, ``row_at`` + ``apply_row``, then the phase-3 bookkeeping — record
+#: lookups and list scans over at most a few replies, nothing per cell
+CALLS_PER_MERGE = 24
+
+
+def count_calls(action) -> int:
+    """Run ``action``; returns how many Python frames and C calls it entered."""
+    calls = 0
+
+    def on_event(_frame, event, _argument):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(on_event)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def warm_step_calls(circuit_count: int, wires: int) -> int:
+    """Calls of one ``step_batch`` of ``circuit_count`` wire lines, layout already packed."""
+    circuits = [
+        compile_circuit(build_wire_line(wires, BlockPos(0, 64, 4 * index)))
+        for index in range(circuit_count)
+    ]
+    stepper = BatchedCircuitStepper(min_batch_circuits=1)
+    stepper.step_batch(circuits)
+    calls = count_calls(lambda: stepper.step_batch(circuits))
+    assert stepper.batched_steps == 2 * circuit_count
+    return calls
+
+
+def test_a_batched_step_costs_a_constant_plus_one_call_per_circuit():
+    base = warm_step_calls(16, wires=6)
+    assert warm_step_calls(48, wires=6) - base == CALLS_PER_CIRCUIT * 32
+    assert base <= 80, "the fixed part: a few numpy calls per component class, no more"
+
+
+@pytest.mark.parametrize("circuit_count", [8, 40])
+def test_a_batched_step_costs_the_same_when_every_circuit_doubles(circuit_count):
+    # A wire line of n wires has n + 2 cells.
+    assert warm_step_calls(circuit_count, wires=6) == warm_step_calls(circuit_count, wires=14)
+
+
+def merge_tick_calls(engine, construct_count: int, lamps: int) -> int:
+    """Calls of one backend tick in which every construct merges a speculative row."""
+    platform = FaasPlatform(engine, provider=AWS_LAMBDA)
+    platform.register(
+        FunctionDefinition(
+            name=SC_SIMULATION_FUNCTION, handler=make_simulation_handler(), memory_mb=1769
+        )
+    )
+    backend = SpeculativeConstructBackend(engine, platform, ServoConfig())
+    for index in range(construct_count):
+        # A clock loops without settling: merged every tick, never parked.
+        backend.register_construct(
+            build_clock(period=6, origin=BlockPos(0, 64, 4 * index), lamps=lamps)
+        )
+    for tick in range(120):
+        backend.tick(tick)
+        engine.advance_by(50.0)
+    reports = []
+    calls = count_calls(lambda: reports.append(backend.tick(120)))
+    assert reports[0].merged_speculative == construct_count
+    assert reports[0].skipped_quiescent == 0
+    assert backend.verify_states()
+    return calls
+
+
+def test_a_speculative_merge_costs_a_constant_whatever_the_construct_size(engine):
+    small = merge_tick_calls(engine, 4, lamps=2)  # 5 cells each
+    assert merge_tick_calls(engine, 4, lamps=12) == small  # 25 cells each
+    per_merge = (merge_tick_calls(engine, 12, lamps=2) - small) / 8
+    assert per_merge <= CALLS_PER_MERGE

@@ -62,12 +62,12 @@ def test_compress_trace_stops_reading_at_the_first_repeat():
 def test_looping_sequence_replays_forever():
     sequence = compress_trace(0, make_rows([1, 2, 3, 4, 2]))
     # step 2 -> 2, step 5 -> 2, step 8 -> 2, ...
-    assert sequence.values_at(2) == [2]
-    assert sequence.values_at(5) == [2]
-    values = [sequence.values_at(step)[0] for step in range(1, 11)]
+    assert sequence.row_at(2).tolist() == [2]
+    assert sequence.row_at(5).tolist() == [2]
+    values = [sequence.row_at(step).tolist()[0] for step in range(1, 11)]
     assert values == [1, 2, 3, 4, 2, 3, 4, 2, 3, 4]
     assert sequence.covers(10 ** 6)
-    assert sequence.values_at(10 ** 6) == [[2, 3, 4][(10 ** 6 - 2) % 3]]
+    assert sequence.row_at(10 ** 6).tolist() == [[2, 3, 4][(10 ** 6 - 2) % 3]]
 
 
 def test_state_at_restamps_the_step_counter():
@@ -75,7 +75,7 @@ def test_state_at_restamps_the_step_counter():
     construct = build_clock(period=4, lamps=1)
     sequence = compress_trace(0, simulate_rows(build_clock(period=4, lamps=1), 20))
     assert sequence.is_looping
-    construct.apply_values(sequence.values_at(1000), step=1000)
+    construct.apply_row(sequence.row_at(1000), step=1000)
     assert construct.step == 1000
     # Cell states stay plain Python ints, never numpy scalars.
     assert all(type(cell.state) is int for cell in construct.cells)
@@ -88,22 +88,23 @@ def test_state_at_outside_coverage_raises():
     sequence = compress_trace(10, make_rows([1, 2]))
     assert sequence.last_step == 12
     with pytest.raises(KeyError):
-        sequence.values_at(10)  # before the first produced state
+        sequence.row_at(10)  # before the first produced state
     with pytest.raises(KeyError):
-        sequence.values_at(13)  # past the end of a non-looping sequence
+        sequence.row_at(13)  # past the end of a non-looping sequence
     looping = compress_trace(10, make_rows([1, 2, 1]))
     with pytest.raises(KeyError):
-        looping.values_at(10)  # a loop extends forwards only
-    assert looping.values_at(13) == [1]
+        looping.row_at(10)  # a loop extends forwards only
+    assert looping.row_at(13).tolist() == [1]
 
 
 def test_a_sequence_is_a_read_only_matrix():
     sequence = compress_trace(0, make_rows([1, 2, 3]))
     with pytest.raises(ValueError):
         sequence.states[0, 0] = 9
-    values = sequence.values_at(1)
-    values[0] = 9  # the returned list is the caller's own copy
-    assert sequence.values_at(1) == [1]
+    row = sequence.row_at(1)
+    with pytest.raises(ValueError):
+        row[0] = 9  # a row is a view of the read-only matrix, not a copy
+    assert row.base is sequence.states and row.tolist() == [1]
     with pytest.raises(ValueError, match="matrix"):
         CompressedStateSequence(0, np.zeros(3, dtype=np.int64))
     empty = compress_trace(0, [])
@@ -147,7 +148,7 @@ def test_compressed_sequence_matches_direct_simulation():
     sequence = compress_trace(0, rows)
     assert sequence.explicit_length < 40
     for step in range(1, 41):
-        assert sequence.values_at(step) == rows[step - 1]
+        assert sequence.row_at(step).tolist() == rows[step - 1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -165,7 +166,7 @@ def test_compress_trace_round_trips_any_observed_prefix(values, start_step):
             # Beyond the detected loop the arbitrary test list is not a
             # deterministic continuation, so no guarantee applies.
             break
-        assert sequence.values_at(step) == row
+        assert sequence.row_at(step).tolist() == row
     # The repeat, when there is one, is where the list first revisits a value.
     first_repeat = next((i for i, v in enumerate(values) if v in values[:i]), None)
     if first_repeat is None:

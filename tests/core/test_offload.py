@@ -107,7 +107,7 @@ def test_handler_reply_matches_local_simulation():
     simulator = ConstructSimulator()
     for step in range(1, 26):
         simulator.step(local)
-        assert reply.sequence.values_at(step) == [cell.state for cell in local.cells]
+        assert reply.sequence.row_at(step).tolist() == [cell.state for cell in local.cells]
     # The request did not touch the server-side construct.
     assert construct.step == 0
 
@@ -126,7 +126,7 @@ def test_handler_detects_loops_and_stops_early():
     simulator = ConstructSimulator()
     for step in range(1, 60):
         simulator.step(local)
-        assert reply.sequence.values_at(step) == [cell.state for cell in local.cells]
+        assert reply.sequence.row_at(step).tolist() == [cell.state for cell in local.cells]
 
 
 def test_handler_echoes_timestamp():
@@ -150,7 +150,7 @@ def test_handler_memoises_identical_requests_across_translations():
     assert not reply_a.sequence.states.flags.writeable
     assert (reply_a.construct_id, reply_b.construct_id) == (first.construct_id, second.construct_id)
     ConstructSimulator().run(second, 5)
-    assert reply_b.sequence.values_at(5) == [cell.state for cell in second.cells]
+    assert reply_b.sequence.row_at(5).tolist() == [cell.state for cell in second.cells]
 
 
 def test_handler_memo_keys_on_the_state_not_only_the_shape_and_step():
@@ -165,7 +165,7 @@ def test_handler_memo_keys_on_the_state_not_only_the_shape_and_step():
     assert request_off.cache_key() != request_on.cache_key()
     dark = handler(request_off).value.sequence
     lit = handler(request_on).value.sequence
-    assert dark.values_at(8)[-1] == 0 and lit.values_at(8)[-1] == 1  # the lamp
+    assert dark.row_at(8)[-1] == 0 and lit.row_at(8)[-1] == 1  # the lamp
 
 
 def test_handler_memo_evicts_its_oldest_entry_first():

@@ -76,6 +76,7 @@ def test_speculative_states_match_pure_local_simulation(engine):
         assert [cell.state for cell in construct.cells] == [
             cell.state for cell in reference.cells
         ]
+        assert backend.verify_states()
 
 
 def test_looping_construct_needs_only_one_invocation(engine):
@@ -203,6 +204,7 @@ def test_multiple_identical_constructs_stay_in_lockstep(engine):
     for construct in constructs[1:]:
         assert [cell.state for cell in construct.cells] == reference_states
         assert construct.step == constructs[0].step
+    assert backend.verify_states()
 
 
 def test_fixed_point_construct_goes_quiescent_without_changing_results(engine):
@@ -234,6 +236,7 @@ def test_fixed_point_construct_goes_quiescent_without_changing_results(engine):
     for _ in range(200):
         reference_simulator.step(reference)
     assert construct.snapshot() == reference.snapshot()
+    assert construct.construct_id in backend._quiescent and backend.verify_states()
 
 
 def test_player_edit_wakes_a_quiescent_construct(engine):
@@ -255,3 +258,4 @@ def test_player_edit_wakes_a_quiescent_construct(engine):
     # The signal propagates again: the lamp at the end eventually lights.
     run_ticks(engine, backend, 20)
     assert construct.cells[-1].state == 1
+    assert backend.verify_states()

@@ -8,8 +8,10 @@ machinery — before the first reply, mid-sequence, while a follow-up
 invocation is in flight, after quiescence — and then lands on both
 constructs and on their reference clones.  Every tick, every construct's
 ``snapshot().digest()`` must equal that of its clone stepped by
-:class:`ReferenceConstructSimulator`, and the backend must report exactly
-one advance per construct.
+:class:`ReferenceConstructSimulator`, the backend must report exactly one
+advance per construct, and ``verify_states()`` must hold (writable private
+``int64`` vectors, ``Cell.state`` a plain ``int`` view of them, every parked
+construct really at a fixed point).
 
 The oracle is the reference simulator, which shares no code with the offload
 wire format; no copy of an older wire format is kept here.
@@ -176,7 +178,7 @@ def run_case(shape, a, b, anchor_a, anchor_b, config, schedule, seed=0) -> set[s
             assert construct.snapshot().digest() == reference.snapshot().digest(), (
                 f"{construct.name} diverged from the reference at step {tick}"
             )
-            assert all(type(cell.state) is int for cell in construct.cells)
+        assert backend.verify_states()
 
     # One handler, one matrix per distinct request: structurally identical
     # constructs in the same state share the object, wherever they stand.

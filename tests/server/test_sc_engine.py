@@ -31,6 +31,7 @@ def test_identical_constructs_stay_in_lockstep_with_reference_simulation():
         assert [cell.state for cell in construct.cells] == [
             cell.state for cell in reference.cells
         ]
+    assert backend.verify_states()
 
 
 def test_report_counts_every_construct():
@@ -68,6 +69,7 @@ def test_player_modification_rebuilds_groups_and_keeps_divergent_constructs_sepa
     lamp_second = second.cell_at(second.positions[-1]).state
     assert lamp_first == 1
     assert lamp_second == 0
+    assert backend.verify_states()
 
 
 def test_no_constructs_is_a_cheap_noop():
