@@ -75,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--interest-radius",
         type=int,
         metavar="CHUNKS",
-        help="area-of-interest subscription radius in chunks "
-        "(0 = legacy observe-everything broadcast)",
+        help="area-of-interest subscription radius in chunks (0 = full fan-out)",
     )
     run.add_argument("--provider", choices=("aws", "azure"), help="Servo cloud provider")
     run.add_argument("--seed", type=int, help="simulation seed")
@@ -208,7 +207,7 @@ def _spec_dict_from_args(args: argparse.Namespace) -> dict:
     if args.world_type is not None:
         game_config["world_type"] = args.world_type
     if args.interest_radius is not None:
-        # 0 maps to None: both mean the legacy full broadcast.
+        # 0 maps to None: both mean full fan-out.
         game_config["interest_radius_chunks"] = args.interest_radius or None
     if args.provider is not None:
         servo_config["provider"] = args.provider

@@ -205,16 +205,11 @@ class ClusterCoordinator(TickLoop):
         self._dead: dict[int, _DeadShard] = {}
         self._generations: dict[int, int] = {}
         self.recovery_records: list[ShardRecoveryRecord] = []
-        # With interest management on, shards log their dirty events so the
-        # coordinator can relay edits near zone boundaries to the shards whose
-        # players subscribe to those chunks from across the boundary.
-        self._interest_routing = len(shards) > 1 and any(
-            shard.interest is not None for shard in shards
-        )
-        if self._interest_routing:
-            for shard in shards:
-                if shard.interest is not None:
-                    shard.interest.record_dirty_log = True
+        # Shards log their dirty events so the coordinator can relay edits
+        # near zone boundaries to the shards whose players subscribe to those
+        # chunks from across the boundary (full fan-out logs nothing).
+        for shard in shards:
+            shard.broadcast.record_dirty_log = len(shards) > 1
 
     # -- cluster shape ---------------------------------------------------------------
 
@@ -332,16 +327,13 @@ class ClusterCoordinator(TickLoop):
         # Pending interest deltas travel with the player: export before the
         # source unsubscribes, import after the target re-subscribes, so a
         # far-tier budget already half-spent stays spent across the handoff.
-        interest_state = None
-        if source.interest is not None:
-            interest_state = source.interest.export_state(proxy.player_id)
+        broadcast_state = source.broadcast.export_state(proxy.player_id)
         source.disconnect_player(proxy.player_id, persist=False)
         session = target.connect_player(
             proxy.name, position=position, player_id=proxy.player_id, restore=False
         )
         restore_avatar_state(session.avatar, state, restore_position=False)
-        if interest_state is not None and target.interest is not None:
-            target.interest.import_state(proxy.player_id, interest_state)
+        target.broadcast.import_state(proxy.player_id, broadcast_state)
         for message in pending:
             session.enqueue(message)
 
@@ -407,22 +399,23 @@ class ClusterCoordinator(TickLoop):
         """
         events_relayed = 0
         for slot, shard in enumerate(self.shards):
-            if shard.interest is None or slot in self._dead:
+            if slot in self._dead:
                 continue
             # Relaying never changes an index, so which shards subscribe to a
             # chunk is decided once per chunk, not once per event.
             subscribed: dict[tuple[int, int], list] = {}
-            for chunk, entries, drift, source_player_id in shard.interest.drain_dirty_log():
+            for chunk, entries, drift, source_player_id in shard.broadcast.drain_dirty_log():
                 targets = subscribed.get(chunk)
                 if targets is None:
-                    targets = subscribed[chunk] = []
-                    for other_slot, other in enumerate(self.shards):
-                        if other_slot == slot or other.interest is None or other_slot in self._dead:
-                            continue
-                        if other.interest.has_subscribers(chunk):
-                            targets.append(other.interest)
-                for interest in targets:
-                    interest.note_external(chunk, entries, drift, source_player_id)
+                    targets = subscribed[chunk] = [
+                        other.broadcast
+                        for other_slot, other in enumerate(self.shards)
+                        if other_slot != slot
+                        and other_slot not in self._dead
+                        and other.broadcast.has_subscribers(chunk)
+                    ]
+                for broadcast in targets:
+                    broadcast.note_external(chunk, entries, drift, source_player_id)
                 events_relayed += len(targets)
         if events_relayed:
             self.engine.metrics.increment("interest_cross_shard_events", events_relayed)
@@ -487,8 +480,7 @@ class ClusterCoordinator(TickLoop):
         replacement = self.shard_factory(slot, generation)
         for wire in self.shard_wirers:
             wire(replacement)
-        if self._interest_routing and replacement.interest is not None:
-            replacement.interest.record_dirty_log = True
+        replacement.broadcast.record_dirty_log = True
         self.shards[slot] = replacement
 
         constructs_recovered = 0
@@ -584,8 +576,7 @@ class ClusterCoordinator(TickLoop):
             shard_records.append(
                 shard.tick_finish(shard.tick_begin(), advance_clock=False)
             )
-        if self._interest_routing:
-            self._route_cross_shard_updates()
+        self._route_cross_shard_updates()
         self._migrate_crossed_players()
 
         if shard_records:

@@ -2,7 +2,7 @@
 
 The ``flash_crowd_at_spawn`` chaos scenario converges the whole population on
 one zone (behaviour ``C``).  This experiment runs it across the opencraft,
-servo and cluster hosts, each in legacy observe-everything mode and with
+servo and cluster hosts, each with full fan-out and with
 area-of-interest broadcast enabled, and reports a Table-I-style one-line
 summary per configuration: tick P99, fraction of ticks over the 50 ms budget,
 delta entries encoded, update batches flushed, and the largest staleness
@@ -43,7 +43,7 @@ class FlashCrowdCase:
         mode = (
             f"interest r{self.interest_radius_chunks}"
             if self.interest_radius_chunks
-            else "legacy"
+            else "full fan-out"
         )
         return f"{self.game}{shard_suffix} {mode}"
 

@@ -80,7 +80,7 @@ EXPERIMENTS: dict[str, ExperimentEntry] = {
     ),
     "flash-crowd": ExperimentEntry(
         "flash-crowd",
-        "Flash crowd at spawn: interest management vs legacy broadcast (beyond the paper)",
+        "Flash crowd at spawn: interest management vs full fan-out (beyond the paper)",
         run_flash_crowd,
         format_flash_crowd,
     ),

@@ -65,13 +65,6 @@ class BillingModel:
             if function_name is None or charge.function_name == function_name
         )
 
-    def total_gb_seconds(self, function_name: str | None = None) -> float:
-        return sum(
-            (charge.memory_mb / 1024.0) * (charge.billed_duration_ms / 1000.0)
-            for charge in self.charges
-            if function_name is None or charge.function_name == function_name
-        )
-
     def cost_per_hour_usd(self, window_ms: float, function_name: str | None = None) -> float:
         """Cost extrapolated to one hour given the observation window length."""
         if window_ms <= 0:

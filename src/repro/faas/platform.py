@@ -257,11 +257,3 @@ class FaasPlatform:
 
     def invocations_for(self, name: str) -> list[Invocation]:
         return [inv for inv in self.invocations if inv.function_name == name]
-
-    def cold_start_fraction(self, name: str | None = None) -> float:
-        relevant = [
-            inv for inv in self.invocations if name is None or inv.function_name == name
-        ]
-        if not relevant:
-            return 0.0
-        return sum(1 for inv in relevant if inv.cold_start) / len(relevant)

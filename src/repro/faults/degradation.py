@@ -1,10 +1,10 @@
 """Graceful degradation: shed broadcast work instead of falling behind.
 
-When a shard's tick blows its budget, the next tick skips the state-update
-broadcast for a configurable fraction of its players (the dominant per-player
-cost) until a tick lands back under budget.  This is bounded inconsistency in
-the dyconit sense: a subset of observers receives a stale tick, but the shard
-keeps its tick rate — degradation instead of collapse.
+When a shard's tick blows its budget, the next tick sheds a configurable
+fraction of its due broadcast work — players' full fan-out updates, or
+far-tier interest flushes — until a tick lands back under budget.  This is
+bounded inconsistency in the dyconit sense: a subset of observers receives a
+stale tick, but the shard keeps its tick rate — degradation instead of collapse.
 """
 
 from __future__ import annotations
@@ -40,37 +40,21 @@ class DegradationController:
         """True while the server is over budget (the next tick will shed)."""
         return self._over_budget
 
-    def shed_count(self, players: int) -> int:
-        """How many players' broadcasts to shed this tick (0 when under budget)."""
-        if not self._over_budget or players <= 0:
-            return 0
-        shed = int(players * self.policy.shed_fraction)
-        if shed > 0:
-            self.shedding_ticks += 1
-            self.updates_shed += shed
-            self.metrics.increment("broadcast_updates_shed", shed)
-            if self._record is not None:
-                self._record("degradation.shed", f"{self.server_name} players={shed}")
-        return shed
+    def shed_count(self, due: int, unit: str) -> int:
+        """How many of the ``due`` broadcast ``unit``s to shed this tick (0 under budget).
 
-    def shed_flush_count(self, due_flushes: int) -> int:
-        """How many due far-tier flushes to defer this tick (interest mode).
-
-        With interest management there is no full per-player broadcast to
-        skip; degradation instead widens far-tier error budgets by deferring
-        a fraction of the flushes that came due.  The shed count is computed
-        from the *due flushes after interest filtering* — never from the
-        player count, which would shed phantom full-broadcast work.
+        Full fan-out passes its ``"players"``; interest management its due
+        far-tier ``"flushes"``, counted *after* interest filtering.
         """
-        if not self._over_budget or due_flushes <= 0:
+        if not self._over_budget or due <= 0:
             return 0
-        shed = int(due_flushes * self.policy.shed_fraction)
+        shed = int(due * self.policy.shed_fraction)
         if shed > 0:
             self.shedding_ticks += 1
             self.updates_shed += shed
             self.metrics.increment("broadcast_updates_shed", shed)
             if self._record is not None:
-                self._record("degradation.shed", f"{self.server_name} flushes={shed}")
+                self._record("degradation.shed", f"{self.server_name} {unit}={shed}")
         return shed
 
     def observe(self, duration_ms: float) -> None:

@@ -240,18 +240,18 @@ class ShardKill:
 class DegradationPolicy:
     """Graceful degradation: shed broadcast work after a budget overrun.
 
-    When a shard's previous tick exceeded ``budget_ms``, the next tick skips
-    the state-update broadcast for ``shed_fraction`` of its players (the
-    dominant per-player cost), recovering as soon as a tick lands back under
-    budget.  Shedding is bounded degradation in the dyconit sense: distant
-    observers get a stale tick instead of the whole shard getting slower.
+    When a shard's previous tick exceeded ``budget_ms``, the next tick sheds
+    ``shed_fraction`` of its due broadcast work (full fan-out players or far
+    interest flushes), recovering as soon as a tick lands back under budget.
+    Shedding is bounded degradation in the dyconit sense: distant observers
+    get a stale tick instead of the whole shard getting slower.
     """
 
     KEYS = frozenset({"budget_ms", "shed_fraction"})
 
     #: tick budget that triggers shedding (the paper's QoS budget by default)
     budget_ms: float = 50.0
-    #: fraction of players whose broadcast is shed while over budget
+    #: fraction of the due broadcast work (players or far flushes) shed while over budget
     shed_fraction: float = 0.5
 
     def __post_init__(self) -> None:

@@ -23,8 +23,12 @@ reported so runs can *prove* the bounds held.
 Entries are encoded on write: a dirty entry with at least one (non-source)
 subscriber is serialized once, whatever the subscriber count — the cost
 model charges ``per_update_entry_ms`` per encoded entry plus
-``per_update_flush_ms`` per batch send, replacing the legacy
-``per_player_ms`` full fan-out.
+``per_update_flush_ms`` per batch send, replacing the ``per_player_ms``
+full fan-out.
+
+The map is one of a server's two broadcast policies: it answers the same
+calls as :class:`~repro.server.broadcast.FullFanout`, so the game loop never
+asks which of the two it holds.
 
 The map draws no randomness and iterates insertion-ordered dicts only, so
 interest-enabled runs stay bit-deterministic for a fixed seed.
@@ -33,13 +37,20 @@ interest-enabled runs stay bit-deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.batch import FAR_TIER, NEAR_TIER, BatchStream, UpdateBatch
+from repro.sim.metrics import (
+    CONSISTENCY_ERROR_HISTOGRAM,
+    CONSISTENCY_ERROR_SERIES,
+    metric_name,
+)
 from repro.world.coords import CHUNK_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.server.costmodel import TickWork
+    from repro.server.gameloop import GameServer
     from repro.server.session import PlayerSession
 
 ChunkKey = tuple[int, int]
@@ -127,7 +138,7 @@ class InterestMap:
         max_drift_blocks: float = 8.0,
     ) -> None:
         if radius_chunks < 1:
-            raise ValueError("an InterestMap needs a positive radius (0/None = legacy)")
+            raise ValueError("an InterestMap needs a positive radius (0/None = full fan-out)")
         if not 0 <= near_radius_chunks <= radius_chunks:
             raise ValueError("near_radius_chunks must be within [0, radius_chunks]")
         if max_staleness_ticks < 1:
@@ -162,6 +173,8 @@ class InterestMap:
         #: None keeps the hot path allocation-free
         self.batch_sink: Optional[Callable[[UpdateBatch], None]] = None
         self._batch_stream = BatchStream()
+        #: the most recent flush's report (None before the first flush)
+        self.last_flush: Optional[FlushReport] = None
 
     # -- shape -----------------------------------------------------------------------
 
@@ -418,6 +431,7 @@ class InterestMap:
             sub.far_drift = 0.0
 
         self._tick = tick_index + 1
+        self.last_flush = report
         return report
 
     def _send(
@@ -433,8 +447,8 @@ class InterestMap:
             report.near_flushes += 1
         else:
             report.far_flushes += 1
-        # updates_sent derives from actual flushes in interest mode (the
-        # BroadcastClock stays the legacy path).
+        # updates_sent counts the flushes that really happened (full fan-out
+        # derives it from its broadcast rounds instead).
         sub.session.record_updates(1)
         if self.batch_sink is not None:
             batch = self._batch_stream.stamp(
@@ -447,6 +461,64 @@ class InterestMap:
                 )
             )
             self.batch_sink(batch)
+
+    # -- the broadcast policy --------------------------------------------------------
+    # Calls go through self.note_dirty/self.flush so per-instance wrappers see them.
+
+    def join(self, session: "PlayerSession") -> None:
+        """Subscribe a session; its arrival is a visible change for nearby players."""
+        self.subscribe(session)
+        self.note_dirty(self.chunk_of(session.avatar.position), source_player_id=session.player_id)
+
+    def leave(self, session: "PlayerSession") -> None:
+        self.unsubscribe(session.player_id)
+        self.note_dirty(self.chunk_of(session.avatar.position), source_player_id=session.player_id)
+
+    def broadcast(self, server: "GameServer", work: "TickWork") -> None:
+        """Flush this tick's zoned delta batches; graceful degradation defers far ones."""
+        if work.construct_tick:
+            # Every placed construct, stepped or quiescent, is one entry.
+            for anchor in server.construct_anchors.values():
+                self.note_dirty(anchor)
+        degradation = server.degradation
+        shed = None if degradation is None else partial(degradation.shed_count, unit="flushes")
+        flush = self.flush(server.tick_index, shed_far=shed)
+        work.players = 0
+        work.update_entries_flushed = flush.entries_encoded
+        work.update_flushes = flush.flushes
+
+    def record(self, server: "GameServer", start_ms: float, duration_ms: float) -> None:
+        """Emit the tick's flush metrics and trace event (after the tick's span)."""
+        flush, metrics = self.last_flush, server.engine.metrics
+        metrics.increment("interest_entries_flushed", flush.entries_encoded)
+        metrics.increment("interest_flushes", flush.flushes)
+        if flush.flushes_shed:
+            metrics.increment("interest_flushes_shed", flush.flushes_shed)
+        if not flush.flushes:
+            return
+        # consistency_error proves the dyconit bounds held: max staleness at flush.
+        staleness = float(flush.staleness_max)
+        metrics.histogram(metric_name(CONSISTENCY_ERROR_HISTOGRAM)).record(staleness)
+        if server.region is not None:
+            shard = metric_name(CONSISTENCY_ERROR_HISTOGRAM, shard=server.name)
+            metrics.histogram(shard).record(staleness)
+        metrics.series(CONSISTENCY_ERROR_SERIES).record(start_ms, staleness)
+        telemetry = server.engine.telemetry
+        if telemetry.enabled:
+            telemetry.instant(
+                "interest",
+                "interest.flush",
+                track=server.name,
+                ts_ms=start_ms + duration_ms,
+                args={
+                    "entries": flush.entries_encoded,
+                    "flushes": flush.flushes,
+                    "near": flush.near_flushes,
+                    "far": flush.far_flushes,
+                    "shed": flush.flushes_shed,
+                    "staleness_max": flush.staleness_max,
+                },
+            )
 
     # -- invariants (test support) ---------------------------------------------------
 

@@ -1,18 +1,15 @@
-"""Network latency model.
+"""Client-server protocol: messages, update batches and latency requirements.
 
 The paper's operational model (Section II-A, Figure 2) decomposes response
 time into network latency ``t_n`` and server time ``t_s``.  This package
-models the network paths involved: player home to cloud (client-server), and
-game server to managed cloud services (intra-cloud).
+holds what travels between client and server — client messages in, update
+batches out — and the per-genre bounds on ``t_n``.
 """
 
 from repro.net.batch import BatchReceiver, BatchStream, UpdateBatch
-from repro.net.latency import NetworkModel, NetworkPath
 from repro.net.message import Message, MessageKind
 
 __all__ = [
-    "NetworkModel",
-    "NetworkPath",
     "Message",
     "MessageKind",
     "UpdateBatch",

@@ -42,10 +42,6 @@ class UpdateBatch:
     #: key for idempotent application on a lossy wire
     sequence: Optional[int] = None
 
-    @property
-    def staleness_ticks(self) -> int:
-        return self.flush_tick - self.first_tick
-
     def __post_init__(self) -> None:
         if self.tier not in (NEAR_TIER, FAR_TIER):
             raise ValueError(f"unknown batch tier {self.tier!r}")

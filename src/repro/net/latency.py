@@ -1,4 +1,4 @@
-"""Network path latency models.
+"""Network latency requirements.
 
 Latency requirements per game genre (Claypool & Claypool, cited as [35] in the
 paper): first-person games tolerate about 100 ms, third-person about 500 ms
@@ -8,52 +8,9 @@ the paper treats 100 ms as the relevant bound in Figure 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.sim.latency import LatencyModel, LogNormalLatency
-
 #: approximate maximum acceptable network latency per game genre (ms)
 GENRE_LATENCY_THRESHOLDS_MS = {
     "fps": 100.0,
     "rpg": 500.0,
     "rts": 1000.0,
 }
-
-
-@dataclass(frozen=True)
-class NetworkPath:
-    """One network path with a latency distribution (one-way)."""
-
-    name: str
-    latency: LatencyModel
-
-    def sample_one_way_ms(self, rng: np.random.Generator) -> float:
-        return self.latency.sample(rng)
-
-    def sample_round_trip_ms(self, rng: np.random.Generator) -> float:
-        # The paper's model assumes symmetric network latency.
-        return self.latency.sample(rng) + self.latency.sample(rng)
-
-
-@dataclass
-class NetworkModel:
-    """The network paths used by the operational model."""
-
-    client_server: NetworkPath = field(
-        default_factory=lambda: NetworkPath(
-            name="client-server",
-            latency=LogNormalLatency(median_ms=18.0, sigma=0.35, floor_ms=5.0, cap_ms=200.0),
-        )
-    )
-    server_cloud: NetworkPath = field(
-        default_factory=lambda: NetworkPath(
-            name="server-cloud",
-            latency=LogNormalLatency(median_ms=1.2, sigma=0.3, floor_ms=0.3, cap_ms=25.0),
-        )
-    )
-
-    def response_time_ms(self, tick_duration_ms: float, rng: np.random.Generator) -> float:
-        """Response time t_r = network round trip + server time (Section II-A)."""
-        return self.client_server.sample_round_trip_ms(rng) + tick_duration_ms

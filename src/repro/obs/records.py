@@ -6,8 +6,8 @@ gigabytes of them even though every summary the experiments print is an
 aggregate.  :class:`RecordRing` keeps those attributes list-compatible while
 adding an optional retention cap: uncapped (the default) it behaves exactly
 like the list it replaces, capped it retains only the newest ``cap`` records
-in a ``deque`` and keeps the run-wide summaries (count, duration sum/max,
-over-budget fraction) correct incrementally.
+in a ``deque`` and keeps the run-wide summaries (count, over-budget
+fraction) correct incrementally.
 
 Indexing is **virtual**: ``ring[i]`` and ``ring[a:b]`` address records by
 their append index over the whole run, exactly as the list did, so callers
@@ -40,34 +40,29 @@ class RecordRing:
         if cap is not None and cap < 1:
             raise ValueError(f"record cap must be at least 1, got {cap}")
         self.cap = cap
-        #: attribute name holding each record's duration, for the incremental
-        #: aggregates (e.g. "duration_ms" for ticks, "latency_ms" for migrations)
+        #: attribute name holding each record's duration, for the over-budget
+        #: fraction (e.g. "duration_ms" for ticks, "latency_ms" for migrations)
         self.duration_of = duration_of
         #: budget the incremental over-budget counter compares against; only
         #: this budget stays answerable after evictions
         self.budget_ms = budget_ms
         self._items: Any = [] if cap is None else deque(maxlen=cap)
         self._appended = 0
-        self._duration_sum = 0.0
-        self._duration_max = float("-inf")
         self._over_budget = 0
-        # Incremental aggregates exist to stay exact after eviction; an
+        # The incremental counter exists to stay exact after eviction; an
         # uncapped ring never evicts and can always answer by scanning, so
-        # the hot append path only pays for them when a cap is set.
-        self._track_durations = cap is not None and duration_of is not None
+        # the hot append path only pays for it when a cap is set.
+        self._count_over_budget = (
+            cap is not None and duration_of is not None and budget_ms is not None
+        )
 
     # -- list protocol (virtual indices) -------------------------------------------
 
     def append(self, record: Any) -> None:
         self._items.append(record)
         self._appended += 1
-        if self._track_durations:
-            duration = float(getattr(record, self.duration_of))
-            self._duration_sum += duration
-            if duration > self._duration_max:
-                self._duration_max = duration
-            if self.budget_ms is not None and duration > self.budget_ms:
-                self._over_budget += 1
+        if self._count_over_budget and getattr(record, self.duration_of) > self.budget_ms:
+            self._over_budget += 1
 
     def __len__(self) -> int:
         """Total records ever appended (NOT the retained count)."""
@@ -128,31 +123,6 @@ class RecordRing:
         )
 
     # -- incremental summaries ------------------------------------------------------
-
-    def _durations(self) -> list[float]:
-        attr = self.duration_of
-        return [float(getattr(record, attr)) for record in self._items]
-
-    @property
-    def duration_sum_ms(self) -> float:
-        if self._track_durations:
-            return self._duration_sum
-        if self.duration_of is None:
-            return 0.0
-        return sum(self._durations())
-
-    @property
-    def duration_max_ms(self) -> float:
-        if self._appended == 0 or self.duration_of is None:
-            raise ValueError("no durations recorded")
-        if self._track_durations:
-            return self._duration_max
-        return max(self._durations())
-
-    def mean_duration_ms(self) -> float:
-        if self._appended == 0 or self.duration_of is None:
-            raise ValueError("no durations recorded")
-        return self.duration_sum_ms / self._appended
 
     def over_budget_fraction(self, budget_ms: float) -> float:
         """Fraction of ALL appended records whose duration exceeded the budget.

@@ -3,9 +3,9 @@
 Every server variant — the Opencraft/Minecraft baselines, Servo, and the
 shards of a zone-partitioned cluster — is the same :class:`GameServer` with
 different services plugged in: a terrain provider, a construct backend, a
-storage backend and a cost model.  :class:`ServerBuilder` is the one place
-that wires those parts together, so variants differ only in which services
-they register, not in construction logic.
+storage backend, a cost model and a broadcast policy.  :class:`ServerBuilder`
+is the one place that wires those parts together, so variants differ only in
+which services they register, not in construction logic.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.interest import InterestMap
+from repro.server.broadcast import FullFanout
 from repro.server.chunkmanager import (
     ChunkManager,
     LocalTerrainProvider,
@@ -104,14 +105,6 @@ class ServerBuilder:
 
     def build(self) -> GameServer:
         config = self.config
-        interest = None
-        if config.interest_enabled:
-            interest = InterestMap(
-                radius_chunks=config.interest_radius_chunks,
-                near_radius_chunks=config.interest_near_radius_chunks,
-                max_staleness_ticks=config.interest_max_staleness_ticks,
-                max_drift_blocks=config.interest_max_drift_blocks,
-            )
         generator = make_terrain_generator(config.world_type, seed=config.world_seed)
         world = VoxelWorld()
         storage = self._storage
@@ -133,6 +126,19 @@ class ServerBuilder:
             max_integrations_per_tick=config.max_chunk_integrations_per_tick,
             region=self._region,
         )
+        # The one place the broadcast mode is decided.
+        broadcast: FullFanout | InterestMap
+        if config.interest_enabled:
+            broadcast = InterestMap(
+                radius_chunks=config.interest_radius_chunks,
+                near_radius_chunks=config.interest_near_radius_chunks,
+                max_staleness_ticks=config.interest_max_staleness_ticks,
+                max_drift_blocks=config.interest_max_drift_blocks,
+            )
+            # Subscription centres ride the chunk manager's crossing detection.
+            chunk_manager.center_listeners.append(broadcast.update_center)
+        else:
+            broadcast = FullFanout()
         return GameServer(
             engine=self.engine,
             config=config,
@@ -140,10 +146,10 @@ class ServerBuilder:
             chunk_manager=chunk_manager,
             construct_backend=backend,
             cost_model=self._cost_model,
+            broadcast=broadcast,
             storage=storage,
             name=self.name,
             runtime=self._runtime,
             region=self._region,
             player_ids=self._player_ids,
-            interest=interest,
         )

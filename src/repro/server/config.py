@@ -34,8 +34,8 @@ class GameConfig:
     #: historical behaviour); run-wide summaries stay exact either way
     tick_record_cap: Optional[int] = None
     #: area-of-interest radius in chunks around each player's avatar; ``None``
-    #: or 0 keeps the legacy observe-everything broadcast (bit-identical to
-    #: the pre-interest behaviour)
+    #: or 0 keeps the paper's full fan-out broadcast (bit-identical to the
+    #: pre-interest behaviour)
     interest_radius_chunks: Optional[int] = None
     #: chunks within this Chebyshev distance of the subscriber's center are
     #: the *near* zone: their updates flush every tick
@@ -75,7 +75,7 @@ class GameConfig:
 
     @property
     def interest_enabled(self) -> bool:
-        """True when area-of-interest broadcast is on (radius ``None``/0 = legacy)."""
+        """True when area-of-interest broadcast is on (radius ``None``/0 = full fan-out)."""
         return bool(self.interest_radius_chunks)
 
     @property

@@ -30,7 +30,8 @@ import numpy as np
 class TickWork:
     """Everything a single tick had to do (inputs of the cost model)."""
 
-    #: number of connected players
+    #: players sent the full fan-out state update this tick: the connected ones
+    #: less any shed (0 under interest management, charged per entry and batch)
     players: int = 0
     #: client messages processed this tick
     actions: int = 0
@@ -52,19 +53,11 @@ class TickWork:
     loaded_chunks: int = 0
     #: True when this tick is one of the every-N construct simulation ticks
     construct_tick: bool = False
-    #: players whose state-update broadcast was shed (graceful degradation)
-    broadcast_players_shed: int = 0
-    #: True when the broadcast went through area-of-interest delta batches;
-    #: the cost model then charges per flushed entry/batch instead of the
-    #: legacy per-player full fan-out
-    interest_enabled: bool = False
     #: delta entries encoded into update batches this tick (each dirty entry
     #: is serialized once and shared by every subscriber's batch)
     update_entries_flushed: int = 0
     #: per-subscriber batch sends this tick (near flushes plus due far flushes)
     update_flushes: int = 0
-    #: due far-zone flushes deferred by graceful degradation this tick
-    update_flushes_shed: int = 0
 
 
 @dataclass(frozen=True)
@@ -113,15 +106,11 @@ class TickCostModel:
     def duration_ms(self, work: TickWork, rng: np.random.Generator) -> float:
         """The virtual duration of a tick that performed ``work``."""
         duration = self.base_ms
-        if work.interest_enabled:
-            # Delta-batch broadcast: each dirty entry is encoded once, each
-            # subscriber receives one batch per flushed tier.  Far-zone
-            # batches accumulate across ticks (dyconit staleness budgets), so
-            # both terms are far below the legacy full fan-out.
-            duration += self.per_update_entry_ms * work.update_entries_flushed
-            duration += self.per_update_flush_ms * work.update_flushes
-        else:
-            duration += self.per_player_ms * (work.players - work.broadcast_players_shed)
+        # The broadcast: per player under full fan-out, per encoded entry and
+        # batch send under interest management; the idle mode adds exactly 0.0.
+        duration += self.per_player_ms * work.players
+        duration += self.per_update_entry_ms * work.update_entries_flushed
+        duration += self.per_update_flush_ms * work.update_flushes
         duration += self.per_action_ms * work.actions
         if work.constructs_simulated_locally > 0:
             duration += self.construct_cost(work.constructs_simulated_locally)

@@ -19,23 +19,15 @@ from repro.constructs.circuit import SimulatedConstruct
 from repro.interest import InterestMap
 from repro.net.message import Message, MessageKind
 from repro.obs.records import RecordRing
+from repro.server.broadcast import FullFanout
 from repro.server.chunkmanager import ChunkManager, ChunkTickReport, OwnershipRegion
 from repro.server.config import GameConfig
 from repro.server.costmodel import TickCostModel, TickWork
 from repro.server.entities import Avatar
 from repro.server.sc_engine import ConstructBackend, ConstructTickPlan
-from repro.server.session import (
-    BroadcastClock,
-    PlayerSession,
-    restore_avatar_state,
-    snapshot_session,
-)
+from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
 from repro.sim.engine import SimulationEngine
-from repro.sim.metrics import (
-    CONSISTENCY_ERROR_HISTOGRAM,
-    CONSISTENCY_ERROR_SERIES,
-    metric_name,
-)
+from repro.sim.metrics import metric_name
 from repro.storage.base import StorageBackend, StorageOperation
 from repro.world.block import BlockType
 from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, block_to_chunk
@@ -143,12 +135,12 @@ class GameServer(TickLoop):
         chunk_manager: ChunkManager,
         construct_backend: ConstructBackend,
         cost_model: TickCostModel,
+        broadcast: FullFanout | InterestMap,
         storage: Optional[StorageBackend] = None,
         name: str = "server",
         runtime: Optional[ServerRuntime] = None,
         region: Optional[OwnershipRegion] = None,
         player_ids: Optional[Iterator[int]] = None,
-        interest: Optional[InterestMap] = None,
     ) -> None:
         self.engine = engine
         self.config = config
@@ -156,6 +148,8 @@ class GameServer(TickLoop):
         self.chunks = chunk_manager
         self.constructs = construct_backend
         self.cost_model = cost_model
+        #: full fan-out or interest map: joins, leaves, dirty events, flushes
+        self.broadcast = broadcast
         self.storage = storage
         self.name = name
         #: typed handle to backend-specific services (e.g. ServoRuntime)
@@ -172,8 +166,8 @@ class GameServer(TickLoop):
         #: cell positions per construct, so removal is O(cells of that construct)
         self._construct_positions: dict[int, list[BlockPos]] = {}
         self._construct_pins: dict[int, list[ChunkPos]] = {}
-        #: interest chunk key of each placed construct's first cell
-        self._construct_anchors: dict[int, tuple[int, int]] = {}
+        #: chunk of each placed construct's first cell (its broadcast entry)
+        self.construct_anchors: dict[int, tuple[int, int]] = {}
         #: lazily rebuilt position -> construct id map covering cells and their
         #: 6-neighbour halo (the block-edit hot path probes it once per edit)
         self._edit_lookup: Optional[dict[BlockPos, int]] = None
@@ -184,17 +178,6 @@ class GameServer(TickLoop):
         #: avatars that joined or changed chunk since the last tick — the only
         #: ones whose chunk view (and interest centre) the tick has to refresh
         self._moved: list[Avatar] = []
-        #: advanced once per tick; sessions derive updates_sent from it
-        #: (legacy broadcast only — interest mode counts actual flushes)
-        self._broadcast_clock = BroadcastClock()
-        #: area-of-interest routing table; None = legacy observe-everything
-        self.interest = interest
-        if self.interest is not None:
-            # Subscription centers ride the chunk manager's existing
-            # boundary-crossing detection.
-            chunk_manager.center_listeners.append(self.interest.update_center)
-        #: the most recent tick's flush report (None in legacy mode)
-        self.last_interest_flush = None
         self._last_persist_ms = 0.0
         #: hooks called at the start of every tick (used by Servo services)
         self.pre_tick_hooks: list[Callable[[int], None]] = []
@@ -209,6 +192,11 @@ class GameServer(TickLoop):
         self.degradation = None
         #: the run's fault injector (timeline access), set when faults install
         self.fault_injector = None
+
+    @property
+    def interest(self) -> Optional[InterestMap]:
+        """The area-of-interest map, or None under full fan-out."""
+        return self.broadcast if isinstance(self.broadcast, InterestMap) else None
 
     # -- player lifecycle -----------------------------------------------------------
 
@@ -249,8 +237,6 @@ class GameServer(TickLoop):
             avatar=avatar,
             connected_at_ms=self.engine.now_ms,
         )
-        if self.interest is None:
-            session.attach_broadcast_clock(self._broadcast_clock)
         session.attach_pending_index(self._pending_messages)
         if self.message_channel is not None:
             session.attach_channel(self.message_channel)
@@ -271,12 +257,7 @@ class GameServer(TickLoop):
         # Only now is the avatar where it will stand (a reconnect restores its
         # stored position), so only now can anything be centred on it.
         self._moved.append(avatar)
-        if self.interest is not None:
-            self.interest.subscribe(session)
-            # The arrival itself is a visible state change for nearby players.
-            self.interest.note_dirty(
-                self.interest.chunk_of(avatar.position), source_player_id=player_id
-            )
+        self.broadcast.join(session)
         return session
 
     def disconnect_player(self, player_id: int, persist: bool = True) -> Optional[StorageOperation]:
@@ -291,13 +272,7 @@ class GameServer(TickLoop):
         if session is None:
             raise KeyError(f"no connected player with id {player_id}")
         session.disconnected = True
-        session.detach_broadcast_clock()
-        if self.interest is not None:
-            self.interest.unsubscribe(player_id)
-            self.interest.note_dirty(
-                self.interest.chunk_of(session.avatar.position),
-                source_player_id=player_id,
-            )
+        self.broadcast.leave(session)
         self._pending_messages.pop(player_id, None)
         operation = None
         if persist and self.storage is not None:
@@ -327,7 +302,7 @@ class GameServer(TickLoop):
         pins = sorted({block_to_chunk(pos) for pos in positions})
         self._construct_pins[construct.construct_id] = pins
         if positions:
-            self._construct_anchors[construct.construct_id] = InterestMap.chunk_of(positions[0])
+            self.construct_anchors[construct.construct_id] = InterestMap.chunk_of(positions[0])
         self.chunks.protect(pins)
 
     def remove_construct(self, construct_id: int) -> None:
@@ -341,7 +316,7 @@ class GameServer(TickLoop):
         self._edit_lookup = None
         # Release the eviction pins place_construct took for this construct.
         self.chunks.unprotect(self._construct_pins.pop(construct_id, []))
-        self._construct_anchors.pop(construct_id, None)
+        self.construct_anchors.pop(construct_id, None)
 
     @property
     def construct_count(self) -> int:
@@ -364,10 +339,9 @@ class GameServer(TickLoop):
             cx, cz = x // CHUNK_SIZE, z // CHUNK_SIZE
             if cx != old.x // CHUNK_SIZE or cz != old.z // CHUNK_SIZE:
                 self._moved.append(avatar)
-            if self.interest is not None:
-                self.interest.note_dirty(
-                    (cx, cz), drift=distance, source_player_id=avatar.player_id
-                )
+            self.broadcast.note_dirty(
+                (cx, cz), drift=distance, source_player_id=avatar.player_id
+            )
         elif kind is MessageKind.PLACE_BLOCK:
             target = BlockPos(
                 int(message.payload["x"]), int(message.payload["y"]), int(message.payload["z"])
@@ -380,7 +354,7 @@ class GameServer(TickLoop):
             except ChunkNotLoadedError:
                 pass  # placing into unloaded terrain is ignored, as in the real games
             self._notify_construct_edit(target)
-            self._notify_interest_edit(target, avatar.player_id)
+            self._notify_broadcast_edit(target, avatar.player_id)
         elif kind is MessageKind.BREAK_BLOCK:
             target = BlockPos(
                 int(message.payload["x"]), int(message.payload["y"]), int(message.payload["z"])
@@ -392,7 +366,7 @@ class GameServer(TickLoop):
             except ChunkNotLoadedError:
                 pass
             self._notify_construct_edit(target)
-            self._notify_interest_edit(target, avatar.player_id)
+            self._notify_broadcast_edit(target, avatar.player_id)
         elif kind is MessageKind.CHAT:
             avatar.chat_messages_sent += 1
         elif kind is MessageKind.SET_INVENTORY:
@@ -402,7 +376,7 @@ class GameServer(TickLoop):
                 int(message.payload["x"]), int(message.payload["y"]), int(message.payload["z"])
             )
             self._notify_construct_edit(target)
-            self._notify_interest_edit(target, avatar.player_id)
+            self._notify_broadcast_edit(target, avatar.player_id)
         elif kind is MessageKind.IDLE:
             pass
         else:  # pragma: no cover - defensive
@@ -443,14 +417,13 @@ class GameServer(TickLoop):
         if construct_id is not None:
             self.constructs.on_player_modify(construct_id, position)
 
-    def _notify_interest_edit(self, position: BlockPos, player_id: int) -> None:
-        """Mark a block edit dirty for interest routing (no-op in legacy mode)."""
-        if self.interest is not None:
-            self.interest.note_dirty(
-                (position.x // CHUNK_SIZE, position.z // CHUNK_SIZE),
-                drift=1.0,
-                source_player_id=player_id,
-            )
+    def _notify_broadcast_edit(self, position: BlockPos, player_id: int) -> None:
+        """Mark a block edit's chunk dirty for the broadcast policy."""
+        self.broadcast.note_dirty(
+            (position.x // CHUNK_SIZE, position.z // CHUNK_SIZE),
+            drift=1.0,
+            source_player_id=player_id,
+        )
 
     # -- the tick -------------------------------------------------------------------------
 
@@ -521,29 +494,9 @@ class GameServer(TickLoop):
         work.constructs_merged = construct_report.merged_speculative
         work.construct_tick = construct_report.construct_tick
 
-        # 4. Broadcast state updates.  Legacy mode advances the shared clock
-        # (one update per player per tick, accounted by the cost model's
-        # per-player term); interest mode routes dirty chunks through the
-        # subscription index and flushes zoned delta batches instead.
-        flush = None
-        if self.interest is None:
-            self._broadcast_clock.advance()
-        else:
-            if construct_report.construct_tick:
-                # On a construct tick every placed construct, stepped or
-                # quiescent, produces one dirty entry at its anchor chunk,
-                # visible to nearby subscribers.
-                for anchor in self._construct_anchors.values():
-                    self.interest.note_dirty(anchor)
-            shed_far = (
-                self.degradation.shed_flush_count if self.degradation is not None else None
-            )
-            flush = self.interest.flush(self.tick_index, shed_far=shed_far)
-            self.last_interest_flush = flush
-            work.interest_enabled = True
-            work.update_entries_flushed = flush.entries_encoded
-            work.update_flushes = flush.flushes
-            work.update_flushes_shed = flush.flushes_shed
+        # 4. Broadcast state updates.  The policy records what it sent in
+        # ``work`` and sheds part of it when the previous tick blew the budget.
+        self.broadcast.broadcast(self, work)
 
         # 5. Periodic persistence (off the critical path).
         if (
@@ -554,12 +507,6 @@ class GameServer(TickLoop):
             self._last_persist_ms = start_ms
 
         # 6. Account the tick's virtual duration and advance the clock.
-        # Graceful degradation: when the previous tick blew the budget, shed
-        # part of this tick's broadcast work before costing the tick.
-        # In interest mode shedding already happened inside the flush (far
-        # batches deferred), so the legacy per-player shed must stay zero.
-        if self.degradation is not None and self.interest is None:
-            work.broadcast_players_shed = self.degradation.shed_count(work.players)
         duration_ms = self.cost_model.duration_ms(work, self._rng)
         if self.degradation is not None:
             self.degradation.observe(duration_ms)
@@ -573,24 +520,6 @@ class GameServer(TickLoop):
         metrics.series("tick_duration_over_time").record(start_ms, duration_ms)
         metrics.series("view_range_over_time").record(start_ms, chunk_report.min_view_range_blocks)
         metrics.series("players_over_time").record(start_ms, self.player_count)
-        if flush is not None:
-            metrics.increment("interest_entries_flushed", flush.entries_encoded)
-            metrics.increment("interest_flushes", flush.flushes)
-            if flush.flushes_shed:
-                metrics.increment("interest_flushes_shed", flush.flushes_shed)
-            if flush.flushes:
-                # The consistency_error metric is the proof the dyconit
-                # bounds held: per-tick max staleness observed at flush.
-                metrics.histogram(metric_name(CONSISTENCY_ERROR_HISTOGRAM)).record(
-                    float(flush.staleness_max)
-                )
-                if self.region is not None:
-                    metrics.histogram(
-                        metric_name(CONSISTENCY_ERROR_HISTOGRAM, shard=self.name)
-                    ).record(float(flush.staleness_max))
-                metrics.series(CONSISTENCY_ERROR_SERIES).record(
-                    start_ms, float(flush.staleness_max)
-                )
 
         record = TickRecord(
             index=self.tick_index,
@@ -617,21 +546,7 @@ class GameServer(TickLoop):
                     "chunks_integrated": record.chunks_integrated,
                 },
             )
-            if flush is not None and flush.flushes:
-                telemetry.instant(
-                    "interest",
-                    "interest.flush",
-                    track=self.name,
-                    ts_ms=start_ms + duration_ms,
-                    args={
-                        "entries": flush.entries_encoded,
-                        "flushes": flush.flushes,
-                        "near": flush.near_flushes,
-                        "far": flush.far_flushes,
-                        "shed": flush.flushes_shed,
-                        "staleness_max": flush.staleness_max,
-                    },
-                )
+        self.broadcast.record(self, start_ms, duration_ms)
         self.tick_index += 1
         self.stats.ticks_executed += 1
 

@@ -12,30 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.net.message import Message, MessageKind
 from repro.server.entities import Avatar
 from repro.world.coords import BlockPos
 
-
-class BroadcastClock:
-    """A shared count of state-update broadcast rounds (one per server tick).
-
-    Instead of bumping an ``updates_sent`` integer on every session every
-    tick (an O(players) loop on the tick's hot path), the server advances
-    this clock once per tick; each session derives its ``updates_sent`` from
-    the ticks elapsed since it attached.  Sessions detach (freezing their
-    count) when the player disconnects or migrates away.
-    """
-
-    __slots__ = ("ticks",)
-
-    def __init__(self) -> None:
-        self.ticks = 0
-
-    def advance(self) -> None:
-        self.ticks += 1
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.server.broadcast import FullFanout
 
 
 @dataclass
@@ -52,7 +36,7 @@ class PlayerSession:
     restore_latency_ms: float = 0.0
     #: updates accounted before/outside the attached broadcast clock
     _updates_sent_base: int = 0
-    _broadcast_clock: Optional[BroadcastClock] = None
+    _broadcast_clock: Optional["FullFanout"] = None
     _broadcast_attach_ticks: int = 0
     #: ordered index of player ids with queued messages, shared with the server
     _pending_index: Optional[dict[int, None]] = None
@@ -70,25 +54,19 @@ class PlayerSession:
             self._broadcast_clock.ticks - self._broadcast_attach_ticks
         )
 
-    @updates_sent.setter
-    def updates_sent(self, value: int) -> None:
-        if self._broadcast_clock is not None:
-            self._broadcast_attach_ticks = self._broadcast_clock.ticks
-        self._updates_sent_base = int(value)
-
     def record_updates(self, count: int = 1) -> None:
         """Account ``count`` actually-sent updates (interest-managed flushes).
 
         With area-of-interest broadcast the session receives delta batches,
         not one update per tick, so ``updates_sent`` is derived from the
         flushes that really happened; no broadcast clock is attached.  The
-        count freezes on disconnect/migration exactly as in legacy mode —
+        count freezes on disconnect/migration exactly as under full fan-out —
         the base value simply stops growing.
         """
         self._updates_sent_base += int(count)
 
-    def attach_broadcast_clock(self, clock: BroadcastClock) -> None:
-        """Start deriving ``updates_sent`` from a server's broadcast clock."""
+    def attach_broadcast_clock(self, clock: "FullFanout") -> None:
+        """Start deriving ``updates_sent`` from a full fan-out's broadcast rounds."""
         self._broadcast_clock = clock
         self._broadcast_attach_ticks = clock.ticks
 

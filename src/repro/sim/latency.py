@@ -158,13 +158,6 @@ class ColdStartModel:
             return float(self.penalty.sample(rng))
         return 0.0
 
-    def is_warm(self, now_ms: float) -> bool:
-        """True if an invocation at ``now_ms`` would hit a warm environment."""
-        return (
-            self._last_use_ms is not None
-            and (now_ms - self._last_use_ms) <= self.keep_alive_ms
-        )
-
     def reset(self) -> None:
         """Forget warm state (used between experiment repetitions)."""
         self._last_use_ms = None if self.initial_cold else float("-inf")

@@ -87,7 +87,3 @@ class DictBackedStorage(StorageBackend):
     @property
     def object_count(self) -> int:
         return len(self._objects)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(len(v) for v in self._objects.values())

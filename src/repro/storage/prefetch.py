@@ -89,13 +89,6 @@ class DistancePrefetchPolicy:
             ),
         )
 
-    def eviction_candidates(
-        self, resident: Iterable[ChunkPos], avatar_positions: Iterable[BlockPos]
-    ) -> list[ChunkPos]:
-        """Resident chunks outside the extended radius (safe to drop from memory)."""
-        keep = _unpack(self.candidates(avatar_positions))
-        return sorted(pos for pos in resident if pos not in keep)
-
 
 class DistancePrefetcher:
     """Pulls a policy's candidates into a cache: the one prefetch loop.

@@ -77,7 +77,3 @@ def is_stateful(block_type: BlockType) -> bool:
 def is_solid(block_type: BlockType) -> bool:
     """True for opaque terrain blocks avatars cannot walk through."""
     return block_type in _SOLID_TYPES
-
-
-def is_air(block_type: BlockType) -> bool:
-    return block_type == BlockType.AIR

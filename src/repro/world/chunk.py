@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.world.block import BlockType, is_stateful
+from repro.world.block import BlockType
 from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, chunk_origin
 
 CHUNK_HEIGHT = 256
@@ -84,21 +84,6 @@ class Chunk:
 
     def block_count(self, block_type: BlockType) -> int:
         return int(np.count_nonzero(self.blocks == int(block_type)))
-
-    def non_air_count(self) -> int:
-        return int(np.count_nonzero(self.blocks))
-
-    def stateful_positions(self) -> list[BlockPos]:
-        """Positions of every stateful block (SC member) in this chunk."""
-        origin = chunk_origin(self.position)
-        out: list[BlockPos] = []
-        for block_type in BlockType:
-            if not is_stateful(block_type):
-                continue
-            xs, ys, zs = np.nonzero(self.blocks == int(block_type))
-            for lx, ly, lz in zip(xs, ys, zs):
-                out.append(BlockPos(origin.x + int(lx), int(ly), origin.z + int(lz)))
-        return sorted(out)
 
     def copy(self) -> "Chunk":
         return Chunk(

@@ -47,9 +47,6 @@ class BlockPos(NamedTuple):
         """Euclidean distance ignoring the vertical axis (used for view range)."""
         return math.hypot(self.x - other.x, self.z - other.z)
 
-    def manhattan_distance_to(self, other: "BlockPos") -> int:
-        return abs(self.x - other.x) + abs(self.y - other.y) + abs(self.z - other.z)
-
 
 class ChunkPos(NamedTuple):
     """A chunk column position (16x16 blocks horizontally)."""
@@ -66,9 +63,6 @@ class ChunkPos(NamedTuple):
                     continue
                 out.append(ChunkPos(self.cx + dx, self.cz + dz))
         return out
-
-    def distance_to(self, other: "ChunkPos") -> float:
-        return math.hypot(self.cx - other.cx, self.cz - other.cz)
 
     def key(self) -> str:
         """A stable string key used as a storage object name."""

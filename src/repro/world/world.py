@@ -8,7 +8,7 @@ block- and chunk-level access plus bookkeeping about which chunks exist.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.world.block import BlockType
 from repro.world.chunk import Chunk
@@ -85,7 +85,3 @@ class VoxelWorld:
     def dirty_chunks(self) -> list[Chunk]:
         """Chunks modified since they were loaded (candidates for persistence)."""
         return [chunk for chunk in self._chunks.values() if chunk.dirty]
-
-    def missing_chunks(self, wanted: Iterable[ChunkPos]) -> list[ChunkPos]:
-        """The subset of ``wanted`` chunk positions that is not loaded."""
-        return sorted(pos for pos in set(wanted) if pos not in self._chunks)

@@ -16,7 +16,7 @@ def test_no_shedding_while_under_budget(engine):
     controller = make_controller(engine)
     controller.observe(30.0)
     assert not controller.shedding
-    assert controller.shed_count(100) == 0
+    assert controller.shed_count(100, "players") == 0
     assert engine.metrics.counter("broadcast_updates_shed") == 0.0
 
 
@@ -24,11 +24,11 @@ def test_overrun_sheds_the_configured_fraction_next_tick(engine):
     controller = make_controller(engine, budget_ms=50.0, shed_fraction=0.5)
     controller.observe(80.0)
     assert controller.shedding
-    assert controller.shed_count(100) == 50
+    assert controller.shed_count(100, "players") == 50
     assert engine.metrics.counter("broadcast_updates_shed") == 50.0
     # A tick back under budget stops the shedding.
     controller.observe(40.0)
-    assert controller.shed_count(100) == 0
+    assert controller.shed_count(100, "players") == 0
     assert controller.shedding_ticks == 1
     assert controller.updates_shed == 50
 
@@ -39,15 +39,9 @@ def test_shed_broadcasts_reduce_the_tick_cost():
     from repro.server.costmodel import OPENCRAFT_COST_MODEL as model
 
     full = model.duration_ms(TickWork(players=100), np.random.default_rng(0))
-    shed = model.duration_ms(
-        TickWork(players=100, broadcast_players_shed=50), np.random.default_rng(0)
-    )
-    zero_shed = model.duration_ms(
-        TickWork(players=100, broadcast_players_shed=0), np.random.default_rng(0)
-    )
+    # Full fan-out takes the shed players off the ones it sends to.
+    shed = model.duration_ms(TickWork(players=100 - 50), np.random.default_rng(0))
     assert shed < full
-    # Shedding zero players is bit-identical to the original cost.
-    assert zero_shed == full
 
 
 def test_gameloop_sheds_after_an_overlong_tick(engine):

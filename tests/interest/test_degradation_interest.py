@@ -2,7 +2,7 @@
 
 Regression guard for the broadcast rewiring: with interest management on,
 an over-budget shard must defer due far-tier flushes (budget widening) —
-the legacy per-player shed hook must never fire, and the shed count must be
+the full fan-out per-player shed must never fire, and the shed count must be
 computed from the flushes due *after* interest filtering, not from the
 player count.
 """
@@ -44,23 +44,17 @@ def test_over_budget_interest_server_sheds_due_flushes_not_players():
         for index in range(4)
     ]
 
-    # Spy on both shed hooks: legacy must stay silent, interest must be fed
-    # the post-filtering due-flush count (never the player count).
-    legacy_calls, flush_calls = [], []
+    # Spy on the one shed rule: it must only ever be asked about flushes,
+    # with the post-filtering due-flush count (never the player count).
+    shed_calls = []
     controller = server.degradation
     original_shed_count = controller.shed_count
-    original_shed_flush_count = controller.shed_flush_count
 
-    def spy_shed_count(players):
-        legacy_calls.append(players)
-        return original_shed_count(players)
-
-    def spy_shed_flush_count(due):
-        flush_calls.append(due)
-        return original_shed_flush_count(due)
+    def spy_shed_count(due, unit):
+        shed_calls.append((due, unit))
+        return original_shed_count(due, unit)
 
     controller.shed_count = spy_shed_count
-    controller.shed_flush_count = spy_shed_flush_count
 
     total_shed = 0
     due_per_tick = []
@@ -68,7 +62,7 @@ def test_over_budget_interest_server_sheds_due_flushes_not_players():
         position = editor.avatar.position
         editor.move(position.x + 1, position.y, position.z)
         server.tick()
-        flush = server.last_interest_flush
+        flush = server.interest.last_flush
         assert flush is not None
         total_shed += flush.flushes_shed
         due_per_tick.append(flush.far_due)
@@ -76,10 +70,12 @@ def test_over_budget_interest_server_sheds_due_flushes_not_players():
         # due count equals shed plus actually-sent far flushes.
         assert flush.far_due == flush.flushes_shed + flush.far_flushes
 
-    assert legacy_calls == [], "legacy per-player shed hook fired in interest mode"
+    assert all(unit == "flushes" for _, unit in shed_calls), (
+        "the full fan-out per-player shed fired in interest mode"
+    )
     assert total_shed > 0, "an over-budget server never shed a flush"
     # Every shed decision saw exactly the post-filtering due-flush count.
-    assert flush_calls == [due for due in due_per_tick if due > 0]
+    assert [due for due, _ in shed_calls] == [due for due in due_per_tick if due > 0]
     assert controller.updates_shed == total_shed
     assert engine.metrics.counter("broadcast_updates_shed") == total_shed
     assert engine.metrics.counter("interest_flushes_shed") == total_shed

@@ -1,14 +1,15 @@
-"""Equivalence gates: radius None is the legacy path, bit for bit.
+"""Equivalence gates: radius None is the full fan-out path, bit for bit.
 
-``interest_radius_chunks=None`` (the default) must leave the legacy
-observe-everything broadcast untouched — same code path, same RNG draws,
-same virtual durations — while interest-enabled runs must agree with legacy
-on all simulation state (positions, blocks) and reproduce themselves
-bit-identically under the same seed.
+``interest_radius_chunks=None`` (the default) must leave the paper's full
+fan-out broadcast untouched — same RNG draws, same virtual durations — while
+interest-enabled runs must agree with full fan-out on all simulation state
+(positions, blocks) and reproduce themselves bit-identically under the same
+seed.
 """
 
 from repro.net.message import Message, MessageKind
 from repro.server import GameConfig, make_opencraft
+from repro.server.broadcast import FullFanout
 from repro.sim import SimulationEngine
 from repro.world.block import BlockType
 from repro.world.coords import CHUNK_SIZE, BlockPos
@@ -50,8 +51,8 @@ def _scripted_run(config: GameConfig, seed: int = 7, ticks: int = 30):
 def test_radius_none_keeps_the_legacy_broadcast_path():
     server, _, _ = _scripted_run(GameConfig(world_type="flat"))
     assert server.interest is None
-    assert server.last_interest_flush is None
-    # Legacy accounting: one update per player per tick via the broadcast clock.
+    assert isinstance(server.broadcast, FullFanout)
+    # Full fan-out accounting: one update per player per tick via the broadcast clock.
     session = next(iter(server.sessions.values()))
     assert session.updates_sent == server.tick_index
 
@@ -64,14 +65,14 @@ def test_radius_none_is_bit_identical_across_reruns():
 
 
 def test_interest_mode_agrees_with_legacy_on_simulation_state():
-    """Durations differ (different cost model) but world state is identical."""
-    _, legacy_state, legacy_durations = _scripted_run(GameConfig(world_type="flat"))
+    """Durations differ (different cost terms) but world state is identical."""
+    _, fanout_state, fanout_durations = _scripted_run(GameConfig(world_type="flat"))
     server, interest_state, interest_durations = _scripted_run(
         GameConfig(world_type="flat", interest_radius_chunks=4)
     )
     assert server.interest is not None
-    assert interest_state == legacy_state
-    assert interest_durations != legacy_durations  # the cost model did change
+    assert interest_state == fanout_state
+    assert interest_durations != fanout_durations  # the cost model did change
 
 
 def test_interest_mode_is_bit_identical_across_reruns():
@@ -80,7 +81,7 @@ def test_interest_mode_is_bit_identical_across_reruns():
     server_b, state_b, durations_b = _scripted_run(config)
     assert state_a == state_b
     assert durations_a == durations_b
-    flush_a, flush_b = server_a.last_interest_flush, server_b.last_interest_flush
+    flush_a, flush_b = server_a.interest.last_flush, server_b.interest.last_flush
     assert flush_a is not None and flush_b is not None
     assert flush_a == flush_b
 
@@ -103,7 +104,7 @@ def test_interest_updates_sent_counts_actual_flushes():
         server.tick()
     # The observer shares the mover's chunk: every move is a near entry, so
     # it got exactly one near flush per tick.  The loner subscribes only to
-    # quiet chunks and received nothing — unlike the legacy broadcast clock,
+    # quiet chunks and received nothing — unlike full fan-out's broadcast clock,
     # which would have charged it one update per tick.
     assert observer.updates_sent == server.tick_index
     assert loner.updates_sent == 0

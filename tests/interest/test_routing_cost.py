@@ -35,14 +35,14 @@ def _calls_for(interest_radius_chunks):
         server.tick()
     profiler.disable()
     if server.interest is not None:
-        assert server.last_interest_flush.near_flushes == BOTS
+        assert server.interest.last_flush.near_flushes == BOTS
     return sum(entry.callcount for entry in profiler.getstats())
 
 
 def test_interest_routing_adds_at_most_ten_calls_per_player_per_tick():
     """A difference, not a ratio: both modes share the per-player MOVE path, so
     making that path cheaper must not read as routing getting dearer — and
-    making it cheaper for legacy mode only must read as exactly that."""
-    legacy = _calls_for(None)
+    making it cheaper for full fan-out only must read as exactly that."""
+    fanout = _calls_for(None)
     interest = _calls_for(4)
-    assert interest - legacy <= 10 * BOTS * TICKS, (interest, legacy)
+    assert interest - fanout <= 10 * BOTS * TICKS, (interest, fanout)

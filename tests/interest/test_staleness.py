@@ -88,7 +88,7 @@ def test_gameloop_staleness_never_exceeds_the_configured_bound():
             position = editor.avatar.position
             editor.move(position.x + 1, position.y, position.z)
         server.tick()
-        flush = server.last_interest_flush
+        flush = server.interest.last_flush
         assert flush is not None
         assert flush.staleness_max <= bound
         far_flushes += flush.far_flushes

@@ -73,9 +73,6 @@ class TestCapped:
             RecordRing(cap=2, duration_of="duration_ms", budget_ms=50.0),
             [10.0, 60.0, 40.0, 70.0, 80.0],
         )
-        assert ring.duration_sum_ms == pytest.approx(260.0)
-        assert ring.duration_max_ms == 80.0
-        assert ring.mean_duration_ms() == pytest.approx(52.0)
         # Exact over the full run via the construction-time budget counter.
         assert ring.over_budget_fraction(50.0) == pytest.approx(3 / 5)
 

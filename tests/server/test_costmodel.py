@@ -1,5 +1,7 @@
 """Tests for the tick cost models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,24 @@ def test_duration_grows_with_players():
     many = mean_duration(OPENCRAFT_COST_MODEL, TickWork(players=200))
     assert many > few
     assert many - few == pytest.approx(190 * OPENCRAFT_COST_MODEL.per_player_ms, rel=0.15)
+
+
+def test_the_broadcast_mode_a_server_does_not_run_adds_exactly_nothing():
+    """Both broadcast terms are always summed; the idle one must keep every bit.
+
+    Full fan-out work has no entries or batches, interest work sends no
+    player the full fan-out, and ``x + 0.0 == x``: with noise and spikes off
+    each duration is the two-branch formula's sum, bit for bit.
+    """
+    for model in (OPENCRAFT_COST_MODEL, MINECRAFT_COST_MODEL, SERVO_COST_MODEL):
+        quiet = replace(model, noise_sigma=0.0, spike_probability=0.0)
+        rng = np.random.default_rng(0)
+        fanout = quiet.duration_ms(TickWork(players=37), rng)
+        assert fanout == model.base_ms + model.per_player_ms * 37
+        batches = quiet.duration_ms(TickWork(update_entries_flushed=11, update_flushes=5), rng)
+        assert batches == (
+            model.base_ms + model.per_update_entry_ms * 11 + model.per_update_flush_ms * 5
+        )
 
 
 def test_minecraft_per_player_cost_higher_than_opencraft():

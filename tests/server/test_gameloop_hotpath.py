@@ -194,12 +194,3 @@ def test_updates_sent_freezes_at_disconnect(opencraft):
     assert frozen == 2
     opencraft.tick()
     assert session.updates_sent == frozen
-
-
-def test_updates_sent_setter_keeps_counting_from_new_value(opencraft):
-    session = opencraft.connect_player()
-    opencraft.tick()
-    session.updates_sent = 10
-    assert session.updates_sent == 10
-    opencraft.tick()
-    assert session.updates_sent == 11

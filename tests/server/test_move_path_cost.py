@@ -80,16 +80,28 @@ def test_an_eviction_unions_one_keep_ring_per_distinct_centre(centres):
 
 
 def test_a_move_enters_the_same_server_frames_with_interest_on_and_off():
-    def server_frames_of_one_move(interest_radius):
+    """Counted across every ``repro`` package, so a hook moved behind the
+    broadcast policy (into ``repro/interest`` or anywhere else) still shows."""
+
+    def frames_of_one_move(interest_radius):
         server, sessions = make_server(interest_radius)
         mover = sessions[0]
         message = Message(MessageKind.MOVE, mover.player_id, {"x": 9, "y": 65, "z": 8})
         frames, _ = profiled(lambda: server._process_message(mover, message))
         return [
-            code.co_name for code in frames
-            if "repro/server/" in code.co_filename.replace("\\", "/")
+            (code.co_name, code.co_filename.replace("\\", "/").rsplit("/repro/", 1)[-1])
+            for code in frames
+            if "/repro/" in code.co_filename.replace("\\", "/")
         ]
 
-    legacy = server_frames_of_one_move(None)
-    assert legacy == server_frames_of_one_move(4)
-    assert legacy == ["_process_message"]
+    # Full fan-out: the move itself plus one call to the policy's no-op hook.
+    assert frames_of_one_move(None) == [
+        ("_process_message", "server/gameloop.py"),
+        ("note_dirty", "server/broadcast.py"),
+    ]
+    # Interest management: the same move, routed to the mover's subscribers.
+    assert frames_of_one_move(4) == [
+        ("_process_message", "server/gameloop.py"),
+        ("note_dirty", "interest/subscriptions.py"),
+        ("_route", "interest/subscriptions.py"),
+    ]

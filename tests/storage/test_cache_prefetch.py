@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.storage.blob import AZURE_BLOB_STANDARD, BlobStorage
 from repro.storage.cache import CachedStorage
 from repro.storage.prefetch import DistancePrefetchPolicy
-from repro.world.coords import BlockPos, ChunkPos, block_to_chunk
+from repro.world.coords import BlockPos, block_to_chunk
 
 
 @pytest.fixture
@@ -96,14 +96,6 @@ def test_prefetch_policy_partitions_required_and_margin():
     assert plan.prefetch
     assert not (plan.required & plan.prefetch)
     assert block_to_chunk(BlockPos(0, 64, 0)) in plan.required
-
-
-def test_prefetch_policy_eviction_candidates():
-    policy = DistancePrefetchPolicy(view_distance_blocks=32.0, prefetch_margin_blocks=16.0)
-    resident = [ChunkPos(0, 0), ChunkPos(50, 50)]
-    candidates = policy.eviction_candidates(resident, [BlockPos(0, 64, 0)])
-    assert ChunkPos(50, 50) in candidates
-    assert ChunkPos(0, 0) not in candidates
 
 
 @settings(max_examples=30, deadline=None)

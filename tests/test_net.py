@@ -1,35 +1,15 @@
-"""Tests for the network model and protocol messages."""
+"""Tests for the genre latency bounds and protocol messages."""
 
 import pytest
 
-from repro.net.latency import GENRE_LATENCY_THRESHOLDS_MS, NetworkModel, NetworkPath
+from repro.net.latency import GENRE_LATENCY_THRESHOLDS_MS
 from repro.net.message import Message, MessageKind
-from repro.sim.latency import ConstantLatency
 
 
 def test_genre_thresholds_match_the_paper():
     assert GENRE_LATENCY_THRESHOLDS_MS["fps"] == 100.0
     assert GENRE_LATENCY_THRESHOLDS_MS["rpg"] == 500.0
     assert GENRE_LATENCY_THRESHOLDS_MS["rts"] == 1000.0
-
-
-def test_round_trip_is_twice_the_one_way_latency(rng):
-    path = NetworkPath(name="test", latency=ConstantLatency(10.0))
-    assert path.sample_one_way_ms(rng) == 10.0
-    assert path.sample_round_trip_ms(rng) == 20.0
-
-
-def test_response_time_adds_network_and_server_time(rng):
-    model = NetworkModel(
-        client_server=NetworkPath(name="cs", latency=ConstantLatency(15.0)),
-    )
-    assert model.response_time_ms(tick_duration_ms=40.0, rng=rng) == pytest.approx(70.0)
-
-
-def test_default_network_model_is_fps_compatible(rng):
-    model = NetworkModel()
-    samples = [model.client_server.sample_round_trip_ms(rng) for _ in range(500)]
-    assert sum(samples) / len(samples) < GENRE_LATENCY_THRESHOLDS_MS["fps"]
 
 
 def test_message_validation():

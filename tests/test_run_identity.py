@@ -186,6 +186,55 @@ def test_same_spec_same_seed_reruns_share_one_fingerprint(spec, check):
     assert fingerprint(first) == fingerprint(second)
 
 
+def degradation_spec(interest_radius) -> dict:
+    """A flat Opencraft server over its budget on construct ticks, shedding."""
+    return {
+        "host": {
+            "game": "opencraft",
+            "game_config": {"world_type": "flat", "interest_radius_chunks": interest_radius},
+        },
+        "workload": {
+            "scenario": "behaviour_a",
+            "params": {"players": 30, "constructs": 60, "duration_s": 3.0},
+        },
+        "warmup_s": 1.0,
+        "faults": {"degradation": {"budget_ms": 25.0, "shed_fraction": 0.5}},
+        "seed": SEED,
+    }
+
+
+# Recorded at dd559db, before the two broadcast modes became one policy
+# object each: full fan-out sheds players, interest management sheds due
+# far-tier flushes, and the fault timeline (inside the fingerprint) names
+# which.
+@pytest.mark.parametrize(
+    "interest_radius, unit, pinned",
+    [
+        pytest.param(
+            None, "players",
+            "a6e2d86c779fff2da52ee63a9ae53edc526c764bd20bb19cf8facaee35867c51",
+            id="full_fanout",
+        ),
+        pytest.param(
+            4, "flushes",
+            "6d738c3f8080c0c67b49fe9d5c0f773e100419febaa48f24d6b81d67d959290e",
+            id="interest_r4",
+        ),
+    ],
+)
+def test_a_shedding_run_still_matches_its_pinned_fingerprint(interest_radius, unit, pinned):
+    result = run_spec(degradation_spec(interest_radius))
+    assert result.counters["broadcast_updates_shed"] > 0
+    details = {
+        event.detail.split()[-1].split("=")[0]
+        for event in result.host.fault_injector.timeline.events
+        if event.kind == "degradation.shed"
+    }
+    assert details == {unit}
+    digest = hashlib.sha256(repr(fingerprint(result)).encode("utf-8")).hexdigest()
+    assert digest == pinned
+
+
 # Interest on, two shards, a lossy wire: migrations, cross-shard relays,
 # sequence-stamped messages and subscription re-centring all run.
 HASH_SEED_SPEC = {

@@ -46,15 +46,6 @@ def test_chunk_surface_height_and_counts():
     chunk.set_block(BlockPos(3, 20, 3), BlockType.GRASS)
     assert chunk.surface_height(3, 3) == 20
     assert chunk.block_count(BlockType.STONE) == 1
-    assert chunk.non_air_count() == 2
-
-
-def test_chunk_stateful_positions_lists_construct_blocks():
-    chunk = Chunk(position=ChunkPos(0, 0))
-    chunk.set_block(BlockPos(1, 64, 1), BlockType.WIRE)
-    chunk.set_block(BlockPos(2, 64, 1), BlockType.LAMP)
-    chunk.set_block(BlockPos(3, 64, 1), BlockType.STONE)
-    assert chunk.stateful_positions() == [BlockPos(1, 64, 1), BlockPos(2, 64, 1)]
 
 
 def test_chunk_copy_is_independent():
@@ -98,5 +89,4 @@ def test_world_dirty_chunks_and_missing_chunks():
     world.add_chunk(Chunk(position=ChunkPos(1, 0)))
     world.set_block(BlockPos(0, 64, 0), BlockType.STONE)
     assert [chunk.position for chunk in world.dirty_chunks()] == [ChunkPos(0, 0)]
-    missing = world.missing_chunks([ChunkPos(0, 0), ChunkPos(5, 5)])
-    assert missing == [ChunkPos(5, 5)]
+    assert not world.is_loaded(ChunkPos(5, 5))

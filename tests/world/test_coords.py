@@ -42,10 +42,6 @@ def test_horizontal_distance_ignores_height():
     assert a.horizontal_distance_to(b) == pytest.approx(5.0)
 
 
-def test_manhattan_distance():
-    assert BlockPos(0, 0, 0).manhattan_distance_to(BlockPos(1, 2, 3)) == 6
-
-
 def test_chunk_neighbours_excludes_self():
     centre = ChunkPos(0, 0)
     ring = centre.neighbours(radius=1)
