@@ -8,11 +8,10 @@ player ceiling at the same P99 tick budget (200 -> 500 at quick scale).
 """
 
 from repro.experiments.max_players import find_max_players
-from repro.server import GameConfig
 
 
 def run_ceilings(settings):
-    interest = GameConfig(world_type="flat", interest_radius_chunks=4)
+    interest = {"world_type": "flat", "interest_radius_chunks": 4}
     return (
         find_max_players("opencraft", 0, settings).max_players,
         find_max_players("opencraft", 0, settings, game_config=interest).max_players,

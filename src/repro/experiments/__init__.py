@@ -6,6 +6,14 @@ seeds and sweep sizes so benchmarks can use scaled-down runs) and returns a
 dataclass of results, plus a ``format_*`` helper that renders the same rows or
 series the paper reports.  The registry maps experiment ids (``fig07a``,
 ``fig13``, ...) to their runners.
+
+Every scenario run goes through :func:`repro.api.run_spec`: each experiment
+states its run as a :class:`~repro.api.RunSpec` and reads what it reports off
+the :class:`~repro.api.RunResult` (its scenario measurements and live host).
+The exceptions are not scenario runs: Figure 8 places hand-sized constructs,
+Figure 10 drives a retuned star swarm, and Figures 3, 11, 13 and Section IV-G
+build no host.  The max-players searches share
+:func:`~repro.experiments.max_players.search_last_supported`.
 """
 
 from repro.experiments.cluster_scalability import (

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.harness import ExperimentSettings, build_game_server, format_table
-from repro.server import GameConfig
-from repro.sim import SimulationEngine
+from repro.api.result import RunResult
+from repro.api.spec import HostSpec, RunSpec, WorkloadSpec
+from repro.experiments.harness import ExperimentSettings, format_table, run_twice
 from repro.sim.metrics import percentile
-from repro.workload.scenarios import shard_kill_at_peak
 
 
 @dataclass(frozen=True)
@@ -82,35 +81,37 @@ DEFAULT_CASES: tuple[AvailabilityCase, ...] = (
 )
 
 
-def _run_case(case: AvailabilityCase, settings: ExperimentSettings):
-    """One seeded run; returns (records, timeline digest, P99 round ms)."""
-    engine = SimulationEngine(seed=settings.seed)
-    cluster = build_game_server(
-        case.game, engine, GameConfig(world_type="flat"), shards=case.shards
+def _observe(result: RunResult):
+    """(recovery records, timeline digest, P99 round ms) of one run."""
+    cluster = result.host
+    return (
+        list(cluster.recovery_records),
+        cluster.fault_injector.timeline.digest(),
+        percentile(result.scenario.tick_durations_ms, 99),
     )
-    scenario = shard_kill_at_peak(
-        players=case.players,
-        constructs=case.constructs,
-        duration_s=settings.duration_s,
-        kill_at_s=settings.warmup_s + settings.duration_s / 2.0,
-        respawn_after_s=case.respawn_after_s,
-        shard=case.kill_shard,
-    )
-    scenario.warmup_s = settings.warmup_s
-    result = scenario.run(cluster)
-    digest = cluster.fault_injector.timeline.digest()
-    return list(cluster.recovery_records), digest, percentile(result.tick_durations_ms, 99)
 
 
 def measure_availability(
     case: AvailabilityCase, settings: ExperimentSettings
 ) -> AvailabilityMeasurement:
     """Run one case twice (same seed) and fold its recovery records."""
-    records, digest, p99 = _run_case(case, settings)
-    records_again, digest_again, p99_again = _run_case(case, settings)
-    deterministic = (
-        digest == digest_again and records == records_again and p99 == p99_again
+    spec = RunSpec(
+        host=HostSpec(game=case.game, shards=case.shards, game_config={"world_type": "flat"}),
+        workload=WorkloadSpec(
+            scenario="shard_kill_at_peak",
+            params={
+                "players": case.players,
+                "constructs": case.constructs,
+                "duration_s": settings.duration_s,
+                "kill_at_s": settings.warmup_s + settings.duration_s / 2.0,
+                "respawn_after_s": case.respawn_after_s,
+                "shard": case.kill_shard,
+            },
+        ),
+        seed=settings.seed,
+        warmup_s=settings.warmup_s,
     )
+    (records, digest, p99), deterministic = run_twice(spec, _observe)
     return AvailabilityMeasurement(
         case=case,
         kills=len(records),

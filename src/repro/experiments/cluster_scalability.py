@@ -15,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core import ServoConfig
-from repro.experiments.harness import ExperimentSettings, build_game_server, format_table
+from repro.api.run import run_spec
+from repro.api.spec import HostSpec, RunSpec, WorkloadSpec
+from repro.experiments.harness import ExperimentSettings, format_table
 from repro.experiments.max_players import search_last_supported
-from repro.server import GameConfig
-from repro.sim import SimulationEngine
 from repro.sim.metrics import percentile
-from repro.workload import behaviour_a
 from repro.workload.scenarios import TICK_BUDGET_MS
 
 
@@ -64,7 +62,6 @@ class ClusterScalabilityResult:
     """Aggregate capacity as a function of shard count."""
 
     game: str
-    constructs: int
     budget_ms: float
     rows: list[ClusterScalabilityRow] = field(default_factory=list)
 
@@ -89,27 +86,23 @@ class ClusterScalabilityResult:
 
 
 def measure_cluster(
-    game: str,
-    shards: int,
-    players: int,
-    settings: ExperimentSettings,
-    constructs: int = 0,
-    servo_config: ServoConfig | None = None,
+    game: str, shards: int, players: int, settings: ExperimentSettings
 ) -> ClusterMeasurement:
     """Run one cluster scenario and collect per-shard and migration statistics."""
-    engine = SimulationEngine(seed=settings.seed)
-    cluster = build_game_server(
-        game, engine, GameConfig(world_type="flat"), servo_config=servo_config, shards=shards
+    result = run_spec(
+        RunSpec(
+            host=HostSpec(game=game, shards=shards, game_config={"world_type": "flat"}),
+            workload=WorkloadSpec(scenario="behaviour_a", params={"players": players}),
+            seed=settings.seed,
+            duration_s=settings.duration_s,
+            warmup_s=settings.warmup_s,
+        )
     )
-    scenario = behaviour_a(
-        players=players, constructs=constructs, duration_s=settings.duration_s
-    )
-    scenario.warmup_s = settings.warmup_s
-    result = scenario.run(cluster)
-
-    # The scenario measured the last len(result.tick_durations_ms) rounds;
-    # shard tick records are index-aligned with cluster rounds (lockstep).
-    measured_from = len(cluster.tick_records) - len(result.tick_durations_ms)
+    cluster = result.host
+    round_durations_ms = result.scenario.tick_durations_ms
+    # The scenario measured the last len(round_durations_ms) rounds; shard
+    # tick records are index-aligned with cluster rounds (lockstep).
+    measured_from = len(cluster.tick_records) - len(round_durations_ms)
     per_shard_p99 = {
         name: percentile(durations, 99)
         for name, durations in cluster.shard_tick_durations_ms(measured_from).items()
@@ -119,7 +112,7 @@ def measure_cluster(
         shard_count=shards,
         players=players,
         per_shard_p99_ms=per_shard_p99,
-        round_p99_ms=percentile(result.tick_durations_ms, 99),
+        round_p99_ms=percentile(round_durations_ms, 99),
         migrations=len(migration_samples),
         migration_latency_p50_ms=(
             percentile(migration_samples, 50) if migration_samples else 0.0
@@ -128,12 +121,7 @@ def measure_cluster(
 
 
 def find_cluster_max_players(
-    game: str,
-    shards: int,
-    settings: ExperimentSettings,
-    constructs: int = 0,
-    servo_config: ServoConfig | None = None,
-    budget_ms: float = TICK_BUDGET_MS,
+    game: str, shards: int, settings: ExperimentSettings
 ) -> ClusterScalabilityRow:
     """Binary-search the largest player count every shard serves within budget.
 
@@ -147,12 +135,10 @@ def find_cluster_max_players(
     measurements: dict[int, ClusterMeasurement] = {}
 
     def supports(players: int) -> bool:
-        measurement = measure_cluster(
-            game, shards, players, settings, constructs=constructs, servo_config=servo_config
-        )
+        measurement = measure_cluster(game, shards, players, settings)
         measurements[players] = measurement
         row.evaluated[players] = measurement.worst_shard_p99_ms
-        return measurement.within_budget(budget_ms)
+        return measurement.within_budget()
 
     row.max_players = search_last_supported(candidates, supports)
     row.at_max = measurements.get(row.max_players)
@@ -163,20 +149,12 @@ def run_cluster_scalability(
     settings: ExperimentSettings | None = None,
     game: str = "servo-cluster",
     shard_counts: tuple[int, ...] = (1, 2, 4),
-    constructs: int = 0,
-    servo_config: ServoConfig | None = None,
 ) -> ClusterScalabilityResult:
     """Measure aggregate max players for each shard count."""
     settings = settings or ExperimentSettings()
-    result = ClusterScalabilityResult(
-        game=game, constructs=constructs, budget_ms=TICK_BUDGET_MS
-    )
+    result = ClusterScalabilityResult(game=game, budget_ms=TICK_BUDGET_MS)
     for shards in shard_counts:
-        result.rows.append(
-            find_cluster_max_players(
-                game, shards, settings, constructs=constructs, servo_config=servo_config
-            )
-        )
+        result.rows.append(find_cluster_max_players(game, shards, settings))
     return result
 
 
@@ -207,6 +185,6 @@ def format_cluster_scalability(result: ClusterScalabilityResult) -> str:
         )
     title = (
         f"Aggregate supported players, {result.game} "
-        f"({result.constructs} constructs, budget {result.budget_ms:.0f} ms per shard)"
+        f"(0 constructs, budget {result.budget_ms:.0f} ms per shard)"
     )
     return f"{title}\n{format_table(headers, rows)}"

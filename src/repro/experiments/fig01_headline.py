@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.harness import ExperimentSettings, format_table
-from repro.experiments.max_players import find_max_players
+from repro.experiments.fig07_scalability import run_fig07a
 
 PAPER_VALUES = {"servo": 150, "minecraft": 90, "opencraft": 10}
 HEADLINE_CONSTRUCTS = 100
@@ -26,12 +26,11 @@ class HeadlineResult:
 
 def run_fig01(settings: ExperimentSettings | None = None) -> HeadlineResult:
     """Reproduce Figure 1."""
-    settings = settings or ExperimentSettings()
-    result = HeadlineResult(constructs=HEADLINE_CONSTRUCTS)
-    for game in ("opencraft", "minecraft", "servo"):
-        search = find_max_players(game, HEADLINE_CONSTRUCTS, settings)
-        result.max_players[game] = search.max_players
-    return result
+    fig07a = run_fig07a(settings, construct_counts=(HEADLINE_CONSTRUCTS,))
+    return HeadlineResult(
+        constructs=HEADLINE_CONSTRUCTS,
+        max_players={game: count for (game, _), count in fig07a.max_players.items()},
+    )
 
 
 def format_fig01(result: HeadlineResult) -> str:

@@ -9,12 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.harness import ExperimentSettings, build_game_server, format_table
-from repro.experiments.max_players import find_max_players
-from repro.server import GameConfig
-from repro.sim import SimulationEngine
+from repro.experiments.harness import ExperimentSettings, format_table
+from repro.experiments.max_players import find_max_players, run_behaviour_a
 from repro.sim.metrics import BoxplotStats
-from repro.workload import behaviour_a
 
 GAMES = ("opencraft", "minecraft", "servo")
 CONSTRUCT_COUNTS = (0, 50, 100, 200)
@@ -38,12 +35,11 @@ class Fig07aResult:
 def run_fig07a(
     settings: ExperimentSettings | None = None,
     construct_counts: tuple[int, ...] = CONSTRUCT_COUNTS,
-    games: tuple[str, ...] = GAMES,
 ) -> Fig07aResult:
     """Reproduce Figure 7a."""
     settings = settings or ExperimentSettings()
     result = Fig07aResult()
-    for game in games:
+    for game in GAMES:
         for constructs in construct_counts:
             search = find_max_players(game, constructs, settings)
             result.max_players[(game, constructs)] = search.max_players
@@ -77,7 +73,6 @@ class Fig07bResult:
 def run_fig07b(
     settings: ExperimentSettings | None = None,
     player_counts: tuple[int, ...] | None = None,
-    games: tuple[str, ...] = GAMES,
     constructs: int = 200,
 ) -> Fig07bResult:
     """Reproduce Figure 7b."""
@@ -87,14 +82,9 @@ def run_fig07b(
             range(settings.player_step, settings.max_players + 1, settings.player_step)
         )
     result = Fig07bResult(constructs=constructs)
-    for game in games:
+    for game in GAMES:
         for players in player_counts:
-            engine = SimulationEngine(seed=settings.seed)
-            server = build_game_server(game, engine, GameConfig(world_type="flat"))
-            scenario = behaviour_a(
-                players=players, constructs=constructs, duration_s=settings.duration_s
-            )
-            run = scenario.run(server)
+            run = run_behaviour_a(game, players, constructs, settings)
             result.distributions[(game, players)] = run.tick_stats()
     return result
 

@@ -20,6 +20,7 @@ from repro.workload.behavior import IncreasingSpeedStarBehavior
 from repro.workload.bots import BotSwarm, JoinSchedule
 
 GAMES = ("opencraft", "servo")
+PLAYERS = 5
 
 
 @dataclass
@@ -62,7 +63,6 @@ class Fig10Result:
 def _run_game(
     game: str,
     settings: ExperimentSettings,
-    players: int,
     duration_s: float,
     speed_increase_interval_s: float,
 ) -> TerrainQosRun:
@@ -73,10 +73,10 @@ def _run_game(
     behaviors = [
         IncreasingSpeedStarBehavior(
             direction_index=index,
-            direction_count=players,
+            direction_count=PLAYERS,
             speed_increase_interval_s=speed_increase_interval_s,
         )
-        for index in range(players)
+        for index in range(PLAYERS)
     ]
     swarm = BotSwarm(behaviors, schedule=JoinSchedule.all_at_start())
     driver = swarm.install(server)
@@ -95,10 +95,8 @@ def _run_game(
 
 def run_fig10(
     settings: ExperimentSettings | None = None,
-    players: int = 5,
     duration_s: float | None = None,
     speed_increase_interval_s: float | None = None,
-    games: tuple[str, ...] = GAMES,
 ) -> Fig10Result:
     """Reproduce Figure 10.
 
@@ -112,14 +110,12 @@ def run_fig10(
     if speed_increase_interval_s is None:
         speed_increase_interval_s = duration_s / 5.0
     result = Fig10Result(
-        players=players,
+        players=PLAYERS,
         duration_s=duration_s,
         speed_increase_interval_s=speed_increase_interval_s,
     )
-    for game in games:
-        result.runs[game] = _run_game(
-            game, settings, players, duration_s, speed_increase_interval_s
-        )
+    for game in GAMES:
+        result.runs[game] = _run_game(game, settings, duration_s, speed_increase_interval_s)
     return result
 
 

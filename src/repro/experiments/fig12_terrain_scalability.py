@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.harness import ExperimentSettings, build_game_server, format_table
-from repro.server import GameConfig
-from repro.sim import SimulationEngine
-from repro.workload import random_walk, star
+from repro.api.run import run_spec
+from repro.api.spec import HostSpec, RunSpec, WorkloadSpec
+from repro.experiments.harness import ExperimentSettings, format_table
 from repro.workload.scenarios import TICK_BUDGET_MS
 
 GAMES = ("opencraft", "servo")
@@ -84,16 +83,19 @@ class Fig12aResult:
     runs: dict[tuple[str, str], TerrainScalabilityRun] = field(default_factory=dict)
 
 
-def _run_star(game: str, speed: float, settings: ExperimentSettings,
-              players: int, join_interval_s: float, duration_s: float) -> TerrainScalabilityRun:
-    engine = SimulationEngine(seed=settings.seed)
-    server = build_game_server(game, engine, GameConfig(world_type="default"))
-    scenario = star(
-        players=players, speed=speed, duration_s=duration_s, join_interval_s=join_interval_s
+def _run_terrain(
+    game: str, workload: str, seed: int, scenario: WorkloadSpec
+) -> TerrainScalabilityRun:
+    """One default-terrain run without warm-up, read as a supported-player count."""
+    result = run_spec(
+        RunSpec(
+            host=HostSpec(game=game, game_config={"world_type": "default"}),
+            workload=scenario,
+            seed=seed,
+            warmup_s=0.0,
+        )
     )
-    scenario.warmup_s = 0.0
-    scenario.run(server)
-    metrics = engine.metrics
+    metrics = result.host.engine.metrics
     tick_series = metrics.series("tick_duration_over_time")
     player_series = metrics.series("players_over_time")
     supported = supported_players_from_series(
@@ -101,7 +103,7 @@ def _run_star(game: str, speed: float, settings: ExperimentSettings,
     )
     return TerrainScalabilityRun(
         game=game,
-        workload=f"S{speed:g}",
+        workload=workload,
         supported_players=supported,
         max_connected=int(max(player_series.values)) if len(player_series) else 0,
         tick_series=list(zip(tick_series.times_ms, tick_series.values)),
@@ -110,21 +112,26 @@ def _run_star(game: str, speed: float, settings: ExperimentSettings,
 
 def run_fig12a(
     settings: ExperimentSettings | None = None,
-    speeds: tuple[float, ...] = SPEEDS,
-    games: tuple[str, ...] = GAMES,
     players: int = 40,
     join_interval_s: float = 10.0,
-    duration_s: float | None = None,
 ) -> Fig12aResult:
     """Reproduce Figure 12a."""
     settings = settings or ExperimentSettings()
-    if duration_s is None:
-        duration_s = players * join_interval_s + 30.0
+    duration_s = players * join_interval_s + 30.0
     result = Fig12aResult()
-    for game in games:
-        for speed in speeds:
-            run = _run_star(game, speed, settings, players, join_interval_s, duration_s)
-            result.runs[(game, run.workload)] = run
+    for game in GAMES:
+        for speed in SPEEDS:
+            scenario = WorkloadSpec(
+                scenario="star",
+                params={
+                    "players": players,
+                    "speed": speed,
+                    "duration_s": duration_s,
+                    "join_interval_s": join_interval_s,
+                },
+            )
+            workload = f"S{speed:g}"
+            result.runs[(game, workload)] = _run_terrain(game, workload, settings.seed, scenario)
     return result
 
 
@@ -149,7 +156,6 @@ class Fig12bResult:
 
 def run_fig12b(
     settings: ExperimentSettings | None = None,
-    games: tuple[str, ...] = GAMES,
     players: int = 40,
     join_interval_s: float = 10.0,
     duration_s: float | None = None,
@@ -158,28 +164,23 @@ def run_fig12b(
     settings = settings or ExperimentSettings()
     if duration_s is None:
         duration_s = players * join_interval_s + 30.0
+    scenario = WorkloadSpec(
+        scenario="custom",
+        params={
+            "name": f"R-{players}p",
+            "players": players,
+            "behavior_code": "R",
+            "world_type": "default",
+            "duration_s": duration_s,
+            "join_interval_s": join_interval_s,
+        },
+    )
     result = Fig12bResult()
-    for game in games:
-        outcomes = []
-        for repetition in range(settings.repetitions):
-            engine = SimulationEngine(seed=settings.seed + repetition * 101)
-            server = build_game_server(game, engine, GameConfig(world_type="default"))
-            scenario = random_walk(players=players, duration_s=duration_s)
-            scenario.join_interval_s = join_interval_s
-            scenario.warmup_s = 0.0
-            scenario.run(server)
-            metrics = engine.metrics
-            tick_series = metrics.series("tick_duration_over_time")
-            player_series = metrics.series("players_over_time")
-            outcomes.append(
-                supported_players_from_series(
-                    tick_series.times_ms,
-                    tick_series.values,
-                    player_series.times_ms,
-                    player_series.values,
-                )
-            )
-        result.supported[game] = outcomes
+    for game in GAMES:
+        result.supported[game] = [
+            _run_terrain(game, "R", settings.seed + repetition * 101, scenario).supported_players
+            for repetition in range(settings.repetitions)
+        ]
     return result
 
 

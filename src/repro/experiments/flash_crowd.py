@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.experiments.harness import ExperimentSettings, build_game_server, format_table
+from repro.api.result import RunResult
+from repro.api.spec import HostSpec, RunSpec, WorkloadSpec
+from repro.experiments.harness import ExperimentSettings, format_table, run_twice
 from repro.server import GameConfig
-from repro.sim import SimulationEngine
 from repro.sim.metrics import CONSISTENCY_ERROR_HISTOGRAM, metric_name, percentile
-from repro.workload.scenarios import TICK_BUDGET_MS, flash_crowd_at_spawn
+from repro.workload.scenarios import TICK_BUDGET_MS
 
 #: the interest radius used by the interest-enabled runs (chunks)
 CROWD_INTEREST_RADIUS = 4
@@ -90,41 +91,43 @@ def _cases(players: int) -> tuple[FlashCrowdCase, ...]:
     return tuple(pairs)
 
 
-def _run_case(case: FlashCrowdCase, settings: ExperimentSettings):
-    """One seeded run; returns (result, updates, entries, flushes, staleness)."""
-    engine = SimulationEngine(seed=settings.seed)
-    config = GameConfig(
-        world_type="flat", interest_radius_chunks=case.interest_radius_chunks
-    )
-    host = build_game_server(case.game, engine, config, shards=case.shards)
-    scenario = flash_crowd_at_spawn(players=case.players, duration_s=settings.duration_s)
-    scenario.warmup_s = settings.warmup_s
-    result = scenario.run(host)
-    sessions = getattr(host, "sessions", {})
-    updates = sum(session.updates_sent for session in sessions.values())
-    metrics = engine.metrics
+def _observe(result: RunResult):
+    """(scenario result, updates sent, entries, flushes, staleness max) of one run."""
+    updates = sum(session.updates_sent for session in result.host.sessions.values())
+    metrics = result.host.engine.metrics
     entries = int(metrics.counter("interest_entries_flushed"))
     flushes = int(metrics.counter("interest_flushes"))
     staleness_hist = metrics.histogram(metric_name(CONSISTENCY_ERROR_HISTOGRAM))
     staleness_max = staleness_hist.maximum() if len(staleness_hist) else 0.0
-    return result, updates, entries, flushes, staleness_max
+    return result.scenario, updates, entries, flushes, staleness_max
 
 
 def measure_flash_crowd(
     case: FlashCrowdCase, settings: ExperimentSettings
 ) -> FlashCrowdMeasurement:
     """Run one case twice (same seed) and compare for bit-identity."""
-    first = _run_case(case, settings)
-    second = _run_case(case, settings)
-    deterministic = (
-        first[0].tick_durations_ms == second[0].tick_durations_ms
-        and first[1:] == second[1:]
+    spec = RunSpec(
+        host=HostSpec(
+            game=case.game,
+            shards=case.shards,
+            game_config={
+                "world_type": "flat",
+                "interest_radius_chunks": case.interest_radius_chunks,
+            },
+        ),
+        workload=WorkloadSpec(
+            scenario="flash_crowd_at_spawn", params={"players": case.players}
+        ),
+        seed=settings.seed,
+        duration_s=settings.duration_s,
+        warmup_s=settings.warmup_s,
     )
-    result, updates, entries, flushes, staleness_max = first
+    observed, deterministic = run_twice(spec, _observe)
+    scenario, updates, entries, flushes, staleness_max = observed
     return FlashCrowdMeasurement(
         case=case,
-        tick_p99_ms=percentile(result.tick_durations_ms, 99),
-        fraction_over_budget=result.fraction_over_budget(TICK_BUDGET_MS),
+        tick_p99_ms=percentile(scenario.tick_durations_ms, 99),
+        fraction_over_budget=scenario.fraction_over_budget(TICK_BUDGET_MS),
         updates_sent_total=updates,
         entries_flushed=entries,
         flushes=flushes,

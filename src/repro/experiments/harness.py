@@ -9,13 +9,20 @@ logic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, TypeVar
 
 from repro.api.hosts import build_host
 from repro.api.registry import unknown_name_error
+from repro.api.result import RunResult
+from repro.api.run import run_spec
+from repro.api.spec import RunSpec
 from repro.core import ServoConfig
 from repro.server import GameConfig
 from repro.sim import SimulationEngine
 from repro.workload import GameHost
+
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class ExperimentSettings:
@@ -85,6 +92,18 @@ def build_game_server(
     return build_host(
         game, engine, game_config or GameConfig(), servo_config=servo_config, shards=shards
     )
+
+
+def run_twice(spec: RunSpec, observe: Callable[[RunResult], T]) -> tuple[T, bool]:
+    """Run ``spec`` twice (same seed) and compare what ``observe`` reads off each run.
+
+    Returns the first run's observation and whether both runs observed the
+    same thing — the bit-reproducibility check the fault and interest
+    experiments report in their ``deterministic`` column.
+    """
+    first = observe(run_spec(spec))
+    second = observe(run_spec(spec))
+    return first, first == second
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:

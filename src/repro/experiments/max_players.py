@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core import ServoConfig
-from repro.experiments.harness import ExperimentSettings, build_game_server
-from repro.server import GameConfig
-from repro.sim import SimulationEngine
-from repro.workload import behaviour_a
-from repro.workload.scenarios import TICK_BUDGET_MS
+from repro.api.result import RunResult
+from repro.api.run import run_spec
+from repro.api.spec import HostSpec, RunSpec, WorkloadSpec
+from repro.experiments.harness import ExperimentSettings
 
 
 def search_last_supported(candidates: list[int], supports: Callable[[int], bool]) -> int:
@@ -50,41 +48,39 @@ class MaxPlayersResult:
     evaluated: dict[int, float] = field(default_factory=dict)
 
 
-def _fraction_over_budget(
+def run_behaviour_a(
     game: str,
     players: int,
     constructs: int,
     settings: ExperimentSettings,
-    servo_config: ServoConfig | None,
-    game_config: GameConfig | None = None,
-) -> float:
-    engine = SimulationEngine(seed=settings.seed)
-    server = build_game_server(
-        game,
-        engine,
-        game_config or GameConfig(world_type="flat"),
-        servo_config=servo_config,
+    game_config: dict | None = None,
+) -> RunResult:
+    """One behaviour-A run (Figures 1 and 7) on a flat world unless overridden."""
+    return run_spec(
+        RunSpec(
+            host=HostSpec(game=game, game_config=game_config or {"world_type": "flat"}),
+            workload=WorkloadSpec(
+                scenario="behaviour_a",
+                params={"players": players, "constructs": constructs},
+            ),
+            seed=settings.seed,
+            duration_s=settings.duration_s,
+        )
     )
-    scenario = behaviour_a(
-        players=players, constructs=constructs, duration_s=settings.duration_s
-    )
-    result = scenario.run(server)
-    return result.fraction_over_budget(TICK_BUDGET_MS)
 
 
 def find_max_players(
     game: str,
     constructs: int,
     settings: ExperimentSettings | None = None,
-    servo_config: ServoConfig | None = None,
-    qos_tolerance: float = 0.05,
-    game_config: GameConfig | None = None,
+    game_config: dict | None = None,
 ) -> MaxPlayersResult:
     """Find the maximum supported player count for a game and construct count.
 
-    ``game_config`` overrides the default flat-world config — e.g. to enable
-    area-of-interest broadcast (``interest_radius_chunks``) and measure the
-    player ceiling it buys.
+    ``game_config`` is a :class:`~repro.api.RunSpec` override dict replacing
+    the default flat world — e.g. ``{"world_type": "flat",
+    "interest_radius_chunks": 4}`` to measure the player ceiling that
+    area-of-interest broadcast buys.
     """
     settings = settings or ExperimentSettings()
     candidates = list(
@@ -93,11 +89,9 @@ def find_max_players(
     result = MaxPlayersResult(game=game, constructs=constructs, max_players=0)
 
     def supports(players: int) -> bool:
-        fraction = _fraction_over_budget(
-            game, players, constructs, settings, servo_config, game_config
-        )
-        result.evaluated[players] = fraction
-        return fraction < qos_tolerance
+        run = run_behaviour_a(game, players, constructs, settings, game_config)
+        result.evaluated[players] = run.fraction_over_budget()
+        return run.meets_qos()
 
     result.max_players = search_last_supported(candidates, supports)
     return result

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -45,11 +44,6 @@ class ExperimentEntry:
     description: str
     runner: Callable[..., Any]
     formatter: Callable[[Any], str]
-
-    def run(self, settings: ExperimentSettings | None = None, **kwargs) -> Any:
-        if not inspect.signature(self.runner).parameters:
-            return self.runner()  # configuration-only runners (e.g. tab01)
-        return self.runner(settings, **kwargs)
 
 
 EXPERIMENTS: dict[str, ExperimentEntry] = {
@@ -98,5 +92,5 @@ def run_experiment(
     if experiment_id not in EXPERIMENTS:
         raise unknown_name_error("experiment", experiment_id, list(EXPERIMENTS))
     entry = EXPERIMENTS[experiment_id]
-    result = entry.run(settings, **kwargs)
+    result = entry.runner(settings, **kwargs)
     return result, entry.formatter(result)

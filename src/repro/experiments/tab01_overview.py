@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api.registry import unknown_name_error
-from repro.experiments.harness import format_table
+from repro.experiments.harness import ExperimentSettings, format_table
 from repro.workload.scenarios import TABLE_I_SCENARIOS, Scenario
 
 #: the paper's Table I rows: section -> (focus, components serverless)
@@ -32,8 +32,12 @@ class Tab01Result:
     rows: list[list[str]] = field(default_factory=list)
 
 
-def run_tab01() -> Tab01Result:
-    """Build the Table I overview from the scenario registry."""
+def run_tab01(settings: ExperimentSettings | None = None) -> Tab01Result:
+    """Build the Table I overview from the scenario registry.
+
+    Takes (and ignores) ``settings`` so every registry entry is called the
+    same way; the table is configuration only.
+    """
     result = Tab01Result()
     for section, scenario in sorted(TABLE_I_SCENARIOS.items()):
         focus, serverless = PAPER_TABLE_I.get(section, ("-", "-"))

@@ -9,6 +9,7 @@ merged a speculative row with one attribute store per cell.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -39,11 +40,16 @@ def count_calls(action) -> int:
         if event in ("call", "c_call"):
             calls += 1
 
+    # A collection inside the window would count the finalizers it runs.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(on_event)
     try:
         action()
     finally:
         sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
     return calls
 
 
