@@ -53,13 +53,24 @@ def _require_number(value: Any, what: str) -> None:
         raise ValueError(f"{what} must be a number, got {value!r}")
 
 
+def _spawn_position(value: Any) -> BlockPos:
+    if isinstance(value, BlockPos):
+        return value
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 3
+        or any(isinstance(axis, bool) or not isinstance(axis, int) for axis in value)
+    ):
+        raise ValueError(f"game_config.spawn_position must be three integers, got {value!r}")
+    return BlockPos(*value)
+
+
 def game_config_from_overrides(overrides: Mapping[str, Any]) -> GameConfig:
     """Materialise a :class:`GameConfig` from a spec's override mapping."""
     _check_config_overrides(overrides, _GAME_CONFIG_KNOBS, "game_config")
     kwargs = dict(overrides)
-    spawn = kwargs.get("spawn_position")
-    if spawn is not None and not isinstance(spawn, BlockPos):
-        kwargs["spawn_position"] = BlockPos(*(int(axis) for axis in spawn))
+    if "spawn_position" in kwargs:
+        kwargs["spawn_position"] = _spawn_position(kwargs["spawn_position"])
     return GameConfig(**kwargs)
 
 
@@ -79,6 +90,9 @@ class HostSpec:
     shards: Optional[int] = None
     game_config: dict = field(default_factory=dict)
     servo_config: Optional[dict] = None
+    #: the configs the overrides describe, built (and so checked) on construction
+    _game_config: GameConfig = field(init=False, repr=False, compare=False)
+    _servo_config: Optional[ServoConfig] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.game or not isinstance(self.game, str):
@@ -89,9 +103,11 @@ class HostSpec:
             raise ValueError(f"host.shards must be a positive integer, got {self.shards!r}")
         if self.game_config is None:  # mirror the host factories' game_config=None default
             object.__setattr__(self, "game_config", {})
-        _check_config_overrides(self.game_config, _GAME_CONFIG_KNOBS, "game_config")
-        if self.servo_config is not None:
-            _check_config_overrides(self.servo_config, _SERVO_CONFIG_KNOBS, "servo_config")
+        object.__setattr__(self, "_game_config", game_config_from_overrides(self.game_config))
+        servo = self.servo_config
+        object.__setattr__(
+            self, "_servo_config", None if servo is None else servo_config_from_overrides(servo)
+        )
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "HostSpec":
@@ -121,12 +137,10 @@ class HostSpec:
         return out
 
     def build_game_config(self) -> GameConfig:
-        return game_config_from_overrides(self.game_config)
+        return self._game_config
 
     def build_servo_config(self) -> Optional[ServoConfig]:
-        if self.servo_config is None:
-            return None
-        return servo_config_from_overrides(self.servo_config)
+        return self._servo_config
 
 
 @dataclass(frozen=True)

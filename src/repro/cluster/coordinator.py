@@ -29,13 +29,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.cluster.partition import WorldPartitioner
 from repro.constructs.circuit import SimulatedConstruct
 from repro.net.message import Message
-from repro.obs.records import RecordRing
 from repro.server.config import GameConfig
 from repro.server.gameloop import GameServer, TickLoop, TickRecord
 from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
 from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend
 from repro.world.coords import CHUNK_SIZE, BlockPos
+
+#: every Nth connecting player spawns near a zone boundary; the bounded-area
+#: workloads then wander across it, exercising migration
+BOUNDARY_SPAWN_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -162,10 +165,9 @@ class ClusterCoordinator(TickLoop):
         shards: list[GameServer],
         partitioner: WorldPartitioner,
         config: GameConfig,
-        session_store: Optional[StorageBackend] = None,
+        session_store: StorageBackend,
+        shard_factory: Callable[[int, int], GameServer],
         name: str = "cluster",
-        boundary_spawn_every: int = 4,
-        shard_factory: Optional[Callable[[int, int], GameServer]] = None,
     ) -> None:
         if len(shards) != partitioner.shard_count:
             raise ValueError(
@@ -178,25 +180,15 @@ class ClusterCoordinator(TickLoop):
         self.config = config
         self.session_store = session_store
         self.name = name
-        #: every Nth player spawns near a zone boundary (0 disables); the
-        #: bounded-area workloads then wander across it, exercising migration
-        self.boundary_spawn_every = int(boundary_spawn_every)
         self.sessions: dict[int, ClusterSession] = {}
-        self.tick_records = RecordRing(
-            cap=config.tick_record_cap,
-            duration_of="duration_ms",
-            budget_ms=config.tick_interval_ms,
-        )
-        self.migration_records = RecordRing(
-            cap=config.tick_record_cap, duration_of="latency_ms"
-        )
+        self.tick_records: list[TickRecord] = []
+        self.migration_records: list[MigrationRecord] = []
         self.chunks = ClusterChunks(self)
         self.round_index = 0
         self._players_connected = 0
         self._round_robin = 0
         self._construct_homes: dict[int, int] = {}
-        #: builds a replacement shard for (zone, generation); required for
-        #: shard crash-recovery (the registered cluster assemblies provide it)
+        #: builds the replacement shard for (zone, generation) after a crash
         self.shard_factory = shard_factory
         #: supplies scheduled shard kills; set by installing a fault plan
         self.fault_injector: Optional["FaultInjector"] = None
@@ -244,8 +236,8 @@ class ClusterCoordinator(TickLoop):
         base = self.config.spawn_position
         if self.shard_count == 1:
             return 0, None
-        if self.boundary_spawn_every and (index + 1) % self.boundary_spawn_every == 0:
-            boundary = (index // self.boundary_spawn_every) % self.partitioner.boundary_count()
+        if (index + 1) % BOUNDARY_SPAWN_EVERY == 0:
+            boundary = (index // BOUNDARY_SPAWN_EVERY) % self.partitioner.boundary_count()
             position = self.partitioner.boundary_spawn(boundary, base)
             return self.partitioner.zone_of_block(position), position
         zone = self._round_robin % self.shard_count
@@ -318,12 +310,10 @@ class ClusterCoordinator(TickLoop):
 
         # Handoff: serialize through the shared session store; the write on
         # the source and the read on the target are the migration's latency.
-        latency_ms = 0.0
-        if self.session_store is not None:
-            write_op = self.session_store.write(key, state)
-            read_op = self.session_store.read(key)
-            state = read_op.data or state
-            latency_ms = write_op.latency_ms + read_op.latency_ms
+        write_op = self.session_store.write(key, state)
+        read_op = self.session_store.read(key)
+        state = read_op.data or state
+        latency_ms = write_op.latency_ms + read_op.latency_ms
         # Pending interest deltas travel with the player: export before the
         # source unsubscribes, import after the target re-subscribes, so a
         # far-tier budget already half-spent stays spent across the handoff.
@@ -447,11 +437,6 @@ class ClusterCoordinator(TickLoop):
             # serve (and eventually recover) its players.
             injector.record("shard.kill.ignored", f"shard={slot} reason=last-alive")
             return
-        if self.shard_factory is None:
-            raise RuntimeError(
-                "shard kills require a cluster built with a shard_factory "
-                "(the registered cluster assemblies provide one)"
-            )
         shard = self.shards[slot]
         self._dead[slot] = _DeadShard(
             kill=kill,
@@ -499,11 +484,9 @@ class ClusterCoordinator(TickLoop):
             old_session.detach_broadcast_clock()
             position = old_session.avatar.position
             state = snapshot_session(old_session)
-            if self.session_store is not None:
-                key = f"session_{proxy.name}"
-                write_op = self.session_store.write(key, state)
-                read_op = self.session_store.read(key)
-                state = read_op.data or state
+            key = f"session_{proxy.name}"
+            self.session_store.write(key, state)
+            state = self.session_store.read(key).data or state
             session = replacement.connect_player(
                 proxy.name, position=position, player_id=proxy.player_id, restore=False
             )

@@ -42,11 +42,6 @@ class SimulationTrace:
     def steps(self) -> int:
         return len(self.states)
 
-    def final_state(self) -> ConstructState:
-        if not self.states:
-            raise ValueError("simulation trace is empty")
-        return self.states[-1]
-
 
 class ConstructSimulator:
     """Steps simulated constructs forward in time (compiled hot path)."""

@@ -10,8 +10,9 @@ class ServoConfig:
     """Tunables of the Servo backend.
 
     Defaults follow the paper's best configuration: a 20-tick lead (one second
-    at 20 Hz), 100-step speculative simulations, loop detection enabled, and a
-    48-block prefetch margin around the view distance.
+    at 20 Hz), 100-step speculative simulations and a 48-block prefetch
+    margin around the view distance.  Loop detection (Section III-C1) and the
+    storage cache and prefetcher (Section III-E) are always on.
     """
 
     #: cloud provider for FaaS and blob storage: "aws" or "azure"
@@ -20,8 +21,6 @@ class ServoConfig:
     steps_per_invocation: int = 100
     #: issue the next invocation this many ticks before the current batch runs out
     tick_lead: int = 20
-    #: truncate periodic constructs to one loop inside the offload function
-    enable_loop_detection: bool = True
     #: memory configuration of the construct-simulation function (MB)
     simulation_function_memory_mb: int = 1769
     #: memory configuration of the terrain-generation function (MB)
@@ -32,8 +31,6 @@ class ServoConfig:
     prefetch_interval_ticks: int = 10
     #: capacity of the server-local terrain cache (objects)
     cache_capacity_objects: int = 4096
-    #: use the server-local cache in front of blob storage
-    enable_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.provider not in ("aws", "azure"):

@@ -131,7 +131,6 @@ def build_servo_server(
         view_distance_blocks=game_config.view_distance_blocks,
         prefetch_margin_blocks=servo_config.prefetch_margin_blocks,
         cache_capacity_objects=servo_config.cache_capacity_objects,
-        enable_cache=servo_config.enable_cache,
     )
     terrain_provider = ServerlessTerrainProvider(
         engine=engine,
@@ -169,6 +168,5 @@ def build_servo_server(
                 [session.avatar for session in server.sessions.values()]
             )
 
-    if servo_config.enable_cache:
-        server.pre_tick_hooks.append(prefetch_hook)
+    server.pre_tick_hooks.append(prefetch_hook)
     return server

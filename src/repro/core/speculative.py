@@ -189,9 +189,7 @@ class SpeculativeConstructBackend(ConstructBackend):
             return  # a looping sequence covers everything; no more invocations
 
         request = OffloadRequest.from_construct(
-            construct,
-            steps=self.config.steps_per_invocation,
-            detect_loops=self.config.enable_loop_detection,
+            construct, steps=self.config.steps_per_invocation
         )
         if coverage_end > construct.step:
             # Speculate onwards from the end of the current coverage.

@@ -6,6 +6,8 @@ heavy latency tail.  The storage service hides that tail from the game loop
 with a server-local cache and a distance-based prefetcher: terrain just beyond
 the players' view distance is pulled into the cache before it is needed, so
 the synchronous read the chunk manager performs is almost always a cache hit.
+Every operation goes through the cache; dirty objects reach blob storage when
+the cache evicts them or on :meth:`ServoStorageService.flush`.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ class ServoStorageService(StorageBackend):
         view_distance_blocks: float = 128.0,
         prefetch_margin_blocks: float = 48.0,
         cache_capacity_objects: int = 4096,
-        enable_cache: bool = True,
     ) -> None:
         self.engine = engine
         self.remote = remote
-        self.enable_cache = enable_cache
         self.cache = CachedStorage(
             remote=remote,
             rng=engine.rng("servo-storage-cache"),
@@ -49,30 +49,27 @@ class ServoStorageService(StorageBackend):
         self._prefetcher = DistancePrefetcher(self.policy, self.cache, remote)
         self.metrics = engine.metrics
 
-    def _backend(self) -> StorageBackend:
-        return self.cache if self.enable_cache else self.remote
-
     # -- StorageBackend API --------------------------------------------------------------
 
     def read(self, key: str) -> StorageOperation:
-        operation = self._backend().read(key)
+        operation = self.cache.read(key)
         self.metrics.histogram("storage_read_ms").record(operation.latency_ms)
         return operation
 
     def write(self, key: str, data: bytes) -> StorageOperation:
-        return self._backend().write(key, data)
+        return self.cache.write(key, data)
 
     def delete(self, key: str) -> StorageOperation:
-        return self._backend().delete(key)
+        return self.cache.delete(key)
 
     def exists(self, key: str) -> bool:
-        return self._backend().exists(key)
+        return self.cache.exists(key)
 
     def list_keys(self) -> list[str]:
-        return self._backend().list_keys()
+        return self.cache.list_keys()
 
     def size_bytes(self, key: str) -> int:
-        return self._backend().size_bytes(key)
+        return self.cache.size_bytes(key)
 
     # -- Servo-specific behaviour -----------------------------------------------------------
 
@@ -83,8 +80,6 @@ class ServoStorageService(StorageBackend):
         happen off the game loop's critical path, so their latency is not
         accounted against any tick.
         """
-        if not self.enable_cache:
-            return 0
         if self.remote.object_count == 0:
             return 0  # nothing persisted yet; planning would be pointless work
         fetched = self._prefetcher.prefetch([avatar.position for avatar in avatars])
@@ -94,8 +89,6 @@ class ServoStorageService(StorageBackend):
 
     def flush(self) -> int:
         """Write dirty cached objects back to blob storage (periodic write-back)."""
-        if not self.enable_cache:
-            return 0
         return len(self.cache.flush())
 
     @property

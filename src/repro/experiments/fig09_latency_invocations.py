@@ -17,8 +17,6 @@ from repro.experiments.harness import ExperimentSettings, format_table
 SIMULATION_LENGTHS = (50, 100, 200)
 #: the paper reports a 1459 ms mean latency for 200-step simulations
 PAPER_MEAN_LATENCY_200_STEPS_MS = 1459.0
-#: the paper's cost estimate range in USD per hour
-PAPER_COST_RANGE_USD_PER_HOUR = (0.216, 0.244)
 C5N_XLARGE_USD_PER_HOUR = 0.216
 
 

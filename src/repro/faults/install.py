@@ -17,7 +17,7 @@ Section by section:
   wired through the coordinator's ``shard_wirers``).
 * ``degradation`` gives every server its own
   :class:`~repro.faults.degradation.DegradationController`.
-* ``shards`` kills require a cluster host built with a ``shard_factory``.
+* ``shards`` kills require a cluster host; a single server rejects them.
 """
 
 from __future__ import annotations
@@ -86,11 +86,6 @@ def install_faults(host: Host, plan: Optional[FaultPlan]) -> Optional[FaultInjec
     host.fault_injector = injector
     if is_cluster:
         host.shard_wirers.append(wire_server)
-        if plan.shards and host.shard_factory is None:
-            raise ValueError(
-                f"the fault plan schedules shard kills but host {host.name!r} "
-                "was built without a shard_factory"
-            )
     elif plan.shards:
         raise ValueError(
             f"the fault plan schedules shard kills but host {host.name!r} "

@@ -18,11 +18,6 @@ from repro.lint.findings import Pragma, extract_pragmas
 #: annotation heads that denote an unordered set type
 _SET_ANNOTATION_NAMES = {"set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet"}
 
-#: set methods that return another set
-_SET_PRODUCING_METHODS = {
-    "union", "intersection", "difference", "symmetric_difference", "copy",
-}
-
 
 @dataclass
 class ClassInfo:

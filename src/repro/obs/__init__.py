@@ -29,8 +29,6 @@ _EXPORTS = {
     "TelemetryConfig": "repro.obs.telemetry",
     "install_telemetry": "repro.obs.telemetry",
     "WallClockProfiler": "repro.obs.profiling",
-    "RecordRing": "repro.obs.records",
-    "EvictedRecordError": "repro.obs.records",
     "chrome_trace": "repro.obs.export",
     "trace_json": "repro.obs.export",
     "strip_wall_clock": "repro.obs.export",

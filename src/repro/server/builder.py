@@ -35,7 +35,7 @@ class ServerBuilder:
     """Fluent assembly of one :class:`GameServer` from pluggable services.
 
     Unset services fall back to the all-local baseline parts: local disk
-    storage, a local terrain worker pool, a local construct backend and the
+    storage, a two-worker local terrain pool, a local construct backend and the
     Opencraft cost model.  Builders are single-use: :meth:`build` consumes the
     configuration and returns the server.
     """
@@ -51,10 +51,8 @@ class ServerBuilder:
         self.name = name
         self._cost_model: TickCostModel = OPENCRAFT_COST_MODEL
         self._storage: Optional[StorageBackend] = None
-        self._use_default_storage = True
         self._terrain_provider: Optional[TerrainProvider] = None
         self._construct_backend: Optional[ConstructBackend] = None
-        self._generation_workers = 2
         self._region: Optional[OwnershipRegion] = None
         self._runtime: Optional[ServerRuntime] = None
         self._player_ids: Optional[Iterator[int]] = None
@@ -65,19 +63,13 @@ class ServerBuilder:
         self._cost_model = cost_model
         return self
 
-    def with_storage(self, storage: Optional[StorageBackend]) -> "ServerBuilder":
-        """Use a specific storage backend (``None`` disables persistence)."""
+    def with_storage(self, storage: StorageBackend) -> "ServerBuilder":
+        """Persist into ``storage`` instead of a fresh local disk."""
         self._storage = storage
-        self._use_default_storage = False
         return self
 
     def with_terrain_provider(self, provider: TerrainProvider) -> "ServerBuilder":
         self._terrain_provider = provider
-        return self
-
-    def with_generation_workers(self, workers: int) -> "ServerBuilder":
-        """Worker count for the default local terrain provider."""
-        self._generation_workers = int(workers)
         return self
 
     def with_construct_backend(self, backend: ConstructBackend) -> "ServerBuilder":
@@ -107,12 +99,8 @@ class ServerBuilder:
         config = self.config
         generator = make_terrain_generator(config.world_type, seed=config.world_seed)
         world = VoxelWorld()
-        storage = self._storage
-        if storage is None and self._use_default_storage:
-            storage = LocalDiskStorage(rng=self.engine.rng(f"{self.name}-disk"))
-        provider = self._terrain_provider or LocalTerrainProvider(
-            self.engine, generator, workers=self._generation_workers
-        )
+        storage = self._storage or LocalDiskStorage(rng=self.engine.rng(f"{self.name}-disk"))
+        provider = self._terrain_provider or LocalTerrainProvider(self.engine, generator)
         backend = self._construct_backend or LocalConstructBackend(
             interval=self._cost_model.construct_tick_interval
         )

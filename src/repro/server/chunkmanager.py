@@ -190,7 +190,12 @@ class _ReadyChunk:
 
 
 class ChunkManager:
-    """Keeps the world loaded around the players."""
+    """Keeps the world loaded around the players.
+
+    ``storage`` is the server's persistent store: a missing chunk is read
+    from it when it holds the chunk's key, and dirty chunks are written back
+    to it on eviction and by :meth:`persist_dirty`.
+    """
 
     def __init__(
         self,
@@ -198,12 +203,11 @@ class ChunkManager:
         world: VoxelWorld,
         generator: TerrainGenerator,
         provider: TerrainProvider,
-        storage: Optional[StorageBackend] = None,
+        storage: StorageBackend,
         view_distance_blocks: float = 128.0,
         unload_margin_blocks: float = 64.0,
         max_integrations_per_tick: int = 8,
         eviction_interval_ticks: int = 40,
-        persist_on_evict: bool = True,
         region: Optional[OwnershipRegion] = None,
     ) -> None:
         self.engine = engine
@@ -215,7 +219,6 @@ class ChunkManager:
         self.unload_margin_blocks = float(unload_margin_blocks)
         self.max_integrations_per_tick = int(max_integrations_per_tick)
         self.eviction_interval_ticks = int(eviction_interval_ticks)
-        self.persist_on_evict = persist_on_evict
         self.region = region
         self._view_radius_chunks = int(math.ceil(self.view_distance_blocks / CHUNK_SIZE))
         self._keep_radius_chunks = int(
@@ -323,7 +326,7 @@ class ChunkManager:
     def _request_chunk(self, position: ChunkPos) -> None:
         self._pending.add(position)
         key = position.key()
-        if self.storage is not None and self.storage.exists(key):
+        if self.storage.exists(key):
             operation = self.storage.read(key)
             completion_ms = self.engine.now_ms + operation.latency_ms
 
@@ -504,7 +507,7 @@ class ChunkManager:
             if position in self._chunk_refcounts:
                 self._unavailable.add(position)
             evicted += 1
-            if self.persist_on_evict and self.storage is not None and chunk.dirty:
+            if chunk.dirty:
                 self.storage.write(position.key(), chunk_to_bytes(chunk))
         return evicted
 
@@ -572,8 +575,6 @@ class ChunkManager:
 
     def persist_dirty(self) -> int:
         """Write every dirty loaded chunk to storage (periodic write-back)."""
-        if self.storage is None:
-            return 0
         written = 0
         for chunk in self.world.dirty_chunks():
             self.storage.write(chunk.position.key(), chunk_to_bytes(chunk))

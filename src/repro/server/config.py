@@ -30,9 +30,6 @@ class GameConfig:
     persistence_interval_s: float = 30.0
     #: maximum number of chunks integrated into the world per tick
     max_chunk_integrations_per_tick: int = 8
-    #: retain only the newest N tick/migration records (None = unbounded, the
-    #: historical behaviour); run-wide summaries stay exact either way
-    tick_record_cap: Optional[int] = None
     #: area-of-interest radius in chunks around each player's avatar; ``None``
     #: or 0 keeps the paper's full fan-out broadcast (bit-identical to the
     #: pre-interest behaviour)
@@ -56,8 +53,6 @@ class GameConfig:
             raise ValueError(f"unknown world type {self.world_type!r}")
         if self.max_chunk_integrations_per_tick < 1:
             raise ValueError("max_chunk_integrations_per_tick must be at least 1")
-        if self.tick_record_cap is not None and self.tick_record_cap < 1:
-            raise ValueError("tick_record_cap must be at least 1 (or None)")
         if self.interest_radius_chunks is not None and self.interest_radius_chunks < 0:
             raise ValueError("interest_radius_chunks must be non-negative (or None)")
         if self.interest_near_radius_chunks < 0:

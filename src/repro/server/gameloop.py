@@ -18,7 +18,6 @@ from typing import Callable, Iterator, Optional
 from repro.constructs.circuit import SimulatedConstruct
 from repro.interest import InterestMap
 from repro.net.message import Message, MessageKind
-from repro.obs.records import RecordRing
 from repro.server.broadcast import FullFanout
 from repro.server.chunkmanager import ChunkManager, ChunkTickReport, OwnershipRegion
 from repro.server.config import GameConfig
@@ -74,14 +73,13 @@ class TickLoop:
     """Run-loop helpers shared by single servers and cluster coordinators.
 
     Subclasses provide ``tick()``, an ``engine`` and an append-only
-    ``tick_records`` store (a :class:`~repro.obs.records.RecordRing`, list-
-    compatible and optionally capped); the helpers drive ticks and invoke the
-    optional ``before_tick(host, tick_index)`` workload callback before each
-    one.
+    ``tick_records`` list (record ``i`` is tick ``i``); the helpers drive
+    ticks and invoke the optional ``before_tick(host, tick_index)`` workload
+    callback before each one.
     """
 
     engine: SimulationEngine
-    tick_records: RecordRing
+    tick_records: list[TickRecord]
 
     def tick(self) -> TickRecord:
         raise NotImplementedError
@@ -136,7 +134,7 @@ class GameServer(TickLoop):
         construct_backend: ConstructBackend,
         cost_model: TickCostModel,
         broadcast: FullFanout | InterestMap,
-        storage: Optional[StorageBackend] = None,
+        storage: StorageBackend,
         name: str = "server",
         runtime: Optional[ServerRuntime] = None,
         region: Optional[OwnershipRegion] = None,
@@ -181,11 +179,7 @@ class GameServer(TickLoop):
         self._last_persist_ms = 0.0
         #: hooks called at the start of every tick (used by Servo services)
         self.pre_tick_hooks: list[Callable[[int], None]] = []
-        self.tick_records = RecordRing(
-            cap=config.tick_record_cap,
-            duration_of="duration_ms",
-            budget_ms=config.tick_interval_ms,
-        )
+        self.tick_records: list[TickRecord] = []
         #: lossy client-message channel, set when a fault plan has net faults
         self.message_channel = None
         #: graceful-degradation controller, set when a fault plan enables it
@@ -242,7 +236,7 @@ class GameServer(TickLoop):
             session.attach_channel(self.message_channel)
         self.sessions[player_id] = session
         self.stats.players_connected_total += 1
-        if self.storage is not None and restore:
+        if restore:
             # Player data is loaded from persistent storage on connect (Figure 3).
             key = f"player_{player_name}"
             if self.storage.exists(key):
@@ -264,9 +258,8 @@ class GameServer(TickLoop):
         """Disconnect a player, persisting their state (unless ``persist=False``).
 
         Returns the storage write that saved the player's state, or ``None``
-        when the server has no storage or persistence was skipped (a cluster
-        migration serializes the state through the shared session store
-        instead).
+        when persistence was skipped (a cluster migration serializes the
+        state through the shared session store instead).
         """
         session = self.sessions.pop(player_id, None)
         if session is None:
@@ -275,7 +268,7 @@ class GameServer(TickLoop):
         self.broadcast.leave(session)
         self._pending_messages.pop(player_id, None)
         operation = None
-        if persist and self.storage is not None:
+        if persist:
             operation = self.storage.write(f"player_{session.name}", snapshot_session(session))
             self.engine.metrics.histogram("player_save_ms").record(operation.latency_ms)
         self.chunks.forget_player(player_id)
@@ -499,10 +492,7 @@ class GameServer(TickLoop):
         self.broadcast.broadcast(self, work)
 
         # 5. Periodic persistence (off the critical path).
-        if (
-            self.storage is not None
-            and (start_ms - self._last_persist_ms) >= self.config.persistence_interval_s * 1000.0
-        ):
+        if (start_ms - self._last_persist_ms) >= self.config.persistence_interval_s * 1000.0:
             self.chunks.persist_dirty()
             self._last_persist_ms = start_ms
 
@@ -578,10 +568,3 @@ class GameServer(TickLoop):
 
     def tick_durations_ms(self) -> list[float]:
         return [record.duration_ms for record in self.tick_records]
-
-    def fraction_of_ticks_over_budget(self, budget_ms: float = 50.0) -> float:
-        if len(self.tick_records) == 0:
-            raise ValueError("no ticks have been executed yet")
-        # The ring answers exactly while uncapped (the default) and from its
-        # incremental counter once capped runs start evicting records.
-        return self.tick_records.over_budget_fraction(budget_ms)

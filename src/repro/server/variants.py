@@ -20,18 +20,9 @@ from repro.sim.engine import SimulationEngine
 
 
 def _make_local_server(
-    engine: SimulationEngine,
-    config: GameConfig,
-    cost_model: TickCostModel,
-    name: str,
-    generation_workers: int,
+    engine: SimulationEngine, config: GameConfig, cost_model: TickCostModel, name: str
 ) -> GameServer:
-    return (
-        ServerBuilder(engine, config, name=name)
-        .with_cost_model(cost_model)
-        .with_generation_workers(generation_workers)
-        .build()
-    )
+    return ServerBuilder(engine, config, name=name).with_cost_model(cost_model).build()
 
 
 @register_host("opencraft")
@@ -42,7 +33,6 @@ def make_opencraft(engine: SimulationEngine, config: GameConfig | None = None) -
         config=config or GameConfig(),
         cost_model=OPENCRAFT_COST_MODEL,
         name="opencraft",
-        generation_workers=2,
     )
 
 
@@ -54,5 +44,4 @@ def make_minecraft(engine: SimulationEngine, config: GameConfig | None = None) -
         config=config or GameConfig(),
         cost_model=MINECRAFT_COST_MODEL,
         name="minecraft",
-        generation_workers=2,
     )

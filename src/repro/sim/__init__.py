@@ -7,8 +7,8 @@ Everything in the reproduction runs on *virtual* time.  The substrate provides:
 * :class:`~repro.sim.events.EventQueue` — a priority queue of timed callbacks.
 * :class:`~repro.sim.engine.SimulationEngine` — clock + queue + RNG streams.
 * :mod:`repro.sim.rng` — named, reproducible random streams.
-* :mod:`repro.sim.latency` — latency distribution models (lognormal, shifted
-  exponential, empirical) and a cold-start process.
+* :mod:`repro.sim.latency` — latency distribution models (constant,
+  lognormal, mixture).
 * :mod:`repro.sim.metrics` — histograms, time series, percentile/boxplot/ICDF
   helpers used by every experiment.
 """
@@ -16,14 +16,7 @@ Everything in the reproduction runs on *virtual* time.  The substrate provides:
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event, EventQueue
-from repro.sim.latency import (
-    ColdStartModel,
-    ConstantLatency,
-    EmpiricalLatency,
-    LatencyModel,
-    LogNormalLatency,
-    ShiftedExponentialLatency,
-)
+from repro.sim.latency import ConstantLatency, LatencyModel, LogNormalLatency
 from repro.sim.metrics import (
     Histogram,
     MetricRegistry,
@@ -42,9 +35,6 @@ __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "LogNormalLatency",
-    "ShiftedExponentialLatency",
-    "EmpiricalLatency",
-    "ColdStartModel",
     "Histogram",
     "TimeSeries",
     "MetricRegistry",

@@ -263,22 +263,23 @@ class Histogram:
 class TimeSeries:
     """Timestamped samples, e.g. tick duration over time (Figure 10/12).
 
-    Timestamps recorded in non-decreasing order (the only pattern the
-    simulation produces) are answered with ``searchsorted`` slices; if a
-    caller ever records out of order, queries fall back to the original
-    linear scan, so results never change.
+    Timestamps must be recorded in non-decreasing order (virtual time never
+    runs backwards), so window and rolling queries are ``searchsorted``
+    slices; :meth:`record` rejects an earlier timestamp.
     """
 
     name: str = ""
     _times: _FloatBuffer = field(default_factory=_FloatBuffer)
     _values: _FloatBuffer = field(default_factory=_FloatBuffer)
-    _monotonic: bool = True
     _last_time_ms: float = float("-inf")
 
     def record(self, time_ms: float, value: float) -> None:
         time_ms = float(time_ms)
         if time_ms < self._last_time_ms:
-            self._monotonic = False
+            raise ValueError(
+                f"series {self.name!r}: timestamp {time_ms!r} ms is earlier than "
+                f"the last recorded {self._last_time_ms!r} ms"
+            )
         self._last_time_ms = time_ms
         self._times.append(time_ms)
         self._values.append(float(value))
@@ -302,13 +303,7 @@ class TimeSeries:
 
     def window(self, start_ms: float, end_ms: float) -> list[float]:
         """Values whose timestamp falls in [start_ms, end_ms)."""
-        if self._monotonic:
-            return self._window_slice(start_ms, end_ms).tolist()
-        return [
-            v
-            for t, v in zip(self._times.view(), self._values.view())
-            if start_ms <= t < end_ms
-        ]
+        return self._window_slice(start_ms, end_ms).tolist()
 
     def rolling(self, window_ms: float, step_ms: float | None = None) -> list[tuple[float, float, float, float]]:
         """Rolling (time, mean, p5, p95) tuples over ``window_ms`` windows.
@@ -320,19 +315,12 @@ class TimeSeries:
             return []
         step = float(step_ms if step_ms is not None else window_ms)
         times = self._times.view()
-        if self._monotonic:
-            start = float(times[0])
-            end = float(times[-1])
-        else:
-            start = float(times.min())
-            end = float(times.max())
+        start = float(times[0])
+        end = float(times[-1])
         out: list[tuple[float, float, float, float]] = []
         t = start
         while t <= end + 1e-9:
-            if self._monotonic:
-                window = self._window_slice(t, t + window_ms)
-            else:
-                window = np.asarray(self.window(t, t + window_ms))
+            window = self._window_slice(t, t + window_ms)
             if window.size:
                 out.append(
                     (
@@ -348,7 +336,6 @@ class TimeSeries:
     def clear(self) -> None:
         self._times.clear()
         self._values.clear()
-        self._monotonic = True
         self._last_time_ms = float("-inf")
 
 

@@ -55,25 +55,7 @@ _STATEFUL_TYPES = frozenset(
     }
 )
 
-_SOLID_TYPES = frozenset(
-    {
-        BlockType.STONE,
-        BlockType.DIRT,
-        BlockType.GRASS,
-        BlockType.SAND,
-        BlockType.WOOD,
-        BlockType.BEDROCK,
-        BlockType.SNOW,
-        BlockType.GRAVEL,
-    }
-)
-
 
 def is_stateful(block_type: BlockType) -> bool:
     """True if the block type carries internal state (is part of an SC)."""
     return block_type in _STATEFUL_TYPES
-
-
-def is_solid(block_type: BlockType) -> bool:
-    """True for opaque terrain blocks avatars cannot walk through."""
-    return block_type in _SOLID_TYPES

@@ -54,8 +54,3 @@ def chunk_from_bytes(data: bytes) -> Chunk:
         )
     blocks = blocks.reshape((CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE)).copy()
     return Chunk(position=ChunkPos(cx, cz), blocks=blocks, generated_by="storage")
-
-
-def serialized_size_bytes(chunk: Chunk) -> int:
-    """Size of the chunk's storage representation in bytes."""
-    return len(chunk_to_bytes(chunk))

@@ -84,6 +84,40 @@ def test_validation_rejects(mutation, fragment):
     assert fragment in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "section, overrides, fragment",
+    [
+        ("game_config", {"world_type": "lava"}, "unknown world type 'lava'"),
+        ("game_config", {"simulation_rate_hz": -1}, "simulation_rate_hz must be positive"),
+        ("servo_config", {"provider": "gcp"}, "unknown provider 'gcp'"),
+        ("servo_config", {"tick_lead": -3}, "tick_lead must be non-negative"),
+        ("game_config", {"spawn_position": [1, 2]}, "spawn_position must be three integers"),
+        ("game_config", {"spawn_position": [1.5, 70, 3]}, "spawn_position must be three integers"),
+        ("game_config", {"spawn_position": [True, 70, 3]}, "spawn_position must be three integers"),
+        ("game_config", {"spawn_position": "1,70,3"}, "spawn_position must be three integers"),
+    ],
+)
+def test_config_values_are_checked_when_the_spec_is_built(section, overrides, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        RunSpec.from_dict({**TINY_SPEC, "host": {"game": "servo", section: overrides}})
+    with pytest.raises(ValueError, match=fragment):
+        HostSpec(game="servo", **{section: overrides})
+
+
+@pytest.mark.parametrize(
+    "section, knob",
+    [
+        ("game_config", "tick_record_cap"),
+        ("servo_config", "enable_cache"),
+        ("servo_config", "enable_loop_detection"),
+    ],
+)
+def test_removed_switches_are_unknown_keys(section, knob):
+    with pytest.raises(ValueError, match=rf"unknown {section} key\(s\) \['{knob}'\]") as excinfo:
+        RunSpec.from_dict({**TINY_SPEC, "host": {"game": "servo", section: {knob: 1}}})
+    assert "allowed keys: [" in str(excinfo.value)
+
+
 def test_missing_sections_rejected():
     with pytest.raises(ValueError, match="requires a 'host'"):
         RunSpec.from_dict({"workload": {"scenario": "sinc"}})
@@ -110,11 +144,10 @@ def test_programmatic_construction_is_validated_too():
 
 
 def test_config_overrides_materialise():
-    config = game_config_from_overrides(
-        {"world_type": "flat", "spawn_position": [1, 70, -3]}
-    )
-    assert config.world_type == "flat"
-    assert config.spawn_position == BlockPos(1, 70, -3)
+    for spawn in ([1, 70, -3], (1, 70, -3), BlockPos(1, 70, -3)):
+        config = game_config_from_overrides({"world_type": "flat", "spawn_position": spawn})
+        assert config.world_type == "flat"
+        assert config.spawn_position == BlockPos(1, 70, -3)
     servo = servo_config_from_overrides({"provider": "azure", "tick_lead": 5})
     assert servo.provider == "azure" and servo.tick_lead == 5
 

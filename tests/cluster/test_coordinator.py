@@ -29,6 +29,8 @@ def test_cluster_requires_matching_shard_and_zone_counts(engine):
             shards=cluster.shards,
             partitioner=WorldPartitioner(3),
             config=cluster.config,
+            session_store=cluster.session_store,
+            shard_factory=cluster.shard_factory,
         )
 
 
@@ -41,6 +43,19 @@ def test_players_are_spread_across_shards(engine):
     # Player ids are unique across the whole cluster.
     ids = [proxy.player_id for proxy in cluster.sessions.values()]
     assert len(set(ids)) == 8
+
+
+def test_every_fourth_player_spawns_at_a_zone_boundary(engine):
+    cluster = make_cluster(engine, shards=3)
+    sessions = [cluster.connect_player(f"bot-{index}") for index in range(8)]
+    base = cluster.config.spawn_position
+    partitioner = cluster.partitioner
+    assert sessions[3].avatar.position == partitioner.boundary_spawn(0, base)
+    assert sessions[7].avatar.position == partitioner.boundary_spawn(1, base)
+    others = [session for index, session in enumerate(sessions) if index % 4 != 3]
+    assert [session.avatar.position for session in others] == [
+        partitioner.zone_spawn(zone % 3, base) for zone in range(len(others))
+    ]
 
 
 def test_lockstep_round_advances_clock_once_by_the_slowest_shard(engine):

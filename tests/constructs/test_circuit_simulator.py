@@ -100,7 +100,7 @@ def test_simulator_run_collects_trace_and_counts_work():
     trace = simulator.run(construct, steps=10)
     assert trace.steps == 10
     assert trace.cell_updates == 10 * construct.block_count
-    assert trace.final_state().step == construct.step
+    assert trace.states[-1].step == construct.step
 
 
 def test_clone_construct_preserves_identity_and_state():

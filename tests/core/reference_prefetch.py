@@ -43,8 +43,6 @@ def plan(policy, avatar_positions):
 
 def prefetch_for_avatars(service, avatars):
     """The old evaluation, run against ``service``'s own cache, blob and metrics."""
-    if not service.enable_cache:
-        return 0
     if service.remote.object_count == 0:
         return 0
     required, prefetch = plan(service.policy, [avatar.position for avatar in avatars])

@@ -116,6 +116,26 @@ def test_servo_cost_accounting_is_exposed(engine):
     assert runtime.cost_per_hour_usd(window_ms) > 0
 
 
+def test_servo_storage_goes_through_its_cache_and_prefetches(engine):
+    from repro.world.coords import ChunkPos
+
+    server = build_servo_server(engine, GameConfig(world_type="flat"))
+    storage = server.runtime.storage
+    assert server.storage is storage
+    # Terrain persisted earlier sits in the blob store, not in the cache.
+    for cx in range(-12, 13):
+        storage.remote.write(ChunkPos(cx, 0).key(), b"chunk")
+    server.connect_player()
+    server.tick()  # tick 0 runs the prefetch hook
+    assert engine.metrics.counter("prefetched_objects") > 0
+    assert storage.cache.is_cached(ChunkPos(11, 0).key())
+    # A write lands in the cache and reaches the blob store on flush.
+    storage.write("meta", b"x")
+    assert not storage.remote.exists("meta")
+    storage.flush()
+    assert storage.remote.exists("meta")
+
+
 def test_servo_prefetch_hook_runs_only_on_configured_interval(engine):
     config = ServoConfig(prefetch_interval_ticks=4)
     server = build_servo_server(engine, GameConfig(world_type="flat"), config)

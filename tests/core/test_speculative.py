@@ -88,6 +88,26 @@ def test_looping_construct_needs_only_one_invocation(engine):
     assert engine.metrics.counter("loops_detected") == 1
 
 
+def test_every_offload_request_asks_for_loop_detection(engine):
+    platform = FaasPlatform(engine, provider=AWS_LAMBDA)
+    inner = make_simulation_handler()
+    requests = []
+
+    def handler(request):
+        requests.append(request)
+        return inner(request)
+
+    platform.register(
+        FunctionDefinition(name=SC_SIMULATION_FUNCTION, handler=handler, memory_mb=1769)
+    )
+    config = ServoConfig(steps_per_invocation=20, tick_lead=5)
+    backend = SpeculativeConstructBackend(engine, platform, config)
+    backend.register_construct(build_counter_farm(hoppers=2))
+    run_ticks(engine, backend, 120)
+    assert len(requests) > 1  # the first request and its follow-ups
+    assert all(request.detect_loops for request in requests)
+
+
 def test_aperiodic_construct_reinvokes_with_tick_lead(engine):
     config = ServoConfig(steps_per_invocation=50, tick_lead=10)
     backend, platform = make_backend(engine, config)

@@ -84,7 +84,7 @@ def test_serverless_provider_scales_with_concurrent_requests(engine):
     assert max(result.latency_ms for result in delivered) < 15_000.0
 
 
-def make_storage_service(engine, enable_cache=True):
+def make_storage_service(engine):
     blob = BlobStorage(rng=engine.rng("blob"), profile=AZURE_BLOB_STANDARD)
     service = ServoStorageService(
         engine=engine,
@@ -92,7 +92,6 @@ def make_storage_service(engine, enable_cache=True):
         view_distance_blocks=64.0,
         prefetch_margin_blocks=32.0,
         cache_capacity_objects=512,
-        enable_cache=enable_cache,
     )
     return service, blob
 
@@ -137,12 +136,3 @@ def test_storage_service_flush_writes_back_dirty_objects(engine):
     assert not blob.exists("chunk_1_1")
     assert service.flush() == 1
     assert blob.exists("chunk_1_1")
-
-
-def test_storage_service_without_cache_hits_remote_directly(engine):
-    service, blob = make_storage_service(engine, enable_cache=False)
-    blob.write("key", b"x")
-    operation = service.read("key")
-    assert operation.hit is True  # raw blob reads are not cache operations
-    assert service.prefetch_for_avatars([]) == 0
-    assert service.flush() == 0

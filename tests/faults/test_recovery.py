@@ -52,6 +52,20 @@ def test_killed_shard_recovers_every_session(engine):
     assert engine.metrics.counter("sessions_recovered") == len(on_zero)
 
 
+def test_evacuated_sessions_round_trip_through_the_session_store(engine):
+    cluster = make_cluster(engine)
+    install_faults(cluster, kill_plan(at_ms=200.0, shard=0))
+    for index in range(4):
+        cluster.connect_player(f"bot-{index}")
+    stranded = [p for p in cluster.sessions.values() if p.shard_index == 0]
+    stranded[0].chat("before the crash")
+    run_rounds(cluster, 40)
+    assert cluster.recovery_records[0].sessions_recovered == len(stranded)
+    for proxy in stranded:
+        assert cluster.session_store.exists(f"session_{proxy.name}")
+    assert stranded[0].avatar.chat_messages_sent == 1
+
+
 def test_downtime_accumulates_lost_player_ticks(engine):
     cluster = make_cluster(engine)
     install_faults(cluster, kill_plan(at_ms=100.0, shard=0, respawn_after_ms=1000.0))
@@ -134,12 +148,14 @@ def test_two_same_seed_chaos_runs_are_bit_identical():
 def test_kills_without_a_shard_factory_are_rejected(engine):
     from repro.cluster import ClusterCoordinator, WorldPartitioner
 
+    # A cluster cannot exist without a shard factory, so every cluster a
+    # kill plan is installed on can respawn the shard it kills.
     cluster = make_cluster(engine)
-    bare = ClusterCoordinator(
-        engine=engine,
-        shards=cluster.shards,
-        partitioner=WorldPartitioner(2),
-        config=cluster.config,
-    )
-    with pytest.raises(ValueError):
-        install_faults(bare, kill_plan(at_ms=100.0))
+    with pytest.raises(TypeError, match="shard_factory"):
+        ClusterCoordinator(
+            engine=engine,
+            shards=cluster.shards,
+            partitioner=WorldPartitioner(2),
+            config=cluster.config,
+            session_store=cluster.session_store,
+        )

@@ -4,8 +4,8 @@ import pytest
 
 from repro.server.chunkmanager import ChunkManager, LocalTerrainProvider
 from repro.server.entities import Avatar
-from repro.sim import SimulationEngine
 from repro.storage.local import LocalDiskStorage
+from repro.world.block import BlockType
 from repro.world.coords import BlockPos, ChunkPos
 from repro.world.serialization import chunk_to_bytes
 from repro.world.terrain import FlatTerrainGenerator
@@ -13,6 +13,7 @@ from repro.world.world import VoxelWorld
 
 
 def make_manager(engine, storage=None, view_distance=48.0, workers=2):
+    storage = storage or LocalDiskStorage(rng=engine.rng("disk"))
     generator = FlatTerrainGenerator(seed=1)
     world = VoxelWorld()
     provider = LocalTerrainProvider(engine, generator, workers=workers, work_ms=100.0)
@@ -140,6 +141,26 @@ def test_eviction_removes_far_chunks_and_persists_dirty_ones(engine):
     assert not world.is_loaded(ChunkPos(0, 0))
 
 
+def test_an_evicted_edit_comes_back_from_storage(engine):
+    manager, world, _ = make_manager(engine, view_distance=32.0)
+    manager.preload_area(BlockPos(0, 65, 0), 48.0)
+    edited = BlockPos(3, 90, 3)
+    world.set_block(edited, BlockType.STONE)
+    away = avatar_at(2000, 2000)
+    manager.update([away], [away])
+    for _ in range(manager.eviction_interval_ticks):
+        manager.update([away], [])
+    assert not world.is_loaded(ChunkPos(0, 0))
+    # The player returns: the chunk is read back, edit included, not regenerated.
+    home = avatar_at(0, 0)
+    manager.update([home], [home])
+    for _ in range(10):
+        engine.advance_by(1_000.0)
+        manager.update([home], [])
+    assert engine.metrics.counter("chunks_loaded_from_storage") >= 1
+    assert world.get_block(edited) == BlockType.STONE
+
+
 def test_a_protected_chunk_far_from_every_player_survives_eviction(engine):
     manager, world, _ = make_manager(engine, view_distance=32.0)
     manager.preload_area(BlockPos(0, 65, 0), 16.0)
@@ -170,9 +191,9 @@ def test_persist_dirty_writes_every_dirty_chunk(engine):
     written = manager.persist_dirty()
     assert written == world.loaded_chunk_count
     assert all(not chunk.dirty for chunk in world)
-    # Without storage the call is a no-op.
-    manager_no_storage, world2, _ = make_manager(SimulationEngine(seed=2))
-    assert manager_no_storage.persist_dirty() == 0
+    assert all(storage.exists(chunk.position.key()) for chunk in world)
+    # Nothing is dirty any more, so a second write-back writes nothing.
+    assert manager.persist_dirty() == 0
 
 
 def test_local_provider_throughput_is_limited_by_workers(engine):
@@ -243,6 +264,7 @@ def test_ownership_region_filters_loading_and_preload(engine):
         world=world,
         generator=generator,
         provider=provider,
+        storage=LocalDiskStorage(rng=engine.rng("disk")),
         view_distance_blocks=48.0,
         region=_StripRegion(),
     )

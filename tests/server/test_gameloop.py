@@ -6,6 +6,7 @@ from repro.constructs.library import build_wire_line, standard_construct
 from repro.net.message import Message, MessageKind
 from repro.server import GameConfig, make_minecraft, make_opencraft
 from repro.sim import SimulationEngine
+from repro.sim.metrics import fraction_exceeding
 from repro.world.block import BlockType
 from repro.world.coords import BlockPos
 
@@ -130,7 +131,7 @@ def test_tick_metrics_are_recorded(opencraft, engine):
     opencraft.run_ticks(10)
     assert len(engine.metrics.histogram("tick_duration_ms")) == 10
     assert len(engine.metrics.series("tick_duration_over_time")) == 10
-    assert opencraft.fraction_of_ticks_over_budget() >= 0.0
+    assert fraction_exceeding(opencraft.tick_durations_ms(), 50.0) >= 0.0
 
 
 def test_player_data_is_persisted_and_loaded(engine):
@@ -177,6 +178,24 @@ def test_a_reconnecting_player_is_subscribed_where_its_stored_position_puts_it(e
     assert server.interest.subscription(back.player_id).center == (6, 0)
     assert server.interest.verify_index()
     assert server.chunks.verify_views([back.avatar])
+
+
+def test_every_server_writes_dirty_terrain_back_on_the_persistence_interval(engine):
+    from repro.storage.local import LocalDiskStorage
+    from repro.world.coords import block_to_chunk
+
+    server = make_opencraft(engine, GameConfig(world_type="flat", persistence_interval_s=1.0))
+    assert isinstance(server.storage, LocalDiskStorage)
+    assert server.chunks.storage is server.storage
+    server.chunks.preload_area(server.config.spawn_position, 32.0)
+    edited = BlockPos(9, 90, 9)
+    server.world.set_block(edited, BlockType.STONE)
+    key = block_to_chunk(edited).key()
+    server.run_ticks(10)  # 0.5 s: not yet due
+    assert not server.storage.exists(key)
+    server.run_ticks(15)
+    assert server.storage.exists(key)
+    assert not server.world.get_chunk(block_to_chunk(edited)).dirty
 
 
 def test_disconnect_with_persist_disabled_skips_the_storage_write(engine):
@@ -251,4 +270,4 @@ def test_minecraft_variant_uses_its_own_cost_model():
 
 def test_fraction_over_budget_requires_ticks(opencraft):
     with pytest.raises(ValueError):
-        opencraft.fraction_of_ticks_over_budget()
+        fraction_exceeding(opencraft.tick_durations_ms(), 50.0)

@@ -123,26 +123,22 @@ def test_time_series_window_half_open_semantics():
     assert series.window(450.0, 500.0) == [9.0]
 
 
-def test_time_series_with_out_of_order_times_falls_back_to_scan():
-    series = TimeSeries(name="ooo")
-    points = [(100.0, 1.0), (50.0, 2.0), (150.0, 3.0), (25.0, 4.0)]
-    for t, v in points:
-        series.record(t, v)
-    times = [t for t, _ in points]
-    values = [v for _, v in points]
-    assert series.window(30.0, 120.0) == [
-        v for t, v in points if 30.0 <= t < 120.0
-    ]
-    assert series.rolling(60.0) == reference_rolling(times, values, 60.0)
+def test_time_series_rejects_an_earlier_timestamp():
+    series = TimeSeries(name="tick")
+    series.record(100.0, 1.0)
+    series.record(100.0, 2.0)  # an equal timestamp is fine
+    with pytest.raises(ValueError, match="earlier"):
+        series.record(50.0, 3.0)
+    assert series.times_ms == [100.0, 100.0]
+    assert series.values == [1.0, 2.0]
 
 
 def test_time_series_clear_resets_monotonic_tracking():
     series = TimeSeries(name="tick")
     series.record(100.0, 1.0)
-    series.record(50.0, 2.0)  # out of order
     series.clear()
     assert len(series) == 0
-    series.record(10.0, 1.0)
+    series.record(10.0, 1.0)  # earlier than before the clear: accepted
     series.record(20.0, 2.0)
     assert series.window(0.0, 30.0) == [1.0, 2.0]
 
@@ -187,7 +183,7 @@ def test_histogram_summaries_match_reference_for_any_samples(samples):
         ),
         min_size=1,
         max_size=120,
-    ),
+    ).map(lambda points: sorted(points, key=lambda point: point[0])),
     st.floats(min_value=25.0, max_value=1e4, allow_nan=False),
 )
 def test_time_series_rolling_matches_reference_for_any_recording(points, window_ms):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.world.block import BlockType, is_solid, is_stateful
+from repro.world.block import BlockType, is_stateful
 from repro.world.chunk import CHUNK_HEIGHT, Chunk
 from repro.world.coords import BlockPos, ChunkPos
 from repro.world.world import ChunkNotLoadedError, VoxelWorld
@@ -13,8 +13,6 @@ def test_block_type_statefulness():
     assert is_stateful(BlockType.WIRE)
     assert is_stateful(BlockType.LAMP)
     assert not is_stateful(BlockType.STONE)
-    assert is_solid(BlockType.STONE)
-    assert not is_solid(BlockType.AIR)
 
 
 def test_chunk_get_set_block_round_trip():

@@ -11,7 +11,6 @@ from repro.world.serialization import (
     ChunkFormatError,
     chunk_from_bytes,
     chunk_to_bytes,
-    serialized_size_bytes,
 )
 from repro.world.terrain import (
     DefaultTerrainGenerator,
@@ -97,7 +96,6 @@ def test_chunk_serialization_round_trip():
     restored = chunk_from_bytes(data)
     assert restored.position == chunk.position
     assert np.array_equal(restored.blocks, chunk.blocks)
-    assert serialized_size_bytes(chunk) == len(data)
 
 
 def test_chunk_deserialization_rejects_garbage():
