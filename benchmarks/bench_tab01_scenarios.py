@@ -20,7 +20,7 @@ def _run_iv_b_scaled():
         scenario = scenario_for("IV-B")
         scaled = type(scenario)(
             name=scenario.name, players=20, behavior_code=scenario.behavior_code,
-            world_type=scenario.world_type, constructs=25, duration_s=6.0,
+            constructs=25, duration_s=6.0,
         )
         results[game] = scaled.run(server)
     return results

@@ -10,7 +10,8 @@ store:
   per-shard ownership regions derived from them.
 * :mod:`repro.cluster.coordinator` — virtual-time lockstep ticking of all
   shards and the player-migration protocol (session state serialized through
-  the shared storage service when an avatar crosses a zone boundary).
+  the shared storage service, and the player's one session moved to the
+  owning shard, when an avatar crosses a zone boundary).
 * :mod:`repro.cluster.assembly` — cluster construction for the Servo and
   Opencraft variants, built from the same :class:`~repro.server.ServerBuilder`
   parts as the single-server stack.
@@ -21,12 +22,7 @@ from repro.cluster.assembly import (
     build_opencraft_cluster,
     build_servo_cluster,
 )
-from repro.cluster.coordinator import (
-    ClusterChunks,
-    ClusterCoordinator,
-    ClusterSession,
-    MigrationRecord,
-)
+from repro.cluster.coordinator import ClusterChunks, ClusterCoordinator, MigrationRecord
 from repro.cluster.partition import WorldPartitioner, ZoneRegion
 
 __all__ = [
@@ -34,7 +30,6 @@ __all__ = [
     "ZoneRegion",
     "ClusterChunks",
     "ClusterCoordinator",
-    "ClusterSession",
     "MigrationRecord",
     "build_servo_cluster",
     "build_opencraft_cluster",

@@ -5,8 +5,10 @@ that share one :class:`~repro.sim.SimulationEngine` (and, for Servo, one FaaS
 platform and blob store).  It presents the same driving surface as a single
 server — ``connect_player``, ``place_construct``, ``run_for_seconds``,
 ``tick_records`` — so workloads and scenarios address the cluster exactly as
-they address one server; which shard serves a player is an implementation
-detail hidden behind :class:`ClusterSession`.
+they address one server.  A player has one :class:`PlayerSession` for its
+whole life; which shard serves it is recorded in :attr:`ClusterCoordinator.home`,
+and a handoff moves that same session object from shard to shard, so a
+client holding it never observes the migration.
 
 Each cluster *round* ticks every shard at the same virtual start time and
 then advances the shared clock once by the slowest shard's duration: the
@@ -15,7 +17,7 @@ tick time.  After the shards tick, avatars that crossed a zone boundary are
 handed off to the owning shard: the session state is serialized through the
 shared session store (write on the source, read on the target), the measured
 storage latencies are recorded in the ``migration_ms`` histogram, and the
-player keeps its id, avatar state and pending messages across the handoff.
+target adopts the session the source released, queued messages included.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import ShardKill
 from repro.cluster.partition import WorldPartitioner
 from repro.constructs.circuit import SimulatedConstruct
-from repro.net.message import Message
 from repro.server.config import GameConfig
 from repro.server.gameloop import GameServer, TickLoop, TickRecord
 from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
@@ -86,52 +87,6 @@ class MigrationRecord:
     latency_ms: float
 
 
-class ClusterSession:
-    """A stable client-facing session handle that survives shard handoffs.
-
-    Bots (and real clients) hold one of these; the coordinator rebinds it to
-    a new shard-local :class:`PlayerSession` whenever the player migrates, so
-    the client never observes the handoff beyond the recorded latency.
-    """
-
-    def __init__(self, session: PlayerSession, shard_index: int) -> None:
-        self.player_id = session.player_id
-        self.name = session.name
-        self.shard_index = shard_index
-        self.migrations = 0
-        self._session = session
-        self._disconnected = False
-        #: updates sent through sessions retired by earlier migrations
-        self._updates_sent_before = 0
-
-    @property
-    def avatar(self):
-        return self._session.avatar
-
-    @property
-    def disconnected(self) -> bool:
-        return self._disconnected
-
-    @property
-    def updates_sent(self) -> int:
-        return self._updates_sent_before + self._session.updates_sent
-
-    def enqueue(self, message: Message) -> None:
-        self._session.enqueue(message)
-
-    def move(self, x: int, y: int, z: int) -> None:
-        self._session.move(x, y, z)
-
-    def chat(self, text: str) -> None:
-        self._session.chat(text)
-
-    def _rebind(self, session: PlayerSession, shard_index: int) -> None:
-        self._updates_sent_before += self._session.updates_sent
-        self._session = session
-        self.shard_index = shard_index
-        self.migrations += 1
-
-
 class ClusterChunks:
     """Chunk-management facade so scenarios can preload a cluster's world."""
 
@@ -150,10 +105,6 @@ class ClusterChunks:
             for point in points:
                 loaded += shard.chunks.preload_area(point, radius_blocks)
         return loaded
-
-    @property
-    def pending_chunks(self) -> int:
-        return sum(shard.chunks.pending_chunks for shard in self._coordinator.shards)
 
 
 class ClusterCoordinator(TickLoop):
@@ -180,7 +131,10 @@ class ClusterCoordinator(TickLoop):
         self.config = config
         self.session_store = session_store
         self.name = name
-        self.sessions: dict[int, ClusterSession] = {}
+        #: every player ever connected, disconnected ones included
+        self.sessions: dict[int, PlayerSession] = {}
+        #: the shard slot serving (or that last served) each player
+        self.home: dict[int, int] = {}
         self.tick_records: list[TickRecord] = []
         self.migration_records: list[MigrationRecord] = []
         self.chunks = ClusterChunks(self)
@@ -247,6 +201,13 @@ class ClusterCoordinator(TickLoop):
     def _shard_alive(self, zone: int) -> bool:
         return zone not in self._dead
 
+    def _sessions_on(self, slot: int) -> list[PlayerSession]:
+        """The connected players whose home is ``slot`` (alive or down), in connect order."""
+        home = self.home
+        return [
+            s for s in self.sessions.values() if not s.disconnected and home[s.player_id] == slot
+        ]
+
     def _next_alive_zone(self, zone: int) -> int:
         """The first alive zone at or after ``zone`` (wrapping)."""
         for offset in range(self.shard_count):
@@ -255,7 +216,7 @@ class ClusterCoordinator(TickLoop):
                 return candidate
         raise RuntimeError("every shard of the cluster is down")
 
-    def connect_player(self, name: str | None = None) -> ClusterSession:
+    def connect_player(self, name: str | None = None) -> PlayerSession:
         """Connect a player to the shard owning its (spread) spawn position.
 
         While a zone's shard is down, players bound for it spawn on the next
@@ -267,16 +228,29 @@ class ClusterCoordinator(TickLoop):
             zone = self._next_alive_zone(zone)
             position = self.partitioner.zone_spawn(zone, self.config.spawn_position)
         session = self.shards[zone].connect_player(name, position=position)
-        proxy = ClusterSession(session, shard_index=zone)
-        self.sessions[proxy.player_id] = proxy
-        return proxy
+        self.sessions[session.player_id] = session
+        self.home[session.player_id] = zone
+        return session
 
     def disconnect_player(self, player_id: int) -> None:
-        proxy = self.sessions.get(player_id)
-        if proxy is None or proxy.disconnected:
+        session = self.sessions.get(player_id)
+        if session is None or session.disconnected:
             raise KeyError(f"no connected player with id {player_id}")
-        self.shards[proxy.shard_index].disconnect_player(player_id)
-        proxy._disconnected = True
+        self.shards[self.home[player_id]].disconnect_player(player_id)
+
+    def verify_sessions(self) -> bool:
+        """True when every session is held where :attr:`home` says (test support).
+
+        A connected session is held by ``shards[home[id]]`` alone, as the same
+        object; a disconnected one by no shard; no shard holds an unknown id.
+        """
+        # Per player: (slot, holds this very object) for every shard holding its id.
+        return all(
+            [(slot, shard.sessions[player_id] is session)
+             for slot, shard in enumerate(self.shards) if player_id in shard.sessions]
+            == ([] if session.disconnected else [(self.home[player_id], True)])
+            for player_id, session in self.sessions.items()
+        ) and all(shard.sessions.keys() <= self.sessions.keys() for shard in self.shards)
 
     # -- constructs ------------------------------------------------------------------
 
@@ -294,50 +268,45 @@ class ClusterCoordinator(TickLoop):
 
     # -- migration -------------------------------------------------------------------
 
-    def _migrate(self, proxy: ClusterSession, target_zone: int) -> None:
-        if proxy.disconnected or proxy._session.disconnected:
+    def _store_round_trip(self, session: PlayerSession) -> tuple[bytes, float]:
+        """Write a snapshot to the session store; the bytes read back, and the latency."""
+        state = snapshot_session(session)
+        key = f"session_{session.name}"
+        write_op = self.session_store.write(key, state)
+        read_op = self.session_store.read(key)
+        return read_op.data or state, write_op.latency_ms + read_op.latency_ms
+
+    def _migrate(self, session: PlayerSession, target_zone: int) -> None:
+        if session.disconnected:
             # The player disconnected under the migration's feet (e.g. between
             # rounds); migrating a dead session would resurrect it on the
             # target shard.
             return
-        source = self.shards[proxy.shard_index]
-        target = self.shards[target_zone]
-        old_session = proxy._session
-        position = old_session.avatar.position
-        pending = old_session.drain()
-        state = snapshot_session(old_session)
-        key = f"session_{proxy.name}"
-
+        player_id = session.player_id
+        source_zone = self.home[player_id]
+        source, target = self.shards[source_zone], self.shards[target_zone]
         # Handoff: serialize through the shared session store; the write on
         # the source and the read on the target are the migration's latency.
-        write_op = self.session_store.write(key, state)
-        read_op = self.session_store.read(key)
-        state = read_op.data or state
-        latency_ms = write_op.latency_ms + read_op.latency_ms
+        state, latency_ms = self._store_round_trip(session)
         # Pending interest deltas travel with the player: export before the
         # source unsubscribes, import after the target re-subscribes, so a
         # far-tier budget already half-spent stays spent across the handoff.
-        broadcast_state = source.broadcast.export_state(proxy.player_id)
-        source.disconnect_player(proxy.player_id, persist=False)
-        session = target.connect_player(
-            proxy.name, position=position, player_id=proxy.player_id, restore=False
-        )
+        broadcast_state = source.broadcast.export_state(player_id)
+        target.adopt(source.release(player_id))
         restore_avatar_state(session.avatar, state, restore_position=False)
-        target.broadcast.import_state(proxy.player_id, broadcast_state)
-        for message in pending:
-            session.enqueue(message)
+        target.broadcast.import_state(player_id, broadcast_state)
+        self.home[player_id] = target_zone
 
         record = MigrationRecord(
             round_index=self.round_index,
             time_ms=self.engine.now_ms,
-            player_id=proxy.player_id,
-            player_name=proxy.name,
-            from_shard=proxy.shard_index,
+            player_id=player_id,
+            player_name=session.name,
+            from_shard=source_zone,
             to_shard=target_zone,
             latency_ms=latency_ms,
         )
         self.migration_records.append(record)
-        proxy._rebind(session, target_zone)
         metrics = self.engine.metrics
         metrics.histogram("migration_ms").record(latency_ms)
         metrics.increment("migrations")
@@ -345,7 +314,7 @@ class ClusterCoordinator(TickLoop):
         if telemetry.enabled:
             telemetry.span(
                 "migration",
-                f"migrate:{proxy.name}",
+                f"migrate:{session.name}",
                 start_ms=record.time_ms,
                 duration_ms=latency_ms,
                 track="migrations",
@@ -357,21 +326,19 @@ class ClusterCoordinator(TickLoop):
                 },
             )
 
-    def _migrate_crossed_players(self) -> int:
-        migrated = 0
-        for proxy in list(self.sessions.values()):
-            if proxy.disconnected or not self._shard_alive(proxy.shard_index):
+    def _migrate_crossed_players(self) -> None:
+        for session in self.sessions.values():
+            home = self.home[session.player_id]
+            if session.disconnected or not self._shard_alive(home):
                 continue
-            target_zone = self.partitioner.zone_of_cx(proxy.avatar.position.x // CHUNK_SIZE)
-            if target_zone != proxy.shard_index:
+            target_zone = self.partitioner.zone_of_cx(session.avatar.position.x // CHUNK_SIZE)
+            if target_zone != home:
                 if not self._shard_alive(target_zone):
                     # The owning shard is down: the player stays where it is
                     # and the handoff is retried once the zone respawns.
                     self.engine.metrics.increment("migrations_deferred")
                     continue
-                self._migrate(proxy, target_zone)
-                migrated += 1
-        return migrated
+                self._migrate(session, target_zone)
 
     @property
     def migration_count(self) -> int:
@@ -453,11 +420,10 @@ class ClusterCoordinator(TickLoop):
         Every session stranded on the dead shard is recovered through the
         same snapshot/restore protocol an ordinary cross-shard migration
         uses: serialize the session, round-trip it through the shared session
-        store, reconnect on the replacement, restore the avatar state, rebind
-        the client-facing proxy.  The zone's constructs are re-registered on
-        the replacement (their state survives in the shared world/blob
-        state); queued-but-unprocessed client messages died with the shard
-        and are counted as lost.
+        store, have the replacement adopt it, restore the avatar state.  The
+        zone's constructs are re-registered on the replacement (their state
+        survives in the shared world/blob state); queued-but-unprocessed
+        client messages died with the shard and are counted as lost.
         """
         del self._dead[slot]
         generation = self._generations[slot] = self._generations.get(slot, 0) + 1
@@ -468,31 +434,19 @@ class ClusterCoordinator(TickLoop):
         replacement.broadcast.record_dirty_log = True
         self.shards[slot] = replacement
 
-        constructs_recovered = 0
-        for construct in old.constructs.constructs():
+        constructs = old.constructs.constructs()
+        for construct in constructs:
             replacement.place_construct(construct)
-            constructs_recovered += 1
 
-        recovered = 0
+        stranded = self._sessions_on(slot)
         messages_lost = 0
-        for proxy in self.sessions.values():
-            if proxy.disconnected or proxy.shard_index != slot:
-                continue
-            old_session = proxy._session
-            messages_lost += len(old_session.drain())
-            old_session.disconnected = True
-            old_session.detach_broadcast_clock()
-            position = old_session.avatar.position
-            state = snapshot_session(old_session)
-            key = f"session_{proxy.name}"
-            self.session_store.write(key, state)
-            state = self.session_store.read(key).data or state
-            session = replacement.connect_player(
-                proxy.name, position=position, player_id=proxy.player_id, restore=False
-            )
+        for session in stranded:
+            messages_lost += len(session.drain())
+            session.detach_broadcast_clock()
+            state, _ = self._store_round_trip(session)
+            replacement.adopt(session)
             restore_avatar_state(session.avatar, state, restore_position=False)
-            proxy._rebind(session, slot)
-            recovered += 1
+        recovered = len(stranded)
 
         downtime_rounds = self.round_index - dead.killed_round
         record = ShardRecoveryRecord(
@@ -506,7 +460,7 @@ class ClusterCoordinator(TickLoop):
             sessions_recovered=recovered,
             sessions_lost=0,
             messages_lost=messages_lost,
-            constructs_recovered=constructs_recovered,
+            constructs_recovered=len(constructs),
             lost_player_ticks=dead.lost_player_ticks,
         )
         self.recovery_records.append(record)
@@ -550,11 +504,7 @@ class ClusterCoordinator(TickLoop):
             if dead is not None:
                 # A dead zone serves nobody this round; its stranded players'
                 # unserved ticks are the outage's lost player-ticks.
-                dead.lost_player_ticks += sum(
-                    1
-                    for proxy in self.sessions.values()
-                    if not proxy.disconnected and proxy.shard_index == slot
-                )
+                dead.lost_player_ticks += len(self._sessions_on(slot))
                 continue
             shard_records.append(
                 shard.tick_finish(shard.tick_begin(), advance_clock=False)
@@ -601,9 +551,6 @@ class ClusterCoordinator(TickLoop):
         return record
 
     # -- reporting -------------------------------------------------------------------
-
-    def tick_durations_ms(self) -> list[float]:
-        return [record.duration_ms for record in self.tick_records]
 
     def shard_tick_durations_ms(self, since_index: int = 0) -> dict[str, list[float]]:
         """Per-shard tick durations from round ``since_index`` onwards."""

@@ -84,7 +84,6 @@ def run_offload_configuration(
         name=f"offload-lead{tick_lead}-steps{steps}",
         players=1,
         behavior_code="A",
-        world_type="flat",
         constructs=0,
         duration_s=settings.duration_s,
         preload_radius_blocks=0.0,

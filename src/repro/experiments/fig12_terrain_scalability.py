@@ -170,7 +170,6 @@ def run_fig12b(
             "name": f"R-{players}p",
             "players": players,
             "behavior_code": "R",
-            "world_type": "default",
             "duration_s": duration_s,
             "join_interval_s": join_interval_s,
         },

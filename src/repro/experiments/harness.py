@@ -17,6 +17,7 @@ from repro.api.result import RunResult
 from repro.api.run import run_spec
 from repro.api.spec import RunSpec
 from repro.core import ServoConfig
+from repro.obs.report import format_table as format_table  # re-exported for the experiments
 from repro.server import GameConfig
 from repro.sim import SimulationEngine
 from repro.workload import GameHost
@@ -104,18 +105,3 @@ def run_twice(spec: RunSpec, observe: Callable[[RunResult], T]) -> tuple[T, bool
     first = observe(run_spec(spec))
     second = observe(run_spec(spec))
     return first, first == second
-
-
-def format_table(headers: list[str], rows: list[list[str]]) -> str:
-    """Render a fixed-width text table (used by every experiment's report)."""
-    widths = [len(header) for header in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = [
-        "  ".join(header.ljust(widths[index]) for index, header in enumerate(headers)),
-        "  ".join("-" * widths[index] for index in range(len(headers))),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[index]) for index, cell in enumerate(row)))
-    return "\n".join(lines)

@@ -14,14 +14,14 @@ from repro.api.registry import unknown_name_error
 from repro.experiments.harness import ExperimentSettings, format_table
 from repro.workload.scenarios import TABLE_I_SCENARIOS, Scenario
 
-#: the paper's Table I rows: section -> (focus, components serverless)
+#: the paper's Table I rows: section -> (focus, components serverless, world)
 PAPER_TABLE_I = {
-    "IV-B": ("SC: system scalability", "SC offloaded (L+S)"),
-    "IV-C": ("SC: latency hiding", "SC offloaded (L+S)"),
-    "IV-D": ("TG: QoS", "terrain generation (S)"),
-    "IV-E": ("TG: system scalability", "terrain generation + storage (L+S)"),
-    "IV-F": ("RS: performance variability", "remote storage (S)"),
-    "IV-G": ("SC: performance", "SC offloaded (S)"),
+    "IV-B": ("SC: system scalability", "SC offloaded (L+S)", "flat"),
+    "IV-C": ("SC: latency hiding", "SC offloaded (L+S)", "flat"),
+    "IV-D": ("TG: QoS", "terrain generation (S)", "default"),
+    "IV-E": ("TG: system scalability", "terrain generation + storage (L+S)", "default"),
+    "IV-F": ("RS: performance variability", "remote storage (S)", "default"),
+    "IV-G": ("SC: performance", "SC offloaded (S)", "flat"),
 }
 
 
@@ -40,7 +40,7 @@ def run_tab01(settings: ExperimentSettings | None = None) -> Tab01Result:
     """
     result = Tab01Result()
     for section, scenario in sorted(TABLE_I_SCENARIOS.items()):
-        focus, serverless = PAPER_TABLE_I.get(section, ("-", "-"))
+        focus, serverless, world = PAPER_TABLE_I.get(section, ("-", "-", "-"))
         result.rows.append(
             [
                 section,
@@ -48,7 +48,7 @@ def run_tab01(settings: ExperimentSettings | None = None) -> Tab01Result:
                 serverless,
                 str(scenario.players),
                 scenario.behavior_code,
-                scenario.world_type,
+                world,
                 f"{scenario.duration_s:.0f}s",
             ]
         )

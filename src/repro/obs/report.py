@@ -136,17 +136,18 @@ def trace_breakdown(
     return rows, instants
 
 
-def _render_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
+def format_table(headers: list[str], rows: list[list[str]]) -> str:
+    """Render a fixed-width text table (this report and every experiment's)."""
+    widths = [len(header) for header in headers]
+    for row in rows:
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
     lines = [
-        "  ".join(header.ljust(widths[i]) for i, header in enumerate(headers)),
+        "  ".join(header.ljust(widths[index]) for index, header in enumerate(headers)),
         "  ".join("-" * width for width in widths),
     ]
     for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+        lines.append("  ".join(cell.ljust(widths[index]) for index, cell in enumerate(row)))
     return "\n".join(lines)
 
 
@@ -173,7 +174,7 @@ def format_trace_report(trace: dict[str, Any], source: Optional[str] = None) -> 
         for row in spans
     ]
     out.append(
-        _render_table(
+        format_table(
             ["category", "count", "total", "mean", "p95", "max", "share"], rows
         )
     )
@@ -181,7 +182,7 @@ def format_trace_report(trace: dict[str, Any], source: Optional[str] = None) -> 
         out.append("")
         out.append("instant events:")
         out.append(
-            _render_table(
+            format_table(
                 ["category", "count"],
                 [[category, str(count)] for category, count in sorted(instants.items())],
             )
@@ -191,7 +192,7 @@ def format_trace_report(trace: dict[str, Any], source: Optional[str] = None) -> 
         out.append("")
         out.append("wall-clock profile (opt-in, NOT part of virtual results):")
         out.append(
-            _render_table(
+            format_table(
                 ["section", "calls", "wall_s"],
                 [
                     [name, str(int(stats["calls"])), f"{stats['wall_s']:.4f}"]

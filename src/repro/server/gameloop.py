@@ -116,7 +116,6 @@ class ServerStatistics:
     messages_processed: int = 0
     blocks_placed: int = 0
     blocks_broken: int = 0
-    players_connected_total: int = 0
 
 
 class GameServer(TickLoop):
@@ -195,30 +194,14 @@ class GameServer(TickLoop):
     # -- player lifecycle -----------------------------------------------------------
 
     def connect_player(
-        self,
-        name: str | None = None,
-        position: BlockPos | None = None,
-        player_id: int | None = None,
-        restore: bool = True,
+        self, name: str | None = None, position: BlockPos | None = None
     ) -> PlayerSession:
         """Connect a player, restoring persisted state when it exists.
 
         ``position`` overrides both the spawn position and any stored
-        position (a migration hands the avatar over at its live position);
-        ``player_id`` lets a cluster coordinator preserve a player's id across
-        a shard handoff; ``restore=False`` skips the storage lookup entirely
-        (the coordinator applies the authoritative migrated state itself, so
-        a stale shard-local read would only pollute the load metrics).
+        position (a cluster spreads its players over zone spawn points).
         """
-        if player_id is not None:
-            player_id = int(player_id)
-            if player_id in self.sessions:
-                raise ValueError(f"player id {player_id} is already connected")
-        else:
-            player_id = next(self._player_ids)
-            # Skip ids taken by explicit connects (e.g. migrated-in players).
-            while player_id in self.sessions:
-                player_id = next(self._player_ids)
+        player_id = next(self._player_ids)
         player_name = name or f"player-{player_id}"
         avatar = Avatar(
             player_id=player_id,
@@ -231,47 +214,52 @@ class GameServer(TickLoop):
             avatar=avatar,
             connected_at_ms=self.engine.now_ms,
         )
+        # Player data is loaded from persistent storage on connect (Figure 3).
+        key = f"player_{player_name}"
+        if self.storage.exists(key):
+            operation = self.storage.read(key)
+            self.engine.metrics.histogram("player_load_ms").record(operation.latency_ms)
+            session.restore_latency_ms = operation.latency_ms
+            restore_avatar_state(avatar, operation.data or b"", restore_position=position is None)
+        else:
+            self.storage.write(key, snapshot_session(session))
+        self.adopt(session)
+        return session
+
+    def adopt(self, session: PlayerSession) -> None:
+        """Start serving a live session: a new connect, or a cluster handoff.
+
+        The avatar must already stand where it will be served (a reconnect
+        restores its stored position first): the chunk view and the
+        broadcast subscription are centred on it.
+        """
         session.attach_pending_index(self._pending_messages)
         if self.message_channel is not None:
             session.attach_channel(self.message_channel)
-        self.sessions[player_id] = session
-        self.stats.players_connected_total += 1
-        if restore:
-            # Player data is loaded from persistent storage on connect (Figure 3).
-            key = f"player_{player_name}"
-            if self.storage.exists(key):
-                operation = self.storage.read(key)
-                self.engine.metrics.histogram("player_load_ms").record(operation.latency_ms)
-                session.restore_latency_ms = operation.latency_ms
-                restore_avatar_state(
-                    avatar, operation.data or b"", restore_position=position is None
-                )
-            else:
-                self.storage.write(key, snapshot_session(session))
-        # Only now is the avatar where it will stand (a reconnect restores its
-        # stored position), so only now can anything be centred on it.
-        self._moved.append(avatar)
+        self.sessions[session.player_id] = session
+        self._moved.append(session.avatar)
         self.broadcast.join(session)
-        return session
 
-    def disconnect_player(self, player_id: int, persist: bool = True) -> Optional[StorageOperation]:
-        """Disconnect a player, persisting their state (unless ``persist=False``).
+    def release(self, player_id: int) -> PlayerSession:
+        """Stop serving a player and return its still-live session.
 
-        Returns the storage write that saved the player's state, or ``None``
-        when persistence was skipped (a cluster migration serializes the
-        state through the shared session store instead).
+        Persists nothing and leaves the session connected, so a cluster can
+        hand it to another shard with :meth:`adopt`.
         """
         session = self.sessions.pop(player_id, None)
         if session is None:
             raise KeyError(f"no connected player with id {player_id}")
-        session.disconnected = True
         self.broadcast.leave(session)
         self._pending_messages.pop(player_id, None)
-        operation = None
-        if persist:
-            operation = self.storage.write(f"player_{session.name}", snapshot_session(session))
-            self.engine.metrics.histogram("player_save_ms").record(operation.latency_ms)
         self.chunks.forget_player(player_id)
+        return session
+
+    def disconnect_player(self, player_id: int) -> StorageOperation:
+        """Disconnect a player; returns the storage write that saved its state."""
+        session = self.release(player_id)
+        session.disconnected = True
+        operation = self.storage.write(f"player_{session.name}", snapshot_session(session))
+        self.engine.metrics.histogram("player_save_ms").record(operation.latency_ms)
         return operation
 
     @property

@@ -6,8 +6,8 @@ experiments), ``Sx`` (star-shaped walks away from spawn at x blocks/s),
 ``Sinc`` (star walk with increasing speed) and ``R`` (randomised behaviour
 with the action mix of Table II).  A fifth, ``C`` (converge on one point,
 then mill around it), models a flash crowd.  Scenarios bundle a behaviour, a
-player count, a join schedule, a world type and a construct workload,
-mirroring the rows of Table I.
+player count, a join schedule and a construct workload, mirroring the rows of
+Table I (the world type is the host's).
 """
 
 from repro.workload.behavior import (
@@ -19,7 +19,7 @@ from repro.workload.behavior import (
     StarBehavior,
     behavior_by_code,
 )
-from repro.workload.bots import BotPlayer, BotSwarm, GameHost, JoinSchedule, SessionHandle
+from repro.workload.bots import BotPlayer, BotSwarm, GameHost, JoinSchedule
 from repro.workload.constructs import place_standard_constructs
 from repro.workload.scenarios import (
     Scenario,
@@ -43,7 +43,6 @@ __all__ = [
     "BotPlayer",
     "BotSwarm",
     "GameHost",
-    "SessionHandle",
     "JoinSchedule",
     "place_standard_constructs",
     "Scenario",

@@ -14,10 +14,10 @@ bot order, so the stream is consumed exactly as if every bot acted by itself.
 
 The swarm addresses any :class:`GameHost`: a single
 :class:`~repro.server.GameServer` or a
-:class:`~repro.cluster.ClusterCoordinator`.  In a cluster the bots talk to
-the coordinator and hold :class:`~repro.cluster.ClusterSession` handles, so
-which shard serves a bot — and the migrations that reassign it — is invisible
-to the workload.
+:class:`~repro.cluster.ClusterCoordinator`.  Either way a bot holds its
+player's one :class:`~repro.server.session.PlayerSession`; a cluster
+migration moves that session between shards, so which shard serves a bot is
+invisible to the workload.
 """
 
 from __future__ import annotations
@@ -30,26 +30,11 @@ import numpy as np
 
 from repro.net.message import Message, MessageKind
 from repro.server.config import GameConfig
-from repro.server.entities import Avatar
 from repro.server.gameloop import TickRecord
+from repro.server.session import PlayerSession
 from repro.sim.engine import SimulationEngine
 from repro.workload.behavior import Behavior, WalkerArrays, WalkerBehavior
 from repro.world.coords import BlockPos
-
-
-@runtime_checkable
-class SessionHandle(Protocol):
-    """What a bot needs from its session: one server's, or a cluster's."""
-
-    player_id: int
-
-    @property
-    def avatar(self) -> Avatar: ...
-
-    @property
-    def disconnected(self) -> bool: ...
-
-    def enqueue(self, message: Message) -> None: ...
 
 
 @runtime_checkable
@@ -74,7 +59,7 @@ class GameHost(Protocol):
     @property
     def player_count(self) -> int: ...
 
-    def connect_player(self, name: str | None = None) -> SessionHandle: ...
+    def connect_player(self, name: str | None = None) -> PlayerSession: ...
 
     def place_construct(self, construct) -> None: ...
 
@@ -95,7 +80,7 @@ class BotPlayer:
 
     name: str
     behavior: Behavior
-    session: Optional[SessionHandle] = None
+    session: Optional[PlayerSession] = None
     spawn: Optional[BlockPos] = None
 
     @property
@@ -145,7 +130,7 @@ class _WalkerRun:
         self.walkers = WalkerArrays([bot.behavior for bot in bots])
         self._connected = [False] * len(bots)
         #: (session, player id, y) of each connected bot, in bot order
-        self._senders: list[tuple[SessionHandle, int, int]] = []
+        self._senders: list[tuple[PlayerSession, int, int]] = []
 
     def _connection_changed(self, connected: list[bool]) -> None:
         """A bot joined or was disconnected (a session never reconnects)."""

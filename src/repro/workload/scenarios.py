@@ -1,10 +1,10 @@
 """Named experiment scenarios (Table I).
 
-A :class:`Scenario` bundles a workload: how many players, what they do, what
-world they play in, how many constructs exist and how long the experiment
-runs.  ``Scenario.run`` drives any game server (baseline or Servo) and returns
-a :class:`ScenarioResult` with the tick-duration and view-range statistics the
-paper's figures are built from.
+A :class:`Scenario` bundles a workload: how many players, what they do, how
+many constructs exist and how long the experiment runs.  The world they play
+in is the host's (``GameConfig.world_type``).  ``Scenario.run`` drives any
+game server (baseline or Servo) and returns a :class:`ScenarioResult` with the
+tick-duration and view-range statistics the paper's figures are built from.
 
 The paper's workload families are registered with the
 :mod:`repro.api.scenarios` registry (``behaviour_a``, ``star``, ``sinc``,
@@ -63,7 +63,6 @@ class Scenario:
     name: str
     players: int
     behavior_code: str = "A"
-    world_type: str = "flat"
     constructs: int = 0
     duration_s: float = 30.0
     join_interval_s: Optional[float] = None
@@ -101,12 +100,12 @@ class Scenario:
     def run(self, server: GameHost) -> ScenarioResult:
         """Drive a game host (server or cluster) and collect measurements.
 
-        The host must have been built with a matching world type; the
-        scenario preloads the spawn area (every zone's spawn points, for a
-        cluster), places the construct workload, connects the bots, runs a
-        short warm-up, then measures for ``duration_s`` virtual seconds.  For
-        a cluster the recorded tick durations are the lockstep *round*
-        durations — the slowest shard of each round.
+        The scenario plays in the host's world: it preloads the spawn area
+        (every zone's spawn points, for a cluster), places the construct
+        workload, connects the bots, runs a short warm-up, then measures for
+        ``duration_s`` virtual seconds.  For a cluster the recorded tick
+        durations are the lockstep *round* durations — the slowest shard of
+        each round.
 
         A non-empty ``faults`` plan is installed on the host before anything
         else happens, so injected faults cover the whole run (fault times in
@@ -155,7 +154,6 @@ def behaviour_a(players: int, constructs: int = 0, duration_s: float = 30.0) -> 
         name=f"A-{players}p-{constructs}sc",
         players=players,
         behavior_code="A",
-        world_type="flat",
         constructs=constructs,
         duration_s=duration_s,
     )
@@ -169,7 +167,6 @@ def star(players: int, speed: float, duration_s: float = 120.0,
         name=f"S{speed:g}-{players}p",
         players=players,
         behavior_code=f"S{speed:g}",
-        world_type="default",
         duration_s=duration_s,
         join_interval_s=join_interval_s,
     )
@@ -182,7 +179,6 @@ def sinc(players: int = 5, duration_s: float = 1000.0) -> Scenario:
         name=f"Sinc-{players}p",
         players=players,
         behavior_code="Sinc",
-        world_type="default",
         duration_s=duration_s,
     )
 
@@ -194,13 +190,12 @@ def random_walk(players: int, duration_s: float = 120.0) -> Scenario:
         name=f"R-{players}p",
         players=players,
         behavior_code="R",
-        world_type="default",
         duration_s=duration_s,
     )
 
 
 @register_scenario("custom")
-def custom(name: str, players: int, behavior_code: str = "A", world_type: str = "flat",
+def custom(name: str, players: int, behavior_code: str = "A",
            constructs: int = 0, duration_s: float = 30.0,
            join_interval_s: Optional[float] = None,
            preload_radius_blocks: float = 160.0, warmup_s: float = 5.0,
@@ -210,7 +205,6 @@ def custom(name: str, players: int, behavior_code: str = "A", world_type: str = 
         name=name,
         players=players,
         behavior_code=behavior_code,
-        world_type=world_type,
         constructs=constructs,
         duration_s=duration_s,
         join_interval_s=join_interval_s,
@@ -237,7 +231,6 @@ def offload_brownout(players: int = 20, constructs: int = 30, duration_s: float 
         name=f"offload-brownout-{players}p-{constructs}sc",
         players=players,
         behavior_code="A",
-        world_type="flat",
         constructs=constructs,
         duration_s=duration_s,
         faults={
@@ -271,7 +264,6 @@ def shard_kill_at_peak(players: int = 40, constructs: int = 12, duration_s: floa
         name=f"shard-kill-{players}p-s{shard}",
         players=players,
         behavior_code="A",
-        world_type="flat",
         constructs=constructs,
         duration_s=duration_s,
         faults={
@@ -300,7 +292,6 @@ def flaky_network(players: int = 30, duration_s: float = 20.0,
         name=f"flaky-network-{players}p",
         players=players,
         behavior_code="A",
-        world_type="flat",
         duration_s=duration_s,
         faults={
             "net": {
@@ -330,7 +321,6 @@ def flash_crowd_at_spawn(players: int = 40, constructs: int = 0,
         name=f"flash-crowd-{players}p",
         players=players,
         behavior_code="C",
-        world_type="flat",
         constructs=constructs,
         duration_s=duration_s,
     )
@@ -340,14 +330,14 @@ def flash_crowd_at_spawn(players: int = 40, constructs: int = 0,
 TABLE_I_SCENARIOS: dict[str, Scenario] = {
     "IV-B": behaviour_a(players=100, constructs=100, duration_s=60.0),
     "IV-C": Scenario(
-        name="latency-hiding", players=1, behavior_code="A", world_type="flat",
+        name="latency-hiding", players=1, behavior_code="A",
         constructs=50, duration_s=60.0,
     ),
     "IV-D": sinc(players=5, duration_s=300.0),
     "IV-E": star(players=30, speed=3, duration_s=120.0),
     "IV-F": star(players=8, speed=3, duration_s=120.0, join_interval_s=None),
     "IV-G": Scenario(
-        name="construct-performance", players=1, behavior_code="A", world_type="flat",
+        name="construct-performance", players=1, behavior_code="A",
         constructs=1, duration_s=30.0,
     ),
 }

@@ -228,8 +228,11 @@ def test_build_scenario_matches_module_factory():
     star = build_scenario("star", players=6, speed=8)
     assert star.behavior_code == "S8"
     custom = build_scenario("custom", name="mine", players=2, behavior_code="R",
-                            world_type="default", duration_s=9.0)
+                            duration_s=9.0)
     assert custom.name == "mine" and custom.duration_s == 9.0
+    # The world is the host's: a scenario has no world_type of its own.
+    with pytest.raises(ValueError, match="invalid params"):
+        build_scenario("custom", name="mine", players=2, world_type="default")
 
 
 def test_build_scenario_invalid_params_list_accepted_ones():

@@ -6,6 +6,7 @@ from repro.cluster import build_opencraft_cluster, build_servo_cluster
 from repro.constructs.library import build_wire_line
 from repro.server import GameConfig
 from repro.sim import SimulationEngine
+from repro.workload import BotSwarm, behavior_by_code
 from repro.world.coords import CHUNK_SIZE, BlockPos
 
 
@@ -75,7 +76,7 @@ def test_boundary_crossing_migrates_player_and_preserves_state(engine):
     cluster = make_cluster(engine, shards=2)
     sessions = [cluster.connect_player(f"bot-{index}") for index in range(4)]
     mover = sessions[3]  # every 4th player spawns next to a zone boundary
-    assert mover.shard_index == 0
+    assert cluster.home[mover.player_id] == 0
     source = cluster.shards[0]
 
     # Let the bot do some work, then step across the zone edge.
@@ -85,8 +86,7 @@ def test_boundary_crossing_migrates_player_and_preserves_state(engine):
     mover.move(position.x + 5, position.y, position.z)
     cluster.tick()
 
-    assert mover.shard_index == 1
-    assert mover.migrations == 1
+    assert cluster.home[mover.player_id] == 1
     assert cluster.migration_count == 1
     record = cluster.migration_records[0]
     assert (record.from_shard, record.to_shard) == (0, 1)
@@ -94,8 +94,10 @@ def test_boundary_crossing_migrates_player_and_preserves_state(engine):
     # Avatar state survived the handoff; the id did not change.
     assert mover.avatar.chat_messages_sent == 1
     assert mover.player_id == record.player_id
-    assert mover.player_id in cluster.shards[1].sessions
+    # The target serves the very session the client holds; the source none.
+    assert cluster.shards[1].sessions[mover.player_id] is mover
     assert mover.player_id not in source.sessions
+    assert cluster.verify_sessions()
     # The handoff was recorded in the engine metrics.
     assert len(engine.metrics.histogram("migration_ms")) == 1
     assert engine.metrics.counter("migrations") == 1
@@ -111,7 +113,7 @@ def test_updates_sent_accumulates_across_migrations(engine):
     position = mover.avatar.position
     mover.move(position.x + 5, position.y, position.z)
     cluster.tick()
-    assert mover.migrations == 1
+    assert [record.player_id for record in cluster.migration_records] == [mover.player_id]
     assert mover.updates_sent >= before
 
 
@@ -123,7 +125,7 @@ def test_migrated_player_keeps_acting_on_the_new_shard(engine):
     position = mover.avatar.position
     mover.move(position.x + 5, position.y, position.z)
     cluster.tick()
-    assert mover.shard_index == 1
+    assert cluster.home[mover.player_id] == 1
     mover.chat("still here")
     cluster.tick()
     assert mover.avatar.chat_messages_sent == 1
@@ -160,6 +162,38 @@ def test_disconnect_through_the_coordinator(engine):
     assert cluster.player_count == 0
     with pytest.raises(KeyError):
         cluster.disconnect_player(session.player_id)
+
+
+def drop_on_its_shard(cluster, player_id):
+    """The shard drops the player on its own (e.g. a client timeout it detected)."""
+    (shard,) = [shard for shard in cluster.shards if player_id in shard.sessions]
+    shard.disconnect_player(player_id)
+
+
+def test_a_shard_side_disconnect_is_the_clusters_disconnect(engine):
+    cluster = make_cluster(engine, shards=2)
+    sessions = [cluster.connect_player(f"bot-{index}") for index in range(4)]
+    dropped = sessions[1]
+    drop_on_its_shard(cluster, dropped.player_id)
+    assert cluster.sessions[dropped.player_id].disconnected
+    assert cluster.player_count == 3
+    assert cluster.verify_sessions()
+    # The coordinator knows, and refuses the second disconnect itself.
+    with pytest.raises(KeyError) as excinfo:
+        cluster.disconnect_player(dropped.player_id)
+    assert excinfo.traceback[-1].path.name == "coordinator.py"
+
+
+def test_a_swarm_keeps_ticking_after_a_shard_drops_one_of_its_bots(engine):
+    cluster = make_cluster(engine, shards=2)
+    swarm = BotSwarm([behavior_by_code("A", direction_index=index) for index in range(4)])
+    driver = swarm.install(cluster)
+    cluster.run_ticks(5, before_tick=driver)
+    drop_on_its_shard(cluster, swarm.bots[1].session.player_id)
+    cluster.run_ticks(20, before_tick=driver)
+    assert swarm.connected_count == 3
+    assert cluster.player_count == 3
+    assert cluster.verify_sessions()
 
 
 def test_servo_cluster_shares_platform_and_blob(engine):

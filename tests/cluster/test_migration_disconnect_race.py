@@ -14,9 +14,9 @@ def make_cluster(engine, shards=2):
     return cluster
 
 
-def cross_boundary(cluster, proxy):
-    position = proxy.avatar.position
-    proxy.move(position.x + 5, position.y, position.z)
+def cross_boundary(cluster, session):
+    position = session.avatar.position
+    session.move(position.x + 5, position.y, position.z)
 
 
 def sessions_holding(cluster, player_id):
@@ -39,24 +39,26 @@ def test_disconnect_before_the_migration_round_is_not_resurrected(engine):
     # The session exists on no shard: neither lost-and-recreated nor doubled.
     assert sessions_holding(cluster, mover.player_id) == []
     assert cluster.player_count == 3
+    assert cluster.verify_sessions()
 
 
 def test_disconnect_under_a_running_migration_is_not_resurrected(engine):
-    # The deeper race: the migration was already selected for this proxy when
-    # the shard-side session died (e.g. a client timeout the shard detected).
+    # The deeper race: the migration was already selected for this session
+    # when the shard dropped it (e.g. a client timeout the shard detected).
     # _migrate must drop the handoff instead of reconnecting the dead session
     # on the target shard.
     cluster = make_cluster(engine)
     sessions = [cluster.connect_player(f"bot-{index}") for index in range(4)]
     mover = sessions[3]
     cluster.tick()
-    source = cluster.shards[mover.shard_index]
-    source.disconnect_player(mover.player_id)
-    cluster._migrate(mover, (mover.shard_index + 1) % 2)
+    home = cluster.home[mover.player_id]
+    cluster.shards[home].disconnect_player(mover.player_id)
+    cluster._migrate(mover, (home + 1) % 2)
 
     assert cluster.migration_count == 0
     assert sessions_holding(cluster, mover.player_id) == []
-    assert mover.migrations == 0
+    assert cluster.home[mover.player_id] == home
+    assert cluster.verify_sessions()
 
 
 def test_migration_then_disconnect_leaves_exactly_one_tombstone(engine):
@@ -66,11 +68,13 @@ def test_migration_then_disconnect_leaves_exactly_one_tombstone(engine):
     cluster.tick()
     cross_boundary(cluster, mover)
     cluster.tick()
-    assert mover.migrations == 1
+    assert [record.player_id for record in cluster.migration_records] == [mover.player_id]
+    assert cluster.verify_sessions()
 
     cluster.disconnect_player(mover.player_id)
     assert sessions_holding(cluster, mover.player_id) == []
     assert cluster.player_count == 3
+    assert cluster.verify_sessions()
     # A second disconnect is an error, not a silent no-op.
     with pytest.raises(KeyError):
         cluster.disconnect_player(mover.player_id)
@@ -78,3 +82,4 @@ def test_migration_then_disconnect_leaves_exactly_one_tombstone(engine):
     for _ in range(5):
         cluster.tick()
     assert sessions_holding(cluster, mover.player_id) == []
+    assert cluster.verify_sessions()

@@ -23,6 +23,11 @@ def kill_plan(at_ms, shard=0, respawn_after_ms=500.0):
 def run_rounds(cluster, rounds):
     for _ in range(rounds):
         cluster.tick()
+        assert cluster.verify_sessions()
+
+
+def homed_on(cluster, slot):
+    return [s for s in cluster.sessions.values() if cluster.home[s.player_id] == slot]
 
 
 def test_killed_shard_recovers_every_session(engine):
@@ -30,8 +35,9 @@ def test_killed_shard_recovers_every_session(engine):
     install_faults(cluster, kill_plan(at_ms=200.0, shard=0))
     for index in range(8):
         cluster.connect_player(f"bot-{index}")
-    on_zero = [p for p in cluster.sessions.values() if p.shard_index == 0]
+    on_zero = homed_on(cluster, 0)
     assert on_zero
+    old_shard = cluster.shards[0]
     run_rounds(cluster, 40)
 
     assert len(cluster.recovery_records) == 1
@@ -42,10 +48,12 @@ def test_killed_shard_recovers_every_session(engine):
     assert record.downtime_rounds > 0
     assert record.respawned_ms >= record.killed_ms + 500.0
     # Every evacuated session is alive on the replacement shard.
-    for proxy in on_zero:
-        assert not proxy.disconnected
-        assert proxy.shard_index == 0
-        assert not proxy._session.disconnected
+    replacement = cluster.shards[0]
+    assert replacement is not old_shard
+    for session in on_zero:
+        assert not session.disconnected
+        assert cluster.home[session.player_id] == 0
+        assert replacement.sessions[session.player_id] is session
     assert cluster.player_count == 8
     assert engine.metrics.counter("shard_kills") == 1.0
     assert engine.metrics.counter("shards_recovered") == 1.0
@@ -57,12 +65,12 @@ def test_evacuated_sessions_round_trip_through_the_session_store(engine):
     install_faults(cluster, kill_plan(at_ms=200.0, shard=0))
     for index in range(4):
         cluster.connect_player(f"bot-{index}")
-    stranded = [p for p in cluster.sessions.values() if p.shard_index == 0]
+    stranded = homed_on(cluster, 0)
     stranded[0].chat("before the crash")
     run_rounds(cluster, 40)
     assert cluster.recovery_records[0].sessions_recovered == len(stranded)
-    for proxy in stranded:
-        assert cluster.session_store.exists(f"session_{proxy.name}")
+    for session in stranded:
+        assert cluster.session_store.exists(f"session_{session.name}")
     assert stranded[0].avatar.chat_messages_sent == 1
 
 
@@ -71,7 +79,7 @@ def test_downtime_accumulates_lost_player_ticks(engine):
     install_faults(cluster, kill_plan(at_ms=100.0, shard=0, respawn_after_ms=1000.0))
     for index in range(6):
         cluster.connect_player(f"bot-{index}")
-    players_on_zero = sum(1 for p in cluster.sessions.values() if p.shard_index == 0)
+    players_on_zero = len(homed_on(cluster, 0))
     run_rounds(cluster, 40)
     record = cluster.recovery_records[0]
     assert record.lost_player_ticks == record.downtime_rounds * players_on_zero
@@ -102,7 +110,7 @@ def test_connects_during_downtime_land_on_an_alive_shard(engine):
     run_rounds(cluster, 5)  # the kill has fired, shard 0 is down
     assert len(cluster.recovery_records) == 0
     session = cluster.connect_player("latecomer")
-    assert session.shard_index == 1
+    assert cluster.home[session.player_id] == 1
     run_rounds(cluster, 3)
     assert not session.disconnected
 

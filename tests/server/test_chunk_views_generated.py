@@ -10,7 +10,9 @@ ticks.  The cluster case also walks players across the zone edge and back.
 After every tick, on every server: ``ChunkManager.verify_views()`` holds,
 every connected player the chunk manager has been shown has a view,
 ``InterestMap.verify_index()`` holds, and every subscription is centred on
-the chunk its avatar stands in.  The oracles recompute from avatar positions
+the chunk its avatar stands in.  In the cluster case
+``ClusterCoordinator.verify_sessions()`` also holds after every event and
+every tick.  The oracles recompute from avatar positions and shard contents
 and share nothing with the incremental bookkeeping they check.
 
 One gap these cases found is left open and stepped around (see the ``xfail``
@@ -151,6 +153,7 @@ def test_views_and_subscriptions_follow_the_avatars_across_a_zone_edge(case, int
     for tick_events in case:
         for event in tick_events:
             players.apply(event)
+            assert cluster.verify_sessions()
         migrations_before = len(cluster.migration_records)
         cluster.tick()
         # A player handed over this round meets its new shard's chunk manager next round.
@@ -162,10 +165,11 @@ def test_views_and_subscriptions_follow_the_avatars_across_a_zone_edge(case, int
         }
         for shard in cluster.shards:
             check_server(shard, awaiting_first_sight=handed_over & shard.sessions.keys())
+        assert cluster.verify_sessions()
         for session in players.sessions.values():
             zone = cluster.partitioner.zone_of_block(session.avatar.position)
-            assert session.shard_index == zone
-            assert session.player_id in cluster.shards[zone].sessions
+            assert cluster.home[session.player_id] == zone
+            assert cluster.shards[zone].sessions[session.player_id] is session
 
 
 @pytest.mark.xfail(

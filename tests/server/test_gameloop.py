@@ -198,13 +198,6 @@ def test_every_server_writes_dirty_terrain_back_on_the_persistence_interval(engi
     assert not server.world.get_chunk(block_to_chunk(edited)).dirty
 
 
-def test_disconnect_with_persist_disabled_skips_the_storage_write(engine):
-    server = make_opencraft(engine, GameConfig(world_type="flat"))
-    session = server.connect_player("dave")
-    assert server.disconnect_player(session.player_id, persist=False) is None
-    assert len(engine.metrics.histogram("player_save_ms")) == 0
-
-
 def test_remove_construct_releases_chunk_pins(opencraft):
     construct = build_wire_line(length=3, origin=BlockPos(2, 66, 2))
     opencraft.place_construct(construct)
@@ -226,23 +219,28 @@ def test_overlapping_construct_pins_are_reference_counted(opencraft):
     assert not opencraft.chunks.protected_chunks
 
 
-def test_connect_at_explicit_position_and_id(engine):
+def test_connect_at_explicit_position(engine):
     server = make_opencraft(engine, GameConfig(world_type="flat"))
-    session = server.connect_player("eve", position=BlockPos(40, 65, 40), player_id=99)
-    assert session.player_id == 99
+    session = server.connect_player("eve", position=BlockPos(40, 65, 40))
     assert session.avatar.position == BlockPos(40, 65, 40)
 
 
-def test_connect_rejects_duplicate_explicit_id_and_auto_ids_skip_taken(engine):
-    server = make_opencraft(engine, GameConfig(world_type="flat"))
-    server.connect_player("first", player_id=2)
-    with pytest.raises(ValueError):
-        server.connect_player("second", player_id=2)
-    # Auto-assigned ids step over the explicitly taken one.
-    auto_a = server.connect_player()  # id 1
-    auto_b = server.connect_player()  # would be 2, must skip to 3
-    assert auto_a.player_id == 1
-    assert auto_b.player_id == 3
+def test_release_and_adopt_move_one_live_session_between_servers(engine):
+    config = GameConfig(world_type="flat")
+    source, target = make_opencraft(engine, config), make_opencraft(engine, config)
+    session = source.connect_player("frank")
+    session.chat("queued before the handoff")
+    assert source.release(session.player_id) is session
+    assert not session.disconnected and not source.sessions
+    # A release persists nothing (a disconnect would record a save).
+    assert len(engine.metrics.histogram("player_save_ms")) == 0
+    target.adopt(session)
+    assert target.sessions == {session.player_id: session}
+    # The queued message travelled with the session and lands on the target.
+    target.tick()
+    assert session.avatar.chat_messages_sent == 1
+    with pytest.raises(KeyError):
+        source.release(session.player_id)
 
 
 def test_restore_avatar_state_rejects_corrupt_snapshots():

@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.net.message import Message, MessageKind
-from repro.workload.bots import GameHost, JoinSchedule, SessionHandle
+from repro.server.session import PlayerSession
+from repro.workload.bots import GameHost, JoinSchedule
 from repro.world.block import BlockType
 from repro.world.coords import BlockPos
 
@@ -291,7 +292,7 @@ class BotPlayer:
 
     name: str
     behavior: Behavior
-    session: Optional[SessionHandle] = None
+    session: Optional[PlayerSession] = None
     spawn: Optional[BlockPos] = None
 
     @property
