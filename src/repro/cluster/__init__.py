@@ -12,9 +12,9 @@ store:
   shards and the player-migration protocol (session state serialized through
   the shared storage service, and the player's one session moved to the
   owning shard, when an avatar crosses a zone boundary).
-* :mod:`repro.cluster.assembly` — cluster construction for the Servo and
-  Opencraft variants, built from the same :class:`~repro.server.ServerBuilder`
-  parts as the single-server stack.
+* :mod:`repro.cluster.assembly` — one cluster assembly shared by the Servo
+  and Opencraft variants; each shard is the same
+  :class:`~repro.server.GameServer` the single-server stack builds.
 """
 
 from repro.cluster.assembly import (

@@ -1,8 +1,10 @@
 """Assembly of zone-partitioned clusters.
 
-A cluster is N shards built from the same parts as the single-server variants
-(via :class:`~repro.server.builder.ServerBuilder`), each restricted to one
-zone of a :class:`~repro.cluster.partition.WorldPartitioner`:
+A cluster is N shards, each the same :class:`~repro.server.GameServer` a
+single-server variant builds, restricted to one zone of a
+:class:`~repro.cluster.partition.WorldPartitioner`.  One helper,
+:func:`_build_cluster`, assembles both variants; they differ only in the store
+their shards share and in how one shard is built:
 
 * ``build_servo_cluster`` — Servo shards sharing one FaaS platform and one
   blob store; player migrations serialize through the shared blob (paying its
@@ -18,20 +20,62 @@ player-id iterator, so player ids are unique across the whole world.
 from __future__ import annotations
 
 import itertools
+from functools import partial
+from typing import Callable
 
 from repro.api.hosts import register_host
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.partition import WorldPartitioner
 from repro.core.config import ServoConfig
 from repro.core.servo import build_servo_server, make_servo_blob, make_servo_platform
-from repro.server.builder import ServerBuilder
 from repro.server.config import GameConfig
 from repro.server.costmodel import OPENCRAFT_COST_MODEL
+from repro.server.gameloop import GameServer
 from repro.sim.engine import SimulationEngine
+from repro.storage.base import StorageBackend
 from repro.storage.local import LocalDiskStorage
 
 #: zone strip width used by the cluster experiments (16 chunks = 256 blocks)
 DEFAULT_ZONE_WIDTH_CHUNKS = 16
+
+
+def _build_cluster(
+    engine: SimulationEngine,
+    game_config: GameConfig,
+    shards: int,
+    zone_width_chunks: int,
+    name: str,
+    session_store: StorageBackend,
+    build_shard: Callable[..., GameServer],
+) -> ClusterCoordinator:
+    """Partition the world and build one shard per zone with ``build_shard``.
+
+    ``build_shard(name=, region=, player_ids=)`` returns one shard.  ``name``
+    is the variant: the cluster is ``{name}-cluster`` and shard ``zone`` is
+    ``{name}-shard-{zone}``, with a ``-rN`` suffix on its Nth replacement.
+    Metric names and the ``server:{name}`` RNG stream derive from these names.
+    """
+    partitioner = WorldPartitioner(shards, zone_width_chunks=zone_width_chunks)
+    player_ids = itertools.count(1)
+
+    def shard_factory(zone: int, generation: int) -> GameServer:
+        """Shard ``zone``, or its ``generation``-th replacement (0 = original).
+
+        A replacement rejoins the substrate the crashed shard used.
+        """
+        suffix = f"-r{generation}" if generation else ""
+        shard_name = f"{name}-shard-{zone}{suffix}"
+        return build_shard(name=shard_name, region=partitioner.region(zone), player_ids=player_ids)
+
+    return ClusterCoordinator(
+        engine=engine,
+        shards=[shard_factory(zone, 0) for zone in range(partitioner.shard_count)],
+        partitioner=partitioner,
+        config=game_config,
+        session_store=session_store,
+        name=f"{name}-cluster",
+        shard_factory=shard_factory,
+    )
 
 
 @register_host("servo-cluster", cluster=True)
@@ -45,39 +89,13 @@ def build_servo_cluster(
     """Build a Servo cluster: N zone shards over one platform and blob store."""
     game_config = game_config or GameConfig()
     servo_config = servo_config or ServoConfig()
-    partitioner = WorldPartitioner(shards, zone_width_chunks=zone_width_chunks)
     platform = make_servo_platform(engine, servo_config)
     blob = make_servo_blob(engine, servo_config)
-    player_ids = itertools.count(1)
-
-    def shard_factory(zone: int, generation: int) -> "GameServer":
-        """A (replacement) shard for ``zone``; generation 0 is the original.
-
-        Replacements share the cluster's platform, blob store and player-id
-        iterator, exactly like the originals — a respawned shard rejoins the
-        same serverless substrate the crashed one used.
-        """
-        suffix = f"-r{generation}" if generation else ""
-        return build_servo_server(
-            engine,
-            game_config,
-            servo_config,
-            platform=platform,
-            blob=blob,
-            name=f"servo-shard-{zone}{suffix}",
-            region=partitioner.region(zone),
-            player_ids=player_ids,
-        )
-
-    servers = [shard_factory(zone, 0) for zone in range(partitioner.shard_count)]
-    return ClusterCoordinator(
-        engine=engine,
-        shards=servers,
-        partitioner=partitioner,
-        config=game_config,
-        session_store=blob,
-        name="servo-cluster",
-        shard_factory=shard_factory,
+    build_shard = partial(
+        build_servo_server, engine, game_config, servo_config, platform=platform, blob=blob
+    )
+    return _build_cluster(
+        engine, game_config, shards, zone_width_chunks, "servo", blob, build_shard
     )
 
 
@@ -90,28 +108,8 @@ def build_opencraft_cluster(
 ) -> ClusterCoordinator:
     """Build an Opencraft cluster: N all-local zone shards over one shared disk."""
     game_config = game_config or GameConfig()
-    partitioner = WorldPartitioner(shards, zone_width_chunks=zone_width_chunks)
-    shared_disk = LocalDiskStorage(rng=engine.rng("cluster-disk"))
-    player_ids = itertools.count(1)
-
-    def shard_factory(zone: int, generation: int) -> "GameServer":
-        suffix = f"-r{generation}" if generation else ""
-        return (
-            ServerBuilder(engine, game_config, name=f"opencraft-shard-{zone}{suffix}")
-            .with_cost_model(OPENCRAFT_COST_MODEL)
-            .with_storage(shared_disk)
-            .with_region(partitioner.region(zone))
-            .with_player_ids(player_ids)
-            .build()
-        )
-
-    servers = [shard_factory(zone, 0) for zone in range(partitioner.shard_count)]
-    return ClusterCoordinator(
-        engine=engine,
-        shards=servers,
-        partitioner=partitioner,
-        config=game_config,
-        session_store=shared_disk,
-        name="opencraft-cluster",
-        shard_factory=shard_factory,
+    disk = LocalDiskStorage(rng=engine.rng("cluster-disk"))
+    build_shard = partial(GameServer, engine, game_config, OPENCRAFT_COST_MODEL, storage=disk)
+    return _build_cluster(
+        engine, game_config, shards, zone_width_chunks, "opencraft", disk, build_shard
     )

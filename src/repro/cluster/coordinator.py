@@ -35,7 +35,7 @@ from repro.server.gameloop import GameServer, TickLoop, TickRecord
 from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
 from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend
-from repro.world.coords import CHUNK_SIZE, BlockPos
+from repro.world.coords import CHUNK_SIZE, BlockPos, block_to_chunk
 
 #: every Nth connecting player spawns near a zone boundary; the bounded-area
 #: workloads then wander across it, exercising migration
@@ -265,6 +265,24 @@ class ClusterCoordinator(TickLoop):
         if zone is None:
             raise KeyError(f"no construct with id {construct_id} in the cluster")
         self.shards[zone].remove_construct(construct_id)
+
+    def verify_constructs(self) -> bool:
+        """True when every construct is registered where it was placed (test support).
+
+        A placed construct is registered on ``shards[_construct_homes[id]]``
+        alone, and that shard's region holds the chunk of its first cell; no
+        shard's backend holds an id the coordinator did not place.
+        """
+        # Per shard: construct id -> the first cell of each construct it registers.
+        held = [
+            {c.construct_id: c.positions[0] for c in shard.constructs.constructs()}
+            for shard in self.shards
+        ]
+        return all(
+            [slot for slot, anchors in enumerate(held) if construct_id in anchors] == [zone]
+            and self.shards[zone].region.contains(block_to_chunk(held[zone][construct_id]))
+            for construct_id, zone in self._construct_homes.items()
+        ) and all(anchors.keys() <= self._construct_homes.keys() for anchors in held)
 
     # -- migration -------------------------------------------------------------------
 

@@ -1,17 +1,18 @@
 """Assembly of a Servo game server.
 
-``build_servo_server`` wires the serverless services into the unmodified game
-server: the speculative construct backend, the serverless terrain provider and
-the cached remote storage service, all running against one simulated FaaS
-platform and blob store of the chosen provider.  The returned server exposes
-the attached services through its typed ``runtime`` handle (a
-:class:`ServoRuntime`) so experiments can inspect invocations, billing, cache
-statistics and speculation records.
+``build_servo_server`` hands the serverless services to the unmodified game
+server as its storage, terrain provider and construct backend: the cached
+remote storage service, the serverless terrain provider and the speculative
+construct backend, all running against one simulated FaaS platform and blob
+store of the chosen provider.  The returned server exposes the attached
+services through its typed ``runtime`` handle (a :class:`ServoRuntime`) so
+experiments can inspect invocations, billing, cache statistics and
+speculation records.
 
-The assembly is split into reusable pieces (platform, blob store, per-server
-services) so a zone-partitioned cluster can build several Servo shards that
-share one FaaS platform and one blob store while keeping per-shard caches and
-speculation state (see :mod:`repro.cluster`).
+The platform (:func:`make_servo_platform`, both functions deployed) and the
+blob store (:func:`make_servo_blob`) are made separately, so a zone-partitioned
+cluster builds them once and shares them across its Servo shards while each
+shard keeps its own cache and speculation state (see :mod:`repro.cluster`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.core.terrain_service import (
 from repro.faas.function import FunctionDefinition
 from repro.faas.platform import FaasPlatform
 from repro.faas.providers import provider_by_name
-from repro.server.builder import ServerBuilder
 from repro.server.chunkmanager import OwnershipRegion
 from repro.server.config import GameConfig
 from repro.server.costmodel import SERVO_COST_MODEL
@@ -63,30 +63,23 @@ class ServoRuntime(ServerRuntime):
 def make_servo_platform(engine: SimulationEngine, servo_config: ServoConfig) -> FaasPlatform:
     """Create a FaaS platform with the two Servo functions deployed."""
     platform = FaasPlatform(engine, provider=provider_by_name(servo_config.provider))
-    deploy_servo_functions(platform, servo_config)
+    platform.register(
+        FunctionDefinition(
+            name=SC_SIMULATION_FUNCTION,
+            handler=make_simulation_handler(),
+            memory_mb=servo_config.simulation_function_memory_mb,
+            description="speculative simulation of one simulated construct",
+        )
+    )
+    platform.register(
+        FunctionDefinition(
+            name=TERRAIN_GENERATION_FUNCTION,
+            handler=make_terrain_handler(),
+            memory_mb=servo_config.terrain_function_memory_mb,
+            description="procedural generation of one terrain chunk",
+        )
+    )
     return platform
-
-
-def deploy_servo_functions(platform: FaasPlatform, servo_config: ServoConfig) -> None:
-    """Deploy the Servo functions onto ``platform`` (idempotent)."""
-    if not platform.is_registered(SC_SIMULATION_FUNCTION):
-        platform.register(
-            FunctionDefinition(
-                name=SC_SIMULATION_FUNCTION,
-                handler=make_simulation_handler(),
-                memory_mb=servo_config.simulation_function_memory_mb,
-                description="speculative simulation of one simulated construct",
-            )
-        )
-    if not platform.is_registered(TERRAIN_GENERATION_FUNCTION):
-        platform.register(
-            FunctionDefinition(
-                name=TERRAIN_GENERATION_FUNCTION,
-                handler=make_terrain_handler(),
-                memory_mb=servo_config.terrain_function_memory_mb,
-                description="procedural generation of one terrain chunk",
-            )
-        )
 
 
 def make_servo_blob(engine: SimulationEngine, servo_config: ServoConfig) -> BlobStorage:
@@ -111,18 +104,14 @@ def build_servo_server(
 
     The server keeps the 20 Hz loop and client protocol of the baselines
     (Requirement R4); only the backend services change.  ``platform`` and
-    ``blob`` default to fresh instances; a cluster passes shared ones so all
-    shards bill against one provider account and persist into one store.
+    ``blob`` default to fresh instances; a cluster passes shared ones (a
+    platform from :func:`make_servo_platform`, the functions already deployed)
+    so all shards bill against one provider account and persist into one store.
     """
     game_config = game_config or GameConfig()
     servo_config = servo_config or ServoConfig()
-
-    if platform is None:
-        platform = make_servo_platform(engine, servo_config)
-    else:
-        deploy_servo_functions(platform, servo_config)
-    if blob is None:
-        blob = make_servo_blob(engine, servo_config)
+    platform = platform if platform is not None else make_servo_platform(engine, servo_config)
+    blob = blob if blob is not None else make_servo_blob(engine, servo_config)
 
     # Remote state storage with the Servo cache and prefetcher in front.
     storage = ServoStorageService(
@@ -149,16 +138,17 @@ def build_servo_server(
         terrain_provider=terrain_provider,
     )
 
-    server = (
-        ServerBuilder(engine, game_config, name=name)
-        .with_cost_model(SERVO_COST_MODEL)
-        .with_storage(storage)
-        .with_terrain_provider(terrain_provider)
-        .with_construct_backend(construct_backend)
-        .with_runtime(runtime)
-        .with_region(region)
-        .with_player_ids(player_ids)
-        .build()
+    server = GameServer(
+        engine,
+        game_config,
+        SERVO_COST_MODEL,
+        name=name,
+        storage=storage,
+        terrain_provider=terrain_provider,
+        construct_backend=construct_backend,
+        runtime=runtime,
+        region=region,
+        player_ids=player_ids,
     )
 
     # The prefetcher runs periodically, off the latency-critical path.

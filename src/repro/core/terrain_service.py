@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.faas.function import FunctionOutput, Invocation
+from repro.faas.function import FunctionOutput
 from repro.faas.platform import FaasPlatform
 from repro.server.chunkmanager import GenerationResult, TerrainProvider
 from repro.sim.engine import SimulationEngine
@@ -81,15 +81,12 @@ class ServerlessTerrainProvider(TerrainProvider):
         world_type: str,
         seed: int,
         function_name: str = TERRAIN_GENERATION_FUNCTION,
-        max_attempts: int = 3,
     ) -> None:
         self.engine = engine
         self.platform = platform
         self.world_type = world_type
         self.seed = int(seed)
         self.function_name = function_name
-        #: invocation attempts per chunk before generating locally instead
-        self.max_attempts = int(max_attempts)
         self._pending = 0
         self._local_generator: Optional[TerrainGenerator] = None
 
@@ -100,17 +97,20 @@ class ServerlessTerrainProvider(TerrainProvider):
         return self._local_generator.generate_chunk(position)
 
     def request(
-        self,
-        position: ChunkPos,
-        callback: Callable[[Chunk, GenerationResult], None],
-        _attempt: int = 1,
+        self, position: ChunkPos, callback: Callable[[Chunk, GenerationResult], None]
     ) -> None:
+        """Generate ``position`` in one FaaS call; ``callback`` fires on its reply.
+
+        The platform retries a failed call under the fault plan's retry
+        policy; the reply lands when the last attempt completes.
+        """
         payload = TerrainRequest(
             world_type=self.world_type, seed=self.seed, cx=position.cx, cz=position.cz
         )
         self._pending += 1
+        invocation = self.platform.invoke_with_retry(self.function_name, payload)
 
-        def on_reply(invocation: Invocation) -> None:
+        def on_reply() -> None:
             self._pending -= 1
             chunk = invocation.result
             telemetry = self.engine.telemetry
@@ -125,19 +125,14 @@ class ServerlessTerrainProvider(TerrainProvider):
                         "cx": position.cx,
                         "cz": position.cz,
                         "status": invocation.status,
-                        "attempt": _attempt,
+                        "attempts": invocation.attempts,
                     },
                 )
-            if invocation.status != "ok" or not isinstance(chunk, Chunk):
-                # A timed-out (or failed/throttled) invocation delivers None
-                # where a chunk is expected: count it, retry a bounded number
-                # of times, then fall back to local generation — terrain must
-                # eventually arrive, but never by retrying forever.
-                self.engine.metrics.increment("terrain_generation_failures")
-                if _attempt < self.max_attempts:
-                    self.engine.metrics.increment("terrain_generation_retries")
-                    self.request(position, callback, _attempt=_attempt + 1)
-                    return
+            fallback = invocation.status != "ok" or not isinstance(chunk, Chunk)
+            if fallback:
+                # Every attempt failed (or timed out, or was throttled): fall
+                # back to local generation — terrain must eventually arrive,
+                # but never by retrying forever.
                 self.engine.metrics.increment("terrain_local_fallbacks")
                 if telemetry.enabled:
                     telemetry.instant(
@@ -146,27 +141,22 @@ class ServerlessTerrainProvider(TerrainProvider):
                         track="terrain",
                         args={"cx": position.cx, "cz": position.cz},
                     )
-                callback(
-                    self._generate_locally(position),
-                    GenerationResult(
-                        position=position,
-                        latency_ms=invocation.latency_ms,
-                        source="local-fallback",
-                        consumed_local_cpu=True,
-                    ),
-                )
-                return
+                chunk = self._generate_locally(position)
             callback(
                 chunk,
                 GenerationResult(
                     position=position,
                     latency_ms=invocation.latency_ms,
-                    source="faas-generation",
-                    consumed_local_cpu=False,
+                    source="local-fallback" if fallback else "faas-generation",
+                    consumed_local_cpu=fallback,
                 ),
             )
 
-        self.platform.invoke_async(self.function_name, payload, on_reply)
+        self.engine.schedule_at(
+            invocation.completed_ms,
+            on_reply,
+            name=f"faas-reply:{self.function_name}:{invocation.request_id}",
+        )
 
     def pending_count(self) -> int:
         return self._pending

@@ -7,17 +7,18 @@ caller observes is assembled from the calibrated models:
     latency = invocation overhead + cold-start penalty (if any) + execution time
 
 Execution time depends on the handler's reported single-vCPU work and the
-function's memory configuration (:mod:`repro.faas.resources`).  Synchronous
-invocation returns the completed :class:`Invocation`; asynchronous invocation
-schedules a completion callback on the simulation engine so replies arrive in
-virtual time, which is what Servo's speculative execution waits for.
+function's memory configuration (:mod:`repro.faas.resources`).  Both entry
+points, :meth:`FaasPlatform.invoke` and :meth:`FaasPlatform.invoke_with_retry`,
+return the completed :class:`Invocation` without advancing the clock; a caller
+that waits for the reply schedules its own completion event at
+``completed_ms``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.faas.billing import BillingModel
 from repro.faas.coldstart import WarmInstancePool
@@ -65,9 +66,6 @@ class FaasPlatform:
         self._functions[definition.name] = definition
         self._pools[definition.name] = WarmInstancePool(keep_alive_ms=self.provider.keep_alive_ms)
 
-    def is_registered(self, name: str) -> bool:
-        return name in self._functions
-
     def function_names(self) -> list[str]:
         return sorted(self._functions)
 
@@ -90,7 +88,7 @@ class FaasPlatform:
         The handler runs now; the returned record carries the virtual latency
         after which the reply would be observable by the caller.  The
         simulation clock is *not* advanced; callers decide how to account the
-        latency (Servo's offload path uses :meth:`invoke_async` instead).
+        latency.  Servo's services call :meth:`invoke_with_retry` instead.
         """
         return self._invoke_at(name, payload, self.engine.now_ms)
 
@@ -232,26 +230,6 @@ class FaasPlatform:
             latency_ms=last.completed_ms - first.submitted_ms,
             attempts=attempts,
         )
-
-    def invoke_async(
-        self,
-        name: str,
-        payload: Any,
-        callback: Optional[Callable[[Invocation], None]] = None,
-    ) -> Invocation:
-        """Invoke a function and deliver the reply in virtual time.
-
-        The returned record describes the invocation; if ``callback`` is given
-        it fires on the simulation engine at the invocation's completion time.
-        """
-        invocation = self.invoke(name, payload)
-        if callback is not None:
-            self.engine.schedule_at(
-                invocation.completed_ms,
-                lambda inv=invocation: callback(inv),
-                name=f"faas-reply:{name}:{invocation.request_id}",
-            )
-        return invocation
 
     # -- summaries ------------------------------------------------------------------
 

@@ -69,7 +69,6 @@ def install_faults(host: Host, plan: Optional[FaultPlan]) -> Optional[FaultInjec
     def wire_server(server: GameServer) -> None:
         if channel is not None:
             server.message_channel = channel
-            channel.add_resolver(server.sessions.get)
             for session in server.sessions.values():
                 session.attach_channel(channel)
         if plan.degradation is not None:

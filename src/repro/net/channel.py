@@ -10,14 +10,15 @@ The server side tolerates the faults through **idempotent update
 application**: deliveries are deduplicated against a bounded per-player
 window of recently seen sequence numbers, so a duplicated message is applied
 exactly once, and a delayed message (which arrives out of order but is not a
-duplicate) is still accepted.  Without a fault plan no channel exists and
-messages go straight into the inbox — the zero-fault hot path is untouched.
+duplicate) is still accepted, on the session it was sent on.  Without a fault
+plan no channel exists and messages go straight into the inbox — the
+zero-fault hot path is untouched.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING
 
 from repro.net.message import Message
 
@@ -68,12 +69,6 @@ class FaultyMessageChannel:
         self._record = injector.record
         self._sequences: dict[int, int] = {}
         self._seen: dict[int, _SeenWindow] = {}
-        #: player_id -> live session lookups, one per server sharing the wire
-        self._resolvers: list[Callable[[int], Optional["PlayerSession"]]] = []
-
-    def add_resolver(self, resolver: Callable[[int], Optional["PlayerSession"]]) -> None:
-        """Register a server's session lookup (used to land delayed messages)."""
-        self._resolvers.append(resolver)
 
     # -- the wire ---------------------------------------------------------------------
 
@@ -101,9 +96,11 @@ class FaultyMessageChannel:
             delay_ms = faults.delay_ms_min + float(self._rng.random()) * span
             self.metrics.increment("net_messages_delayed")
             self._record("net.delay", f"player={player_id} seq={sequence} ms={delay_ms:.1f}")
+            # A player is one session for life, so the session it was sent on
+            # is still its inbox after a migration or a shard respawn.
             self.engine.schedule_in(
                 delay_ms,
-                lambda: self._deliver_late(stamped),
+                lambda: self._deliver(session, stamped),
                 name=f"net-delay:{player_id}:{sequence}",
             )
             return
@@ -122,16 +119,5 @@ class FaultyMessageChannel:
         try:
             session.enqueue(message)
         except RuntimeError:
-            # The player disconnected between send and delivery.
+            # The player disconnected while a delayed message was in flight.
             self.metrics.increment("net_messages_lost")
-
-    def _deliver_late(self, message: Message) -> None:
-        """Land a delayed message on whichever server now hosts the player."""
-        for resolver in self._resolvers:
-            session = resolver(message.player_id)
-            if session is not None and not session.disconnected:
-                self._deliver(session, message)
-                return
-        # The player disconnected (or their shard died) while the message
-        # was in flight.
-        self.metrics.increment("net_messages_lost")

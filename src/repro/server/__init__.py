@@ -11,7 +11,6 @@ The two baselines of the paper are assembled here (:func:`make_opencraft` and
 its serverless services into the same server.
 """
 
-from repro.server.builder import ServerBuilder
 from repro.server.chunkmanager import (
     ChunkManager,
     LocalTerrainProvider,
@@ -48,7 +47,6 @@ __all__ = [
     "LocalTerrainProvider",
     "OwnershipRegion",
     "ChunkManager",
-    "ServerBuilder",
     "GameServer",
     "ServerRuntime",
     "TickRecord",

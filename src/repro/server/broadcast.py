@@ -1,17 +1,22 @@
 """Full fan-out: the paper's broadcast, one state update per player per tick.
 
-A server broadcasts through one policy object, picked by ``ServerBuilder``:
-a :class:`FullFanout` or an :class:`~repro.interest.InterestMap`.  Both answer
-the same calls, so the game loop, cost model, graceful degradation and cluster
-coordinator never ask which one they hold.  Full fan-out routes nothing —
-every update reaches everyone — so its dirty and cluster hooks do nothing.
+A server broadcasts through one policy object, picked once by
+:func:`broadcast_policy` when the server is built: a :class:`FullFanout` or an
+:class:`~repro.interest.InterestMap`.  Both answer the same calls, so the game
+loop, cost model, graceful degradation and cluster coordinator never ask which
+one they hold.  Full fan-out routes nothing — every update reaches everyone —
+so its dirty and cluster hooks do nothing.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.interest import InterestMap
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.server.chunkmanager import ChunkManager
+    from repro.server.config import GameConfig
     from repro.server.costmodel import TickWork
     from repro.server.gameloop import GameServer
     from repro.server.session import PlayerSession
@@ -58,3 +63,21 @@ class FullFanout:
 
     def has_subscribers(self, chunk: tuple[int, int]) -> bool:
         return False
+
+
+def broadcast_policy(config: "GameConfig", chunks: "ChunkManager") -> FullFanout | InterestMap:
+    """The one place a server's broadcast mode is decided.
+
+    Full fan-out unless ``config`` sets an interest radius; an interest map's
+    subscription centres then ride ``chunks``' chunk-crossing detection.
+    """
+    if not config.interest_enabled:
+        return FullFanout()
+    interest = InterestMap(
+        radius_chunks=config.interest_radius_chunks,
+        near_radius_chunks=config.interest_near_radius_chunks,
+        max_staleness_ticks=config.interest_max_staleness_ticks,
+        max_drift_blocks=config.interest_max_drift_blocks,
+    )
+    chunks.center_listeners.append(interest.update_center)
+    return interest

@@ -18,18 +18,26 @@ from typing import Callable, Iterator, Optional
 from repro.constructs.circuit import SimulatedConstruct
 from repro.interest import InterestMap
 from repro.net.message import Message, MessageKind
-from repro.server.broadcast import FullFanout
-from repro.server.chunkmanager import ChunkManager, ChunkTickReport, OwnershipRegion
+from repro.server.broadcast import FullFanout, broadcast_policy
+from repro.server.chunkmanager import (
+    ChunkManager,
+    ChunkTickReport,
+    LocalTerrainProvider,
+    OwnershipRegion,
+    TerrainProvider,
+)
 from repro.server.config import GameConfig
 from repro.server.costmodel import TickCostModel, TickWork
 from repro.server.entities import Avatar
-from repro.server.sc_engine import ConstructBackend, ConstructTickPlan
+from repro.server.sc_engine import ConstructBackend, ConstructTickPlan, LocalConstructBackend
 from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import metric_name
 from repro.storage.base import StorageBackend, StorageOperation
+from repro.storage.local import LocalDiskStorage
 from repro.world.block import BlockType
 from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, block_to_chunk
+from repro.world.terrain import make_terrain_generator
 from repro.world.world import ChunkNotLoadedError, VoxelWorld
 
 
@@ -119,7 +127,13 @@ class ServerStatistics:
 
 
 class GameServer(TickLoop):
-    """One MVE server instance (one virtual world)."""
+    """One MVE server instance (one virtual world).
+
+    A variant is a cost model plus the services it swaps in; a service left
+    as None gets the all-local default (local disk, a two-worker local terrain
+    pool, a local construct backend on the cost model's interval).  World,
+    terrain generator, chunk manager and broadcast policy follow ``config``.
+    """
 
     # Residue of the removed process pool; last reader is bench/spans.py:185.
     executor = None
@@ -128,26 +142,42 @@ class GameServer(TickLoop):
         self,
         engine: SimulationEngine,
         config: GameConfig,
-        world: VoxelWorld,
-        chunk_manager: ChunkManager,
-        construct_backend: ConstructBackend,
         cost_model: TickCostModel,
-        broadcast: FullFanout | InterestMap,
-        storage: StorageBackend,
+        *,
         name: str = "server",
+        storage: Optional[StorageBackend] = None,
+        terrain_provider: Optional[TerrainProvider] = None,
+        construct_backend: Optional[ConstructBackend] = None,
         runtime: Optional[ServerRuntime] = None,
         region: Optional[OwnershipRegion] = None,
         player_ids: Optional[Iterator[int]] = None,
     ) -> None:
+        generator = make_terrain_generator(config.world_type, seed=config.world_seed)
         self.engine = engine
         self.config = config
-        self.world = world
-        self.chunks = chunk_manager
-        self.constructs = construct_backend
+        self.world = VoxelWorld()
+        self.storage = storage if storage is not None else LocalDiskStorage(
+            rng=engine.rng(f"{name}-disk")
+        )
+        provider = terrain_provider if terrain_provider is not None else LocalTerrainProvider(
+            engine, generator
+        )
+        self.constructs = construct_backend if construct_backend is not None else (
+            LocalConstructBackend(interval=cost_model.construct_tick_interval)
+        )
+        self.chunks = ChunkManager(
+            engine=engine,
+            world=self.world,
+            generator=generator,
+            provider=provider,
+            storage=self.storage,
+            view_distance_blocks=config.view_distance_blocks,
+            max_integrations_per_tick=config.max_chunk_integrations_per_tick,
+            region=region,
+        )
         self.cost_model = cost_model
         #: full fan-out or interest map: joins, leaves, dirty events, flushes
-        self.broadcast = broadcast
-        self.storage = storage
+        self.broadcast: FullFanout | InterestMap = broadcast_policy(config, self.chunks)
         self.name = name
         #: typed handle to backend-specific services (e.g. ServoRuntime)
         self.runtime = runtime

@@ -136,15 +136,21 @@ def test_constructs_route_to_the_owning_shard(engine):
     boundary_x = cluster.partitioner.zone_width_chunks * CHUNK_SIZE
     left = build_wire_line(length=3, origin=BlockPos(4, 66, 4))
     right = build_wire_line(length=3, origin=BlockPos(boundary_x + 4, 66, 4))
-    cluster.place_construct(left)
-    cluster.place_construct(right)
-    assert cluster.shards[0].construct_count == 1
+    # Straddles the boundary: it belongs to the zone of its first cell.
+    straddler = build_wire_line(length=4, origin=BlockPos(boundary_x - 2, 66, 8))
+    for construct in (left, right, straddler):
+        cluster.place_construct(construct)
+        assert cluster.verify_constructs()
+    assert cluster.shards[0].construct_count == 2
     assert cluster.shards[1].construct_count == 1
-    assert cluster.construct_count == 2
+    assert cluster.construct_count == 3
     cluster.remove_construct(right.construct_id)
+    assert cluster.verify_constructs()
     assert cluster.shards[1].construct_count == 0
     with pytest.raises(KeyError):
         cluster.remove_construct(right.construct_id)
+    cluster.tick()
+    assert cluster.verify_constructs()
 
 
 def test_shards_only_load_chunks_in_their_zone(engine):

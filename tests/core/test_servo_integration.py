@@ -25,8 +25,9 @@ def test_servo_config_validation():
 def test_build_servo_server_deploys_both_functions(engine):
     server = build_servo_server(engine, GameConfig(world_type="flat"))
     runtime = server.runtime
-    assert runtime.platform.is_registered(SC_SIMULATION_FUNCTION)
-    assert runtime.platform.is_registered(TERRAIN_GENERATION_FUNCTION)
+    assert runtime.platform.function_names() == sorted(
+        [SC_SIMULATION_FUNCTION, TERRAIN_GENERATION_FUNCTION]
+    )
     assert server.cost_model.name == "servo"
     assert server.name == "servo"
 

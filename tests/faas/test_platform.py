@@ -63,15 +63,6 @@ def test_warm_environment_expires_after_keep_alive(platform, engine):
     assert late.cold_start is True
 
 
-def test_invoke_async_delivers_reply_in_virtual_time(platform, engine):
-    replies = []
-    invocation = platform.invoke_async("echo", 7, callback=replies.append)
-    assert replies == []
-    engine.advance_to(invocation.completed_ms + 1.0)
-    assert len(replies) == 1
-    assert replies[0].result == {"echo": 7}
-
-
 def test_handler_must_return_function_output(engine):
     platform = FaasPlatform(engine)
     platform.register(FunctionDefinition(name="bad", handler=lambda payload: payload))

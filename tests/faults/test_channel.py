@@ -18,7 +18,6 @@ def make_session(engine, channel=None):
     server.chunks.preload_area(server.config.spawn_position, 96.0)
     session = server.connect_player("alice")
     if channel is not None:
-        channel.add_resolver(server.sessions.get)
         session.attach_channel(channel)
     return server, session
 
@@ -110,3 +109,78 @@ def test_without_a_channel_messages_go_straight_to_the_inbox(engine):
     session.enqueue(move(session.player_id))
     assert session.pending_messages == 1
     assert session.drain()[0].sequence is None
+
+
+# -- a delayed message across a cluster handoff ------------------------------------------
+
+
+def make_delayed_cluster(engine, shards=None):
+    from repro.cluster import build_opencraft_cluster
+    from repro.faults import install_faults
+
+    cluster = build_opencraft_cluster(engine, GameConfig(world_type="flat"), shards=2)
+    cluster.chunks.preload_area(cluster.config.spawn_position, 96.0)
+    net = {"delay_rate": 1.0, "delay_ms_min": 100.0, "delay_ms_max": 100.0}
+    plan = {"net": net} if shards is None else {"net": net, "shards": shards}
+    install_faults(cluster, FaultPlan.from_dict(plan))
+    sessions = [cluster.connect_player(f"bot-{index}") for index in range(4)]
+    return cluster, sessions
+
+
+def run_rounds(cluster, rounds):
+    for _ in range(rounds):
+        cluster.tick()
+        assert cluster.verify_sessions()
+
+
+def test_a_delayed_message_lands_once_after_its_player_migrates(engine):
+    cluster, sessions = make_delayed_cluster(engine)
+    mover = sessions[3]  # spawned next to the zone boundary, on shard 0
+    assert cluster.home[mover.player_id] == 0
+    position = mover.avatar.position
+    mover.move(position.x + 5, position.y, position.z)
+    while not mover.pending_messages:  # the move is still in flight
+        run_rounds(cluster, 1)
+    # Sent on shard 0; the next round processes the move and hands the
+    # player to shard 1 before the chat can land.
+    mover.chat("sent from shard 0")
+    run_rounds(cluster, 1)
+    assert cluster.home[mover.player_id] == 1
+    assert mover.avatar.chat_messages_sent == 0
+    run_rounds(cluster, 4)
+    assert mover.avatar.chat_messages_sent == 1
+    assert cluster.shards[1].sessions[mover.player_id] is mover
+    assert engine.metrics.counter("net_messages_lost") == 0.0
+
+
+def test_a_delayed_message_lands_once_after_its_shard_respawns(engine):
+    kill = [{"at_ms": 50.0, "shard": 0, "respawn_after_ms": 100.0}]
+    cluster, sessions = make_delayed_cluster(engine, shards=kill)
+    stranded = sessions[0]
+    assert cluster.home[stranded.player_id] == 0
+    old_shard = cluster.shards[0]
+    while engine.now_ms < 150.0:  # the round at 50 ms kills shard 0
+        run_rounds(cluster, 1)
+    assert engine.metrics.counter("shard_kills") == 1.0
+    assert cluster.recovery_records == []
+    # Sent while shard 0 is down; the next round respawns it first.
+    stranded.chat("sent during the outage")
+    run_rounds(cluster, 1)
+    assert len(cluster.recovery_records) == 1
+    assert stranded.avatar.chat_messages_sent == 0
+    run_rounds(cluster, 4)
+    assert cluster.shards[0] is not old_shard
+    assert cluster.shards[0].sessions[stranded.player_id] is stranded
+    assert stranded.avatar.chat_messages_sent == 1
+    assert engine.metrics.counter("net_messages_lost") == 0.0
+    assert engine.metrics.counter("shard_messages_lost") == 0.0
+
+
+def test_a_delayed_message_for_a_disconnected_cluster_player_is_lost(engine):
+    cluster, sessions = make_delayed_cluster(engine)
+    leaver = sessions[1]
+    leaver.chat("goodbye")
+    cluster.disconnect_player(leaver.player_id)
+    run_rounds(cluster, 4)
+    assert leaver.avatar.chat_messages_sent == 0
+    assert engine.metrics.counter("net_messages_lost") == 1.0

@@ -24,6 +24,7 @@ def run_rounds(cluster, rounds):
     for _ in range(rounds):
         cluster.tick()
         assert cluster.verify_sessions()
+        assert cluster.verify_constructs()
 
 
 def homed_on(cluster, slot):

@@ -1,4 +1,6 @@
-"""Serverless terrain under faults: bounded retries, then local fallback."""
+"""Serverless terrain under faults: the plan's bounded retries, then local fallback."""
+
+import pytest
 
 from repro.core.terrain_service import (
     TERRAIN_GENERATION_FUNCTION,
@@ -11,7 +13,7 @@ from repro.world.coords import ChunkPos
 from repro.world.terrain import make_terrain_generator
 
 
-def make_provider(engine, plan=None, max_attempts=3):
+def make_provider(engine, plan=None):
     platform = FaasPlatform(engine, provider=AWS_LAMBDA)
     platform.register(
         FunctionDefinition(
@@ -22,9 +24,7 @@ def make_provider(engine, plan=None, max_attempts=3):
     )
     if plan is not None:
         platform.fault_injector = FaultInjector(engine, FaultPlan.from_dict(plan))
-    return ServerlessTerrainProvider(
-        engine, platform, world_type="flat", seed=7, max_attempts=max_attempts
-    )
+    return ServerlessTerrainProvider(engine, platform, world_type="flat", seed=7)
 
 
 def collect(provider, engine, position=ChunkPos(3, 4), horizon_ms=60_000.0):
@@ -35,7 +35,8 @@ def collect(provider, engine, position=ChunkPos(3, 4), horizon_ms=60_000.0):
 
 
 def test_dead_platform_falls_back_to_local_generation(engine):
-    provider = make_provider(engine, {"faas": {"failure_rate": 1.0}}, max_attempts=3)
+    plan = {"faas": {"failure_rate": 1.0, "retry": {"max_attempts": 3}}}
+    provider = make_provider(engine, plan)
     delivered = collect(provider, engine)
     assert len(delivered) == 1
     chunk, result = delivered[0]
@@ -44,17 +45,48 @@ def test_dead_platform_falls_back_to_local_generation(engine):
     # Generation is pure: the fallback chunk equals the serverless one.
     reference = make_terrain_generator("flat", seed=7).generate_chunk(ChunkPos(3, 4))
     assert (chunk.blocks == reference.blocks).all()
-    assert engine.metrics.counter("terrain_generation_failures") == 3.0
-    assert engine.metrics.counter("terrain_generation_retries") == 2.0
+    assert engine.metrics.counter("faas_failures") == 3.0
+    assert engine.metrics.counter("faas_retries") == 2.0
+    assert engine.metrics.counter("faas_giveups") == 1.0
     assert engine.metrics.counter("terrain_local_fallbacks") == 1.0
     assert provider.pending_count() == 0
+
+
+def test_terrain_retries_follow_the_plan_then_fall_back(engine):
+    plan = {"faas": {"failure_rate": 1.0, "retry": {"max_attempts": 5}}}
+    provider = make_provider(engine, plan)
+    delivered = []
+    arrived_ms = []
+
+    def on_chunk(chunk, result):
+        delivered.append(result)
+        arrived_ms.append(engine.now_ms)
+
+    provider.request(ChunkPos(3, 4), on_chunk)
+    engine.advance_by(60_000.0)
+    attempts = provider.platform.invocations_for(TERRAIN_GENERATION_FUNCTION)
+    assert len(attempts) == 5
+    assert [attempt.status for attempt in attempts] == ["failure"] * 5
+    assert engine.metrics.counter("faas_retries") == 4.0
+    assert engine.metrics.counter("faas_giveups") == 1.0
+    (result,) = delivered
+    assert result.source == "local-fallback"
+    # The reply lands when the last attempt completes, and its latency (the
+    # chunk manager's terrain_retrieval_ms sample) spans the whole ordeal.
+    assert arrived_ms == [attempts[-1].completed_ms]
+    assert result.latency_ms == pytest.approx(
+        attempts[-1].completed_ms - attempts[0].submitted_ms
+    )
+    assert result.latency_ms > attempts[-1].latency_ms
 
 
 def test_flaky_platform_usually_recovers_without_fallback():
     from repro.sim import SimulationEngine
 
     engine = SimulationEngine(seed=21)
-    provider = make_provider(engine, {"faas": {"failure_rate": 0.3}}, max_attempts=4)
+    provider = make_provider(
+        engine, {"faas": {"failure_rate": 0.3, "retry": {"max_attempts": 4}}}
+    )
     delivered = []
     for index in range(10):
         provider.request(
@@ -72,4 +104,5 @@ def test_healthy_platform_is_unaffected(engine):
     delivered = collect(provider, engine)
     assert len(delivered) == 1
     assert delivered[0][1].source == "faas-generation"
-    assert engine.metrics.counter("terrain_generation_failures") == 0.0
+    assert engine.metrics.counter("faas_retries") == 0.0
+    assert engine.metrics.counter("terrain_local_fallbacks") == 0.0

@@ -88,23 +88,20 @@ class TestTerrainSpans:
     def test_request_reply_span_and_fallback_instant(self, engine, hub):
         platform = terrain_platform(engine)
         platform.fault_injector = FaultInjector(
-            engine, FaultPlan.from_dict({"faas": {"failure_rate": 1.0}})
+            engine,
+            FaultPlan.from_dict({"faas": {"failure_rate": 1.0, "retry": {"max_attempts": 2}}}),
         )
-        provider = ServerlessTerrainProvider(
-            engine, platform, world_type="flat", seed=3, max_attempts=2
-        )
+        provider = ServerlessTerrainProvider(engine, platform, world_type="flat", seed=3)
         delivered = []
         provider.request(ChunkPos(1, 2), lambda chunk, result: delivered.append(result))
         engine.run_until_idle()
         assert len(delivered) == 1
         assert delivered[0].source == "local-fallback"
-        spans = hub.spans("terrain")
-        assert len(spans) == 2  # one per attempt
-        assert [span.args["attempt"] for span in spans] == [1, 2]
-        assert all(span.args["status"] == "failure" for span in spans)
-        assert all(
-            span.args["cx"] == 1 and span.args["cz"] == 2 for span in spans
-        )
+        # One span per request, covering every attempt; one faas span each.
+        (span,) = hub.spans("terrain")
+        assert span.args == {"cx": 1, "cz": 2, "status": "failure", "attempts": 2}
+        assert span.dur_ms == delivered[0].latency_ms
+        assert len(hub.spans("faas")) == 2
         fallbacks = [e for e in hub.instants("terrain") if e.name == "local-fallback"]
         assert len(fallbacks) == 1
 

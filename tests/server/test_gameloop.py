@@ -266,6 +266,42 @@ def test_minecraft_variant_uses_its_own_cost_model():
     assert minecraft.cost_model.per_player_ms > opencraft.cost_model.per_player_ms
 
 
+@pytest.mark.parametrize("make_server", [make_opencraft, make_minecraft])
+def test_a_server_built_without_services_gets_the_all_local_defaults(make_server, engine):
+    from repro.server import LocalConstructBackend, LocalTerrainProvider
+    from repro.server.broadcast import FullFanout
+    from repro.storage.local import LocalDiskStorage
+
+    server = make_server(engine, GameConfig(world_type="flat"))
+    assert isinstance(server.storage, LocalDiskStorage)
+    assert server.chunks.storage is server.storage
+    assert isinstance(server.chunks.provider, LocalTerrainProvider)
+    assert server.chunks.provider.workers == 2
+    assert server.chunks.provider.generator is server.chunks.generator
+    assert isinstance(server.constructs, LocalConstructBackend)
+    assert server.constructs.interval == server.cost_model.construct_tick_interval == 2
+    assert isinstance(server.broadcast, FullFanout)
+    assert server.interest is None
+    assert server.chunks.center_listeners == []
+
+
+def test_the_default_construct_interval_follows_the_cost_model(engine):
+    from repro.server import SERVO_COST_MODEL, GameServer
+
+    server = GameServer(engine, GameConfig(world_type="flat"), SERVO_COST_MODEL)
+    assert server.constructs.interval == SERVO_COST_MODEL.construct_tick_interval == 1
+
+
+def test_an_interest_radius_gives_an_interest_map_fed_by_chunk_crossings(engine):
+    from repro.interest import InterestMap
+
+    server = make_opencraft(engine, GameConfig(world_type="flat", interest_radius_chunks=3))
+    assert isinstance(server.broadcast, InterestMap)
+    assert server.interest is server.broadcast
+    assert server.broadcast.radius_chunks == 3
+    assert server.chunks.center_listeners == [server.broadcast.update_center]
+
+
 def test_fraction_over_budget_requires_ticks(opencraft):
     with pytest.raises(ValueError):
         fraction_exceeding(opencraft.tick_durations_ms(), 50.0)

@@ -82,7 +82,9 @@ def test_terrain_generation_demo_main(capsys):
     assert "view range" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("spec_name", ["servo_quick.json", "cluster_shard_kill.json"])
+@pytest.mark.parametrize(
+    "spec_name", ["servo_quick.json", "cluster_shard_kill.json", "terrain_brownout.json"]
+)
 def test_checked_in_specs_are_valid(spec_name):
     from repro.api import RunSpec
 
