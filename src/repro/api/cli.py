@@ -15,8 +15,8 @@ Commands:
   Chrome trace-event schema and print the per-subsystem virtual-time
   breakdown.
 * ``repro lint`` — statically enforce the determinism contract (rules
-  DET001–003, 005) over the package source; non-zero exit on any unsuppressed
-  finding, ``--format json`` for CI.
+  DET001–003, 005) over the installed package source; exit 1 on any
+  unsuppressed finding.
 * ``repro --version`` — the package version.
 """
 
@@ -147,23 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint = commands.add_parser(
         "lint",
         help="statically enforce the determinism contract (rules DET001-003, 005)",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="package source directories to lint (default: the installed repro package)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (json includes the full finding schema, for CI)",
-    )
-    lint.add_argument("--config", metavar="PATH", help="explicit lint.toml path")
-    lint.add_argument(
-        "--show-suppressed",
-        action="store_true",
-        help="also print pragma- and quarantine-suppressed findings with their reasons",
     )
     lint.set_defaults(handler=_cmd_lint)
 
@@ -338,12 +321,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint.engine import run_lint
 
-    return run_lint(
-        paths=args.paths,
-        output_format=args.format,
-        config_path=args.config,
-        show_suppressed=args.show_suppressed,
-    )
+    return run_lint()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -49,17 +49,16 @@ def install_faults(host: Host, plan: Optional[FaultPlan]) -> Optional[FaultInjec
     injector = FaultInjector(engine, plan)
 
     if plan.faas is not None and plan.faas.active:
-        platforms = {
-            id(platform): platform  # det: allow[DET005] identity-dedupe of shared platforms; iteration stays in shard-discovery order
-            for platform in map(_platform_of, servers)
-            if platform is not None
-        }
+        # Shards may share one platform: dedupe by identity, in shard order.
+        platforms = dict.fromkeys(
+            platform for platform in map(_platform_of, servers) if platform is not None
+        )
         if not platforms:
             raise ValueError(
                 f"the fault plan injects FaaS faults but host {host.name!r} "
                 "has no FaaS platform (use a servo variant)"
             )
-        for platform in platforms.values():
+        for platform in platforms:
             platform.fault_injector = injector
 
     channel: Optional[FaultyMessageChannel] = None

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-
-#: JSON output schema version (bump on any incompatible change)
-SCHEMA_VERSION = 1
+from dataclasses import dataclass, replace
 
 #: inline suppression: ``# det: allow[DET003] reason text`` (reason required)
 PRAGMA_PATTERN = re.compile(
@@ -30,25 +27,9 @@ class Finding:
     def suppress(self, reason: str) -> "Finding":
         return replace(self, suppressed=True, reason=reason)
 
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "hint": self.hint,
-            "suppressed": self.suppressed,
-            "reason": self.reason,
-        }
-
     def format(self) -> str:
-        location = f"{self.path}:{self.line}:{self.col}"
-        prefix = "allowed " if self.suppressed else ""
-        text = f"{location}: {prefix}{self.rule} {self.message}"
-        if self.suppressed and self.reason:
-            text += f" (reason: {self.reason})"
-        elif self.hint:
+        text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+        if self.hint:
             text += f"\n    hint: {self.hint}"
         return text
 
@@ -60,8 +41,6 @@ class Pragma:
     line: int
     rules: tuple[str, ...]
     reason: str
-    #: rule ids consumed by at least one finding (mutable bookkeeping slot)
-    used: set = field(default_factory=set, compare=False)
 
     @property
     def has_reason(self) -> bool:

@@ -1,17 +1,22 @@
 """The determinism rules: one suppressible, named check per invariant.
 
-Every rule is a class with an id, a one-line title and a fix hint; its
+Every rule is a class with an id, a one-line docstring and a fix hint; its
 ``check`` walks one :class:`~repro.lint.model.ModuleInfo` and yields
-:class:`~repro.lint.findings.Finding` objects.  The engine owns quarantine
-allowlists and pragma suppression — rules always report raw violations.
+:class:`~repro.lint.findings.Finding` objects.  The engine owns the
+quarantine and pragma suppression — rules always report raw violations.
 
-The rules (see README "Static analysis" for the contract they enforce):
+Each rule stays because a seeded violation of it survives every test that
+compares two same-seed runs; its justification rows in the kill table
+(``tests/mutation/mutants.toml``, see README "Static analysis") are named:
 
-* **DET001** — no wall-clock reads outside the profiling quarantine.
-* **DET002** — no ambient randomness; draw from named streams (sim/rng.py).
+* **DET001** — no wall-clock reads outside the profiling quarantine
+  (``det001-sweep-seed``).
+* **DET002** — no ambient randomness; draw from named streams (sim/rng.py)
+  (``det002-terrain-seed``).
 * **DET003** — no iteration over set-typed values feeding order-sensitive
-  sinks without an explicit ``sorted()``.
-* **DET005** — no ``id()`` / ``hash(object)`` / address-dependent ordering.
+  sinks without an explicit ``sorted()`` (every ``det003-*`` row).
+* **DET005** — no ``id()`` / ``hash(object)`` / address-dependent ordering
+  (``det005-shed-budget``, ``det005-availability-seed``).
 
 (The id between DET003 and DET005 belonged to a rule that was deleted with
 the code it guarded; ids are not renumbered.)
@@ -27,10 +32,9 @@ from repro.lint.model import ModuleInfo, is_set_annotation
 
 
 class Rule:
-    """Base class: id, human title and fix hint, plus the per-module check."""
+    """Base class: id and fix hint, plus the per-module check."""
 
     rule_id: str = ""
-    title: str = ""
     hint: str = ""
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -63,8 +67,9 @@ _WALL_CLOCK_CALLS = frozenset({
 
 
 class WallClockRule(Rule):
+    """No wall-clock reads outside the profiling quarantine."""
+
     rule_id = "DET001"
-    title = "no wall-clock reads outside the profiling quarantine"
     hint = (
         "simulation code must read virtual time from the engine clock; "
         "wall-clock measurement belongs in repro.obs.profiling.WallClockProfiler"
@@ -90,8 +95,9 @@ _NUMPY_RANDOM_CONSTRUCTORS = frozenset({
 
 
 class AmbientRandomnessRule(Rule):
+    """No ambient randomness; draw from named streams."""
+
     rule_id = "DET002"
-    title = "no ambient randomness; draw from named streams"
     hint = (
         "draw from a named stream: engine.rng('subsystem') / "
         "repro.sim.rng.RandomStreams — never from process-global RNG state"
@@ -203,8 +209,9 @@ class _FunctionSetScope:
 
 
 class SetIterationRule(Rule):
+    """No unordered-set iteration feeding order-sensitive sinks."""
+
     rule_id = "DET003"
-    title = "no unordered-set iteration feeding order-sensitive sinks"
     hint = (
         "iterate sorted(the_set) (or keep the result itself order-insensitive: "
         "a set/frozenset comprehension, sum/min/max/any/all)"
@@ -272,8 +279,9 @@ def _describe(expr: ast.AST) -> str:
 
 
 class AddressDependenceRule(Rule):
+    """No id()/hash(object)/address-dependent ordering."""
+
     rule_id = "DET005"
-    title = "no id()/hash(object)/address-dependent ordering"
     hint = (
         "CPython id() is a memory address and hash() of str/bytes/object is "
         "salted per process; derive stable keys from content "

@@ -220,7 +220,7 @@ def test_standard_construct_spreads_instances():
     assert first.block_count == second.block_count
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(min_value=2, max_value=12))
 def test_deterministic_simulation_for_any_clock_period(period):
     """Two identical constructs simulated independently stay in lockstep."""

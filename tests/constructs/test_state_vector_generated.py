@@ -205,7 +205,7 @@ def run_case(fleet_specs, schedule, min_batch=8) -> Fleet:
     return fleet
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     fleet_specs=st.lists(specs, min_size=1, max_size=12),
     schedule=st.lists(operations, max_size=24),

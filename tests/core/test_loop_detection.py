@@ -151,7 +151,7 @@ def test_compressed_sequence_matches_direct_simulation():
         assert sequence.row_at(step).tolist() == rows[step - 1]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=30),
     st.integers(min_value=0, max_value=5),

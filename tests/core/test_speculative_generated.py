@@ -188,7 +188,7 @@ def run_case(shape, a, b, anchor_a, anchor_b, config, schedule, seed=0) -> set[s
     return landed
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     shape=st.sampled_from(sorted(SHAPES)),
     a=st.integers(min_value=0, max_value=12),

@@ -102,7 +102,7 @@ def test_billing_cost_formula_matches_rates():
     assert billing.total_cost_usd("other") == 0.0
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     st.floats(min_value=1.0, max_value=60_000.0),
     st.integers(min_value=128, max_value=10_240),

@@ -165,7 +165,7 @@ class RoutingMachine(RuleBasedStateMachine):
 
 TestRoutingMatchesThePerEventSpec = RoutingMachine.TestCase
 TestRoutingMatchesThePerEventSpec.settings = settings(
-    max_examples=150, stateful_step_count=40, deadline=None
+    max_examples=150, stateful_step_count=40
 )
 
 

@@ -6,7 +6,6 @@ import textwrap
 
 import pytest
 
-from repro.lint.config import LintConfig
 from repro.lint.engine import LintReport, lint_tree
 
 
@@ -14,14 +13,12 @@ from repro.lint.engine import LintReport, lint_tree
 def lint_snippets(tmp_path):
     """Write a {relative path: source} mapping under ``pkg/`` and lint it."""
 
-    def _lint(
-        files: dict[str, str], config: LintConfig | None = None
-    ) -> LintReport:
+    def _lint(files: dict[str, str]) -> LintReport:
         package_dir = tmp_path / "pkg"
         for rel, source in files.items():
             path = package_dir / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(source), encoding="utf-8")
-        return lint_tree(package_dir, config=config or LintConfig())
+        return lint_tree(package_dir)
 
     return _lint

@@ -1,15 +1,12 @@
-"""Pragmas, config loading, JSON schema, and the whole-tree clean gate."""
+"""Pragmas, the text report, and the whole-tree clean gate."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
 import repro
-from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import KNOWN_RULES, META_RULE, RULE_TABLE, lint_tree
-from repro.lint.findings import SCHEMA_VERSION
+from repro.lint.engine import KNOWN_RULES, META_RULE, lint_tree
+from repro.lint.rules import MODULE_RULES
 
 
 # -- pragmas --------------------------------------------------------------------------
@@ -94,72 +91,7 @@ def test_unparsable_file_is_reported_not_skipped_silently(lint_snippets):
     assert "does not parse" in finding.message
 
 
-# -- config ---------------------------------------------------------------------------
-
-
-def test_load_config_defaults_when_no_file_exists(tmp_path):
-    config = load_config(search_from=tmp_path)
-    assert config.source == "<defaults>"
-    assert config.is_path_allowed("DET001", "obs/profiling.py")
-
-
-def test_load_config_file_entries_extend_the_defaults(tmp_path):
-    (tmp_path / "lint.toml").write_text(
-        '[lint.allow]\nDET001 = ["bench/*.py"]\n',
-        encoding="utf-8",
-    )
-    nested = tmp_path / "src" / "pkg"
-    nested.mkdir(parents=True)
-    config = load_config(search_from=nested)  # found by upward search
-    assert config.source == str(tmp_path / "lint.toml")
-    # extends, never replaces: the in-package quarantine survives
-    assert config.is_path_allowed("DET001", "obs/profiling.py")
-    assert config.is_path_allowed("DET001", "bench/run.py")
-
-
-def test_load_config_missing_explicit_path_is_an_error(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        load_config(explicit_path=tmp_path / "nope.toml")
-
-
-def test_repo_lint_toml_is_found_and_matches_defaults():
-    package_dir = Path(repro.__file__).parent
-    config = load_config(search_from=package_dir)
-    assert config.source.endswith("lint.toml")
-    assert config.is_path_allowed("DET001", "obs/profiling.py")
-
-
-# -- JSON schema ----------------------------------------------------------------------
-
-
-def test_report_json_schema(lint_snippets):
-    report = lint_snippets({
-        "mod.py": """
-            import time
-
-            def tick():
-                a = time.time()
-                b = time.perf_counter()  # det: allow[DET001] fixture suppression
-                return a, b
-        """
-    })
-    payload = report.to_dict()
-    assert payload["version"] == SCHEMA_VERSION
-    assert set(payload) == {"version", "target", "config", "rules", "findings", "summary"}
-    assert set(payload["rules"]) == {META_RULE, *KNOWN_RULES}
-    for meta in payload["rules"].values():
-        assert meta.keys() == {"title", "hint"}
-    assert len(payload["findings"]) == 2
-    for entry in payload["findings"]:
-        assert set(entry) == {
-            "rule", "path", "line", "col", "message", "hint", "suppressed", "reason",
-        }
-    summary = payload["summary"]
-    assert summary["files"] == 1
-    assert summary["findings"] == 1
-    assert summary["suppressed"] == 1
-    assert summary["by_rule"] == {"DET001": 1}
-    assert summary["clean"] is False
+# -- the text report ------------------------------------------------------------------
 
 
 def test_format_text_marks_a_clean_tree(lint_snippets):
@@ -170,7 +102,9 @@ def test_format_text_marks_a_clean_tree(lint_snippets):
 
 
 def test_rule_table_covers_every_known_rule():
-    assert set(RULE_TABLE) == {META_RULE, *KNOWN_RULES}
+    # The kill table (tests/mutation/mutants.toml) justifies exactly these.
+    assert KNOWN_RULES == {"DET001", "DET002", "DET003", "DET005"}
+    assert all(rule.hint and rule.__doc__ for rule in MODULE_RULES)
 
 
 # -- the tier-1 gate: the shipped tree must be clean ----------------------------------

@@ -1,15 +1,21 @@
-"""The ``repro lint`` subcommand: exit codes, text and JSON output."""
+"""The ``repro lint`` subcommand: it lints the installed package, prints, exits 0 or 1."""
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 from repro.api.cli import main
-from repro.lint.findings import SCHEMA_VERSION
+from repro.lint.engine import run_lint
 
 
-def _write_violation_tree(tmp_path):
+def test_lint_default_target_is_clean_and_exits_zero(capsys):
+    assert main(["lint"]) == 0
+    out = capsys.readouterr().out
+    assert "determinism contract: CLEAN" in out
+    assert "0 finding(s)" in out
+
+
+def test_lint_violations_exit_one_with_findings_printed(tmp_path, capsys):
     package_dir = tmp_path / "pkg"
     package_dir.mkdir()
     (package_dir / "mod.py").write_text(
@@ -23,57 +29,7 @@ def _write_violation_tree(tmp_path):
         ),
         encoding="utf-8",
     )
-    return package_dir
-
-
-def test_lint_default_target_is_clean_and_exits_zero(capsys):
-    assert main(["lint"]) == 0
-    out = capsys.readouterr().out
-    assert "determinism contract: CLEAN" in out
-    assert "0 finding(s)" in out
-
-
-def test_lint_json_output_is_machine_readable(capsys):
-    assert main(["lint", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == SCHEMA_VERSION
-    assert payload["summary"]["clean"] is True
-    assert payload["summary"]["findings"] == 0
-    assert "DET001" in payload["rules"]
-
-
-def test_lint_violations_exit_one_with_findings_printed(tmp_path, capsys):
-    package_dir = _write_violation_tree(tmp_path)
-    assert main(["lint", str(package_dir)]) == 1
+    assert run_lint(package_dir) == 1
     out = capsys.readouterr().out
     assert "DET001" in out
     assert "time.time" in out
-
-
-def test_lint_json_reports_violations(tmp_path, capsys):
-    package_dir = _write_violation_tree(tmp_path)
-    assert main(["lint", str(package_dir), "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["clean"] is False
-    assert payload["summary"]["by_rule"] == {"DET001": 1}
-    (finding,) = payload["findings"]
-    assert finding["rule"] == "DET001"
-    assert finding["path"] == "mod.py"
-    assert finding["suppressed"] is False
-
-
-def test_lint_show_suppressed_prints_reasons(capsys):
-    assert main(["lint", "--show-suppressed"]) == 0
-    out = capsys.readouterr().out
-    # The repo tree carries suppressions, each with a written reason.
-    assert "allowed DET" in out
-    assert "(reason: " in out
-
-
-def test_lint_missing_path_exits_two(capsys):
-    assert main(["lint", "/nonexistent/package/dir"]) == 2
-
-
-def test_lint_missing_explicit_config_exits_two(tmp_path, capsys):
-    package_dir = _write_violation_tree(tmp_path)
-    assert main(["lint", str(package_dir), "--config", str(tmp_path / "no.toml")]) == 2

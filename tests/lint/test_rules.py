@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.lint.config import LintConfig
 from repro.lint.engine import LintReport
 
 
@@ -45,18 +44,17 @@ def test_det001_ignores_virtual_clocks_and_unrelated_attributes(lint_snippets):
 
 
 def test_det001_quarantine_allowlist_suppresses_with_reason(lint_snippets):
-    config = LintConfig(allowlist={"DET001": ("quarantine/*.py",)})
-    report = lint_snippets({
-        "quarantine/profiling.py": """
-            import time
+    source = """
+        import time
 
-            def section():
-                return time.perf_counter()
-        """,
-    }, config=config)
-    assert report.clean
+        def section():
+            return time.perf_counter()
+    """
+    report = lint_snippets({"obs/profiling.py": source, "obs/export.py": source})
+    # The profiler's file alone is quarantined, and only for DET001.
+    assert [finding.path for finding in report.unsuppressed] == ["obs/export.py"]
     assert rules_of(report, suppressed=True) == ["DET001"]
-    assert "allowlisted" in report.suppressed[0].reason
+    assert "quarantine" in report.suppressed[0].reason
 
 
 # -- DET002: ambient randomness -------------------------------------------------------

@@ -123,7 +123,7 @@ def make_server(servo: bool, interest_radius, eviction_interval: int = 40):
     return server
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     case=cases,
     servo=st.booleans(),
@@ -143,7 +143,7 @@ def test_views_and_subscriptions_follow_the_avatars_on_one_server(
         check_server(server)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(case=cases, interest_radius=st.sampled_from([2, 4]))
 def test_views_and_subscriptions_follow_the_avatars_across_a_zone_edge(case, interest_radius):
     config = make_config(interest_radius)

@@ -98,7 +98,7 @@ def test_prefetch_policy_partitions_required_and_margin():
     assert block_to_chunk(BlockPos(0, 64, 0)) in plan.required
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     st.integers(min_value=-500, max_value=500),
     st.integers(min_value=-500, max_value=500),

@@ -85,7 +85,7 @@ ORIGIN = BlockPos(0, 65, 0)
 A = ("BoundedAreaBehavior", 12.0, 3.0)
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250)
 # An arrived C between two As: drawn for in bot order, not class by class.
 @example([A, ("ConvergeBehavior", 3.0, 8.0, None), A], ALL_AT_START, [ORIGIN], 20.0, 1, 3, [])
 # The middle bot is disconnected before tick 1 and must stop drawing.

@@ -47,7 +47,7 @@ def _near_a_reachable_distance(gap_x, gap_z, ulps):
     return max(distance, 0.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     offset_x=st.integers(0, CHUNK_SIZE - 1),
     offset_z=st.integers(0, CHUNK_SIZE - 1),

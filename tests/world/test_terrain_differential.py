@@ -28,7 +28,7 @@ coords = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(seed=seeds, cx=chunk_coords, cz=chunk_coords)
 def test_generated_chunk_equals_the_per_column_reference(seed, cx, cz):
     position = ChunkPos(cx, cz)
@@ -49,7 +49,7 @@ def _same(sample, expected):
     assert np.all(sample == expected)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     seed=seeds,
     octaves=st.integers(1, 6),
