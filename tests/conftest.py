@@ -1,18 +1,12 @@
-"""Shared pytest fixtures and the one hypothesis profile."""
+"""Shared pytest fixtures; importing ``hypothesis_profiles`` loads the hypothesis profile."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
+import hypothesis_profiles  # noqa: F401  (registers both profiles, loads one)
 from repro.sim import SimulationEngine
-
-# Every run checks the same generated cases (seeded from each test), so two
-# green runs cover identical inputs and a failing case reproduces.  No
-# deadline: simulation steps vary with the host, not with the case.
-settings.register_profile("tier1", derandomize=True, deadline=None)
-settings.load_profile("tier1")
 
 
 @pytest.fixture

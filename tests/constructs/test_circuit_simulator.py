@@ -19,6 +19,8 @@ from repro.constructs.simulator import ConstructSimulator, clone_construct
 from repro.constructs.state import ConstructState, state_hash
 from repro.world.coords import BlockPos
 
+from hypothesis_profiles import examples
+
 
 def test_construct_requires_cells():
     with pytest.raises(ValueError):
@@ -220,7 +222,7 @@ def test_standard_construct_spreads_instances():
     assert first.block_count == second.block_count
 
 
-@settings(max_examples=25)
+@settings(max_examples=examples(25))
 @given(st.integers(min_value=2, max_value=12))
 def test_deterministic_simulation_for_any_clock_period(period):
     """Two identical constructs simulated independently stay in lockstep."""

@@ -6,7 +6,7 @@ with a ``LocalConstructBackend`` and driven through a generated interleaving
 of everything that reads or writes ``SimulatedConstruct.states``:
 
 * a backend tick (the batched step when at least ``min_batch`` groups are
-  active — generated as 1 or the default 8 — and the per-circuit fallback
+  active — generated as 1 or ``DEFAULT_MIN_BATCH`` — and the per-circuit fallback
   otherwise; the copy into group members either way),
 * a direct ``CompiledCircuit.step``, ``cell.state = v``, ``toggle_lever`` and
   a retuned clock period or repeater delay (the edit a cached batch layout
@@ -40,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from repro.constructs.batched import DEFAULT_MIN_BATCH
 from repro.constructs.compiled import compile_circuit
 from repro.constructs.components import ComponentType
 from repro.constructs.library import (
@@ -55,6 +56,8 @@ from repro.constructs.library import (
 from repro.constructs.simulator import ReferenceConstructSimulator, clone_construct
 from repro.server.sc_engine import LocalConstructBackend
 from repro.world.coords import BlockPos
+
+from hypothesis_profiles import examples
 
 #: (kind, parameter) pairs: few enough that a dozen draws repeat some
 KINDS = {
@@ -196,7 +199,7 @@ class Fleet:
         assert self.backend.verify_states(), f"verify_states() after {context}"
 
 
-def run_case(fleet_specs, schedule, min_batch=8) -> Fleet:
+def run_case(fleet_specs, schedule, min_batch=DEFAULT_MIN_BATCH) -> Fleet:
     fleet = Fleet(fleet_specs, min_batch)
     fleet.check("registration")
     for step in schedule:
@@ -205,11 +208,11 @@ def run_case(fleet_specs, schedule, min_batch=8) -> Fleet:
     return fleet
 
 
-@settings(max_examples=150)
+@settings(max_examples=examples(150))
 @given(
     fleet_specs=st.lists(specs, min_size=1, max_size=12),
     schedule=st.lists(operations, max_size=24),
-    min_batch=st.sampled_from((1, 8)),
+    min_batch=st.sampled_from((1, DEFAULT_MIN_BATCH)),
 )
 @example(  # a retuned clock in a batch whose membership does not change
     fleet_specs=[("clock", 0), ("oscillator", 0)],

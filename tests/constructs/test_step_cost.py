@@ -4,7 +4,9 @@ Python-frame and C-call counts under ``sys.setprofile`` repeat exactly on any
 machine, so the bounds cannot flake.  The path this guards against rebuilt
 the batch vector from ``cell.state`` one generator resume per cell per step
 (``constructs.py_calls_per_tick`` 2 307 of ``construct_fleet``'s 2 580) and
-merged a speculative row with one attribute store per cell.
+merged a speculative row with one attribute store per cell.  The kernel
+reduces no rows: a per-row ``max(axis=1)`` over a (cells × slots) gather cost
+several times the column fold that replaced it.
 """
 
 from __future__ import annotations
@@ -12,11 +14,19 @@ from __future__ import annotations
 import gc
 import sys
 
+import numpy as np
 import pytest
 
-from repro.constructs.batched import BatchedCircuitStepper
+from repro.constructs.batched import BatchedCircuitStepper, CircuitBatchLayout, advance_states
 from repro.constructs.compiled import compile_circuit
-from repro.constructs.library import build_clock, build_wire_line
+from repro.constructs.library import (
+    build_adder,
+    build_clock,
+    build_counter_farm,
+    build_lamp_grid,
+    build_piston_door,
+    build_wire_line,
+)
 from repro.core import ServoConfig
 from repro.core.offload import SC_SIMULATION_FUNCTION, make_simulation_handler
 from repro.core.speculative import SpeculativeConstructBackend
@@ -25,20 +35,34 @@ from repro.world.coords import BlockPos
 
 #: per circuit: one ``append`` of its modification counter; nothing per cell
 CALLS_PER_CIRCUIT = 1
+#: a warm step's fixed part, measured: ``step_batch``, its list comprehension,
+#: ``concatenate``, ``advance_states`` (``zeros``, ``copy``, the hoppers'
+#: ``where``), ``reduceat``, ``tolist``, two ``len`` and the closing
+#: ``setprofile``; ufunc calls and indexing enter no profiled call
+FIXED_CALLS = 13
 #: per merged construct (22 today): finding the valid sequence that covers the
 #: step, ``row_at`` + ``apply_row``, then the phase-3 bookkeeping — record
 #: lookups and list scans over at most a few replies, nothing per cell
 CALLS_PER_MERGE = 24
 
 
-def count_calls(action) -> int:
-    """Run ``action``; returns how many Python frames and C calls it entered."""
-    calls = 0
+def entered(action) -> list[str]:
+    """Run ``action``; returns the name of every Python frame and C call it entered.
 
-    def on_event(_frame, event, _argument):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
+    A ufunc method is named after its ufunc (``maximum.reduce``).
+    """
+    names = []
+
+    def on_event(frame, event, argument):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+        elif event == "c_call":
+            owner = getattr(argument, "__self__", None)
+            names.append(
+                f"{owner.__name__}.{argument.__name__}"
+                if isinstance(owner, np.ufunc)
+                else argument.__qualname__
+            )
 
     # A collection inside the window would count the finalizers it runs.
     gc_was_enabled = gc.isenabled()
@@ -50,7 +74,12 @@ def count_calls(action) -> int:
         sys.setprofile(None)
         if gc_was_enabled:
             gc.enable()
-    return calls
+    return names
+
+
+def count_calls(action) -> int:
+    """Run ``action``; returns how many Python frames and C calls it entered."""
+    return len(entered(action))
 
 
 def warm_step_calls(circuit_count: int, wires: int) -> int:
@@ -69,7 +98,27 @@ def warm_step_calls(circuit_count: int, wires: int) -> int:
 def test_a_batched_step_costs_a_constant_plus_one_call_per_circuit():
     base = warm_step_calls(16, wires=6)
     assert warm_step_calls(48, wires=6) - base == CALLS_PER_CIRCUIT * 32
-    assert base <= 80, "the fixed part: a few numpy calls per component class, no more"
+    assert base - CALLS_PER_CIRCUIT * 16 <= FIXED_CALLS
+
+
+def test_the_neighbour_max_folds_columns_and_reduces_no_rows():
+    # Every component kind, and wires with five neighbours in the lamp grid.
+    fleet = (
+        build_adder(),
+        build_piston_door(),
+        build_counter_farm(),
+        build_lamp_grid(4, 3),
+        build_wire_line(3, powered=True),
+    )
+    circuits = [compile_circuit(construct) for construct in fleet]
+    layout = CircuitBatchLayout(circuits)
+    assert len(layout.columns) == 5
+    states = np.concatenate([circuit.construct.states for circuit in circuits])
+    calls = entered(lambda: advance_states(layout, states))
+    # ``ndarray.max(axis=1)`` enters numpy's ``_amax`` frame, and it and
+    # ``np.max`` / ``np.maximum.reduce`` all end in ``maximum.reduce``.
+    assert calls.count("_amax") == 0
+    assert calls.count("maximum.reduce") == 0
 
 
 @pytest.mark.parametrize("circuit_count", [8, 40])

@@ -12,6 +12,8 @@ from repro.core.loop_detection import (
     compress_trace,
 )
 
+from hypothesis_profiles import examples
+
 
 def make_rows(values):
     """One-cell state rows, one per step."""
@@ -151,7 +153,7 @@ def test_compressed_sequence_matches_direct_simulation():
         assert sequence.row_at(step).tolist() == rows[step - 1]
 
 
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 @given(
     st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=30),
     st.integers(min_value=0, max_value=5),

@@ -23,6 +23,8 @@ from repro.storage.blob import BlobStorage
 from repro.storage.prefetch import DistancePrefetchPolicy
 from repro.world.coords import BlockPos, ChunkPos
 
+from hypothesis_profiles import examples
+
 
 class World:
     """One storage service with its blob, its avatars and a log of prefetched keys."""
@@ -105,7 +107,7 @@ steps = st.one_of(
 )
 
 
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 @given(
     seed=st.integers(0, 2 ** 16),
     radii=st.sampled_from([(32.0, 16.0), (48.0, 0.0), (15.9, 17.6), (128.0, 48.0)]),
@@ -131,7 +133,7 @@ def test_evaluations_prefetch_the_same_keys_in_the_same_order(
     assert new.state() == old.state()
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(
     radii=st.sampled_from([(32.0, 16.0), (48.0, 0.0), (15.9, 17.6), (128.0, 48.0)]),
     positions=st.lists(st.builds(BlockPos, blocks, st.just(65), blocks), max_size=4),

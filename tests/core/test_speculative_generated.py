@@ -42,6 +42,8 @@ from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.sim import SimulationEngine
 from repro.world.coords import BlockPos
 
+from hypothesis_profiles import examples
+
 #: the speculation phases an edit can wait for
 PHASES = ("before_first_reply", "mid_sequence", "follow_up_in_flight", "after_quiescence")
 #: give up waiting for a phase the construct never reaches (an aperiodic
@@ -188,7 +190,7 @@ def run_case(shape, a, b, anchor_a, anchor_b, config, schedule, seed=0) -> set[s
     return landed
 
 
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 @given(
     shape=st.sampled_from(sorted(SHAPES)),
     a=st.integers(min_value=0, max_value=12),

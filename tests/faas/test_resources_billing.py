@@ -14,6 +14,8 @@ from repro.faas.resources import (
     vcpus_for_memory,
 )
 
+from hypothesis_profiles import examples
+
 
 def test_vcpus_scale_linearly_with_memory():
     assert vcpus_for_memory(MEMORY_PER_VCPU_MB) == pytest.approx(1.0)
@@ -102,7 +104,7 @@ def test_billing_cost_formula_matches_rates():
     assert billing.total_cost_usd("other") == 0.0
 
 
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 @given(
     st.floats(min_value=1.0, max_value=60_000.0),
     st.integers(min_value=128, max_value=10_240),

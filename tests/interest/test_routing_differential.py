@@ -27,6 +27,8 @@ from hypothesis.stateful import (
 from repro.interest import InterestMap
 from repro.world.coords import CHUNK_SIZE, BlockPos
 
+from hypothesis_profiles import examples
+
 
 class ReferenceRouter(InterestMap):
     """The executable spec of ``_route``: per event, per subscriber, from centers."""
@@ -165,7 +167,7 @@ class RoutingMachine(RuleBasedStateMachine):
 
 TestRoutingMatchesThePerEventSpec = RoutingMachine.TestCase
 TestRoutingMatchesThePerEventSpec.settings = settings(
-    max_examples=150, stateful_step_count=40
+    max_examples=examples(150), stateful_step_count=40
 )
 
 

@@ -33,6 +33,8 @@ from repro.server import GameConfig, make_opencraft
 from repro.sim import SimulationEngine
 from repro.world.coords import CHUNK_SIZE
 
+from hypothesis_profiles import examples
+
 #: player names a case draws from; rejoining under a used name is a reconnect
 SLOTS = 3
 Y = 65
@@ -123,7 +125,7 @@ def make_server(servo: bool, interest_radius, eviction_interval: int = 40):
     return server
 
 
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 @given(
     case=cases,
     servo=st.booleans(),
@@ -143,7 +145,7 @@ def test_views_and_subscriptions_follow_the_avatars_on_one_server(
         check_server(server)
 
 
-@settings(max_examples=40)
+@settings(max_examples=examples(40))
 @given(case=cases, interest_radius=st.sampled_from([2, 4]))
 def test_views_and_subscriptions_follow_the_avatars_across_a_zone_edge(case, interest_radius):
     config = make_config(interest_radius)

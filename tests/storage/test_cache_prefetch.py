@@ -9,6 +9,8 @@ from repro.storage.cache import CachedStorage
 from repro.storage.prefetch import DistancePrefetchPolicy
 from repro.world.coords import BlockPos, block_to_chunk
 
+from hypothesis_profiles import examples
+
 
 @pytest.fixture
 def cache_and_blob(rng):
@@ -98,7 +100,7 @@ def test_prefetch_policy_partitions_required_and_margin():
     assert block_to_chunk(BlockPos(0, 64, 0)) in plan.required
 
 
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 @given(
     st.integers(min_value=-500, max_value=500),
     st.integers(min_value=-500, max_value=500),

@@ -30,6 +30,8 @@ from repro.workload import behavior as production
 from repro.workload.bots import BotPlayer, BotSwarm, JoinSchedule
 from repro.world.coords import BlockPos
 
+from hypothesis_profiles import examples
+
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 radii = st.floats(0.0, 16.0)
@@ -85,7 +87,7 @@ ORIGIN = BlockPos(0, 65, 0)
 A = ("BoundedAreaBehavior", 12.0, 3.0)
 
 
-@settings(max_examples=250)
+@settings(max_examples=examples(250))
 # An arrived C between two As: drawn for in bot order, not class by class.
 @example([A, ("ConvergeBehavior", 3.0, 8.0, None), A], ALL_AT_START, [ORIGIN], 20.0, 1, 3, [])
 # The middle bot is disconnected before tick 1 and must stop drawing.

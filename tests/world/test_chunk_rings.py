@@ -20,6 +20,8 @@ from repro.world.coords import (
     unpack_chunks,
 )
 
+from hypothesis_profiles import examples
+
 # Every radius a shipped configuration reaches (128 view, 176 view + margin,
 # 48/64/80/96 in tests and experiments) plus the degenerate and fractional ones.
 RADII = (0.0, 15.9, 33.5, 48.0, 64.0, 80.0, 96.0, 128.0, 176.0)
@@ -47,7 +49,7 @@ def _near_a_reachable_distance(gap_x, gap_z, ulps):
     return max(distance, 0.0)
 
 
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 @given(
     offset_x=st.integers(0, CHUNK_SIZE - 1),
     offset_z=st.integers(0, CHUNK_SIZE - 1),

@@ -16,6 +16,8 @@ from repro.world.coords import CHUNK_SIZE, ChunkPos
 from repro.world.noise import LayeredNoise, ValueNoise2D
 from repro.world.terrain import DefaultTerrainGenerator
 
+from hypothesis_profiles import examples
+
 seeds = st.one_of(
     st.sampled_from([0, -1, 2 ** 31 - 1, 2 ** 31, 2 ** 63 + 17]),
     st.integers(-2 ** 40, 2 ** 40),
@@ -28,7 +30,7 @@ coords = st.one_of(
 )
 
 
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 @given(seed=seeds, cx=chunk_coords, cz=chunk_coords)
 def test_generated_chunk_equals_the_per_column_reference(seed, cx, cz):
     position = ChunkPos(cx, cz)
@@ -49,7 +51,7 @@ def _same(sample, expected):
     assert np.all(sample == expected)
 
 
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 @given(
     seed=seeds,
     octaves=st.integers(1, 6),
