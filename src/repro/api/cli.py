@@ -14,9 +14,6 @@ Commands:
 * ``repro report <trace.json>`` — validate a ``--trace`` file against the
   Chrome trace-event schema and print the per-subsystem virtual-time
   breakdown.
-* ``repro lint`` — statically enforce the determinism contract (rules
-  DET001–003, 005) over the installed package source; exit 1 on any
-  unsuppressed finding.
 * ``repro --version`` — the package version.
 """
 
@@ -143,12 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("trace", help="path to a Chrome trace JSON (from --trace)")
     report.set_defaults(handler=_cmd_report)
-
-    lint = commands.add_parser(
-        "lint",
-        help="statically enforce the determinism contract (rules DET001-003, 005)",
-    )
-    lint.set_defaults(handler=_cmd_lint)
 
     return parser
 
@@ -316,12 +307,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 1
     print(format_trace_report(trace, source=args.trace))
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.engine import run_lint
-
-    return run_lint()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -66,9 +66,10 @@ def run_spec(spec: Union[RunSpec, dict, str, os.PathLike]) -> RunResult:
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
 
-    started = time.perf_counter()  # det: allow[DET001] run-level wall timing; reported beside, never inside, the virtual results
+    # Run-level wall timing: reported beside, never inside, the virtual results.
+    started = time.perf_counter()
     scenario_result = scenario.run(host)
-    wall_seconds = time.perf_counter() - started  # det: allow[DET001] run-level wall timing; reported beside, never inside, the virtual results
+    wall_seconds = time.perf_counter() - started
 
     telemetry = engine.telemetry if engine.telemetry.enabled else None
     if telemetry_config is not None and telemetry is not None:

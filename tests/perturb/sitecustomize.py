@@ -1,0 +1,29 @@
+"""Perturb a subprocess's clocks and ambient random state, keyed by its hash seed.
+
+With this directory ahead of ``src`` on ``PYTHONPATH``, Python imports this
+module at start-up.  Under ``PYTHONHASHSEED=k`` for k != 0 it shifts
+``time.time``, ``perf_counter`` and ``monotonic`` (and their ``_ns``
+variants) by a k-dependent constant and seeds ``random`` and numpy's global
+generator with k.  A result that leaks a clock or ambient randomness then
+differs between two hash seeds on every run, not only by chance, while a clean
+one prints the same under every seed.  Hash seed 0 (or unset) changes nothing.
+"""
+
+import os
+import random
+import time
+
+SEED = int(os.environ.get("PYTHONHASHSEED", "0") or 0)
+
+if SEED:
+    # About 11.6 days a step, odd down to the nanosecond: a date computed from
+    # the clock moves as well as its low digits.
+    shift_ns = SEED * 1_000_003_217_331_337
+    for name in ("time", "perf_counter", "monotonic"):
+        clock, clock_ns = getattr(time, name), getattr(time, f"{name}_ns")
+        setattr(time, name, lambda clock=clock: clock() + shift_ns / 1e9)
+        setattr(time, f"{name}_ns", lambda clock_ns=clock_ns: clock_ns() + shift_ns)
+    import numpy as np
+
+    random.seed(SEED)
+    np.random.seed(SEED)

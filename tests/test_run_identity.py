@@ -10,13 +10,15 @@
   its scenario exists to show.
 * The same spec with the same seed must agree on :func:`fingerprint` under
   every ``PYTHONHASHSEED``: the hash seed reorders every set and every
-  string-keyed dict, and none of those orders may reach a result.  Run as a
+  string-keyed dict, and ``tests/perturb`` shifts the clocks and seeds
+  ambient randomness by it; none of those may reach a result.  Run as a
   script, this module prints the digest the test compares.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +40,9 @@ from repro.workload.bots import BotSwarm, JoinSchedule
 from repro.world.coords import BlockPos
 
 SEED = 42
+
+#: the directory whose sitecustomize perturbs hash-seeded subprocesses
+PERTURB = Path(__file__).resolve().parent / "perturb"
 
 
 def construct_fleet() -> list:
@@ -252,8 +257,19 @@ def hash_seed_digest() -> str:
     return hashlib.sha256(repr(fingerprint(run_spec(HASH_SEED_SPEC))).encode("utf-8")).hexdigest()
 
 
+def perturbed_env(hash_seed: str) -> dict[str, str]:
+    """A subprocess environment with ``tests/perturb`` ahead of ``src``.
+
+    Its ``sitecustomize`` shifts the clocks and seeds ambient randomness by
+    any nonzero hash seed, so a leak of either shows as two fingerprints.
+    """
+    return {
+        "PYTHONPATH": os.pathsep.join((str(PERTURB), str(PERTURB.parent.parent / "src"))),
+        "PYTHONHASHSEED": hash_seed,
+    }
+
+
 def test_every_hash_seed_gives_one_fingerprint():
-    root = Path(__file__).resolve().parent.parent
     digests = {"in-process": hash_seed_digest()}
     for hash_seed in ("0", "1", "2"):
         digests[hash_seed] = subprocess.run(
@@ -261,9 +277,28 @@ def test_every_hash_seed_gives_one_fingerprint():
             capture_output=True,
             text=True,
             check=True,
-            env={"PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": hash_seed},
+            env=perturbed_env(hash_seed),
         ).stdout.strip()
     assert len(set(digests.values())) == 1, digests
+
+
+def test_the_perturbation_is_live():
+    code = "import random, sitecustomize, time; print(sitecustomize.__file__, random.random(), time.time())"
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=perturbed_env(hash_seed),
+        ).stdout.split()
+        for hash_seed in ("1", "1", "2")
+    ]
+    # A stray sitecustomize earlier on the path would shadow this one.
+    assert {Path(path) for path, _, _ in runs} == {PERTURB / "sitecustomize.py"}
+    (_, first, clock_1), (_, again, _), (_, other, clock_2) = runs
+    assert first == again != other
+    assert float(clock_2) - float(clock_1) > 500.0
 
 
 if __name__ == "__main__":
