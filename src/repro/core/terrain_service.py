@@ -10,8 +10,9 @@ deterministic, so the produced chunk is identical to a locally generated one.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.faas.function import FunctionOutput
 from repro.faas.platform import FaasPlatform
@@ -45,28 +46,59 @@ class TerrainRequest:
     cz: int
 
 
-def make_terrain_handler() -> Callable[[TerrainRequest], FunctionOutput]:
-    """Create the FaaS handler that generates terrain chunks.
+class TerrainHandler:
+    """The FaaS handler that generates terrain chunks.
 
     Generators are cached per (world type, seed) inside the handler, mirroring
-    a warm function container reusing its initialised generator.
+    a warm function container reusing its initialised generator.  A caller
+    about to invoke the function once per chunk may first :meth:`prepare` the
+    whole batch: it is generated in one stacked call per (world type, seed),
+    and each invocation then takes its own chunk instead of generating it.
+    The chunk bytes and the reported work are the same either way.
     """
-    generators: dict[tuple[str, int], TerrainGenerator] = {}
 
-    def handler(payload: TerrainRequest) -> FunctionOutput:
+    def __init__(self) -> None:
+        self._generators: dict[tuple[str, int], TerrainGenerator] = {}
+        self._prepared: dict[TerrainRequest, Chunk] = {}
+
+    def _generator(self, world_type: str, seed: int) -> TerrainGenerator:
+        key = (world_type, seed)
+        if key not in self._generators:
+            self._generators[key] = make_terrain_generator(world_type, seed=seed)
+        return self._generators[key]
+
+    def prepare(self, requests: Sequence[TerrainRequest]) -> None:
+        """Generate the chunks ``requests`` will ask for, stacked."""
+        batches: dict[tuple[str, int], list[TerrainRequest]] = {}
+        for request in requests:
+            batches.setdefault((request.world_type, request.seed), []).append(request)
+        for (world_type, seed), batch in batches.items():
+            chunks = self._generator(world_type, seed).generate_chunks(
+                [ChunkPos(request.cx, request.cz) for request in batch]
+            )
+            self._prepared.update(zip(batch, chunks))
+
+    def discard_prepared(self) -> None:
+        """Drop prepared chunks no invocation took (a throttled request, say)."""
+        self._prepared.clear()
+
+    def prepared_count(self) -> int:
+        return len(self._prepared)
+
+    def __call__(self, payload: TerrainRequest) -> FunctionOutput:
         if not isinstance(payload, TerrainRequest):
             raise TypeError(f"expected TerrainRequest, got {type(payload)!r}")
-        key = (payload.world_type, payload.seed)
-        if key not in generators:
-            generators[key] = make_terrain_generator(payload.world_type, seed=payload.seed)
-        generator = generators[key]
+        generator = self._generator(payload.world_type, payload.seed)
+        chunk = self._prepared.pop(payload, None)
+        if chunk is None:
+            chunk = generator.generate_chunk(ChunkPos(payload.cx, payload.cz))
         work_ms = terrain_generation_work_ms(generator)
-        position = ChunkPos(payload.cx, payload.cz)
-        return FunctionOutput(
-            value=generator.generate_chunk(position), work_ms_single_vcpu=work_ms
-        )
+        return FunctionOutput(value=chunk, work_ms_single_vcpu=work_ms)
 
-    return handler
+
+def make_terrain_handler() -> TerrainHandler:
+    """Create the FaaS handler that generates terrain chunks."""
+    return TerrainHandler()
 
 
 class ServerlessTerrainProvider(TerrainProvider):
@@ -95,6 +127,25 @@ class ServerlessTerrainProvider(TerrainProvider):
         if self._local_generator is None:
             self._local_generator = make_terrain_generator(self.world_type, seed=self.seed)
         return self._local_generator.generate_chunk(position)
+
+    @contextmanager
+    def prepare(self, positions: Sequence[ChunkPos]) -> Iterator[None]:
+        """Generate ``positions`` in one stacked call for the requests made inside.
+
+        The deployed handler serves each following invocation for one of
+        ``positions`` from the batch; every request is still its own FaaS
+        call, billed and timed as before.  Prepared chunks no invocation took
+        are dropped on exit, so nothing carries across ticks.
+        """
+        handler = self.platform.require(self.function_name).handler
+        handler.prepare([
+            TerrainRequest(world_type=self.world_type, seed=self.seed, cx=p.cx, cz=p.cz)
+            for p in positions
+        ])
+        try:
+            yield
+        finally:
+            handler.discard_prepared()
 
     def request(
         self, position: ChunkPos, callback: Callable[[Chunk, GenerationResult], None]

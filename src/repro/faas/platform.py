@@ -70,10 +70,11 @@ class FaasPlatform:
         return sorted(self._functions)
 
     def pool(self, name: str) -> WarmInstancePool:
-        self._require(name)
+        self.require(name)
         return self._pools[name]
 
-    def _require(self, name: str) -> FunctionDefinition:
+    def require(self, name: str) -> FunctionDefinition:
+        """The deployed function ``name``; raises if it is not registered."""
         if name not in self._functions:
             raise FunctionNotRegisteredError(
                 f"function {name!r} is not registered; registered: {self.function_names()}"
@@ -94,7 +95,7 @@ class FaasPlatform:
 
     def _invoke_at(self, name: str, payload: Any, submitted_ms: float) -> Invocation:
         """One invocation attempt, submitted at ``submitted_ms`` (>= now)."""
-        definition = self._require(name)
+        definition = self.require(name)
         outcome = "ok"
         if self.fault_injector is not None:
             outcome = self.fault_injector.faas_outcome(name)

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, ContextManager, Optional, Sequence
 
 import numpy as np
 
@@ -99,6 +100,10 @@ class TerrainProvider:
     ) -> None:
         """Start generating ``position``; ``callback`` fires in virtual time when done."""
         raise NotImplementedError
+
+    def prepare(self, positions: Sequence[ChunkPos]) -> ContextManager[None]:
+        """Context for requesting ``positions``; a provider may generate them ahead, stacked."""
+        return nullcontext()
 
     def pending_count(self) -> int:
         raise NotImplementedError
@@ -261,15 +266,16 @@ class ChunkManager:
         """
         radius_chunks = int(math.ceil(radius_blocks / CHUNK_SIZE))
         center_chunk = block_to_chunk(center)
-        loaded = 0
-        for dx, dz in _ring_offsets(radius_chunks):
-            position = ChunkPos(center_chunk.cx + dx, center_chunk.cz + dz)
-            if not self._owns(position) or self.world.is_loaded(position):
-                continue
-            self.world.add_chunk(self.generator.generate_chunk(position))
-            self._unavailable.discard(position)
-            loaded += 1
-        return loaded
+        positions = [
+            position
+            for dx, dz in _ring_offsets(radius_chunks)
+            if self._owns(position := ChunkPos(center_chunk.cx + dx, center_chunk.cz + dz))
+            and not self.world.is_loaded(position)
+        ]
+        for chunk in self.generator.generate_chunks(positions):
+            self.world.add_chunk(chunk)
+            self._unavailable.discard(chunk.position)
+        return len(positions)
 
     def _owns(self, position: ChunkPos) -> bool:
         return self.region is None or self.region.contains(position)
@@ -462,8 +468,11 @@ class ChunkManager:
             is_loaded = self.world.is_loaded
             self._unavailable = {p for p in self._unavailable if not is_loaded(p)}
             missing = sorted(self._unavailable - self._pending)
-            for position in missing:
-                self._request_chunk(position)
+            exists = self.storage.exists
+            to_generate = [position for position in missing if not exists(position.key())]
+            with self.provider.prepare(to_generate):
+                for position in missing:
+                    self._request_chunk(position)
             report.chunks_requested = len(missing)
 
         # 2. Integrate ready chunks (bounded per tick).

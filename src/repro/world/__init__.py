@@ -9,7 +9,7 @@ chunk serialization used by the storage layer.
 from repro.world.block import BlockType, is_stateful
 from repro.world.chunk import CHUNK_HEIGHT, CHUNK_SIZE, Chunk
 from repro.world.coords import BlockPos, ChunkPos, block_to_chunk, chunk_origin
-from repro.world.noise import LayeredNoise, ValueNoise2D
+from repro.world.noise import LayeredNoise
 from repro.world.serialization import chunk_from_bytes, chunk_to_bytes
 from repro.world.terrain import (
     DefaultTerrainGenerator,
@@ -29,7 +29,6 @@ __all__ = [
     "ChunkPos",
     "block_to_chunk",
     "chunk_origin",
-    "ValueNoise2D",
     "LayeredNoise",
     "TerrainGenerator",
     "DefaultTerrainGenerator",

@@ -8,18 +8,20 @@ Two world types from the paper's experimental setup (Section IV-A):
 
 Generation is deterministic in (seed, chunk position), so a chunk generated
 inside a serverless function is bit-identical to one generated locally — the
-property Servo relies on when it offloads generation.
+property Servo relies on when it offloads generation.  It is also independent
+of batching: :meth:`TerrainGenerator.generate_chunks` may stack many chunks
+into one array program, and each chunk comes out as if generated alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.world.block import BlockType
 from repro.world.chunk import CHUNK_HEIGHT, Chunk
-from repro.world.coords import CHUNK_SIZE, ChunkPos, chunk_origin
+from repro.world.coords import CHUNK_SIZE, ChunkPos
 from repro.world.noise import LayeredNoise, sample_fields
 
 SEA_LEVEL = 62
@@ -37,6 +39,10 @@ class TerrainGenerator:
 
     def generate_chunk(self, position: ChunkPos) -> Chunk:
         raise NotImplementedError
+
+    def generate_chunks(self, positions: Sequence[ChunkPos]) -> list[Chunk]:
+        """``[generate_chunk(p) for p in positions]``; generators that stack override it."""
+        return [self.generate_chunk(position) for position in positions]
 
     def generation_work_units(self) -> float:
         """Relative computational weight of generating one chunk.
@@ -97,7 +103,13 @@ def _strata_columns() -> np.ndarray:
 
 
 _STRATA_COLUMNS = _strata_columns()
-_COLUMN_X, _COLUMN_Z = np.indices((CHUNK_SIZE, CHUNK_SIZE))
+#: chunks per pass of the stacked kernel: bounds a pass's arrays (peak memory)
+#: and keeps them in cache
+CHUNKS_PER_PASS = 16
+_COLUMN_OFFSETS = np.arange(CHUNK_SIZE)
+#: flat index of the bottom of every column of a pass: ``[chunk, x, z]``
+_COLUMN_STARTS = np.arange(CHUNKS_PER_PASS * CHUNK_SIZE * CHUNK_SIZE).reshape(
+    CHUNKS_PER_PASS, CHUNK_SIZE, CHUNK_SIZE) * CHUNK_HEIGHT
 
 
 class DefaultTerrainGenerator(TerrainGenerator):
@@ -115,10 +127,21 @@ class DefaultTerrainGenerator(TerrainGenerator):
         )
 
     def generate_chunk(self, position: ChunkPos) -> Chunk:
-        origin = chunk_origin(position)
-        xs = np.arange(origin.x, origin.x + CHUNK_SIZE).reshape(CHUNK_SIZE, 1)
-        zs = np.arange(origin.z, origin.z + CHUNK_SIZE).reshape(1, CHUNK_SIZE)
-        base, roughness, moisture = sample_fields(self._fields, xs, zs)
+        return self.generate_chunks([position])[0]
+
+    def generate_chunks(self, positions: Sequence[ChunkPos]) -> list[Chunk]:
+        """Generate ``positions`` stacked, up to :data:`CHUNKS_PER_PASS` per kernel pass."""
+        chunks: list[Chunk] = []
+        for start in range(0, len(positions), CHUNKS_PER_PASS):
+            chunks.extend(self._generate_pass(positions[start:start + CHUNKS_PER_PASS]))
+        return chunks
+
+    def _generate_pass(self, positions: Sequence[ChunkPos]) -> list[Chunk]:
+        count = len(positions)
+        origins = np.array([(p.cx, p.cz) for p in positions], dtype=np.int64) * CHUNK_SIZE
+        xs = origins[:, :1] + _COLUMN_OFFSETS
+        zs = origins[:, 1:] + _COLUMN_OFFSETS
+        base, roughness, moisture = sample_fields(self._fields, xs, zs)  # [chunk, x, z]
         # Roughness modulates the terrain amplitude: plains vs mountains.
         height = SEA_LEVEL - 10.0 + (20.0 + 70.0 * roughness) * base
         heights = np.clip(np.round(height), 1, CHUNK_HEIGHT - 2).astype(np.intp)
@@ -133,14 +156,15 @@ class DefaultTerrainGenerator(TerrainGenerator):
                 np.where(moisture < 0.25, int(BlockType.SAND), int(BlockType.GRASS)),
             ),
         )
-        columns = _STRATA_COLUMNS[heights]  # [x, z, y]
-        columns[_COLUMN_X, _COLUMN_Z, heights] = surface
-        return Chunk(
-            position=position,
-            blocks=np.ascontiguousarray(columns.transpose(0, 2, 1)),
-            generated_by=f"default:{self.seed}",
-            dirty=False,
-        )
+        columns = _STRATA_COLUMNS[heights]  # [chunk, x, z, y]
+        columns.put(_COLUMN_STARTS[:count] + heights, surface)
+        blocks = columns.transpose(0, 1, 3, 2)  # [chunk, x, y, z]
+        generated_by = f"default:{self.seed}"
+        return [
+            Chunk(position=position, blocks=blocks[index].copy(),
+                  generated_by=generated_by, dirty=False)
+            for index, position in enumerate(positions)
+        ]
 
     def generation_work_units(self) -> float:
         return 1.0

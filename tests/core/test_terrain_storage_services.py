@@ -136,3 +136,29 @@ def test_storage_service_flush_writes_back_dirty_objects(engine):
     assert not blob.exists("chunk_1_1")
     assert service.flush() == 1
     assert blob.exists("chunk_1_1")
+
+
+#: ``test_terrain_golden.GOLDEN[1]``: seed, chunk and content hash of a default-world chunk
+PIN_SEED, (PIN_CX, PIN_CZ), PIN_HASH = 42, (-3, 4), 16089575735109284089
+
+
+def test_a_prepared_chunk_is_served_once_and_equals_the_pin():
+    handler = make_terrain_handler()
+    request = TerrainRequest(world_type="default", seed=PIN_SEED, cx=PIN_CX, cz=PIN_CZ)
+    handler.prepare([
+        request,
+        TerrainRequest(world_type="default", seed=PIN_SEED, cx=PIN_CX + 1, cz=PIN_CZ),
+        TerrainRequest(world_type="flat", seed=PIN_SEED, cx=PIN_CX, cz=PIN_CZ),
+    ])
+    assert handler.prepared_count() == 3
+    prepared = handler(request)
+    assert prepared.value.content_hash() == PIN_HASH
+    assert handler.prepared_count() == 2
+    # Served once: asking again generates the chunk alone, with the same bytes and work.
+    alone = handler(request)
+    assert alone.value is not prepared.value
+    assert alone.value.content_hash() == PIN_HASH
+    assert alone.work_ms_single_vcpu == prepared.work_ms_single_vcpu
+    assert handler.prepared_count() == 2
+    handler.discard_prepared()
+    assert handler.prepared_count() == 0

@@ -9,8 +9,12 @@ from repro.core.terrain_service import (
 )
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.faults import FaultInjector, FaultPlan
-from repro.world.coords import ChunkPos
-from repro.world.terrain import make_terrain_generator
+from repro.server.chunkmanager import ChunkManager
+from repro.server.entities import Avatar
+from repro.storage.local import LocalDiskStorage
+from repro.world.coords import BlockPos, ChunkPos
+from repro.world.terrain import DefaultTerrainGenerator, make_terrain_generator
+from repro.world.world import VoxelWorld
 
 
 def make_provider(engine, plan=None):
@@ -106,3 +110,40 @@ def test_healthy_platform_is_unaffected(engine):
     assert delivered[0][1].source == "faas-generation"
     assert engine.metrics.counter("faas_retries") == 0.0
     assert engine.metrics.counter("terrain_local_fallbacks") == 0.0
+
+
+#: ``test_terrain_golden.GOLDEN[1]``: seed, chunk and content hash of a default-world chunk
+PIN_SEED, PIN_CHUNK, PIN_HASH = 42, ChunkPos(-3, 4), 16089575735109284089
+
+
+@pytest.mark.parametrize("fault", ["failure_rate", "throttle_rate"])
+def test_a_faulted_tick_falls_back_to_the_pinned_chunk_and_keeps_nothing_prepared(engine, fault):
+    handler = make_terrain_handler()
+    platform = FaasPlatform(engine, provider=AWS_LAMBDA)
+    platform.register(FunctionDefinition(name=TERRAIN_GENERATION_FUNCTION, handler=handler))
+    platform.fault_injector = FaultInjector(
+        engine, FaultPlan.from_dict({"faas": {fault: 1.0, "retry": {"max_attempts": 2}}})
+    )
+    provider = ServerlessTerrainProvider(engine, platform, world_type="default", seed=PIN_SEED)
+    world = VoxelWorld()
+    manager = ChunkManager(
+        engine=engine,
+        world=world,
+        generator=DefaultTerrainGenerator(seed=PIN_SEED),
+        provider=provider,
+        storage=LocalDiskStorage(rng=engine.rng("disk")),
+        view_distance_blocks=16.0,
+    )
+    batches = []
+    prepare = handler.prepare
+    handler.prepare = lambda requests: (batches.append(len(requests)), prepare(requests))
+    avatar = Avatar(player_id=1, name="p1", position=BlockPos(-3 * 16 + 8, 65, 4 * 16 + 8))
+    requested = manager.update([avatar], [avatar]).chunks_requested
+    assert requested > 1 and batches == [requested]  # the tick's requests, one stacked call
+    # A throttled attempt never runs the handler: its prepared chunk is dropped.
+    assert handler.prepared_count() == 0
+    engine.advance_by(60_000.0)
+    manager.update([avatar], [])
+    assert engine.metrics.counter("terrain_local_fallbacks") == requested
+    assert world.get_chunk(PIN_CHUNK).content_hash() == PIN_HASH
+    assert handler.prepared_count() == 0

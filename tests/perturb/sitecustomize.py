@@ -3,12 +3,14 @@
 With this directory ahead of ``src`` on ``PYTHONPATH``, Python imports this
 module at start-up.  Under ``PYTHONHASHSEED=k`` for k != 0 it shifts
 ``time.time``, ``perf_counter`` and ``monotonic`` (and their ``_ns``
-variants) by a k-dependent constant and seeds ``random`` and numpy's global
-generator with k.  A result that leaks a clock or ambient randomness then
-differs between two hash seeds on every run, not only by chance, while a clean
-one prints the same under every seed.  Hash seed 0 (or unset) changes nothing.
+variants) and ``datetime.datetime.now``/``utcnow`` by a k-dependent constant,
+and seeds ``random`` and numpy's global generator with k.  A result that
+leaks a clock or ambient randomness then differs between two hash seeds on
+every run, not only by chance, while a clean one prints the same under every
+seed.  Hash seed 0 (or unset) changes nothing.
 """
 
+import datetime
 import os
 import random
 import time
@@ -23,6 +25,20 @@ if SEED:
         clock, clock_ns = getattr(time, name), getattr(time, f"{name}_ns")
         setattr(time, name, lambda clock=clock: clock() + shift_ns / 1e9)
         setattr(time, f"{name}_ns", lambda clock_ns=clock_ns: clock_ns() + shift_ns)
+    # ``now`` reads the system clock in C, past the shifted ``time.time``
+    # (``today`` and ``fromtimestamp(time.time())`` already see the shift).
+    shift = datetime.timedelta(microseconds=shift_ns // 1000)
+
+    class ShiftedDatetime(datetime.datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return super().now(tz) + shift
+
+        @classmethod
+        def utcnow(cls):
+            return super().utcnow() + shift
+
+    datetime.datetime = ShiftedDatetime
     import numpy as np
 
     random.seed(SEED)

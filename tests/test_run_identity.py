@@ -301,5 +301,29 @@ def test_the_perturbation_is_live():
     assert float(clock_2) - float(clock_1) > 500.0
 
 
+def test_the_perturbation_moves_datetime_now():
+    code = (
+        "import datetime, time; utc = datetime.datetime.utcfromtimestamp(0).timestamp(); "
+        "print(time.time(), datetime.datetime.now().timestamp(), "
+        "datetime.datetime.utcnow().timestamp() - utc)"
+    )
+    runs = {
+        hash_seed: [float(value) for value in subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=perturbed_env(hash_seed),
+        ).stdout.split()]
+        for hash_seed in ("0", "1", "2")
+    }
+    # Each run's datetimes agree with its own (shifted or not) time.time ...
+    for clock, now, utcnow in runs.values():
+        assert abs(now - clock) < 60.0 and abs(utcnow - clock) < 60.0
+    # ... and move with the hash seed.
+    assert runs["2"][1] - runs["1"][1] > 500.0
+    assert runs["2"][2] - runs["1"][2] > 500.0
+
+
 if __name__ == "__main__":
     print(hash_seed_digest())

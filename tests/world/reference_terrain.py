@@ -1,8 +1,8 @@
 """Executable spec of default-terrain generation: one octave, one column at a time.
 
 This is the code ``repro.world.noise`` and ``DefaultTerrainGenerator`` shipped
-before generation became one array program: every octave samples its own
-``ValueNoise2D``, every lattice corner is hashed by its own call, and the
+before generation became one array program: every octave is its own
+single-octave value noise, every lattice corner is hashed by its own call, and the
 surface is written by a Python loop over the 256 columns.  It is slow and
 obviously right; ``test_terrain_differential.py`` requires the production code
 to equal it exactly (``==`` on floats, ``array_equal`` on blocks).  The golden
@@ -34,7 +34,7 @@ def _smoothstep(t):
 
 
 def value_noise(seed, scale, x, z):
-    """``ValueNoise2D(seed, scale).sample(x, z)`` for equal-shape ``x`` and ``z``."""
+    """Single-octave value noise at ``(x, z) / scale`` for equal-shape ``x`` and ``z``."""
     x_arr = np.asarray(x, dtype=np.float64) / scale
     z_arr = np.asarray(z, dtype=np.float64) / scale
     x0 = np.floor(x_arr).astype(np.int64)
@@ -51,7 +51,7 @@ def value_noise(seed, scale, x, z):
 
 
 def layered_noise(seed, octaves, base_scale, x, z, persistence=0.5, lacunarity=2.0):
-    """``LayeredNoise(...).sample(x, z)`` for equal-shape ``x`` and ``z``."""
+    """``LayeredNoise(...)`` sampled at ``(x, z)`` for equal-shape ``x`` and ``z``."""
     total = np.zeros_like(np.asarray(x, dtype=np.float64))
     amplitude = 1.0
     scale = base_scale

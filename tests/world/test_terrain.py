@@ -6,7 +6,7 @@ import pytest
 from repro.world.block import BlockType
 from repro.world.chunk import CHUNK_HEIGHT
 from repro.world.coords import ChunkPos
-from repro.world.noise import LayeredNoise, ValueNoise2D
+from repro.world.noise import LayeredNoise, sample_fields
 from repro.world.serialization import (
     ChunkFormatError,
     chunk_from_bytes,
@@ -18,21 +18,23 @@ from repro.world.terrain import (
     make_terrain_generator,
 )
 
+#: two 50 x 50 grids, one at the origin and one far out on both axes
+GRID_XS = np.stack([np.arange(50.0), np.arange(50.0) + 3e6])
+GRID_ZS = np.stack([np.arange(50.0), np.arange(50.0) - 7e5])
+
 
 def test_value_noise_is_deterministic_and_bounded():
-    noise = ValueNoise2D(seed=5, scale=16.0)
-    xs = np.arange(0, 100, dtype=float)
-    zs = np.arange(0, 100, dtype=float)
-    first = noise.sample(xs, zs)
-    second = noise.sample(xs, zs)
+    noise = LayeredNoise(seed=5, octaves=1, base_scale=16.0)
+    (first,) = sample_fields([noise], GRID_XS, GRID_ZS)
+    (second,) = sample_fields([noise], GRID_XS, GRID_ZS)
+    assert first.shape == (2, 50, 50)
     assert np.array_equal(first, second)
     assert float(first.min()) >= 0.0
     assert float(first.max()) < 1.0
 
 
 def test_layered_noise_changes_with_seed():
-    a = LayeredNoise(seed=1).sample(np.arange(50.0), np.zeros(50))
-    b = LayeredNoise(seed=2).sample(np.arange(50.0), np.zeros(50))
+    a, b = sample_fields([LayeredNoise(seed=1), LayeredNoise(seed=2)], GRID_XS, GRID_ZS)
     assert not np.array_equal(a, b)
 
 
