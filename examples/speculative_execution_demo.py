@@ -19,6 +19,7 @@ Run with:  python examples/speculative_execution_demo.py
 from repro.constructs.library import build_clock, build_counter_farm
 from repro.core import ServoConfig
 from repro.core.offload import SC_SIMULATION_FUNCTION, make_simulation_handler
+from repro.core.servo import SIMULATION_FUNCTION_MEMORY_MB
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.sim import SimulationEngine
@@ -35,7 +36,9 @@ def main(ticks: int = 400, post_edit_ticks: int = 100) -> SpeculativeConstructBa
     platform = FaasPlatform(engine, provider=AWS_LAMBDA)
     platform.register(
         FunctionDefinition(
-            name=SC_SIMULATION_FUNCTION, handler=make_simulation_handler(), memory_mb=1769
+            name=SC_SIMULATION_FUNCTION,
+            handler=make_simulation_handler(),
+            memory_mb=SIMULATION_FUNCTION_MEMORY_MB,
         )
     )
     backend = SpeculativeConstructBackend(

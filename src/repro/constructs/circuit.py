@@ -18,7 +18,7 @@ request — digests and JSON see Python ``int``.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -141,22 +141,6 @@ class SimulatedConstruct:
         """An immutable snapshot of the current cell states."""
         return ConstructState(step=self.step, states=dict(zip(self.positions, self.states.tolist())))
 
-    def apply_state(self, state: ConstructState | Mapping[BlockPos, int], step: int | None = None) -> None:
-        """Overwrite cell states from a snapshot (used when applying speculation)."""
-        if isinstance(state, ConstructState):
-            values: Mapping[BlockPos, int] = state.states
-            new_step = state.step if step is None else step
-        else:
-            values = state
-            if step is None:
-                raise ValueError("step must be provided when applying a raw state mapping")
-            new_step = step
-        unknown = [pos for pos in values if pos not in self.index_of]
-        if unknown:
-            raise KeyError(f"state refers to positions not in construct {self.name}: {sorted(unknown)[:3]}")
-        self.states[[self.index_of[pos] for pos in values]] = [int(v) for v in values.values()]
-        self.step = int(new_step)
-
     def apply_row(self, row: np.ndarray, step: int) -> None:
         """The merge path: replace the state vector with a *copy* of ``row``.
 
@@ -170,16 +154,6 @@ class SimulatedConstruct:
             )
         self.states = states
         self.step = step
-
-    def copy_state_from(self, other: "SimulatedConstruct") -> None:
-        """Copy cell states (and the step counter) from a structurally identical construct.
-
-        Cells are matched by their sorted order, so the two constructs may sit
-        at different world positions as long as their shapes match.
-        """
-        if [cell.component for cell in self.cells] != [cell.component for cell in other.cells]:
-            raise ValueError("cannot copy state between structurally different constructs")
-        self.apply_row(other.states, other.step)
 
     # -- player interaction ---------------------------------------------------------
 

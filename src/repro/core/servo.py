@@ -34,11 +34,18 @@ from repro.faas.function import FunctionDefinition
 from repro.faas.platform import FaasPlatform
 from repro.faas.providers import provider_by_name
 from repro.server.chunkmanager import OwnershipRegion
-from repro.server.config import GameConfig
+from repro.server.config import WORLD_SEED, GameConfig
 from repro.server.costmodel import SERVO_COST_MODEL
 from repro.server.gameloop import GameServer, ServerRuntime
 from repro.sim.engine import SimulationEngine
 from repro.storage.blob import AWS_S3_STANDARD, AZURE_BLOB_STANDARD, BlobStorage
+
+#: memory of the construct-simulation function (MB): one full vCPU
+SIMULATION_FUNCTION_MEMORY_MB = 1769
+#: memory of the terrain-generation function (MB)
+TERRAIN_FUNCTION_MEMORY_MB = 2048
+#: the prefetcher runs every this many ticks
+PREFETCH_INTERVAL_TICKS = 10
 
 
 @dataclass
@@ -67,7 +74,7 @@ def make_servo_platform(engine: SimulationEngine, servo_config: ServoConfig) -> 
         FunctionDefinition(
             name=SC_SIMULATION_FUNCTION,
             handler=make_simulation_handler(),
-            memory_mb=servo_config.simulation_function_memory_mb,
+            memory_mb=SIMULATION_FUNCTION_MEMORY_MB,
             description="speculative simulation of one simulated construct",
         )
     )
@@ -75,7 +82,7 @@ def make_servo_platform(engine: SimulationEngine, servo_config: ServoConfig) -> 
         FunctionDefinition(
             name=TERRAIN_GENERATION_FUNCTION,
             handler=make_terrain_handler(),
-            memory_mb=servo_config.terrain_function_memory_mb,
+            memory_mb=TERRAIN_FUNCTION_MEMORY_MB,
             description="procedural generation of one terrain chunk",
         )
     )
@@ -115,17 +122,13 @@ def build_servo_server(
 
     # Remote state storage with the Servo cache and prefetcher in front.
     storage = ServoStorageService(
-        engine=engine,
-        remote=blob,
-        view_distance_blocks=game_config.view_distance_blocks,
-        prefetch_margin_blocks=servo_config.prefetch_margin_blocks,
-        cache_capacity_objects=servo_config.cache_capacity_objects,
+        engine=engine, remote=blob, view_distance_blocks=game_config.view_distance_blocks
     )
     terrain_provider = ServerlessTerrainProvider(
         engine=engine,
         platform=platform,
         world_type=game_config.world_type,
-        seed=game_config.world_seed,
+        seed=WORLD_SEED,
     )
     construct_backend = SpeculativeConstructBackend(
         engine=engine, platform=platform, config=servo_config
@@ -153,7 +156,7 @@ def build_servo_server(
 
     # The prefetcher runs periodically, off the latency-critical path.
     def prefetch_hook(tick_index: int) -> None:
-        if tick_index % servo_config.prefetch_interval_ticks == 0:
+        if tick_index % PREFETCH_INTERVAL_TICKS == 0:
             storage.prefetch_for_avatars(
                 [session.avatar for session in server.sessions.values()]
             )

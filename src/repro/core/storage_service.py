@@ -18,8 +18,12 @@ from repro.server.entities import Avatar
 from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend, StorageOperation
 from repro.storage.blob import BlobStorage
-from repro.storage.cache import CachedStorage
-from repro.storage.prefetch import DistancePrefetcher, DistancePrefetchPolicy
+from repro.storage.cache import CACHE_CAPACITY_OBJECTS, CachedStorage
+from repro.storage.prefetch import (
+    PREFETCH_MARGIN_BLOCKS,
+    DistancePrefetcher,
+    DistancePrefetchPolicy,
+)
 
 
 class ServoStorageService(StorageBackend):
@@ -32,8 +36,8 @@ class ServoStorageService(StorageBackend):
         engine: SimulationEngine,
         remote: BlobStorage,
         view_distance_blocks: float = 128.0,
-        prefetch_margin_blocks: float = 48.0,
-        cache_capacity_objects: int = 4096,
+        prefetch_margin_blocks: float = PREFETCH_MARGIN_BLOCKS,
+        cache_capacity_objects: int = CACHE_CAPACITY_OBJECTS,
     ) -> None:
         self.engine = engine
         self.remote = remote

@@ -20,7 +20,11 @@ from repro.storage.base import StorageBackend
 from repro.storage.blob import AZURE_BLOB_STANDARD, BlobStorage
 from repro.storage.cache import CachedStorage
 from repro.storage.local import LocalDiskStorage
-from repro.storage.prefetch import DistancePrefetcher, DistancePrefetchPolicy
+from repro.storage.prefetch import (
+    PREFETCH_MARGIN_BLOCKS,
+    DistancePrefetcher,
+    DistancePrefetchPolicy,
+)
 from repro.world.chunk import Chunk
 from repro.world.coords import BlockPos, ChunkPos, block_to_chunk
 from repro.world.serialization import chunk_to_bytes
@@ -121,7 +125,7 @@ def run_fig13(
             storage = blob
             reader = CachedStorage(remote=blob, rng=engine.rng("cache"), capacity_objects=8192)
             prefetcher = DistancePrefetcher(
-                DistancePrefetchPolicy(prefetch_margin_blocks=48.0), reader, blob
+                DistancePrefetchPolicy(prefetch_margin_blocks=PREFETCH_MARGIN_BLOCKS), reader, blob
             )
 
         _populate(storage, trace.all_chunks)

@@ -21,7 +21,7 @@ from typing import Optional
 from repro.api.result import RunResult
 from repro.api.spec import HostSpec, RunSpec, WorkloadSpec
 from repro.experiments.harness import ExperimentSettings, format_table, run_twice
-from repro.server import GameConfig
+from repro.interest import MAX_STALENESS_TICKS
 from repro.sim.metrics import CONSISTENCY_ERROR_HISTOGRAM, metric_name, percentile
 from repro.workload.scenarios import TICK_BUDGET_MS
 
@@ -132,7 +132,7 @@ def measure_flash_crowd(
         entries_flushed=entries,
         flushes=flushes,
         staleness_max=staleness_max,
-        staleness_bound=GameConfig().interest_max_staleness_ticks,
+        staleness_bound=MAX_STALENESS_TICKS,
         deterministic=deterministic,
     )
 

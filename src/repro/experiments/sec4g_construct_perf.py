@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.constructs.library import build_sized_construct
 from repro.core.offload import SC_SIMULATION_FUNCTION, OffloadRequest, make_simulation_handler
+from repro.core.servo import SIMULATION_FUNCTION_MEMORY_MB
 from repro.experiments.harness import ExperimentSettings, format_table
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.sim import SimulationEngine
@@ -58,7 +59,7 @@ def run_sec4g(
             FunctionDefinition(
                 name=SC_SIMULATION_FUNCTION,
                 handler=make_simulation_handler(),
-                memory_mb=1769,
+                memory_mb=SIMULATION_FUNCTION_MEMORY_MB,
             )
         )
         construct = build_sized_construct(size, origin=BlockPos(0, 64, 0), looping=False)

@@ -41,8 +41,6 @@ class ProviderProfile:
     )
     #: how long execution environments stay warm after last use
     keep_alive_ms: float = 7 * 60 * 1000.0
-    #: default memory configuration for functions that do not specify one
-    default_memory_mb: int = 1769
     billing: BillingRates = field(
         default_factory=lambda: BillingRates(
             usd_per_million_requests=0.20, usd_per_gb_second=0.0000166667
@@ -55,7 +53,6 @@ AWS_LAMBDA = ProviderProfile(
     invocation_overhead=LogNormalLatency(median_ms=42.0, sigma=0.28, floor_ms=15.0, cap_ms=350.0),
     cold_start_penalty=LogNormalLatency(median_ms=1500.0, sigma=0.40, floor_ms=450.0, cap_ms=4500.0),
     keep_alive_ms=7 * 60 * 1000.0,
-    default_memory_mb=1769,
     billing=BillingRates(usd_per_million_requests=0.20, usd_per_gb_second=0.0000166667),
 )
 
@@ -64,7 +61,6 @@ AZURE_FUNCTIONS = ProviderProfile(
     invocation_overhead=LogNormalLatency(median_ms=58.0, sigma=0.32, floor_ms=20.0, cap_ms=500.0),
     cold_start_penalty=LogNormalLatency(median_ms=2400.0, sigma=0.45, floor_ms=700.0, cap_ms=8000.0),
     keep_alive_ms=5 * 60 * 1000.0,
-    default_memory_mb=1536,
     billing=BillingRates(usd_per_million_requests=0.20, usd_per_gb_second=0.000016),
 )
 

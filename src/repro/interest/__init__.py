@@ -9,10 +9,21 @@ model of the Opencraft/dyconits line.
 """
 
 from repro.interest.subscriptions import (
+    MAX_DRIFT_BLOCKS,
+    MAX_STALENESS_TICKS,
+    NEAR_RADIUS_CHUNKS,
     FlushReport,
     InterestMap,
     Subscription,
     SubscriptionState,
 )
 
-__all__ = ["InterestMap", "Subscription", "SubscriptionState", "FlushReport"]
+__all__ = [
+    "InterestMap",
+    "Subscription",
+    "SubscriptionState",
+    "FlushReport",
+    "NEAR_RADIUS_CHUNKS",
+    "MAX_STALENESS_TICKS",
+    "MAX_DRIFT_BLOCKS",
+]

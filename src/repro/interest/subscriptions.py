@@ -58,6 +58,16 @@ ChunkKey = tuple[int, int]
 
 NEAR, FAR = 0, 1  # positions of the two tiers in an index entry
 
+#: chunks within this Chebyshev distance of a subscription's center are its
+#: near tier: their updates flush every tick
+NEAR_RADIUS_CHUNKS = 1
+#: dyconit staleness budget: a far-tier batch is flushed before any of its
+#: entries becomes older than this many ticks
+MAX_STALENESS_TICKS = 5
+#: dyconit numerical-error budget: accumulated positional drift (blocks) in
+#: the far tier that forces a flush before the staleness budget expires
+MAX_DRIFT_BLOCKS = 8.0
+
 
 @lru_cache(maxsize=32)
 def _tiered_offsets(
@@ -133,9 +143,9 @@ class InterestMap:
     def __init__(
         self,
         radius_chunks: int,
-        near_radius_chunks: int = 1,
-        max_staleness_ticks: int = 5,
-        max_drift_blocks: float = 8.0,
+        near_radius_chunks: int = NEAR_RADIUS_CHUNKS,
+        max_staleness_ticks: int = MAX_STALENESS_TICKS,
+        max_drift_blocks: float = MAX_DRIFT_BLOCKS,
     ) -> None:
         if radius_chunks < 1:
             raise ValueError("an InterestMap needs a positive radius (0/None = full fan-out)")

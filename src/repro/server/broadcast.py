@@ -73,11 +73,6 @@ def broadcast_policy(config: "GameConfig", chunks: "ChunkManager") -> FullFanout
     """
     if not config.interest_enabled:
         return FullFanout()
-    interest = InterestMap(
-        radius_chunks=config.interest_radius_chunks,
-        near_radius_chunks=config.interest_near_radius_chunks,
-        max_staleness_ticks=config.interest_max_staleness_ticks,
-        max_drift_blocks=config.interest_max_drift_blocks,
-    )
+    interest = InterestMap(radius_chunks=config.interest_radius_chunks)
     chunks.center_listeners.append(interest.update_center)
     return interest

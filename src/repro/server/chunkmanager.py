@@ -40,6 +40,10 @@ from repro.world.world import VoxelWorld
 
 #: virtual milliseconds of on-server work to generate one default-world chunk
 CHUNK_GENERATION_WORK_MS = 250.0
+#: chunks stay loaded this many blocks beyond the view distance
+UNLOAD_MARGIN_BLOCKS = 64.0
+#: maximum chunks streamed to one player in one tick
+STREAM_CAP_PER_PLAYER = 3
 
 
 @lru_cache(maxsize=32)
@@ -210,7 +214,6 @@ class ChunkManager:
         provider: TerrainProvider,
         storage: StorageBackend,
         view_distance_blocks: float = 128.0,
-        unload_margin_blocks: float = 64.0,
         max_integrations_per_tick: int = 8,
         eviction_interval_ticks: int = 40,
         region: Optional[OwnershipRegion] = None,
@@ -221,13 +224,12 @@ class ChunkManager:
         self.provider = provider
         self.storage = storage
         self.view_distance_blocks = float(view_distance_blocks)
-        self.unload_margin_blocks = float(unload_margin_blocks)
         self.max_integrations_per_tick = int(max_integrations_per_tick)
         self.eviction_interval_ticks = int(eviction_interval_ticks)
         self.region = region
         self._view_radius_chunks = int(math.ceil(self.view_distance_blocks / CHUNK_SIZE))
         self._keep_radius_chunks = int(
-            math.ceil((self.view_distance_blocks + self.unload_margin_blocks) / CHUNK_SIZE)
+            math.ceil((self.view_distance_blocks + UNLOAD_MARGIN_BLOCKS) / CHUNK_SIZE)
         )
         self._pending: set[ChunkPos] = set()
         self._ready: list[_ReadyChunk] = []
@@ -246,8 +248,6 @@ class ChunkManager:
         self._player_sent: dict[int, set[ChunkPos]] = {}
         #: chunks queued for streaming to each player (sent a few per tick)
         self._player_send_queue: dict[int, list[ChunkPos]] = {}
-        #: maximum chunks streamed to one player in one tick
-        self.stream_cap_per_player = 3
         self._tick_counter = 0
         self.metrics = engine.metrics
         #: called with (player_id, new_center_chunk) whenever a player
@@ -438,7 +438,7 @@ class ChunkManager:
                 continue
             sent = self._player_sent.setdefault(player_id, set())
             remaining: list[ChunkPos] = []
-            budget = self.stream_cap_per_player
+            budget = STREAM_CAP_PER_PLAYER
             for position in queue:
                 if budget > 0 and self.world.is_loaded(position):
                     sent.add(position)

@@ -26,7 +26,7 @@ from repro.server.chunkmanager import (
     OwnershipRegion,
     TerrainProvider,
 )
-from repro.server.config import GameConfig
+from repro.server.config import WORLD_SEED, GameConfig
 from repro.server.costmodel import TickCostModel, TickWork
 from repro.server.entities import Avatar
 from repro.server.sc_engine import ConstructBackend, ConstructTickPlan, LocalConstructBackend
@@ -39,6 +39,9 @@ from repro.world.block import BlockType
 from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, block_to_chunk
 from repro.world.terrain import make_terrain_generator
 from repro.world.world import ChunkNotLoadedError, VoxelWorld
+
+#: how often dirty terrain is written back to persistent storage
+PERSISTENCE_INTERVAL_S = 30.0
 
 
 class ServerRuntime:
@@ -152,7 +155,7 @@ class GameServer(TickLoop):
         region: Optional[OwnershipRegion] = None,
         player_ids: Optional[Iterator[int]] = None,
     ) -> None:
-        generator = make_terrain_generator(config.world_type, seed=config.world_seed)
+        generator = make_terrain_generator(config.world_type, seed=WORLD_SEED)
         self.engine = engine
         self.config = config
         self.world = VoxelWorld()
@@ -172,7 +175,6 @@ class GameServer(TickLoop):
             provider=provider,
             storage=self.storage,
             view_distance_blocks=config.view_distance_blocks,
-            max_integrations_per_tick=config.max_chunk_integrations_per_tick,
             region=region,
         )
         self.cost_model = cost_model
@@ -510,7 +512,7 @@ class GameServer(TickLoop):
         self.broadcast.broadcast(self, work)
 
         # 5. Periodic persistence (off the critical path).
-        if (start_ms - self._last_persist_ms) >= self.config.persistence_interval_s * 1000.0:
+        if (start_ms - self._last_persist_ms) >= PERSISTENCE_INTERVAL_S * 1000.0:
             self.chunks.persist_dirty()
             self._last_persist_ms = start_ms
 

@@ -75,14 +75,3 @@ class SimulationEngine:
     def advance_by(self, delta_ms: float) -> None:
         """Advance the clock by ``delta_ms``, firing due events."""
         self.advance_to(self.clock.now_ms + delta_ms)
-
-    def run_until_idle(self, max_time_ms: float | None = None) -> None:
-        """Fire events until the queue is empty (or ``max_time_ms`` is reached)."""
-        while True:
-            next_due = self.events.peek_due_ms()
-            if next_due is None:
-                return
-            if max_time_ms is not None and next_due > max_time_ms:
-                self.clock.advance_to(max_time_ms)
-                return
-            self.advance_to(next_due)

@@ -17,6 +17,9 @@ import numpy as np
 from repro.sim.latency import LogNormalLatency
 from repro.storage.base import ObjectNotFoundError, StorageBackend, StorageOperation
 
+#: capacity of Servo's server-local terrain cache (objects)
+CACHE_CAPACITY_OBJECTS = 4096
+
 
 @dataclass
 class CacheStatistics:
@@ -52,7 +55,7 @@ class CachedStorage(StorageBackend):
         self,
         remote: StorageBackend,
         rng: np.random.Generator,
-        capacity_objects: int = 4096,
+        capacity_objects: int = CACHE_CAPACITY_OBJECTS,
         hit_latency: LogNormalLatency | None = None,
     ) -> None:
         self._remote = remote

@@ -20,28 +20,13 @@ from repro.storage.cache import CachedStorage
 from repro.world.coords import (
     CHUNK_SIZE,
     BlockPos,
-    ChunkPos,
     pack_chunk,
     packed_chunk_keys,
     packed_chunk_ring,
-    unpack_chunks,
 )
 
-
-def _unpack(packed: np.ndarray) -> frozenset[ChunkPos]:
-    return frozenset(ChunkPos(cx, cz) for cx, cz in zip(*unpack_chunks(packed)))
-
-
-@dataclass(frozen=True)
-class PrefetchPlan:
-    """The chunk sets a prefetch evaluation produces."""
-
-    required: frozenset[ChunkPos]
-    prefetch: frozenset[ChunkPos]
-
-    @property
-    def all_chunks(self) -> frozenset[ChunkPos]:
-        return self.required | self.prefetch
+#: prefetch terrain this many blocks beyond the view distance
+PREFETCH_MARGIN_BLOCKS = 48.0
 
 
 @dataclass(frozen=True)
@@ -49,10 +34,17 @@ class DistancePrefetchPolicy:
     """Prefetch chunks within ``view_distance + prefetch_margin`` blocks of any avatar."""
 
     view_distance_blocks: float = 128.0
-    prefetch_margin_blocks: float = 48.0
+    prefetch_margin_blocks: float = PREFETCH_MARGIN_BLOCKS
 
-    def _ring_union(self, avatar_positions: Iterable[BlockPos], radius_blocks: float) -> np.ndarray:
-        """The sorted, unique packed chunks within ``radius_blocks`` of any avatar."""
+    def candidates(self, avatar_positions: Iterable[BlockPos]) -> np.ndarray:
+        """Every chunk worth having in the cache, packed, sorted and unique.
+
+        This is the union of the avatars' *extended* rings.  An avatar's
+        view ring lies inside its extended ring, so the union already holds
+        every required chunk, and packed order is ``(cx, cz)`` order, so the
+        array is the order in which the prefetcher visits it.
+        """
+        radius_blocks = float(self.view_distance_blocks) + float(self.prefetch_margin_blocks)
         parts = [
             pack_chunk(position.x // CHUNK_SIZE, position.z // CHUNK_SIZE)
             + packed_chunk_ring(position.x % CHUNK_SIZE, position.z % CHUNK_SIZE, radius_blocks)
@@ -61,33 +53,6 @@ class DistancePrefetchPolicy:
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(parts))
-
-    def candidates(self, avatar_positions: Iterable[BlockPos]) -> np.ndarray:
-        """Every chunk worth having in the cache, packed, in ``(cx, cz)`` order.
-
-        This is the union of the avatars' *extended* rings.  An avatar's
-        view ring lies inside its extended ring, so the union already holds
-        every required chunk, and packed order is ``(cx, cz)`` order, so the
-        array is the order in which the prefetcher visits it.
-        """
-        return self._ring_union(
-            avatar_positions, float(self.view_distance_blocks) + float(self.prefetch_margin_blocks)
-        )
-
-    def plan(self, avatar_positions: Iterable[BlockPos]) -> PrefetchPlan:
-        """The candidates split into the view set and the ring just beyond it.
-
-        A ``ChunkPos`` view over the packed unions; the prefetcher itself
-        works from :meth:`candidates` and never builds these sets.
-        """
-        positions = list(avatar_positions)
-        required = self._ring_union(positions, float(self.view_distance_blocks))
-        return PrefetchPlan(
-            required=_unpack(required),
-            prefetch=_unpack(
-                np.setdiff1d(self.candidates(positions), required, assume_unique=True)
-            ),
-        )
 
 
 class DistancePrefetcher:

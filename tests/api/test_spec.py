@@ -88,7 +88,7 @@ def test_validation_rejects(mutation, fragment):
     "section, overrides, fragment",
     [
         ("game_config", {"world_type": "lava"}, "unknown world type 'lava'"),
-        ("game_config", {"simulation_rate_hz": -1}, "simulation_rate_hz must be positive"),
+        ("game_config", {"view_distance_blocks": -1}, "view_distance_blocks must be positive"),
         ("servo_config", {"provider": "gcp"}, "unknown provider 'gcp'"),
         ("servo_config", {"tick_lead": -3}, "tick_lead must be non-negative"),
         ("game_config", {"spawn_position": [1, 2]}, "spawn_position must be three integers"),
@@ -104,15 +104,29 @@ def test_config_values_are_checked_when_the_spec_is_built(section, overrides, fr
         HostSpec(game="servo", **{section: overrides})
 
 
+# Switches only tests flipped, then the values the paper fixes (module
+# constants now): a spec naming one fails at --check.
 @pytest.mark.parametrize(
     "section, knob",
     [
         ("game_config", "tick_record_cap"),
         ("servo_config", "enable_cache"),
         ("servo_config", "enable_loop_detection"),
+        ("game_config", "simulation_rate_hz"),
+        ("game_config", "world_seed"),
+        ("game_config", "persistence_interval_s"),
+        ("game_config", "max_chunk_integrations_per_tick"),
+        ("game_config", "interest_near_radius_chunks"),
+        ("game_config", "interest_max_staleness_ticks"),
+        ("game_config", "interest_max_drift_blocks"),
+        ("servo_config", "simulation_function_memory_mb"),
+        ("servo_config", "terrain_function_memory_mb"),
+        ("servo_config", "prefetch_margin_blocks"),
+        ("servo_config", "prefetch_interval_ticks"),
+        ("servo_config", "cache_capacity_objects"),
     ],
 )
-def test_removed_switches_are_unknown_keys(section, knob):
+def test_removed_knobs_are_unknown_keys(section, knob):
     with pytest.raises(ValueError, match=rf"unknown {section} key\(s\) \['{knob}'\]") as excinfo:
         RunSpec.from_dict({**TINY_SPEC, "host": {"game": "servo", section: {knob: 1}}})
     assert "allowed keys: [" in str(excinfo.value)

@@ -116,25 +116,6 @@ def test_clone_construct_preserves_identity_and_state():
     assert construct.cells[0].state != 99
 
 
-def test_snapshot_and_apply_state_round_trip():
-    construct = build_wire_line(length=4)
-    simulator = ConstructSimulator()
-    for _ in range(3):
-        simulator.step(construct)
-    snapshot = construct.snapshot()
-    for _ in range(5):
-        simulator.step(construct)
-    construct.apply_state(snapshot)
-    assert construct.step == snapshot.step
-    assert construct.snapshot().same_values(snapshot)
-
-
-def test_apply_state_rejects_unknown_positions():
-    construct = build_wire_line(length=2)
-    with pytest.raises(KeyError):
-        construct.apply_state({BlockPos(99, 99, 99): 1}, step=1)
-
-
 def test_apply_row_rejects_a_wrong_length_and_copies_the_row():
     construct = build_wire_line(length=4)
     before = [cell.state for cell in construct.cells]
@@ -150,19 +131,6 @@ def test_apply_row_rejects_a_wrong_length_and_copies_the_row():
     assert construct.step == 3
     construct.cells[0].state = 1  # the construct's vector is its own, and writable
     assert row[0] == 7 and not np.shares_memory(row, construct.states)
-
-
-def test_apply_state_requires_step_for_raw_mapping():
-    construct = build_wire_line(length=2)
-    with pytest.raises(ValueError):
-        construct.apply_state({construct.positions[0]: 1})
-
-
-def test_copy_state_from_requires_same_shape():
-    a = build_wire_line(length=2)
-    b = build_wire_line(length=3)
-    with pytest.raises(ValueError):
-        a.copy_state_from(b)
 
 
 def test_player_modify_advances_logical_timestamp():

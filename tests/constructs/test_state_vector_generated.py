@@ -12,7 +12,7 @@ of everything that reads or writes ``SimulatedConstruct.states``:
   a retuned clock period or repeater delay (the edit a cached batch layout
   must not outlive),
 * ``apply_row`` of one shared row object (read-only or writable) to every
-  construct of a shape, and ``copy_state_from`` a construct of the same shape,
+  construct of a shape,
 * ``on_player_modify`` alone, and remove + re-place under the reused id.
 
 Each construct has a ``clone_construct`` twin that only
@@ -23,8 +23,7 @@ construct's ``snapshot()`` equals its twin's, ``verify_states()`` holds, and
 a write to one construct has changed no other construct's snapshot.
 
 Mutants this kills, hand-run and reverted.  Within the 150 generated cases:
-``apply_row`` binding the row without the copy; ``copy_state_from`` binding
-the other construct's vector; ``step_batch`` slicing ``states`` instead of
+``apply_row`` binding the row without the copy; ``step_batch`` slicing ``states`` instead of
 ``new_states``, or not advancing ``step``, or reporting every row a fixed
 point; ``CompiledCircuit.step`` rebinding ``states`` to the old values;
 ``Cell.state`` returning the ``np.int64`` without ``int()``; group members
@@ -73,11 +72,11 @@ KINDS = {
 }
 OPERATIONS = (
     "tick", "tick", "tick", "compiled_step", "set_state", "toggle_lever", "retune",
-    "apply_row", "copy_state_from", "touch", "replace",
+    "apply_row", "touch", "replace",
 )
 
 specs = st.tuples(st.sampled_from(sorted(KINDS)), st.integers(min_value=0, max_value=1))
-#: (operation, construct selector, cell / partner selector, value)
+#: (operation, construct selector, cell selector, value)
 operations = st.tuples(
     st.sampled_from(OPERATIONS),
     st.integers(min_value=0, max_value=10 ** 6),
@@ -169,15 +168,6 @@ class Fleet:
                 self.announce(member)
             if row.flags.writeable:
                 row[:] = 99  # the constructs hold copies: scribbling on the row is harmless
-        elif operation == "copy_state_from":
-            partners = self.same_shape_as(index)
-            partner = partners[other % len(partners)]
-            if partner != index:
-                construct.copy_state_from(self.constructs[partner])
-                for cell, source in zip(twin.cells, self.twins[partner].cells):
-                    cell.state = source.state
-                twin.step = self.twins[partner].step
-                self.announce(index)
         elif operation == "touch":
             self.announce(index, construct.positions[0].offset(dy=-1))
         else:  # replace: remove, then place another construct under the reused id

@@ -1,13 +1,13 @@
 """Executable spec of a prefetch evaluation: sets of ``ChunkPos``, sorted per call.
 
-This is ``DistancePrefetchPolicy.plan`` and
-``ServoStorageService.prefetch_for_avatars`` as they shipped before planning
-moved into packed-integer space: every avatar's view ring and extended ring
-become ``ChunkPos`` sets, the sets are unioned, the union is sorted by
-``(cx, cz)``, and every chunk formats its key on every evaluation.  The rings
-come from the per-chunk loop in ``tests/world/reference_rings.py``.
-``test_prefetch_differential.py`` requires the production service to issue
-the same ``cache.prefetch`` calls in the same order and return the same count.
+This is the prefetch planner and ``ServoStorageService.prefetch_for_avatars``
+as they shipped before planning moved into packed-integer space: every
+avatar's view ring and extended ring become ``ChunkPos`` sets, the sets are
+unioned, the union is sorted by ``(cx, cz)``, and every chunk formats its key
+on every evaluation.  The rings come from the per-chunk loop in
+``tests/world/reference_rings.py``.  ``test_prefetch_differential.py``
+requires the production service to issue the same ``cache.prefetch`` calls in
+the same order and return the same count.
 """
 
 import importlib.util

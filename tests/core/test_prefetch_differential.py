@@ -20,7 +20,6 @@ from repro.server.entities import Avatar
 from repro.sim import SimulationEngine
 from repro.storage import prefetch as prefetch_module
 from repro.storage.blob import BlobStorage
-from repro.storage.prefetch import DistancePrefetchPolicy
 from repro.world.coords import BlockPos, ChunkPos
 
 from hypothesis_profiles import examples
@@ -131,17 +130,6 @@ def test_evaluations_prefetch_the_same_keys_in_the_same_order(
             new.apply(step)
             old.apply(step)
     assert new.state() == old.state()
-
-
-@settings(max_examples=examples(60))
-@given(
-    radii=st.sampled_from([(32.0, 16.0), (48.0, 0.0), (15.9, 17.6), (128.0, 48.0)]),
-    positions=st.lists(st.builds(BlockPos, blocks, st.just(65), blocks), max_size=4),
-)
-def test_plan_partitions_the_candidates_as_the_old_planner_did(radii, positions):
-    policy = DistancePrefetchPolicy(view_distance_blocks=radii[0], prefetch_margin_blocks=radii[1])
-    plan = policy.plan(positions)
-    assert (plan.required, plan.prefetch) == reference_prefetch.plan(policy, positions)
 
 
 def _count_calls(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ServoConfig, build_servo_server
 from repro.core.offload import SC_SIMULATION_FUNCTION
+from repro.core.servo import PREFETCH_INTERVAL_TICKS
 from repro.core.terrain_service import TERRAIN_GENERATION_FUNCTION
 from repro.server import GameConfig, make_opencraft
 from repro.sim import SimulationEngine
@@ -18,8 +19,6 @@ def test_servo_config_validation():
         ServoConfig(steps_per_invocation=0)
     with pytest.raises(ValueError):
         ServoConfig(tick_lead=-1)
-    with pytest.raises(ValueError):
-        ServoConfig(prefetch_interval_ticks=0)
 
 
 def test_build_servo_server_deploys_both_functions(engine):
@@ -138,9 +137,9 @@ def test_servo_storage_goes_through_its_cache_and_prefetches(engine):
 
 
 def test_servo_prefetch_hook_runs_only_on_configured_interval(engine):
-    config = ServoConfig(prefetch_interval_ticks=4)
-    server = build_servo_server(engine, GameConfig(world_type="flat"), config)
+    server = build_servo_server(engine, GameConfig(world_type="flat"))
     server.chunks.preload_area(server.config.spawn_position, 32.0)
     server.connect_player()
-    server.run_ticks(8)  # must not raise; prefetcher sees an empty remote store
+    # Two prefetch runs; must not raise: the prefetcher sees an empty remote store.
+    server.run_ticks(2 * PREFETCH_INTERVAL_TICKS)
     assert engine.metrics.counter("prefetched_objects") == 0

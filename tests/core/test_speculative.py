@@ -66,7 +66,7 @@ def test_speculative_states_match_pure_local_simulation(engine):
     backend, _ = make_backend(engine)
     construct = build_counter_farm(hoppers=3)
     reference = build_counter_farm(hoppers=3)
-    reference.copy_state_from(construct)
+    reference.apply_row(construct.states, construct.step)
     backend.register_construct(construct)
     simulator = ConstructSimulator()
     for tick in range(80):

@@ -7,6 +7,8 @@ computed from the flushes due *after* interest filtering, not from the
 player count.
 """
 
+from rebudget import rebudget_interest
+
 from repro.faults import DegradationController, DegradationPolicy
 from repro.server import GameConfig, make_opencraft
 from repro.sim import SimulationEngine
@@ -14,15 +16,10 @@ from repro.world.coords import CHUNK_SIZE, BlockPos
 
 
 def make_degraded_interest_server(seed=5, shed_fraction=0.5):
-    config = GameConfig(
-        world_type="flat",
-        interest_radius_chunks=4,
-        interest_near_radius_chunks=0,
-        interest_max_staleness_ticks=1,
-        interest_max_drift_blocks=1e9,
-    )
+    config = GameConfig(world_type="flat", interest_radius_chunks=4)
     engine = SimulationEngine(seed=seed)
     server = make_opencraft(engine, config)
+    rebudget_interest(server, near_radius_chunks=0, max_staleness_ticks=1, max_drift_blocks=1e9)
     server.chunks.preload_area(config.spawn_position, 200.0)
     # A budget no tick can meet: the controller sheds from tick 2 onward.
     server.degradation = DegradationController(

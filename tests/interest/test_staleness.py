@@ -1,5 +1,7 @@
 """Dyconit budgets: far-tier staleness and drift bounds always hold."""
 
+from rebudget import rebudget_interest
+
 from repro.interest import InterestMap
 from repro.server import GameConfig, make_opencraft
 from repro.sim import SimulationEngine
@@ -63,15 +65,12 @@ def test_source_player_never_receives_its_own_action(make_session):
 def test_gameloop_staleness_never_exceeds_the_configured_bound():
     """Property over a full run: every flush's staleness is within budget."""
     bound = 4
-    config = GameConfig(
-        world_type="flat",
-        interest_radius_chunks=4,
-        interest_near_radius_chunks=0,
-        interest_max_staleness_ticks=bound,
-        interest_max_drift_blocks=1e9,
-    )
+    config = GameConfig(world_type="flat", interest_radius_chunks=4)
     engine = SimulationEngine(seed=11)
     server = make_opencraft(engine, config)
+    rebudget_interest(
+        server, near_radius_chunks=0, max_staleness_ticks=bound, max_drift_blocks=1e9
+    )
     server.chunks.preload_area(config.spawn_position, 200.0)
     editor = server.connect_player("editor")
     # Observers two chunks away: the editor's chunk lands in their far tier.

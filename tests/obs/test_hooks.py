@@ -94,7 +94,7 @@ class TestTerrainSpans:
         provider = ServerlessTerrainProvider(engine, platform, world_type="flat", seed=3)
         delivered = []
         provider.request(ChunkPos(1, 2), lambda chunk, result: delivered.append(result))
-        engine.run_until_idle()
+        engine.advance_to(engine.now_ms + 60_000.0)  # every attempt has replied
         assert len(delivered) == 1
         assert delivered[0].source == "local-fallback"
         # One span per request, covering every attempt; one faas span each.

@@ -20,7 +20,7 @@ def opencraft(engine):
 
 def test_game_config_validation():
     with pytest.raises(ValueError):
-        GameConfig(simulation_rate_hz=0)
+        GameConfig(view_distance_blocks=0)
     with pytest.raises(ValueError):
         GameConfig(world_type="martian")
     assert GameConfig().tick_interval_ms == pytest.approx(50.0)
@@ -181,17 +181,19 @@ def test_a_reconnecting_player_is_subscribed_where_its_stored_position_puts_it(e
 
 
 def test_every_server_writes_dirty_terrain_back_on_the_persistence_interval(engine):
+    from repro.server.gameloop import PERSISTENCE_INTERVAL_S
     from repro.storage.local import LocalDiskStorage
     from repro.world.coords import block_to_chunk
 
-    server = make_opencraft(engine, GameConfig(world_type="flat", persistence_interval_s=1.0))
+    server = make_opencraft(engine, GameConfig(world_type="flat"))
+    due = round(PERSISTENCE_INTERVAL_S * 1000.0 / server.config.tick_interval_ms)
     assert isinstance(server.storage, LocalDiskStorage)
     assert server.chunks.storage is server.storage
     server.chunks.preload_area(server.config.spawn_position, 32.0)
     edited = BlockPos(9, 90, 9)
     server.world.set_block(edited, BlockType.STONE)
     key = block_to_chunk(edited).key()
-    server.run_ticks(10)  # 0.5 s: not yet due
+    server.run_ticks(due - 10)  # half a second short: not yet due
     assert not server.storage.exists(key)
     server.run_ticks(15)
     assert server.storage.exists(key)

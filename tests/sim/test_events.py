@@ -102,12 +102,3 @@ def test_engine_events_can_schedule_followups():
     engine.advance_to(20.0)
     assert fired == ["first", "second"]
 
-
-def test_engine_run_until_idle_respects_max_time():
-    engine = SimulationEngine(seed=0)
-    fired = []
-    engine.schedule_at(10.0, lambda: fired.append(1))
-    engine.schedule_at(500.0, lambda: fired.append(2))
-    engine.run_until_idle(max_time_ms=100.0)
-    assert fired == [1]
-    assert engine.now_ms == 100.0

@@ -1,15 +1,10 @@
-"""Tests for the cache and the distance prefetch policy."""
+"""Tests for the server-local cache in front of remote storage."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.storage.blob import AZURE_BLOB_STANDARD, BlobStorage
 from repro.storage.cache import CachedStorage
-from repro.storage.prefetch import DistancePrefetchPolicy
-from repro.world.coords import BlockPos, block_to_chunk
-
-from hypothesis_profiles import examples
 
 
 @pytest.fixture
@@ -90,26 +85,3 @@ def test_cache_read_latency_much_lower_than_remote(cache_and_blob):
     hits = [cache.read("key").latency_ms for _ in range(300)]
     assert max(hits) < 40.0
 
-
-def test_prefetch_policy_partitions_required_and_margin():
-    policy = DistancePrefetchPolicy(view_distance_blocks=64.0, prefetch_margin_blocks=32.0)
-    plan = policy.plan([BlockPos(0, 64, 0)])
-    assert plan.required
-    assert plan.prefetch
-    assert not (plan.required & plan.prefetch)
-    assert block_to_chunk(BlockPos(0, 64, 0)) in plan.required
-
-
-@settings(max_examples=examples(30))
-@given(
-    st.integers(min_value=-500, max_value=500),
-    st.integers(min_value=-500, max_value=500),
-)
-def test_prefetch_plan_required_always_within_view(x, z):
-    policy = DistancePrefetchPolicy(view_distance_blocks=48.0, prefetch_margin_blocks=32.0)
-    position = BlockPos(x, 64, z)
-    plan = policy.plan([position])
-    # The player's own chunk is always required, and the prefetch ring is
-    # strictly outside the required set.
-    assert block_to_chunk(position) in plan.required
-    assert not (plan.required & plan.prefetch)

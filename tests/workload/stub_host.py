@@ -5,11 +5,15 @@ does the two things a real tick does that a swarm can observe: it applies the
 tick's ``MOVE`` messages to the avatars (``R`` aims its block edits from its
 avatar's position) and advances virtual time (staggered joins read the clock).
 Bots spawn at ``spawns``, cycled in connect order, so a population can be
-spread out as a cluster's is.
+spread out as a cluster's is.  ``config`` carries the one config value a swarm
+reads, the tick interval: a real server's is fixed at 50 ms, a stub's may be
+any, so a differential can vary the stride arithmetic.
 """
 
+from dataclasses import dataclass
+
 from repro.net.message import Message, MessageKind
-from repro.server import GameConfig
+from repro.server.config import TICK_INTERVAL_MS
 from repro.server.entities import Avatar
 from repro.sim import SimulationEngine
 from repro.world.coords import BlockPos
@@ -29,10 +33,17 @@ class StubSession:
         self._sent.append(message)
 
 
+@dataclass(frozen=True)
+class StubConfig:
+    tick_interval_ms: float
+
+
 class StubHost:
-    def __init__(self, seed: int = 0, spawns=(SPAWN,), simulation_rate_hz: float = 20.0) -> None:
+    def __init__(
+        self, seed: int = 0, spawns=(SPAWN,), tick_interval_ms: float = TICK_INTERVAL_MS
+    ) -> None:
         self.engine = SimulationEngine(seed=seed)
-        self.config = GameConfig(world_type="flat", simulation_rate_hz=simulation_rate_hz)
+        self.config = StubConfig(tick_interval_ms)
         self.sessions: list[StubSession] = []
         self.sent: list[Message] = []
         self._spawns = spawns

@@ -120,7 +120,7 @@ def test_the_swarm_sends_what_the_scalar_bots_sent_and_draws_what_they_drew(
 ):
     sides = []
     for module, swarm_type in ((production, BotSwarm), (reference, reference.BotSwarm)):
-        host = StubHost(seed, spawns, rate_hz)
+        host = StubHost(seed, spawns, 1000.0 / rate_hz)
         swarm = swarm_type(populate(module, population), schedule)
         sides.append((host, swarm, swarm.install(host)))
 
