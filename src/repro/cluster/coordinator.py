@@ -35,7 +35,7 @@ from repro.server.gameloop import GameServer, TickLoop, TickRecord
 from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
 from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend
-from repro.world.coords import CHUNK_SIZE, BlockPos, block_to_chunk
+from repro.world.coords import CHUNK_SIZE, BlockPos
 
 #: every Nth connecting player spawns near a zone boundary; the bounded-area
 #: workloads then wander across it, exercising migration
@@ -238,20 +238,6 @@ class ClusterCoordinator(TickLoop):
             raise KeyError(f"no connected player with id {player_id}")
         self.shards[self.home[player_id]].disconnect_player(player_id)
 
-    def verify_sessions(self) -> bool:
-        """True when every session is held where :attr:`home` says (test support).
-
-        A connected session is held by ``shards[home[id]]`` alone, as the same
-        object; a disconnected one by no shard; no shard holds an unknown id.
-        """
-        # Per player: (slot, holds this very object) for every shard holding its id.
-        return all(
-            [(slot, shard.sessions[player_id] is session)
-             for slot, shard in enumerate(self.shards) if player_id in shard.sessions]
-            == ([] if session.disconnected else [(self.home[player_id], True)])
-            for player_id, session in self.sessions.items()
-        ) and all(shard.sessions.keys() <= self.sessions.keys() for shard in self.shards)
-
     # -- constructs ------------------------------------------------------------------
 
     def place_construct(self, construct: SimulatedConstruct) -> None:
@@ -265,24 +251,6 @@ class ClusterCoordinator(TickLoop):
         if zone is None:
             raise KeyError(f"no construct with id {construct_id} in the cluster")
         self.shards[zone].remove_construct(construct_id)
-
-    def verify_constructs(self) -> bool:
-        """True when every construct is registered where it was placed (test support).
-
-        A placed construct is registered on ``shards[_construct_homes[id]]``
-        alone, and that shard's region holds the chunk of its first cell; no
-        shard's backend holds an id the coordinator did not place.
-        """
-        # Per shard: construct id -> the first cell of each construct it registers.
-        held = [
-            {c.construct_id: c.positions[0] for c in shard.constructs.constructs()}
-            for shard in self.shards
-        ]
-        return all(
-            [slot for slot, anchors in enumerate(held) if construct_id in anchors] == [zone]
-            and self.shards[zone].region.contains(block_to_chunk(held[zone][construct_id]))
-            for construct_id, zone in self._construct_homes.items()
-        ) and all(anchors.keys() <= self._construct_homes.keys() for anchors in held)
 
     # -- migration -------------------------------------------------------------------
 

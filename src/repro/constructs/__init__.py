@@ -7,7 +7,7 @@ source of server load in the paper's key experiment and the unit of
 computation Servo offloads to serverless functions.
 
 The package provides the component behaviour rules, the construct container,
-a synchronous step simulator, state snapshots/hashing, and a library of
+the reference step simulator, state snapshots/hashing, and a library of
 construct builders (clocks, oscillators, wire lines, lamp grids, farms and the
 sized constructs of Section IV-G).
 """
@@ -26,11 +26,7 @@ from repro.constructs.library import (
     build_wire_line,
     standard_construct,
 )
-from repro.constructs.simulator import (
-    ConstructSimulator,
-    ReferenceConstructSimulator,
-    SimulationTrace,
-)
+from repro.constructs.simulator import ReferenceConstructSimulator
 from repro.constructs.state import ConstructState, state_hash
 
 __all__ = [
@@ -40,9 +36,7 @@ __all__ = [
     "SimulatedConstruct",
     "CompiledCircuit",
     "compile_circuit",
-    "ConstructSimulator",
     "ReferenceConstructSimulator",
-    "SimulationTrace",
     "ConstructState",
     "state_hash",
     "build_adder",

@@ -1,70 +1,25 @@
-"""Synchronous step simulator for simulated constructs.
+"""The reference step simulator for simulated constructs, and construct cloning.
 
-The simulator advances a construct one step at a time: every cell's new state
-is computed from the *previous* step's outputs of its neighbours, which makes
-the update order-independent and deterministic.  The same simulator code runs
-on the game server (baseline / fallback path) and inside the offload function
-(Servo's speculative path), so both produce identical state sequences.
+A step advances a construct synchronously: every cell's new state is computed
+from the *previous* step's outputs of its neighbours, which makes the update
+order-independent and deterministic.  Production code steps a construct
+through its cached :class:`~repro.constructs.compiled.CompiledCircuit`
+(``compile_circuit(construct).step()``) or the batched kernel.
 
-Two implementations exist:
-
-* :class:`ConstructSimulator` — the production simulator.  It steps through
-  the construct's cached :class:`~repro.constructs.compiled.CompiledCircuit`
-  (index-based arrays, integer component codes), which is the wall-clock hot
-  path at cluster scale.
-* :class:`ReferenceConstructSimulator` — the original, dict-based
-  formulation that dispatches every cell through ``components.py``.  It is
-  the executable specification: the equivalence test suite asserts the
-  compiled path produces bit-identical state sequences.
+:class:`ReferenceConstructSimulator` is the original, dict-based formulation
+that dispatches every cell through ``components.py``.  It is the executable
+specification: the equivalence tests and the benchmark's replay check assert
+the compiled paths produce bit-identical state sequences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.constructs.circuit import SimulatedConstruct
-from repro.constructs.compiled import compile_circuit
 from repro.constructs.components import next_state, output_power
 from repro.constructs.state import ConstructState
 
 
-@dataclass
-class SimulationTrace:
-    """The result of simulating a construct for several steps."""
-
-    construct_id: int
-    start_step: int
-    states: list[ConstructState] = field(default_factory=list)
-    #: total number of cell updates performed (work measure for cost models)
-    cell_updates: int = 0
-
-    @property
-    def steps(self) -> int:
-        return len(self.states)
-
-
-class ConstructSimulator:
-    """Steps simulated constructs forward in time (compiled hot path)."""
-
-    def step(self, construct: SimulatedConstruct) -> ConstructState:
-        """Advance the construct by one step, mutating it, and return the snapshot."""
-        compile_circuit(construct).step()
-        return construct.snapshot()
-
-    def run(self, construct: SimulatedConstruct, steps: int) -> SimulationTrace:
-        """Advance the construct ``steps`` times, collecting every snapshot."""
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        trace = SimulationTrace(construct_id=construct.construct_id, start_step=construct.step)
-        compiled = compile_circuit(construct)
-        for _ in range(int(steps)):
-            compiled.step()
-            trace.states.append(construct.snapshot())
-            trace.cell_updates += construct.block_count
-        return trace
-
-
-class ReferenceConstructSimulator(ConstructSimulator):
+class ReferenceConstructSimulator:
     """The dict-based reference formulation (executable specification).
 
     Kept verbatim from the original implementation; the compiled simulator
@@ -72,6 +27,7 @@ class ReferenceConstructSimulator(ConstructSimulator):
     """
 
     def step(self, construct: SimulatedConstruct) -> ConstructState:
+        """Advance the construct by one step, mutating it, and return the snapshot."""
         cells = construct.cells
         adjacency = construct.adjacency()
         outputs = {
@@ -93,15 +49,6 @@ class ReferenceConstructSimulator(ConstructSimulator):
             cell.state = new_states[cell.position]
         construct.step += 1
         return construct.snapshot()
-
-    def run(self, construct: SimulatedConstruct, steps: int) -> SimulationTrace:
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        trace = SimulationTrace(construct_id=construct.construct_id, start_step=construct.step)
-        for _ in range(int(steps)):
-            trace.states.append(self.step(construct))
-            trace.cell_updates += construct.block_count
-        return trace
 
 
 def clone_construct(construct: SimulatedConstruct) -> SimulatedConstruct:

@@ -21,7 +21,6 @@ Figure 10a.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
@@ -546,39 +545,6 @@ class ChunkManager:
         dz = avatars_z[:, None] - centers_z[None, :]
         closest = math.sqrt(float((dx * dx + dz * dz).min()))
         return min(self.view_distance_blocks, closest)
-
-    # -- invariants (test support) -------------------------------------------------------
-
-    def verify_views(self, avatars: list[Avatar]) -> bool:
-        """True when the view caches match a from-scratch recomputation.
-
-        Holds between ticks: every cached view is centred on the chunk its
-        avatar stands in and covers exactly the owned chunks of that ring,
-        no view outlives its player, the reference counts are the sum of the
-        views, and the unavailable set is exactly the required chunks that
-        are not resident.  An avatar with no view yet (it joined after the
-        last :meth:`update`) requires nothing.
-        """
-        by_player = {avatar.player_id: avatar for avatar in avatars}
-        if not self._player_views.keys() <= by_player.keys():
-            return False
-        counts: Counter[ChunkPos] = Counter()
-        for player_id, (center, required) in self._player_views.items():
-            position = by_player[player_id].position
-            if center != (position.x // CHUNK_SIZE, position.z // CHUNK_SIZE):
-                return False
-            owned_ring = {
-                chunk
-                for dx, dz in _ring_offsets(self._view_radius_chunks)
-                if self._owns(chunk := ChunkPos(center[0] + dx, center[1] + dz))
-            }
-            if required != owned_ring:
-                return False
-            counts.update(required)
-        is_loaded = self.world.is_loaded
-        return self._chunk_refcounts == counts and self._unavailable == {
-            chunk for chunk in counts if not is_loaded(chunk)
-        }
 
     # -- persistence --------------------------------------------------------------------
 

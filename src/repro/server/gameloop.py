@@ -566,23 +566,19 @@ class GameServer(TickLoop):
             self.engine.advance_to(start_ms + max(self.config.tick_interval_ms, duration_ms))
         return record
 
-    def tick(self, advance_clock: bool = True) -> TickRecord:
+    def tick(self) -> TickRecord:
         """Execute one simulation tick and advance the virtual clock.
 
-        A cluster coordinator passes ``advance_clock=False`` so every shard
-        ticks at the same virtual start time; the coordinator then advances
-        the shared clock once by the slowest shard's duration (lockstep).
-        The coordinator drives :meth:`tick_begin`/:meth:`tick_finish`
-        directly instead of this method.
+        A cluster coordinator drives :meth:`tick_begin`/:meth:`tick_finish`
+        directly instead, with ``advance_clock=False``: every shard ticks at
+        the same virtual start time and the coordinator advances the shared
+        clock once by the slowest shard's duration (lockstep).
         """
         telemetry = self.engine.telemetry
         if telemetry.enabled and telemetry.profiler is not None:
             with telemetry.profile("server.tick"):
-                return self._tick(advance_clock)
-        return self._tick(advance_clock)
-
-    def _tick(self, advance_clock: bool) -> TickRecord:
-        return self.tick_finish(self.tick_begin(), advance_clock=advance_clock)
+                return self.tick_finish(self.tick_begin())
+        return self.tick_finish(self.tick_begin())
 
     # -- reporting ---------------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import check
 from repro.cluster import build_opencraft_cluster, build_servo_cluster
 from repro.constructs.library import build_wire_line
 from repro.server import GameConfig
@@ -97,7 +98,7 @@ def test_boundary_crossing_migrates_player_and_preserves_state(engine):
     # The target serves the very session the client holds; the source none.
     assert cluster.shards[1].sessions[mover.player_id] is mover
     assert mover.player_id not in source.sessions
-    assert cluster.verify_sessions()
+    assert check(cluster) == []
     # The handoff was recorded in the engine metrics.
     assert len(engine.metrics.histogram("migration_ms")) == 1
     assert engine.metrics.counter("migrations") == 1
@@ -140,17 +141,17 @@ def test_constructs_route_to_the_owning_shard(engine):
     straddler = build_wire_line(length=4, origin=BlockPos(boundary_x - 2, 66, 8))
     for construct in (left, right, straddler):
         cluster.place_construct(construct)
-        assert cluster.verify_constructs()
+        assert check(cluster) == []
     assert cluster.shards[0].construct_count == 2
     assert cluster.shards[1].construct_count == 1
     assert cluster.construct_count == 3
     cluster.remove_construct(right.construct_id)
-    assert cluster.verify_constructs()
+    assert check(cluster) == []
     assert cluster.shards[1].construct_count == 0
     with pytest.raises(KeyError):
         cluster.remove_construct(right.construct_id)
     cluster.tick()
-    assert cluster.verify_constructs()
+    assert check(cluster) == []
 
 
 def test_shards_only_load_chunks_in_their_zone(engine):
@@ -183,7 +184,7 @@ def test_a_shard_side_disconnect_is_the_clusters_disconnect(engine):
     drop_on_its_shard(cluster, dropped.player_id)
     assert cluster.sessions[dropped.player_id].disconnected
     assert cluster.player_count == 3
-    assert cluster.verify_sessions()
+    assert check(cluster) == []
     # The coordinator knows, and refuses the second disconnect itself.
     with pytest.raises(KeyError) as excinfo:
         cluster.disconnect_player(dropped.player_id)
@@ -199,7 +200,7 @@ def test_a_swarm_keeps_ticking_after_a_shard_drops_one_of_its_bots(engine):
     cluster.run_ticks(20, before_tick=driver)
     assert swarm.connected_count == 3
     assert cluster.player_count == 3
-    assert cluster.verify_sessions()
+    assert check(cluster) == []
 
 
 def test_servo_cluster_shares_platform_and_blob(engine):

@@ -4,6 +4,7 @@ target shard)."""
 
 import pytest
 
+from repro.check import check
 from repro.cluster import build_opencraft_cluster
 from repro.server import GameConfig
 
@@ -39,7 +40,7 @@ def test_disconnect_before_the_migration_round_is_not_resurrected(engine):
     # The session exists on no shard: neither lost-and-recreated nor doubled.
     assert sessions_holding(cluster, mover.player_id) == []
     assert cluster.player_count == 3
-    assert cluster.verify_sessions()
+    assert check(cluster) == []
 
 
 def test_disconnect_under_a_running_migration_is_not_resurrected(engine):
@@ -58,7 +59,7 @@ def test_disconnect_under_a_running_migration_is_not_resurrected(engine):
     assert cluster.migration_count == 0
     assert sessions_holding(cluster, mover.player_id) == []
     assert cluster.home[mover.player_id] == home
-    assert cluster.verify_sessions()
+    assert check(cluster) == []
 
 
 def test_migration_then_disconnect_leaves_exactly_one_tombstone(engine):
@@ -69,12 +70,12 @@ def test_migration_then_disconnect_leaves_exactly_one_tombstone(engine):
     cross_boundary(cluster, mover)
     cluster.tick()
     assert [record.player_id for record in cluster.migration_records] == [mover.player_id]
-    assert cluster.verify_sessions()
+    assert check(cluster) == []
 
     cluster.disconnect_player(mover.player_id)
     assert sessions_holding(cluster, mover.player_id) == []
     assert cluster.player_count == 3
-    assert cluster.verify_sessions()
+    assert check(cluster) == []
     # A second disconnect is an error, not a silent no-op.
     with pytest.raises(KeyError):
         cluster.disconnect_player(mover.player_id)
@@ -82,4 +83,4 @@ def test_migration_then_disconnect_leaves_exactly_one_tombstone(engine):
     for _ in range(5):
         cluster.tick()
     assert sessions_holding(cluster, mover.player_id) == []
-    assert cluster.verify_sessions()
+    assert check(cluster) == []

@@ -1,4 +1,4 @@
-"""Tests for constructs, the step simulator and state snapshots."""
+"""Tests for constructs, the compiled step and state snapshots."""
 
 import numpy as np
 import pytest
@@ -15,11 +15,22 @@ from repro.constructs.library import (
     build_wire_line,
     standard_construct,
 )
-from repro.constructs.simulator import ConstructSimulator, clone_construct
+from repro.constructs.compiled import compile_circuit
+from repro.constructs.simulator import clone_construct
 from repro.constructs.state import ConstructState, state_hash
 from repro.world.coords import BlockPos
 
 from hypothesis_profiles import examples
+
+
+def step_digests(construct, steps):
+    """The state digest after each of ``steps`` compiled steps."""
+    compiled = compile_circuit(construct)
+    digests = []
+    for _ in range(steps):
+        compiled.step()
+        digests.append(construct.snapshot().digest())
+    return digests
 
 
 def test_construct_requires_cells():
@@ -50,11 +61,11 @@ def test_a_cell_is_adopted_once_and_its_state_is_a_view_of_the_vector():
 
 def test_wire_line_propagates_power_one_block_per_step():
     construct = build_wire_line(length=5)
-    simulator = ConstructSimulator()
+    compiled = compile_circuit(construct)
     lamp_pos = construct.positions[-1]
     lamp_states = []
     for _ in range(8):
-        simulator.step(construct)
+        compiled.step()
         lamp_states.append(construct.cell_at(lamp_pos).state)
     # The lamp eventually turns on and stays on.
     assert lamp_states[-1] == 1
@@ -63,46 +74,35 @@ def test_wire_line_propagates_power_one_block_per_step():
 
 def test_wire_line_without_power_stays_dark():
     construct = build_wire_line(length=3, powered=False)
-    simulator = ConstructSimulator()
+    compiled = compile_circuit(construct)
     for _ in range(6):
-        simulator.step(construct)
+        compiled.step()
     lamp_pos = construct.positions[-1]
     assert construct.cell_at(lamp_pos).state == 0
 
 
 def test_clock_circuit_state_is_periodic():
     construct = build_clock(period=4, lamps=1)
-    simulator = ConstructSimulator()
-    digests = [simulator.step(construct).digest() for _ in range(24)]
+    digests = step_digests(construct, 24)
     # After a transient, the state sequence repeats with the clock period.
     assert digests[8:16] == digests[12:20]
 
 
 def test_oscillator_toggles_lamp():
     construct = build_oscillator()
-    simulator = ConstructSimulator()
+    compiled = compile_circuit(construct)
     lamp_pos = [c.position for c in construct.cells if c.component is ComponentType.LAMP][0]
     seen_states = set()
     for _ in range(16):
-        simulator.step(construct)
+        compiled.step()
         seen_states.add(construct.cell_at(lamp_pos).state)
     assert seen_states == {0, 1}
 
 
 def test_counter_farm_state_never_repeats():
     construct = build_counter_farm(hoppers=2)
-    simulator = ConstructSimulator()
-    digests = [simulator.step(construct).digest() for _ in range(40)]
+    digests = step_digests(construct, 40)
     assert len(set(digests)) == len(digests)
-
-
-def test_simulator_run_collects_trace_and_counts_work():
-    construct = build_wire_line(length=3)
-    simulator = ConstructSimulator()
-    trace = simulator.run(construct, steps=10)
-    assert trace.steps == 10
-    assert trace.cell_updates == 10 * construct.block_count
-    assert trace.states[-1].step == construct.step
 
 
 def test_clone_construct_preserves_identity_and_state():
@@ -196,8 +196,8 @@ def test_deterministic_simulation_for_any_clock_period(period):
     """Two identical constructs simulated independently stay in lockstep."""
     a = build_clock(period=period)
     b = build_clock(period=period)
-    simulator = ConstructSimulator()
+    compiled_a, compiled_b = compile_circuit(a), compile_circuit(b)
     for _ in range(3 * period):
-        state_a = simulator.step(a)
-        state_b = simulator.step(b)
-        assert state_a.same_values(state_b)
+        compiled_a.step()
+        compiled_b.step()
+        assert a.snapshot().same_values(b.snapshot())

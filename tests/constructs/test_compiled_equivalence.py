@@ -21,11 +21,7 @@ from repro.constructs.library import (
     build_wire_line,
     standard_construct,
 )
-from repro.constructs.simulator import (
-    ConstructSimulator,
-    ReferenceConstructSimulator,
-    clone_construct,
-)
+from repro.constructs.simulator import ReferenceConstructSimulator, clone_construct
 from repro.server.sc_engine import LocalConstructBackend
 from repro.world.coords import BlockPos
 
@@ -44,16 +40,26 @@ LIBRARY = {
 }
 
 
-def trace_states(simulator, construct, steps):
-    return [simulator.step(construct) for _ in range(steps)]
+def compiled_trace(construct, steps):
+    compiled = compile_circuit(construct)
+    states = []
+    for _ in range(steps):
+        compiled.step()
+        states.append(construct.snapshot())
+    return states
+
+
+def reference_trace(construct, steps):
+    reference = ReferenceConstructSimulator()
+    return [reference.step(construct) for _ in range(steps)]
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY))
 def test_compiled_matches_reference_across_library(name):
     compiled_subject = LIBRARY[name]()
     reference_subject = clone_construct(compiled_subject)
-    compiled_states = trace_states(ConstructSimulator(), compiled_subject, 64)
-    reference_states = trace_states(ReferenceConstructSimulator(), reference_subject, 64)
+    compiled_states = compiled_trace(compiled_subject, 64)
+    reference_states = reference_trace(reference_subject, 64)
     assert compiled_states == reference_states
     assert [s.digest() for s in compiled_states] == [
         s.digest() for s in reference_states
@@ -64,19 +70,13 @@ def test_compiled_matches_reference_across_library(name):
 def test_compiled_matches_reference_after_mid_run_player_edit(name):
     compiled_subject = LIBRARY[name]()
     reference_subject = clone_construct(compiled_subject)
-    compiled_simulator = ConstructSimulator()
-    reference_simulator = ReferenceConstructSimulator()
 
-    assert trace_states(compiled_simulator, compiled_subject, 20) == trace_states(
-        reference_simulator, reference_subject, 20
-    )
+    assert compiled_trace(compiled_subject, 20) == reference_trace(reference_subject, 20)
     # A player toggles/retunes the first cell mid-run on both copies.
     edit_position = compiled_subject.positions[0]
     compiled_subject.player_modify(edit_position, new_state=1)
     reference_subject.player_modify(edit_position, new_state=1)
-    assert trace_states(compiled_simulator, compiled_subject, 40) == trace_states(
-        reference_simulator, reference_subject, 40
-    )
+    assert compiled_trace(compiled_subject, 40) == reference_trace(reference_subject, 40)
 
 
 def test_compile_circuit_is_cached_per_construct():
@@ -110,9 +110,7 @@ def test_compiled_params_refresh_after_player_modify():
     clock_cell.properties["period"] = 3
     construct.player_modify(clock_cell.position)
     reference_subject = clone_construct(construct)
-    assert trace_states(ConstructSimulator(), construct, 24) == trace_states(
-        ReferenceConstructSimulator(), reference_subject, 24
-    )
+    assert compiled_trace(construct, 24) == reference_trace(reference_subject, 24)
 
 
 # -- quiescence skipping through the local backend ------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constructs.library import build_clock, build_counter_farm
-from repro.constructs.simulator import ConstructSimulator
+from repro.constructs.compiled import compile_circuit
 from repro.core.loop_detection import (
     CompressedStateSequence,
     LoopDetector,
@@ -22,10 +22,9 @@ def make_rows(values):
 
 def simulate_rows(construct, steps):
     """The construct's cell values (sorted cell order) after each of ``steps`` steps."""
-    simulator = ConstructSimulator()
     rows = []
     for _ in range(steps):
-        simulator.step(construct)
+        compile_circuit(construct).step()
         rows.append([cell.state for cell in construct.cells])
     return rows
 
@@ -82,7 +81,8 @@ def test_state_at_restamps_the_step_counter():
     # Cell states stay plain Python ints, never numpy scalars.
     assert all(type(cell.state) is int for cell in construct.cells)
     reference = build_clock(period=4, lamps=1)
-    ConstructSimulator().run(reference, 1000)
+    for _ in range(1000):
+        compile_circuit(reference).step()
     assert [c.state for c in construct.cells] == [c.state for c in reference.cells]
 
 

@@ -10,7 +10,8 @@ from repro.constructs.library import (
     build_sized_construct,
     build_wire_line,
 )
-from repro.constructs.simulator import ConstructSimulator, clone_construct
+from repro.constructs.compiled import compile_circuit
+from repro.constructs.simulator import clone_construct
 from repro.core.offload import (
     OffloadReply,
     OffloadRequest,
@@ -36,7 +37,8 @@ def test_request_captures_construct_state_and_timestamp():
 def test_request_rebuild_matches_original():
     """What the handler rebuilds from a request is the original construct, moved to the origin."""
     construct = build_clock(period=6)
-    ConstructSimulator().run(construct, 5)
+    for _ in range(5):
+        compile_circuit(construct).step()
     request = OffloadRequest.from_construct(construct, steps=10)
     rebuilt = _build_canonical_construct(request)
     assert rebuilt.block_count == construct.block_count
@@ -48,10 +50,9 @@ def test_request_rebuild_matches_original():
         assert own.properties == original.properties
         assert own.state == original.state
     # The rebuilt construct steps exactly like the original.
-    simulator = ConstructSimulator()
     for _ in range(12):
-        simulator.step(rebuilt)
-        simulator.step(construct)
+        compile_circuit(rebuilt).step()
+        compile_circuit(construct).step()
         assert [c.state for c in rebuilt.cells] == [c.state for c in construct.cells]
 
 
@@ -66,8 +67,9 @@ def test_request_anchor_and_relative_states_are_translation_invariant():
     """A request is anchor-relative throughout: moving the construct changes no field but its id."""
     at_origin = build_clock(period=4, origin=BlockPos(0, 64, 0))
     translated = build_clock(period=4, origin=BlockPos(320, 70, -48))
-    ConstructSimulator().run(at_origin, 3)
-    ConstructSimulator().run(translated, 3)
+    for _ in range(3):
+        compile_circuit(at_origin).step()
+        compile_circuit(translated).step()
     request_a = OffloadRequest.from_construct(at_origin, steps=10)
     request_b = OffloadRequest.from_construct(translated, steps=10)
     assert at_origin.anchor() != translated.anchor()
@@ -77,7 +79,7 @@ def test_request_anchor_and_relative_states_are_translation_invariant():
     assert request_a.cache_key() == request_b.cache_key()
     assert replace(request_b, construct_id=request_a.construct_id) == request_a
     # ... but state, start step, length and loop detection all key the memo.
-    ConstructSimulator().step(translated)
+    compile_circuit(translated).step()
     assert OffloadRequest.from_construct(translated, steps=10).cache_key() != request_a.cache_key()
     assert replace(request_a, steps=11).cache_key() != request_a.cache_key()
     assert replace(request_a, detect_loops=False).cache_key() != request_a.cache_key()
@@ -104,9 +106,8 @@ def test_handler_reply_matches_local_simulation():
 
     # The reply's states must equal what the server would compute locally.
     local = clone_construct(construct)
-    simulator = ConstructSimulator()
     for step in range(1, 26):
-        simulator.step(local)
+        compile_circuit(local).step()
         assert reply.sequence.row_at(step).tolist() == [cell.state for cell in local.cells]
     # The request did not touch the server-side construct.
     assert construct.step == 0
@@ -123,9 +124,8 @@ def test_handler_detects_loops_and_stops_early():
     assert output.work_ms_single_vcpu < simulation_work_ms(construct.block_count, 200)
     # The looping sequence still matches direct simulation far into the future.
     local = clone_construct(construct)
-    simulator = ConstructSimulator()
     for step in range(1, 60):
-        simulator.step(local)
+        compile_circuit(local).step()
         assert reply.sequence.row_at(step).tolist() == [cell.state for cell in local.cells]
 
 
@@ -149,7 +149,8 @@ def test_handler_memoises_identical_requests_across_translations():
     assert reply_a.sequence.states is reply_b.sequence.states
     assert not reply_a.sequence.states.flags.writeable
     assert (reply_a.construct_id, reply_b.construct_id) == (first.construct_id, second.construct_id)
-    ConstructSimulator().run(second, 5)
+    for _ in range(5):
+        compile_circuit(second).step()
     assert reply_b.sequence.row_at(5).tolist() == [cell.state for cell in second.cells]
 
 

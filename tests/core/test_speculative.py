@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.constructs.library import build_clock, build_counter_farm, standard_construct
-from repro.constructs.simulator import ConstructSimulator
+from repro.constructs.compiled import compile_circuit
 from repro.core import ServoConfig
 from repro.core.loop_detection import CompressedStateSequence
 from repro.core.offload import SC_SIMULATION_FUNCTION, make_simulation_handler
@@ -68,10 +68,9 @@ def test_speculative_states_match_pure_local_simulation(engine):
     reference = build_counter_farm(hoppers=3)
     reference.apply_row(construct.states, construct.step)
     backend.register_construct(construct)
-    simulator = ConstructSimulator()
     for tick in range(80):
         backend.tick(tick)
-        simulator.step(reference)
+        compile_circuit(reference).step()
         engine.advance_by(50.0)
         assert [cell.state for cell in construct.cells] == [
             cell.state for cell in reference.cells
@@ -177,7 +176,8 @@ def test_a_reply_of_the_wrong_width_is_counted_as_a_failure_and_never_merged(eng
     assert not backend.record_for(construct.construct_id).available
     assert sum(report.merged_speculative for report in reports) == 0
     assert sum(report.simulated_locally for report in reports) == 200
-    ConstructSimulator().run(reference, 200)
+    for _ in range(200):
+        compile_circuit(reference).step()
     assert [c.state for c in construct.cells] == [c.state for c in reference.cells]
 
 

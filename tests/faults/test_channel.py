@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import check
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.channel import SEEN_WINDOW, FaultyMessageChannel, _SeenWindow
 from repro.net.message import Message, MessageKind
@@ -130,7 +131,7 @@ def make_delayed_cluster(engine, shards=None):
 def run_rounds(cluster, rounds):
     for _ in range(rounds):
         cluster.tick()
-        assert cluster.verify_sessions()
+        assert check(cluster) == []
 
 
 def test_a_delayed_message_lands_once_after_its_player_migrates(engine):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import check
 from repro.cluster import build_opencraft_cluster
 from repro.faults import FaultPlan, install_faults
 from repro.server import GameConfig
@@ -23,8 +24,7 @@ def kill_plan(at_ms, shard=0, respawn_after_ms=500.0):
 def run_rounds(cluster, rounds):
     for _ in range(rounds):
         cluster.tick()
-        assert cluster.verify_sessions()
-        assert cluster.verify_constructs()
+        assert check(cluster) == []
 
 
 def homed_on(cluster, slot):

@@ -1,5 +1,6 @@
 """Cluster interest: migrations carry subscriptions, updates_sent is continuous."""
 
+from repro.check import check
 from repro.cluster import build_opencraft_cluster
 from repro.interest import SubscriptionState
 from repro.server import GameConfig
@@ -40,7 +41,7 @@ def test_migration_moves_the_subscription_between_shards(engine):
     sub = target.subscription(mover.player_id)
     assert sub is not None
     assert sub.center == target.chunk_of(mover.avatar.position)
-    assert source.verify_index() and target.verify_index()
+    assert check(cluster) == []
 
 
 def test_migration_imports_pending_far_state(make_session):
@@ -86,7 +87,7 @@ def test_updates_sent_stays_continuous_across_interest_migrations(engine):
     # Flush-derived updates_sent never resets when the session changes shard.
     assert history == sorted(history)
     assert history[-1] > 0
-    assert all(shard.interest.verify_index() for shard in cluster.shards)
+    assert check(cluster) == []
 
 
 def test_cross_shard_events_route_only_to_subscribing_shards(engine):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import check
 from repro.constructs.library import build_wire_line, standard_construct
 from repro.net.message import Message, MessageKind
 from repro.server import GameConfig, make_minecraft, make_opencraft
@@ -176,8 +177,7 @@ def test_a_reconnecting_player_is_subscribed_where_its_stored_position_puts_it(e
     assert [entry[0] for entry in server.interest.drain_dirty_log()] == [(6, 0)]
     server.tick()
     assert server.interest.subscription(back.player_id).center == (6, 0)
-    assert server.interest.verify_index()
-    assert server.chunks.verify_views([back.avatar])
+    assert check(server) == []
 
 
 def test_every_server_writes_dirty_terrain_back_on_the_persistence_interval(engine):

@@ -1,7 +1,7 @@
 """Tests for the baseline (local) construct backend."""
 
 from repro.constructs.library import build_clock, build_wire_line, standard_construct
-from repro.constructs.simulator import ConstructSimulator
+from repro.constructs.compiled import compile_circuit
 from repro.server.sc_engine import LocalConstructBackend
 
 
@@ -22,10 +22,10 @@ def test_identical_constructs_stay_in_lockstep_with_reference_simulation():
     for construct in constructs:
         backend.register_construct(construct)
     reference = standard_construct(99)
-    simulator = ConstructSimulator()
+    compiled = compile_circuit(reference)
     for tick in range(12):
         backend.tick(tick)
-        simulator.step(reference)
+        compiled.step()
     for construct in constructs:
         assert construct.step == reference.step
         assert [cell.state for cell in construct.cells] == [
