@@ -517,6 +517,13 @@ class ClusterCoordinator(TickLoop):
         self.engine.metrics.histogram("cluster_round_ms").record(duration_ms)
         telemetry = self.engine.telemetry
         if telemetry.enabled:
+            # The shard whose tick bounded the round: the first with the
+            # longest tick (its record is the last one it appended).
+            slowest = max(shard_records, key=lambda r: r.duration_ms)
+            bounding_shard = next(
+                shard.name for shard in self.shards
+                if shard.tick_records and shard.tick_records[-1] is slowest
+            )
             telemetry.span(
                 "round",
                 "round",
@@ -527,6 +534,7 @@ class ClusterCoordinator(TickLoop):
                     "index": record.index,
                     "players": record.players,
                     "shards_alive": len(shard_records),
+                    "bounding_shard": bounding_shard,
                 },
             )
         self.round_index += 1

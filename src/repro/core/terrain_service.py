@@ -59,7 +59,10 @@ class TerrainHandler:
 
     def __init__(self) -> None:
         self._generators: dict[tuple[str, int], TerrainGenerator] = {}
-        self._prepared: dict[TerrainRequest, Chunk] = {}
+        #: prepared chunks keyed by ``(world_type, seed, cx, cz)``: a plain
+        #: tuple compares in C, where the dataclass's ``__eq__`` runs Python on
+        #: every hash collision, and collisions depend on the hash seed
+        self._prepared: dict[tuple[str, int, int, int], Chunk] = {}
 
     def _generator(self, world_type: str, seed: int) -> TerrainGenerator:
         key = (world_type, seed)
@@ -76,7 +79,8 @@ class TerrainHandler:
             chunks = self._generator(world_type, seed).generate_chunks(
                 [ChunkPos(request.cx, request.cz) for request in batch]
             )
-            self._prepared.update(zip(batch, chunks))
+            for request, chunk in zip(batch, chunks):
+                self._prepared[(world_type, seed, request.cx, request.cz)] = chunk
 
     def discard_prepared(self) -> None:
         """Drop prepared chunks no invocation took (a throttled request, say)."""
@@ -89,7 +93,9 @@ class TerrainHandler:
         if not isinstance(payload, TerrainRequest):
             raise TypeError(f"expected TerrainRequest, got {type(payload)!r}")
         generator = self._generator(payload.world_type, payload.seed)
-        chunk = self._prepared.pop(payload, None)
+        chunk = self._prepared.pop(
+            (payload.world_type, payload.seed, payload.cx, payload.cz), None
+        )
         if chunk is None:
             chunk = generator.generate_chunk(ChunkPos(payload.cx, payload.cz))
         work_ms = terrain_generation_work_ms(generator)

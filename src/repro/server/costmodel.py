@@ -8,6 +8,24 @@ experiments deterministic and laptop-scale while reproducing the relationships
 the paper measures (tick-duration distributions as a function of players,
 constructs and terrain churn).
 
+:meth:`TickCostModel.breakdown` names the pre-noise cost terms; a tick's
+duration is their sum in this order, times the noise draw, plus any spike:
+
+* ``base`` -- fixed per-tick scheduling and bookkeeping;
+* ``broadcast.players`` -- the full state fan-out, per player sent it;
+* ``broadcast.entries`` and ``broadcast.flushes`` -- interest management's
+  encoded delta entries and per-subscriber batch sends;
+* ``actions`` -- client messages processed;
+* ``constructs.local`` -- constructs simulated on the server;
+* ``constructs.merged`` -- speculative state sequences applied (Servo);
+* ``chunks.integrated``, ``chunks.local_generations``, ``chunks.backlog``,
+  ``chunks.streamed`` and ``chunks.loaded`` -- terrain: integration, local
+  generation interference and its capped backlog, streaming to clients, and
+  ambient upkeep of loaded chunks.
+
+The noise (:data:`NOISE_SIGMA`) and the spikes (:data:`SPIKE_PROBABILITY`,
+:data:`SPIKE_MEDIAN_MS`, :data:`SPIKE_SIGMA`) are the same for every model.
+
 Calibration targets (see DESIGN.md §6 and EXPERIMENTS.md):
 
 * Opencraft supports ~200 players with no constructs, ~10 with 100 constructs,
@@ -20,10 +38,19 @@ Calibration targets (see DESIGN.md §6 and EXPERIMENTS.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+#: sigma of the multiplicative lognormal noise on every tick's cost
+NOISE_SIGMA = 0.03
+#: probability that a tick takes a latency spike (GC pause and similar)
+SPIKE_PROBABILITY = 0.004
+#: median spike magnitude in ms
+SPIKE_MEDIAN_MS = 35.0
+#: sigma of the lognormal spike magnitude
+SPIKE_SIGMA = 0.4
 
 
 @dataclass
@@ -92,42 +119,56 @@ class TickCostModel:
     #: cost of encoding one delta entry into an update batch (interest mode;
     #: encode-on-write, so an entry is charged once however many subscribers
     #: receive it)
-    per_update_entry_ms: float = 0.030
+    per_update_entry_ms: float
     #: cost of sending one already-encoded batch to one subscriber (interest
     #: mode)
-    per_update_flush_ms: float = 0.040
-    #: multiplicative lognormal noise sigma
-    noise_sigma: float = 0.03
-    #: probability of a latency spike (GC pause and similar)
-    spike_probability: float = 0.004
-    #: median spike magnitude in ms
-    spike_median_ms: float = 35.0
+    per_update_flush_ms: float
+
+    def breakdown(self, work: TickWork) -> dict[str, float]:
+        """The pre-noise cost of each term of a tick that performed ``work``, in ms.
+
+        Keyed by the term names listed in the module docstring, in the order
+        :meth:`duration_ms` sums them.  The broadcast is three terms: per
+        player under full fan-out, per encoded entry and per batch send under
+        interest management; the mode a server does not run is exactly 0.0.
+        """
+        locally = work.constructs_simulated_locally
+        return {
+            "base": self.base_ms,
+            "broadcast.players": self.per_player_ms * work.players,
+            "broadcast.entries": self.per_update_entry_ms * work.update_entries_flushed,
+            "broadcast.flushes": self.per_update_flush_ms * work.update_flushes,
+            "actions": self.per_action_ms * work.actions,
+            "constructs.local": self.construct_cost(locally) if locally > 0 else 0.0,
+            "constructs.merged": self.per_merge_ms * work.constructs_merged,
+            "chunks.integrated": self.per_chunk_integration_ms * work.chunks_integrated,
+            "chunks.local_generations": (
+                self.per_local_generation_ms * work.local_generations_completed
+            ),
+            "chunks.backlog": min(
+                self.per_backlog_chunk_ms * work.generation_backlog,
+                self.backlog_interference_cap_ms,
+            ),
+            "chunks.streamed": self.per_chunk_streamed_ms * work.chunks_streamed,
+            "chunks.loaded": self.per_loaded_chunk_ms * work.loaded_chunks,
+        }
 
     def duration_ms(self, work: TickWork, rng: np.random.Generator) -> float:
-        """The virtual duration of a tick that performed ``work``."""
-        duration = self.base_ms
-        # The broadcast: per player under full fan-out, per encoded entry and
-        # batch send under interest management; the idle mode adds exactly 0.0.
-        duration += self.per_player_ms * work.players
-        duration += self.per_update_entry_ms * work.update_entries_flushed
-        duration += self.per_update_flush_ms * work.update_flushes
-        duration += self.per_action_ms * work.actions
-        if work.constructs_simulated_locally > 0:
-            duration += self.construct_cost(work.constructs_simulated_locally)
-        duration += self.per_merge_ms * work.constructs_merged
-        duration += self.per_chunk_integration_ms * work.chunks_integrated
-        duration += self.per_local_generation_ms * work.local_generations_completed
-        duration += min(
-            self.per_backlog_chunk_ms * work.generation_backlog,
-            self.backlog_interference_cap_ms,
-        )
-        duration += self.per_chunk_streamed_ms * work.chunks_streamed
-        duration += self.per_loaded_chunk_ms * work.loaded_chunks
+        """The virtual duration of a tick that performed ``work``.
+
+        The sum of :meth:`breakdown`, times one lognormal noise draw, plus a
+        rare spike.  The terms are added one at a time, left to right: from
+        Python 3.12 ``sum()`` compensates float rounding, which would change
+        the last bit of some durations.
+        """
+        duration = 0.0
+        for cost in self.breakdown(work).values():
+            duration += cost
         # Multiplicative noise around the deterministic cost.
-        duration *= float(rng.lognormal(mean=0.0, sigma=self.noise_sigma))
+        duration *= float(rng.lognormal(mean=0.0, sigma=NOISE_SIGMA))
         # Rare spikes (garbage collection, page faults).
-        if rng.random() < self.spike_probability:
-            duration += float(rng.lognormal(mean=np.log(self.spike_median_ms), sigma=0.4))
+        if rng.random() < SPIKE_PROBABILITY:
+            duration += float(rng.lognormal(mean=np.log(SPIKE_MEDIAN_MS), sigma=SPIKE_SIGMA))
         return float(duration)
 
 

@@ -554,6 +554,7 @@ class GameServer(TickLoop):
                     "players": record.players,
                     "constructs": record.constructs,
                     "chunks_integrated": record.chunks_integrated,
+                    "cost_ms": self.cost_model.breakdown(work),
                 },
             )
         self.broadcast.record(self, start_ms, duration_ms)

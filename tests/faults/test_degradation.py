@@ -34,14 +34,14 @@ def test_overrun_sheds_the_configured_fraction_next_tick(engine):
 
 
 def test_shed_broadcasts_reduce_the_tick_cost():
-    import numpy as np
-
     from repro.server.costmodel import OPENCRAFT_COST_MODEL as model
 
-    full = model.duration_ms(TickWork(players=100), np.random.default_rng(0))
-    # Full fan-out takes the shed players off the ones it sends to.
-    shed = model.duration_ms(TickWork(players=100 - 50), np.random.default_rng(0))
-    assert shed < full
+    full = model.breakdown(TickWork(players=100))
+    # Full fan-out takes the shed players off the ones it sends to, and
+    # nothing else about the tick's cost changes.
+    shed = model.breakdown(TickWork(players=100 - 50))
+    assert shed == {**full, "broadcast.players": model.per_player_ms * 50}
+    assert shed["broadcast.players"] < full["broadcast.players"]
 
 
 def test_gameloop_sheds_after_an_overlong_tick(engine):

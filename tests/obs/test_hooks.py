@@ -16,6 +16,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs.telemetry import Telemetry, TelemetryConfig, install_telemetry
 from repro.server.config import GameConfig
+from repro.server.costmodel import TickWork
 from repro.world.coords import ChunkPos
 
 
@@ -53,6 +54,58 @@ class TestTickSpans:
         assert [span.dur_ms for span in spans] == [
             record.duration_ms for record in server.tick_records
         ]
+
+    def test_an_overlong_tick_names_constructs_local_as_its_largest_cost(self, engine, hub):
+        """Opencraft with 150 constructs blows the 50 ms budget on construct ticks.
+
+        The constructs sit inside the preloaded area, so no chunk work
+        competes, and each span's ``cost_ms`` blames the construct engine.
+        """
+        from repro.constructs.library import standard_construct
+        from repro.experiments.harness import build_game_server
+        from repro.world.coords import BlockPos
+
+        server = build_game_server("opencraft", engine, GameConfig(world_type="flat"))
+        server.chunks.preload_area(server.config.spawn_position, 200.0)
+        for _ in range(10):
+            server.connect_player()
+        for index in range(150):
+            origin = BlockPos(-40 + (index % 12) * 8, 64, -40 + (index // 12) * 6)
+            server.place_construct(standard_construct(index, origin=origin))
+        server.run_ticks(60)
+        spans = hub.spans("tick")
+        overlong = [span for span in spans if span.dur_ms > 50.0]
+        assert len(overlong) == 30  # every other tick simulates the constructs
+        for span in overlong:
+            cost = span.args["cost_ms"]
+            assert max(cost, key=cost.get) == "constructs.local", span.args
+        assert list(spans[0].args["cost_ms"]) == list(
+            server.cost_model.breakdown(TickWork())
+        )
+
+
+class TestRoundSpans:
+    def test_bounding_shard_is_the_shard_with_the_longest_tick(self, engine, hub):
+        from repro.experiments.harness import build_game_server
+
+        cluster = build_game_server(
+            "servo-cluster", engine, GameConfig(world_type="flat"), shards=4
+        )
+        for _ in range(40):
+            cluster.connect_player()
+        for _ in range(30):
+            cluster.tick()
+        ticks = hub.spans("tick")
+        bounding = []
+        for round_span in hub.spans("round"):
+            shard_ticks = [span for span in ticks if span.ts_ms == round_span.ts_ms]
+            assert len(shard_ticks) == 4
+            slowest = max(shard_ticks, key=lambda span: span.dur_ms)
+            assert round_span.args["bounding_shard"] == slowest.track
+            assert round_span.dur_ms == slowest.dur_ms
+            bounding.append(slowest.track)
+        assert len(bounding) == 30
+        assert len(set(bounding)) > 1
 
 
 class TestFaasSpans:
