@@ -11,7 +11,7 @@ Run with:  python examples/cost_analysis.py
 
 from repro.api import format_table
 from repro.constructs.library import build_sized_construct
-from repro.core.offload import SC_SIMULATION_FUNCTION, OffloadRequest, make_simulation_handler
+from repro.core.offload import SC_SIMULATION_FUNCTION, OffloadRequest, SimulationHandler
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.sim import SimulationEngine
 from repro.world.coords import BlockPos
@@ -26,7 +26,7 @@ def cost_per_hour(steps: int, memory_mb: int, constructs: int = 50,
     platform = FaasPlatform(engine, provider=AWS_LAMBDA)
     platform.register(
         FunctionDefinition(
-            name=SC_SIMULATION_FUNCTION, handler=make_simulation_handler(), memory_mb=memory_mb
+            name=SC_SIMULATION_FUNCTION, handler=SimulationHandler(), memory_mb=memory_mb
         )
     )
     construct = build_sized_construct(430, origin=BlockPos(0, 64, 0), looping=False)

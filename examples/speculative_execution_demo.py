@@ -18,7 +18,7 @@ Run with:  python examples/speculative_execution_demo.py
 
 from repro.constructs.library import build_clock, build_counter_farm
 from repro.core import ServoConfig
-from repro.core.offload import SC_SIMULATION_FUNCTION, make_simulation_handler
+from repro.core.offload import SC_SIMULATION_FUNCTION, SimulationHandler
 from repro.core.servo import SIMULATION_FUNCTION_MEMORY_MB
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
@@ -37,7 +37,7 @@ def main(ticks: int = 400, post_edit_ticks: int = 100) -> SpeculativeConstructBa
     platform.register(
         FunctionDefinition(
             name=SC_SIMULATION_FUNCTION,
-            handler=make_simulation_handler(),
+            handler=SimulationHandler(),
             memory_mb=SIMULATION_FUNCTION_MEMORY_MB,
         )
     )

@@ -6,10 +6,14 @@ or cluster that breaks it, and an empty list when the host is consistent.
 * A server: its chunk views match a recomputation over its own avatars; every
   session with no view is pending its first refresh (its avatar is in the
   loop's moved list); its interest index, if any, matches a recomputation;
-  and its construct state vectors keep their invariants.
+  every registered construct is filed under its own id (registration rejects
+  a taken one, so ids are unique) and every placement record names one; its
+  eviction pins are exactly those of its placed constructs' cells; and its
+  construct state vectors keep their invariants.
 * A cluster: every session is held by exactly its home shard, every construct
-  is registered on exactly the shard it was placed on, and every shard, a
-  killed one included, passes the server checks.
+  is registered on exactly the shard it was placed on (so construct ids are
+  unique cluster-wide), and every shard, a killed one included, passes the
+  server checks.
 
 The checks recompute from avatar positions, shard contents and construct
 cells, and share nothing with the incremental bookkeeping they check.
@@ -52,6 +56,15 @@ def _check_server(server: GameServer) -> list[str]:
         failures.append(f"{server.name}: first sight: players {unseen} have no view, none pending")
     if server.interest is not None and not server.interest.verify_index():
         failures.append(f"{server.name}: interest index: differs from a recomputation")
+    registry = server.constructs._constructs
+    records = (server._construct_positions, server._construct_pins, server.construct_anchors)
+    misfiled = [key for key, construct in registry.items() if key != construct.construct_id]
+    if misfiled or any(not record.keys() <= registry.keys() for record in records):
+        failures.append(f"{server.name}: construct ids: {misfiled} misfiled, or a stray record")
+    placed = [c for key, c in registry.items() if key in server._construct_positions]
+    pins = Counter(chunk for c in placed for chunk in {block_to_chunk(p) for p in c.positions})
+    if server.chunks._protected != dict(pins):
+        failures.append(f"{server.name}: construct pins: differ from the placed constructs' cells")
     if not server.constructs.verify_states():
         failures.append(f"{server.name}: construct states: a state vector breaks its invariants")
     return failures

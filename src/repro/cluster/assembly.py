@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.api.hosts import register_host
 from repro.cluster.coordinator import ClusterCoordinator
@@ -56,17 +56,7 @@ def _build_cluster(
     Metric names and the ``server:{name}`` RNG stream derive from these names.
     """
     partitioner = WorldPartitioner(shards, zone_width_chunks=zone_width_chunks)
-    player_ids = itertools.count(1)
-
-    def shard_factory(zone: int, generation: int) -> GameServer:
-        """Shard ``zone``, or its ``generation``-th replacement (0 = original).
-
-        A replacement rejoins the substrate the crashed shard used.
-        """
-        suffix = f"-r{generation}" if generation else ""
-        shard_name = f"{name}-shard-{zone}{suffix}"
-        return build_shard(name=shard_name, region=partitioner.region(zone), player_ids=player_ids)
-
+    shard_factory = partial(_build_shard, name, partitioner, build_shard, itertools.count(1))
     return ClusterCoordinator(
         engine=engine,
         shards=[shard_factory(zone, 0) for zone in range(partitioner.shard_count)],
@@ -76,6 +66,23 @@ def _build_cluster(
         name=f"{name}-cluster",
         shard_factory=shard_factory,
     )
+
+
+def _build_shard(
+    name: str,
+    partitioner: WorldPartitioner,
+    build_shard: Callable[..., GameServer],
+    player_ids: Iterator[int],
+    zone: int,
+    generation: int,
+) -> GameServer:
+    """Shard ``zone``, or its ``generation``-th replacement (0 = original).
+
+    A replacement rejoins the substrate the crashed shard used.
+    """
+    suffix = f"-r{generation}" if generation else ""
+    shard_name = f"{name}-shard-{zone}{suffix}"
+    return build_shard(name=shard_name, region=partitioner.region(zone), player_ids=player_ids)
 
 
 @register_host("servo-cluster", cluster=True)

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import ShardKill
 from repro.cluster.partition import WorldPartitioner
-from repro.constructs.circuit import SimulatedConstruct
+from repro.constructs.circuit import ConstructIds, SimulatedConstruct
 from repro.server.config import GameConfig
 from repro.server.gameloop import GameServer, TickLoop, TickRecord
 from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
@@ -142,12 +142,12 @@ class ClusterCoordinator(TickLoop):
         self._players_connected = 0
         self._round_robin = 0
         self._construct_homes: dict[int, int] = {}
+        #: numbers constructs before routing them, so ids are unique cluster-wide
+        self._numbering = ConstructIds()
         #: builds the replacement shard for (zone, generation) after a crash
         self.shard_factory = shard_factory
-        #: supplies scheduled shard kills; set by installing a fault plan
+        #: supplies scheduled shard kills and wires the respawned shards; set by a fault plan
         self.fault_injector: Optional["FaultInjector"] = None
-        #: callbacks run on every respawned shard (fault wiring re-attachment)
-        self.shard_wirers: list[Callable[[GameServer], None]] = []
         self._dead: dict[int, _DeadShard] = {}
         self._generations: dict[int, int] = {}
         self.recovery_records: list[ShardRecoveryRecord] = []
@@ -242,6 +242,7 @@ class ClusterCoordinator(TickLoop):
 
     def place_construct(self, construct: SimulatedConstruct) -> None:
         """Route a construct to the shard owning its anchor (minimum) cell."""
+        self._numbering.number(construct)
         zone = self.partitioner.zone_of_block(construct.positions[0])
         self._construct_homes[construct.construct_id] = zone
         self.shards[zone].place_construct(construct)
@@ -415,8 +416,7 @@ class ClusterCoordinator(TickLoop):
         generation = self._generations[slot] = self._generations.get(slot, 0) + 1
         old = self.shards[slot]
         replacement = self.shard_factory(slot, generation)
-        for wire in self.shard_wirers:
-            wire(replacement)
+        self.fault_injector.wire(replacement)
         replacement.broadcast.record_dirty_log = True
         self.shards[slot] = replacement
 

@@ -17,7 +17,6 @@ request — digests and JSON see Python ``int``.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable
 
 import numpy as np
@@ -27,7 +26,19 @@ from repro.constructs.state import ConstructState
 from repro.world.block import BlockType
 from repro.world.coords import BlockPos
 
-_construct_ids = itertools.count(1)
+
+class ConstructIds:
+    """One host's construct numbering: host state, so a restored host goes on where it left off."""
+
+    def __init__(self) -> None:
+        self.last = 0
+
+    def number(self, construct: "SimulatedConstruct") -> int:
+        """Give an unnumbered ``construct`` the id after the highest seen; returns its id."""
+        if construct.construct_id is None:
+            construct.construct_id = self.last + 1
+        self.last = max(self.last, construct.construct_id)
+        return construct.construct_id
 
 
 class Cell:
@@ -79,8 +90,9 @@ class SimulatedConstruct:
         name: str = "",
         construct_id: int | None = None,
     ) -> None:
-        self.construct_id = int(construct_id) if construct_id is not None else next(_construct_ids)
-        self.name = name or f"construct-{self.construct_id}"
+        #: None until a host registers it (see :class:`ConstructIds`)
+        self.construct_id = int(construct_id) if construct_id is not None else None
+        self.name = name or "construct"
         # The cell set never changes, so everything derived from it is computed once.
         self.cells: list[Cell] = sorted(cells, key=lambda cell: cell.position)
         self.positions = [cell.position for cell in self.cells]

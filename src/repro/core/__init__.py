@@ -24,7 +24,7 @@ from repro.core.offload import (
     SC_SIMULATION_FUNCTION,
     OffloadReply,
     OffloadRequest,
-    make_simulation_handler,
+    SimulationHandler,
     simulation_work_ms,
 )
 from repro.core.servo import ServoRuntime, build_servo_server
@@ -33,7 +33,7 @@ from repro.core.storage_service import ServoStorageService
 from repro.core.terrain_service import (
     TERRAIN_GENERATION_FUNCTION,
     ServerlessTerrainProvider,
-    make_terrain_handler,
+    TerrainHandler,
     terrain_generation_work_ms,
 )
 
@@ -43,13 +43,13 @@ __all__ = [
     "CompressedStateSequence",
     "OffloadRequest",
     "OffloadReply",
-    "make_simulation_handler",
+    "SimulationHandler",
     "simulation_work_ms",
     "SC_SIMULATION_FUNCTION",
     "SpeculativeConstructBackend",
     "SpeculationRecord",
     "ServerlessTerrainProvider",
-    "make_terrain_handler",
+    "TerrainHandler",
     "terrain_generation_work_ms",
     "TERRAIN_GENERATION_FUNCTION",
     "ServoStorageService",

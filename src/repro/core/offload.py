@@ -37,6 +37,8 @@ _PER_STEP_COEFFICIENT_MS = 4.7e-6
 _PER_STEP_EXPONENT = 2.35
 #: fixed in-function overhead per invocation (runtime, deserialisation), ms
 _INVOCATION_OVERHEAD_WORK_MS = 40.0
+#: requests one simulation handler memoises before evicting the oldest
+CACHE_CAPACITY = 512
 
 
 def simulation_work_ms(block_count: int, steps: int) -> float:
@@ -53,7 +55,7 @@ def simulation_work_ms(block_count: int, steps: int) -> float:
 class OffloadRequest:
     """The payload of one construct-simulation invocation."""
 
-    construct_id: int
+    construct_id: int | None
     #: structural description: (dx, dy, dz, component value, properties) per
     #: cell, relative to the construct's anchor, in sorted cell order
     structure: tuple[tuple[int, int, int, str, tuple], ...]
@@ -106,7 +108,7 @@ class OffloadRequest:
 class OffloadReply:
     """The result of one construct-simulation invocation."""
 
-    construct_id: int
+    construct_id: int | None
     #: echoed logical timestamp; the server discards the reply if it is stale
     timestamp: int
     sequence: CompressedStateSequence
@@ -142,25 +144,27 @@ def _simulated_rows(payload: OffloadRequest) -> Iterator[list[int]]:
         yield construct.states.tolist()
 
 
-def make_simulation_handler(cache_capacity: int = 512):
-    """Create the FaaS handler that simulates constructs speculatively.
+class SimulationHandler:
+    """The FaaS handler that simulates constructs speculatively.
 
     The handler is a pure function of its request: it rebuilds the construct,
     simulates the requested number of steps (stopping early if loop detection
     finds a repeating state, the paper's cost optimisation), and reports the
     single-vCPU work the simulation represents.  Identical requests are
-    memoised (at most ``cache_capacity`` of them, oldest evicted first) and
-    answered with the same read-only sequence, which keeps large experiments
-    fast without changing behaviour.
+    memoised (at most :data:`CACHE_CAPACITY` of them, oldest evicted first)
+    and answered with the same read-only sequence, which keeps large
+    experiments fast without changing behaviour.
     """
-    cache: dict[tuple, tuple[CompressedStateSequence, int, float]] = {}
 
-    def handler(payload: OffloadRequest) -> FunctionOutput:
+    def __init__(self) -> None:
+        self._cache: dict[tuple, tuple[CompressedStateSequence, int, float]] = {}
+
+    def __call__(self, payload: OffloadRequest) -> FunctionOutput:
         if not isinstance(payload, OffloadRequest):
             raise TypeError(f"expected OffloadRequest, got {type(payload)!r}")
 
         key = payload.cache_key()
-        cached = cache.get(key)
+        cached = self._cache.get(key)
         if cached is None:
             rows = _simulated_rows(payload)
             if payload.detect_loops:
@@ -170,9 +174,9 @@ def make_simulation_handler(cache_capacity: int = 512):
             # The step that revealed a repeat was simulated but is not stored.
             steps_executed = sequence.explicit_length + (1 if sequence.is_looping else 0)
             work_ms = simulation_work_ms(len(payload.structure), steps_executed)
-            cached = cache[key] = (sequence, steps_executed, work_ms)
-            if len(cache) > cache_capacity:
-                del cache[next(iter(cache))]
+            cached = self._cache[key] = (sequence, steps_executed, work_ms)
+            if len(self._cache) > CACHE_CAPACITY:
+                del self._cache[next(iter(self._cache))]
 
         sequence, steps_executed, work_ms = cached
         reply = OffloadReply(
@@ -183,5 +187,3 @@ def make_simulation_handler(cache_capacity: int = 512):
             loop_detected=sequence.is_looping,
         )
         return FunctionOutput(value=reply, work_ms_single_vcpu=work_ms)
-
-    return handler

@@ -22,13 +22,13 @@ from typing import Iterator, Optional
 
 from repro.api.hosts import register_host
 from repro.core.config import ServoConfig
-from repro.core.offload import SC_SIMULATION_FUNCTION, make_simulation_handler
+from repro.core.offload import SC_SIMULATION_FUNCTION, SimulationHandler
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.core.storage_service import ServoStorageService
 from repro.core.terrain_service import (
     TERRAIN_GENERATION_FUNCTION,
     ServerlessTerrainProvider,
-    make_terrain_handler,
+    TerrainHandler,
 )
 from repro.faas.function import FunctionDefinition
 from repro.faas.platform import FaasPlatform
@@ -66,6 +66,11 @@ class ServoRuntime(ServerRuntime):
         """Servo's serverless cost extrapolated to one hour of operation."""
         return self.platform.billing.cost_per_hour_usd(window_ms)
 
+    def before_tick(self, server: GameServer, tick_index: int) -> None:
+        """The prefetcher runs periodically, off the latency-critical path."""
+        if tick_index % PREFETCH_INTERVAL_TICKS == 0:
+            self.storage.prefetch_for_avatars([s.avatar for s in server.sessions.values()])
+
 
 def make_servo_platform(engine: SimulationEngine, servo_config: ServoConfig) -> FaasPlatform:
     """Create a FaaS platform with the two Servo functions deployed."""
@@ -73,7 +78,7 @@ def make_servo_platform(engine: SimulationEngine, servo_config: ServoConfig) -> 
     platform.register(
         FunctionDefinition(
             name=SC_SIMULATION_FUNCTION,
-            handler=make_simulation_handler(),
+            handler=SimulationHandler(),
             memory_mb=SIMULATION_FUNCTION_MEMORY_MB,
             description="speculative simulation of one simulated construct",
         )
@@ -81,7 +86,7 @@ def make_servo_platform(engine: SimulationEngine, servo_config: ServoConfig) -> 
     platform.register(
         FunctionDefinition(
             name=TERRAIN_GENERATION_FUNCTION,
-            handler=make_terrain_handler(),
+            handler=TerrainHandler(),
             memory_mb=TERRAIN_FUNCTION_MEMORY_MB,
             description="procedural generation of one terrain chunk",
         )
@@ -141,7 +146,7 @@ def build_servo_server(
         terrain_provider=terrain_provider,
     )
 
-    server = GameServer(
+    return GameServer(
         engine,
         game_config,
         SERVO_COST_MODEL,
@@ -153,13 +158,3 @@ def build_servo_server(
         region=region,
         player_ids=player_ids,
     )
-
-    # The prefetcher runs periodically, off the latency-critical path.
-    def prefetch_hook(tick_index: int) -> None:
-        if tick_index % PREFETCH_INTERVAL_TICKS == 0:
-            storage.prefetch_for_avatars(
-                [session.avatar for session in server.sessions.values()]
-            )
-
-    server.pre_tick_hooks.append(prefetch_hook)
-    return server

@@ -119,17 +119,12 @@ class SpeculativeConstructBackend(ConstructBackend):
     """Servo's construct backend: offload to FaaS, merge speculative states."""
 
     def __init__(
-        self,
-        engine: SimulationEngine,
-        platform: FaasPlatform,
-        config: ServoConfig | None = None,
-        function_name: str = SC_SIMULATION_FUNCTION,
+        self, engine: SimulationEngine, platform: FaasPlatform, config: ServoConfig | None = None
     ) -> None:
+        super().__init__()
         self.engine = engine
         self.platform = platform
         self.config = config or ServoConfig()
-        self.function_name = function_name
-        self._constructs: dict[int, SimulatedConstruct] = {}
         self._records: dict[int, SpeculationRecord] = {}
         self._stepper = BatchedCircuitStepper()
         #: construct ids pinned at a fixed point by a length-1 looping
@@ -141,27 +136,22 @@ class SpeculativeConstructBackend(ConstructBackend):
     # -- registry -------------------------------------------------------------------
 
     def register_construct(self, construct: SimulatedConstruct) -> None:
-        self._constructs[construct.construct_id] = construct
+        construct_id = self._file(construct)
         # Compile up front so the fallback path never pays the flattening cost
         # inside a tick.
         compile_circuit(construct)
         # A re-used construct id (removed, then re-placed) must start from a
         # clean slate: no inherited fixed-point pin, no stale speculation.
-        self._quiescent.discard(construct.construct_id)
-        self._records[construct.construct_id] = SpeculationRecord(
-            construct_id=construct.construct_id
-        )
+        self._quiescent.discard(construct_id)
+        record = self._records[construct_id] = SpeculationRecord(construct_id=construct_id)
         # The paper starts server-side and remote simulation simultaneously
         # when a construct is activated; issue the first invocation right away.
-        self._issue_invocation(self._records[construct.construct_id], construct)
+        self._issue_invocation(record, construct)
 
     def remove_construct(self, construct_id: int) -> None:
         self._constructs.pop(construct_id, None)
         self._records.pop(construct_id, None)
         self._quiescent.discard(construct_id)
-
-    def constructs(self) -> list[SimulatedConstruct]:
-        return [self._constructs[key] for key in sorted(self._constructs)]
 
     def on_player_modify(self, construct_id: int, position: BlockPos) -> None:
         construct = self._constructs.get(construct_id)
@@ -201,7 +191,7 @@ class SpeculativeConstructBackend(ConstructBackend):
             )
         # With a fault plan installed the platform answers injected failures
         # with retry/backoff; without one this is a plain invoke.
-        invocation = self.platform.invoke_with_retry(self.function_name, request)
+        invocation = self.platform.invoke_with_retry(SC_SIMULATION_FUNCTION, request)
         record.pending = _PendingInvocation(invocation=invocation, request=request)
         record.invocations_issued += 1
         self.metrics.increment("offload_invocations")

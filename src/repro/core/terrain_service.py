@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Iterator, Optional, Sequence
 
-from repro.faas.function import FunctionOutput
+from repro.faas.function import FunctionOutput, Invocation
 from repro.faas.platform import FaasPlatform
-from repro.server.chunkmanager import GenerationResult, TerrainProvider
+from repro.server.chunkmanager import ChunkCallback, GenerationResult, TerrainProvider
 from repro.sim.engine import SimulationEngine
 from repro.world.chunk import Chunk
 from repro.world.coords import ChunkPos
@@ -102,29 +103,16 @@ class TerrainHandler:
         return FunctionOutput(value=chunk, work_ms_single_vcpu=work_ms)
 
 
-def make_terrain_handler() -> TerrainHandler:
-    """Create the FaaS handler that generates terrain chunks."""
-    return TerrainHandler()
-
-
 class ServerlessTerrainProvider(TerrainProvider):
     """Terrain provider that generates every chunk in its own FaaS invocation."""
 
-    name = "serverless"
-
     def __init__(
-        self,
-        engine: SimulationEngine,
-        platform: FaasPlatform,
-        world_type: str,
-        seed: int,
-        function_name: str = TERRAIN_GENERATION_FUNCTION,
+        self, engine: SimulationEngine, platform: FaasPlatform, world_type: str, seed: int
     ) -> None:
         self.engine = engine
         self.platform = platform
         self.world_type = world_type
         self.seed = int(seed)
-        self.function_name = function_name
         self._pending = 0
         self._local_generator: Optional[TerrainGenerator] = None
 
@@ -143,7 +131,7 @@ class ServerlessTerrainProvider(TerrainProvider):
         call, billed and timed as before.  Prepared chunks no invocation took
         are dropped on exit, so nothing carries across ticks.
         """
-        handler = self.platform.require(self.function_name).handler
+        handler = self.platform.require(TERRAIN_GENERATION_FUNCTION).handler
         handler.prepare([
             TerrainRequest(world_type=self.world_type, seed=self.seed, cx=p.cx, cz=p.cz)
             for p in positions
@@ -153,9 +141,7 @@ class ServerlessTerrainProvider(TerrainProvider):
         finally:
             handler.discard_prepared()
 
-    def request(
-        self, position: ChunkPos, callback: Callable[[Chunk, GenerationResult], None]
-    ) -> None:
+    def request(self, position: ChunkPos, callback: ChunkCallback) -> None:
         """Generate ``position`` in one FaaS call; ``callback`` fires on its reply.
 
         The platform retries a failed call under the fault plan's retry
@@ -165,54 +151,51 @@ class ServerlessTerrainProvider(TerrainProvider):
             world_type=self.world_type, seed=self.seed, cx=position.cx, cz=position.cz
         )
         self._pending += 1
-        invocation = self.platform.invoke_with_retry(self.function_name, payload)
-
-        def on_reply() -> None:
-            self._pending -= 1
-            chunk = invocation.result
-            telemetry = self.engine.telemetry
-            if telemetry.enabled:
-                telemetry.span(
-                    "terrain",
-                    f"chunk:{position.cx},{position.cz}",
-                    start_ms=invocation.submitted_ms,
-                    duration_ms=invocation.latency_ms,
-                    track="terrain",
-                    args={
-                        "cx": position.cx,
-                        "cz": position.cz,
-                        "status": invocation.status,
-                        "attempts": invocation.attempts,
-                    },
-                )
-            fallback = invocation.status != "ok" or not isinstance(chunk, Chunk)
-            if fallback:
-                # Every attempt failed (or timed out, or was throttled): fall
-                # back to local generation — terrain must eventually arrive,
-                # but never by retrying forever.
-                self.engine.metrics.increment("terrain_local_fallbacks")
-                if telemetry.enabled:
-                    telemetry.instant(
-                        "terrain",
-                        "local-fallback",
-                        track="terrain",
-                        args={"cx": position.cx, "cz": position.cz},
-                    )
-                chunk = self._generate_locally(position)
-            callback(
-                chunk,
-                GenerationResult(
-                    position=position,
-                    latency_ms=invocation.latency_ms,
-                    source="local-fallback" if fallback else "faas-generation",
-                    consumed_local_cpu=fallback,
-                ),
-            )
-
+        invocation = self.platform.invoke_with_retry(TERRAIN_GENERATION_FUNCTION, payload)
         self.engine.schedule_at(
             invocation.completed_ms,
-            on_reply,
-            name=f"faas-reply:{self.function_name}:{invocation.request_id}",
+            partial(self._on_reply, position, invocation, callback),
+            name=f"faas-reply:{TERRAIN_GENERATION_FUNCTION}:{invocation.request_id}",
+        )
+
+    def _on_reply(self, position: ChunkPos, reply: Invocation, callback: ChunkCallback) -> None:
+        self._pending -= 1
+        chunk = reply.result
+        telemetry = self.engine.telemetry
+        if telemetry.enabled:
+            telemetry.span(
+                "terrain",
+                f"chunk:{position.cx},{position.cz}",
+                start_ms=reply.submitted_ms,
+                duration_ms=reply.latency_ms,
+                track="terrain",
+                args={
+                    "cx": position.cx, "cz": position.cz,
+                    "status": reply.status, "attempts": reply.attempts,
+                },
+            )
+        fallback = reply.status != "ok" or not isinstance(chunk, Chunk)
+        if fallback:
+            # Every attempt failed (or timed out, or was throttled): fall
+            # back to local generation — terrain must eventually arrive,
+            # but never by retrying forever.
+            self.engine.metrics.increment("terrain_local_fallbacks")
+            if telemetry.enabled:
+                telemetry.instant(
+                    "terrain",
+                    "local-fallback",
+                    track="terrain",
+                    args={"cx": position.cx, "cz": position.cz},
+                )
+            chunk = self._generate_locally(position)
+        callback(
+            chunk,
+            GenerationResult(
+                position=position,
+                latency_ms=reply.latency_ms,
+                source="local-fallback" if fallback else "faas-generation",
+                consumed_local_cpu=fallback,
+            ),
         )
 
     def pending_count(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.terrain_service import TERRAIN_GENERATION_FUNCTION, TerrainRequest, make_terrain_handler
+from repro.core.terrain_service import TERRAIN_GENERATION_FUNCTION, TerrainHandler, TerrainRequest
 from repro.experiments.harness import ExperimentSettings, format_table
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.faas.resources import FIGURE_11_MEMORY_CONFIGS_MB
@@ -54,7 +54,7 @@ def run_fig11(
         platform.register(
             FunctionDefinition(
                 name=TERRAIN_GENERATION_FUNCTION,
-                handler=make_terrain_handler(),
+                handler=TerrainHandler(),
                 memory_mb=memory_mb,
             )
         )

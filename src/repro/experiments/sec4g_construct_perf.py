@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.constructs.library import build_sized_construct
-from repro.core.offload import SC_SIMULATION_FUNCTION, OffloadRequest, make_simulation_handler
+from repro.core.offload import SC_SIMULATION_FUNCTION, OffloadRequest, SimulationHandler
 from repro.core.servo import SIMULATION_FUNCTION_MEMORY_MB
 from repro.experiments.harness import ExperimentSettings, format_table
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
@@ -58,7 +58,7 @@ def run_sec4g(
         platform.register(
             FunctionDefinition(
                 name=SC_SIMULATION_FUNCTION,
-                handler=make_simulation_handler(),
+                handler=SimulationHandler(),
                 memory_mb=SIMULATION_FUNCTION_MEMORY_MB,
             )
         )

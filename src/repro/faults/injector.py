@@ -18,9 +18,12 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.faults.degradation import DegradationController
 from repro.faults.plan import FaultPlan, RetryPolicy, ShardKill
+from repro.net.channel import FaultyMessageChannel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.server.gameloop import GameServer
     from repro.sim.engine import SimulationEngine
 
 
@@ -73,6 +76,22 @@ class FaultInjector:
         self._net_rng = engine.rng("faults:net") if plan.net is not None else None
         #: kills not yet delivered, ordered by (at_ms, shard)
         self._pending_kills: list[ShardKill] = list(plan.shards)
+        #: the one lossy wire between every client and every server, for net faults
+        self.channel = (
+            FaultyMessageChannel(engine, self) if plan.net is not None and plan.net.active else None
+        )
+
+    def wire(self, server: "GameServer") -> None:
+        """Attach the channel and a degradation controller to ``server`` (or a respawned shard)."""
+        if self.channel is not None:
+            server.message_channel = self.channel
+            for session in server.sessions.values():
+                session.attach_channel(self.channel)
+        policy = self.plan.degradation
+        if policy is not None:
+            server.degradation = DegradationController(
+                policy, self.engine.metrics, record=self.record, server_name=server.name
+            )
 
     # -- FaaS -----------------------------------------------------------------------
 

@@ -18,6 +18,7 @@ zero-fault hot path is untouched.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.net.message import Message
@@ -31,8 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SEEN_WINDOW = 512
 
 
-class _SeenWindow:
-    """A bounded set of recently delivered sequence numbers for one player."""
+class SeenWindow:
+    """A bounded set of recently delivered sequence numbers: one player's, or one batch stream's."""
 
     __slots__ = ("_order", "_members")
 
@@ -51,11 +52,6 @@ class _SeenWindow:
         return True
 
 
-#: public alias: the same bounded dedupe window also guards server-to-client
-#: update batches (see :mod:`repro.net.batch`)
-SeenWindow = _SeenWindow
-
-
 class FaultyMessageChannel:
     """The shared wire between clients and (all) servers of one run."""
 
@@ -68,7 +64,7 @@ class FaultyMessageChannel:
         self._rng = injector.net_rng
         self._record = injector.record
         self._sequences: dict[int, int] = {}
-        self._seen: dict[int, _SeenWindow] = {}
+        self._seen: dict[int, SeenWindow] = {}
 
     # -- the wire ---------------------------------------------------------------------
 
@@ -100,7 +96,7 @@ class FaultyMessageChannel:
             # is still its inbox after a migration or a shard respawn.
             self.engine.schedule_in(
                 delay_ms,
-                lambda: self._deliver(session, stamped),
+                partial(self._deliver, session, stamped),
                 name=f"net-delay:{player_id}:{sequence}",
             )
             return
@@ -112,7 +108,7 @@ class FaultyMessageChannel:
         """Idempotent application: at most one delivery per sequence number."""
         window = self._seen.get(message.player_id)
         if window is None:
-            window = self._seen[message.player_id] = _SeenWindow()
+            window = self._seen[message.player_id] = SeenWindow()
         if not window.add(message.sequence):
             self.metrics.increment("net_duplicates_dropped")
             return

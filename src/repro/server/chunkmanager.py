@@ -23,14 +23,14 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, ContextManager, Optional, Sequence
 
 import numpy as np
 
 from repro.server.entities import Avatar
 from repro.sim.engine import SimulationEngine
-from repro.storage.base import StorageBackend
+from repro.storage.base import StorageBackend, StorageOperation
 from repro.world.chunk import Chunk
 from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, block_to_chunk
 from repro.world.serialization import chunk_from_bytes, chunk_to_bytes
@@ -80,6 +80,10 @@ class GenerationResult:
     consumed_local_cpu: bool
 
 
+#: what a terrain provider calls when a requested chunk is ready
+ChunkCallback = Callable[[Chunk, GenerationResult], None]
+
+
 class OwnershipRegion:
     """Interface for a server's ownership region in a partitioned world.
 
@@ -96,11 +100,7 @@ class OwnershipRegion:
 class TerrainProvider:
     """Interface for components that produce newly generated chunks."""
 
-    name: str = "abstract"
-
-    def request(
-        self, position: ChunkPos, callback: Callable[[Chunk, GenerationResult], None]
-    ) -> None:
+    def request(self, position: ChunkPos, callback: ChunkCallback) -> None:
         """Start generating ``position``; ``callback`` fires in virtual time when done."""
         raise NotImplementedError
 
@@ -123,8 +123,6 @@ class LocalTerrainProvider(TerrainProvider):
     model's ``per_local_generation_ms``).
     """
 
-    name = "local"
-
     def __init__(
         self,
         engine: SimulationEngine,
@@ -146,9 +144,7 @@ class LocalTerrainProvider(TerrainProvider):
         self._pending = 0
         self._rng = engine.rng("local-terrain")
 
-    def request(
-        self, position: ChunkPos, callback: Callable[[Chunk, GenerationResult], None]
-    ) -> None:
+    def request(self, position: ChunkPos, callback: ChunkCallback) -> None:
         now = self.engine.now_ms
         worker_index = min(
             range(self.workers), key=lambda index: self._worker_free_at_ms[index]
@@ -158,19 +154,19 @@ class LocalTerrainProvider(TerrainProvider):
         finish = start + duration
         self._worker_free_at_ms[worker_index] = finish
         self._pending += 1
+        result = GenerationResult(
+            position=position,
+            latency_ms=finish - now,
+            source="local-generation",
+            consumed_local_cpu=True,
+        )
+        self.engine.schedule_at(
+            finish, partial(self._complete, result, callback), name=f"local-gen:{position.key()}"
+        )
 
-        def complete() -> None:
-            self._pending -= 1
-            chunk = self.generator.generate_chunk(position)
-            result = GenerationResult(
-                position=position,
-                latency_ms=finish - now,
-                source="local-generation",
-                consumed_local_cpu=True,
-            )
-            callback(chunk, result)
-
-        self.engine.schedule_at(finish, complete, name=f"local-gen:{position.key()}")
+    def _complete(self, result: GenerationResult, callback: ChunkCallback) -> None:
+        self._pending -= 1
+        callback(self.generator.generate_chunk(result.position), result)
 
     def pending_count(self) -> int:
         return self._pending
@@ -333,28 +329,30 @@ class ChunkManager:
         key = position.key()
         if self.storage.exists(key):
             operation = self.storage.read(key)
-            completion_ms = self.engine.now_ms + operation.latency_ms
-
-            def complete(op=operation, pos=position) -> None:
-                try:
-                    chunk = chunk_from_bytes(op.data or b"")
-                except Exception:
-                    # A corrupt stored chunk falls back to regeneration.
-                    self.provider.request(pos, self._on_chunk_available)
-                    return
-                self._on_chunk_available(
-                    chunk,
-                    GenerationResult(
-                        position=pos,
-                        latency_ms=op.latency_ms,
-                        source="storage",
-                        consumed_local_cpu=False,
-                    ),
-                )
-
-            self.engine.schedule_at(completion_ms, complete, name=f"storage-load:{key}")
+            self.engine.schedule_at(
+                self.engine.now_ms + operation.latency_ms,
+                partial(self._on_chunk_loaded, position, operation),
+                name=f"storage-load:{key}",
+            )
         else:
             self.provider.request(position, self._on_chunk_available)
+
+    def _on_chunk_loaded(self, position: ChunkPos, operation: StorageOperation) -> None:
+        try:
+            chunk = chunk_from_bytes(operation.data or b"")
+        except Exception:
+            # A corrupt stored chunk falls back to regeneration.
+            self.provider.request(position, self._on_chunk_available)
+            return
+        self._on_chunk_available(
+            chunk,
+            GenerationResult(
+                position=position,
+                latency_ms=operation.latency_ms,
+                source="storage",
+                consumed_local_cpu=False,
+            ),
+        )
 
     # -- per-tick update -------------------------------------------------------------------
 

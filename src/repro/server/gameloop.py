@@ -52,6 +52,9 @@ class ServerRuntime:
     can inspect those services without resorting to dynamic attributes.
     """
 
+    def before_tick(self, server: "GameServer", tick_index: int) -> None:
+        """Called at the start of every tick, before client messages."""
+
 
 @dataclass(frozen=True)
 class TickRecord:
@@ -208,8 +211,6 @@ class GameServer(TickLoop):
         #: ones whose chunk view (and interest centre) the tick has to refresh
         self._moved: list[Avatar] = []
         self._last_persist_ms = 0.0
-        #: hooks called at the start of every tick (used by Servo services)
-        self.pre_tick_hooks: list[Callable[[int], None]] = []
         self.tick_records: list[TickRecord] = []
         #: lossy client-message channel, set when a fault plan has net faults
         self.message_channel = None
@@ -443,7 +444,7 @@ class GameServer(TickLoop):
     def tick_begin(self) -> TickInProgress:
         """Run the first half of a tick, up to the construct batch.
 
-        Everything that interacts with shared simulation services (hooks,
+        Everything that interacts with shared simulation services (the runtime,
         client messages, chunk management, construct phase 1) runs here, in
         place; what remains in the returned progress is the construct plan's
         *pure* batch, which the caller may step anywhere before handing the
@@ -452,8 +453,8 @@ class GameServer(TickLoop):
         start_ms = self.engine.now_ms
         work = TickWork(players=self.player_count)
 
-        for hook in self.pre_tick_hooks:
-            hook(self.tick_index)
+        if self.runtime is not None:
+            self.runtime.before_tick(self, self.tick_index)
 
         # 1. Process queued client messages.  Only sessions in the pending
         # index are drained (idle players cost one membership probe), and the

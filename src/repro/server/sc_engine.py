@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.constructs.batched import BatchedCircuitStepper
-from repro.constructs.circuit import SimulatedConstruct
+from repro.constructs.circuit import ConstructIds, SimulatedConstruct
 from repro.constructs.compiled import CompiledCircuit, compile_circuit
 from repro.constructs.simulator import clone_construct
 from repro.world.coords import BlockPos
@@ -75,16 +75,28 @@ class ConstructTickPlan:
 
 
 class ConstructBackend:
-    """Interface the game loop uses to drive construct simulation."""
+    """Interface the game loop uses to drive construct simulation, over a shared registry."""
+
+    def __init__(self) -> None:
+        self._constructs: dict[int, SimulatedConstruct] = {}
+        self._numbering = ConstructIds()
 
     def register_construct(self, construct: SimulatedConstruct) -> None:
         raise NotImplementedError
+
+    def _file(self, construct: SimulatedConstruct) -> int:
+        """Number ``construct`` unless it has an id and file it under that id, never a taken one."""
+        construct_id = self._numbering.number(construct)
+        if construct_id in self._constructs:
+            raise ValueError(f"construct id {construct_id} is already registered")
+        self._constructs[construct_id] = construct
+        return construct_id
 
     def remove_construct(self, construct_id: int) -> None:
         raise NotImplementedError
 
     def constructs(self) -> list[SimulatedConstruct]:
-        raise NotImplementedError
+        return [self._constructs[key] for key in sorted(self._constructs)]
 
     def on_player_modify(self, construct_id: int, position: BlockPos) -> None:
         """Called when a player modifies a construct (or terrain adjacent to it)."""
@@ -147,8 +159,8 @@ class LocalConstructBackend(ConstructBackend):
     def __init__(self, interval: int = 2) -> None:
         if interval < 1:
             raise ValueError("construct simulation interval must be at least 1")
+        super().__init__()
         self.interval = int(interval)
-        self._constructs: dict[int, SimulatedConstruct] = {}
         self._stepper = BatchedCircuitStepper()
         self._groups: list[list[int]] = []
         self._groups_dirty = True
@@ -159,21 +171,18 @@ class LocalConstructBackend(ConstructBackend):
     # -- registry -------------------------------------------------------------------
 
     def register_construct(self, construct: SimulatedConstruct) -> None:
-        self._constructs[construct.construct_id] = construct
+        construct_id = self._file(construct)
         # Compile eagerly: registration is the cold path, ticks are the hot one.
         compile_circuit(construct)
         # A re-used construct id (removed, then re-placed) must never inherit
         # the old construct's fixed-point status.
-        self._quiescent.discard(construct.construct_id)
+        self._quiescent.discard(construct_id)
         self._groups_dirty = True
 
     def remove_construct(self, construct_id: int) -> None:
         self._constructs.pop(construct_id, None)
         self._quiescent.discard(construct_id)
         self._groups_dirty = True
-
-    def constructs(self) -> list[SimulatedConstruct]:
-        return [self._constructs[key] for key in sorted(self._constructs)]
 
     def on_player_modify(self, construct_id: int, position: BlockPos) -> None:
         construct = self._constructs.get(construct_id)

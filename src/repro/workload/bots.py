@@ -3,7 +3,7 @@
 A :class:`BotSwarm` owns a set of bots, connects them to a game host
 according to a :class:`JoinSchedule` (all at once or staggered, as in
 Figure 12a where a player joins every ten seconds), and produces the per-tick
-driver callback the game loop runs before every tick.
+driver (:meth:`BotSwarm.drive`) the game loop runs before every tick.
 
 Each tick the driver goes through the bots in bot order.  Every maximal run
 of consecutive walker bots is stepped as one array segment
@@ -178,7 +178,11 @@ class BotSwarm:
             self._steps += [_WalkerRun(list(run))] if walkers else run
         self.schedule = schedule or JoinSchedule.all_at_start()
         self._next_join_index = 0
+        #: set by :meth:`install`: the bot stream, the bots connected up
+        #: front, and the virtual time the join schedule counts from
         self._rng: np.random.Generator | None = None
+        self._initial = 0
+        self._start_ms = 0.0
 
     @property
     def connected_count(self) -> int:
@@ -193,24 +197,21 @@ class BotSwarm:
         self._next_join_index += 1
 
     def install(self, server: GameHost) -> Callable[[GameHost, int], None]:
-        """Connect the initial bots and return the per-tick driver callback."""
+        """Connect the initial bots and return the per-tick driver, :meth:`drive`."""
         self._rng = server.engine.rng("bots")
-        initial = self.schedule.initial
-        if initial < 0:
-            initial = len(self.bots)
-        for _ in range(min(initial, len(self.bots))):
+        self._initial = len(self.bots) if self.schedule.initial < 0 else self.schedule.initial
+        for _ in range(min(self._initial, len(self.bots))):
             self._connect_next(server)
+        self._start_ms = server.engine.now_ms
+        return self.drive
 
-        start_ms = server.engine.now_ms
-
-        def driver(driven_server: GameHost, tick_index: int) -> None:
-            assert self._rng is not None
-            if self.schedule.interval_s is not None:
-                elapsed_s = (driven_server.engine.now_ms - start_ms) / 1000.0
-                target = initial + int(elapsed_s // self.schedule.interval_s)
-                while self._next_join_index < min(target, len(self.bots)):
-                    self._connect_next(driven_server)
-            for step in self._steps:
-                step.act(driven_server, tick_index, self._rng)
-
-        return driver
+    def drive(self, server: GameHost, tick_index: int) -> None:
+        """Connect the bots the schedule says are due, then step every bot in bot order."""
+        assert self._rng is not None
+        if self.schedule.interval_s is not None:
+            elapsed_s = (server.engine.now_ms - self._start_ms) / 1000.0
+            target = self._initial + int(elapsed_s // self.schedule.interval_s)
+            while self._next_join_index < min(target, len(self.bots)):
+                self._connect_next(server)
+        for step in self._steps:
+            step.act(server, tick_index, self._rng)

@@ -107,7 +107,7 @@ def test_counter_farm_state_never_repeats():
 
 def test_clone_construct_preserves_identity_and_state():
     construct = build_lamp_grid(3, 2)
-    construct.step = 5
+    construct.construct_id, construct.step = 7, 5
     clone = clone_construct(construct)
     assert clone.construct_id == construct.construct_id
     assert clone.step == 5

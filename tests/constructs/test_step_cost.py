@@ -28,7 +28,7 @@ from repro.constructs.library import (
     build_wire_line,
 )
 from repro.core import ServoConfig
-from repro.core.offload import SC_SIMULATION_FUNCTION, make_simulation_handler
+from repro.core.offload import SC_SIMULATION_FUNCTION, SimulationHandler
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.world.coords import BlockPos
@@ -132,7 +132,7 @@ def merge_tick_calls(engine, construct_count: int, lamps: int) -> int:
     platform = FaasPlatform(engine, provider=AWS_LAMBDA)
     platform.register(
         FunctionDefinition(
-            name=SC_SIMULATION_FUNCTION, handler=make_simulation_handler(), memory_mb=1769
+            name=SC_SIMULATION_FUNCTION, handler=SimulationHandler(), memory_mb=1769
         )
     )
     backend = SpeculativeConstructBackend(engine, platform, ServoConfig())

@@ -12,11 +12,12 @@ from repro.constructs.library import (
 )
 from repro.constructs.compiled import compile_circuit
 from repro.constructs.simulator import clone_construct
+from repro.core import offload
 from repro.core.offload import (
     OffloadReply,
     OffloadRequest,
+    SimulationHandler,
     _build_canonical_construct,
-    make_simulation_handler,
     simulation_work_ms,
 )
 from repro.world.coords import BlockPos
@@ -24,6 +25,7 @@ from repro.world.coords import BlockPos
 
 def test_request_captures_construct_state_and_timestamp():
     construct = build_clock(period=4)
+    construct.construct_id = 7
     construct.player_modify(construct.positions[0])
     request = OffloadRequest.from_construct(construct, steps=20)
     assert request.construct_id == construct.construct_id
@@ -60,13 +62,14 @@ def test_a_request_whose_states_do_not_match_its_structure_is_rejected():
     request = OffloadRequest.from_construct(build_clock(period=6), steps=10)
     short = replace(request, states=request.states[:-1])
     with pytest.raises(ValueError):
-        make_simulation_handler()(short)
+        SimulationHandler()(short)
 
 
 def test_request_anchor_and_relative_states_are_translation_invariant():
     """A request is anchor-relative throughout: moving the construct changes no field but its id."""
     at_origin = build_clock(period=4, origin=BlockPos(0, 64, 0))
     translated = build_clock(period=4, origin=BlockPos(320, 70, -48))
+    at_origin.construct_id, translated.construct_id = 1, 2
     for _ in range(3):
         compile_circuit(at_origin).step()
         compile_circuit(translated).step()
@@ -77,6 +80,7 @@ def test_request_anchor_and_relative_states_are_translation_invariant():
     assert request_a.structure == request_b.structure
     assert request_a.states == request_b.states
     assert request_a.cache_key() == request_b.cache_key()
+    assert request_b != request_a
     assert replace(request_b, construct_id=request_a.construct_id) == request_a
     # ... but state, start step, length and loop detection all key the memo.
     compile_circuit(translated).step()
@@ -96,7 +100,7 @@ def test_simulation_work_grows_with_size_and_steps():
 
 def test_handler_reply_matches_local_simulation():
     construct = build_counter_farm(hoppers=3)
-    handler = make_simulation_handler()
+    handler = SimulationHandler()
     request = OffloadRequest.from_construct(construct, steps=25, detect_loops=False)
     output = handler(request)
     reply = output.value
@@ -115,7 +119,7 @@ def test_handler_reply_matches_local_simulation():
 
 def test_handler_detects_loops_and_stops_early():
     construct = build_clock(period=4, lamps=1)
-    handler = make_simulation_handler()
+    handler = SimulationHandler()
     request = OffloadRequest.from_construct(construct, steps=200, detect_loops=True)
     output = handler(request)
     reply = output.value
@@ -133,15 +137,16 @@ def test_handler_echoes_timestamp():
     construct = build_clock(period=4)
     construct.player_modify(construct.positions[0])
     construct.player_modify(construct.positions[0])
-    handler = make_simulation_handler()
+    handler = SimulationHandler()
     reply = handler(OffloadRequest.from_construct(construct, steps=5)).value
     assert reply.timestamp == 2
 
 
 def test_handler_memoises_identical_requests_across_translations():
-    handler = make_simulation_handler()
+    handler = SimulationHandler()
     first = build_sized_construct(60, origin=BlockPos(0, 64, 0))
     second = build_sized_construct(60, origin=BlockPos(512, 64, 512))
+    first.construct_id, second.construct_id = 1, 2
     reply_a = handler(OffloadRequest.from_construct(first, steps=30)).value
     reply_b = handler(OffloadRequest.from_construct(second, steps=30)).value
     # Same dynamics: the memo hands both constructs the very same matrix, and
@@ -155,7 +160,7 @@ def test_handler_memoises_identical_requests_across_translations():
 
 
 def test_handler_memo_keys_on_the_state_not_only_the_shape_and_step():
-    handler = make_simulation_handler()
+    handler = SimulationHandler()
     off = build_wire_line(3, origin=BlockPos(0, 64, 0), powered=False)
     on = build_wire_line(3, origin=BlockPos(0, 64, 0), powered=False)
     on.toggle_lever(on.positions[0])
@@ -169,8 +174,9 @@ def test_handler_memo_keys_on_the_state_not_only_the_shape_and_step():
     assert dark.row_at(8)[-1] == 0 and lit.row_at(8)[-1] == 1  # the lamp
 
 
-def test_handler_memo_evicts_its_oldest_entry_first():
-    handler = make_simulation_handler(cache_capacity=2)
+def test_handler_memo_evicts_its_oldest_entry_first(monkeypatch):
+    monkeypatch.setattr(offload, "CACHE_CAPACITY", 2)
+    handler = SimulationHandler()
     requests = [
         OffloadRequest.from_construct(build_counter_farm(hoppers=n), steps=4) for n in (1, 2, 3)
     ]
@@ -182,13 +188,13 @@ def test_handler_memo_evicts_its_oldest_entry_first():
 
 
 def test_handler_rejects_non_request_payloads():
-    handler = make_simulation_handler()
+    handler = SimulationHandler()
     with pytest.raises(TypeError):
         handler({"not": "a request"})
 
 
 def test_handler_work_reflects_requested_steps_for_aperiodic_constructs():
-    handler = make_simulation_handler()
+    handler = SimulationHandler()
     construct = build_counter_farm(hoppers=2)
     short = handler(OffloadRequest.from_construct(construct, steps=10, detect_loops=True))
     long = handler(OffloadRequest.from_construct(construct, steps=50, detect_loops=True))

@@ -16,7 +16,7 @@ import pytest
 from repro.constructs.library import build_sized_construct
 from repro.constructs.state import ConstructState
 from repro.core import ServoConfig
-from repro.core.offload import SC_SIMULATION_FUNCTION, OffloadRequest, make_simulation_handler
+from repro.core.offload import SC_SIMULATION_FUNCTION, OffloadRequest, SimulationHandler
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.world.coords import BlockPos
@@ -53,7 +53,7 @@ def test_a_tick_of_merges_builds_no_position_keyed_objects(engine):
     platform = FaasPlatform(engine, provider=AWS_LAMBDA)
     platform.register(
         FunctionDefinition(
-            name=SC_SIMULATION_FUNCTION, handler=make_simulation_handler(), memory_mb=1769
+            name=SC_SIMULATION_FUNCTION, handler=SimulationHandler(), memory_mb=1769
         )
     )
     backend = SpeculativeConstructBackend(
@@ -85,7 +85,7 @@ def test_a_tick_of_merges_builds_no_position_keyed_objects(engine):
 
 @pytest.mark.parametrize("blocks", [30, 300])
 def test_a_memo_hit_builds_a_constant_handful_of_positions(blocks):
-    handler = make_simulation_handler()
+    handler = SimulationHandler()
     first = build_sized_construct(blocks, origin=BlockPos(0, 64, 0), looping=False)
     twin = build_sized_construct(blocks, origin=BlockPos(-333, 12, 4096), looping=False)
     miss = count_constructions(

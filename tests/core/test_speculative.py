@@ -8,7 +8,7 @@ from repro.constructs.library import build_clock, build_counter_farm, standard_c
 from repro.constructs.compiled import compile_circuit
 from repro.core import ServoConfig
 from repro.core.loop_detection import CompressedStateSequence
-from repro.core.offload import SC_SIMULATION_FUNCTION, make_simulation_handler
+from repro.core.offload import SC_SIMULATION_FUNCTION, SimulationHandler
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.sim import SimulationEngine
@@ -18,7 +18,7 @@ def make_backend(engine, config=None):
     platform = FaasPlatform(engine, provider=AWS_LAMBDA)
     platform.register(
         FunctionDefinition(
-            name=SC_SIMULATION_FUNCTION, handler=make_simulation_handler(), memory_mb=1769
+            name=SC_SIMULATION_FUNCTION, handler=SimulationHandler(), memory_mb=1769
         )
     )
     backend = SpeculativeConstructBackend(engine, platform, config or ServoConfig())
@@ -89,7 +89,7 @@ def test_looping_construct_needs_only_one_invocation(engine):
 
 def test_every_offload_request_asks_for_loop_detection(engine):
     platform = FaasPlatform(engine, provider=AWS_LAMBDA)
-    inner = make_simulation_handler()
+    inner = SimulationHandler()
     requests = []
 
     def handler(request):
@@ -147,7 +147,7 @@ def test_stale_replies_are_discarded(engine):
 
 def test_a_reply_of_the_wrong_width_is_counted_as_a_failure_and_never_merged(engine):
     """A reply whose rows do not fit the construct is dropped whole; the construct advances locally."""
-    inner = make_simulation_handler()
+    inner = SimulationHandler()
 
     def narrow_handler(request):
         output = inner(request)

@@ -36,7 +36,7 @@ from repro.constructs.library import (
 )
 from repro.constructs.simulator import ReferenceConstructSimulator, clone_construct
 from repro.core import ServoConfig
-from repro.core.offload import SC_SIMULATION_FUNCTION, make_simulation_handler
+from repro.core.offload import SC_SIMULATION_FUNCTION, SimulationHandler
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.sim import SimulationEngine
@@ -125,7 +125,7 @@ def run_case(shape, a, b, anchor_a, anchor_b, config, schedule, seed=0) -> set[s
     """Drive the twins through ``schedule``; returns the phases edits landed in."""
     engine = SimulationEngine(seed=seed)
     platform = FaasPlatform(engine, provider=AWS_LAMBDA)
-    inner = make_simulation_handler()
+    inner = SimulationHandler()
     matrices_by_key = defaultdict(list)
 
     def handler(request):

@@ -7,8 +7,8 @@ from repro.core.storage_service import ServoStorageService
 from repro.core.terrain_service import (
     TERRAIN_GENERATION_FUNCTION,
     ServerlessTerrainProvider,
+    TerrainHandler,
     TerrainRequest,
-    make_terrain_handler,
     terrain_generation_work_ms,
 )
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
@@ -23,7 +23,7 @@ def make_platform(engine, memory_mb=2048):
     platform.register(
         FunctionDefinition(
             name=TERRAIN_GENERATION_FUNCTION,
-            handler=make_terrain_handler(),
+            handler=TerrainHandler(),
             memory_mb=memory_mb,
         )
     )
@@ -31,7 +31,7 @@ def make_platform(engine, memory_mb=2048):
 
 
 def test_terrain_handler_generates_the_requested_chunk(engine):
-    handler = make_terrain_handler()
+    handler = TerrainHandler()
     output = handler(TerrainRequest(world_type="default", seed=11, cx=3, cz=-2))
     chunk = output.value
     assert chunk.position == ChunkPos(3, -2)
@@ -43,7 +43,7 @@ def test_terrain_handler_generates_the_requested_chunk(engine):
 
 
 def test_terrain_handler_matches_local_generation_exactly():
-    handler = make_terrain_handler()
+    handler = TerrainHandler()
     remote = handler(TerrainRequest(world_type="default", seed=5, cx=1, cz=1)).value
     local = make_terrain_generator("default", seed=5).generate_chunk(ChunkPos(1, 1))
     assert np.array_equal(remote.blocks, local.blocks)
@@ -143,7 +143,7 @@ PIN_SEED, (PIN_CX, PIN_CZ), PIN_HASH = 42, (-3, 4), 16089575735109284089
 
 
 def test_a_prepared_chunk_is_served_once_and_equals_the_pin():
-    handler = make_terrain_handler()
+    handler = TerrainHandler()
     request = TerrainRequest(world_type="default", seed=PIN_SEED, cx=PIN_CX, cz=PIN_CZ)
     handler.prepare([
         request,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.check import check
 from repro.faults import FaultInjector, FaultPlan
-from repro.net.channel import SEEN_WINDOW, FaultyMessageChannel, _SeenWindow
+from repro.net.channel import SEEN_WINDOW, FaultyMessageChannel, SeenWindow
 from repro.net.message import Message, MessageKind
 from repro.server import GameConfig, make_opencraft
 
@@ -96,7 +96,7 @@ def test_sequences_are_stamped_per_player_monotonically(engine):
 
 
 def test_seen_window_is_bounded_and_forgets_oldest():
-    window = _SeenWindow(capacity=4)
+    window = SeenWindow(capacity=4)
     for sequence in range(1, 5):
         assert window.add(sequence)
     assert not window.add(4)  # recent duplicate rejected

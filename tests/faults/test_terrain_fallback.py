@@ -5,7 +5,7 @@ import pytest
 from repro.core.terrain_service import (
     TERRAIN_GENERATION_FUNCTION,
     ServerlessTerrainProvider,
-    make_terrain_handler,
+    TerrainHandler,
 )
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.faults import FaultInjector, FaultPlan
@@ -22,7 +22,7 @@ def make_provider(engine, plan=None):
     platform.register(
         FunctionDefinition(
             name=TERRAIN_GENERATION_FUNCTION,
-            handler=make_terrain_handler(),
+            handler=TerrainHandler(),
             memory_mb=1769,
         )
     )
@@ -118,7 +118,7 @@ PIN_SEED, PIN_CHUNK, PIN_HASH = 42, ChunkPos(-3, 4), 16089575735109284089
 
 @pytest.mark.parametrize("fault", ["failure_rate", "throttle_rate"])
 def test_a_faulted_tick_falls_back_to_the_pinned_chunk_and_keeps_nothing_prepared(engine, fault):
-    handler = make_terrain_handler()
+    handler = TerrainHandler()
     platform = FaasPlatform(engine, provider=AWS_LAMBDA)
     platform.register(FunctionDefinition(name=TERRAIN_GENERATION_FUNCTION, handler=handler))
     platform.fault_injector = FaultInjector(

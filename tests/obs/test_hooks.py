@@ -7,8 +7,8 @@ import pytest
 from repro.core.terrain_service import (
     TERRAIN_GENERATION_FUNCTION,
     ServerlessTerrainProvider,
+    TerrainHandler,
     TerrainRequest,
-    make_terrain_handler,
 )
 from repro.faas.function import FunctionDefinition
 from repro.faas.platform import FaasPlatform
@@ -30,7 +30,7 @@ def terrain_platform(engine) -> FaasPlatform:
     platform.register(
         FunctionDefinition(
             name=TERRAIN_GENERATION_FUNCTION,
-            handler=make_terrain_handler(),
+            handler=TerrainHandler(),
             memory_mb=1024,
         )
     )

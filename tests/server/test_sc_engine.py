@@ -1,5 +1,7 @@
 """Tests for the baseline (local) construct backend."""
 
+import pytest
+
 from repro.constructs.library import build_clock, build_wire_line, standard_construct
 from repro.constructs.compiled import compile_circuit
 from repro.server.sc_engine import LocalConstructBackend
@@ -42,6 +44,21 @@ def test_report_counts_every_construct():
     assert report.total_constructs == 5
     assert report.simulated_locally == 5
     assert report.advanced == 5
+
+
+def test_registration_numbers_unnumbered_constructs_and_rejects_a_taken_id():
+    backend = LocalConstructBackend()
+    explicit = build_clock(4)
+    explicit.construct_id = 5
+    first, second = build_clock(4), build_clock(4)
+    for construct in (first, explicit, second):
+        backend.register_construct(construct)
+    assert (first.construct_id, second.construct_id) == (1, 6)
+    taken = build_clock(4)
+    taken.construct_id = 5
+    with pytest.raises(ValueError, match="already registered"):
+        backend.register_construct(taken)
+    assert backend.constructs() == [first, explicit, second]
 
 
 def test_remove_construct_stops_simulation():

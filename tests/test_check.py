@@ -10,7 +10,7 @@ from repro.check import check
 from repro.cluster import build_opencraft_cluster
 from repro.constructs.library import build_clock
 from repro.server import GameConfig, make_opencraft
-from repro.world.coords import BlockPos
+from repro.world.coords import BlockPos, ChunkPos
 
 
 def ticked_server(engine):
@@ -68,6 +68,19 @@ def share_a_state_vector(server):
     return server, "construct states"
 
 
+def give_two_constructs_one_id(server):
+    """A construct takes the id of another the server holds."""
+    first, second = server.constructs.constructs()
+    second.construct_id = first.construct_id
+    return server, "construct ids"
+
+
+def keep_a_released_pin(server):
+    """A chunk's last pin was released but its zero count was kept."""
+    server.chunks._protected[ChunkPos(99, 99)] = 0
+    return server, "construct pins"
+
+
 @pytest.mark.parametrize(
     "build, corrupt",
     [
@@ -76,6 +89,8 @@ def share_a_state_vector(server):
         (ticked_cluster, register_a_construct_twice),
         (ticked_server, drop_a_view),
         (ticked_server, share_a_state_vector),
+        (ticked_server, give_two_constructs_one_id),
+        (ticked_server, keep_a_released_pin),
     ],
     ids=lambda f: f.__name__,
 )

@@ -12,8 +12,8 @@ from reference_terrain import generate_default_chunk
 
 from repro.core.terrain_service import (
     ServerlessTerrainProvider,
+    TerrainHandler,
     TerrainRequest,
-    make_terrain_handler,
 )
 from repro.faas import AWS_LAMBDA, FaasPlatform
 from repro.world.coords import ChunkPos
@@ -42,7 +42,7 @@ def test_the_executable_spec_reproduces_a_pin():
 
 def test_every_generation_route_returns_the_pinned_chunk(engine):
     seed, (cx, cz), content_hash = GOLDEN[1]
-    output = make_terrain_handler()(TerrainRequest("default", seed, cx, cz))
+    output = TerrainHandler()(TerrainRequest("default", seed, cx, cz))
     assert output.value.content_hash() == content_hash
     provider = ServerlessTerrainProvider(
         engine, FaasPlatform(engine, provider=AWS_LAMBDA), world_type="default", seed=seed
