@@ -5,8 +5,8 @@ a tight integer loop, paid once per circuit per tick.  The
 :class:`BatchedCircuitStepper` packs the state vectors of *all* circuits it
 is handed into one flat ``int64`` batch and advances every circuit with a
 fixed number of vectorised numpy operations, independent of the circuit
-count.  Fixed points (quiescence) are detected per circuit, so the backends'
-skip logic works the same on either path.
+count.  The local backend hands it only circuits whose future is unknown
+(no loop found yet, :mod:`repro.constructs.loop_detection`).
 
 Bit-identity is the contract: every arithmetic branch below mirrors
 ``CompiledCircuit.step`` (which itself mirrors ``components.py``) on plain
@@ -247,15 +247,17 @@ class BatchedCircuitStepper:
         self.batched_steps = 0
         self.fallback_steps = 0
 
-    def step_batch(self, circuits: list[CompiledCircuit]) -> list[bool]:
-        """Advance every circuit one step; returns per-circuit fixed-point flags.
+    def step_batch(self, circuits: list[CompiledCircuit]) -> None:
+        """Advance every circuit one step.
 
         Semantically identical to calling ``circuit.step()`` on each circuit
         in order (the circuits are independent, so the order cannot matter).
         """
         if len(circuits) < self.min_batch_circuits:
             self.fallback_steps += len(circuits)
-            return [circuit.step() for circuit in circuits]
+            for circuit in circuits:
+                circuit.step()
+            return
         # Honour pending player edits exactly like ``CompiledCircuit.step()``
         # before comparing, so an edit always forces a repack.
         modifications = []
@@ -284,6 +286,3 @@ class BatchedCircuitStepper:
             construct.states = new_states[segment]
             construct.step += 1
         self.batched_steps += len(circuits)
-        # Per-circuit fixed-point flags: no changed cell in the segment.
-        row_changed = np.logical_or.reduceat(new_states != states, layout.row_starts)
-        return np.logical_not(row_changed).tolist()

@@ -12,7 +12,9 @@ a merge copies a reply row into it, ``Cell.state`` and ``snapshot()`` are
 views built on demand.  Invariants (``ConstructBackend.verify_states``): it is
 writable ``int64`` of length ``block_count``; no two constructs' vectors share
 memory; no ``np.int64`` leaves through ``Cell.state``, ``snapshot()`` or a
-request — digests and JSON see Python ``int``.
+request — digests and JSON see Python ``int``.  Between ticks it changes only
+through its backend or an edit the backend hears about (``on_player_modify``):
+it may be a row of a loop the backend replays.
 """
 
 from __future__ import annotations

@@ -19,10 +19,9 @@ every arithmetic branch below mirrors ``components.py`` exactly, and the
 equivalence test suite asserts identical :class:`ConstructState` sequences
 across the construct library.
 
-:meth:`CompiledCircuit.step` also reports whether the step was a *fixed
-point* (no cell changed state).  Because a step is a pure function of the
-state vector, a fixed point persists until a player edit — which is what lets
-backends skip re-simulating quiescent circuits entirely.
+A step is a pure function of the state vector, so a fixed point, like any
+loop of states, persists until a player edit — which is what lets backends
+replay a loop instead of re-simulating it.
 """
 
 from __future__ import annotations
@@ -115,8 +114,8 @@ class CompiledCircuit:
     def cell_count(self) -> int:
         return len(self._cells)
 
-    def step(self) -> bool:
-        """Advance the construct one step; return True on a fixed point.
+    def step(self) -> None:
+        """Advance the construct one step.
 
         The construct's state vector is read once and replaced by one new
         array if any cell changed; the step counter advances — exactly like
@@ -186,10 +185,8 @@ class CompiledCircuit:
             new_states[index] = new_state
 
         construct.step += 1
-        if new_states == states:
-            return True
-        construct.states = np.array(new_states, dtype=np.int64)
-        return False
+        if new_states != states:
+            construct.states = np.array(new_states, dtype=np.int64)
 
 
 def compile_circuit(construct) -> CompiledCircuit:

@@ -1,23 +1,24 @@
-"""Loop detection for offloaded construct simulation.
+"""Loop detection: a construct whose state repeats replays its loop forever.
 
 Many player-built constructs loop through a fixed list of states indefinitely
-(clocks, lamps on timers, some farms).  Simulating such a construct remotely
-over and over wastes money, so Servo's offload function compares every
-produced state with the ones before it; when a state repeats, the function
-truncates the result to one period of the loop plus an index, and the server
-can replay the loop forever without invoking the function again
-(Section III-C1).
+(clocks, lamps on timers, some farms).  A step is a pure function of the state
+vector, so once a state repeats the loop is known, and two consumers replay it
+instead of simulating it again.  Servo's offload function truncates its result
+to one period of the loop plus an index (Section III-C1,
+:func:`compress_trace`); the local backend (:mod:`repro.server.sc_engine`)
+takes its constructs out of the kernel batch, a fixed point being the loop of
+period 1.
 
 A state here is a *row*: the construct's cell values in sorted cell order
-(``SimulatedConstruct.cells``).  Positions are not part of it, so a sequence
-computed for one construct serves every structurally identical construct
-wherever it stands.
+(``SimulatedConstruct.states``), an ``int64`` array.  Positions are not part
+of it, so a sequence computed for one construct serves every structurally
+identical construct wherever it stands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class CompressedStateSequence:
 
     @classmethod
     def from_rows(
-        cls, start_step: int, rows: list[Sequence[int]], loop_start: Optional[int] = None
+        cls, start_step: int, rows: list[np.ndarray], loop_start: Optional[int] = None
     ) -> "CompressedStateSequence":
         """Stack equally long rows (one per step) into a sequence."""
         matrix = np.array(rows, dtype=np.int64) if rows else np.empty((0, 0), np.int64)
@@ -96,23 +97,24 @@ class CompressedStateSequence:
 
 
 class LoopDetector:
-    """Detects state cycles in a stream of construct state rows."""
+    """Records state rows; the first row equal to an earlier one closes the loop there."""
 
     def __init__(self) -> None:
-        self._seen: dict[tuple, int] = {}
+        self._seen: dict[bytes, int] = {}
+        #: every distinct row observed, in order (a repeat is not recorded)
+        self.rows: list[np.ndarray] = []
 
-    def observe(self, row: Sequence[int]) -> Optional[int]:
-        """Record a row; returns the index of the earlier identical row if this one repeats."""
-        key = tuple(row)
+    def observe(self, row: np.ndarray) -> Optional[int]:
+        """Record an ``int64`` row; returns the index of the earlier equal row if this one repeats."""
+        key = row.tobytes()
         repeat_of = self._seen.get(key)
         if repeat_of is None:
-            self._seen[key] = len(self._seen)
+            self._seen[key] = len(self.rows)
+            self.rows.append(row)
         return repeat_of
 
 
-def compress_trace(
-    start_step: int, rows: Iterable[Sequence[int]]
-) -> CompressedStateSequence:
+def compress_trace(start_step: int, rows: Iterable[np.ndarray]) -> CompressedStateSequence:
     """Compress a simulated state sequence by detecting a repeated state.
 
     If row ``i`` reappears at position ``j`` (``j > i``), everything from
@@ -121,11 +123,9 @@ def compress_trace(
     the first repeat, so a caller that simulates on demand stops there.
     """
     detector = LoopDetector()
-    kept: list[Sequence[int]] = []
     loop_start = None
     for row in rows:
         loop_start = detector.observe(row)
         if loop_start is not None:
             break
-        kept.append(row)
-    return CompressedStateSequence.from_rows(start_step, kept, loop_start)
+    return CompressedStateSequence.from_rows(start_step, detector.rows, loop_start)

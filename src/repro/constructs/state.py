@@ -5,7 +5,7 @@ A construct's state is the mapping from cell positions to integer states.
 ``SimulatedConstruct.snapshot()`` returns and what the equivalence suites and
 run digests compare.  The speculative-offload path does not use it: requests
 and replies carry bare value rows in sorted cell order
-(:mod:`repro.core.loop_detection`).
+(:mod:`repro.constructs.loop_detection`).
 """
 
 from __future__ import annotations

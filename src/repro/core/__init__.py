@@ -7,8 +7,8 @@ into the game server:
 * :mod:`repro.core.speculative` — replicated speculative execution of
   simulated constructs on FaaS, with logical-timestamp invalidation and
   tick-lead driven invocation (Section III-C).
-* :mod:`repro.core.loop_detection` — the cost optimisation that truncates
-  periodic constructs to a single loop (Section III-C1).
+* :mod:`repro.constructs.loop_detection` — the cost optimisation that
+  truncates periodic constructs to a single loop (Section III-C1).
 * :mod:`repro.core.terrain_service` — on-demand terrain generation in
   serverless functions (Section III-D).
 * :mod:`repro.core.storage_service` — remote state storage behind a local
@@ -18,8 +18,8 @@ into the game server:
 :class:`repro.server.GameServer`.
 """
 
+from repro.constructs.loop_detection import CompressedStateSequence, LoopDetector
 from repro.core.config import ServoConfig
-from repro.core.loop_detection import CompressedStateSequence, LoopDetector
 from repro.core.offload import (
     SC_SIMULATION_FUNCTION,
     OffloadReply,

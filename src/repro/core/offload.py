@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from repro.constructs.circuit import Cell, SimulatedConstruct
 from repro.constructs.compiled import compile_circuit
 from repro.constructs.components import ComponentType
-from repro.core.loop_detection import CompressedStateSequence, compress_trace
+from repro.constructs.loop_detection import CompressedStateSequence, compress_trace
 from repro.faas.function import FunctionOutput
 from repro.world.coords import BlockPos
 
@@ -135,13 +137,16 @@ def _build_canonical_construct(payload: OffloadRequest) -> SimulatedConstruct:
     return construct
 
 
-def _simulated_rows(payload: OffloadRequest) -> Iterator[list[int]]:
-    """Step the rebuilt construct on demand, yielding its cell values after each step."""
+def _simulated_rows(payload: OffloadRequest) -> Iterator[np.ndarray]:
+    """Step the rebuilt construct on demand, yielding its state vector after each step.
+
+    A step rebinds the vector rather than writing into it, so a yielded row never changes.
+    """
     construct = _build_canonical_construct(payload)
     compiled = compile_circuit(construct)
     for _ in range(payload.steps):
         compiled.step()
-        yield construct.states.tolist()
+        yield construct.states
 
 
 class SimulationHandler:

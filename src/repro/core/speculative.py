@@ -27,11 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from repro.constructs.batched import BatchedCircuitStepper
 from repro.constructs.circuit import SimulatedConstruct
 from repro.constructs.compiled import compile_circuit
+from repro.constructs.loop_detection import CompressedStateSequence
 from repro.core.config import ServoConfig
-from repro.core.loop_detection import CompressedStateSequence
 from repro.core.offload import SC_SIMULATION_FUNCTION, OffloadReply, OffloadRequest
 from repro.faas.function import Invocation
 from repro.faas.platform import FaasPlatform
@@ -165,6 +167,9 @@ class SpeculativeConstructBackend(ConstructBackend):
         record.available.clear()
         self._quiescent.discard(construct_id)
         self.metrics.increment("speculation_invalidated")
+
+    def _skipped_rows(self) -> list[tuple[SimulatedConstruct, np.ndarray]]:
+        return [(self._constructs[i], self._constructs[i].states) for i in sorted(self._quiescent)]
 
     # -- speculation plumbing ----------------------------------------------------------
 
@@ -308,14 +313,13 @@ class SpeculativeConstructBackend(ConstructBackend):
         # fallback construct, wherever the caller chooses to run it.
         circuits = [compile_circuit(construct) for construct in fallbacks]
 
-        def finish(_fixed_points: list[bool]) -> ConstructTickReport:
+        def finish() -> ConstructTickReport:
             # Phase 3: bookkeeping and follow-up invocations, in construct
             # order.  Constructs that took the quiescent fast path in phase 1
             # are skipped (as the single loop did); ones that became
             # quiescent *this tick* still get their transition-tick
-            # bookkeeping.  The fixed-point flags are ignored: quiescence in
-            # this backend is pinned by length-1 looping sequences, not by
-            # locally observed fixed points.
+            # bookkeeping.  Quiescence in this backend is pinned by length-1
+            # looping sequences, not by locally observed fixed points.
             for construct in ordered:
                 if construct.construct_id in fast_path_skipped:
                     continue

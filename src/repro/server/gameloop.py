@@ -502,7 +502,8 @@ class GameServer(TickLoop):
 
         # 3b. Step the construct batch, then the bookkeeping after it.
         construct_plan = progress.construct_plan
-        construct_report = construct_plan.finish(construct_plan.step_inline())
+        construct_plan.step_inline()
+        construct_report = construct_plan.finish()
         work.constructs_total = construct_report.total_constructs
         work.constructs_simulated_locally = construct_report.simulated_locally
         work.constructs_merged = construct_report.merged_speculative

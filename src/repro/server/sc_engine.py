@@ -4,7 +4,9 @@ The game loop delegates construct simulation to a pluggable backend:
 
 * :class:`LocalConstructBackend` — the baseline behaviour of Opencraft and
   Minecraft: every construct is simulated on the server, every other tick
-  (which is what makes their tick-duration distributions bimodal).
+  (which is what makes their tick-duration distributions bimodal).  The host
+  steps only circuits whose future is unknown: once a construct's state
+  repeats, it replays its loop (a fixed point is the loop of period 1).
 * Servo's speculative/offloading backend lives in
   :mod:`repro.core.speculative` and implements the same interface.
 
@@ -24,6 +26,7 @@ import numpy as np
 from repro.constructs.batched import BatchedCircuitStepper
 from repro.constructs.circuit import ConstructIds, SimulatedConstruct
 from repro.constructs.compiled import CompiledCircuit, compile_circuit
+from repro.constructs.loop_detection import LoopDetector
 from repro.constructs.simulator import clone_construct
 from repro.world.coords import BlockPos
 
@@ -34,10 +37,10 @@ class ConstructTickReport:
 
     ``simulated_locally`` / ``merged_speculative`` report the work the
     *simulated server* performed — the cost model's inputs — so they keep
-    counting quiescent constructs whose re-simulation the host skipped.
+    counting constructs whose re-simulation the host skipped.
     ``skipped_quiescent`` separately reports how many of those advances were
-    satisfied by the fixed-point skip (a wall-clock optimisation of the
-    simulator host, invisible in virtual time).
+    satisfied by a replayed loop or a fixed point (a wall-clock optimisation
+    of the simulator host, invisible in virtual time).
     """
 
     total_constructs: int = 0
@@ -45,7 +48,7 @@ class ConstructTickReport:
     merged_speculative: int = 0
     #: constructs that advanced one step this tick (by any path)
     advanced: int = 0
-    #: advances satisfied without re-simulation (state vector at a fixed point)
+    #: advances satisfied without re-simulation (a replayed loop or a fixed point)
     skipped_quiescent: int = 0
     #: True if this tick was a construct-simulation tick for the backend
     construct_tick: bool = False
@@ -57,21 +60,20 @@ class ConstructTickPlan:
 
     ``circuits`` is the batch of independent compiled circuits the tick must
     advance by exactly one step — pure integer compute with no randomness —
-    and ``finish`` takes the resulting fixed-point flags in circuit order.
+    and ``finish`` runs once they have been stepped.
     Everything that touches shared simulation state (RNG streams, metrics,
     speculation records) stays inside ``begin_tick``/``finish``.
     """
 
     circuits: list[CompiledCircuit]
-    finish: Callable[[list[bool]], ConstructTickReport]
+    finish: Callable[[], ConstructTickReport]
     #: the backend's own stepper (only a plan without circuits may omit it)
     stepper: Optional[BatchedCircuitStepper] = None
 
-    def step_inline(self) -> list[bool]:
-        """Advance the plan's circuits one step; returns the fixed-point flags."""
-        if not self.circuits:
-            return []
-        return self.stepper.step_batch(self.circuits)
+    def step_inline(self) -> None:
+        """Advance the plan's circuits one step."""
+        if self.circuits:
+            self.stepper.step_batch(self.circuits)
 
 
 class ConstructBackend:
@@ -109,7 +111,8 @@ class ConstructBackend:
     def tick(self, tick_index: int) -> ConstructTickReport:
         """Advance construct simulation for one game tick."""
         plan = self.begin_tick(tick_index)
-        return plan.finish(plan.step_inline())
+        plan.step_inline()
+        return plan.finish()
 
     def verify_states(self) -> bool:
         """True when every registered construct's state vector keeps its invariants.
@@ -117,8 +120,8 @@ class ConstructBackend:
         Holds between ticks: each ``states`` is a writable 1-D ``int64`` array
         of ``block_count`` values, every ``cell.state`` is a plain ``int``
         equal to its slot, no two constructs' vectors share memory, and every
-        construct parked in ``_quiescent`` really is at a fixed point (one
-        compiled step of a clone changes nothing).
+        construct the backend will advance without simulating it (each pair of
+        ``_skipped_rows()``) gets the row one compiled step of a clone gives.
         """
         constructs = {construct.construct_id: construct for construct in self.constructs()}
         for construct in constructs.values():
@@ -140,10 +143,39 @@ class ConstructBackend:
             for second in vectors[index + 1 :]
         ):
             return False
-        return all(
-            compile_circuit(clone_construct(constructs[construct_id])).step()
-            for construct_id in sorted(self._quiescent)
-        )
+        for construct, row in self._skipped_rows():
+            clone = clone_construct(construct)
+            compile_circuit(clone).step()
+            if not np.array_equal(clone.states, row):
+                return False
+        return True
+
+
+#: rows a group records while it looks for its loop: every loop of the bench
+#: fleets and of ``constructs/library.py`` closes by step 23, a counter farm's never
+LOOP_SEARCH_ROWS = 32
+
+
+class _Group:
+    """Identical constructs: the kernel steps ``members[0]``, whose rows ``detector`` records."""
+
+    __slots__ = ("members", "circuit", "detector")
+
+    def __init__(self, members: list[SimulatedConstruct]) -> None:
+        self.members, self.circuit = members, compile_circuit(members[0])
+        self.detector: Optional[LoopDetector] = LoopDetector()  # None once it gives up
+        self.detector.observe(members[0].states)
+
+
+class _Replay:
+    """A construct replaying its own copy of a loop; ``phase`` is the row it holds."""
+
+    __slots__ = ("construct", "rows", "period", "phase")
+
+    def __init__(self, construct: SimulatedConstruct, loop: list[np.ndarray]) -> None:
+        # A private table: its rows become the construct's writable vector in turn.
+        self.construct, self.rows = construct, list(np.array(loop))
+        self.period, self.phase = len(loop), 0
 
 
 class LocalConstructBackend(ConstructBackend):
@@ -154,6 +186,10 @@ class LocalConstructBackend(ConstructBackend):
     simulates one representative per equivalence class and applies the result
     to all members.  The *cost* reported still counts every construct, because
     the baseline servers do the work per construct.
+
+    Once a group's row repeats, its members leave the kernel batch: each
+    replays its own copy of the loop, or is parked at a fixed point (the loop
+    of period 1) where only its step counter advances.
     """
 
     def __init__(self, interval: int = 2) -> None:
@@ -162,34 +198,38 @@ class LocalConstructBackend(ConstructBackend):
         super().__init__()
         self.interval = int(interval)
         self._stepper = BatchedCircuitStepper()
-        self._groups: list[list[int]] = []
-        self._groups_dirty = True
-        #: construct ids whose state vector reached a fixed point; they are
-        #: not re-simulated until a player edit wakes them
-        self._quiescent: set[int] = set()
+        #: the three regimes (``_stepped`` is None until the next construct
+        #: tick regroups), and the advances replay and parking satisfied
+        self._stepped: Optional[list[_Group]] = None
+        self._replaying: list[_Replay] = []
+        self._parked: list[SimulatedConstruct] = []
+        self.replayed_steps = self.parked_steps = 0
 
     # -- registry -------------------------------------------------------------------
 
     def register_construct(self, construct: SimulatedConstruct) -> None:
-        construct_id = self._file(construct)
+        self._file(construct)
         # Compile eagerly: registration is the cold path, ticks are the hot one.
         compile_circuit(construct)
-        # A re-used construct id (removed, then re-placed) must never inherit
-        # the old construct's fixed-point status.
-        self._quiescent.discard(construct_id)
-        self._groups_dirty = True
+        self._regroup()
 
     def remove_construct(self, construct_id: int) -> None:
         self._constructs.pop(construct_id, None)
-        self._quiescent.discard(construct_id)
-        self._groups_dirty = True
+        self._regroup()
 
     def on_player_modify(self, construct_id: int, position: BlockPos) -> None:
         construct = self._constructs.get(construct_id)
         if construct is not None:
             construct.player_modify(position)
-            self._quiescent.discard(construct_id)
-            self._groups_dirty = True
+            self._regroup()
+
+    def _regroup(self) -> None:
+        """Drop every group and loop: the next construct tick regroups and searches anew."""
+        self._stepped, self._replaying, self._parked = None, [], []
+
+    def _skipped_rows(self) -> list[tuple[SimulatedConstruct, np.ndarray]]:
+        replayed = [(r.construct, r.rows[(r.phase + 1) % r.period]) for r in self._replaying]
+        return replayed + [(construct, construct.states) for construct in self._parked]
 
     # -- simulation -----------------------------------------------------------------
 
@@ -212,67 +252,74 @@ class LocalConstructBackend(ConstructBackend):
 
         Grouping is recomputed only when a construct is added, removed or
         modified by a player; members of a group evolve in lockstep otherwise.
+        Every group starts its loop search at its current row.
         """
-        groups: dict[tuple, list[int]] = {}
+        groups: dict[tuple, list[SimulatedConstruct]] = {}
         for construct in self.constructs():
-            groups.setdefault(self._equivalence_key(construct), []).append(
-                construct.construct_id
-            )
-        self._groups = list(groups.values())
-        self._groups_dirty = False
-        # Representatives may have changed; re-detect fixed points from scratch
-        # (costs one extra simulated step per group, only after a change).
-        self._quiescent.clear()
+            groups.setdefault(self._equivalence_key(construct), []).append(construct)
+        self._stepped = [_Group(members) for members in groups.values()]
 
     def begin_tick(self, tick_index: int) -> ConstructTickPlan:
-        """Phase 1 of the tick: quiescent skips and batch collection.
+        """Phase 1 of the tick: replay the settled constructs, collect the batch.
 
-        Returns the active representatives' circuits as the plan's pure
-        batch; ``finish`` applies the fixed-point flags and propagates the
-        representatives' states to their group members.
+        Returns the stepped groups' circuits as the plan's pure batch;
+        ``finish`` propagates the representatives' states to their group
+        members and moves every group whose loop closed out of the batch.
         """
         report = ConstructTickReport(total_constructs=len(self._constructs))
         if tick_index % self.interval != 0 or not self._constructs:
             report.construct_tick = tick_index % self.interval == 0
-            return ConstructTickPlan(circuits=[], finish=lambda _flags: report)
+            return ConstructTickPlan(circuits=[], finish=lambda: report)
         report.construct_tick = True
-        if self._groups_dirty:
+        if self._stepped is None:
             self._rebuild_groups()
 
-        constructs = self._constructs
-        quiescent = self._quiescent
-        active_groups: list[list[int]] = []
-        for members in self._groups:
-            if members[0] in quiescent:
-                # Fixed point: the states are provably what re-simulation
-                # would produce, so only the step counters advance.
-                for construct_id in members:
-                    constructs[construct_id].step += 1
-                report.skipped_quiescent += len(members)
-            else:
-                active_groups.append(members)
-        # One vectorised step for every active representative; groups are
+        # A loop's rows are provably what re-simulation would produce, so
+        # each construct takes its next row and advances its step counter.
+        for replay in self._replaying:
+            replay.phase = phase = (replay.phase + 1) % replay.period
+            construct = replay.construct
+            construct.states = replay.rows[phase]
+            construct.step += 1
+        for construct in self._parked:
+            construct.step += 1
+        self.replayed_steps += len(self._replaying)
+        self.parked_steps += len(self._parked)
+        report.skipped_quiescent = len(self._replaying) + len(self._parked)
+        # One vectorised step for every stepped representative; groups are
         # independent, so batching them is equivalent to stepping in order.
-        circuits = [
-            compile_circuit(constructs[members[0]]) for members in active_groups
-        ]
+        stepped = self._stepped
+        circuits = [group.circuit for group in stepped]
 
-        def finish(fixed_points: list[bool]) -> ConstructTickReport:
-            for members, fixed_point in zip(active_groups, fixed_points):
-                if fixed_point:
-                    quiescent.add(members[0])
+        def finish() -> ConstructTickReport:
+            settled = []
+            for group in stepped:
                 # Members take a copy of the representative's vector and
                 # advance their own step counters: equal states do not mean
                 # equal ages (a construct placed later can join the group).
-                states = constructs[members[0]].states
-                for construct_id in members[1:]:
-                    member = constructs[construct_id]
+                states = group.members[0].states
+                for member in group.members[1:]:
                     member.apply_row(states, member.step + 1)
+                detector = group.detector
+                if detector is None:
+                    continue
+                loop_start = detector.observe(states)
+                if loop_start is None:
+                    if len(detector.rows) == LOOP_SEARCH_ROWS:
+                        group.detector = None  # stepped until it is regrouped
+                    continue
+                loop = detector.rows[loop_start:]
+                if len(loop) == 1:
+                    self._parked.extend(group.members)
+                else:
+                    self._replaying.extend(_Replay(member, loop) for member in group.members)
+                settled.append(group)
+            if settled:
+                self._stepped = [group for group in stepped if group not in settled]
             # The simulated baseline server does this work for every
             # construct; the cost model must keep seeing it (virtual time is
-            # unchanged by the host-side skip).
-            report.simulated_locally = len(constructs)
-            report.advanced = len(constructs)
+            # unchanged by the host-side replay).
+            report.simulated_locally = report.advanced = len(self._constructs)
             return report
 
         return ConstructTickPlan(circuits=circuits, finish=finish, stepper=self._stepper)

@@ -14,7 +14,7 @@ from repro.api import build_host
 from repro.check import check
 from repro.cluster import build_servo_cluster
 from repro.constructs.library import build_clock, build_wire_line
-from repro.server import GameConfig
+from repro.server import GameConfig, LocalConstructBackend
 from repro.sim import SimulationEngine
 from repro.workload import behaviour_a
 from repro.world.coords import BlockPos
@@ -64,6 +64,26 @@ FLEET_HASHES = {
     "opencraft-cluster": "e8ebb036cfb1627933a0a75e722b1028213877640f8cf199e38d0bd41b9626bf",
     "servo-cluster": "4afb4849a940fc150d9a724839038b8ddabf9ab4977a83e19b3ff46786d1656e",
 }
+#: How shard 0's advances split in those 40 ticks.  The local backend steps
+#: every other tick (20 × 20 advances): the 10 wire lines settle and are
+#: parked, the 10 clocks close their loops and replay them, and the last
+#: stragglers, fewer than the batch minimum, step on the compiled path.  The
+#: speculative backend advances every tick (40 × 20), by local fallback or by
+#: merging a FaaS reply.
+ADVANCE_SPLITS = {
+    "opencraft-cluster": {"batched": 233, "fallback": 6, "replayed": 56, "parked": 105},
+    "servo-cluster": {"batched": 759, "fallback": 0, "merged": 41},
+}
+
+
+def advance_split(backend) -> dict[str, int]:
+    """Every advance of ``backend``'s constructs, by the path that made it."""
+    split = {"batched": backend._stepper.batched_steps, "fallback": backend._stepper.fallback_steps}
+    if isinstance(backend, LocalConstructBackend):
+        split.update(replayed=backend.replayed_steps, parked=backend.parked_steps)
+    else:
+        split["merged"] = sum(record.merged_steps for record in backend._records.values())
+    return split
 
 
 @pytest.mark.parametrize("game", sorted(FLEET_HASHES))
@@ -82,9 +102,10 @@ def test_a_fleet_on_one_shard_steps_through_its_backend_and_reproduces_the_pin(g
         cluster.connect_player(f"b{i}")
     cluster.run_ticks(40)
 
-    assert len(cluster.shards[0].constructs.constructs()) == 20
-    stepper = cluster.shards[0].constructs._stepper
-    assert stepper.batched_steps >= 16 and stepper.fallback_steps == 0
+    backend = cluster.shards[0].constructs
+    assert len(backend.constructs()) == 20
+    assert advance_split(backend) == ADVANCE_SPLITS[game]
+    assert sum(ADVANCE_SPLITS[game].values()) == sum(c.step for c in backend.constructs())
     hasher = hashlib.sha256()
     for record in cluster.tick_records:
         hasher.update(repr(record.duration_ms).encode())

@@ -85,18 +85,22 @@ def test_compile_circuit_is_cached_per_construct():
     assert isinstance(compile_circuit(construct), CompiledCircuit)
 
 
-def test_compiled_step_reports_fixed_point():
-    # A powered wire line settles: source -> wires -> lamp reach steady state.
+def test_a_settled_compiled_step_keeps_its_vector():
+    # A powered wire line settles: source -> wires -> lamp reach steady state,
+    # after which a step allocates nothing (pure function of the state vector).
     construct = build_wire_line(length=4, powered=True)
     compiled = compile_circuit(construct)
-    results = [compiled.step() for _ in range(16)]
-    assert results[-1] is True, "a settled wire line must report a fixed point"
-    first_fixed = results.index(True)
-    # Once fixed, it stays fixed (pure function of the state vector).
-    assert all(results[first_fixed:])
-    # A clock never settles.
+    vectors = []
+    for _ in range(16):
+        compiled.step()
+        vectors.append(construct.states)
+    assert vectors[-1] is vectors[-2] and construct.step == 16
+    # A clock never settles: every step rebinds.
     ticking = compile_circuit(build_clock(period=4))
-    assert not any(ticking.step() for _ in range(16))
+    ticking.step()
+    before = ticking.construct.states
+    ticking.step()
+    assert ticking.construct.states is not before
 
 
 def test_compiled_params_refresh_after_player_modify():

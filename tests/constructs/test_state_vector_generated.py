@@ -7,7 +7,8 @@ of everything that reads or writes ``SimulatedConstruct.states``:
 
 * a backend tick (the batched step when at least ``min_batch`` groups are
   active — generated as 1 or ``DEFAULT_MIN_BATCH`` — and the per-circuit fallback
-  otherwise; the copy into group members either way),
+  otherwise; the copy into group members either way; the next loop row for
+  every construct whose group's loop has closed),
 * a direct ``CompiledCircuit.step``, ``cell.state = v``, ``toggle_lever`` and
   a retuned clock period or repeater delay (the edit a cached batch layout
   must not outlive),
@@ -32,6 +33,12 @@ repack mutants (``step_batch`` ignoring the modification counters, or
 comparing only the batch length) need tick → edit → tick on the batched path
 with unchanged membership, which the generator reaches in ≈1 500 cases, not
 150 — the two ``@example`` rows pin the sequences it shrank them to.
+
+Loop replay mutants, hand-run and reverted: replay handing out the row one
+step off, an edit that keeps the loop, members sharing one loop table, and a
+loop closed on the row after the repeat.  The third ``@example`` (an edit in
+the middle of a replayed loop) kills each on its own; the regime test below
+kills all but the edit that keeps the loop.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from repro.constructs.library import (
     build_wire_line,
 )
 from repro.constructs.simulator import ReferenceConstructSimulator, clone_construct
-from repro.server.sc_engine import LocalConstructBackend
+from repro.server.sc_engine import LOOP_SEARCH_ROWS, LocalConstructBackend
 from repro.world.coords import BlockPos
 
 from hypothesis_profiles import examples
@@ -214,6 +221,11 @@ def run_case(fleet_specs, schedule, min_batch=DEFAULT_MIN_BATCH) -> Fleet:
     schedule=[("tick", 0, 0, 0), ("replace", 0, 2, 1)] + [("tick", 0, 0, 0)] * 4,
     min_batch=1,
 )
+@example(  # every loop closed, then one of two twin clocks set to a state off its loop
+    fleet_specs=[("clock", 0), ("clock", 0), ("oscillator", 0)],
+    schedule=[("tick", 0, 0, 0)] * 9 + [("set_state", 0, 0, 7)] + [("tick", 0, 0, 0)] * 6,
+    min_batch=1,
+)
 def test_constructs_match_reference_twins_under_generated_interleavings(
     fleet_specs, schedule, min_batch
 ):
@@ -228,9 +240,16 @@ def test_both_stepping_paths_and_equivalence_groups_are_reached():
     assert stepper.batched_steps > 0 and stepper.fallback_steps == 0
     stepper = run_case(distinct[:3], ticks).backend._stepper
     assert stepper.batched_steps == 0 and stepper.fallback_steps > 0
-    grouped = run_case([("clock", 0)] * 3 + [("wire_powered", 0)] * 2, ticks * 3)
-    assert sorted(map(len, grouped.backend._groups)) == [2, 3]
-    assert grouped.backend._quiescent, "the settled wire lines must be parked"
+    grouped = run_case([("clock", 0)] * 3 + [("wire_powered", 0)] * 2, ticks[:1])
+    backend = grouped.backend
+    assert sorted(len(group.members) for group in backend._stepped) == [2, 3]
+    for _ in range(17):
+        grouped.apply("tick", 0, 0, 0)
+        grouped.check("tick")
+    assert not backend._stepped, "both groups' loops must close"
+    assert [replay.construct for replay in backend._replaying] == grouped.constructs[:3]
+    assert backend._parked == grouped.constructs[3:], "the settled wire lines must be parked"
+    assert backend.replayed_steps > 0 and backend.parked_steps > 0
     # A construct re-placed under a reused id restarts its own step counter
     # even when its state matches an older member of the group it joins.
     grouped.apply("replace", 0, sorted(KINDS).index("clock"), 0)
@@ -238,3 +257,12 @@ def test_both_stepping_paths_and_equivalence_groups_are_reached():
         grouped.apply("tick", 0, 0, 0)
         grouped.check("tick after replace")
     assert grouped.constructs[0].step == 8 and grouped.constructs[1].step == 26
+
+    # Hoppers count without end: a counter farm's search gives up, and the
+    # farm stays in the batch.
+    farms = run_case(
+        [("counter_farm", 0)] * 2 + [("counter_farm", 1)], ticks[:1] * (LOOP_SEARCH_ROWS + 2)
+    )
+    backend = farms.backend
+    assert [group.detector for group in backend._stepped] == [None, None]
+    assert not (backend._replaying or backend._parked or backend.replayed_steps)

@@ -6,7 +6,9 @@ the batch vector from ``cell.state`` one generator resume per cell per step
 (``constructs.py_calls_per_tick`` 2 307 of ``construct_fleet``'s 2 580) and
 merged a speculative row with one attribute store per cell.  The kernel
 reduces no rows: a per-row ``max(axis=1)`` over a (cells × slots) gather cost
-several times the column fold that replaced it.
+several times the column fold that replaced it.  A construct that replays its
+loop costs no call at all, and a group that gave up its loop search costs only
+its step.
 """
 
 from __future__ import annotations
@@ -31,19 +33,23 @@ from repro.core import ServoConfig
 from repro.core.offload import SC_SIMULATION_FUNCTION, SimulationHandler
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
+from repro.server.sc_engine import LOOP_SEARCH_ROWS, LocalConstructBackend
 from repro.world.coords import BlockPos
 
 #: per circuit: one ``append`` of its modification counter; nothing per cell
 CALLS_PER_CIRCUIT = 1
 #: a warm step's fixed part, measured: ``step_batch``, its list comprehension,
 #: ``concatenate``, ``advance_states`` (``zeros``, ``copy``, the hoppers'
-#: ``where``), ``reduceat``, ``tolist``, two ``len`` and the closing
-#: ``setprofile``; ufunc calls and indexing enter no profiled call
-FIXED_CALLS = 13
+#: ``where``), two ``len`` and the closing ``setprofile``; ufunc calls and
+#: indexing enter no profiled call
+FIXED_CALLS = 11
 #: per merged construct (22 today): finding the valid sequence that covers the
 #: step, ``row_at`` + ``apply_row``, then the phase-3 bookkeeping — record
 #: lookups and list scans over at most a few replies, nothing per cell
 CALLS_PER_MERGE = 24
+#: per replaying construct: none, as its next row is a view handed out by a
+#: loop that makes no call (a copy of the row would cost one C call)
+CALLS_PER_REPLAY = 0
 
 
 def entered(action) -> list[str]:
@@ -157,3 +163,37 @@ def test_a_speculative_merge_costs_a_constant_whatever_the_construct_size(engine
     assert merge_tick_calls(engine, 4, lamps=12) == small  # 25 cells each
     per_merge = (merge_tick_calls(engine, 12, lamps=2) - small) / 8
     assert per_merge <= CALLS_PER_MERGE
+
+
+def replay_tick_calls(construct_count: int) -> int:
+    """Calls of one construct tick in which ``construct_count`` clocks replay their loop."""
+    backend = LocalConstructBackend(interval=1)
+    for index in range(construct_count):
+        backend.register_construct(build_clock(period=6, origin=BlockPos(0, 64, 4 * index)))
+    for tick in range(24):
+        backend.tick(tick)
+    assert len(backend._replaying) == construct_count and not backend._stepped
+    reports = []
+    calls = count_calls(lambda: reports.append(backend.tick(24)))
+    assert reports[0].skipped_quiescent == construct_count
+    assert backend.verify_states()
+    return calls
+
+
+def test_a_replayed_construct_costs_no_call():
+    assert replay_tick_calls(12) - replay_tick_calls(4) == CALLS_PER_REPLAY * 8
+
+
+def given_up_tick_calls(farm_count: int) -> int:
+    """Calls of one batched tick of ``farm_count`` distinct counter farms that gave up their search."""
+    backend = LocalConstructBackend(interval=1)
+    for index in range(farm_count):
+        backend.register_construct(build_counter_farm(2 + index, BlockPos(0, 64, 8 * index)))
+    for tick in range(LOOP_SEARCH_ROWS):
+        backend.tick(tick)
+    assert [group.detector for group in backend._stepped] == [None] * farm_count
+    return count_calls(lambda: backend.tick(LOOP_SEARCH_ROWS))
+
+
+def test_a_group_that_gave_up_its_loop_search_costs_only_its_step():
+    assert given_up_tick_calls(8) - given_up_tick_calls(4) == CALLS_PER_CIRCUIT * 4

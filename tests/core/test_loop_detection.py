@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.constructs.library import build_clock, build_counter_farm
 from repro.constructs.compiled import compile_circuit
-from repro.core.loop_detection import (
+from repro.constructs.loop_detection import (
     CompressedStateSequence,
     LoopDetector,
     compress_trace,
@@ -17,15 +17,15 @@ from hypothesis_profiles import examples
 
 def make_rows(values):
     """One-cell state rows, one per step."""
-    return [[value] for value in values]
+    return [np.array([value], dtype=np.int64) for value in values]
 
 
 def simulate_rows(construct, steps):
-    """The construct's cell values (sorted cell order) after each of ``steps`` steps."""
+    """The construct's state vector (sorted cell order) after each of ``steps`` steps."""
     rows = []
     for _ in range(steps):
         compile_circuit(construct).step()
-        rows.append([cell.state for cell in construct.cells])
+        rows.append(construct.states.copy())
     return rows
 
 
@@ -51,9 +51,9 @@ def test_compress_trace_stops_reading_at_the_first_repeat():
     consumed = []
 
     def rows():
-        for value in [1, 2, 1, 9, 9]:
-            consumed.append(value)
-            yield [value]
+        for row in make_rows([1, 2, 1, 9, 9]):
+            consumed.append(int(row[0]))
+            yield row
 
     sequence = compress_trace(0, rows())
     assert consumed == [1, 2, 1]
@@ -123,12 +123,13 @@ def test_settled_by_needs_a_single_state_loop_that_has_been_entered():
 
 def test_loop_detector_observe_reports_repeat_index():
     detector = LoopDetector()
-    assert detector.observe([1]) is None
-    assert detector.observe((2,)) is None
-    assert detector.observe([3]) is None
-    assert detector.observe([2]) == 1  # lists and tuples of equal values are one state
-    assert detector.observe([4]) is None  # a repeat is not recorded as a new state
-    assert detector.observe((4,)) == 3
+    one, two, three, two_again, four = make_rows([1, 2, 3, 2, 4])
+    assert detector.observe(one) is None
+    assert detector.observe(two) is None
+    assert detector.observe(three) is None
+    assert detector.observe(two_again) == 1  # equal values in another array are one state
+    assert detector.observe(four) is None  # a repeat is not recorded as a new state
+    assert detector.observe(four[::-1]) == 3  # a view is keyed by its values
 
 
 def test_clock_construct_trace_compresses_to_its_period():
@@ -150,7 +151,7 @@ def test_compressed_sequence_matches_direct_simulation():
     sequence = compress_trace(0, rows)
     assert sequence.explicit_length < 40
     for step in range(1, 41):
-        assert sequence.row_at(step).tolist() == rows[step - 1]
+        assert sequence.row_at(step).tolist() == rows[step - 1].tolist()
 
 
 @settings(max_examples=examples(40))
@@ -168,7 +169,7 @@ def test_compress_trace_round_trips_any_observed_prefix(values, start_step):
             # Beyond the detected loop the arbitrary test list is not a
             # deterministic continuation, so no guarantee applies.
             break
-        assert sequence.row_at(step).tolist() == row
+        assert sequence.row_at(step).tolist() == row.tolist()
     # The repeat, when there is one, is where the list first revisits a value.
     first_repeat = next((i for i, v in enumerate(values) if v in values[:i]), None)
     if first_repeat is None:

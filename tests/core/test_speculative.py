@@ -7,7 +7,7 @@ import pytest
 from repro.constructs.library import build_clock, build_counter_farm, standard_construct
 from repro.constructs.compiled import compile_circuit
 from repro.core import ServoConfig
-from repro.core.loop_detection import CompressedStateSequence
+from repro.constructs.loop_detection import CompressedStateSequence
 from repro.core.offload import SC_SIMULATION_FUNCTION, SimulationHandler
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
