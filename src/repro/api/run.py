@@ -2,9 +2,10 @@
 
 ``run_spec`` resolves the spec's names against the host and scenario
 registries, builds a fresh :class:`~repro.sim.SimulationEngine` from the
-spec's seed, runs the scenario against the host and wraps the measurements
-in a :class:`~repro.api.result.RunResult`.  Everything the examples, the CLI
-and the tests run goes through here.
+spec's seed, runs the scenario against the host, checks the host's
+invariants (:func:`repro.check.check`) and wraps the measurements in a
+:class:`~repro.api.result.RunResult`.  Everything the examples, the CLI and
+the tests run goes through here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.api.hosts import build_host
 from repro.api.result import RunResult
 from repro.api.scenarios import build_scenario
 from repro.api.spec import RunSpec
+from repro.check import check
 from repro.sim.engine import SimulationEngine
 
 
@@ -33,6 +35,9 @@ def run_spec(spec: Union[RunSpec, dict, str, os.PathLike]) -> RunResult:
     attached to the result, and any configured trace/metrics files are
     written after the run.  Without one, the engine keeps its null hub and
     the run is bit-identical to an uninstrumented one.
+
+    Raises :class:`RuntimeError`, listing every violated invariant, when the
+    host fails :func:`repro.check.check` at the end of the run.
     """
     if isinstance(spec, (str, os.PathLike)):
         spec = RunSpec.from_file(spec)
@@ -70,6 +75,9 @@ def run_spec(spec: Union[RunSpec, dict, str, os.PathLike]) -> RunResult:
     started = time.perf_counter()
     scenario_result = scenario.run(host)
     wall_seconds = time.perf_counter() - started
+    violations = check(host)
+    if violations:
+        raise RuntimeError("the run broke its host's invariants:\n" + "\n".join(violations))
 
     telemetry = engine.telemetry if engine.telemetry.enabled else None
     if telemetry_config is not None and telemetry is not None:

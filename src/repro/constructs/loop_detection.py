@@ -2,11 +2,13 @@
 
 Many player-built constructs loop through a fixed list of states indefinitely
 (clocks, lamps on timers, some farms).  A step is a pure function of the state
-vector, so once a state repeats the loop is known, and two consumers replay it
-instead of simulating it again.  Servo's offload function truncates its result
-to one period of the loop plus an index (Section III-C1,
-:func:`compress_trace`); the local backend (:mod:`repro.server.sc_engine`)
-takes its constructs out of the kernel batch, a fixed point being the loop of
+vector, so once a state repeats the loop is known and need not be simulated
+again.  Servo's offload function truncates its result to one period of the
+loop plus an index (Section III-C1, :func:`compress_trace`).  Both construct
+backends hand a construct whose future is a known loop to one
+:class:`LoopReplay`: the local backend (:mod:`repro.server.sc_engine`) when a
+group's row repeats, the speculative backend (:mod:`repro.core.speculative`)
+when it merges a row inside a reply's loop.  A fixed point is the loop of
 period 1.
 
 A state here is a *row*: the construct's cell values in sorted cell order
@@ -18,9 +20,11 @@ identical construct wherever it stands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from repro.constructs.circuit import SimulatedConstruct
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +79,6 @@ class CompressedStateSequence:
             return False
         return self.is_looping or step <= self.last_step
 
-    def settled_by(self, step: int) -> bool:
-        """True if ``step`` and every later step hold one and the same state."""
-        return (
-            self.loop_start is not None
-            and self.loop_start == len(self.states) - 1
-            and step > self.start_step + self.loop_start
-        )
-
     def row_at(self, step: int) -> np.ndarray:
         """The (read-only) matrix row after ``step`` total steps, in sorted cell order."""
         if not self.covers(step):
@@ -129,3 +125,77 @@ def compress_trace(start_step: int, rows: Iterable[np.ndarray]) -> CompressedSta
         if loop_start is not None:
             break
     return CompressedStateSequence.from_rows(start_step, detector.rows, loop_start)
+
+
+class _Replay:
+    """A construct replaying its own copy of a loop; ``phase`` is the row it holds."""
+
+    __slots__ = ("construct", "rows", "period", "phase")
+
+    def __init__(
+        self, construct: SimulatedConstruct, loop: Sequence[np.ndarray], phase: int
+    ) -> None:
+        # A private table: its rows become the construct's writable vector in turn.
+        self.construct, self.rows = construct, list(np.array(loop))
+        self.period, self.phase = len(self.rows), phase
+
+
+class LoopReplay:
+    """The constructs whose future is a known loop, advanced without simulation.
+
+    Each replaying construct holds a private copy of its loop and takes the
+    next row every step; a parked one sits at a fixed point (the loop of
+    period 1), where only its step counter moves.  A backend must
+    :meth:`clear` the replay whenever a construct it holds may leave its loop:
+    a player edit, or a registration or removal that regroups constructs.
+    """
+
+    def __init__(self) -> None:
+        self.replaying: list[_Replay] = []
+        self.parked: list[SimulatedConstruct] = []
+        #: the advances replay and parking satisfied
+        self.replayed_steps = self.parked_steps = 0
+
+    def enter(
+        self, construct: SimulatedConstruct, loop: Sequence[np.ndarray], phase: int = 0
+    ) -> None:
+        """Replay ``loop`` (rows in step order) for ``construct``, which holds ``loop[phase]``."""
+        if len(loop) == 1:
+            self.parked.append(construct)
+        else:
+            self.replaying.append(_Replay(construct, loop, phase))
+
+    def enter_sequence(
+        self, construct: SimulatedConstruct, sequence: CompressedStateSequence, step: int
+    ) -> bool:
+        """Replay ``sequence``'s loop if ``construct``'s row after ``step`` is in it; True if so."""
+        loop_start = sequence.loop_start
+        offset = step - sequence.start_step - 1
+        if loop_start is None or offset < loop_start:
+            return False
+        loop = sequence.states[loop_start:]
+        self.enter(construct, loop, (offset - loop_start) % len(loop))
+        return True
+
+    def advance(self) -> int:
+        """Advance every construct held one step (rows are views: no copy); returns the count."""
+        for replay in self.replaying:
+            replay.phase = phase = (replay.phase + 1) % replay.period
+            construct = replay.construct
+            construct.states = replay.rows[phase]
+            construct.step += 1
+        for construct in self.parked:
+            construct.step += 1
+        replayed, parked = len(self.replaying), len(self.parked)
+        self.replayed_steps += replayed
+        self.parked_steps += parked
+        return replayed + parked
+
+    def skipped_rows(self) -> list[tuple[SimulatedConstruct, np.ndarray]]:
+        """Each construct held, with the row its next advance gives it."""
+        replayed = [(r.construct, r.rows[(r.phase + 1) % r.period]) for r in self.replaying]
+        return replayed + [(construct, construct.states) for construct in self.parked]
+
+    def clear(self) -> None:
+        """Drop every loop: the constructs go back to their backend's simulation."""
+        self.replaying, self.parked = [], []

@@ -18,7 +18,6 @@ into the game server:
 :class:`repro.server.GameServer`.
 """
 
-from repro.constructs.loop_detection import CompressedStateSequence, LoopDetector
 from repro.core.config import ServoConfig
 from repro.core.offload import (
     SC_SIMULATION_FUNCTION,
@@ -39,8 +38,6 @@ from repro.core.terrain_service import (
 
 __all__ = [
     "ServoConfig",
-    "LoopDetector",
-    "CompressedStateSequence",
     "OffloadRequest",
     "OffloadReply",
     "SimulationHandler",

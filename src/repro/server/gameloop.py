@@ -29,7 +29,7 @@ from repro.server.chunkmanager import (
 from repro.server.config import WORLD_SEED, GameConfig
 from repro.server.costmodel import TickCostModel, TickWork
 from repro.server.entities import Avatar
-from repro.server.sc_engine import ConstructBackend, ConstructTickPlan, LocalConstructBackend
+from repro.server.sc_engine import ConstructBackend, LocalConstructBackend
 from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import metric_name
@@ -71,16 +71,14 @@ class TickRecord:
 
 @dataclass
 class TickInProgress:
-    """A tick split at the construct-batch boundary (see ``tick_begin``).
+    """A tick split after chunk management (see ``tick_begin``).
 
-    Holds everything ``tick_finish`` needs to complete the tick once the
-    construct plan's pure batch has been stepped.
+    Holds everything ``tick_finish`` needs to complete the tick.
     """
 
     start_ms: float
     work: TickWork
     chunk_report: ChunkTickReport
-    construct_plan: ConstructTickPlan
 
 
 class TickLoop:
@@ -442,13 +440,9 @@ class GameServer(TickLoop):
     # -- the tick -------------------------------------------------------------------------
 
     def tick_begin(self) -> TickInProgress:
-        """Run the first half of a tick, up to the construct batch.
+        """Run the first half of a tick: the runtime, client messages and chunk management.
 
-        Everything that interacts with shared simulation services (the runtime,
-        client messages, chunk management, construct phase 1) runs here, in
-        place; what remains in the returned progress is the construct plan's
-        *pure* batch, which the caller may step anywhere before handing the
-        flags to :meth:`tick_finish`.
+        :meth:`tick_finish` completes it, from construct simulation on.
         """
         start_ms = self.engine.now_ms
         work = TickWork(players=self.player_count)
@@ -484,15 +478,7 @@ class GameServer(TickLoop):
         work.generation_backlog = chunk_report.generation_backlog
         work.chunks_streamed = chunk_report.chunks_streamed
         work.loaded_chunks = self.world.loaded_chunk_count
-
-        # 3a. Construct simulation, up to the pure batch step.
-        construct_plan = self.constructs.begin_tick(self.tick_index)
-        return TickInProgress(
-            start_ms=start_ms,
-            work=work,
-            chunk_report=chunk_report,
-            construct_plan=construct_plan,
-        )
+        return TickInProgress(start_ms=start_ms, work=work, chunk_report=chunk_report)
 
     def tick_finish(self, progress: TickInProgress, advance_clock: bool = True) -> TickRecord:
         """Complete a tick started by :meth:`tick_begin`."""
@@ -500,10 +486,8 @@ class GameServer(TickLoop):
         work = progress.work
         chunk_report = progress.chunk_report
 
-        # 3b. Step the construct batch, then the bookkeeping after it.
-        construct_plan = progress.construct_plan
-        construct_plan.step_inline()
-        construct_report = construct_plan.finish()
+        # 3. Construct simulation.
+        construct_report = self.constructs.tick(self.tick_index)
         work.constructs_total = construct_report.total_constructs
         work.constructs_simulated_locally = construct_report.simulated_locally
         work.constructs_merged = construct_report.merged_speculative

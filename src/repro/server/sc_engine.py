@@ -10,6 +10,9 @@ The game loop delegates construct simulation to a pluggable backend:
 * Servo's speculative/offloading backend lives in
   :mod:`repro.core.speculative` and implements the same interface.
 
+Both hand a construct whose future is a known loop to the one
+:class:`~repro.constructs.loop_detection.LoopReplay` every backend holds.
+
 Backends really advance construct state (using
 :class:`repro.constructs.batched.BatchedCircuitStepper`), so block/lamp states are
 functionally correct in every variant; the *cost* of the work they report is
@@ -18,7 +21,7 @@ translated into tick time by the cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +29,7 @@ import numpy as np
 from repro.constructs.batched import BatchedCircuitStepper
 from repro.constructs.circuit import ConstructIds, SimulatedConstruct
 from repro.constructs.compiled import CompiledCircuit, compile_circuit
-from repro.constructs.loop_detection import LoopDetector
+from repro.constructs.loop_detection import LoopDetector, LoopReplay
 from repro.constructs.simulator import clone_construct
 from repro.world.coords import BlockPos
 
@@ -37,10 +40,12 @@ class ConstructTickReport:
 
     ``simulated_locally`` / ``merged_speculative`` report the work the
     *simulated server* performed — the cost model's inputs — so they keep
-    counting constructs whose re-simulation the host skipped.
-    ``skipped_quiescent`` separately reports how many of those advances were
-    satisfied by a replayed loop or a fixed point (a wall-clock optimisation
-    of the simulator host, invisible in virtual time).
+    counting constructs whose re-simulation (or merge) the host skipped.
+    ``skipped_quiescent`` separately reports how many of those advances the
+    backend's :class:`~repro.constructs.loop_detection.LoopReplay` satisfied,
+    by a replayed loop or a parked fixed point, in either backend (a
+    wall-clock optimisation of the simulator host, invisible in virtual
+    time; the name predates replay and is kept because ``bench/`` reads it).
     """
 
     total_constructs: int = 0
@@ -48,7 +53,7 @@ class ConstructTickReport:
     merged_speculative: int = 0
     #: constructs that advanced one step this tick (by any path)
     advanced: int = 0
-    #: advances satisfied without re-simulation (a replayed loop or a fixed point)
+    #: advances the loop replay satisfied (a replayed loop or a parked fixed point)
     skipped_quiescent: int = 0
     #: True if this tick was a construct-simulation tick for the backend
     construct_tick: bool = False
@@ -63,6 +68,11 @@ class ConstructTickPlan:
     and ``finish`` runs once they have been stepped.
     Everything that touches shared simulation state (RNG streams, metrics,
     speculation records) stays inside ``begin_tick``/``finish``.
+
+    The game loop only calls :meth:`ConstructBackend.tick`.  The plan, its
+    ``circuits``, ``step_inline`` and ``finish``, and ``begin_tick`` remain
+    only because the host-time benchmark's span recorder wraps and reads them
+    by name; they fold into ``tick`` once it reads the program's own sections.
     """
 
     circuits: list[CompiledCircuit]
@@ -72,46 +82,58 @@ class ConstructTickPlan:
 
     def step_inline(self) -> None:
         """Advance the plan's circuits one step."""
-        if self.circuits:
-            self.stepper.step_batch(self.circuits)
+        self.stepper.step_batch(self.circuits)
 
 
 class ConstructBackend:
-    """Interface the game loop uses to drive construct simulation, over a shared registry."""
+    """Interface the game loop uses to drive construct simulation, over a shared registry.
+
+    Registration, removal and a player edit clear the loop replay (``_regroup``).
+    """
 
     def __init__(self) -> None:
         self._constructs: dict[int, SimulatedConstruct] = {}
         self._numbering = ConstructIds()
+        #: the constructs advanced without simulation, because their future is a loop
+        self.replay = LoopReplay()
 
     def register_construct(self, construct: SimulatedConstruct) -> None:
-        raise NotImplementedError
-
-    def _file(self, construct: SimulatedConstruct) -> int:
         """Number ``construct`` unless it has an id and file it under that id, never a taken one."""
         construct_id = self._numbering.number(construct)
         if construct_id in self._constructs:
             raise ValueError(f"construct id {construct_id} is already registered")
         self._constructs[construct_id] = construct
-        return construct_id
+        # Compile eagerly: registration is the cold path, ticks are the hot one.
+        compile_circuit(construct)
+        self._regroup()
 
     def remove_construct(self, construct_id: int) -> None:
-        raise NotImplementedError
+        self._constructs.pop(construct_id, None)
+        self._regroup()
 
     def constructs(self) -> list[SimulatedConstruct]:
         return [self._constructs[key] for key in sorted(self._constructs)]
 
     def on_player_modify(self, construct_id: int, position: BlockPos) -> None:
         """Called when a player modifies a construct (or terrain adjacent to it)."""
-        raise NotImplementedError
+        construct = self._constructs.get(construct_id)
+        if construct is not None:
+            construct.player_modify(position)
+            self._regroup()
+
+    def _regroup(self) -> None:
+        self.replay.clear()
 
     def begin_tick(self, tick_index: int) -> ConstructTickPlan:
-        """Split the tick at its pure-compute boundary (see ConstructTickPlan)."""
+        """Split the tick at its pure-compute boundary; see ConstructTickPlan."""
         raise NotImplementedError
 
     def tick(self, tick_index: int) -> ConstructTickReport:
         """Advance construct simulation for one game tick."""
+        # Through the instance attributes, which a span recorder may wrap.
         plan = self.begin_tick(tick_index)
-        plan.step_inline()
+        if plan.circuits:
+            plan.step_inline()
         return plan.finish()
 
     def verify_states(self) -> bool:
@@ -120,8 +142,8 @@ class ConstructBackend:
         Holds between ticks: each ``states`` is a writable 1-D ``int64`` array
         of ``block_count`` values, every ``cell.state`` is a plain ``int``
         equal to its slot, no two constructs' vectors share memory, and every
-        construct the backend will advance without simulating it (each pair of
-        ``_skipped_rows()``) gets the row one compiled step of a clone gives.
+        construct the loop replay holds (each pair of ``replay.skipped_rows()``)
+        gets, at its next advance, the row one compiled step of a clone gives.
         """
         constructs = {construct.construct_id: construct for construct in self.constructs()}
         for construct in constructs.values():
@@ -143,7 +165,7 @@ class ConstructBackend:
             for second in vectors[index + 1 :]
         ):
             return False
-        for construct, row in self._skipped_rows():
+        for construct, row in self.replay.skipped_rows():
             clone = clone_construct(construct)
             compile_circuit(clone).step()
             if not np.array_equal(clone.states, row):
@@ -167,17 +189,6 @@ class _Group:
         self.detector.observe(members[0].states)
 
 
-class _Replay:
-    """A construct replaying its own copy of a loop; ``phase`` is the row it holds."""
-
-    __slots__ = ("construct", "rows", "period", "phase")
-
-    def __init__(self, construct: SimulatedConstruct, loop: list[np.ndarray]) -> None:
-        # A private table: its rows become the construct's writable vector in turn.
-        self.construct, self.rows = construct, list(np.array(loop))
-        self.period, self.phase = len(loop), 0
-
-
 class LocalConstructBackend(ConstructBackend):
     """Simulate every construct on the server, every ``interval`` ticks.
 
@@ -187,9 +198,9 @@ class LocalConstructBackend(ConstructBackend):
     to all members.  The *cost* reported still counts every construct, because
     the baseline servers do the work per construct.
 
-    Once a group's row repeats, its members leave the kernel batch: each
-    replays its own copy of the loop, or is parked at a fixed point (the loop
-    of period 1) where only its step counter advances.
+    Once a group's row repeats, its members leave the kernel batch for the
+    loop replay: each replays its own copy of the loop, or is parked at a
+    fixed point (the loop of period 1) where only its step counter advances.
     """
 
     def __init__(self, interval: int = 2) -> None:
@@ -198,38 +209,15 @@ class LocalConstructBackend(ConstructBackend):
         super().__init__()
         self.interval = int(interval)
         self._stepper = BatchedCircuitStepper()
-        #: the three regimes (``_stepped`` is None until the next construct
-        #: tick regroups), and the advances replay and parking satisfied
+        #: the groups the kernel steps (None until the next construct tick
+        #: regroups) and their circuits; every other construct is in ``replay``
         self._stepped: Optional[list[_Group]] = None
-        self._replaying: list[_Replay] = []
-        self._parked: list[SimulatedConstruct] = []
-        self.replayed_steps = self.parked_steps = 0
-
-    # -- registry -------------------------------------------------------------------
-
-    def register_construct(self, construct: SimulatedConstruct) -> None:
-        self._file(construct)
-        # Compile eagerly: registration is the cold path, ticks are the hot one.
-        compile_circuit(construct)
-        self._regroup()
-
-    def remove_construct(self, construct_id: int) -> None:
-        self._constructs.pop(construct_id, None)
-        self._regroup()
-
-    def on_player_modify(self, construct_id: int, position: BlockPos) -> None:
-        construct = self._constructs.get(construct_id)
-        if construct is not None:
-            construct.player_modify(position)
-            self._regroup()
+        self._circuits: list[CompiledCircuit] = []
 
     def _regroup(self) -> None:
         """Drop every group and loop: the next construct tick regroups and searches anew."""
-        self._stepped, self._replaying, self._parked = None, [], []
-
-    def _skipped_rows(self) -> list[tuple[SimulatedConstruct, np.ndarray]]:
-        replayed = [(r.construct, r.rows[(r.phase + 1) % r.period]) for r in self._replaying]
-        return replayed + [(construct, construct.states) for construct in self._parked]
+        self._stepped = None
+        self.replay.clear()
 
     # -- simulation -----------------------------------------------------------------
 
@@ -258,6 +246,7 @@ class LocalConstructBackend(ConstructBackend):
         for construct in self.constructs():
             groups.setdefault(self._equivalence_key(construct), []).append(construct)
         self._stepped = [_Group(members) for members in groups.values()]
+        self._circuits = [group.circuit for group in self._stepped]
 
     def begin_tick(self, tick_index: int) -> ConstructTickPlan:
         """Phase 1 of the tick: replay the settled constructs, collect the batch.
@@ -274,22 +263,8 @@ class LocalConstructBackend(ConstructBackend):
         if self._stepped is None:
             self._rebuild_groups()
 
-        # A loop's rows are provably what re-simulation would produce, so
-        # each construct takes its next row and advances its step counter.
-        for replay in self._replaying:
-            replay.phase = phase = (replay.phase + 1) % replay.period
-            construct = replay.construct
-            construct.states = replay.rows[phase]
-            construct.step += 1
-        for construct in self._parked:
-            construct.step += 1
-        self.replayed_steps += len(self._replaying)
-        self.parked_steps += len(self._parked)
-        report.skipped_quiescent = len(self._replaying) + len(self._parked)
-        # One vectorised step for every stepped representative; groups are
-        # independent, so batching them is equivalent to stepping in order.
+        report.skipped_quiescent = self.replay.advance()
         stepped = self._stepped
-        circuits = [group.circuit for group in stepped]
 
         def finish() -> ConstructTickReport:
             settled = []
@@ -309,17 +284,18 @@ class LocalConstructBackend(ConstructBackend):
                         group.detector = None  # stepped until it is regrouped
                     continue
                 loop = detector.rows[loop_start:]
-                if len(loop) == 1:
-                    self._parked.extend(group.members)
-                else:
-                    self._replaying.extend(_Replay(member, loop) for member in group.members)
+                for member in group.members:
+                    self.replay.enter(member, loop)
                 settled.append(group)
             if settled:
                 self._stepped = [group for group in stepped if group not in settled]
+                self._circuits = [group.circuit for group in self._stepped]
             # The simulated baseline server does this work for every
             # construct; the cost model must keep seeing it (virtual time is
             # unchanged by the host-side replay).
             report.simulated_locally = report.advanced = len(self._constructs)
             return report
 
-        return ConstructTickPlan(circuits=circuits, finish=finish, stepper=self._stepper)
+        # One vectorised step for every stepped representative; groups are
+        # independent, so batching them is equivalent to stepping in order.
+        return ConstructTickPlan(circuits=self._circuits, finish=finish, stepper=self._stepper)

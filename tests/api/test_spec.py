@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import HostSpec, RunSpec, WorkloadSpec, run_spec
 from repro.api.spec import game_config_from_overrides, servo_config_from_overrides
+from repro.server.gameloop import GameServer
 from repro.world.coords import BlockPos
 
 TINY_SPEC = {
@@ -204,3 +205,18 @@ def test_run_result_serializes():
     assert payload["summary"]["ticks_measured"] == 40
     assert payload["summary"]["meets_qos"] is True
     assert "wall_seconds" in payload
+
+
+def test_a_run_that_breaks_an_invariant_raises_listing_it(monkeypatch):
+    """``run_spec`` checks its host at the end of every run."""
+    tick = GameServer.tick
+
+    def tick_then_share_a_state_vector(server):
+        record = tick(server)
+        first, second = server.constructs.constructs()[:2]
+        second.states = first.states
+        return record
+
+    monkeypatch.setattr(GameServer, "tick", tick_then_share_a_state_vector)
+    with pytest.raises(RuntimeError, match=r"invariants:\nservo: construct states: "):
+        run_spec(RunSpec.from_dict(TINY_SPEC))

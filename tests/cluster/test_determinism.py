@@ -80,7 +80,7 @@ def advance_split(backend) -> dict[str, int]:
     """Every advance of ``backend``'s constructs, by the path that made it."""
     split = {"batched": backend._stepper.batched_steps, "fallback": backend._stepper.fallback_steps}
     if isinstance(backend, LocalConstructBackend):
-        split.update(replayed=backend.replayed_steps, parked=backend.parked_steps)
+        split.update(replayed=backend.replay.replayed_steps, parked=backend.replay.parked_steps)
     else:
         split["merged"] = sum(record.merged_steps for record in backend._records.values())
     return split

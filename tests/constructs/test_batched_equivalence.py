@@ -231,7 +231,7 @@ def test_reregistered_construct_id_does_not_inherit_quiescence(backend_interval)
     backend.register_construct(settled)
     for tick in range(0, 16 * backend_interval, 1):
         backend.tick(tick)
-    assert backend._parked == [settled] and backend.verify_states()
+    assert backend.replay.parked == [settled] and backend.verify_states()
 
     # Remove it and re-register a *different* construct under the same id.
     backend.remove_construct(settled.construct_id)

@@ -247,9 +247,10 @@ def test_both_stepping_paths_and_equivalence_groups_are_reached():
         grouped.apply("tick", 0, 0, 0)
         grouped.check("tick")
     assert not backend._stepped, "both groups' loops must close"
-    assert [replay.construct for replay in backend._replaying] == grouped.constructs[:3]
-    assert backend._parked == grouped.constructs[3:], "the settled wire lines must be parked"
-    assert backend.replayed_steps > 0 and backend.parked_steps > 0
+    replay = backend.replay
+    assert [replaying.construct for replaying in replay.replaying] == grouped.constructs[:3]
+    assert replay.parked == grouped.constructs[3:], "the settled wire lines must be parked"
+    assert replay.replayed_steps > 0 and replay.parked_steps > 0
     # A construct re-placed under a reused id restarts its own step counter
     # even when its state matches an older member of the group it joins.
     grouped.apply("replace", 0, sorted(KINDS).index("clock"), 0)
@@ -265,4 +266,4 @@ def test_both_stepping_paths_and_equivalence_groups_are_reached():
     )
     backend = farms.backend
     assert [group.detector for group in backend._stepped] == [None, None]
-    assert not (backend._replaying or backend._parked or backend.replayed_steps)
+    assert not (backend.replay.replaying or backend.replay.parked or backend.replay.replayed_steps)

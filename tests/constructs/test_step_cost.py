@@ -7,8 +7,9 @@ the batch vector from ``cell.state`` one generator resume per cell per step
 merged a speculative row with one attribute store per cell.  The kernel
 reduces no rows: a per-row ``max(axis=1)`` over a (cells × slots) gather cost
 several times the column fold that replaced it.  A construct that replays its
-loop costs no call at all, and a group that gave up its loop search costs only
-its step.
+loop costs no call at all in either backend (a speculative one once it merged
+a row inside its reply's loop), and a group that gave up its loop search costs
+only its step.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.constructs.library import (
     build_counter_farm,
     build_lamp_grid,
     build_piston_door,
+    build_sized_construct,
     build_wire_line,
 )
 from repro.core import ServoConfig
@@ -34,6 +36,7 @@ from repro.core.offload import SC_SIMULATION_FUNCTION, SimulationHandler
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.server.sc_engine import LOOP_SEARCH_ROWS, LocalConstructBackend
+from repro.sim import SimulationEngine
 from repro.world.coords import BlockPos
 
 #: per circuit: one ``append`` of its modification counter; nothing per cell
@@ -43,10 +46,11 @@ CALLS_PER_CIRCUIT = 1
 #: ``where``), two ``len`` and the closing ``setprofile``; ufunc calls and
 #: indexing enter no profiled call
 FIXED_CALLS = 11
-#: per merged construct (22 today): finding the valid sequence that covers the
-#: step, ``row_at`` + ``apply_row``, then the phase-3 bookkeeping — record
-#: lookups and list scans over at most a few replies, nothing per cell
-CALLS_PER_MERGE = 24
+#: per merged construct of a finite sequence (30 today): finding the valid
+#: sequence that covers the step, ``row_at`` + ``apply_row``, offering it to
+#: the loop replay, then the phase-3 bookkeeping — record lookups and list
+#: scans over at most a few replies, nothing per cell
+CALLS_PER_MERGE = 32
 #: per replaying construct: none, as its next row is a view handed out by a
 #: loop that makes no call (a copy of the row would cost one C call)
 CALLS_PER_REPLAY = 0
@@ -133,19 +137,23 @@ def test_a_batched_step_costs_the_same_when_every_circuit_doubles(circuit_count)
     assert warm_step_calls(circuit_count, wires=6) == warm_step_calls(circuit_count, wires=14)
 
 
-def merge_tick_calls(engine, construct_count: int, lamps: int) -> int:
-    """Calls of one backend tick in which every construct merges a speculative row."""
+def speculative_backend(engine) -> SpeculativeConstructBackend:
     platform = FaasPlatform(engine, provider=AWS_LAMBDA)
     platform.register(
         FunctionDefinition(
             name=SC_SIMULATION_FUNCTION, handler=SimulationHandler(), memory_mb=1769
         )
     )
-    backend = SpeculativeConstructBackend(engine, platform, ServoConfig())
+    return SpeculativeConstructBackend(engine, platform, ServoConfig())
+
+
+def merge_tick_calls(engine, construct_count: int, blocks: int) -> int:
+    """Calls of one backend tick in which every construct merges a speculative row."""
+    backend = speculative_backend(engine)
     for index in range(construct_count):
-        # A clock loops without settling: merged every tick, never parked.
+        # A hopper makes the sequence aperiodic: merged every tick, never replayed.
         backend.register_construct(
-            build_clock(period=6, origin=BlockPos(0, 64, 4 * index), lamps=lamps)
+            build_sized_construct(blocks, origin=BlockPos(0, 64, 16 * index), looping=False)
         )
     for tick in range(120):
         backend.tick(tick)
@@ -159,29 +167,43 @@ def merge_tick_calls(engine, construct_count: int, lamps: int) -> int:
 
 
 def test_a_speculative_merge_costs_a_constant_whatever_the_construct_size(engine):
-    small = merge_tick_calls(engine, 4, lamps=2)  # 5 cells each
-    assert merge_tick_calls(engine, 4, lamps=12) == small  # 25 cells each
-    per_merge = (merge_tick_calls(engine, 12, lamps=2) - small) / 8
+    small = merge_tick_calls(engine, 4, blocks=6)
+    assert merge_tick_calls(engine, 4, blocks=30) == small
+    per_merge = (merge_tick_calls(engine, 12, blocks=6) - small) / 8
     assert per_merge <= CALLS_PER_MERGE
 
 
-def replay_tick_calls(construct_count: int) -> int:
+#: the tick counted: every clock replays by then
+REPLAY_TICK = 80
+BACKENDS = {
+    "local": lambda engine: LocalConstructBackend(interval=1),
+    "speculative": speculative_backend,
+}
+
+
+def replay_tick_calls(backend_name: str, construct_count: int) -> int:
     """Calls of one construct tick in which ``construct_count`` clocks replay their loop."""
-    backend = LocalConstructBackend(interval=1)
+    engine = SimulationEngine(seed=1)
+    backend = BACKENDS[backend_name](engine)
     for index in range(construct_count):
         backend.register_construct(build_clock(period=6, origin=BlockPos(0, 64, 4 * index)))
-    for tick in range(24):
+    # Long enough for every speculative clock's first reply to arrive.
+    for tick in range(REPLAY_TICK):
         backend.tick(tick)
-    assert len(backend._replaying) == construct_count and not backend._stepped
+        engine.advance_by(50.0)
+    replaying = sorted(replay.construct.construct_id for replay in backend.replay.replaying)
+    assert replaying == [construct.construct_id for construct in backend.constructs()]
     reports = []
-    calls = count_calls(lambda: reports.append(backend.tick(24)))
-    assert reports[0].skipped_quiescent == construct_count
+    calls = count_calls(lambda: reports.append(backend.tick(REPLAY_TICK)))
+    assert reports[0].advanced == reports[0].skipped_quiescent == construct_count
     assert backend.verify_states()
     return calls
 
 
-def test_a_replayed_construct_costs_no_call():
-    assert replay_tick_calls(12) - replay_tick_calls(4) == CALLS_PER_REPLAY * 8
+@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+def test_a_replayed_construct_costs_no_call(backend_name):
+    calls = replay_tick_calls(backend_name, 12) - replay_tick_calls(backend_name, 4)
+    assert calls == CALLS_PER_REPLAY * 8
 
 
 def given_up_tick_calls(farm_count: int) -> int:

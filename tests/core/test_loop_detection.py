@@ -6,11 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.constructs.library import build_clock, build_counter_farm
 from repro.constructs.compiled import compile_circuit
+from repro.constructs.circuit import Cell, SimulatedConstruct
+from repro.constructs.components import ComponentType
 from repro.constructs.loop_detection import (
     CompressedStateSequence,
     LoopDetector,
+    LoopReplay,
     compress_trace,
 )
+from repro.world.coords import BlockPos
 
 from hypothesis_profiles import examples
 
@@ -113,12 +117,36 @@ def test_a_sequence_is_a_read_only_matrix():
     assert (empty.explicit_length, empty.is_looping, empty.covers(1)) == (0, False, False)
 
 
-def test_settled_by_needs_a_single_state_loop_that_has_been_entered():
-    settling = compress_trace(0, make_rows([5, 3, 1, 1]))  # prefix 5,3 then 1 forever
-    assert (settling.loop_start, settling.explicit_length) == (2, 3)
-    assert [settling.settled_by(step) for step in (1, 2, 3, 4)] == [False, False, True, True]
-    assert not compress_trace(0, make_rows([1, 2, 1])).settled_by(50)  # period 2
-    assert not compress_trace(0, make_rows([1])).settled_by(50)  # no loop at all
+@pytest.mark.parametrize(
+    "values", [[5, 3, 1, 1], [5, 3, 1, 2, 4, 6, 1]], ids=["period-1", "period-4"]
+)
+@pytest.mark.parametrize("first_step", [11, 12, 13, 15, 40], ids=lambda step: f"from-{step}")
+def test_a_replay_entered_mid_prefix_or_mid_loop_gives_what_row_at_gives(values, first_step):
+    """Merge until the replay takes the construct, then advance it: every row is ``row_at``'s.
+
+    The sequence starts after step 10 with a prefix of two rows (steps 11 and
+    12), so the replay refuses those and takes the construct from step 13 on,
+    at whatever phase of the loop the step falls.
+    """
+    sequence = compress_trace(10, make_rows(values))
+    assert sequence.loop_start == 2
+    period = sequence.explicit_length - sequence.loop_start
+    construct = SimulatedConstruct([Cell(BlockPos(0, 64, 0), ComponentType.WIRE)])
+    replay = LoopReplay()
+    step = first_step
+    construct.apply_row(sequence.row_at(step), step)
+    while not replay.enter_sequence(construct, sequence, step):
+        assert step < 13, "a step inside the loop must be taken"
+        step += 1
+        construct.apply_row(sequence.row_at(step), step)
+    assert step == max(first_step, 13)
+    for _ in range(2 * period):
+        assert replay.advance() == 1
+        step += 1
+        assert construct.step == step
+        assert construct.states.tolist() == sequence.row_at(step).tolist()
+        assert construct.states.flags.writeable
+    assert not LoopReplay().enter_sequence(construct, compress_trace(10, make_rows([1, 2])), 11)
 
 
 def test_loop_detector_observe_reports_repeat_index():

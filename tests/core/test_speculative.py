@@ -228,7 +228,7 @@ def test_multiple_identical_constructs_stay_in_lockstep(engine):
 
 
 def test_fixed_point_construct_goes_quiescent_without_changing_results(engine):
-    """A settled circuit is parked by the quiescence set, bit-identically.
+    """A settled circuit is parked by the loop replay, bit-identically.
 
     A powered wire line reaches a fixed point; the offload function reports
     it as a length-1 loop, after which the backend stops re-applying the
@@ -256,7 +256,63 @@ def test_fixed_point_construct_goes_quiescent_without_changing_results(engine):
     for _ in range(200):
         reference_simulator.step(reference)
     assert construct.snapshot() == reference.snapshot()
-    assert construct.construct_id in backend._quiescent and backend.verify_states()
+    assert backend.replay.parked == [construct] and backend.verify_states()
+    record = backend.record_for(construct.construct_id)
+    assert record.merged_steps + record.fallback_steps == 200
+
+
+def test_a_looping_clock_replays_its_reply_and_still_pays_the_merges(engine):
+    """A clock's reply loops with period > 1: once merged inside the loop, it is replayed.
+
+    Every replayed step is still reported as a merge (the simulated server
+    pays it), and the states are exactly the reference simulator's.
+    """
+    from repro.constructs.simulator import ReferenceConstructSimulator, clone_construct
+
+    backend, platform = make_backend(engine)
+    construct = build_clock(period=5, lamps=2)
+    reference = clone_construct(construct)
+    backend.register_construct(construct)
+    reports = run_ticks(engine, backend, 200)
+    (replay,) = backend.replay.replaying
+    assert replay.construct is construct and replay.period > 1
+    assert reports[-1].skipped_quiescent == reports[-1].merged_speculative == 1
+    record = backend.record_for(construct.construct_id)
+    merged = sum(report.merged_speculative for report in reports)
+    assert record.merged_steps == merged and merged + record.fallback_steps == 200
+    assert platform.billing.invocation_count == record.invocations_issued == 1
+    simulator = ReferenceConstructSimulator()
+    for _ in range(200):
+        simulator.step(reference)
+    assert construct.snapshot() == reference.snapshot() and backend.verify_states()
+
+
+def test_a_construct_enters_the_replay_only_once_its_invocation_is_consumed(engine):
+    """A looping reply at hand does not hand the construct over while a reply is in flight.
+
+    The replay skips phase 1, where arrived replies are consumed: entering it
+    early would leave the registration's invocation pending for ever.
+    """
+    from repro.core.offload import OffloadRequest
+
+    backend, _ = make_backend(engine)
+    construct = build_clock(period=4)
+    backend.register_construct(construct)
+    record = backend.record_for(construct.construct_id)
+    # A looping reply already at hand while the first invocation cold-starts.
+    handler = SimulationHandler()
+    reply = handler(OffloadRequest.from_construct(construct, steps=40)).value
+    assert reply.sequence.is_looping and record.pending is not None
+    record.available.append(reply)
+    for tick in range(200):
+        if record.pending is None:
+            break
+        report = backend.tick(tick)
+        engine.advance_by(50.0)
+        assert report.merged_speculative == 1
+        assert not backend.replay.replaying or record.pending is None
+    assert record.pending is None and len(backend.efficiency_samples()) == 1
+    assert [replay.construct for replay in backend.replay.replaying] == [construct]
 
 
 def test_player_edit_wakes_a_quiescent_construct(engine):

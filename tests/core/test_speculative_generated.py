@@ -5,12 +5,13 @@ Two constructs of one generated shape stand at two generated anchors
 offload handler, under a generated ``ServoConfig`` and a generated schedule
 of player edits.  Each edit waits for a *phase* of the speculation
 machinery — before the first reply, mid-sequence, while a follow-up
-invocation is in flight, after quiescence — and then lands on both
-constructs and on their reference clones.  Every tick, every construct's
-``snapshot().digest()`` must equal that of its clone stepped by
-:class:`ReferenceConstructSimulator`, the backend must report exactly one
-advance per construct, and ``verify_states()`` must hold (writable private
-``int64`` vectors, ``Cell.state`` a plain ``int`` view of them, every parked
+invocation is in flight, while the loop replay holds the construct — and
+then lands on both constructs and on their reference clones.  Every tick,
+every construct's ``snapshot().digest()`` must equal that of its clone
+stepped by :class:`ReferenceConstructSimulator`, the backend must report
+exactly one advance per construct, and ``verify_states()`` must hold
+(writable private ``int64`` vectors, ``Cell.state`` a plain ``int`` view of
+them, every replayed construct's next row the one a step gives, every parked
 construct really at a fixed point).
 
 The oracle is the reference simulator, which shares no code with the offload
@@ -45,9 +46,9 @@ from repro.world.coords import BlockPos
 from hypothesis_profiles import examples
 
 #: the speculation phases an edit can wait for
-PHASES = ("before_first_reply", "mid_sequence", "follow_up_in_flight", "after_quiescence")
+PHASES = ("before_first_reply", "mid_sequence", "follow_up_in_flight", "replaying")
 #: give up waiting for a phase the construct never reaches (an aperiodic
-#: construct never goes quiescent, a looping one never needs a follow-up)
+#: construct never replays, a looping one never needs a follow-up)
 PHASE_TIMEOUT_TICKS = 130
 #: every case runs past the cold start of its first invocation, and for a
 #: while after its last edit
@@ -89,8 +90,8 @@ edits = st.tuples(
 
 def phase_of(backend, construct) -> str | None:
     record = backend.record_for(construct.construct_id)
-    if construct.construct_id in backend._quiescent:
-        return "after_quiescence"
+    if any(held is construct for held, _ in backend.replay.skipped_rows()):
+        return "replaying"
     if record.available:
         return "mid_sequence" if record.pending is None else "follow_up_in_flight"
     if record.pending is not None and record.invocations_issued == 1:
@@ -213,10 +214,12 @@ def test_speculative_backend_matches_the_reference_under_generated_edits(
         ("counter_farm", ServoConfig(steps_per_invocation=40, tick_lead=10), "before_first_reply"),
         ("sized_aperiodic", ServoConfig(steps_per_invocation=60, tick_lead=0), "mid_sequence"),
         ("counter_farm", ServoConfig(steps_per_invocation=30, tick_lead=25), "follow_up_in_flight"),
-        ("wire_line_lever", ServoConfig(steps_per_invocation=20, tick_lead=5), "after_quiescence"),
+        # A settled wire line is parked (period 1); a clock replays its loop.
+        ("wire_line_lever", ServoConfig(steps_per_invocation=20, tick_lead=5), "replaying"),
         # Five steps are shorter than the clock's period of 7, so no sequence
         # closes a loop and the looping construct still has a finite one.
         ("clock", ServoConfig(steps_per_invocation=5), "mid_sequence"),
+        ("clock", ServoConfig(steps_per_invocation=20, tick_lead=5), "replaying"),
     ],
 )
 def test_each_phase_is_reachable_and_survives_an_edit(shape, config, phase):
