@@ -5,7 +5,9 @@ or cluster that breaks it, and an empty list when the host is consistent.
 
 * A server: its chunk views match a recomputation over its own avatars; every
   session with no view is pending its first refresh (its avatar is in the
-  loop's moved list); its interest index, if any, matches a recomputation;
+  loop's moved list); every chunk waiting for integration is queued once and
+  its position is still pending, so it is never requested again; its
+  interest index, if any, matches a recomputation;
   every registered construct is filed under its own id (registration rejects
   a taken one, so ids are unique) and every placement record names one; its
   eviction pins are exactly those of its placed constructs' cells; and its
@@ -54,6 +56,9 @@ def _check_server(server: GameServer) -> list[str]:
     unseen = sorted(server.sessions.keys() - server.chunks._player_views.keys() - pending)
     if unseen:
         failures.append(f"{server.name}: first sight: players {unseen} have no view, none pending")
+    queued = [ready.chunk.position for ready in server.chunks._ready]
+    if len(set(queued)) != len(queued) or not server.chunks._pending.issuperset(queued):
+        failures.append(f"{server.name}: chunk requests: a queued chunk is not pending, or twice")
     if server.interest is not None and not server.interest.verify_index():
         failures.append(f"{server.name}: interest index: differs from a recomputation")
     registry = server.constructs._constructs

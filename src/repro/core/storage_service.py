@@ -84,8 +84,10 @@ class ServoStorageService(StorageBackend):
         happen off the game loop's critical path, so their latency is not
         accounted against any tick.
         """
-        if self.remote.object_count == 0:
-            return 0  # nothing persisted yet; planning would be pointless work
+        if self.remote.chunk_object_count == 0:
+            # No chunk persisted (a cluster's session records do not count):
+            # no candidate can pass ``remote.exists``, so planning is skipped.
+            return 0
         fetched = self._prefetcher.prefetch([avatar.position for avatar in avatars])
         if fetched:
             self.metrics.increment("prefetched_objects", fetched)

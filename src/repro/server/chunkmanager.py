@@ -10,7 +10,8 @@ tick it:
    otherwise from the terrain provider (local worker threads for the
    baselines, serverless functions for Servo),
 3. integrates chunks whose load/generation completed (bounded per tick, since
-   integrating a chunk costs tick time),
+   integrating a chunk costs tick time); a position stays pending until its
+   chunk is integrated, so each chunk is requested and integrated once,
 4. periodically evicts chunks far outside every player's view, persisting
    dirty ones.
 
@@ -316,7 +317,8 @@ class ChunkManager:
     # -- asynchronous completion ---------------------------------------------------------
 
     def _on_chunk_available(self, chunk: Chunk, result: GenerationResult) -> None:
-        self._pending.discard(chunk.position)
+        # The position stays pending until step 2 integrates it, so a chunk
+        # waiting in the integration queue is never requested again.
         self._ready.append(_ReadyChunk(chunk=chunk, result=result))
         self.metrics.histogram("terrain_retrieval_ms").record(result.latency_ms)
         if result.source == "storage":
@@ -477,9 +479,12 @@ class ChunkManager:
             to_integrate = self._ready[: self.max_integrations_per_tick]
             self._ready = self._ready[self.max_integrations_per_tick:]
             for ready in to_integrate:
-                if not self.world.is_loaded(ready.chunk.position):
-                    self.world.add_chunk(ready.chunk)
-                self._unavailable.discard(ready.chunk.position)
+                position = ready.chunk.position
+                self._pending.discard(position)
+                if self.world.is_loaded(position):
+                    continue  # loaded meanwhile (a preload): nothing to integrate
+                self.world.add_chunk(ready.chunk)
+                self._unavailable.discard(position)
                 report.chunks_integrated += 1
                 if ready.result.consumed_local_cpu:
                     report.local_generations_completed += 1

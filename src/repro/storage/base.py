@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.world.coords import CHUNK_KEY_PREFIX
+
 
 class ObjectNotFoundError(KeyError):
     """Raised when reading a key that does not exist."""
@@ -60,6 +62,8 @@ class DictBackedStorage(StorageBackend):
 
     def __init__(self) -> None:
         self._objects: dict[str, bytes] = {}
+        #: how many stored keys are chunk keys (start with ``CHUNK_KEY_PREFIX``)
+        self._chunk_objects = 0
 
     def exists(self, key: str) -> bool:
         return key in self._objects
@@ -78,12 +82,23 @@ class DictBackedStorage(StorageBackend):
         return self._objects[key]
 
     def _put(self, key: str, data: bytes) -> None:
+        if key not in self._objects and key.startswith(CHUNK_KEY_PREFIX):
+            self._chunk_objects += 1
         self._objects[key] = bytes(data)
 
     def _remove(self, key: str) -> int:
-        data = self._objects.pop(key, b"")
+        data = self._objects.pop(key, None)
+        if data is None:
+            return 0
+        if key.startswith(CHUNK_KEY_PREFIX):
+            self._chunk_objects -= 1
         return len(data)
 
     @property
     def object_count(self) -> int:
         return len(self._objects)
+
+    @property
+    def chunk_object_count(self) -> int:
+        """How many stored objects are chunks."""
+        return self._chunk_objects

@@ -20,6 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 CHUNK_SIZE = 16
+#: every chunk's storage key starts with this (:meth:`ChunkPos.key`)
+CHUNK_KEY_PREFIX = "chunk_"
 
 
 class BlockPos(NamedTuple):
@@ -66,7 +68,7 @@ class ChunkPos(NamedTuple):
 
     def key(self) -> str:
         """A stable string key used as a storage object name."""
-        return f"chunk_{self.cx}_{self.cz}"
+        return f"{CHUNK_KEY_PREFIX}{self.cx}_{self.cz}"
 
 
 def block_to_chunk(pos: BlockPos) -> ChunkPos:
@@ -106,7 +108,7 @@ def unpack_chunks(packed: np.ndarray) -> tuple[list[int], list[int]]:
 
 def packed_chunk_keys(packed: np.ndarray) -> list[str]:
     """``ChunkPos(cx, cz).key()`` for each packed chunk, without the objects."""
-    return [f"chunk_{cx}_{cz}" for cx, cz in zip(*unpack_chunks(packed))]
+    return [f"{CHUNK_KEY_PREFIX}{cx}_{cz}" for cx, cz in zip(*unpack_chunks(packed))]
 
 
 @lru_cache(maxsize=2048)

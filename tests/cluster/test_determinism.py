@@ -59,10 +59,13 @@ def test_different_seeds_diverge():
 
 
 # Computed at commit e50b367 with ``workers=1`` and with ``workers=2`` (the
-# process pool scattered batches of >= 16 circuits), before the pool was deleted.
+# process pool scattered batches of >= 16 circuits), before the pool was deleted;
+# re-recorded when a chunk waiting for integration stopped being requested
+# again (first divergence: tick 1 on Opencraft, backlog of the repeated
+# requests; tick 29 on Servo, shard 1 counting two repeated replies).
 FLEET_HASHES = {
-    "opencraft-cluster": "e8ebb036cfb1627933a0a75e722b1028213877640f8cf199e38d0bd41b9626bf",
-    "servo-cluster": "4afb4849a940fc150d9a724839038b8ddabf9ab4977a83e19b3ff46786d1656e",
+    "opencraft-cluster": "a6bd155580969869381a3ca5ac6feb7348ed5dd48b8f628d3ff5eee6ae01023d",
+    "servo-cluster": "93a96119fb12f3fb6071ef968d49690897ca140ec27f68cc70ba5bac0c4eba0e",
 }
 #: How shard 0's advances split in those 40 ticks.  The local backend steps
 #: every other tick (20 × 20 advances): the 10 wire lines settle and are

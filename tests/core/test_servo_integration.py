@@ -8,7 +8,7 @@ from repro.core.servo import PREFETCH_INTERVAL_TICKS
 from repro.core.terrain_service import TERRAIN_GENERATION_FUNCTION
 from repro.server import GameConfig, make_opencraft
 from repro.sim import SimulationEngine
-from repro.workload import behaviour_a
+from repro.workload import BotSwarm, JoinSchedule, behavior_by_code, behaviour_a
 from repro.workload.constructs import place_standard_constructs
 
 
@@ -143,3 +143,26 @@ def test_servo_prefetch_hook_runs_only_on_configured_interval(engine):
     # Two prefetch runs; must not raise: the prefetcher sees an empty remote store.
     server.run_ticks(2 * PREFETCH_INTERVAL_TICKS)
     assert engine.metrics.counter("prefetched_objects") == 0
+
+
+def test_star_walkers_leaving_the_preload_invoke_terrain_once_per_chunk():
+    """Every chunk that needs generating is one FaaS invocation, never two.
+
+    Star walkers outrun the eight-per-tick integration bound, so replies
+    queue up for several ticks; a queued chunk must not be requested again.
+    """
+    engine = SimulationEngine(seed=42)
+    server = build_servo_server(engine, GameConfig(world_type="default"))
+    server.chunks.preload_area(server.config.spawn_position, 48.0)
+    swarm = BotSwarm(
+        [behavior_by_code("S8", direction_index=index) for index in range(4)],
+        schedule=JoinSchedule.all_at_start(),
+    )
+    driver = swarm.install(server)
+    for tick in range(200):
+        driver(server, tick)
+        server.tick()
+    invocations = server.runtime.platform.invocations_for(TERRAIN_GENERATION_FUNCTION)
+    positions = {invocation.result.position for invocation in invocations}
+    assert len(positions) > 100
+    assert len(invocations) == len(positions)

@@ -130,6 +130,23 @@ def test_storage_service_prefetch_skips_empty_remote(engine):
     assert service.prefetch_for_avatars([avatar]) == 0
 
 
+def test_storage_service_prefetch_skips_a_remote_without_chunks(engine, monkeypatch):
+    service, blob = make_storage_service(engine)
+    blob.write("session_bot-1", b"state")  # a cluster's session record
+    calls = []
+    exists = blob.exists
+    monkeypatch.setattr(blob, "exists", lambda key: calls.append(key) or exists(key))
+    avatar = Avatar(player_id=1, name="p", position=BlockPos(0, 65, 0))
+    assert service.prefetch_for_avatars([avatar]) == 0
+    assert calls == []
+    # One persisted chunk makes planning worth it again; deleting it ends that.
+    blob.write(ChunkPos(0, 0).key(), b"chunk")
+    assert service.prefetch_for_avatars([avatar]) == 1
+    assert calls
+    blob.delete(ChunkPos(0, 0).key())
+    assert blob.chunk_object_count == 0
+
+
 def test_storage_service_flush_writes_back_dirty_objects(engine):
     service, blob = make_storage_service(engine)
     service.write("chunk_1_1", b"data")

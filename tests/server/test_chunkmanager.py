@@ -1,8 +1,15 @@
 """Tests for chunk management: loading, generation, streaming, eviction."""
 
+from collections import Counter
+
 import pytest
 
-from repro.server.chunkmanager import ChunkManager, LocalTerrainProvider
+from repro.server.chunkmanager import (
+    ChunkManager,
+    GenerationResult,
+    LocalTerrainProvider,
+    TerrainProvider,
+)
 from repro.server.entities import Avatar
 from repro.storage.local import LocalDiskStorage
 from repro.world.block import BlockType
@@ -67,6 +74,59 @@ def test_integrations_are_bounded_per_tick(engine):
     engine.advance_by(60_000.0)  # let every generation finish
     report = manager.update([avatar], [])
     assert report.chunks_integrated <= manager.max_integrations_per_tick
+
+
+class BurstProvider(TerrainProvider):
+    """Counts requests per position and holds every reply until :meth:`deliver`."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.requests = Counter()
+        self._held = []
+
+    def request(self, position, callback):
+        self.requests[position] += 1
+        self._held.append((position, callback))
+
+    def deliver(self):
+        held, self._held = self._held, []
+        for position, callback in held:
+            result = GenerationResult(position, 1.0, "local-generation", True)
+            callback(self.generator.generate_chunk(position), result)
+
+    def pending_count(self):
+        return len(self._held)
+
+
+def burst_manager(engine):
+    manager, world, _ = make_manager(engine)
+    provider = manager.provider = BurstProvider(manager.generator)
+    return manager, world, provider
+
+
+def test_a_chunk_waiting_for_integration_is_not_requested_again(engine):
+    manager, world, provider = burst_manager(engine)
+    avatar = avatar_at(0, 0)
+    manager.update([avatar], [avatar])
+    provider.deliver()  # every reply lands at once: more than one tick can integrate
+    assert len(provider.requests) > 2 * manager.max_integrations_per_tick
+    integrated = sum(manager.update([avatar], []).chunks_integrated for _ in range(20))
+    assert set(provider.requests.values()) == {1}
+    assert integrated == world.loaded_chunk_count == len(provider.requests)
+    assert manager.pending_chunks == 0
+
+
+def test_a_reply_for_a_loaded_chunk_is_dropped_and_not_counted(engine):
+    manager, world, provider = burst_manager(engine)
+    avatar = avatar_at(0, 0)
+    manager.update([avatar], [avatar])
+    loaded = manager.preload_area(avatar.position, 48.0)
+    provider.deliver()
+    reports = [manager.update([avatar], []) for _ in range(20)]
+    assert sum(report.chunks_integrated for report in reports) == 0
+    assert sum(report.local_generations_completed for report in reports) == 0
+    assert world.loaded_chunk_count == loaded
+    assert manager.pending_chunks == 0
 
 
 def test_chunks_load_from_storage_when_persisted(engine):
@@ -302,3 +362,18 @@ def test_view_crossing_queues_and_requests_chunks_in_sorted_order(engine):
     queue = list(manager._player_send_queue[avatar.player_id])
     assert queue, "a boundary crossing must queue newly visible chunks"
     assert queue == sorted(queue)
+
+
+def test_a_tick_requests_its_missing_chunks_in_sorted_order(engine):
+    """Regression for requesting in set order (DET003).
+
+    The request order decides which latency draw each chunk's load or
+    generation gets, so a tick must request its missing chunks in sorted
+    chunk order however the missing set hashes.
+    """
+    manager, _, provider = burst_manager(engine)
+    avatar = avatar_at(0, 0)
+    manager.update([avatar], [avatar])
+    requested = list(provider.requests)
+    assert len(requested) > 1
+    assert requested == sorted(requested)

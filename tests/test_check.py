@@ -10,6 +10,8 @@ from repro.check import check
 from repro.cluster import build_opencraft_cluster
 from repro.constructs.library import build_clock
 from repro.server import GameConfig, make_opencraft
+from repro.server.chunkmanager import GenerationResult
+from repro.world.chunk import Chunk
 from repro.world.coords import BlockPos, ChunkPos
 
 
@@ -81,6 +83,15 @@ def keep_a_released_pin(server):
     return server, "construct pins"
 
 
+def deliver_an_unrequested_chunk(server):
+    """A chunk reply lands for a position that is not pending."""
+    position = ChunkPos(99, 99)
+    server.chunks._on_chunk_available(
+        Chunk(position=position), GenerationResult(position, 1.0, "storage", False)
+    )
+    return server, "chunk requests"
+
+
 @pytest.mark.parametrize(
     "build, corrupt",
     [
@@ -91,6 +102,7 @@ def keep_a_released_pin(server):
         (ticked_server, share_a_state_vector),
         (ticked_server, give_two_constructs_one_id),
         (ticked_server, keep_a_released_pin),
+        (ticked_server, deliver_an_unrequested_chunk),
     ],
     ids=lambda f: f.__name__,
 )

@@ -1,8 +1,9 @@
 """Whole-run identity: the oldest pinned hashes, and same-seed rerun identity.
 
-* Determinism hashes recorded before any optimisation PR must still
-  reproduce: no host-side speed-up, fault hook, telemetry hook or interest
-  plumbing may change a virtual-time result.  Each run executes once; rerun
+* The pinned determinism hashes must still reproduce: no host-side
+  speed-up, fault hook, telemetry hook or interest plumbing may change a
+  virtual-time result.  A pin moves only with a fix that explains its first
+  divergent tick (README, "Moving a pin").  Each run executes once; rerun
   identity is the second test's job.
 * The same spec with the same seed, run twice, must agree on
   :func:`fingerprint`.  Subsystem tests assert rerun identity of their own
@@ -65,25 +66,30 @@ def construct_fleet() -> list:
     return fleet
 
 
-# The radius-None hashes were recorded at commit 479c82c, before any
-# optimisation PR; the radius-4 hash at a3e50a2, when interest management
-# landed (it must differ: the interest cost model is a different one).
+# Re-recorded when a chunk waiting for integration stopped being requested
+# again.  The old runs asked twice for every chunk that arrived between two
+# ticks and charged the second copy as an integration (and, on Opencraft, as
+# local-generation backlog): the Opencraft runs first diverge at tick 1 on
+# chunk (-8, -2), cluster_quick at shard 1's tick 27 on chunk (31, 3).  The
+# runs date from commit 479c82c, before any optimisation, and a3e50a2 for
+# radius 4, when interest management landed (it must differ: the interest
+# cost model is a different one).
 @pytest.mark.parametrize(
     "game, shards, interest_radius, circuits, players, ticks, pinned",
     [
         pytest.param(
             "opencraft", None, None, 43, 25, 600,
-            "fcec4b5eb07e8241581f28b65a436b73639e3940e84b6465bc0d9ce56876fd5c",
+            "3c145bb381bda28c47038b6bb3f1a5af767a0bcabda2f23cd9dea0168020ff58",
             id="construct_heavy",
         ),
         pytest.param(
             "servo-cluster", 2, None, 12, 80, 240,
-            "3d86e8733630e515d6069764a882cc92a185f54be7ccef47357a479b9947909a",
+            "b96b15640748aa38cd1deb06accd48608113d53e5cdf2c96a413e949d69cd7d5",
             id="cluster_quick",
         ),
         pytest.param(
             "opencraft", None, 4, 43, 25, 600,
-            "cb02ebaa1f025968ac5c544da2d5e58ad3b3ff02fd7d4cd10aaa4dd200dad277",
+            "cad4f3a1a9107f0c7c04ac861ca5bd8224be7186ddbb546baa5ffc94e92fe8b3",
             id="construct_heavy_interest_r4",
         ),
     ],
