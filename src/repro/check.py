@@ -16,6 +16,10 @@ or cluster that breaks it, and an empty list when the host is consistent.
   is registered on exactly the shard it was placed on (so construct ids are
   unique cluster-wide), and every shard, a killed one included, passes the
   server checks.
+* The virtual clock is monotone, for every server (a killed shard's ticks
+  included, from the run's tick log) and for a cluster's rounds: a tick starts
+  no earlier than the previous one's start plus the longer of the tick
+  interval and its duration.
 
 The checks recompute from avatar positions, shard contents and construct
 cells, and share nothing with the incremental bookkeeping they check.
@@ -24,18 +28,20 @@ cells, and share nothing with the incremental bookkeeping they check.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import pairwise
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.server.chunkmanager import ChunkManager, _ring_offsets
 from repro.server.entities import Avatar
-from repro.server.gameloop import GameServer
+from repro.server.gameloop import GameServer, TickRecord
 from repro.world.coords import CHUNK_SIZE, ChunkPos, block_to_chunk
 
 
 def check(host: GameServer | ClusterCoordinator) -> list[str]:
     """Every invariant ``host`` violates, one line each (empty when consistent)."""
+    interval_ms = host.config.tick_interval_ms
     if not isinstance(host, ClusterCoordinator):
-        return _check_server(host)
+        return _check_server(host) + _check_clock(host.name, host.tick_records, interval_ms)
     failures = []
     if not _verify_sessions(host):
         failures.append(f"{host.name}: sessions: a session is not held by exactly its home shard")
@@ -45,6 +51,13 @@ def check(host: GameServer | ClusterCoordinator) -> list[str]:
         )
     for shard in host.shards:
         failures.extend(_check_server(shard))
+    failures.extend(_check_clock(host.name, host.tick_records, interval_ms))
+    # The shared tick log keeps a respawned shard's ticks; shards[i] does not.
+    shard_ticks: dict[str, list[TickRecord]] = {}
+    for record in host.engine.metrics.tick_log:
+        shard_ticks.setdefault(record.shard, []).append(record)
+    for name, records in shard_ticks.items():
+        failures.extend(_check_clock(name, records, interval_ms))
     return failures
 
 
@@ -73,6 +86,18 @@ def _check_server(server: GameServer) -> list[str]:
     if not server.constructs.verify_states():
         failures.append(f"{server.name}: construct states: a state vector breaks its invariants")
     return failures
+
+
+def _check_clock(owner: str, records: list[TickRecord], interval_ms: float) -> list[str]:
+    """One line if a tick of ``records`` starts before its predecessor let it."""
+    for earlier, later in pairwise(records):
+        due_ms = earlier.start_ms + max(interval_ms, earlier.duration_ms)
+        if later.start_ms < due_ms:
+            return [
+                f"{owner}: tick clock: tick {later.index} starts at {later.start_ms!r} ms, "
+                f"before {due_ms!r} ms"
+            ]
+    return []
 
 
 def _verify_views(chunks: ChunkManager, avatars: list[Avatar]) -> bool:

@@ -517,13 +517,8 @@ class ClusterCoordinator(TickLoop):
         self.engine.metrics.histogram("cluster_round_ms").record(duration_ms)
         telemetry = self.engine.telemetry
         if telemetry.enabled:
-            # The shard whose tick bounded the round: the first with the
-            # longest tick (its record is the last one it appended).
-            slowest = max(shard_records, key=lambda r: r.duration_ms)
-            bounding_shard = next(
-                shard.name for shard in self.shards
-                if shard.tick_records and shard.tick_records[-1] is slowest
-            )
+            # The shard whose tick bounded the round: the first with the longest tick.
+            bounding_shard = max(shard_records, key=lambda r: r.duration_ms).shard
             telemetry.span(
                 "round",
                 "round",

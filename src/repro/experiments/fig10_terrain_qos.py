@@ -84,12 +84,10 @@ def _run_game(
     server.run_for_seconds(duration_s, before_tick=driver)
 
     run = TerrainQosRun(game=game)
-    view_series = engine.metrics.series("view_range_over_time")
-    for time_ms, value in zip(view_series.times_ms, view_series.values):
-        run.view_range.append(((time_ms - start_ms) / 1000.0, value))
-    tick_series = engine.metrics.series("tick_duration_over_time")
-    for time_ms, value in zip(tick_series.times_ms, tick_series.values):
-        run.tick_durations.append(((time_ms - start_ms) / 1000.0, value))
+    for record in server.tick_records:
+        time_s = (record.start_ms - start_ms) / 1000.0
+        run.view_range.append((time_s, record.view_range_blocks))
+        run.tick_durations.append((time_s, record.duration_ms))
     return run
 
 

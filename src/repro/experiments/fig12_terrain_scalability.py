@@ -95,18 +95,16 @@ def _run_terrain(
             warmup_s=0.0,
         )
     )
-    metrics = result.host.engine.metrics
-    tick_series = metrics.series("tick_duration_over_time")
-    player_series = metrics.series("players_over_time")
-    supported = supported_players_from_series(
-        tick_series.times_ms, tick_series.values, player_series.times_ms, player_series.values
-    )
+    records = result.host.tick_records
+    times_ms = [record.start_ms for record in records]
+    durations_ms = [record.duration_ms for record in records]
+    players = [record.players for record in records]
     return TerrainScalabilityRun(
         game=game,
         workload=workload,
-        supported_players=supported,
-        max_connected=int(max(player_series.values)) if len(player_series) else 0,
-        tick_series=list(zip(tick_series.times_ms, tick_series.values)),
+        supported_players=supported_players_from_series(times_ms, durations_ms, times_ms, players),
+        max_connected=max(players, default=0),
+        tick_series=list(zip(times_ms, durations_ms)),
     )
 
 

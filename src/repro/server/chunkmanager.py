@@ -326,10 +326,11 @@ class ChunkManager:
         else:
             self.metrics.increment("chunks_generated")
 
-    def _request_chunk(self, position: ChunkPos) -> None:
+    def _request_chunk(self, position: ChunkPos, stored: bool) -> None:
+        """Load ``position`` from storage when ``stored``, else have the provider generate it."""
         self._pending.add(position)
-        key = position.key()
-        if self.storage.exists(key):
+        if stored:
+            key = position.key()
             operation = self.storage.read(key)
             self.engine.schedule_at(
                 self.engine.now_ms + operation.latency_ms,
@@ -467,11 +468,15 @@ class ChunkManager:
             is_loaded = self.world.is_loaded
             self._unavailable = {p for p in self._unavailable if not is_loaded(p)}
             missing = sorted(self._unavailable - self._pending)
+            # One storage probe per position decides both the generation
+            # batch and the request.
             exists = self.storage.exists
-            to_generate = [position for position in missing if not exists(position.key())]
-            with self.provider.prepare(to_generate):
-                for position in missing:
-                    self._request_chunk(position)
+            stored = [exists(position.key()) for position in missing]
+            with self.provider.prepare(
+                [position for position, hit in zip(missing, stored) if not hit]
+            ):
+                for position, hit in zip(missing, stored):
+                    self._request_chunk(position, hit)
             report.chunks_requested = len(missing)
 
         # 2. Integrate ready chunks (bounded per tick).

@@ -2,10 +2,10 @@
 
 Each tick the server processes client messages, updates chunk management,
 advances construct simulation through the configured backend, and records the
-tick's virtual duration (from the cost model) in the engine's metrics.  The
-virtual clock then advances by ``max(tick interval, tick duration)``: a server
-that blows its 50 ms budget starts the next tick late, exactly like a real
-game server under overload.
+tick's virtual duration (from the cost model) in a tick record, appended once
+to the engine's metrics tick log.  The virtual clock then advances by
+``max(tick interval, tick duration)``: a server that blows its 50 ms budget
+starts the next tick late, exactly like a real game server under overload.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.server.entities import Avatar
 from repro.server.sc_engine import ConstructBackend, LocalConstructBackend
 from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
 from repro.sim.engine import SimulationEngine
-from repro.sim.metrics import metric_name
 from repro.storage.base import StorageBackend, StorageOperation
 from repro.storage.local import LocalDiskStorage
 from repro.world.block import BlockType
@@ -67,6 +66,8 @@ class TickRecord:
     constructs: int
     chunks_integrated: int
     view_range_blocks: float
+    #: the cluster shard that ran the tick; None on a standalone server
+    shard: Optional[str] = None
 
 
 @dataclass
@@ -124,7 +125,6 @@ class TickLoop:
 class ServerStatistics:
     """Aggregate counters maintained across the server's lifetime."""
 
-    ticks_executed: int = 0
     messages_processed: int = 0
     blocks_placed: int = 0
     blocks_broken: int = 0
@@ -506,17 +506,6 @@ class GameServer(TickLoop):
         duration_ms = self.cost_model.duration_ms(work, self._rng)
         if self.degradation is not None:
             self.degradation.observe(duration_ms)
-        metrics = self.engine.metrics
-        metrics.histogram(metric_name("tick_duration_ms")).record(duration_ms)
-        if self.region is not None:
-            # Cluster shards share one metric registry; keep a per-shard view.
-            metrics.histogram(
-                metric_name("tick_duration_ms", shard=self.name)
-            ).record(duration_ms)
-        metrics.series("tick_duration_over_time").record(start_ms, duration_ms)
-        metrics.series("view_range_over_time").record(start_ms, chunk_report.min_view_range_blocks)
-        metrics.series("players_over_time").record(start_ms, self.player_count)
-
         record = TickRecord(
             index=self.tick_index,
             start_ms=start_ms,
@@ -525,8 +514,12 @@ class GameServer(TickLoop):
             constructs=work.constructs_total,
             chunks_integrated=work.chunks_integrated,
             view_range_blocks=chunk_report.min_view_range_blocks,
+            shard=self.name if self.region is not None else None,
         )
         self.tick_records.append(record)
+        # The tick's one metric write: the tick histograms and series are
+        # views of this log (cluster shards share one registry).
+        self.engine.metrics.tick_log.append(record)
         telemetry = self.engine.telemetry
         if telemetry.enabled:
             telemetry.span(
@@ -545,7 +538,6 @@ class GameServer(TickLoop):
             )
         self.broadcast.record(self, start_ms, duration_ms)
         self.tick_index += 1
-        self.stats.ticks_executed += 1
 
         # The next tick starts after the tick budget, or immediately after an
         # overlong tick (the server falls behind, it does not skip work).
@@ -566,8 +558,3 @@ class GameServer(TickLoop):
             with telemetry.profile("server.tick"):
                 return self.tick_finish(self.tick_begin())
         return self.tick_finish(self.tick_begin())
-
-    # -- reporting ---------------------------------------------------------------------------
-
-    def tick_durations_ms(self) -> list[float]:
-        return [record.duration_ms for record in self.tick_records]

@@ -7,14 +7,16 @@ when rendering paper-style tables.
 
 Collection is built on amortised-append numpy buffers rather than Python
 lists: a cluster run records hundreds of thousands of samples across a dozen
-histograms and series, and summary queries (percentiles, rolling windows)
-repeat over the same data.  :class:`Histogram` memoises a sorted view for
-repeated percentile queries, and :class:`TimeSeries` answers window and
-rolling queries with ``searchsorted`` slices instead of rescanning every
-sample per window — turning the rolling summary from O(n²) in the sample
-count to O(windows · log n + n).  Every summary is numerically identical to
-the original list-based implementation: the same float64 values are fed to
-the same numpy reductions in the same order.
+histograms and series, and :class:`Histogram` memoises a sorted view for
+repeated percentile queries.  Every summary is bit-identical to the original
+list-based implementation.
+
+A tick is written once.  Each server tick appends its record to the
+registry's :attr:`MetricRegistry.tick_log`, and the tick metrics are
+read-only views of that log, computed when asked for: the
+``tick_duration_ms`` histogram (with a ``tick_duration_ms:<shard>`` variant
+per cluster shard) and the :data:`TICK_SERIES`.  A view appears once a tick
+has run, and recording into one raises.
 """
 
 from __future__ import annotations
@@ -30,6 +32,15 @@ import numpy as np
 CONSISTENCY_ERROR_HISTOGRAM = "consistency_error_ticks"
 #: the same per-tick maximum as a (virtual time, value) series
 CONSISTENCY_ERROR_SERIES = "consistency_error_over_time"
+#: the tick durations, a view of the tick log (also per shard, via metric_name)
+TICK_DURATION_HISTOGRAM = "tick_duration_ms"
+#: the (tick start, value) series that are views of the tick log, each mapped
+#: to the tick-record field it projects
+TICK_SERIES = {
+    "tick_duration_over_time": "duration_ms",
+    "view_range_over_time": "view_range_blocks",
+    "players_over_time": "players",
+}
 
 
 def metric_name(base: str, shard: str | None = None) -> str:
@@ -203,9 +214,21 @@ class _FloatBuffer:
             self._sorted = np.sort(self._data[: self._size])
         return self._sorted
 
-    def clear(self) -> None:
-        self._size = 0
+
+class _TickLogView(_FloatBuffer):
+    """A full buffer over values projected from the tick log; it takes no appends."""
+
+    __slots__ = ()
+
+    def __init__(self, values: list[float]) -> None:
+        self._data = np.array(values, dtype=np.float64)
+        self._size = self._data.size
         self._sorted = None
+
+    def append(self, value: float) -> None:
+        raise TypeError("a tick metric is a view of the tick log; record the tick instead")
+
+    extend = append
 
 
 @dataclass
@@ -255,17 +278,13 @@ class Histogram:
     def fraction_exceeding(self, threshold: float) -> float:
         return fraction_exceeding(self._samples.view(), threshold)
 
-    def clear(self) -> None:
-        self._samples.clear()
-
 
 @dataclass
 class TimeSeries:
-    """Timestamped samples, e.g. tick duration over time (Figure 10/12).
+    """Timestamped samples, e.g. the consistency error over time.
 
     Timestamps must be recorded in non-decreasing order (virtual time never
-    runs backwards), so window and rolling queries are ``searchsorted``
-    slices; :meth:`record` rejects an earlier timestamp.
+    runs backwards); :meth:`record` rejects an earlier timestamp.
     """
 
     name: str = ""
@@ -295,65 +314,41 @@ class TimeSeries:
     def values(self) -> list[float]:
         return self._values.view().tolist()
 
-    def _window_slice(self, start_ms: float, end_ms: float) -> np.ndarray:
-        times = self._times.view()
-        low = int(np.searchsorted(times, start_ms, side="left"))
-        high = int(np.searchsorted(times, end_ms, side="left"))
-        return self._values.view()[low:high]
-
-    def window(self, start_ms: float, end_ms: float) -> list[float]:
-        """Values whose timestamp falls in [start_ms, end_ms)."""
-        return self._window_slice(start_ms, end_ms).tolist()
-
-    def rolling(self, window_ms: float, step_ms: float | None = None) -> list[tuple[float, float, float, float]]:
-        """Rolling (time, mean, p5, p95) tuples over ``window_ms`` windows.
-
-        This matches the 2.5 s rolling bands the paper uses in Figures 10
-        and 12.  Windows with no samples are skipped.
-        """
-        if not len(self._values):
-            return []
-        step = float(step_ms if step_ms is not None else window_ms)
-        times = self._times.view()
-        start = float(times[0])
-        end = float(times[-1])
-        out: list[tuple[float, float, float, float]] = []
-        t = start
-        while t <= end + 1e-9:
-            window = self._window_slice(t, t + window_ms)
-            if window.size:
-                out.append(
-                    (
-                        float(t + window_ms / 2.0),
-                        float(window.mean()),
-                        float(np.percentile(window, 5)),
-                        float(np.percentile(window, 95)),
-                    )
-                )
-            t += step
-        return out
-
-    def clear(self) -> None:
-        self._times.clear()
-        self._values.clear()
-        self._last_time_ms = float("-inf")
-
 
 class MetricRegistry:
-    """Named histograms, time series and counters for one simulation run."""
+    """Named histograms, time series and counters for one simulation run, and its tick log."""
 
     def __init__(self) -> None:
         self._histograms: dict[str, Histogram] = {}
         self._series: dict[str, TimeSeries] = {}
         self._counters: dict[str, float] = {}
+        #: every server tick's record (a ``TickRecord``), appended once in the
+        #: order ticks ran: in a cluster round-major, then in shard order, a
+        #: killed shard's ticks included
+        self.tick_log: list = []
+
+    def _tick_values(self, field_name: str, shard: str | None = None) -> _TickLogView:
+        """One field of every logged tick (of ``shard``'s ticks, when given)."""
+        return _TickLogView([
+            getattr(record, field_name)
+            for record in self.tick_log
+            if shard is None or record.shard == shard
+        ])
 
     def histogram(self, name: str) -> Histogram:
         if name not in self._histograms:
+            base, shard = split_metric_name(name)
+            if base == TICK_DURATION_HISTOGRAM:
+                return Histogram(name, self._tick_values("duration_ms", shard))
             self._histograms[name] = Histogram(name=name)
         return self._histograms[name]
 
     def series(self, name: str) -> TimeSeries:
         if name not in self._series:
+            if name in TICK_SERIES:
+                return TimeSeries(
+                    name, self._tick_values("start_ms"), self._tick_values(TICK_SERIES[name])
+                )
             self._series[name] = TimeSeries(name=name)
         return self._series[name]
 
@@ -366,11 +361,19 @@ class MetricRegistry:
 
     @property
     def histogram_names(self) -> list[str]:
-        return sorted(self._histograms)
+        names = set(self._histograms)
+        if self.tick_log:
+            names.add(TICK_DURATION_HISTOGRAM)
+            names.update(
+                metric_name(TICK_DURATION_HISTOGRAM, record.shard)
+                for record in self.tick_log
+                if record.shard is not None
+            )
+        return sorted(names)
 
     @property
     def series_names(self) -> list[str]:
-        return sorted(self._series)
+        return sorted(self._series.keys() | (TICK_SERIES.keys() if self.tick_log else set()))
 
     @property
     def counter_names(self) -> list[str]:
@@ -387,14 +390,14 @@ class MetricRegistry:
         """
         histograms: dict[str, dict[str, float]] = {}
         for name in self.histogram_names:
-            histogram = self._histograms[name]
+            histogram = self.histogram(name)
             if len(histogram) == 0:
                 histograms[name] = {"count": 0.0}
             else:
                 histograms[name] = histogram.boxplot().as_dict()
         series: dict[str, dict[str, float]] = {}
         for name in self.series_names:
-            entry = self._series[name]
+            entry = self.series(name)
             if len(entry) == 0:
                 series[name] = {"count": 0.0}
             else:
@@ -411,8 +414,3 @@ class MetricRegistry:
             "histograms": histograms,
             "series": series,
         }
-
-    def clear(self) -> None:
-        self._histograms.clear()
-        self._series.clear()
-        self._counters.clear()

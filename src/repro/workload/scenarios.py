@@ -4,7 +4,7 @@ A :class:`Scenario` bundles a workload: how many players, what they do, how
 many constructs exist and how long the experiment runs.  The world they play
 in is the host's (``GameConfig.world_type``).  ``Scenario.run`` drives any
 game server (baseline or Servo) and returns a :class:`ScenarioResult` with the
-tick-duration and view-range statistics the paper's figures are built from.
+tick-duration statistics the paper's figures are built from.
 
 The paper's workload families are registered with the
 :mod:`repro.api.scenarios` registry (``behaviour_a``, ``star``, ``sinc``,
@@ -39,7 +39,6 @@ class ScenarioResult:
     constructs: int
     duration_s: float
     tick_durations_ms: list[float] = field(default_factory=list)
-    view_range_series: list[tuple[float, float]] = field(default_factory=list)
 
     def tick_stats(self) -> BoxplotStats:
         return boxplot_stats(self.tick_durations_ms)
@@ -50,11 +49,6 @@ class ScenarioResult:
     def meets_qos(self, budget_ms: float = TICK_BUDGET_MS, tolerance: float = 0.05) -> bool:
         """The paper's criterion: fewer than 5 % of ticks exceed the budget."""
         return self.fraction_over_budget(budget_ms) < tolerance
-
-    def minimum_view_range(self) -> float:
-        if not self.view_range_series:
-            raise ValueError("no view-range samples were collected")
-        return min(value for _, value in self.view_range_series)
 
 
 @dataclass
@@ -127,13 +121,10 @@ class Scenario:
         if self.warmup_s > 0:
             server.run_for_seconds(self.warmup_s, before_tick=driver)
         measured_from = len(server.tick_records)
-        view_from = len(server.engine.metrics.series("view_range_over_time").values)
 
         server.run_for_seconds(self.duration_s, before_tick=driver)
 
         records = server.tick_records[measured_from:]
-        series = server.engine.metrics.series("view_range_over_time")
-        view_samples = list(zip(series.times_ms, series.values))[view_from:]
         return ScenarioResult(
             scenario_name=self.name,
             server_name=server.name,
@@ -141,7 +132,6 @@ class Scenario:
             constructs=self.constructs,
             duration_s=self.duration_s,
             tick_durations_ms=[record.duration_ms for record in records],
-            view_range_series=view_samples,
         )
 
 

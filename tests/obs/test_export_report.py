@@ -21,6 +21,7 @@ from repro.obs.report import (
     validate_chrome_trace,
 )
 from repro.obs.telemetry import Telemetry
+from repro.server import TickRecord
 from repro.sim.metrics import MetricRegistry, metric_name
 
 
@@ -120,19 +121,39 @@ class TestPrometheus:
         metrics = MetricRegistry()
         metrics.increment("migrations", 2)
         for value in (10.0, 20.0, 30.0):
-            metrics.histogram("tick_duration_ms").record(value)
-        metrics.histogram(metric_name("tick_duration_ms", shard="shard-0")).record(5.0)
-        metrics.series("players_over_time").record(0.0, 4.0)
+            metrics.histogram("migration_ms").record(value)
+        metrics.histogram(metric_name("migration_ms", shard="shard-0")).record(5.0)
+        metrics.series("consistency_error_over_time").record(0.0, 4.0)
         text = prometheus_text(metrics)
         assert "# TYPE repro_migrations counter\nrepro_migrations 2.0" in text
+        assert text.count("# TYPE repro_migration_ms summary") == 1
+        assert 'repro_migration_ms{quantile="0.5"} 20.0' in text
+        assert 'repro_migration_ms{quantile="0.5",shard="shard-0"} 5.0' in text
+        assert 'repro_migration_ms_count{shard="shard-0"} 1.0' in text
+        assert "repro_migration_ms_sum 60.0" in text
+        assert "# TYPE repro_consistency_error_over_time gauge" in text
+        assert "repro_consistency_error_over_time 4.0" in text
+        assert "repro_consistency_error_over_time_samples 1.0" in text
+
+    def test_tick_metrics_export_from_the_tick_log(self):
+        metrics = MetricRegistry()
+        for index, (shard, duration_ms) in enumerate(
+            (("shard-0", 10.0), ("shard-1", 40.0), ("shard-0", 30.0))
+        ):
+            metrics.tick_log.append(TickRecord(
+                index=index // 2, start_ms=50.0 * (index // 2), duration_ms=duration_ms,
+                players=index, constructs=0, chunks_integrated=0,
+                view_range_blocks=128.0, shard=shard,
+            ))
+        text = prometheus_text(metrics)
         assert text.count("# TYPE repro_tick_duration_ms summary") == 1
-        assert 'repro_tick_duration_ms{quantile="0.5"} 20.0' in text
-        assert 'repro_tick_duration_ms{quantile="0.5",shard="shard-0"} 5.0' in text
-        assert 'repro_tick_duration_ms_count{shard="shard-0"} 1.0' in text
-        assert "repro_tick_duration_ms_sum 60.0" in text
-        assert "# TYPE repro_players_over_time gauge" in text
-        assert "repro_players_over_time 4.0" in text
-        assert "repro_players_over_time_samples 1.0" in text
+        assert 'repro_tick_duration_ms{quantile="0.5"} 30.0' in text
+        assert 'repro_tick_duration_ms{quantile="0.5",shard="shard-0"} 20.0' in text
+        assert "repro_tick_duration_ms_sum 80.0" in text
+        assert 'repro_tick_duration_ms_count{shard="shard-1"} 1.0' in text
+        assert "repro_players_over_time 2.0" in text
+        assert "repro_tick_duration_over_time_samples 3.0" in text
+        assert "repro_view_range_over_time 128.0" in text
 
     def test_deterministic_output(self):
         def build():

@@ -25,15 +25,14 @@ class TestUncapped:
 
     def test_empty(self, server):
         assert server.tick_records == []
-        assert server.tick_durations_ms() == []
         with pytest.raises(ValueError, match="empty"):
-            fraction_exceeding(server.tick_durations_ms(), 50.0)
+            fraction_exceeding([record.duration_ms for record in server.tick_records], 50.0)
 
     def test_over_budget_exact_for_any_budget(self, server):
         for _ in range(20):
             server.connect_player()
         server.run_ticks(12)
-        durations = server.tick_durations_ms()
+        durations = [record.duration_ms for record in server.tick_records]
         for budget in (0.0, min(durations), 50.0, max(durations)):
             over = sum(1 for record in server.tick_records if record.duration_ms > budget)
             assert fraction_exceeding(durations, budget) == over / 12

@@ -17,14 +17,29 @@ import time
 
 SEED = int(os.environ.get("PYTHONHASHSEED", "0") or 0)
 
+
+def shifted(name, clock, offset):
+    """``clock`` read ``offset`` later, named ``time.<name>`` like the clock it replaces.
+
+    Tools that store a clock by its dotted name (pytest-benchmark's timer)
+    then resolve it to this shifted function, which ``time.<name>`` now is.
+    """
+
+    def read():
+        return clock() + offset
+
+    read.__module__, read.__name__, read.__qualname__ = "time", name, name
+    return read
+
+
 if SEED:
     # About 11.6 days a step, odd down to the nanosecond: a date computed from
     # the clock moves as well as its low digits.
     shift_ns = SEED * 1_000_003_217_331_337
     for name in ("time", "perf_counter", "monotonic"):
-        clock, clock_ns = getattr(time, name), getattr(time, f"{name}_ns")
-        setattr(time, name, lambda clock=clock: clock() + shift_ns / 1e9)
-        setattr(time, f"{name}_ns", lambda clock_ns=clock_ns: clock_ns() + shift_ns)
+        setattr(time, name, shifted(name, getattr(time, name), shift_ns / 1e9))
+        name_ns = f"{name}_ns"
+        setattr(time, name_ns, shifted(name_ns, getattr(time, name_ns), shift_ns))
     # ``now`` reads the system clock in C, past the shifted ``time.time``
     # (``today`` and ``fromtimestamp(time.time())`` already see the shift).
     shift = datetime.timedelta(microseconds=shift_ns // 1000)

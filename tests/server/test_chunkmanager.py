@@ -143,6 +143,32 @@ def test_chunks_load_from_storage_when_persisted(engine):
     assert engine.metrics.counter("chunks_loaded_from_storage") >= 1
 
 
+class ProbeCountingStorage(LocalDiskStorage):
+    """Local disk storage that counts ``exists`` probes per key."""
+
+    def __init__(self, rng):
+        super().__init__(rng=rng)
+        self.probes = Counter()
+
+    def exists(self, key):
+        self.probes[key] += 1
+        return super().exists(key)
+
+
+def test_each_requested_chunk_probes_storage_once(engine):
+    storage = ProbeCountingStorage(engine.rng("disk"))
+    stored = ChunkPos(0, 0)
+    storage.write(stored.key(), chunk_to_bytes(FlatTerrainGenerator(seed=1).generate_chunk(stored)))
+    manager, _, provider = make_manager(engine, storage=storage)
+    avatar = avatar_at(0, 0)
+    report = manager.update([avatar], [avatar])
+    assert report.chunks_requested > 1
+    assert len(storage.probes) == report.chunks_requested
+    assert set(storage.probes.values()) == {1}
+    # The one probe still routes each chunk: the stored one is loaded, not generated.
+    assert provider.pending_count() == report.chunks_requested - 1
+
+
 def test_terrain_retrieval_latency_is_recorded(engine):
     manager, _, _ = make_manager(engine)
     avatar = avatar_at(0, 0)

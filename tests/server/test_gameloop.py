@@ -125,14 +125,16 @@ def test_breaking_a_construct_block_advances_its_timestamp(opencraft):
 def test_run_for_seconds_executes_expected_tick_count(opencraft, engine):
     records = opencraft.run_for_seconds(2.0)
     assert 35 <= len(records) <= 41
-    assert opencraft.stats.ticks_executed == len(records)
+    assert opencraft.tick_records == records
 
 
 def test_tick_metrics_are_recorded(opencraft, engine):
     opencraft.run_ticks(10)
-    assert len(engine.metrics.histogram("tick_duration_ms")) == 10
-    assert len(engine.metrics.series("tick_duration_over_time")) == 10
-    assert fraction_exceeding(opencraft.tick_durations_ms(), 50.0) >= 0.0
+    assert engine.metrics.tick_log == opencraft.tick_records
+    durations = [record.duration_ms for record in opencraft.tick_records]
+    assert engine.metrics.histogram("tick_duration_ms").samples == durations
+    assert engine.metrics.series("tick_duration_over_time").values == durations
+    assert fraction_exceeding(durations, 50.0) >= 0.0
 
 
 def test_player_data_is_persisted_and_loaded(engine):
@@ -306,4 +308,4 @@ def test_an_interest_radius_gives_an_interest_map_fed_by_chunk_crossings(engine)
 
 def test_fraction_over_budget_requires_ticks(opencraft):
     with pytest.raises(ValueError):
-        fraction_exceeding(opencraft.tick_durations_ms(), 50.0)
+        fraction_exceeding([record.duration_ms for record in opencraft.tick_records], 50.0)

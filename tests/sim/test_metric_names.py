@@ -32,7 +32,7 @@ class TestRegistrySnapshot:
         registry.increment("migrations", 2)
         registry.increment("faas_failures")
         for value in (1.0, 2.0, 3.0, 4.0):
-            registry.histogram("tick_duration_ms").record(value)
+            registry.histogram("migration_ms").record(value)
         registry.histogram("empty_h")
         registry.series("players").record(0.0, 1.0)
         registry.series("players").record(100.0, 3.0)
@@ -41,7 +41,7 @@ class TestRegistrySnapshot:
             "counters": {"faas_failures": 1.0, "migrations": 2.0},
             "histograms": {
                 "empty_h": {"count": 0.0},
-                "tick_duration_ms": {
+                "migration_ms": {
                     "min": 1.0,
                     "p5": 1.15,
                     "p25": 1.75,

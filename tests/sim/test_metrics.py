@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.server import TickRecord
 from repro.sim.metrics import (
+    TICK_SERIES,
     Histogram,
     MetricRegistry,
-    TimeSeries,
     boxplot_stats,
     fraction_exceeding,
     inverse_cdf,
+    metric_name,
     percentile,
 )
 
@@ -72,18 +74,6 @@ def test_histogram_empty_raises_on_summary():
         histogram.mean()
 
 
-def test_time_series_window_and_rolling():
-    series = TimeSeries(name="tick")
-    for index in range(100):
-        series.record(time_ms=index * 50.0, value=float(index))
-    window = series.window(0.0, 500.0)
-    assert len(window) == 10
-    rolling = series.rolling(window_ms=2500.0)
-    assert rolling, "rolling summary should not be empty"
-    centre, mean, p5, p95 = rolling[0]
-    assert p5 <= mean <= p95
-
-
 def test_metric_registry_creates_and_reuses_metrics():
     registry = MetricRegistry()
     assert registry.histogram("a") is registry.histogram("a")
@@ -95,6 +85,57 @@ def test_metric_registry_creates_and_reuses_metrics():
     assert registry.histogram_names == ["a"]
     assert registry.series_names == ["b"]
     assert registry.counter_names == ["count"]
+
+
+def logged_tick(index: int, duration_ms: float, shard: str | None = None) -> TickRecord:
+    return TickRecord(
+        index=index,
+        start_ms=50.0 * index,
+        duration_ms=duration_ms,
+        players=index + 1,
+        constructs=0,
+        chunks_integrated=0,
+        view_range_blocks=128.0,
+        shard=shard,
+    )
+
+
+def test_tick_views_exist_once_a_tick_is_logged():
+    registry = MetricRegistry()
+    assert len(registry.histogram("tick_duration_ms")) == 0
+    assert len(registry.series("players_over_time")) == 0
+    # Asking for a view before any tick creates no metric.
+    assert registry.histogram_names == [] and registry.series_names == []
+    registry.tick_log.append(logged_tick(0, 12.0))
+    assert registry.histogram_names == ["tick_duration_ms"]
+    assert registry.series_names == sorted(TICK_SERIES)
+
+
+def test_tick_views_project_the_log_in_order_and_per_shard():
+    registry = MetricRegistry()
+    registry.tick_log += [logged_tick(0, 10.0, "a"), logged_tick(0, 20.0, "b")]
+    registry.tick_log.append(logged_tick(1, 30.0, "a"))
+    assert registry.histogram_names == [
+        "tick_duration_ms", "tick_duration_ms:a", "tick_duration_ms:b",
+    ]
+    assert registry.histogram("tick_duration_ms").samples == [10.0, 20.0, 30.0]
+    assert registry.histogram(metric_name("tick_duration_ms", "a")).samples == [10.0, 30.0]
+    players = registry.series("players_over_time")
+    assert players.times_ms == [0.0, 0.0, 50.0]
+    assert players.values == [1.0, 1.0, 2.0]
+    assert registry.series("view_range_over_time").values == [128.0] * 3
+
+
+def test_tick_views_are_read_only():
+    registry = MetricRegistry()
+    registry.tick_log.append(logged_tick(0, 12.0, "a"))
+    with pytest.raises(TypeError, match="tick log"):
+        registry.histogram("tick_duration_ms").record(1.0)
+    with pytest.raises(TypeError, match="tick log"):
+        registry.histogram("tick_duration_ms:a").extend([1.0])
+    with pytest.raises(TypeError, match="tick log"):
+        registry.series("tick_duration_over_time").record(100.0, 1.0)
+    assert registry.histogram("tick_duration_ms").samples == [12.0]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=200))

@@ -4,8 +4,12 @@ Each case ticks a consistent host, corrupts exactly one invariant, and expects
 one line back.  A clean host gives none.
 """
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+from repro.api import RunSpec, run_spec
 from repro.check import check
 from repro.cluster import build_opencraft_cluster
 from repro.constructs.library import build_clock
@@ -13,6 +17,8 @@ from repro.server import GameConfig, make_opencraft
 from repro.server.chunkmanager import GenerationResult
 from repro.world.chunk import Chunk
 from repro.world.coords import BlockPos, ChunkPos
+
+SPECS = Path(__file__).resolve().parents[1] / "examples" / "specs"
 
 
 def ticked_server(engine):
@@ -92,6 +98,14 @@ def deliver_an_unrequested_chunk(server):
     return server, "chunk requests"
 
 
+def start_a_tick_early(server):
+    """A tick starts before the previous tick's interval has passed."""
+    server.tick()
+    earlier, later = server.tick_records[-2:]
+    server.tick_records[-1] = dataclasses.replace(later, start_ms=earlier.start_ms + 1.0)
+    return server, "tick clock"
+
+
 @pytest.mark.parametrize(
     "build, corrupt",
     [
@@ -103,6 +117,7 @@ def deliver_an_unrequested_chunk(server):
         (ticked_server, give_two_constructs_one_id),
         (ticked_server, keep_a_released_pin),
         (ticked_server, deliver_an_unrequested_chunk),
+        (ticked_server, start_a_tick_early),
     ],
     ids=lambda f: f.__name__,
 )
@@ -112,3 +127,14 @@ def test_one_corrupted_invariant_gives_one_line_naming_it_and_its_owner(engine, 
     owner, invariant = corrupt(host)
     (line,) = check(host)
     assert line.startswith(f"{owner.name}: {invariant}: ")
+
+
+def test_a_killed_shards_ticks_are_checked_after_its_respawn():
+    spec = RunSpec.from_file(SPECS / "cluster_shard_kill.json")
+    cluster = run_spec(spec).host  # the run ends with a clean check
+    log = cluster.engine.metrics.tick_log
+    (killed,) = {record.shard for record in log} - {shard.name for shard in cluster.shards}
+    previous, last = [index for index, record in enumerate(log) if record.shard == killed][-2:]
+    log[last] = dataclasses.replace(log[last], start_ms=log[previous].start_ms)
+    (line,) = check(cluster)
+    assert line.startswith(f"{killed}: tick clock: ")

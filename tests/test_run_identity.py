@@ -331,5 +331,18 @@ def test_the_perturbation_moves_datetime_now():
     assert runs["2"][2] - runs["1"][2] > 500.0
 
 
+def test_pytest_starts_under_the_perturbation():
+    """pytest-benchmark stores its timer by dotted name: a shifted clock must resolve."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "tests/sim/test_metric_names.py"],
+        capture_output=True,
+        text=True,
+        cwd=PERTURB.parent.parent,
+        env=perturbed_env("1"),
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
 if __name__ == "__main__":
     print(hash_seed_digest())

@@ -82,7 +82,7 @@ def test_scenario_run_collects_tick_durations_and_qos():
     assert result.meets_qos() == (result.fraction_over_budget() < 0.05)
     stats = result.tick_stats()
     assert stats.minimum > 0
-    assert result.minimum_view_range() > 0
+    assert min(record.view_range_blocks for record in server.tick_records) > 0
 
 
 def test_scenario_factories_cover_table_i_codes():
