@@ -6,12 +6,11 @@ steps for 50 constructs); the resulting cost is of the same order of magnitude
 as one c5n.xlarge VM ($0.216/hour).
 """
 
-from repro.experiments.fig09_latency_invocations import (
-    C5N_XLARGE_USD_PER_HOUR,
-    PAPER_MEAN_LATENCY_200_STEPS_MS,
-    format_fig09,
-    run_fig09,
-)
+from repro.experiments.fig09_latency_invocations import format_fig09, run_fig09
+
+#: the paper reports a 1459 ms mean latency for 200-step simulations
+PAPER_MEAN_LATENCY_200_STEPS_MS = 1459.0
+C5N_XLARGE_USD_PER_HOUR = 0.216
 
 
 def test_fig09_latency_invocations_and_cost(benchmark, settings, report_sink):
@@ -26,8 +25,9 @@ def test_fig09_latency_invocations_and_cost(benchmark, settings, report_sink):
 
     # Latency grows with simulation length and lands near the paper's 1.46 s
     # mean for 200-step simulations.
-    assert result.mean_latency_ms(50) < result.mean_latency_ms(100) < result.mean_latency_ms(200)
-    assert 0.5 * PAPER_MEAN_LATENCY_200_STEPS_MS < result.mean_latency_ms(200) < 2.0 * PAPER_MEAN_LATENCY_200_STEPS_MS
+    mean_ms = {steps: run.latency_stats().mean for steps, run in result.runs.items()}
+    assert mean_ms[50] < mean_ms[100] < mean_ms[200]
+    assert 0.5 * PAPER_MEAN_LATENCY_200_STEPS_MS < mean_ms[200] < 2.0 * PAPER_MEAN_LATENCY_200_STEPS_MS
 
     # The invocation rate roughly halves as the length doubles.
     ratio = result.invocations_per_minute(50) / max(result.invocations_per_minute(100), 1e-9)

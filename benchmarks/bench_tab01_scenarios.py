@@ -6,9 +6,10 @@ baseline server and Servo.
 """
 
 from repro.core import build_servo_server
-from repro.experiments.tab01_overview import format_tab01, run_tab01, scenario_for
+from repro.experiments.tab01_overview import format_tab01, run_tab01
 from repro.server import GameConfig, make_opencraft
 from repro.sim import SimulationEngine
+from repro.workload.scenarios import TABLE_I_SCENARIOS
 
 
 def _run_iv_b_scaled():
@@ -17,7 +18,7 @@ def _run_iv_b_scaled():
     for game, factory in (("opencraft", make_opencraft), ("servo", build_servo_server)):
         engine = SimulationEngine(seed=7)
         server = factory(engine, GameConfig(world_type="flat"))
-        scenario = scenario_for("IV-B")
+        scenario = TABLE_I_SCENARIOS["IV-B"]
         scaled = type(scenario)(
             name=scenario.name, players=20, behavior_code=scenario.behavior_code,
             constructs=25, duration_s=6.0,

@@ -85,10 +85,6 @@ class Registry:
         self._entries[name] = entry
         return entry
 
-    def unregister(self, name: str) -> None:
-        """Remove an entry (used by tests to keep the global registries clean)."""
-        self._entries.pop(name, None)
-
     def get(self, name: str) -> Any:
         self.load_builtins()
         try:

@@ -17,11 +17,7 @@ store:
   :class:`~repro.server.GameServer` the single-server stack builds.
 """
 
-from repro.cluster.assembly import (
-    DEFAULT_ZONE_WIDTH_CHUNKS,
-    build_opencraft_cluster,
-    build_servo_cluster,
-)
+from repro.cluster.assembly import build_opencraft_cluster, build_servo_cluster
 from repro.cluster.coordinator import ClusterChunks, ClusterCoordinator, MigrationRecord
 from repro.cluster.partition import WorldPartitioner, ZoneRegion
 
@@ -33,5 +29,4 @@ __all__ = [
     "MigrationRecord",
     "build_servo_cluster",
     "build_opencraft_cluster",
-    "DEFAULT_ZONE_WIDTH_CHUNKS",
 ]

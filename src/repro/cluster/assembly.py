@@ -35,15 +35,11 @@ from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend
 from repro.storage.local import LocalDiskStorage
 
-#: zone strip width used by the cluster experiments (16 chunks = 256 blocks)
-DEFAULT_ZONE_WIDTH_CHUNKS = 16
-
 
 def _build_cluster(
     engine: SimulationEngine,
     game_config: GameConfig,
     shards: int,
-    zone_width_chunks: int,
     name: str,
     session_store: StorageBackend,
     build_shard: Callable[..., GameServer],
@@ -55,7 +51,7 @@ def _build_cluster(
     ``{name}-shard-{zone}``, with a ``-rN`` suffix on its Nth replacement.
     Metric names and the ``server:{name}`` RNG stream derive from these names.
     """
-    partitioner = WorldPartitioner(shards, zone_width_chunks=zone_width_chunks)
+    partitioner = WorldPartitioner(shards)
     shard_factory = partial(_build_shard, name, partitioner, build_shard, itertools.count(1))
     return ClusterCoordinator(
         engine=engine,
@@ -91,7 +87,6 @@ def build_servo_cluster(
     game_config: GameConfig | None = None,
     servo_config: ServoConfig | None = None,
     shards: int = 2,
-    zone_width_chunks: int = DEFAULT_ZONE_WIDTH_CHUNKS,
 ) -> ClusterCoordinator:
     """Build a Servo cluster: N zone shards over one platform and blob store."""
     game_config = game_config or GameConfig()
@@ -102,7 +97,7 @@ def build_servo_cluster(
         build_servo_server, engine, game_config, servo_config, platform=platform, blob=blob
     )
     return _build_cluster(
-        engine, game_config, shards, zone_width_chunks, "servo", blob, build_shard
+        engine, game_config, shards, "servo", blob, build_shard
     )
 
 
@@ -111,12 +106,11 @@ def build_opencraft_cluster(
     engine: SimulationEngine,
     game_config: GameConfig | None = None,
     shards: int = 2,
-    zone_width_chunks: int = DEFAULT_ZONE_WIDTH_CHUNKS,
 ) -> ClusterCoordinator:
     """Build an Opencraft cluster: N all-local zone shards over one shared disk."""
     game_config = game_config or GameConfig()
     disk = LocalDiskStorage(rng=engine.rng("cluster-disk"))
     build_shard = partial(GameServer, engine, game_config, OPENCRAFT_COST_MODEL, storage=disk)
     return _build_cluster(
-        engine, game_config, shards, zone_width_chunks, "opencraft", disk, build_shard
+        engine, game_config, shards, "opencraft", disk, build_shard
     )

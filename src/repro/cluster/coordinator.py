@@ -327,10 +327,6 @@ class ClusterCoordinator(TickLoop):
                     continue
                 self._migrate(session, target_zone)
 
-    @property
-    def migration_count(self) -> int:
-        return len(self.migration_records)
-
     def _route_cross_shard_updates(self) -> None:
         """Relay this round's dirty events to subscribers on other shards.
 
@@ -348,7 +344,7 @@ class ClusterCoordinator(TickLoop):
             # Relaying never changes an index, so which shards subscribe to a
             # chunk is decided once per chunk, not once per event.
             subscribed: dict[tuple[int, int], list] = {}
-            for chunk, entries, drift, source_player_id in shard.broadcast.drain_dirty_log():
+            for chunk, drift, source_player_id in shard.broadcast.drain_dirty_log():
                 targets = subscribed.get(chunk)
                 if targets is None:
                     targets = subscribed[chunk] = [
@@ -359,7 +355,7 @@ class ClusterCoordinator(TickLoop):
                         and other.broadcast.has_subscribers(chunk)
                     ]
                 for broadcast in targets:
-                    broadcast.note_external(chunk, entries, drift, source_player_id)
+                    broadcast.note_external(chunk, drift, source_player_id)
                 events_relayed += len(targets)
         if events_relayed:
             self.engine.metrics.increment("interest_cross_shard_events", events_relayed)
@@ -538,12 +534,3 @@ class ClusterCoordinator(TickLoop):
         # done (or after the tick budget, whichever is later).
         self.engine.advance_to(start_ms + max(self.config.tick_interval_ms, duration_ms))
         return record
-
-    # -- reporting -------------------------------------------------------------------
-
-    def shard_tick_durations_ms(self, since_index: int = 0) -> dict[str, list[float]]:
-        """Per-shard tick durations from round ``since_index`` onwards."""
-        return {
-            shard.name: [r.duration_ms for r in shard.tick_records[since_index:]]
-            for shard in self.shards
-        }

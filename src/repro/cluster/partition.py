@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.server.chunkmanager import OwnershipRegion
-from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, block_to_chunk
+from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos
 
 
 @dataclass(frozen=True)
@@ -39,32 +39,24 @@ class ZoneRegion(OwnershipRegion):
             return False
         return True
 
-    def contains_block(self, position: BlockPos) -> bool:
-        return self.contains(block_to_chunk(position))
-
 
 class WorldPartitioner:
     """Partitions the world into ``shard_count`` contiguous chunk strips.
 
-    Interior boundaries sit at ``origin_cx + i * zone_width_chunks`` for
-    ``i in 1..shard_count-1``; zone 0 extends to ``-inf`` and the last zone to
-    ``+inf``.  With one shard there is a single unbounded zone (the cluster
-    degenerates to the paper's single-server deployment).
+    Interior boundaries sit at ``i * zone_width_chunks`` (16 chunks = 256
+    blocks in every cluster) for ``i in 1..shard_count-1``; zone 0 extends to
+    ``-inf`` and the last zone to ``+inf``.  With one shard there is a single
+    unbounded zone (the cluster degenerates to the paper's single-server
+    deployment).
     """
 
-    def __init__(
-        self,
-        shard_count: int,
-        zone_width_chunks: int = 16,
-        origin_cx: int = 0,
-    ) -> None:
+    def __init__(self, shard_count: int, zone_width_chunks: int = 16) -> None:
         if shard_count < 1:
             raise ValueError("a cluster needs at least one shard")
         if zone_width_chunks < 1:
             raise ValueError("zone_width_chunks must be at least one chunk")
         self.shard_count = int(shard_count)
         self.zone_width_chunks = int(zone_width_chunks)
-        self.origin_cx = int(origin_cx)
 
     # -- ownership -------------------------------------------------------------------
 
@@ -72,12 +64,8 @@ class WorldPartitioner:
         """The zone owning chunk column ``cx`` (clamped: outer zones are unbounded)."""
         if self.shard_count == 1:
             return 0
-        index = (cx - self.origin_cx) // self.zone_width_chunks
+        index = cx // self.zone_width_chunks
         return max(0, min(self.shard_count - 1, index))
-
-    def zone_of(self, position: ChunkPos) -> int:
-        """The zone owning a chunk."""
-        return self.zone_of_cx(position.cx)
 
     def zone_of_block(self, position: BlockPos) -> int:
         """The zone owning a block position."""
@@ -91,16 +79,10 @@ class WorldPartitioner:
             )
         if self.shard_count == 1:
             return ZoneRegion(zone_id=0, min_cx=None, max_cx=None)
-        min_cx = None if zone_id == 0 else self.origin_cx + zone_id * self.zone_width_chunks
-        max_cx = (
-            None
-            if zone_id == self.shard_count - 1
-            else self.origin_cx + (zone_id + 1) * self.zone_width_chunks
-        )
+        width = self.zone_width_chunks
+        min_cx = None if zone_id == 0 else zone_id * width
+        max_cx = None if zone_id == self.shard_count - 1 else (zone_id + 1) * width
         return ZoneRegion(zone_id=zone_id, min_cx=min_cx, max_cx=max_cx)
-
-    def regions(self) -> list[ZoneRegion]:
-        return [self.region(zone_id) for zone_id in range(self.shard_count)]
 
     # -- spawn placement -------------------------------------------------------------
 
@@ -116,7 +98,7 @@ class WorldPartitioner:
             )
         if self.shard_count == 1:
             return base
-        center_cx = self.origin_cx + zone_id * self.zone_width_chunks + self.zone_width_chunks // 2
+        center_cx = zone_id * self.zone_width_chunks + self.zone_width_chunks // 2
         return BlockPos(center_cx * CHUNK_SIZE + CHUNK_SIZE // 2, base.y, base.z)
 
     def boundary_spawn(self, boundary_index: int, base: BlockPos) -> BlockPos:
@@ -132,7 +114,7 @@ class WorldPartitioner:
             raise ValueError(
                 f"boundary_index must be in [0, {self.shard_count - 1}), got {boundary_index}"
             )
-        boundary_cx = self.origin_cx + (boundary_index + 1) * self.zone_width_chunks
+        boundary_cx = (boundary_index + 1) * self.zone_width_chunks
         return BlockPos(boundary_cx * CHUNK_SIZE - 2, base.y, base.z)
 
     def boundary_count(self) -> int:

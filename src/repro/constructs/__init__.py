@@ -14,7 +14,7 @@ sized constructs of Section IV-G).
 
 from repro.constructs.circuit import Cell, SimulatedConstruct
 from repro.constructs.compiled import CompiledCircuit, compile_circuit
-from repro.constructs.components import ComponentType, component_from_block
+from repro.constructs.components import ComponentType
 from repro.constructs.library import (
     build_adder,
     build_clock,
@@ -31,7 +31,6 @@ from repro.constructs.state import ConstructState, state_hash
 
 __all__ = [
     "ComponentType",
-    "component_from_block",
     "Cell",
     "SimulatedConstruct",
     "CompiledCircuit",

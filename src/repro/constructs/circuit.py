@@ -184,13 +184,6 @@ class SimulatedConstruct:
         self.modification_counter += 1
         return self.modification_counter
 
-    def toggle_lever(self, pos: BlockPos) -> int:
-        """Toggle a lever cell and advance the modification counter."""
-        cell = self.cell_at(pos)
-        if cell.component is not ComponentType.LEVER:
-            raise ValueError(f"cell at {pos} is a {cell.component.value}, not a lever")
-        return self.player_modify(pos, 0 if cell.state > 0 else 1)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimulatedConstruct(id={self.construct_id}, name={self.name!r}, "

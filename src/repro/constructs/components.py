@@ -32,28 +32,13 @@ class ComponentType(Enum):
     CLOCK = "clock"
 
 
-_BLOCK_TO_COMPONENT = {
-    BlockType.POWER_SOURCE: ComponentType.POWER_SOURCE,
-    BlockType.LEVER: ComponentType.LEVER,
-    BlockType.WIRE: ComponentType.WIRE,
-    BlockType.LAMP: ComponentType.LAMP,
-    BlockType.TORCH: ComponentType.TORCH,
-    BlockType.REPEATER: ComponentType.REPEATER,
-    BlockType.PISTON: ComponentType.PISTON,
-    BlockType.HOPPER: ComponentType.HOPPER,
-    BlockType.COMPARATOR: ComponentType.COMPARATOR,
+# Every component is placed as the block of its name, except a clock: a power
+# source block whose cell carries clock behaviour.
+_COMPONENT_TO_BLOCK = {
+    component: BlockType[component.name] for component in ComponentType
+    if component is not ComponentType.CLOCK
 }
-
-_COMPONENT_TO_BLOCK = {component: block for block, component in _BLOCK_TO_COMPONENT.items()}
-# A clock is built from a power source block whose cell carries clock behaviour.
 _COMPONENT_TO_BLOCK[ComponentType.CLOCK] = BlockType.POWER_SOURCE
-
-
-def component_from_block(block_type: BlockType) -> ComponentType:
-    """Map a stateful block type to its component behaviour."""
-    if block_type not in _BLOCK_TO_COMPONENT:
-        raise ValueError(f"block type {block_type!r} is not a stateful construct block")
-    return _BLOCK_TO_COMPONENT[block_type]
 
 
 def block_for_component(component: ComponentType) -> BlockType:

@@ -1,4 +1,4 @@
-"""The reference step simulator for simulated constructs, and construct cloning.
+"""The reference step simulator for simulated constructs.
 
 A step advances a construct synchronously: every cell's new state is computed
 from the *previous* step's outputs of its neighbours, which makes the update
@@ -49,22 +49,3 @@ class ReferenceConstructSimulator:
             cell.state = new_states[cell.position]
         construct.step += 1
         return construct.snapshot()
-
-
-def clone_construct(construct: SimulatedConstruct) -> SimulatedConstruct:
-    """Deep-copy a construct (same id, independent cell states)."""
-    from repro.constructs.circuit import Cell  # local import to avoid cycle at module load
-
-    cells = [
-        Cell(
-            position=cell.position,
-            component=cell.component,
-            state=cell.state,
-            properties=dict(cell.properties),
-        )
-        for cell in construct.cells
-    ]
-    clone = SimulatedConstruct(cells, name=construct.name, construct_id=construct.construct_id)
-    clone.step = construct.step
-    clone.modification_counter = construct.modification_counter
-    return clone

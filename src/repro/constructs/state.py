@@ -56,7 +56,3 @@ class ConstructState:
         if not isinstance(other, ConstructState):
             return NotImplemented
         return self.step == other.step and dict(self.states) == dict(other.states)
-
-    def same_values(self, other: "ConstructState") -> bool:
-        """True if the cell states match, regardless of the step counter."""
-        return dict(self.states) == dict(other.states)

@@ -96,7 +96,3 @@ class ServoStorageService(StorageBackend):
     def flush(self) -> int:
         """Write dirty cached objects back to blob storage (periodic write-back)."""
         return len(self.cache.flush())
-
-    @property
-    def hit_rate(self) -> float:
-        return self.cache.stats.hit_rate

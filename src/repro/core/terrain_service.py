@@ -87,9 +87,6 @@ class TerrainHandler:
         """Drop prepared chunks no invocation took (a throttled request, say)."""
         self._prepared.clear()
 
-    def prepared_count(self) -> int:
-        return len(self._prepared)
-
     def __call__(self, payload: TerrainRequest) -> FunctionOutput:
         if not isinstance(payload, TerrainRequest):
             raise TypeError(f"expected TerrainRequest, got {type(payload)!r}")

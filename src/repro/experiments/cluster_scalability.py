@@ -77,12 +77,19 @@ class ClusterScalabilityResult:
             raise ValueError("the sweep produced no rows")
         return min(self.rows, key=lambda row: row.shard_count)
 
-    def speedup(self, shard_count: int) -> float:
-        """Aggregate capacity relative to the smallest cluster measured."""
-        base = self.baseline_row().max_players
-        if base == 0:
-            raise ValueError("the baseline cluster supported no players")
-        return self.row(shard_count).max_players / base
+
+def durations_by_shard_ms(cluster, rounds: int) -> dict[str, list[float]]:
+    """Each shard's tick durations over the cluster's last ``rounds`` rounds.
+
+    Read from the run's tick log by shard name, so a shard killed inside the
+    window keeps the ticks it ran and its replacement counts only its own.
+    """
+    since_ms = cluster.tick_records[-rounds].start_ms
+    durations: dict[str, list[float]] = {}
+    for record in cluster.engine.metrics.tick_log:
+        if record.start_ms >= since_ms:
+            durations.setdefault(record.shard, []).append(record.duration_ms)
+    return durations
 
 
 def measure_cluster(
@@ -100,13 +107,9 @@ def measure_cluster(
     )
     cluster = result.host
     round_durations_ms = result.scenario.tick_durations_ms
-    # The scenario measured the last len(round_durations_ms) rounds; shard
-    # tick records are index-aligned with cluster rounds (lockstep).
-    measured_from = len(cluster.tick_records) - len(round_durations_ms)
-    per_shard_p99 = {
-        name: percentile(durations, 99)
-        for name, durations in cluster.shard_tick_durations_ms(measured_from).items()
-    }
+    # The scenario measured the last len(round_durations_ms) rounds.
+    shard_durations_ms = durations_by_shard_ms(cluster, len(round_durations_ms))
+    per_shard_p99 = {name: percentile(ticks, 99) for name, ticks in shard_durations_ms.items()}
     migration_samples = [record.latency_ms for record in cluster.migration_records]
     return ClusterMeasurement(
         shard_count=shards,

@@ -15,9 +15,6 @@ from repro.experiments.fig08_efficiency import OffloadRunResult, run_offload_con
 from repro.experiments.harness import ExperimentSettings, format_table
 
 SIMULATION_LENGTHS = (50, 100, 200)
-#: the paper reports a 1459 ms mean latency for 200-step simulations
-PAPER_MEAN_LATENCY_200_STEPS_MS = 1459.0
-C5N_XLARGE_USD_PER_HOUR = 0.216
 
 
 @dataclass
@@ -25,9 +22,6 @@ class Fig09Result:
     """Latency, invocation-rate and cost measurements per simulation length."""
 
     runs: dict[int, OffloadRunResult] = field(default_factory=dict)
-
-    def mean_latency_ms(self, steps: int) -> float:
-        return self.runs[steps].latency_stats().mean
 
     def invocations_per_minute(self, steps: int) -> float:
         return self.runs[steps].invocations_per_minute()

@@ -9,6 +9,7 @@ and reports the distribution of supported players per game.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.api.run import run_spec
@@ -18,6 +19,8 @@ from repro.workload.scenarios import TICK_BUDGET_MS
 
 GAMES = ("opencraft", "servo")
 SPEEDS = (3.0, 8.0)
+#: width of the windows the rolling p95 tick duration is read over
+P95_WINDOW_MS = 2500.0
 
 
 def supported_players_from_series(
@@ -25,39 +28,27 @@ def supported_players_from_series(
     durations_ms: list[float],
     players_ms: list[float],
     players_values: list[float],
-    window_ms: float = 2500.0,
-    budget_ms: float = TICK_BUDGET_MS,
 ) -> int:
     """Players connected when the rolling p95 tick duration first exceeds the budget.
 
     Mirrors the paper's reading of Figure 12a: the 95th percentile curve
     (2.5-second windows) crossing the 50 ms line determines the supported
     player count.  If the budget is never exceeded, every connected player is
-    supported.
+    supported.  ``times_ms`` is sorted (ticks are recorded in time order).
     """
     if not times_ms:
         raise ValueError("empty tick-duration series")
-    start = times_ms[0]
-    end = times_ms[-1]
-    t = start
+    t = times_ms[0]
     crossing_time = None
-    index = 0
-    while t <= end:
-        window = [
-            durations_ms[i]
-            for i in range(index, len(times_ms))
-            if t <= times_ms[i] < t + window_ms
-        ]
-        # advance index to keep the scan linear
-        while index < len(times_ms) and times_ms[index] < t:
-            index += 1
-        if window:
-            window.sort()
-            p95 = window[int(0.95 * (len(window) - 1))]
-            if p95 > budget_ms:
-                crossing_time = t
-                break
-        t += window_ms
+    while t <= times_ms[-1]:
+        # The window [t, t + P95_WINDOW_MS) is one slice of the sorted times.
+        window = sorted(
+            durations_ms[bisect_left(times_ms, t) : bisect_left(times_ms, t + P95_WINDOW_MS)]
+        )
+        if window and window[int(0.95 * (len(window) - 1))] > TICK_BUDGET_MS:
+            crossing_time = t
+            break
+        t += P95_WINDOW_MS
     if crossing_time is None:
         return int(max(players_values)) if players_values else 0
     connected = [

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.registry import unknown_name_error
 from repro.experiments.harness import ExperimentSettings, format_table
-from repro.workload.scenarios import TABLE_I_SCENARIOS, Scenario
+from repro.workload.scenarios import TABLE_I_SCENARIOS
 
 #: the paper's Table I rows: section -> (focus, components serverless, world)
 PAPER_TABLE_I = {
@@ -60,10 +59,3 @@ def format_tab01(result: Tab01Result) -> str:
         ["section", "focus", "serverless components", "players", "behaviour", "world", "duration"],
         result.rows,
     )
-
-
-def scenario_for(section: str) -> Scenario:
-    """The runnable scenario behind one Table I row."""
-    if section not in TABLE_I_SCENARIOS:
-        raise unknown_name_error("Table I section", section, list(TABLE_I_SCENARIOS))
-    return TABLE_I_SCENARIOS[section]

@@ -65,18 +65,13 @@ class BillingModel:
             if function_name is None or charge.function_name == function_name
         )
 
-    def cost_per_hour_usd(self, window_ms: float, function_name: str | None = None) -> float:
+    def cost_per_hour_usd(self, window_ms: float) -> float:
         """Cost extrapolated to one hour given the observation window length."""
         if window_ms <= 0:
             raise ValueError("window_ms must be positive")
-        return self.total_cost_usd(function_name) * (3_600_000.0 / window_ms)
+        return self.total_cost_usd() * (3_600_000.0 / window_ms)
 
-    def invocations_per_minute(self, window_ms: float, function_name: str | None = None) -> float:
+    def invocations_per_minute(self, window_ms: float) -> float:
         if window_ms <= 0:
             raise ValueError("window_ms must be positive")
-        count = sum(
-            1
-            for charge in self.charges
-            if function_name is None or charge.function_name == function_name
-        )
-        return count * (60_000.0 / window_ms)
+        return len(self.charges) * (60_000.0 / window_ms)

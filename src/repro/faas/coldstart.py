@@ -49,11 +49,6 @@ class WarmInstancePool:
         self.cold_starts += 1
         return True
 
-    def warm_count(self, now_ms: float) -> int:
-        """Number of environments still considered warm at ``now_ms``."""
-        self._expire(now_ms)
-        return len(self._environments)
-
     def _expire(self, now_ms: float) -> None:
         self._environments = [
             environment

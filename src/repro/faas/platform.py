@@ -29,7 +29,6 @@ from repro.sim.engine import SimulationEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
-    from repro.faults.plan import RetryPolicy
 
 
 class FunctionNotRegisteredError(KeyError):
@@ -43,11 +42,10 @@ class FaasPlatform:
         self,
         engine: SimulationEngine,
         provider: ProviderProfile = AWS_LAMBDA,
-        resource_model: ResourceModel | None = None,
     ) -> None:
         self.engine = engine
         self.provider = provider
-        self.resources = resource_model or ResourceModel()
+        self.resources = ResourceModel()
         self.billing = BillingModel(rates=provider.billing)
         self._functions: dict[str, FunctionDefinition] = {}
         self._pools: dict[str, WarmInstancePool] = {}
@@ -68,10 +66,6 @@ class FaasPlatform:
 
     def function_names(self) -> list[str]:
         return sorted(self._functions)
-
-    def pool(self, name: str) -> WarmInstancePool:
-        self.require(name)
-        return self._pools[name]
 
     def require(self, name: str) -> FunctionDefinition:
         """The deployed function ``name``; raises if it is not registered."""
@@ -193,15 +187,14 @@ class FaasPlatform:
                 },
             )
 
-    def invoke_with_retry(
-        self, name: str, payload: Any, policy: Optional["RetryPolicy"] = None
-    ) -> Invocation:
+    def invoke_with_retry(self, name: str, payload: Any) -> Invocation:
         """Invoke with retry/exponential-backoff against injected faults.
 
-        Each failed attempt is retried after the policy's backoff (plus
-        jitter drawn from the ``faults:faas`` stream), in virtual time: the
-        retry is submitted at the failed attempt's completion plus the
-        backoff, so the returned aggregate's latency covers the whole ordeal.
+        Each failed attempt is retried after the backoff of the injector's
+        retry policy (plus jitter drawn from the ``faults:faas`` stream), in
+        virtual time: the retry is submitted at the failed attempt's
+        completion plus the backoff, so the returned aggregate's latency
+        covers the whole ordeal.
         Every raw attempt is appended to :attr:`invocations`; the returned
         record is the last attempt re-timed to span from the first submission
         (``attempts`` carries the count).  Without a fault injector this is
@@ -211,8 +204,7 @@ class FaasPlatform:
         first = self._invoke_at(name, payload, self.engine.now_ms)
         if injector is None:
             return first
-        if policy is None:
-            policy = injector.retry_policy
+        policy = injector.retry_policy
 
         attempts, last = 1, first
         while last.status != "ok" and attempts < policy.max_attempts:
@@ -231,8 +223,3 @@ class FaasPlatform:
             latency_ms=last.completed_ms - first.submitted_ms,
             attempts=attempts,
         )
-
-    # -- summaries ------------------------------------------------------------------
-
-    def invocations_for(self, name: str) -> list[Invocation]:
-        return [inv for inv in self.invocations if inv.function_name == name]

@@ -11,7 +11,7 @@ installs nothing: the fault-free determinism hashes are untouched.
 """
 
 from repro.faults.degradation import DegradationController
-from repro.faults.injector import FaultEvent, FaultInjector, FaultTimeline, make_injector
+from repro.faults.injector import FaultEvent, FaultInjector, FaultTimeline
 from repro.faults.install import install_faults
 from repro.faults.plan import (
     DegradationPolicy,
@@ -34,5 +34,4 @@ __all__ = [
     "RetryPolicy",
     "ShardKill",
     "install_faults",
-    "make_injector",
 ]

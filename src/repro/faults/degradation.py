@@ -35,11 +35,6 @@ class DegradationController:
         #: total broadcast updates shed over the controller's lifetime
         self.updates_shed = 0
 
-    @property
-    def shedding(self) -> bool:
-        """True while the server is over budget (the next tick will shed)."""
-        return self._over_budget
-
     def shed_count(self, due: int, unit: str) -> int:
         """How many of the ``due`` broadcast ``unit``s to shed this tick (0 under budget).
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.faults.degradation import DegradationController
 from repro.faults.plan import FaultPlan, RetryPolicy, ShardKill
@@ -172,10 +172,3 @@ class FaultInjector:
     def net_rng(self):
         """The ``faults:net`` stream (None when the plan has no net section)."""
         return self._net_rng
-
-
-def make_injector(engine: "SimulationEngine", plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
-    """An injector for a non-empty plan, or None (the no-op guarantee)."""
-    if plan is None or plan.is_empty:
-        return None
-    return FaultInjector(engine, plan)

@@ -1,7 +1,7 @@
 """Area-of-interest subscriptions with dyconit-style bounded staleness.
 
 Instead of broadcasting the whole world to every session each tick, each
-session subscribes to a chunk radius around its avatar; dirty entries are
+session subscribes to a chunk radius around its avatar; dirty events are
 routed through an incremental chunk-to-subscriber index and delivered as
 delta-compressed batches whose flush cadence is governed by per-subscription
 error budgets (ticks of staleness, blocks of drift) — the dynamic-consistency

@@ -20,11 +20,11 @@ error budget would otherwise be violated: entries older than
 ``max_drift_blocks`` blocks.  The staleness observed at every flush is
 reported so runs can *prove* the bounds held.
 
-Entries are encoded on write: a dirty entry with at least one (non-source)
-subscriber is serialized once, whatever the subscriber count — the cost
-model charges ``per_update_entry_ms`` per encoded entry plus
-``per_update_flush_ms`` per batch send, replacing the ``per_player_ms``
-full fan-out.
+Each dirty event is one delta entry, and entries are encoded on write: an
+entry with at least one (non-source) subscriber is serialized once, whatever
+the subscriber count — the cost model charges ``per_update_entry_ms`` per
+encoded entry plus ``per_update_flush_ms`` per batch send, replacing the
+``per_player_ms`` full fan-out.
 
 The map is one of a server's two broadcast policies: it answers the same
 calls as :class:`~repro.server.broadcast.FullFanout`, so the game loop never
@@ -36,7 +36,7 @@ interest-enabled runs stay bit-deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -178,7 +178,7 @@ class InterestMap:
         #: when True, every local dirty event is also appended to the dirty
         #: log for cross-shard routing (set by the cluster coordinator)
         self.record_dirty_log = False
-        self._dirty_log: list[tuple[ChunkKey, int, float, Optional[int]]] = []
+        self._dirty_log: list[tuple[ChunkKey, float, Optional[int]]] = []
         #: optional sink receiving every flushed (sequence-stamped) batch;
         #: None keeps the hot path allocation-free
         self.batch_sink: Optional[Callable[[UpdateBatch], None]] = None
@@ -187,10 +187,6 @@ class InterestMap:
         self.last_flush: Optional[FlushReport] = None
 
     # -- shape -----------------------------------------------------------------------
-
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subs)
 
     def subscription(self, player_id: int) -> Optional[Subscription]:
         """The player's subscription, current as of this call.
@@ -315,47 +311,39 @@ class InterestMap:
         sub = self._subs.get(player_id)
         return sub.export_state() if sub is not None else None
 
-    # -- dirty entries ---------------------------------------------------------------
+    # -- dirty events ----------------------------------------------------------------
 
     def note_dirty(
         self,
         chunk: ChunkKey,
-        entries: int = 1,
         drift: float = 0.0,
         source_player_id: Optional[int] = None,
     ) -> None:
-        """Route a local dirty event to the chunk's subscribers.
+        """Route a local dirty event, one delta entry, to the chunk's subscribers.
 
         The event is also appended to the dirty log when cross-shard routing
         is on — even with no local subscribers, since a neighbouring shard's
         players may subscribe to this chunk across the zone boundary.
         """
         if self.record_dirty_log:
-            self._dirty_log.append((chunk, entries, drift, source_player_id))
-        self._route(chunk, entries, drift, source_player_id)
+            self._dirty_log.append((chunk, drift, source_player_id))
+        self._route(chunk, drift, source_player_id)
 
     def note_external(
         self,
         chunk: ChunkKey,
-        entries: int = 1,
         drift: float = 0.0,
         source_player_id: Optional[int] = None,
     ) -> None:
         """Route a dirty event relayed from another shard (never re-logged)."""
-        self._route(chunk, entries, drift, source_player_id)
+        self._route(chunk, drift, source_player_id)
 
-    def drain_dirty_log(self) -> list[tuple[ChunkKey, int, float, Optional[int]]]:
+    def drain_dirty_log(self) -> list[tuple[ChunkKey, float, Optional[int]]]:
         """Return and clear this tick's dirty events (cross-shard routing)."""
         events, self._dirty_log = self._dirty_log, []
         return events
 
-    def _route(
-        self,
-        chunk: ChunkKey,
-        entries: int,
-        drift: float,
-        source_player_id: Optional[int],
-    ) -> None:
+    def _route(self, chunk: ChunkKey, drift: float, source_player_id: Optional[int]) -> None:
         tiers = self._index.get(chunk)
         if tiers is None:
             return
@@ -364,10 +352,10 @@ class InterestMap:
         others = len(near) + len(far)
         if near:
             pending = self._pending_near
-            pending[chunk] = pending.get(chunk, 0) + entries
+            pending[chunk] = pending.get(chunk, 0) + 1
             source = near.get(source_player_id)
             if source is not None:
-                source.near_entries -= entries
+                source.near_entries -= 1
                 others -= 1
         if far:
             # Per event and in arrival order: far_drift is a float sum.
@@ -376,14 +364,14 @@ class InterestMap:
                 if sub.player_id == source_player_id:
                     others -= 1
                     continue
-                sub.far_entries += entries
+                sub.far_entries += 1
                 sub.far_drift += drift
                 if sub.far_first_tick is None:
                     sub.far_first_tick = tick
         if others:
             # Encode-on-write: the entry is serialized once and shared by
             # every subscriber's batch.
-            self._entries_encoded += entries
+            self._entries_encoded += 1
 
     # -- the per-tick flush ----------------------------------------------------------
 

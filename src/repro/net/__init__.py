@@ -6,7 +6,7 @@ holds what travels between client and server — client messages in, update
 batches out — and the per-genre bounds on ``t_n``.
 """
 
-from repro.net.batch import BatchReceiver, BatchStream, UpdateBatch
+from repro.net.batch import BatchStream, UpdateBatch
 from repro.net.message import Message, MessageKind
 
 __all__ = [
@@ -14,5 +14,4 @@ __all__ = [
     "MessageKind",
     "UpdateBatch",
     "BatchStream",
-    "BatchReceiver",
 ]

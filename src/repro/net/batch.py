@@ -6,8 +6,8 @@ of the chunks it subscribes to, coalesced per consistency tier ("near"
 flushes every tick, "far" flushes when a dyconit budget would be violated).
 
 Like client messages (:mod:`repro.net.channel`), batches carry a per-player
-monotonic ``sequence`` number so delivery is idempotent: a lossy or
-duplicating wire is tolerated by deduplicating against the same bounded
+monotonic ``sequence`` number so delivery can be made idempotent: a client
+tolerates a lossy or duplicating wire by deduplicating against a bounded
 :class:`~repro.net.channel.SeenWindow` of recently seen sequence numbers.
 """
 
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Optional
-
-from repro.net.channel import SeenWindow
 
 #: consistency tiers a batch can belong to
 NEAR_TIER = "near"
@@ -62,36 +60,3 @@ class BatchStream:
         sequence = self._sequences.get(batch.player_id, 0) + 1
         self._sequences[batch.player_id] = sequence
         return replace(batch, sequence=sequence)
-
-
-class BatchReceiver:
-    """Client-side idempotent batch application for one player.
-
-    ``accept`` returns True exactly once per sequence number: duplicated
-    deliveries (a faulty wire, a retransmit) are rejected by the bounded
-    seen-window, so a batch's entries are applied exactly once.
-    """
-
-    def __init__(self, player_id: int) -> None:
-        self.player_id = player_id
-        self._seen = SeenWindow()
-        #: batches applied (first deliveries)
-        self.accepted = 0
-        #: duplicated deliveries rejected by the window
-        self.duplicates_rejected = 0
-        #: delta entries applied across all accepted batches
-        self.entries_applied = 0
-
-    def accept(self, batch: UpdateBatch) -> bool:
-        if batch.player_id != self.player_id:
-            raise ValueError(
-                f"batch for player {batch.player_id} delivered to {self.player_id}"
-            )
-        if batch.sequence is None:
-            raise ValueError("unstamped batch: route it through a BatchStream first")
-        if not self._seen.add(batch.sequence):
-            self.duplicates_rejected += 1
-            return False
-        self.accepted += 1
-        self.entries_applied += batch.entries
-        return True

@@ -32,17 +32,6 @@ from typing import Any, Mapping, Optional
 
 from repro.obs.profiling import WallClockProfiler
 
-#: span/event categories the built-in instrumentation emits (extensible —
-#: the trace format carries arbitrary categories; these are the known ones)
-KNOWN_CATEGORIES = (
-    "tick",        # one GameServer tick (per shard, for clusters)
-    "round",       # one cluster lockstep round
-    "faas",        # one FaaS invocation attempt
-    "migration",   # one cross-shard player handoff
-    "fault",       # one injected fault / recovery event (FaultTimeline view)
-    "terrain",     # one serverless terrain request (submit -> reply)
-)
-
 #: the Chrome trace-event phases the hub records ("X" = complete span,
 #: "i" = instant event); exporters add "M" metadata events on top
 SPAN_PHASE = "X"
@@ -55,7 +44,8 @@ class TraceEvent:
 
     #: Chrome trace-event phase: "X" (complete span) or "i" (instant)
     phase: str
-    #: subsystem category (see :data:`KNOWN_CATEGORIES`)
+    #: subsystem category; the built-in ones are tick, round (a cluster
+    #: round), faas (one attempt), migration, fault and terrain (one request)
     category: str
     #: event name (e.g. "tick", the FaaS function name, the fault kind)
     name: str
@@ -217,9 +207,6 @@ class Telemetry(NullTelemetry):
             if event.phase == INSTANT_PHASE
             and (category is None or event.category == category)
         ]
-
-    def categories(self) -> list[str]:
-        return sorted({event.category for event in self.events})
 
     def virtual_digest(self) -> str:
         """A stable hash of the full virtual-time record.

@@ -40,7 +40,7 @@ class FullFanout:
     def leave(self, session: "PlayerSession") -> None:
         session.detach_broadcast_clock()
 
-    def note_dirty(self, chunk, entries=1, drift=0.0, source_player_id=None) -> None:
+    def note_dirty(self, chunk, drift=0.0, source_player_id=None) -> None:
         """Nothing to route: the next round sends every player everything."""
 
     def broadcast(self, server: "GameServer", work: "TickWork") -> None:

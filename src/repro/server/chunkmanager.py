@@ -309,11 +309,6 @@ class ChunkManager:
         else:
             self._chunk_refcounts[position] = count
 
-    @property
-    def protected_chunks(self) -> set[ChunkPos]:
-        """The chunks currently pinned against eviction."""
-        return set(self._protected)
-
     # -- asynchronous completion ---------------------------------------------------------
 
     def _on_chunk_available(self, chunk: Chunk, result: GenerationResult) -> None:
@@ -564,7 +559,3 @@ class ChunkManager:
             chunk.dirty = False
             written += 1
         return written
-
-    @property
-    def pending_chunks(self) -> int:
-        return len(self._pending)

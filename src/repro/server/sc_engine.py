@@ -21,6 +21,7 @@ translated into tick time by the cost model.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,7 +31,6 @@ from repro.constructs.batched import BatchedCircuitStepper
 from repro.constructs.circuit import ConstructIds, SimulatedConstruct
 from repro.constructs.compiled import CompiledCircuit, compile_circuit
 from repro.constructs.loop_detection import LoopDetector, LoopReplay
-from repro.constructs.simulator import clone_construct
 from repro.world.coords import BlockPos
 
 
@@ -143,7 +143,8 @@ class ConstructBackend:
         of ``block_count`` values, every ``cell.state`` is a plain ``int``
         equal to its slot, no two constructs' vectors share memory, and every
         construct the loop replay holds (each pair of ``replay.skipped_rows()``)
-        gets, at its next advance, the row one compiled step of a clone gives.
+        gets, at its next advance, the row one compiled step of its state
+        vector gives.
         """
         constructs = {construct.construct_id: construct for construct in self.constructs()}
         for construct in constructs.values():
@@ -166,9 +167,10 @@ class ConstructBackend:
         ):
             return False
         for construct, row in self.replay.skipped_rows():
-            clone = clone_construct(construct)
-            compile_circuit(clone).step()
-            if not np.array_equal(clone.states, row):
+            # A shallow copy shares the vector, which a step rebinds, never writes.
+            twin = copy.copy(construct)
+            CompiledCircuit(twin).step()
+            if not np.array_equal(twin.states, row):
                 return False
         return True
 

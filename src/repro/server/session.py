@@ -116,10 +116,6 @@ class PlayerSession:
             self._pending_index.pop(self.player_id, None)
         return messages
 
-    @property
-    def pending_messages(self) -> int:
-        return len(self._inbox)
-
     def move(self, x: int, y: int, z: int) -> None:
         """Convenience wrapper: queue a MOVE message."""
         self.enqueue(Message(MessageKind.MOVE, self.player_id, {"x": x, "y": y, "z": z}))

@@ -16,13 +16,12 @@ Everything in the reproduction runs on *virtual* time.  The substrate provides:
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event, EventQueue
-from repro.sim.latency import ConstantLatency, LatencyModel, LogNormalLatency
+from repro.sim.latency import LatencyModel, LogNormalLatency
 from repro.sim.metrics import (
     Histogram,
     MetricRegistry,
     TimeSeries,
     boxplot_stats,
-    inverse_cdf,
     percentile,
 )
 from repro.sim.rng import RandomStreams
@@ -33,13 +32,11 @@ __all__ = [
     "Event",
     "EventQueue",
     "LatencyModel",
-    "ConstantLatency",
     "LogNormalLatency",
     "Histogram",
     "TimeSeries",
     "MetricRegistry",
     "percentile",
     "boxplot_stats",
-    "inverse_cdf",
     "RandomStreams",
 ]

@@ -29,11 +29,6 @@ class SimulationClock:
         """Current virtual time in milliseconds."""
         return self._now_ms
 
-    @property
-    def now_s(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now_ms / 1000.0
-
     def advance(self, delta_ms: float) -> float:
         """Advance the clock by ``delta_ms`` milliseconds and return the new time."""
         if delta_ms < 0:
@@ -53,10 +48,6 @@ class SimulationClock:
             )
         self._now_ms = max(self._now_ms, float(time_ms))
         return self._now_ms
-
-    def reset(self, start_ms: float = 0.0) -> None:
-        """Reset the clock to ``start_ms`` (used between experiment repetitions)."""
-        self._now_ms = float(start_ms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimulationClock(now_ms={self._now_ms:.3f})"

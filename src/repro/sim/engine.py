@@ -19,8 +19,8 @@ from repro.sim.rng import RandomStreams
 class SimulationEngine:
     """Shared simulation context for one run."""
 
-    def __init__(self, seed: int = 0, start_ms: float = 0.0) -> None:
-        self.clock = SimulationClock(start_ms=start_ms)
+    def __init__(self, seed: int = 0) -> None:
+        self.clock = SimulationClock()
         self.events = EventQueue()
         self.random = RandomStreams(seed=seed)
         self.metrics = MetricRegistry()
@@ -32,10 +32,6 @@ class SimulationEngine:
     @property
     def now_ms(self) -> float:
         return self.clock.now_ms
-
-    @property
-    def now_s(self) -> float:
-        return self.clock.now_s
 
     def rng(self, name: str):
         """Shorthand for ``engine.random.stream(name)``."""

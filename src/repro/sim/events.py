@@ -9,15 +9,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    due_ms: float
-    sequence: int
-    event: "Event" = field(compare=False)
 
 
 @dataclass
@@ -28,60 +21,36 @@ class Event:
         due_ms: Virtual time at which the event fires.
         callback: Zero-argument callable executed when the event fires.
         name: Optional label used in debugging and metrics.
-        cancelled: Cancelled events are skipped when popped.
     """
 
     due_ms: float
     callback: Callable[[], Any]
     name: str = ""
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        """Mark the event so it is skipped when its due time arrives."""
-        self.cancelled = True
 
 
 class EventQueue:
     """A deterministic priority queue of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: list[_QueueEntry] = []
+        #: (due time, insertion sequence, event): the sequence breaks ties
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
-        self._live = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap)
 
     def schedule(self, due_ms: float, callback: Callable[[], Any], name: str = "") -> Event:
         """Schedule ``callback`` to fire at virtual time ``due_ms``."""
         event = Event(due_ms=float(due_ms), callback=callback, name=name)
-        heapq.heappush(self._heap, _QueueEntry(event.due_ms, next(self._counter), event))
-        self._live += 1
+        heapq.heappush(self._heap, (event.due_ms, next(self._counter), event))
         return event
 
     def peek_due_ms(self) -> Optional[float]:
         """Return the due time of the earliest pending event, or None if empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0].due_ms
+        return self._heap[0][0] if self._heap else None
 
     def pop_due(self, now_ms: float) -> Iterator[Event]:
         """Yield (and remove) every event due at or before ``now_ms``, in order."""
-        while True:
-            self._drop_cancelled()
-            if not self._heap or self._heap[0].due_ms > now_ms + 1e-9:
-                return
-            entry = heapq.heappop(self._heap)
-            self._live -= 1
-            yield entry.event
-
-    def clear(self) -> None:
-        """Remove every pending event."""
-        self._heap.clear()
-        self._live = 0
-
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].event.cancelled:
-            heapq.heappop(self._heap)
-            self._live -= 1
+        heap = self._heap
+        while heap and heap[0][0] <= now_ms + 1e-9:
+            yield heapq.heappop(heap)[2]

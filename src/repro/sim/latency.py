@@ -27,16 +27,6 @@ class LatencyModel:
 
 
 @dataclass
-class ConstantLatency(LatencyModel):
-    """A fixed latency, useful in tests and as a degenerate baseline."""
-
-    value_ms: float
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.value_ms)
-
-
-@dataclass
 class LogNormalLatency(LatencyModel):
     """Lognormal latency with an optional additive floor.
 

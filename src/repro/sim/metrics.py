@@ -130,26 +130,6 @@ def boxplot_stats(samples: Iterable[float]) -> BoxplotStats:
     )
 
 
-def inverse_cdf(samples: Iterable[float], latencies_ms: Iterable[float]) -> list[tuple[float, float]]:
-    """Return (latency, fraction of samples >= latency) pairs.
-
-    This is the inverse cumulative distribution the paper plots in Figure 13:
-    for each latency threshold, the fraction of operations at or above it.
-    The sorted input allows a single ``searchsorted`` per threshold instead
-    of a full comparison scan.
-    """
-    values = np.sort(_as_float_array(samples))
-    if values.size == 0:
-        raise ValueError("cannot compute an inverse CDF of an empty sample set")
-    points: list[tuple[float, float]] = []
-    size = values.size
-    for threshold in latencies_ms:
-        # Count of samples >= threshold == size - first index at/above it.
-        above = float(size - np.searchsorted(values, threshold, side="left")) / size
-        points.append((float(threshold), above))
-    return points
-
-
 def fraction_exceeding(samples: Iterable[float], threshold: float) -> float:
     """Fraction of samples strictly greater than ``threshold``.
 
@@ -167,8 +147,8 @@ class _FloatBuffer:
 
     __slots__ = ("_data", "_size", "_sorted")
 
-    def __init__(self, capacity: int = 64) -> None:
-        self._data = np.empty(max(1, int(capacity)), dtype=np.float64)
+    def __init__(self) -> None:
+        self._data = np.empty(64, dtype=np.float64)
         self._size = 0
         self._sorted: np.ndarray | None = None
 

@@ -38,18 +38,5 @@ class RandomStreams:
             self._streams[name] = np.random.default_rng(child_seed)
         return self._streams[name]
 
-    def fork(self, name: str) -> "RandomStreams":
-        """Derive a new :class:`RandomStreams` whose root seed depends on ``name``.
-
-        Used for experiment repetitions: ``streams.fork("rep-3")`` gives a
-        fully independent but reproducible set of streams.
-        """
-        digest = hashlib.sha256(f"{self._seed}/{name}".encode("utf-8")).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "little"))
-
-    def reset(self) -> None:
-        """Drop all derived streams so they restart from their initial state."""
-        self._streams.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomStreams(seed={self._seed}, streams={sorted(self._streams)})"

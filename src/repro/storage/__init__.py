@@ -10,7 +10,6 @@ from repro.storage.base import ObjectNotFoundError, StorageBackend, StorageOpera
 from repro.storage.blob import (
     BlobStorage,
     BlobTierProfile,
-    AZURE_BLOB_PREMIUM,
     AZURE_BLOB_STANDARD,
     AWS_S3_STANDARD,
     download_latency_profile,
@@ -28,7 +27,6 @@ __all__ = [
     "BlobTierProfile",
     "AWS_S3_STANDARD",
     "AZURE_BLOB_STANDARD",
-    "AZURE_BLOB_PREMIUM",
     "download_latency_profile",
     "CachedStorage",
     "CacheStatistics",

@@ -95,10 +95,6 @@ class DictBackedStorage(StorageBackend):
         return len(data)
 
     @property
-    def object_count(self) -> int:
-        return len(self._objects)
-
-    @property
     def chunk_object_count(self) -> int:
         """How many stored objects are chunks."""
         return self._chunk_objects

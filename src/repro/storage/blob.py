@@ -54,14 +54,6 @@ AZURE_BLOB_STANDARD = BlobTierProfile(
     write=LogNormalLatency(median_ms=25.0, sigma=0.5, floor_ms=5.0, cap_ms=800.0),
 )
 
-AZURE_BLOB_PREMIUM = BlobTierProfile(
-    name="azure-blob-premium",
-    read_fast=LogNormalLatency(median_ms=5.0, sigma=0.22, floor_ms=1.0, cap_ms=40.0),
-    read_slow=LogNormalLatency(median_ms=110.0, sigma=0.4, floor_ms=40.0, cap_ms=300.0),
-    slow_fraction=0.002,
-    write=LogNormalLatency(median_ms=14.0, sigma=0.45, floor_ms=3.0, cap_ms=400.0),
-)
-
 AWS_S3_STANDARD = BlobTierProfile(
     name="aws-s3-standard",
     read_fast=LogNormalLatency(median_ms=11.0, sigma=0.3, floor_ms=2.0, cap_ms=80.0),

@@ -31,14 +31,6 @@ class CacheStatistics:
     evictions: int = 0
     writebacks: int = 0
 
-    @property
-    def reads(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.reads if self.reads else 0.0
-
 
 class CachedStorage(StorageBackend):
     """Read-through, write-behind cache in front of a remote backend.
@@ -56,7 +48,6 @@ class CachedStorage(StorageBackend):
         remote: StorageBackend,
         rng: np.random.Generator,
         capacity_objects: int = CACHE_CAPACITY_OBJECTS,
-        hit_latency: LogNormalLatency | None = None,
     ) -> None:
         self._remote = remote
         self._rng = rng
@@ -65,9 +56,7 @@ class CachedStorage(StorageBackend):
             raise ValueError("cache capacity must be at least one object")
         self._entries: OrderedDict[str, bytes] = OrderedDict()
         self._dirty: set[str] = set()
-        self._hit_latency = hit_latency or LogNormalLatency(
-            median_ms=1.2, sigma=0.4, floor_ms=0.2, cap_ms=30.0
-        )
+        self._hit_latency = LogNormalLatency(median_ms=1.2, sigma=0.4, floor_ms=0.2, cap_ms=30.0)
         self.stats = CacheStatistics()
 
     # -- cache internals -----------------------------------------------------------
@@ -89,14 +78,6 @@ class CachedStorage(StorageBackend):
 
     def is_cached(self, key: str) -> bool:
         return key in self._entries
-
-    @property
-    def cached_keys(self) -> list[str]:
-        return list(self._entries)
-
-    @property
-    def dirty_keys(self) -> list[str]:
-        return sorted(self._dirty)
 
     # -- StorageBackend API -----------------------------------------------------------
 

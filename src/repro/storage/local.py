@@ -27,17 +27,14 @@ class LocalDiskStorage(DictBackedStorage):
         self,
         rng: np.random.Generator,
         boot_window_reads: int = 12,
-        read_latency: LogNormalLatency | None = None,
-        boot_latency: LogNormalLatency | None = None,
-        write_latency: LogNormalLatency | None = None,
     ) -> None:
         super().__init__()
         self._rng = rng
         self._reads_served = 0
         self._boot_window_reads = int(boot_window_reads)
-        self._read_latency = read_latency or LogNormalLatency(median_ms=1.6, sigma=0.45, floor_ms=0.3, cap_ms=40.0)
-        self._boot_latency = boot_latency or LogNormalLatency(median_ms=35.0, sigma=0.55, floor_ms=10.0, cap_ms=125.0)
-        self._write_latency = write_latency or LogNormalLatency(median_ms=2.5, sigma=0.5, floor_ms=0.5, cap_ms=60.0)
+        self._read_latency = LogNormalLatency(median_ms=1.6, sigma=0.45, floor_ms=0.3, cap_ms=40.0)
+        self._boot_latency = LogNormalLatency(median_ms=35.0, sigma=0.55, floor_ms=10.0, cap_ms=125.0)
+        self._write_latency = LogNormalLatency(median_ms=2.5, sigma=0.5, floor_ms=0.5, cap_ms=60.0)
         #: probability a boot-window read misses the page cache
         self._boot_miss_probability = 0.25
 

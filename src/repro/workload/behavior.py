@@ -98,16 +98,9 @@ class ConvergeBehavior(WalkerBehavior):
     """
 
     code = "C"
-
-    def __init__(
-        self,
-        speed_blocks_per_s: float = 3.0,
-        crowd_radius_blocks: float = 8.0,
-        target: BlockPos | None = None,
-    ) -> None:
-        self.speed_blocks_per_s = float(speed_blocks_per_s)
-        self.crowd_radius_blocks = float(crowd_radius_blocks)
-        self.target = target
+    speed_blocks_per_s = 3.0
+    crowd_radius_blocks = 8.0
+    target: BlockPos | None = None
 
 
 class StarBehavior(WalkerBehavior):
@@ -148,31 +141,24 @@ class IncreasingSpeedStarBehavior(StarBehavior):
     every 200 seconds.
     """
 
+    initial_speed_blocks_per_s = 1.0
+
     def __init__(
         self,
         direction_index: int = 0,
         direction_count: int = 8,
-        initial_speed_blocks_per_s: float = 1.0,
         speed_increase_interval_s: float = 200.0,
     ) -> None:
         super().__init__(
-            speed_blocks_per_s=initial_speed_blocks_per_s,
+            speed_blocks_per_s=self.initial_speed_blocks_per_s,
             direction_index=direction_index,
             direction_count=direction_count,
         )
-        self.initial_speed_blocks_per_s = float(initial_speed_blocks_per_s)
         self.speed_increase_interval_s = float(speed_increase_interval_s)
 
     @property
     def code(self) -> str:  # type: ignore[override]
         return "Sinc"
-
-    def current_speed(self, tick_index: int, tick_interval_ms: float) -> float:
-        """Speed at this tick: the schedule :class:`WalkerArrays` applies."""
-        return _increasing_speed(
-            self.initial_speed_blocks_per_s, self.speed_increase_interval_s,
-            tick_index, tick_interval_ms,
-        )
 
 
 class WalkerArrays:
@@ -309,9 +295,9 @@ class RandomBehavior(Behavior):
     """
 
     code = "R"
+    roam_radius_blocks = 64.0
 
-    def __init__(self, roam_radius_blocks: float = 64.0) -> None:
-        self.roam_radius_blocks = float(roam_radius_blocks)
+    def __init__(self) -> None:
         #: continuous position, taken from the avatar at the first move activity
         self._xz: tuple[float, float] | None = None
         self._target: tuple[float, float] | None = None

@@ -22,7 +22,7 @@ invisible to the workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, groupby
 from typing import Callable, Optional, Protocol, runtime_checkable
 
@@ -164,10 +164,9 @@ class BotSwarm:
         self,
         behaviors: list[Behavior],
         schedule: JoinSchedule | None = None,
-        name_prefix: str = "bot",
     ) -> None:
         self.bots = [
-            BotPlayer(name=f"{name_prefix}-{index}", behavior=behavior)
+            BotPlayer(name=f"bot-{index}", behavior=behavior)
             for index, behavior in enumerate(behaviors)
         ]
         #: what the driver steps each tick, in bot order
@@ -183,10 +182,6 @@ class BotSwarm:
         self._rng: np.random.Generator | None = None
         self._initial = 0
         self._start_ms = 0.0
-
-    @property
-    def connected_count(self) -> int:
-        return sum(1 for bot in self.bots if bot.connected)
 
     def _connect_next(self, server: GameHost) -> None:
         if self._next_join_index >= len(self.bots):

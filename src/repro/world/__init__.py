@@ -6,7 +6,7 @@ deterministic procedural terrain generation (default and flat world types) and
 chunk serialization used by the storage layer.
 """
 
-from repro.world.block import BlockType, is_stateful
+from repro.world.block import BlockType
 from repro.world.chunk import CHUNK_HEIGHT, CHUNK_SIZE, Chunk
 from repro.world.coords import BlockPos, ChunkPos, block_to_chunk, chunk_origin
 from repro.world.noise import LayeredNoise
@@ -21,7 +21,6 @@ from repro.world.world import VoxelWorld
 
 __all__ = [
     "BlockType",
-    "is_stateful",
     "Chunk",
     "CHUNK_SIZE",
     "CHUNK_HEIGHT",

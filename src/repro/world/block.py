@@ -39,23 +39,3 @@ class BlockType(IntEnum):
     PISTON = 38            # extends when powered
     HOPPER = 39            # moves items each activation (farm building block)
     COMPARATOR = 40        # outputs the max of its side inputs
-
-
-_STATEFUL_TYPES = frozenset(
-    {
-        BlockType.POWER_SOURCE,
-        BlockType.LEVER,
-        BlockType.WIRE,
-        BlockType.LAMP,
-        BlockType.TORCH,
-        BlockType.REPEATER,
-        BlockType.PISTON,
-        BlockType.HOPPER,
-        BlockType.COMPARATOR,
-    }
-)
-
-
-def is_stateful(block_type: BlockType) -> bool:
-    """True if the block type carries internal state (is part of an SC)."""
-    return block_type in _STATEFUL_TYPES

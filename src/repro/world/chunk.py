@@ -70,16 +70,6 @@ class Chunk:
         self.blocks[lx, ly, lz] = int(block_type)
         self.dirty = True
 
-    def surface_height(self, x: int, z: int) -> int:
-        """The y of the highest non-air block in the column (or 0 if empty)."""
-        origin = chunk_origin(self.position)
-        lx, lz = x - origin.x, z - origin.z
-        if not (0 <= lx < CHUNK_SIZE and 0 <= lz < CHUNK_SIZE):
-            raise KeyError(f"column ({x}, {z}) is not inside chunk {self.position}")
-        column = self.blocks[lx, :, lz]
-        non_air = np.nonzero(column)[0]
-        return int(non_air.max()) if non_air.size else 0
-
     # -- summary helpers ----------------------------------------------------------------
 
     def block_count(self, block_type: BlockType) -> int:

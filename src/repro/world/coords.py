@@ -45,10 +45,6 @@ class BlockPos(NamedTuple):
             self.offset(dz=-1),
         ]
 
-    def horizontal_distance_to(self, other: "BlockPos") -> float:
-        """Euclidean distance ignoring the vertical axis (used for view range)."""
-        return math.hypot(self.x - other.x, self.z - other.z)
-
 
 class ChunkPos(NamedTuple):
     """A chunk column position (16x16 blocks horizontally)."""

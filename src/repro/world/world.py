@@ -35,11 +35,6 @@ class VoxelWorld:
             raise ChunkNotLoadedError(f"chunk {position} is not loaded")
         return self._chunks.pop(position)
 
-    def get_chunk(self, position: ChunkPos) -> Chunk:
-        if position not in self._chunks:
-            raise ChunkNotLoadedError(f"chunk {position} is not loaded")
-        return self._chunks[position]
-
     def is_loaded(self, position: ChunkPos) -> bool:
         return position in self._chunks
 
@@ -73,12 +68,6 @@ class VoxelWorld:
 
     def block_loaded(self, pos: BlockPos) -> bool:
         return block_to_chunk(pos) in self._chunks
-
-    def surface_height(self, x: int, z: int) -> int:
-        chunk_pos = block_to_chunk(BlockPos(x, 0, z))
-        if chunk_pos not in self._chunks:
-            raise ChunkNotLoadedError(f"column ({x}, {z}) belongs to unloaded chunk {chunk_pos}")
-        return self._chunks[chunk_pos].surface_height(x, z)
 
     # -- aggregate queries ----------------------------------------------------------
 

@@ -93,11 +93,7 @@ def resume(shape: str, host, driver) -> str:
 
 def pending(host) -> list[tuple[float, str]]:
     """The engine's in-flight events, as (due time, name), in due order."""
-    return sorted(
-        (entry.due_ms, entry.event.name)
-        for entry in host.engine.events._heap
-        if not entry.event.cancelled
-    )
+    return sorted((due_ms, event.name) for due_ms, _, event in host.engine.events._heap)
 
 
 def digest(host) -> str:

@@ -88,7 +88,7 @@ def test_boundary_crossing_migrates_player_and_preserves_state(engine):
     cluster.tick()
 
     assert cluster.home[mover.player_id] == 1
-    assert cluster.migration_count == 1
+    assert len(cluster.migration_records) == 1
     record = cluster.migration_records[0]
     assert (record.from_shard, record.to_shard) == (0, 1)
     assert record.latency_ms > 0.0
@@ -198,7 +198,7 @@ def test_a_swarm_keeps_ticking_after_a_shard_drops_one_of_its_bots(engine):
     cluster.run_ticks(5, before_tick=driver)
     drop_on_its_shard(cluster, swarm.bots[1].session.player_id)
     cluster.run_ticks(20, before_tick=driver)
-    assert swarm.connected_count == 3
+    assert sum(bot.connected for bot in swarm.bots) == 3
     assert cluster.player_count == 3
     assert check(cluster) == []
 

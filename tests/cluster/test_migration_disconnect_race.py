@@ -36,7 +36,7 @@ def test_disconnect_before_the_migration_round_is_not_resurrected(engine):
     cluster.tick()
 
     assert mover.disconnected
-    assert cluster.migration_count == 0
+    assert len(cluster.migration_records) == 0
     # The session exists on no shard: neither lost-and-recreated nor doubled.
     assert sessions_holding(cluster, mover.player_id) == []
     assert cluster.player_count == 3
@@ -56,7 +56,7 @@ def test_disconnect_under_a_running_migration_is_not_resurrected(engine):
     cluster.shards[home].disconnect_player(mover.player_id)
     cluster._migrate(mover, (home + 1) % 2)
 
-    assert cluster.migration_count == 0
+    assert len(cluster.migration_records) == 0
     assert sessions_holding(cluster, mover.player_id) == []
     assert cluster.home[mover.player_id] == home
     assert check(cluster) == []

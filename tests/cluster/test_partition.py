@@ -17,7 +17,7 @@ def test_single_shard_owns_everything():
     partitioner = WorldPartitioner(1)
     region = partitioner.region(0)
     for cx in (-1000, 0, 1000):
-        assert partitioner.zone_of(ChunkPos(cx, 0)) == 0
+        assert partitioner.zone_of_cx(cx) == 0
         assert region.contains(ChunkPos(cx, 5))
     assert partitioner.boundary_count() == 0
     with pytest.raises(ValueError):
@@ -27,23 +27,22 @@ def test_single_shard_owns_everything():
 def test_zones_are_contiguous_strips_with_unbounded_edges():
     partitioner = WorldPartitioner(4, zone_width_chunks=8)
     # Interior boundaries at cx = 8, 16, 24.
-    assert partitioner.zone_of(ChunkPos(-500, 0)) == 0
-    assert partitioner.zone_of(ChunkPos(7, 0)) == 0
-    assert partitioner.zone_of(ChunkPos(8, 0)) == 1
-    assert partitioner.zone_of(ChunkPos(15, 3)) == 1
-    assert partitioner.zone_of(ChunkPos(16, 0)) == 2
-    assert partitioner.zone_of(ChunkPos(24, 0)) == 3
-    assert partitioner.zone_of(ChunkPos(9999, 0)) == 3
+    assert partitioner.zone_of_cx(-500) == 0
+    assert partitioner.zone_of_cx(7) == 0
+    assert partitioner.zone_of_cx(8) == 1
+    assert partitioner.zone_of_cx(15) == 1
+    assert partitioner.zone_of_cx(16) == 2
+    assert partitioner.zone_of_cx(24) == 3
+    assert partitioner.zone_of_cx(9999) == 3
 
 
 def test_every_chunk_has_exactly_one_owner():
     partitioner = WorldPartitioner(3, zone_width_chunks=4)
-    regions = partitioner.regions()
+    regions = [partitioner.region(zone) for zone in range(partitioner.shard_count)]
     for cx in range(-20, 40):
         position = ChunkPos(cx, 7)
         owners = [region.zone_id for region in regions if region.contains(position)]
-        assert owners == [partitioner.zone_of(position)]
-        # The three spellings of "who owns this" agree, negatives included.
+        # The spellings of "who owns this" agree, negatives included.
         assert owners == [partitioner.zone_of_cx(cx)]
         assert owners == [partitioner.zone_of_block(BlockPos(cx * CHUNK_SIZE + 5, 65, -3))]
 
@@ -54,8 +53,8 @@ def test_block_exactly_on_zone_edge_belongs_to_the_right_zone():
     assert partitioner.zone_of_block(BlockPos(boundary_x, 65, 0)) == 1
     assert partitioner.zone_of_block(BlockPos(boundary_x - 1, 65, 0)) == 0
     # The zone regions agree with zone_of_block on the edge.
-    assert partitioner.region(1).contains_block(BlockPos(boundary_x, 65, 0))
-    assert not partitioner.region(0).contains_block(BlockPos(boundary_x, 65, 0))
+    assert partitioner.region(1).contains(ChunkPos(8, 0))
+    assert not partitioner.region(0).contains(ChunkPos(8, 0))
 
 
 def test_region_validates_zone_id():

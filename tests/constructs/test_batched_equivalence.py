@@ -26,7 +26,8 @@ from repro.constructs.library import (
     build_wire_line,
     standard_construct,
 )
-from repro.constructs.simulator import ReferenceConstructSimulator, clone_construct
+from construct_helpers import clone_construct
+from repro.constructs.simulator import ReferenceConstructSimulator
 
 BUILDERS = {
     "clock": lambda: build_clock(period=6, lamps=3),

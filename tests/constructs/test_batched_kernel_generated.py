@@ -25,7 +25,7 @@ from repro.constructs.batched import BatchedCircuitStepper
 from repro.constructs.circuit import Cell, SimulatedConstruct
 from repro.constructs.compiled import compile_circuit
 from repro.constructs.components import ComponentType
-from repro.constructs.simulator import clone_construct
+from construct_helpers import clone_construct
 from repro.world.coords import BlockPos
 
 from hypothesis_profiles import examples

@@ -21,7 +21,8 @@ from repro.constructs.library import (
     build_wire_line,
     standard_construct,
 )
-from repro.constructs.simulator import ReferenceConstructSimulator, clone_construct
+from construct_helpers import clone_construct
+from repro.constructs.simulator import ReferenceConstructSimulator
 from repro.server.sc_engine import LocalConstructBackend
 from repro.world.coords import BlockPos
 
@@ -178,4 +179,4 @@ def test_quiescent_group_members_keep_step_counters_in_lockstep():
         report = backend.tick(tick)
     assert report.skipped_quiescent == 2
     assert first.step == second.step == 20
-    assert first.snapshot().same_values(second.snapshot())
+    assert first.snapshot().states == second.snapshot().states

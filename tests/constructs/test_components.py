@@ -1,27 +1,18 @@
 """Tests for stateful block component behaviour."""
 
-import pytest
-
 from repro.constructs.components import (
     MAX_POWER,
     ComponentType,
     block_for_component,
-    component_from_block,
     next_state,
     output_power,
 )
 from repro.world.block import BlockType
 
 
-def test_component_block_mapping_round_trip():
-    assert component_from_block(BlockType.WIRE) is ComponentType.WIRE
+def test_component_block_mapping():
     assert block_for_component(ComponentType.WIRE) is BlockType.WIRE
     assert block_for_component(ComponentType.CLOCK) is BlockType.POWER_SOURCE
-
-
-def test_component_from_block_rejects_static_blocks():
-    with pytest.raises(ValueError):
-        component_from_block(BlockType.STONE)
 
 
 def test_power_source_always_emits_max_power():

@@ -59,7 +59,8 @@ from repro.constructs.library import (
     build_sized_construct,
     build_wire_line,
 )
-from repro.constructs.simulator import ReferenceConstructSimulator, clone_construct
+from construct_helpers import clone_construct, toggle_lever
+from repro.constructs.simulator import ReferenceConstructSimulator
 from repro.server.sc_engine import LOOP_SEARCH_ROWS, LocalConstructBackend
 from repro.world.coords import BlockPos
 
@@ -145,8 +146,8 @@ class Fleet:
             levers = [c.position for c in construct.cells if c.component is ComponentType.LEVER]
             if levers:
                 position = levers[other % len(levers)]
-                construct.toggle_lever(position)
-                twin.toggle_lever(position)
+                toggle_lever(construct, position)
+                toggle_lever(twin, position)
                 self.announce(index, position)
         elif operation == "retune":
             tunable = {ComponentType.CLOCK: ("period", 2), ComponentType.REPEATER: ("delay", 1)}

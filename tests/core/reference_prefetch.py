@@ -43,7 +43,7 @@ def plan(policy, avatar_positions):
 
 def prefetch_for_avatars(service, avatars):
     """The old evaluation, run against ``service``'s own cache, blob and metrics."""
-    if service.remote.object_count == 0:
+    if not service.remote.list_keys():
         return 0
     required, prefetch = plan(service.policy, [avatar.position for avatar in avatars])
     fetched = 0

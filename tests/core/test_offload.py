@@ -11,7 +11,7 @@ from repro.constructs.library import (
     build_wire_line,
 )
 from repro.constructs.compiled import compile_circuit
-from repro.constructs.simulator import clone_construct
+from construct_helpers import clone_construct, toggle_lever
 from repro.core import offload
 from repro.core.offload import (
     OffloadReply,
@@ -163,7 +163,7 @@ def test_handler_memo_keys_on_the_state_not_only_the_shape_and_step():
     handler = SimulationHandler()
     off = build_wire_line(3, origin=BlockPos(0, 64, 0), powered=False)
     on = build_wire_line(3, origin=BlockPos(0, 64, 0), powered=False)
-    on.toggle_lever(on.positions[0])
+    toggle_lever(on, on.positions[0])
     request_off = OffloadRequest.from_construct(off, steps=8)
     request_on = OffloadRequest.from_construct(on, steps=8)
     assert request_off.structure == request_on.structure

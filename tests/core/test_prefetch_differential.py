@@ -73,8 +73,8 @@ class World:
 
     def state(self):
         return (
-            self.service.cache.cached_keys,
-            self.service.cache.dirty_keys,
+            list(self.service.cache._entries),
+            sorted(self.service.cache._dirty),
             self.blob.list_keys(),
             self.blob.read_count,
             self.blob.write_count,

@@ -236,7 +236,8 @@ def test_fixed_point_construct_goes_quiescent_without_changing_results(engine):
     charging the merge to the simulated server.
     """
     from repro.constructs.library import build_wire_line
-    from repro.constructs.simulator import ReferenceConstructSimulator, clone_construct
+    from construct_helpers import clone_construct
+    from repro.constructs.simulator import ReferenceConstructSimulator
 
     backend, _ = make_backend(engine)
     construct = build_wire_line(length=4, powered=True)
@@ -267,7 +268,8 @@ def test_a_looping_clock_replays_its_reply_and_still_pays_the_merges(engine):
     Every replayed step is still reported as a merge (the simulated server
     pays it), and the states are exactly the reference simulator's.
     """
-    from repro.constructs.simulator import ReferenceConstructSimulator, clone_construct
+    from construct_helpers import clone_construct
+    from repro.constructs.simulator import ReferenceConstructSimulator
 
     backend, platform = make_backend(engine)
     construct = build_clock(period=5, lamps=2)

@@ -35,7 +35,8 @@ from repro.constructs.library import (
     build_sized_construct,
     build_wire_line,
 )
-from repro.constructs.simulator import ReferenceConstructSimulator, clone_construct
+from construct_helpers import clone_construct, toggle_lever
+from repro.constructs.simulator import ReferenceConstructSimulator
 from repro.core import ServoConfig
 from repro.core.offload import SC_SIMULATION_FUNCTION, SimulationHandler
 from repro.core.speculative import SpeculativeConstructBackend
@@ -110,9 +111,9 @@ def apply_edit(backend, twins, references, kind, selector, new_state) -> None:
         position = construct.cells[index].position
         if kind == "toggle_lever":
             # The edit reaches the construct first, the backend hears of it after.
-            construct.toggle_lever(position)
+            toggle_lever(construct, position)
             backend.on_player_modify(construct.construct_id, position)
-            reference.toggle_lever(position)
+            toggle_lever(reference, position)
         elif kind == "set_state":
             backend.on_player_modify(construct.construct_id, position)
             construct.cell_at(position).state = new_state

@@ -121,7 +121,7 @@ def test_storage_service_prefetches_terrain_near_players(engine):
     assert operation.latency_ms < 40.0
     # A second prefetch pass fetches nothing new.
     assert service.prefetch_for_avatars([avatar]) == 0
-    assert service.hit_rate > 0.0
+    assert service.cache.stats.hits > 0
 
 
 def test_storage_service_prefetch_skips_empty_remote(engine):
@@ -167,15 +167,15 @@ def test_a_prepared_chunk_is_served_once_and_equals_the_pin():
         TerrainRequest(world_type="default", seed=PIN_SEED, cx=PIN_CX + 1, cz=PIN_CZ),
         TerrainRequest(world_type="flat", seed=PIN_SEED, cx=PIN_CX, cz=PIN_CZ),
     ])
-    assert handler.prepared_count() == 3
+    assert len(handler._prepared) == 3
     prepared = handler(request)
     assert prepared.value.content_hash() == PIN_HASH
-    assert handler.prepared_count() == 2
+    assert len(handler._prepared) == 2
     # Served once: asking again generates the chunk alone, with the same bytes and work.
     alone = handler(request)
     assert alone.value is not prepared.value
     assert alone.value.content_hash() == PIN_HASH
     assert alone.work_ms_single_vcpu == prepared.work_ms_single_vcpu
-    assert handler.prepared_count() == 2
+    assert len(handler._prepared) == 2
     handler.discard_prepared()
-    assert handler.prepared_count() == 0
+    assert len(handler._prepared) == 0

@@ -53,7 +53,7 @@ def test_concurrent_invocations_trigger_extra_cold_starts(platform):
     first = platform.invoke("echo", 1)
     second = platform.invoke("echo", 2)
     assert first.cold_start and second.cold_start
-    assert platform.pool("echo").cold_starts == 2
+    assert platform._pools["echo"].cold_starts == 2
 
 
 def test_warm_environment_expires_after_keep_alive(platform, engine):
@@ -145,5 +145,5 @@ def test_timed_out_invocation_releases_its_warm_slot_at_the_deadline(engine):
     assert invocation.status == "timeout"
     assert invocation.result is None
     assert invocation.execution_ms == 1.0
-    environment = platform.pool("slow")._environments[0]
+    environment = platform._pools["slow"]._environments[0]
     assert environment.busy_until_ms == pytest.approx(submitted + 1.0)

@@ -37,7 +37,7 @@ def test_dropped_messages_never_reach_the_inbox(engine):
     channel, injector = make_channel(engine, {"drop_rate": 1.0})
     _, session = make_session(engine, channel)
     session.enqueue(move(session.player_id))
-    assert session.pending_messages == 0
+    assert len(session._inbox) == 0
     assert engine.metrics.counter("net_messages_dropped") == 1.0
     assert injector.timeline.count("net.drop") == 1
 
@@ -47,7 +47,7 @@ def test_duplicated_messages_are_applied_exactly_once(engine):
     _, session = make_session(engine, channel)
     session.enqueue(move(session.player_id))
     # Delivered twice on the wire, deduplicated down to one application.
-    assert session.pending_messages == 1
+    assert len(session._inbox) == 1
     assert engine.metrics.counter("net_messages_duplicated") == 1.0
     assert engine.metrics.counter("net_duplicates_dropped") == 1.0
 
@@ -58,9 +58,9 @@ def test_delayed_messages_arrive_later_but_are_still_applied(engine):
     )
     _, session = make_session(engine, channel)
     session.enqueue(move(session.player_id))
-    assert session.pending_messages == 0  # still in flight
+    assert len(session._inbox) == 0  # still in flight
     engine.advance_by(150.0)
-    assert session.pending_messages == 1
+    assert len(session._inbox) == 1
     assert engine.metrics.counter("net_messages_delayed") == 1.0
 
 
@@ -82,7 +82,7 @@ def test_stamped_messages_bypass_the_channel(engine):
     _, session = make_session(engine, channel)
     stamped = Message(MessageKind.MOVE, session.player_id, {"x": 1}, sequence=7)
     session.enqueue(stamped)
-    assert session.pending_messages == 1
+    assert len(session._inbox) == 1
     assert engine.metrics.counter("net_messages_dropped") == 0.0
 
 
@@ -108,7 +108,7 @@ def test_seen_window_is_bounded_and_forgets_oldest():
 def test_without_a_channel_messages_go_straight_to_the_inbox(engine):
     _, session = make_session(engine, channel=None)
     session.enqueue(move(session.player_id))
-    assert session.pending_messages == 1
+    assert len(session._inbox) == 1
     assert session.drain()[0].sequence is None
 
 
@@ -140,7 +140,7 @@ def test_a_delayed_message_lands_once_after_its_player_migrates(engine):
     assert cluster.home[mover.player_id] == 0
     position = mover.avatar.position
     mover.move(position.x + 5, position.y, position.z)
-    while not mover.pending_messages:  # the move is still in flight
+    while not mover._inbox:  # the move is still in flight
         run_rounds(cluster, 1)
     # Sent on shard 0; the next round processes the move and hands the
     # player to shard 1 before the chat can land.

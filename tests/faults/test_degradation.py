@@ -15,7 +15,6 @@ def make_controller(engine, budget_ms=50.0, shed_fraction=0.5):
 def test_no_shedding_while_under_budget(engine):
     controller = make_controller(engine)
     controller.observe(30.0)
-    assert not controller.shedding
     assert controller.shed_count(100, "players") == 0
     assert engine.metrics.counter("broadcast_updates_shed") == 0.0
 
@@ -23,7 +22,6 @@ def test_no_shedding_while_under_budget(engine):
 def test_overrun_sheds_the_configured_fraction_next_tick(engine):
     controller = make_controller(engine, budget_ms=50.0, shed_fraction=0.5)
     controller.observe(80.0)
-    assert controller.shedding
     assert controller.shed_count(100, "players") == 50
     assert engine.metrics.counter("broadcast_updates_shed") == 50.0
     # A tick back under budget stops the shedding.

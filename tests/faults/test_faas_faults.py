@@ -49,7 +49,7 @@ def test_throttled_invocation_never_reaches_the_handler(engine):
     assert invocation.execution_ms == 0.0
     assert CALLS == []  # rejected at the control plane
     assert platform.billing.invocation_count == 0  # throttles are not billed
-    assert platform.pool("echo").cold_starts == 0  # no environment reserved
+    assert platform._pools["echo"].cold_starts == 0  # no environment reserved
     assert engine.metrics.counter("faas_throttles") == 1.0
 
 

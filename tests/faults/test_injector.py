@@ -1,17 +1,11 @@
 """The fault injector: seeded streams, timelines, reproducibility."""
 
-from repro.faults import FaultInjector, FaultPlan, make_injector
+from repro.faults import FaultInjector, FaultPlan
 from repro.sim import SimulationEngine
 
 BROWNOUT = {
     "faas": {"failure_rate": 0.2, "throttle_rate": 0.1, "timeout_rate": 0.1}
 }
-
-
-def test_make_injector_returns_none_for_empty_plans(engine):
-    assert make_injector(engine, None) is None
-    assert make_injector(engine, FaultPlan.empty()) is None
-    assert make_injector(engine, FaultPlan.from_dict(BROWNOUT)) is not None
 
 
 def test_same_seed_same_plan_makes_identical_decisions():

@@ -68,7 +68,11 @@ def test_terrain_retries_follow_the_plan_then_fall_back(engine):
 
     provider.request(ChunkPos(3, 4), on_chunk)
     engine.advance_by(60_000.0)
-    attempts = provider.platform.invocations_for(TERRAIN_GENERATION_FUNCTION)
+    attempts = [
+        invocation
+        for invocation in provider.platform.invocations
+        if invocation.function_name == TERRAIN_GENERATION_FUNCTION
+    ]
     assert len(attempts) == 5
     assert [attempt.status for attempt in attempts] == ["failure"] * 5
     assert engine.metrics.counter("faas_retries") == 4.0
@@ -141,9 +145,9 @@ def test_a_faulted_tick_falls_back_to_the_pinned_chunk_and_keeps_nothing_prepare
     requested = manager.update([avatar], [avatar]).chunks_requested
     assert requested > 1 and batches == [requested]  # the tick's requests, one stacked call
     # A throttled attempt never runs the handler: its prepared chunk is dropped.
-    assert handler.prepared_count() == 0
+    assert len(handler._prepared) == 0
     engine.advance_by(60_000.0)
     manager.update([avatar], [])
     assert engine.metrics.counter("terrain_local_fallbacks") == requested
-    assert world.get_chunk(PIN_CHUNK).content_hash() == PIN_HASH
-    assert handler.prepared_count() == 0
+    assert world._chunks[PIN_CHUNK].content_hash() == PIN_HASH
+    assert len(handler._prepared) == 0

@@ -3,9 +3,42 @@
 import pytest
 
 from repro.interest import InterestMap
-from repro.net import BatchReceiver, BatchStream, UpdateBatch
+from repro.net import BatchStream, UpdateBatch
 from repro.net.batch import FAR_TIER, NEAR_TIER
+from repro.net.channel import SeenWindow
 
+
+class BatchReceiver:
+    """The client side of the wire: idempotent batch application for one player.
+
+    ``accept`` returns True exactly once per sequence number: duplicated
+    deliveries (a faulty wire, a retransmit) are rejected by the bounded
+    seen-window, so a batch's entries are applied exactly once.
+    """
+
+    def __init__(self, player_id: int) -> None:
+        self.player_id = player_id
+        self._seen = SeenWindow()
+        #: batches applied (first deliveries)
+        self.accepted = 0
+        #: duplicated deliveries rejected by the window
+        self.duplicates_rejected = 0
+        #: delta entries applied across all accepted batches
+        self.entries_applied = 0
+
+    def accept(self, batch: UpdateBatch) -> bool:
+        if batch.player_id != self.player_id:
+            raise ValueError(
+                f"batch for player {batch.player_id} delivered to {self.player_id}"
+            )
+        if batch.sequence is None:
+            raise ValueError("unstamped batch: route it through a BatchStream first")
+        if not self._seen.add(batch.sequence):
+            self.duplicates_rejected += 1
+            return False
+        self.accepted += 1
+        self.entries_applied += batch.entries
+        return True
 
 
 def test_update_batch_validation():
@@ -57,7 +90,8 @@ def test_flushes_through_a_duplicating_wire_apply_exactly_once(make_session):
     wire: list[UpdateBatch] = []
     interest.batch_sink = wire.append
     for tick in range(6):
-        interest.note_dirty((0, 0), entries=2)
+        interest.note_dirty((0, 0))
+        interest.note_dirty((0, 0))
         interest.flush(tick_index=tick)
     assert len(wire) == 6
     # The wire duplicates every batch (a retransmitting network).

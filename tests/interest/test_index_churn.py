@@ -41,7 +41,7 @@ def test_unsubscribe_removes_every_footprint_chunk(make_session):
     interest.subscribe(make_session(1))
     interest.subscribe(make_session(2, x=8 + CHUNK_SIZE, z=8))
     interest.unsubscribe(1)
-    assert interest.subscriber_count == 1
+    assert interest.subscription(1) is None and interest.subscription(2) is not None
     assert interest.verify_index()
     interest.unsubscribe(2)
     assert not interest.has_subscribers((0, 0))
@@ -67,7 +67,8 @@ def test_update_center_moves_chunks_between_tiers(make_session):
     interest.subscribe(make_session(1))  # center (0, 0)
     interest.update_center(1, (1, 0))
     interest.note_dirty((2, 0))  # was far (distance 2), now near
-    interest.note_dirty((-1, 0), entries=3)  # was near, now far
+    for _ in range(3):
+        interest.note_dirty((-1, 0))  # was near, now far
     sub = interest.subscription(1)
     assert (sub.near_entries, sub.far_entries) == (1, 3)
     assert interest.verify_index()
@@ -88,7 +89,8 @@ def test_gameloop_churn_keeps_the_index_verified(engine):
     server.chunks.preload_area(config.spawn_position, 160.0)
     sessions = [server.connect_player(f"bot-{index}") for index in range(6)]
     assert server.interest is not None
-    assert server.interest.subscriber_count == 6
+    subscribed = [server.interest.subscription(s.player_id) is not None for s in sessions]
+    assert subscribed == [True] * 6
     assert check(server) == []
     for step in range(1, 5):
         for session in sessions[:3]:
@@ -102,5 +104,6 @@ def test_gameloop_churn_keeps_the_index_verified(engine):
     assert walker.center == server.interest.chunk_of(sessions[0].avatar.position)
     for session in sessions[:3]:
         server.disconnect_player(session.player_id)
-    assert server.interest.subscriber_count == 3
+    subscribed = [server.interest.subscription(s.player_id) is not None for s in sessions]
+    assert subscribed == [False] * 3 + [True] * 3
     assert check(server) == []

@@ -52,7 +52,8 @@ def test_migration_imports_pending_far_state(make_session):
     target = InterestMap(radius_chunks=2, near_radius_chunks=0, max_staleness_ticks=10)
     session = make_session(1)
     source.subscribe(session)
-    source.note_dirty((1, 1), entries=3, drift=2.5)
+    for drift in (1.0, 1.0, 0.5):
+        source.note_dirty((1, 1), drift=drift)
     state = source.export_state(1)
     assert state == SubscriptionState(
         near_entries=0, far_entries=3, far_first_tick=0, far_drift=2.5

@@ -33,7 +33,7 @@ from hypothesis_profiles import examples
 class ReferenceRouter(InterestMap):
     """The executable spec of ``_route``: per event, per subscriber, from centers."""
 
-    def _route(self, chunk, entries, drift, source_player_id):
+    def _route(self, chunk, drift, source_player_id):
         delivered = False
         for sub in self._subs.values():
             distance = max(abs(chunk[0] - sub.center[0]), abs(chunk[1] - sub.center[1]))
@@ -41,14 +41,14 @@ class ReferenceRouter(InterestMap):
                 continue  # not subscribed / a player needs no update about itself
             delivered = True
             if distance <= self.near_radius_chunks:
-                sub.near_entries += entries
+                sub.near_entries += 1
             else:
-                sub.far_entries += entries
+                sub.far_entries += 1
                 sub.far_drift += drift
                 if sub.far_first_tick is None:
                     sub.far_first_tick = self._tick
         if delivered:
-            self._entries_encoded += entries
+            self._entries_encoded += 1
 
 
 @dataclass
@@ -70,9 +70,8 @@ PLAYERS = (1, 2, 3)
 STRANGER = 99  # never subscribed
 COORDS = st.integers(-1, 1)  # tight, so footprints overlap; radius 1 still leaves chunks outside
 CHUNKS = st.tuples(COORDS, COORDS)
-ENTRIES = st.sampled_from([0, 1, 1, 2, 5])
 DRIFTS = st.sampled_from([0.0, 1.0, 2**0.5, 0.1, 7.3])
-EVENTS = st.lists(st.tuples(CHUNKS, ENTRIES, DRIFTS), min_size=1, max_size=4)
+EVENTS = st.lists(st.tuples(CHUNKS, DRIFTS), min_size=1, max_size=4)
 
 
 class RoutingMachine(RuleBasedStateMachine):
@@ -122,11 +121,11 @@ class RoutingMachine(RuleBasedStateMachine):
     @rule(data=st.data(), events=EVENTS, external=st.booleans())
     def note(self, data, events, external):
         """A burst, as a tick's message drain or a round's relay produces."""
-        for chunk, entries, drift in events:
+        for chunk, drift in events:
             source = self.someone(data, None, STRANGER)
             self.both(
                 lambda m: (m.note_external if external else m.note_dirty)(
-                    chunk, entries, drift, source
+                    chunk, drift, source
                 )
             )
 
@@ -176,8 +175,9 @@ def test_a_held_subscription_is_refreshed_by_the_next_read(make_session):
     interest = InterestMap(radius_chunks=2)
     interest.subscribe(make_session(1))
     held = interest.subscription(1)
-    interest.note_dirty((1, 0), entries=2)
-    interest.note_dirty((0, 0), entries=3, source_player_id=1)  # own action: not delivered
+    interest.note_dirty((1, 0))
+    interest.note_dirty((1, 0))
+    interest.note_dirty((0, 0), source_player_id=1)  # own action: not delivered
     assert interest.subscription(1).near_entries == 2
     assert held.near_entries == 2
     interest.note_dirty((0, 1))
@@ -189,7 +189,8 @@ def test_unsubscribe_hands_over_entries_noted_earlier_in_the_tick(make_session):
     interest = InterestMap(radius_chunks=2)
     interest.subscribe(make_session(1))
     interest.subscribe(make_session(2))
-    interest.note_dirty((0, 0), entries=4, source_player_id=2)
+    for _ in range(4):
+        interest.note_dirty((0, 0), source_player_id=2)
     state = interest.unsubscribe(1)
     assert state.near_entries == 4
     assert interest.flush(0).near_flushes == 0, "player 2 was told about its own action"

@@ -66,7 +66,7 @@ class TestSameSeedTraces:
 
     def test_trace_covers_the_expected_categories(self):
         result = traced_run()
-        categories = set(result.telemetry.categories())
+        categories = {event.category for event in result.telemetry.events}
         assert {"tick", "round", "migration", "faas", "fault"} <= categories
         trace = chrome_trace(result.telemetry)
         assert validate_chrome_trace(trace) == []

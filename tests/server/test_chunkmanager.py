@@ -55,7 +55,7 @@ def test_missing_chunks_are_requested_and_eventually_integrated(engine):
     avatar = avatar_at(0, 0)
     report = manager.update([avatar], [avatar])
     assert report.chunks_requested > 0
-    assert manager.pending_chunks > 0
+    assert len(manager._pending) > 0
     assert world.loaded_chunk_count == 0
     # Let the provider finish and integrate over a few ticks.
     total_integrated = 0
@@ -64,7 +64,7 @@ def test_missing_chunks_are_requested_and_eventually_integrated(engine):
         total_integrated += manager.update([avatar], []).chunks_integrated
     assert total_integrated > 0
     assert world.loaded_chunk_count > 0
-    assert manager.pending_chunks == 0
+    assert len(manager._pending) == 0
 
 
 def test_integrations_are_bounded_per_tick(engine):
@@ -113,7 +113,7 @@ def test_a_chunk_waiting_for_integration_is_not_requested_again(engine):
     integrated = sum(manager.update([avatar], []).chunks_integrated for _ in range(20))
     assert set(provider.requests.values()) == {1}
     assert integrated == world.loaded_chunk_count == len(provider.requests)
-    assert manager.pending_chunks == 0
+    assert len(manager._pending) == 0
 
 
 def test_a_reply_for_a_loaded_chunk_is_dropped_and_not_counted(engine):
@@ -126,7 +126,7 @@ def test_a_reply_for_a_loaded_chunk_is_dropped_and_not_counted(engine):
     assert sum(report.chunks_integrated for report in reports) == 0
     assert sum(report.local_generations_completed for report in reports) == 0
     assert world.loaded_chunk_count == loaded
-    assert manager.pending_chunks == 0
+    assert len(manager._pending) == 0
 
 
 def test_chunks_load_from_storage_when_persisted(engine):
@@ -217,7 +217,7 @@ def test_eviction_removes_far_chunks_and_persists_dirty_ones(engine):
     manager.preload_area(BlockPos(0, 65, 0), 48.0)
     # Dirty one chunk so eviction must persist it.
     world.set_block(BlockPos(0, 64, 0), world.get_block(BlockPos(0, 64, 0)))
-    world.get_chunk(ChunkPos(0, 0)).dirty = True
+    world._chunks[ChunkPos(0, 0)].dirty = True
     avatar = avatar_at(2000, 2000)
     evicted_total = manager.update([avatar], [avatar]).chunks_evicted
     for _ in range(manager.eviction_interval_ticks):
@@ -307,11 +307,11 @@ def test_protect_and_unprotect_are_reference_counted(engine):
     pin = ChunkPos(1, 1)
     manager.protect([pin])
     manager.protect([pin])
-    assert pin in manager.protected_chunks
+    assert pin in manager._protected
     manager.unprotect([pin])
-    assert pin in manager.protected_chunks
+    assert pin in manager._protected
     manager.unprotect([pin])
-    assert pin not in manager.protected_chunks
+    assert pin not in manager._protected
     # Unprotecting an unknown chunk is a harmless no-op.
     manager.unprotect([ChunkPos(9, 9)])
 

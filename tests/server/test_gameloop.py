@@ -199,15 +199,15 @@ def test_every_server_writes_dirty_terrain_back_on_the_persistence_interval(engi
     assert not server.storage.exists(key)
     server.run_ticks(15)
     assert server.storage.exists(key)
-    assert not server.world.get_chunk(block_to_chunk(edited)).dirty
+    assert not server.world._chunks[block_to_chunk(edited)].dirty
 
 
 def test_remove_construct_releases_chunk_pins(opencraft):
     construct = build_wire_line(length=3, origin=BlockPos(2, 66, 2))
     opencraft.place_construct(construct)
-    assert opencraft.chunks.protected_chunks
+    assert opencraft.chunks._protected
     opencraft.remove_construct(construct.construct_id)
-    assert not opencraft.chunks.protected_chunks
+    assert not opencraft.chunks._protected
 
 
 def test_overlapping_construct_pins_are_reference_counted(opencraft):
@@ -216,11 +216,11 @@ def test_overlapping_construct_pins_are_reference_counted(opencraft):
     second = build_wire_line(length=3, origin=BlockPos(2, 70, 6))
     opencraft.place_construct(first)
     opencraft.place_construct(second)
-    pinned = set(opencraft.chunks.protected_chunks)
+    pinned = set(opencraft.chunks._protected)
     opencraft.remove_construct(first.construct_id)
-    assert opencraft.chunks.protected_chunks == pinned
+    assert set(opencraft.chunks._protected) == pinned
     opencraft.remove_construct(second.construct_id)
-    assert not opencraft.chunks.protected_chunks
+    assert not opencraft.chunks._protected
 
 
 def test_connect_at_explicit_position(engine):

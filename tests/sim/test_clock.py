@@ -8,7 +8,6 @@ from repro.sim.clock import ClockError, SimulationClock
 def test_clock_starts_at_zero_by_default():
     clock = SimulationClock()
     assert clock.now_ms == 0.0
-    assert clock.now_s == 0.0
 
 
 def test_clock_starts_at_custom_time():
@@ -51,17 +50,3 @@ def test_advance_to_past_raises():
     clock = SimulationClock(start_ms=100.0)
     with pytest.raises(ClockError):
         clock.advance_to(99.0)
-
-
-def test_now_s_converts_milliseconds():
-    clock = SimulationClock(start_ms=1500.0)
-    assert clock.now_s == pytest.approx(1.5)
-
-
-def test_reset_returns_clock_to_start():
-    clock = SimulationClock()
-    clock.advance(500.0)
-    clock.reset()
-    assert clock.now_ms == 0.0
-    clock.reset(start_ms=77.0)
-    assert clock.now_ms == 77.0

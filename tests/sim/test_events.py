@@ -36,30 +36,12 @@ def test_pop_due_only_returns_due_events():
     assert len(queue) == 1
 
 
-def test_cancelled_events_are_skipped():
-    queue = EventQueue()
-    event = queue.schedule(10.0, lambda: None, name="cancel-me")
-    queue.schedule(20.0, lambda: None, name="keep-me")
-    event.cancel()
-    names = [e.name for e in queue.pop_due(100.0)]
-    assert names == ["keep-me"]
-
-
 def test_peek_due_ms_reports_earliest_pending():
     queue = EventQueue()
     assert queue.peek_due_ms() is None
     queue.schedule(40.0, lambda: None)
     queue.schedule(15.0, lambda: None)
     assert queue.peek_due_ms() == 15.0
-
-
-def test_clear_removes_everything():
-    queue = EventQueue()
-    queue.schedule(1.0, lambda: None)
-    queue.schedule(2.0, lambda: None)
-    queue.clear()
-    assert len(queue) == 0
-    assert queue.peek_due_ms() is None
 
 
 def test_engine_advance_to_fires_events_at_their_due_time():

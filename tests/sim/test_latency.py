@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.sim.latency import ConstantLatency, LogNormalLatency, MixtureLatency
+from repro.sim.latency import LatencyModel, LogNormalLatency, MixtureLatency
+
+
+class ConstantLatency(LatencyModel):
+    """A fixed latency: a mixture's components become recognisable."""
+
+    def __init__(self, value_ms: float) -> None:
+        self.value_ms = value_ms
+
+    def sample(self, rng) -> float:
+        return self.value_ms
 
 
 def draw(model, rng, n):
     return np.array([model.sample(rng) for _ in range(n)])
-
-
-def test_constant_latency_always_returns_value(rng):
-    model = ConstantLatency(value_ms=12.5)
-    assert model.sample(rng) == 12.5
-    assert list(draw(model, rng, 4)) == [12.5] * 4
 
 
 def test_lognormal_latency_respects_floor_and_cap(rng):

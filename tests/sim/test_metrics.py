@@ -10,7 +10,6 @@ from repro.sim.metrics import (
     MetricRegistry,
     boxplot_stats,
     fraction_exceeding,
-    inverse_cdf,
     metric_name,
     percentile,
 )
@@ -43,15 +42,6 @@ def test_boxplot_stats_as_dict_round_trip():
     as_dict = stats.as_dict()
     assert as_dict["median"] == stats.median
     assert as_dict["count"] == 3
-
-
-def test_inverse_cdf_fractions_decrease_with_threshold():
-    samples = [1.0, 2.0, 5.0, 10.0, 100.0]
-    points = inverse_cdf(samples, [0.0, 2.0, 50.0, 1000.0])
-    fractions = [fraction for _, fraction in points]
-    assert fractions[0] == 1.0
-    assert fractions == sorted(fractions, reverse=True)
-    assert fractions[-1] == 0.0
 
 
 def test_fraction_exceeding_counts_strictly_greater():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.metrics import Histogram, TimeSeries, inverse_cdf
+from repro.sim.metrics import Histogram, TimeSeries
 
 #: a fixed, awkward sample set: duplicates, spikes, non-round floats
 FIXED_SAMPLES = [
@@ -85,21 +85,6 @@ def test_time_series_rejects_an_earlier_timestamp():
         series.record(50.0, 3.0)
     assert series.times_ms == [100.0, 100.0]
     assert series.values == [1.0, 2.0]
-
-
-def test_inverse_cdf_matches_reference_counting():
-    samples = FIXED_SAMPLES
-    thresholds = [0.0, 0.5, 3.0, 18.0, 96.5, 97.0]
-    reference_values = np.sort(np.asarray(samples, dtype=float))
-    expected = [
-        (
-            float(threshold),
-            float(np.count_nonzero(reference_values >= threshold))
-            / reference_values.size,
-        )
-        for threshold in thresholds
-    ]
-    assert inverse_cdf(samples, thresholds) == expected
 
 
 @given(

@@ -25,19 +25,3 @@ def test_different_seeds_give_different_sequences():
 def test_stream_is_cached_per_name():
     streams = RandomStreams(seed=3)
     assert streams.stream("same") is streams.stream("same")
-
-
-def test_fork_derives_reproducible_independent_streams():
-    base = RandomStreams(seed=11)
-    fork_a1 = base.fork("rep-1")
-    fork_a2 = RandomStreams(seed=11).fork("rep-1")
-    fork_b = base.fork("rep-2")
-    assert fork_a1.seed == fork_a2.seed
-    assert fork_a1.seed != fork_b.seed
-
-
-def test_reset_restarts_streams():
-    streams = RandomStreams(seed=5)
-    first_draw = streams.stream("x").random()
-    streams.reset()
-    assert streams.stream("x").random() == first_draw

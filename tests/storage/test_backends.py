@@ -6,7 +6,6 @@ import pytest
 from repro.sim.metrics import percentile
 from repro.storage.base import ObjectNotFoundError
 from repro.storage.blob import (
-    AZURE_BLOB_PREMIUM,
     AZURE_BLOB_STANDARD,
     AWS_S3_STANDARD,
     BlobStorage,
@@ -71,16 +70,6 @@ def test_blob_read_latency_has_heavy_tail(blob):
     assert percentile(latencies, 50) < 25.0
     assert percentile(latencies, 99.9) > 60.0
     assert max(latencies) < 700.0
-
-
-def test_blob_premium_is_faster_than_standard(rng):
-    premium = BlobStorage(rng=np.random.default_rng(1), profile=AZURE_BLOB_PREMIUM)
-    standard = BlobStorage(rng=np.random.default_rng(1), profile=AZURE_BLOB_STANDARD)
-    premium.write("k", b"x" * 500)
-    standard.write("k", b"x" * 500)
-    premium_median = percentile([premium.read("k").latency_ms for _ in range(800)], 50)
-    standard_median = percentile([standard.read("k").latency_ms for _ in range(800)], 50)
-    assert premium_median < standard_median
 
 
 def test_blob_counts_operations_and_bytes(blob):

@@ -10,9 +10,10 @@ from repro.experiments.fig13_cache_latency import build_access_trace, run_fig13
 from repro.experiments.harness import format_table
 from repro.experiments.max_players import find_max_players
 from repro.experiments.sec4g_construct_perf import run_sec4g
-from repro.experiments.tab01_overview import format_tab01, run_tab01, scenario_for
+from repro.experiments.tab01_overview import format_tab01, run_tab01
 from repro.server import GameConfig
 from repro.sim import SimulationEngine
+from repro.workload.scenarios import TABLE_I_SCENARIOS
 
 TINY = ExperimentSettings(duration_s=4.0, player_step=100, max_players=200, repetitions=1,
                           latency_samples=200)
@@ -131,6 +132,4 @@ def test_tab01_overview_and_scenarios():
     overview = run_tab01()
     rendered = format_tab01(overview)
     assert "IV-B" in rendered
-    assert scenario_for("IV-D").behavior_code == "Sinc"
-    with pytest.raises(KeyError):
-        scenario_for("IV-Z")
+    assert TABLE_I_SCENARIOS["IV-D"].behavior_code == "Sinc"

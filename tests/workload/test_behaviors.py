@@ -13,6 +13,7 @@ from repro.workload.behavior import (
     IncreasingSpeedStarBehavior,
     RandomBehavior,
     StarBehavior,
+    WalkerArrays,
     behavior_by_code,
 )
 from repro.workload.bots import BotSwarm
@@ -44,7 +45,7 @@ def test_bounded_behavior_stays_within_radius():
 def test_star_behavior_moves_away_at_configured_speed():
     behavior = StarBehavior(speed_blocks_per_s=3.0, direction_index=0, direction_count=8)
     position, _ = drive(behavior, 200)  # 10 seconds
-    distance = SPAWN.horizontal_distance_to(position)
+    distance = math.hypot(position.x - SPAWN.x, position.z - SPAWN.z)
     assert distance == pytest.approx(30.0, abs=2.0)
 
 
@@ -60,9 +61,13 @@ def test_star_behavior_directions_fan_out():
 
 def test_sinc_behavior_speed_increases_over_time():
     behavior = IncreasingSpeedStarBehavior(speed_increase_interval_s=10.0)
-    assert behavior.current_speed(0, 50.0) == 1.0
-    assert behavior.current_speed(200, 50.0) == 2.0
-    assert behavior.current_speed(900, 50.0) == 5.0
+    arrays = WalkerArrays([behavior])
+    arrays.bind(0, SPAWN)
+    arrays.set_active([0])
+    rng = np.random.default_rng(0)
+    for tick, speed in ((0, 1.0), (200, 2.0), (900, 5.0)):
+        arrays.step(tick, 50.0, rng)
+        assert arrays.speed[0] == speed
 
 
 def test_random_behavior_emits_a_mix_of_message_kinds():

@@ -22,7 +22,7 @@ def test_all_at_start_schedule_connects_every_bot_immediately():
     server = make_server()
     swarm = BotSwarm([BoundedAreaBehavior() for _ in range(5)], JoinSchedule.all_at_start())
     driver = swarm.install(server)
-    assert swarm.connected_count == 5
+    assert sum(bot.connected for bot in swarm.bots) == 5
     server.run_ticks(5, before_tick=driver)
     assert server.player_count == 5
 
@@ -33,7 +33,7 @@ def test_staggered_schedule_adds_players_over_time():
         [BoundedAreaBehavior() for _ in range(6)], JoinSchedule.staggered(interval_s=1.0)
     )
     driver = swarm.install(server)
-    assert swarm.connected_count == 0
+    assert sum(bot.connected for bot in swarm.bots) == 0
     server.run_for_seconds(3.2, before_tick=driver)
     assert 2 <= server.player_count <= 4
     server.run_for_seconds(5.0, before_tick=driver)

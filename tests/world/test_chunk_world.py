@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.world.block import BlockType, is_stateful
+from repro.world.block import BlockType
 from repro.world.chunk import CHUNK_HEIGHT, Chunk
 from repro.world.coords import BlockPos, ChunkPos
 from repro.world.world import ChunkNotLoadedError, VoxelWorld
-
-
-def test_block_type_statefulness():
-    assert is_stateful(BlockType.WIRE)
-    assert is_stateful(BlockType.LAMP)
-    assert not is_stateful(BlockType.STONE)
 
 
 def test_chunk_get_set_block_round_trip():
@@ -38,11 +32,10 @@ def test_chunk_contains_respects_world_position():
     assert not chunk.contains(BlockPos(0, 0, 0))
 
 
-def test_chunk_surface_height_and_counts():
+def test_chunk_block_counts():
     chunk = Chunk(position=ChunkPos(0, 0))
     chunk.set_block(BlockPos(3, 10, 3), BlockType.STONE)
     chunk.set_block(BlockPos(3, 20, 3), BlockType.GRASS)
-    assert chunk.surface_height(3, 3) == 20
     assert chunk.block_count(BlockType.STONE) == 1
 
 
@@ -63,7 +56,7 @@ def test_world_add_get_remove_chunk():
     chunk = Chunk(position=ChunkPos(0, 0))
     world.add_chunk(chunk)
     assert world.is_loaded(ChunkPos(0, 0))
-    assert world.get_chunk(ChunkPos(0, 0)) is chunk
+    assert list(world) == [chunk]
     assert world.loaded_chunk_count == 1
     removed = world.remove_chunk(ChunkPos(0, 0))
     assert removed is chunk

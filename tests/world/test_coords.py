@@ -36,12 +36,6 @@ def test_block_neighbours_are_six_axis_aligned():
     assert BlockPos(1, 1, 3) in neighbours
 
 
-def test_horizontal_distance_ignores_height():
-    a = BlockPos(0, 0, 0)
-    b = BlockPos(3, 200, 4)
-    assert a.horizontal_distance_to(b) == pytest.approx(5.0)
-
-
 def test_chunk_neighbours_excludes_self():
     centre = ChunkPos(0, 0)
     ring = centre.neighbours(radius=1)
