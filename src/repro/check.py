@@ -3,7 +3,9 @@
 :func:`check` returns one line per violated invariant, each naming the server
 or cluster that breaks it, and an empty list when the host is consistent.
 
-* A server: its chunk views match a recomputation over its own avatars; every
+* A server: every session's avatar is bound to its own row of the server's
+  avatar table, and the table has no other row; its chunk views match a
+  recomputation over its own avatars; every
   session with no view is pending its first refresh (its avatar is in the
   loop's moved list); every chunk waiting for integration is queued once and
   its position is still pending, so it is never requested again; its
@@ -12,7 +14,8 @@ or cluster that breaks it, and an empty list when the host is consistent.
   a taken one, so ids are unique) and every placement record names one; its
   eviction pins are exactly those of its placed constructs' cells; and its
   construct state vectors keep their invariants.
-* A cluster: every session is held by exactly its home shard, every construct
+* A cluster: every session is held by exactly its home shard (a disconnected
+  one by none, its avatar bound to no table), every construct
   is registered on exactly the shard it was placed on (so construct ids are
   unique cluster-wide), and every shard, a killed one included, passes the
   server checks.
@@ -63,7 +66,10 @@ def check(host: GameServer | ClusterCoordinator) -> list[str]:
 
 def _check_server(server: GameServer) -> list[str]:
     failures = []
-    if not _verify_views(server.chunks, [s.avatar for s in server.sessions.values()]):
+    avatars = [session.avatar for session in server.sessions.values()]
+    if not server.avatars.holds_exactly(avatars):
+        failures.append(f"{server.name}: avatar table: a session's avatar is not on its own row")
+    if not _verify_views(server.chunks, avatars):
         failures.append(f"{server.name}: chunk views: differ from a recomputation")
     pending = {avatar.player_id for avatar in server._moved}
     unseen = sorted(server.sessions.keys() - server.chunks._player_views.keys() - pending)
@@ -136,13 +142,15 @@ def _verify_sessions(cluster: ClusterCoordinator) -> bool:
     """True when every session is held where ``cluster.home`` says.
 
     A connected session is held by ``shards[home[id]]`` alone, as the same
-    object; a disconnected one by no shard; no shard holds an unknown id.
+    object; a disconnected one by no shard, and its avatar is unbound; no
+    shard holds an unknown id.
     """
     # Per player: (slot, holds this very object) for every shard holding its id.
     return all(
         [(slot, shard.sessions[player_id] is session)
          for slot, shard in enumerate(cluster.shards) if player_id in shard.sessions]
         == ([] if session.disconnected else [(cluster.home[player_id], True)])
+        and not (session.disconnected and session.avatar.table is not None)
         for player_id, session in cluster.sessions.items()
     ) and all(shard.sessions.keys() <= cluster.sessions.keys() for shard in cluster.shards)
 

@@ -35,7 +35,7 @@ from repro.server.gameloop import GameServer, TickLoop, TickRecord
 from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
 from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend
-from repro.world.coords import CHUNK_SIZE, BlockPos
+from repro.world.coords import BlockPos
 
 #: every Nth connecting player spawns near a zone boundary; the bounded-area
 #: workloads then wander across it, exercising migration
@@ -318,7 +318,8 @@ class ClusterCoordinator(TickLoop):
             home = self.home[session.player_id]
             if session.disconnected or not self._shard_alive(home):
                 continue
-            target_zone = self.partitioner.zone_of_cx(session.avatar.position.x // CHUNK_SIZE)
+            avatar = session.avatar
+            target_zone = self.partitioner.zone_of_cx(avatar.table.chunk_of(avatar)[0])
             if target_zone != home:
                 if not self._shard_alive(target_zone):
                     # The owning shard is down: the player stays where it is
@@ -425,6 +426,7 @@ class ClusterCoordinator(TickLoop):
         for session in stranded:
             messages_lost += len(session.drain())
             session.detach_broadcast_clock()
+            old.avatars.unbind(session.avatar)
             state, _ = self._store_round_trip(session)
             replacement.adopt(session)
             restore_avatar_state(session.avatar, state, restore_position=False)

@@ -291,10 +291,6 @@ class FaultPlan:
         )
 
     @classmethod
-    def empty(cls) -> "FaultPlan":
-        return cls()
-
-    @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
         data = _require_mapping(data, "fault plan")
         _check_keys(data, cls.KEYS, "fault plan")

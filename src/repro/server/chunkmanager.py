@@ -29,7 +29,7 @@ from typing import Callable, ContextManager, Optional, Sequence
 
 import numpy as np
 
-from repro.server.entities import Avatar
+from repro.server.entities import Avatar, AvatarTable
 from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend, StorageOperation
 from repro.world.chunk import Chunk
@@ -375,11 +375,9 @@ class ChunkManager:
         self._required_cache[center] = ring
         return ring
 
-    def _refresh_player_view(self, avatar: Avatar) -> None:
-        """Move the avatar's required chunk set to the chunk it now stands in."""
-        position = avatar.position
-        current_chunk = (position.x // CHUNK_SIZE, position.z // CHUNK_SIZE)
-        cached = self._player_views.get(avatar.player_id)
+    def _refresh_player_view(self, player_id: int, current_chunk: tuple[int, int]) -> None:
+        """Move the player's required chunk set to the chunk it now stands in."""
+        cached = self._player_views.get(player_id)
         if cached is not None and cached[0] == current_chunk:
             return  # listed twice, or it crossed and came back within one tick
         required = self._required_for_center(current_chunk)
@@ -393,23 +391,23 @@ class ChunkManager:
                 self._unavailable.add(position)
         for position in sorted(old_required - required):
             self._release_required(position)
-        self._player_views[avatar.player_id] = (current_chunk, required)
+        self._player_views[player_id] = (current_chunk, required)
         if cached is not None:
             # A genuine boundary crossing (first sight is handled by the
             # subscription itself at connect time).
             for listener in self.center_listeners:
-                listener(avatar.player_id, current_chunk)
+                listener(player_id, current_chunk)
         # Chunks that entered the view and were never sent to this client must
         # be streamed (a few per tick); clients cache terrain, so chunks sent
         # earlier are never re-sent.  The initial view download on connect is
         # not charged to the game loop: real servers push it from the join
         # screen, outside the latency-critical path.
         if cached is None:
-            self._player_sent[avatar.player_id] = set(required)
-            self._player_send_queue.setdefault(avatar.player_id, [])
+            self._player_sent[player_id] = set(required)
+            self._player_send_queue.setdefault(player_id, [])
             return
-        sent = self._player_sent.setdefault(avatar.player_id, set())
-        queue = self._player_send_queue.setdefault(avatar.player_id, [])
+        sent = self._player_sent.setdefault(player_id, set())
+        queue = self._player_send_queue.setdefault(player_id, [])
         queued = set(queue)
         for position in entered:
             if position not in sent and position not in queued:
@@ -444,11 +442,12 @@ class ChunkManager:
             self._player_send_queue[player_id] = remaining
         return streamed
 
-    def update(self, avatars: list[Avatar], moved: list[Avatar]) -> ChunkTickReport:
+    def update(self, avatars: AvatarTable, moved: list[Avatar]) -> ChunkTickReport:
         """Run one tick of chunk management and report the work done.
 
-        ``moved`` names the avatars (of ``avatars``) that joined or changed
-        chunk since the last call; nobody else's view is looked at.
+        ``avatars`` is the table of every served avatar; ``moved`` names the
+        avatars (bound to it) that joined or changed chunk since the last
+        call; nobody else's view is looked at.
         """
         self._tick_counter += 1
         report = ChunkTickReport()
@@ -456,8 +455,9 @@ class ChunkManager:
         # 1. Determine required chunks and request missing ones.  The
         # unavailable set is maintained incrementally, so in the steady state
         # (everything resident, nobody crossing) this step touches nothing.
+        chunk_of = avatars.chunk_of
         for avatar in moved:
-            self._refresh_player_view(avatar)
+            self._refresh_player_view(avatar.player_id, chunk_of(avatar))
         if self._unavailable:
             # Prune entries loaded outside the integration path (preloads).
             is_loaded = self.world.is_loaded
@@ -493,7 +493,7 @@ class ChunkManager:
         report.chunks_streamed = self._stream_to_players()
 
         # 4. Periodic eviction of chunks far outside every player's view.
-        if avatars and self._tick_counter % self.eviction_interval_ticks == 0:
+        if avatars.avatars and self._tick_counter % self.eviction_interval_ticks == 0:
             report.chunks_evicted = self._evict(avatars)
 
         # 5. View-range metric: distance to the closest missing required chunk.
@@ -501,13 +501,10 @@ class ChunkManager:
         report.min_view_range_blocks = self._view_range(avatars)
         return report
 
-    def _evict(self, avatars: list[Avatar]) -> int:
+    def _evict(self, avatars: AvatarTable) -> int:
         keep: set[ChunkPos] = set(self._protected)
         # One ring per distinct centre: a crowd shares a handful of chunks.
-        centres = dict.fromkeys(
-            (avatar.position.x // CHUNK_SIZE, avatar.position.z // CHUNK_SIZE)
-            for avatar in avatars
-        )
+        centres = dict.fromkeys(avatars.chunks())
         for cx, cz in centres:
             keep.update(_ring_chunks(cx, cz, self._keep_radius_chunks))
         evicted = 0
@@ -522,8 +519,8 @@ class ChunkManager:
                 self.storage.write(position.key(), chunk_to_bytes(chunk))
         return evicted
 
-    def _view_range(self, avatars: list[Avatar]) -> float:
-        if not avatars or not self._unavailable:
+    def _view_range(self, avatars: AvatarTable) -> float:
+        if not avatars.avatars or not self._unavailable:
             return self.view_distance_blocks
         # Broadcast avatars against unavailable chunk centers instead of a
         # Python double loop — this runs every tick while terrain is in flight.
@@ -538,12 +535,7 @@ class ChunkManager:
             dtype=np.float64,
             count=len(unavailable),
         )
-        avatars_x = np.fromiter(
-            (avatar.position.x for avatar in avatars), dtype=np.float64, count=len(avatars)
-        )
-        avatars_z = np.fromiter(
-            (avatar.position.z for avatar in avatars), dtype=np.float64, count=len(avatars)
-        )
+        avatars_x, avatars_z = avatars.horizontal()
         dx = avatars_x[:, None] - centers_x[None, :]
         dz = avatars_z[:, None] - centers_z[None, :]
         closest = math.sqrt(float((dx * dx + dz * dz).min()))

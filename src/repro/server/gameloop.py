@@ -11,8 +11,8 @@ starts the next tick late, exactly like a real game server under overload.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
 from repro.constructs.circuit import SimulatedConstruct
@@ -28,9 +28,14 @@ from repro.server.chunkmanager import (
 )
 from repro.server.config import WORLD_SEED, GameConfig
 from repro.server.costmodel import TickCostModel, TickWork
-from repro.server.entities import Avatar
+from repro.server.entities import Avatar, AvatarTable
 from repro.server.sc_engine import ConstructBackend, LocalConstructBackend
-from repro.server.session import PlayerSession, restore_avatar_state, snapshot_session
+from repro.server.session import (
+    PlayerSession,
+    drain_pending,
+    restore_avatar_state,
+    snapshot_session,
+)
 from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend, StorageOperation
 from repro.storage.local import LocalDiskStorage
@@ -41,6 +46,9 @@ from repro.world.world import ChunkNotLoadedError, VoxelWorld
 
 #: how often dirty terrain is written back to persistent storage
 PERSISTENCE_INTERVAL_S = 30.0
+
+#: a message's kind, read by the drain in one C loop over a tick's messages
+_KIND = attrgetter("kind")
 
 
 class ServerRuntime:
@@ -187,6 +195,8 @@ class GameServer(TickLoop):
         #: ownership region when this server is one shard of a cluster
         self.region = region
         self.sessions: dict[int, PlayerSession] = {}
+        #: the served avatars' positions and distances, one row per session
+        self.avatars = AvatarTable()
         self.stats = ServerStatistics()
         self.tick_index = 0
         # Cluster shards share one id iterator so player ids are world-unique.
@@ -268,6 +278,7 @@ class GameServer(TickLoop):
         if self.message_channel is not None:
             session.attach_channel(self.message_channel)
         self.sessions[session.player_id] = session
+        self.avatars.bind(session.avatar)
         self._moved.append(session.avatar)
         self.broadcast.join(session)
 
@@ -283,6 +294,7 @@ class GameServer(TickLoop):
         self.broadcast.leave(session)
         self._pending_messages.pop(player_id, None)
         self.chunks.forget_player(player_id)
+        self.avatars.unbind(session.avatar)
         return session
 
     def disconnect_player(self, player_id: int) -> StorageOperation:
@@ -336,25 +348,40 @@ class GameServer(TickLoop):
 
     # -- message processing --------------------------------------------------------------
 
+    def _drain_messages(self, work: TickWork) -> None:
+        """Process every queued client message, sessions in ``sessions`` order.
+
+        Each run of MOVEs is one :meth:`AvatarTable.apply_moves` (a dirty
+        event per MOVE for an interest map; full fan-out routes nothing);
+        any other message ends the run and goes through
+        :meth:`_process_message`.
+        """
+        senders, messages = drain_pending(self.sessions, self._pending_messages)
+        count = len(messages)
+        work.actions += count
+        self.stats.messages_processed += count
+        interest = self.interest
+        note_dirty = None if interest is None else interest.note_dirty
+        apply_moves, moved = self.avatars.apply_moves, self._moved
+        kinds = list(map(_KIND, messages))
+        move = MessageKind.MOVE
+        if kinds.count(move) == count:
+            apply_moves(senders, messages, moved, note_dirty)
+            return
+        start = 0
+        for index in [i for i, kind in enumerate(kinds) if kind is not move]:
+            if start < index:
+                apply_moves(senders[start:index], messages[start:index], moved, note_dirty)
+            self._process_message(senders[index], messages[index])
+            start = index + 1
+        if start < count:
+            apply_moves(senders[start:], messages[start:], moved, note_dirty)
+
     def _process_message(self, session: PlayerSession, message: Message) -> None:
+        """Apply one message of any kind but MOVE (see :meth:`_drain_messages`)."""
         avatar = session.avatar
         kind = message.kind
-        if kind is MessageKind.MOVE:
-            # Inlined throughout (chunk_of, the distance, the move itself):
-            # this runs once per player per tick.
-            payload = message.payload
-            x, z = int(payload["x"]), int(payload["z"])
-            old = avatar.position
-            distance = math.hypot(old.x - x, old.z - z)
-            avatar.position = BlockPos(x, int(payload["y"]), z)
-            avatar.distance_travelled += distance
-            cx, cz = x // CHUNK_SIZE, z // CHUNK_SIZE
-            if cx != old.x // CHUNK_SIZE or cz != old.z // CHUNK_SIZE:
-                self._moved.append(avatar)
-            self.broadcast.note_dirty(
-                (cx, cz), drift=distance, source_player_id=avatar.player_id
-            )
-        elif kind is MessageKind.PLACE_BLOCK:
+        if kind is MessageKind.PLACE_BLOCK:
             target = BlockPos(
                 int(message.payload["x"]), int(message.payload["y"]), int(message.payload["z"])
             )
@@ -452,27 +479,16 @@ class GameServer(TickLoop):
 
         # 1. Process queued client messages.  Only sessions in the pending
         # index are drained (idle players cost one membership probe), and the
-        # whole section is skipped when nothing arrived.  Iteration stays in
-        # sessions-dict order so cross-player processing order is exactly the
-        # pre-index behaviour.
-        pending = self._pending_messages
-        if pending:
-            for player_id, session in self.sessions.items():
-                if player_id not in pending:
-                    continue
-                for message in session.drain():
-                    self._process_message(session, message)
-                    work.actions += 1
-                    self.stats.messages_processed += 1
+        # whole section is skipped when nothing arrived.
+        if self._pending_messages:
+            self._drain_messages(work)
 
         # 2. Chunk management.  A player who joined or crossed and has left
         # since is dropped here: refreshing its view would undo forget_player.
         sessions = self.sessions
         moved = [avatar for avatar in self._moved if avatar.player_id in sessions]
         self._moved.clear()
-        chunk_report = self.chunks.update(
-            [session.avatar for session in sessions.values()], moved
-        )
+        chunk_report = self.chunks.update(self.avatars, moved)
         work.chunks_integrated = chunk_report.chunks_integrated
         work.local_generations_completed = chunk_report.local_generations_completed
         work.generation_backlog = chunk_report.generation_backlog

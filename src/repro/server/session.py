@@ -1,5 +1,10 @@
 """Player sessions: the server-side endpoint of one connected client.
 
+A session's avatar is a row of its server's :class:`~repro.server.entities.AvatarTable`
+while the server has adopted it, and carries its own values otherwise (see
+:mod:`repro.server.entities`).  :func:`drain_pending` empties the inboxes of a
+server's pending sessions in one pass.
+
 Besides the live session object this module defines the serialized form of a
 player's state: :func:`snapshot_session` turns a session into bytes suitable
 for persistent storage, and :func:`restore_avatar_state` applies stored bytes
@@ -11,7 +16,10 @@ cluster, where the snapshot travels through the shared storage service.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.message import Message, MessageKind
@@ -124,6 +132,28 @@ class PlayerSession:
         self.enqueue(Message(MessageKind.CHAT, self.player_id, {"text": text}))
 
 
+def drain_pending(
+    sessions: dict[int, PlayerSession], pending: dict[int, None]
+) -> tuple[list[PlayerSession], list[Message]]:
+    """Empty the inbox of every session in ``pending`` (the server's index).
+
+    Returns ``(senders, messages)``: every queued message, sessions in
+    ``sessions`` order and each one's in arrival order, and the session that
+    sent each.  The same as calling :meth:`PlayerSession.drain` on each,
+    without a call per session.
+    """
+    drained = [session for player_id, session in sessions.items() if player_id in pending]
+    pending.clear()
+    inboxes = list(map(_INBOX, drained))
+    for session in drained:
+        session._inbox = []
+    senders = [session for session, inbox in zip(drained, inboxes) for _ in inbox]
+    return senders, list(chain.from_iterable(inboxes))
+
+
+_INBOX = attrgetter("_inbox")
+
+
 # -- serialized player state -------------------------------------------------------
 
 
@@ -157,7 +187,8 @@ def restore_avatar_state(avatar: Avatar, data: bytes, restore_position: bool = T
         # corrupt field leaves the avatar untouched instead of half-restored.
         position = state.get("position")
         parsed_position = (
-            BlockPos(int(position[0]), int(position[1]), int(position[2]))
+            # A coordinate past the 64-bit avatar columns is corrupt, like text.
+            BlockPos(*array("q", (int(position[0]), int(position[1]), int(position[2]))))
             if isinstance(position, list) and len(position) == 3
             else None
         )
@@ -166,7 +197,7 @@ def restore_avatar_state(avatar: Avatar, data: bytes, restore_position: bool = T
         chat_messages_sent = int(state.get("chat_messages_sent", avatar.chat_messages_sent))
         blocks_placed = int(state.get("blocks_placed", avatar.blocks_placed))
         blocks_broken = int(state.get("blocks_broken", avatar.blocks_broken))
-    except (UnicodeDecodeError, json.JSONDecodeError, TypeError, ValueError):
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError, ValueError, OverflowError):
         return False
     if restore_position and parsed_position is not None:
         avatar.position = parsed_position

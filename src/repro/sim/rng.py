@@ -22,11 +22,6 @@ class RandomStreams:
         self._seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
 
-    @property
-    def seed(self) -> int:
-        """The root seed all streams are derived from."""
-        return self._seed
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
 

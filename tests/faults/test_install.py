@@ -11,7 +11,7 @@ from repro.sim import SimulationEngine
 def test_empty_plan_installs_nothing(engine):
     server = make_opencraft(engine, GameConfig(world_type="flat"))
     assert install_faults(server, None) is None
-    assert install_faults(server, FaultPlan.empty()) is None
+    assert install_faults(server, FaultPlan()) is None
     assert install_faults(server, FaultPlan.from_dict({})) is None
     assert server.fault_injector is None
     assert server.message_channel is None
@@ -24,7 +24,7 @@ def test_empty_plan_run_is_bit_identical_to_no_plan():
         server = make_opencraft(engine, GameConfig(world_type="flat"))
         server.chunks.preload_area(server.config.spawn_position, 96.0)
         if install:
-            install_faults(server, FaultPlan.empty())
+            install_faults(server, FaultPlan())
         session = server.connect_player("alice")
         for step in range(20):
             session.move(step, 64, step)

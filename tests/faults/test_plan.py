@@ -6,7 +6,7 @@ from repro.faults import FaultPlan, RetryPolicy
 
 
 def test_empty_plan_is_empty():
-    assert FaultPlan.empty().is_empty
+    assert FaultPlan().is_empty
     assert FaultPlan.from_dict({}).is_empty
     assert FaultPlan.from_dict({}).to_dict() == {}
 

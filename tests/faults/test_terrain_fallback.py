@@ -10,7 +10,7 @@ from repro.core.terrain_service import (
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
 from repro.faults import FaultInjector, FaultPlan
 from repro.server.chunkmanager import ChunkManager
-from repro.server.entities import Avatar
+from repro.server.entities import Avatar, AvatarTable
 from repro.storage.local import LocalDiskStorage
 from repro.world.coords import BlockPos, ChunkPos
 from repro.world.terrain import DefaultTerrainGenerator, make_terrain_generator
@@ -142,12 +142,13 @@ def test_a_faulted_tick_falls_back_to_the_pinned_chunk_and_keeps_nothing_prepare
     prepare = handler.prepare
     handler.prepare = lambda requests: (batches.append(len(requests)), prepare(requests))
     avatar = Avatar(player_id=1, name="p1", position=BlockPos(-3 * 16 + 8, 65, 4 * 16 + 8))
-    requested = manager.update([avatar], [avatar]).chunks_requested
+    AvatarTable().bind(avatar)
+    requested = manager.update(avatar.table, [avatar]).chunks_requested
     assert requested > 1 and batches == [requested]  # the tick's requests, one stacked call
     # A throttled attempt never runs the handler: its prepared chunk is dropped.
     assert len(handler._prepared) == 0
     engine.advance_by(60_000.0)
-    manager.update([avatar], [])
+    manager.update(avatar.table, [])
     assert engine.metrics.counter("terrain_local_fallbacks") == requested
     assert world._chunks[PIN_CHUNK].content_hash() == PIN_HASH
     assert len(handler._prepared) == 0

@@ -10,7 +10,7 @@ from repro.server.chunkmanager import (
     LocalTerrainProvider,
     TerrainProvider,
 )
-from repro.server.entities import Avatar
+from repro.server.entities import Avatar, AvatarTable
 from repro.storage.local import LocalDiskStorage
 from repro.world.block import BlockType
 from repro.world.coords import BlockPos, ChunkPos
@@ -38,7 +38,10 @@ def make_manager(engine, storage=None, view_distance=48.0, workers=2):
 
 
 def avatar_at(x, z, player_id=1):
-    return Avatar(player_id=player_id, name=f"p{player_id}", position=BlockPos(x, 65, z))
+    """An avatar served from a table of its own (``avatar.table``)."""
+    avatar = Avatar(player_id=player_id, name=f"p{player_id}", position=BlockPos(x, 65, z))
+    AvatarTable().bind(avatar)
+    return avatar
 
 
 def test_preload_area_loads_chunks_synchronously(engine):
@@ -53,7 +56,7 @@ def test_preload_area_loads_chunks_synchronously(engine):
 def test_missing_chunks_are_requested_and_eventually_integrated(engine):
     manager, world, provider = make_manager(engine)
     avatar = avatar_at(0, 0)
-    report = manager.update([avatar], [avatar])
+    report = manager.update(avatar.table, [avatar])
     assert report.chunks_requested > 0
     assert len(manager._pending) > 0
     assert world.loaded_chunk_count == 0
@@ -61,7 +64,7 @@ def test_missing_chunks_are_requested_and_eventually_integrated(engine):
     total_integrated = 0
     for _ in range(40):
         engine.advance_by(100.0)
-        total_integrated += manager.update([avatar], []).chunks_integrated
+        total_integrated += manager.update(avatar.table, []).chunks_integrated
     assert total_integrated > 0
     assert world.loaded_chunk_count > 0
     assert len(manager._pending) == 0
@@ -70,9 +73,9 @@ def test_missing_chunks_are_requested_and_eventually_integrated(engine):
 def test_integrations_are_bounded_per_tick(engine):
     manager, world, _ = make_manager(engine)
     avatar = avatar_at(0, 0)
-    manager.update([avatar], [avatar])
+    manager.update(avatar.table, [avatar])
     engine.advance_by(60_000.0)  # let every generation finish
-    report = manager.update([avatar], [])
+    report = manager.update(avatar.table, [])
     assert report.chunks_integrated <= manager.max_integrations_per_tick
 
 
@@ -107,10 +110,10 @@ def burst_manager(engine):
 def test_a_chunk_waiting_for_integration_is_not_requested_again(engine):
     manager, world, provider = burst_manager(engine)
     avatar = avatar_at(0, 0)
-    manager.update([avatar], [avatar])
+    manager.update(avatar.table, [avatar])
     provider.deliver()  # every reply lands at once: more than one tick can integrate
     assert len(provider.requests) > 2 * manager.max_integrations_per_tick
-    integrated = sum(manager.update([avatar], []).chunks_integrated for _ in range(20))
+    integrated = sum(manager.update(avatar.table, []).chunks_integrated for _ in range(20))
     assert set(provider.requests.values()) == {1}
     assert integrated == world.loaded_chunk_count == len(provider.requests)
     assert len(manager._pending) == 0
@@ -119,10 +122,10 @@ def test_a_chunk_waiting_for_integration_is_not_requested_again(engine):
 def test_a_reply_for_a_loaded_chunk_is_dropped_and_not_counted(engine):
     manager, world, provider = burst_manager(engine)
     avatar = avatar_at(0, 0)
-    manager.update([avatar], [avatar])
+    manager.update(avatar.table, [avatar])
     loaded = manager.preload_area(avatar.position, 48.0)
     provider.deliver()
-    reports = [manager.update([avatar], []) for _ in range(20)]
+    reports = [manager.update(avatar.table, []) for _ in range(20)]
     assert sum(report.chunks_integrated for report in reports) == 0
     assert sum(report.local_generations_completed for report in reports) == 0
     assert world.loaded_chunk_count == loaded
@@ -137,9 +140,9 @@ def test_chunks_load_from_storage_when_persisted(engine):
     chunk = generator.generate_chunk(ChunkPos(0, 0))
     storage.write(ChunkPos(0, 0).key(), chunk_to_bytes(chunk))
     avatar = avatar_at(0, 0)
-    manager.update([avatar], [avatar])
+    manager.update(avatar.table, [avatar])
     engine.advance_by(1_000.0)
-    manager.update([avatar], [])
+    manager.update(avatar.table, [])
     assert engine.metrics.counter("chunks_loaded_from_storage") >= 1
 
 
@@ -161,7 +164,7 @@ def test_each_requested_chunk_probes_storage_once(engine):
     storage.write(stored.key(), chunk_to_bytes(FlatTerrainGenerator(seed=1).generate_chunk(stored)))
     manager, _, provider = make_manager(engine, storage=storage)
     avatar = avatar_at(0, 0)
-    report = manager.update([avatar], [avatar])
+    report = manager.update(avatar.table, [avatar])
     assert report.chunks_requested > 1
     assert len(storage.probes) == report.chunks_requested
     assert set(storage.probes.values()) == {1}
@@ -172,9 +175,9 @@ def test_each_requested_chunk_probes_storage_once(engine):
 def test_terrain_retrieval_latency_is_recorded(engine):
     manager, _, _ = make_manager(engine)
     avatar = avatar_at(0, 0)
-    manager.update([avatar], [avatar])
+    manager.update(avatar.table, [avatar])
     engine.advance_by(30_000.0)
-    manager.update([avatar], [])
+    manager.update(avatar.table, [])
     histogram = engine.metrics.histogram("terrain_retrieval_ms")
     assert len(histogram) > 0
     assert min(histogram.samples) > 0
@@ -183,11 +186,11 @@ def test_terrain_retrieval_latency_is_recorded(engine):
 def test_view_range_reports_distance_to_missing_terrain(engine):
     manager, _, _ = make_manager(engine, view_distance=64.0)
     avatar = avatar_at(0, 0)
-    report = manager.update([avatar], [avatar])
+    report = manager.update(avatar.table, [avatar])
     # Nothing is loaded yet: the closest missing chunk is the one under the avatar.
     assert report.min_view_range_blocks < 16.0
     manager.preload_area(BlockPos(0, 65, 0), 96.0)
-    report = manager.update([avatar], [])
+    report = manager.update(avatar.table, [])
     assert report.min_view_range_blocks == 64.0
 
 
@@ -195,19 +198,19 @@ def test_streaming_counts_only_new_chunks_for_moving_players(engine):
     manager, _, _ = make_manager(engine, view_distance=48.0)
     manager.preload_area(BlockPos(0, 65, 0), 300.0)
     avatar = avatar_at(0, 0)
-    first = manager.update([avatar], [avatar])
+    first = manager.update(avatar.table, [avatar])
     # The initial view download is not charged to the game loop.
     assert first.chunks_streamed == 0
     # Crossing into a new chunk streams the newly visible column of chunks.
     avatar.position = BlockPos(16, 65, 0)
-    streamed = manager.update([avatar], [avatar]).chunks_streamed
+    streamed = manager.update(avatar.table, [avatar]).chunks_streamed
     for _ in range(9):
-        streamed += manager.update([avatar], []).chunks_streamed
+        streamed += manager.update(avatar.table, []).chunks_streamed
     assert streamed > 0
     # Moving back over already-sent terrain streams nothing new.
     avatar.position = BlockPos(0, 65, 0)
-    manager.update([avatar], [avatar])
-    again = sum(manager.update([avatar], []).chunks_streamed for _ in range(5))
+    manager.update(avatar.table, [avatar])
+    again = sum(manager.update(avatar.table, []).chunks_streamed for _ in range(5))
     assert again == 0
 
 
@@ -219,9 +222,9 @@ def test_eviction_removes_far_chunks_and_persists_dirty_ones(engine):
     world.set_block(BlockPos(0, 64, 0), world.get_block(BlockPos(0, 64, 0)))
     world._chunks[ChunkPos(0, 0)].dirty = True
     avatar = avatar_at(2000, 2000)
-    evicted_total = manager.update([avatar], [avatar]).chunks_evicted
+    evicted_total = manager.update(avatar.table, [avatar]).chunks_evicted
     for _ in range(manager.eviction_interval_ticks):
-        evicted_total += manager.update([avatar], []).chunks_evicted
+        evicted_total += manager.update(avatar.table, []).chunks_evicted
     assert evicted_total > 0
     assert storage.exists(ChunkPos(0, 0).key())
     assert not world.is_loaded(ChunkPos(0, 0))
@@ -233,16 +236,16 @@ def test_an_evicted_edit_comes_back_from_storage(engine):
     edited = BlockPos(3, 90, 3)
     world.set_block(edited, BlockType.STONE)
     away = avatar_at(2000, 2000)
-    manager.update([away], [away])
+    manager.update(away.table, [away])
     for _ in range(manager.eviction_interval_ticks):
-        manager.update([away], [])
+        manager.update(away.table, [])
     assert not world.is_loaded(ChunkPos(0, 0))
     # The player returns: the chunk is read back, edit included, not regenerated.
     home = avatar_at(0, 0)
-    manager.update([home], [home])
+    manager.update(home.table, [home])
     for _ in range(10):
         engine.advance_by(1_000.0)
-        manager.update([home], [])
+        manager.update(home.table, [])
     assert engine.metrics.counter("chunks_loaded_from_storage") >= 1
     assert world.get_block(edited) == BlockType.STONE
 
@@ -252,9 +255,9 @@ def test_a_protected_chunk_far_from_every_player_survives_eviction(engine):
     manager.preload_area(BlockPos(0, 65, 0), 16.0)
     manager.protect([ChunkPos(0, 0)])
     avatar = avatar_at(5000, 5000)
-    manager.update([avatar], [avatar])
+    manager.update(avatar.table, [avatar])
     for _ in range(manager.eviction_interval_ticks):
-        manager.update([avatar], [])
+        manager.update(avatar.table, [])
     assert world.is_loaded(ChunkPos(0, 0))
 
 
@@ -262,7 +265,7 @@ def test_forget_player_releases_view_references(engine):
     manager, _, _ = make_manager(engine)
     manager.preload_area(BlockPos(0, 65, 0), 200.0)
     avatar = avatar_at(0, 0, player_id=7)
-    manager.update([avatar], [avatar])
+    manager.update(avatar.table, [avatar])
     assert manager._chunk_refcounts
     manager.forget_player(7)
     assert not manager._chunk_refcounts
@@ -324,13 +327,13 @@ def test_protected_chunks_survive_eviction(engine):
     # Move the player far away and run enough ticks to trigger eviction.
     far = avatar_at(2000, 2000)
     manager.preload_area(far.position, 48.0)
-    manager.update([far], [far])
+    manager.update(far.table, [far])
     for _ in range(5):
-        manager.update([far], [])
+        manager.update(far.table, [])
     assert world.is_loaded(pin)
     manager.unprotect([pin])
     for _ in range(6):
-        manager.update([far], [])
+        manager.update(far.table, [])
     assert not world.is_loaded(pin)
 
 
@@ -358,10 +361,10 @@ def test_ownership_region_filters_loading_and_preload(engine):
     assert all(position.cx >= 0 for position in world.loaded_chunk_positions)
     # An avatar straddling the region edge only requests owned chunks.
     avatar = avatar_at(0, 0)
-    manager.update([avatar], [avatar])
+    manager.update(avatar.table, [avatar])
     for _ in range(50):
         engine.advance_by(60.0)
-        manager.update([avatar], [])
+        manager.update(avatar.table, [])
     assert all(position.cx >= 0 for position in world.loaded_chunk_positions)
     assert all(position.cx >= 0 for position in manager._chunk_refcounts)
 
@@ -378,13 +381,13 @@ def test_view_crossing_queues_and_requests_chunks_in_sorted_order(engine):
     """
     manager, _, _ = make_manager(engine, view_distance=64.0)
     avatar = avatar_at(0, 0)
-    manager.update([avatar], [avatar])
+    manager.update(avatar.table, [avatar])
     assert manager._player_send_queue[avatar.player_id] == []
 
     # A diagonal jump across several chunk boundaries at once exposes the
     # iteration order of a large `required - old_required` set difference.
     avatar.position = BlockPos(40, 65, 24)
-    manager.update([avatar], [avatar])
+    manager.update(avatar.table, [avatar])
     queue = list(manager._player_send_queue[avatar.player_id])
     assert queue, "a boundary crossing must queue newly visible chunks"
     assert queue == sorted(queue)
@@ -399,7 +402,7 @@ def test_a_tick_requests_its_missing_chunks_in_sorted_order(engine):
     """
     manager, _, provider = burst_manager(engine)
     avatar = avatar_at(0, 0)
-    manager.update([avatar], [avatar])
+    manager.update(avatar.table, [avatar])
     requested = list(provider.requests)
     assert len(requested) > 1
     assert requested == sorted(requested)

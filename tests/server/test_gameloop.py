@@ -255,6 +255,9 @@ def test_restore_avatar_state_rejects_corrupt_snapshots():
     assert not restore_avatar_state(avatar, b"\xff\xfe not json")
     assert not restore_avatar_state(avatar, b'{"blocks_placed": "abc"}')
     assert not restore_avatar_state(avatar, b'"a bare string"')
+    # Positions are signed 64-bit (the avatar table's columns).
+    assert not restore_avatar_state(avatar, b'{"position": [9223372036854775808, 65, 0]}')
+    assert not restore_avatar_state(avatar, b'{"position": [Infinity, 65, 0]}')
     # A corrupt field leaves the avatar entirely untouched.
     assert avatar.blocks_placed == 0 and avatar.position == BlockPos(0, 65, 0)
     assert restore_avatar_state(avatar, b'{"blocks_placed": 4}')

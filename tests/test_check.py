@@ -49,11 +49,18 @@ def bump_a_refcount(cluster):
     return shard, "chunk views"
 
 
-def hold_a_session_twice(cluster):
-    """A second shard adopts a session its home shard still serves."""
+def point_a_session_at_the_wrong_shard(cluster):
+    """The coordinator's home for a session names a shard that does not serve it."""
     session = next(iter(cluster.shards[0].sessions.values()))
-    cluster.shards[1].adopt(session)
+    cluster.home[session.player_id] = 1
     return cluster, "sessions"
+
+
+def unbind_a_served_avatar(server):
+    """A served session's avatar is taken off the server's avatar table."""
+    session = next(iter(server.sessions.values()))
+    server.avatars.unbind(session.avatar)
+    return server, "avatar table"
 
 
 def register_a_construct_twice(cluster):
@@ -110,8 +117,9 @@ def start_a_tick_early(server):
     "build, corrupt",
     [
         (ticked_cluster, bump_a_refcount),
-        (ticked_cluster, hold_a_session_twice),
+        (ticked_cluster, point_a_session_at_the_wrong_shard),
         (ticked_cluster, register_a_construct_twice),
+        (ticked_server, unbind_a_served_avatar),
         (ticked_server, drop_a_view),
         (ticked_server, share_a_state_vector),
         (ticked_server, give_two_constructs_one_id),
@@ -127,6 +135,25 @@ def test_one_corrupted_invariant_gives_one_line_naming_it_and_its_owner(engine, 
     owner, invariant = corrupt(host)
     (line,) = check(host)
     assert line.startswith(f"{owner.name}: {invariant}: ")
+
+
+def test_a_session_held_by_two_shards_is_reported(engine):
+    """A second shard adopts a session its home shard still serves.
+
+    The avatar has to leave the home shard's table before the second shard
+    can bind it, so the home shard's avatar-table line comes with the
+    cluster's sessions line.
+    """
+    cluster = ticked_cluster(engine)
+    home = cluster.shards[0]
+    session = next(iter(home.sessions.values()))
+    home.avatars.unbind(session.avatar)
+    cluster.shards[1].adopt(session)
+    failures = check(cluster)
+    assert sorted(line.split(": ")[:2] for line in failures) == [
+        [cluster.name, "sessions"],
+        [home.name, "avatar table"],
+    ]
 
 
 def test_a_killed_shards_ticks_are_checked_after_its_respawn():
