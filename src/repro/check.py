@@ -107,31 +107,28 @@ def _check_clock(owner: str, records: list[TickRecord], interval_ms: float) -> l
 
 
 def _verify_views(chunks: ChunkManager, avatars: list[Avatar]) -> bool:
-    """True when the view caches match a from-scratch recomputation.
+    """True when the view bookkeeping matches a from-scratch recomputation.
 
-    Holds between ticks: every cached view is centred on the chunk its
-    avatar stands in and covers exactly the owned chunks of that ring,
-    no view outlives its player, the reference counts are the sum of the
-    views, and the unavailable set is exactly the required chunks that
-    are not resident.  An avatar with no view yet (it joined after the
-    last :meth:`ChunkManager.update`) requires nothing.
+    Holds between ticks: every view is centred on the chunk its avatar
+    stands in, no view outlives its player, the reference counts are the
+    sum of the owned chunks of each centre's ring, and the unavailable set
+    is exactly the required chunks that are not resident.  An avatar with
+    no view yet (it joined after the last :meth:`ChunkManager.update`)
+    requires nothing.
     """
     by_player = {avatar.player_id: avatar for avatar in avatars}
     if not chunks._player_views.keys() <= by_player.keys():
         return False
     counts: Counter[ChunkPos] = Counter()
-    for player_id, (center, required) in chunks._player_views.items():
+    for player_id, center in chunks._player_views.items():
         position = by_player[player_id].position
         if center != (position.x // CHUNK_SIZE, position.z // CHUNK_SIZE):
             return False
-        owned_ring = {
+        counts.update(
             chunk
             for dx, dz in _ring_offsets(chunks._view_radius_chunks)
             if chunks._owns(chunk := ChunkPos(center[0] + dx, center[1] + dz))
-        }
-        if required != owned_ring:
-            return False
-        counts.update(required)
+        )
     is_loaded = chunks.world.is_loaded
     return chunks._chunk_refcounts == counts and chunks._unavailable == {
         chunk for chunk in counts if not is_loaded(chunk)

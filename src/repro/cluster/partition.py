@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.server.chunkmanager import OwnershipRegion
-from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos
+from repro.world.coords import CHUNK_SIZE, BlockPos
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,6 @@ class ZoneRegion(OwnershipRegion):
     zone_id: int
     min_cx: Optional[int]
     max_cx: Optional[int]
-
-    def contains(self, position: ChunkPos) -> bool:
-        if self.min_cx is not None and position.cx < self.min_cx:
-            return False
-        if self.max_cx is not None and position.cx >= self.max_cx:
-            return False
-        return True
 
 
 class WorldPartitioner:

@@ -11,6 +11,7 @@ its own environment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -28,6 +29,9 @@ class WarmInstancePool:
     _environments: list[_Environment] = field(default_factory=list)
     cold_starts: int = 0
     warm_starts: int = 0
+    #: at most every environment's ``last_used_ms``: lowered to each use's
+    #: time when that is earlier, and exact after each rebuild in :meth:`_expire`
+    _last_used_floor_ms: float = field(default=math.inf, init=False, repr=False, compare=False)
 
     def acquire(self, now_ms: float, duration_ms: float) -> bool:
         """Reserve an environment for an invocation starting at ``now_ms``.
@@ -37,6 +41,8 @@ class WarmInstancePool:
         invocation finishes.
         """
         self._expire(now_ms)
+        if now_ms < self._last_used_floor_ms:  # an invocation may be submitted ahead of another
+            self._last_used_floor_ms = now_ms
         for environment in self._environments:
             if environment.busy_until_ms <= now_ms:
                 environment.busy_until_ms = now_ms + duration_ms
@@ -50,9 +56,16 @@ class WarmInstancePool:
         return True
 
     def _expire(self, now_ms: float) -> None:
+        # Nothing expires while even the least recently used environment is
+        # inside its keep-alive: every other one was used later.
+        if now_ms - self._last_used_floor_ms <= self.keep_alive_ms:
+            return
         self._environments = [
             environment
             for environment in self._environments
             if environment.busy_until_ms > now_ms
             or (now_ms - environment.last_used_ms) <= self.keep_alive_ms
         ]
+        self._last_used_floor_ms = min(
+            (environment.last_used_ms for environment in self._environments), default=math.inf
+        )

@@ -3,9 +3,12 @@
 The chunk manager keeps the voxel world populated around the players.  Every
 tick it:
 
-1. moves the required chunk set of each player the game loop names in
-   ``moved`` — the ones that joined or whose MOVE left its chunk; the loop
-   sees every position change, so nobody else's view is looked at,
+1. moves the view of each player the game loop names in ``moved`` — the
+   ones that joined or whose MOVE left its chunk; the loop sees every
+   position change, so nobody else's view is looked at.  A view is its
+   centre chunk: the required chunks are the owned part of the ring around
+   it, and a move by ``(dcx, dcz)`` touches only the chunks that enter and
+   leave the ring, from an offset list cached per step,
 2. requests missing chunks — from persistent storage if they exist there,
    otherwise from the terrain provider (local worker threads for the
    baselines, serverless functions for Servo),
@@ -13,7 +16,7 @@ tick it:
    integrating a chunk costs tick time); a position stays pending until its
    chunk is integrated, so each chunk is requested and integrated once,
 4. periodically evicts chunks far outside every player's view, persisting
-   dirty ones.
+   dirty ones: one array pass over the loaded chunks per distinct centre.
 
 It also produces the "distance to the closest missing terrain" metric of
 Figure 10a.
@@ -22,9 +25,12 @@ Figure 10a.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain, compress, repeat
+from operator import add, itemgetter
 from typing import Callable, ContextManager, Optional, Sequence
 
 import numpy as np
@@ -57,18 +63,35 @@ def _ring_offsets(radius_chunks: int) -> tuple[tuple[int, int], ...]:
     return tuple(offsets)
 
 
-@lru_cache(maxsize=8192)
-def _ring_chunks(center_cx: int, center_cz: int, radius_chunks: int) -> frozenset[ChunkPos]:
-    """The ring footprint translated to a center chunk, as a reusable frozenset.
+def _ring_reach(radius_chunks: int) -> int:
+    """The largest ``dx² + dz²`` of an offset in the ring of ``radius_chunks``.
 
-    Frozensets carry their elements' hashes, so ``set.update`` on a cached
-    ring skips re-hashing every ``ChunkPos`` — the dominant cost of building
-    eviction keep-sets and per-player view sets from scratch each time.
+    On integers, ``dx² + dz² <= R² + R`` is exactly ``hypot(dx, dz) <= R + 0.5``,
+    the footprint of :func:`_ring_offsets`.
     """
-    return frozenset(
-        ChunkPos(center_cx + dx, center_cz + dz)
-        for dx, dz in _ring_offsets(radius_chunks)
-    )
+    return radius_chunks * radius_chunks + radius_chunks
+
+
+@lru_cache(maxsize=4096)
+def _ring_step(radius_chunks: int, dcx: int, dcz: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ring offsets ``o`` whose ``o + (dcx, dcz)`` lies outside the ring, as sorted columns.
+
+    A view whose centre steps by ``(dcx, dcz)`` gains the chunks of these
+    offsets around its new centre and loses those of ``(-dcx, -dcz)`` around
+    its old one.  Returns the ``dx`` and the ``dz`` column, in
+    :func:`_ring_offsets` order, which is sorted.  A step of ``2R + 1`` or
+    more along an axis leaves the ring, so callers pass ``(2R + 1, 0)`` for
+    every such step and the cache holds at most ``(4R + 1)² + 2`` steps per
+    radius.
+    """
+    ring = _ring_offsets(radius_chunks)
+    footprint = set(ring)
+    outside = [(dx, dz) for dx, dz in ring if (dx + dcx, dz + dcz) not in footprint]
+    return tuple(map(itemgetter(0), outside)), tuple(map(itemgetter(1), outside))
+
+
+#: builds a ``ChunkPos`` from an ``(cx, cz)`` pair in C (``ChunkPos(...)`` enters a Python frame)
+_CHUNK_POS = partial(tuple.__new__, ChunkPos)
 
 
 @dataclass(frozen=True)
@@ -86,16 +109,25 @@ ChunkCallback = Callable[[Chunk, GenerationResult], None]
 
 
 class OwnershipRegion:
-    """Interface for a server's ownership region in a partitioned world.
+    """A server's ownership region in a partitioned world: a strip of chunk columns.
 
     A single-server deployment owns everything (``region=None``); a cluster
-    shard owns one zone and must never load, generate or tick chunks outside
-    it — the chunk manager filters every required-chunk computation through
-    this predicate.
+    shard owns the chunks with ``min_cx <= cx < max_cx`` (``None`` leaves that
+    side unbounded) and must never load, generate or tick chunks outside
+    them.  The chunk manager filters every required-chunk computation by
+    these bounds: a view's chunks are sorted by ``cx``, so the owned ones are
+    one slice of them.
     """
 
+    min_cx: Optional[int]
+    max_cx: Optional[int]
+
     def contains(self, position: ChunkPos) -> bool:
-        raise NotImplementedError
+        if self.min_cx is not None and position.cx < self.min_cx:
+            return False
+        if self.max_cx is not None and position.cx >= self.max_cx:
+            return False
+        return True
 
 
 class TerrainProvider:
@@ -224,23 +256,29 @@ class ChunkManager:
         self.eviction_interval_ticks = int(eviction_interval_ticks)
         self.region = region
         self._view_radius_chunks = int(math.ceil(self.view_distance_blocks / CHUNK_SIZE))
+        #: a view step this long or longer along an axis leaves the ring (see _ring_step)
+        self._step_limit = 2 * self._view_radius_chunks + 1
         self._keep_radius_chunks = int(
             math.ceil((self.view_distance_blocks + UNLOAD_MARGIN_BLOCKS) / CHUNK_SIZE)
         )
+        self._view_reach = _ring_reach(self._view_radius_chunks)
+        self._keep_reach = _ring_reach(self._keep_radius_chunks)
         self._pending: set[ChunkPos] = set()
         self._ready: list[_ReadyChunk] = []
         #: pin counts: how many protectors (e.g. constructs) pin each chunk
         self._protected: dict[ChunkPos, int] = {}
-        #: per-player cached (chunk coordinates, required chunk set)
-        self._player_views: dict[int, tuple[tuple[int, int], frozenset[ChunkPos]]] = {}
+        #: each player's view centre: the chunk it stood in at its last refresh
+        #: (its view is the owned part of the ring around it)
+        self._player_views: dict[int, tuple[int, int]] = {}
         #: reference counts: how many players currently require each chunk
         self._chunk_refcounts: dict[ChunkPos, int] = {}
         #: required chunks that are not resident (maintained incrementally so
         #: the steady state — everything loaded — costs nothing per tick)
         self._unavailable: set[ChunkPos] = set()
-        #: per-center-chunk required set after ownership filtering (per shard)
-        self._required_cache: dict[tuple[int, int], frozenset[ChunkPos]] = {}
-        #: chunks already streamed to each player (clients cache terrain)
+        #: each player's centre at first sight: its client downloaded that
+        #: view on joining, and clients cache terrain
+        self._player_first_centre: dict[int, tuple[int, int]] = {}
+        #: chunks streamed to each player since it joined
         self._player_sent: dict[int, set[ChunkPos]] = {}
         #: chunks queued for streaming to each player (sent a few per tick)
         self._player_send_queue: dict[int, list[ChunkPos]] = {}
@@ -354,45 +392,56 @@ class ChunkManager:
 
     # -- per-tick update -------------------------------------------------------------------
 
-    def _required_for_center(self, center: tuple[int, int]) -> frozenset[ChunkPos]:
-        """The ownership-filtered required set for a player centered on ``center``.
+    def _owned_ring_part(self, center: tuple[int, int], dcx: int, dcz: int) -> list[ChunkPos]:
+        """The owned chunks around ``center`` at the offsets of ``_ring_step(R, dcx, dcz)``, sorted.
 
-        Players repeatedly revisit the same center chunks, so the filtered
-        set is cached per shard (the ownership region never changes after
-        construction).
+        In-view chunks outside the ownership region are the neighbour shard's
+        responsibility (a sharded deployment serves them to the client from
+        their owner), so this shard neither loads them nor counts them
+        against its view-range metric.
         """
-        cached = self._required_cache.get(center)
-        if cached is not None:
-            return cached
-        ring = _ring_chunks(center[0], center[1], self._view_radius_chunks)
-        # In-view chunks outside the ownership region are the neighbor
-        # shard's responsibility (a sharded deployment serves them to the
-        # client from their owner), so this shard neither loads them nor
-        # counts them against its view-range metric.
-        if self.region is not None:
-            contains = self.region.contains
-            ring = frozenset(position for position in ring if contains(position))
-        self._required_cache[center] = ring
-        return ring
+        cx, cz = center
+        dxs, dzs = _ring_step(self._view_radius_chunks, dcx, dcz)
+        region = self.region
+        if region is not None:
+            # The offsets are sorted by dx: the owned ones are one slice.
+            start = 0 if region.min_cx is None else bisect_left(dxs, region.min_cx - cx)
+            stop = len(dxs) if region.max_cx is None else bisect_left(dxs, region.max_cx - cx)
+            dxs, dzs = dxs[start:stop], dzs[start:stop]
+        return list(map(_CHUNK_POS, zip(map(add, dxs, repeat(cx)), map(add, dzs, repeat(cz)))))
+
+    def _owned_ring(self, center: tuple[int, int]) -> list[ChunkPos]:
+        """The owned chunks of the view ring around ``center``, sorted."""
+        # A step of 2R + 1 leaves the ring: every offset.
+        return self._owned_ring_part(center, self._step_limit, 0)
 
     def _refresh_player_view(self, player_id: int, current_chunk: tuple[int, int]) -> None:
-        """Move the player's required chunk set to the chunk it now stands in."""
-        cached = self._player_views.get(player_id)
-        if cached is not None and cached[0] == current_chunk:
+        """Move the player's view to the chunk it now stands in, by the chunks that enter and leave."""
+        views = self._player_views
+        old_center = views.get(player_id)
+        if old_center == current_chunk:
             return  # listed twice, or it crossed and came back within one tick
-        required = self._required_for_center(current_chunk)
-        old_required = cached[1] if cached is not None else frozenset()
-        entered = sorted(required - old_required)
+        views[player_id] = current_chunk
+        if old_center is None:
+            entered = self._owned_ring(current_chunk)
+            left: list[ChunkPos] = []
+        else:
+            limit = self._step_limit
+            dcx = current_chunk[0] - old_center[0]
+            dcz = current_chunk[1] - old_center[1]
+            if not (-limit < dcx < limit and -limit < dcz < limit):  # disjoint rings
+                dcx, dcz = limit, 0
+            entered = self._owned_ring_part(current_chunk, dcx, dcz)
+            left = self._owned_ring_part(old_center, -dcx, -dcz)
         refcounts = self._chunk_refcounts
         for position in entered:
             count = refcounts.get(position, 0)
             refcounts[position] = count + 1
             if count == 0 and not self.world.is_loaded(position):
                 self._unavailable.add(position)
-        for position in sorted(old_required - required):
+        for position in left:
             self._release_required(position)
-        self._player_views[player_id] = (current_chunk, required)
-        if cached is not None:
+        if old_center is not None:
             # A genuine boundary crossing (first sight is handled by the
             # subscription itself at connect time).
             for listener in self.center_listeners:
@@ -402,25 +451,33 @@ class ChunkManager:
         # earlier are never re-sent.  The initial view download on connect is
         # not charged to the game loop: real servers push it from the join
         # screen, outside the latency-critical path.
-        if cached is None:
-            self._player_sent[player_id] = set(required)
+        if old_center is None:
+            self._player_first_centre[player_id] = current_chunk
+            self._player_sent[player_id] = set()
             self._player_send_queue.setdefault(player_id, [])
             return
+        first_cx, first_cz = self._player_first_centre[player_id]
+        reach = self._view_reach
         sent = self._player_sent.setdefault(player_id, set())
         queue = self._player_send_queue.setdefault(player_id, [])
         queued = set(queue)
         for position in entered:
-            if position not in sent and position not in queued:
+            if position in sent or position in queued:
+                continue
+            # Owned, like every entered chunk: downloaded on joining if in that ring.
+            dx, dz = position[0] - first_cx, position[1] - first_cz
+            if dx * dx + dz * dz > reach:
                 queue.append(position)
 
     def forget_player(self, player_id: int) -> None:
         """Drop cached view state for a disconnected player."""
+        self._player_first_centre.pop(player_id, None)
         self._player_sent.pop(player_id, None)
         self._player_send_queue.pop(player_id, None)
-        cached = self._player_views.pop(player_id, None)
-        if cached is None:
+        center = self._player_views.pop(player_id, None)
+        if center is None:
             return
-        for position in cached[1]:
+        for position in self._owned_ring(center):
             self._release_required(position)
 
     def _stream_to_players(self) -> int:
@@ -459,9 +516,6 @@ class ChunkManager:
         for avatar in moved:
             self._refresh_player_view(avatar.player_id, chunk_of(avatar))
         if self._unavailable:
-            # Prune entries loaded outside the integration path (preloads).
-            is_loaded = self.world.is_loaded
-            self._unavailable = {p for p in self._unavailable if not is_loaded(p)}
             missing = sorted(self._unavailable - self._pending)
             # One storage probe per position decides both the generation
             # batch and the request.
@@ -502,14 +556,29 @@ class ChunkManager:
         return report
 
     def _evict(self, avatars: AvatarTable) -> int:
-        keep: set[ChunkPos] = set(self._protected)
-        # One ring per distinct centre: a crowd shares a handful of chunks.
-        centres = dict.fromkeys(avatars.chunks())
-        for cx, cz in centres:
-            keep.update(_ring_chunks(cx, cz, self._keep_radius_chunks))
+        """Unload every chunk that is not pinned and lies outside every avatar's keep ring.
+
+        One array pass over the loaded chunks per distinct centre chunk, with
+        no Python work per loaded chunk.  Chunks are evicted, and dirty ones
+        written, in sorted order.
+        """
+        positions = self.world.loaded_chunk_positions
+        loaded = np.fromiter(chain(*positions), np.int64)
+        xs, zs = loaded[0::2], loaded[1::2]
+        radius, reach = self._keep_radius_chunks, self._keep_reach
+        kept = None
+        for cx, cz in dict.fromkeys(avatars.chunks()):
+            dx, dz = xs - cx, zs - cz
+            # Inside the square first: there the squares cannot overflow int64.
+            near = (
+                (dx >= -radius) & (dx <= radius) & (dz >= -radius) & (dz <= radius)
+                & (dx * dx + dz * dz <= reach)
+            )
+            kept = near if kept is None else kept | near
+        protected = self._protected
         evicted = 0
-        for position in list(self.world.loaded_chunk_positions):
-            if position in keep:
+        for position in compress(positions, ~kept):
+            if position in protected:
                 continue
             chunk = self.world.remove_chunk(position)
             if position in self._chunk_refcounts:
@@ -522,22 +591,15 @@ class ChunkManager:
     def _view_range(self, avatars: AvatarTable) -> float:
         if not avatars.avatars or not self._unavailable:
             return self.view_distance_blocks
-        # Broadcast avatars against unavailable chunk centers instead of a
+        # Broadcast avatars against unavailable chunk centres instead of a
         # Python double loop — this runs every tick while terrain is in flight.
-        unavailable = sorted(self._unavailable)
-        centers_x = np.fromiter(
-            (pos.cx * CHUNK_SIZE + 8 for pos in unavailable),
-            dtype=np.float64,
-            count=len(unavailable),
-        )
-        centers_z = np.fromiter(
-            (pos.cz * CHUNK_SIZE + 8 for pos in unavailable),
-            dtype=np.float64,
-            count=len(unavailable),
-        )
+        # A centre is (2c + 1) * 8 blocks: exact in int64 for every chunk of a
+        # 64-bit position, and rounded once to float, as c * 16 + 8 would be.
+        chunks = np.fromiter(chain(*self._unavailable), np.int64)
+        centers = (2 * chunks + 1).astype(np.float64) * (CHUNK_SIZE / 2)
         avatars_x, avatars_z = avatars.horizontal()
-        dx = avatars_x[:, None] - centers_x[None, :]
-        dz = avatars_z[:, None] - centers_z[None, :]
+        dx = avatars_x[:, None] - centers[None, 0::2]
+        dz = avatars_z[:, None] - centers[None, 1::2]
         closest = math.sqrt(float((dx * dx + dz * dz).min()))
         return min(self.view_distance_blocks, closest)
 

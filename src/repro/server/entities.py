@@ -13,8 +13,9 @@ column layout: readers ask the table for chunks (:meth:`AvatarTable.chunk_of`,
 (:meth:`AvatarTable.horizontal`).
 
 Coordinates are signed 64-bit integers.  A MOVE to a position outside that
-range is malformed input: it raises ``OverflowError`` and leaves the avatar's
-row as it stood, and so does binding or writing such a position.
+range is malformed input, like a text coordinate: it is dropped and counted,
+and leaves the avatar's row as it stood.  Binding or writing such a position
+raises ``OverflowError`` and changes nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ from repro.world.coords import CHUNK_SIZE, BlockPos
 #: 96 MOVEs 194.2 / 177.8, 150 MOVEs 307.8 / 259.2; two more runs put the
 #: meeting point at 64.  (Timed alone with warm caches, the two meet at ≈96.)
 ARRAY_PASS_MIN_MOVES = 64
+
+#: what converting a malformed client payload raises: a missing key, a value
+#: ``int()`` rejects, or a coordinate past the 64-bit columns
+MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 class Avatar:
@@ -175,7 +180,7 @@ class AvatarTable:
         moves: Sequence,
         moved: list[Avatar],
         note_dirty: Optional[Callable[..., None]],
-    ) -> None:
+    ) -> int:
         """Apply a run of MOVE messages, ``moves[i]`` sent by session ``senders[i]``, in order.
 
         Each steps its sender's avatar, bound to this table, to the
@@ -188,10 +193,9 @@ class AvatarTable:
         :data:`ARRAY_PASS_MIN_MOVES` or more is one numpy pass; a shorter
         one is this loop.
 
-        A malformed payload raises what ``int()`` raises on its ``x``, ``z``
-        or ``y`` (in that order), or ``OverflowError`` for a position past
-        the 64-bit columns, after the MOVEs before it are applied and with
-        its own avatar's row untouched.
+        A MOVE whose payload is malformed (see :data:`MALFORMED`) is
+        dropped: its avatar's row is untouched, and the MOVEs before and
+        after it are applied.  Returns how many were dropped.
         """
         if len(moves) >= ARRAY_PASS_MIN_MOVES:
             avatars = list(map(_AVATAR, senders))
@@ -202,29 +206,32 @@ class AvatarTable:
                 if note_dirty is not None:
                     for avatar, cx, cz, distance in zip(avatars, cxs, czs, distances):
                         note_dirty((cx, cz), drift=distance, source_player_id=avatar.player_id)
-                return
-            # A malformed payload: the loop applies the MOVEs before it and raises its error.
+                return 0
+            # A malformed payload: the loop takes the run and drops it.
         x_column, y_column, z_column, distance_column = self.x, self.y, self.z, self.distance
         hypot = math.hypot
+        dropped = 0
         for session, message in zip(senders, moves):
             payload = message.payload
-            x, z, y = int(payload["x"]), int(payload["z"]), int(payload["y"])
             avatar = session.avatar
             row = avatar.row
             old_x, old_z = x_column[row], z_column[row]
-            distance = hypot(old_x - x, old_z - z)
             try:
+                x, z, y = int(payload["x"]), int(payload["z"]), int(payload["y"])
                 x_column[row], z_column[row], y_column[row] = x, z, y
-            except OverflowError:
-                # Past the 64-bit columns: the MOVE is rejected, the row kept.
+            except MALFORMED:
+                # Put back what a write past the 64-bit columns left behind.
                 x_column[row], z_column[row] = old_x, old_z
-                raise
+                dropped += 1
+                continue
+            distance = hypot(old_x - x, old_z - z)
             distance_column[row] += distance
             cx, cz = x // CHUNK_SIZE, z // CHUNK_SIZE
             if cx != old_x // CHUNK_SIZE or cz != old_z // CHUNK_SIZE:
                 moved.append(avatar)
             if note_dirty is not None:
                 note_dirty((cx, cz), drift=distance, source_player_id=avatar.player_id)
+        return dropped
 
     def _move_array(
         self, avatars: Sequence[Avatar], payloads: Sequence[Mapping]
@@ -243,7 +250,7 @@ class AvatarTable:
             new_y = np.fromiter(list(map(_Y, payloads)), np.int64, count)
             new_z = np.fromiter(list(map(_Z, payloads)), np.int64, count)
         except Exception:
-            return None  # the caller's loop finds the payload and raises its error
+            return None  # the caller's loop drops the malformed payloads
         rows = list(map(_ROW, avatars))
         index = np.fromiter(rows, np.intp, count)
         x_column = np.frombuffer(self.x, np.int64)

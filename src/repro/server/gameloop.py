@@ -28,7 +28,7 @@ from repro.server.chunkmanager import (
 )
 from repro.server.config import WORLD_SEED, GameConfig
 from repro.server.costmodel import TickCostModel, TickWork
-from repro.server.entities import Avatar, AvatarTable
+from repro.server.entities import MALFORMED, Avatar, AvatarTable
 from repro.server.sc_engine import ConstructBackend, LocalConstructBackend
 from repro.server.session import (
     PlayerSession,
@@ -40,6 +40,7 @@ from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend, StorageOperation
 from repro.storage.local import LocalDiskStorage
 from repro.world.block import BlockType
+from repro.world.chunk import CHUNK_HEIGHT
 from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, block_to_chunk
 from repro.world.terrain import make_terrain_generator
 from repro.world.world import ChunkNotLoadedError, VoxelWorld
@@ -134,6 +135,8 @@ class ServerStatistics:
     """Aggregate counters maintained across the server's lifetime."""
 
     messages_processed: int = 0
+    #: malformed messages dropped unapplied (also counted in ``messages_processed``)
+    messages_rejected: int = 0
     blocks_placed: int = 0
     blocks_broken: int = 0
 
@@ -354,7 +357,8 @@ class GameServer(TickLoop):
         Each run of MOVEs is one :meth:`AvatarTable.apply_moves` (a dirty
         event per MOVE for an interest map; full fan-out routes nothing);
         any other message ends the run and goes through
-        :meth:`_process_message`.
+        :meth:`_process_message`.  A malformed message is dropped and
+        counted; the messages around it are applied as if it were not there.
         """
         senders, messages = drain_pending(self.sessions, self._pending_messages)
         count = len(messages)
@@ -366,60 +370,70 @@ class GameServer(TickLoop):
         kinds = list(map(_KIND, messages))
         move = MessageKind.MOVE
         if kinds.count(move) == count:
-            apply_moves(senders, messages, moved, note_dirty)
-            return
-        start = 0
-        for index in [i for i, kind in enumerate(kinds) if kind is not move]:
-            if start < index:
-                apply_moves(senders[start:index], messages[start:index], moved, note_dirty)
-            self._process_message(senders[index], messages[index])
-            start = index + 1
-        if start < count:
-            apply_moves(senders[start:], messages[start:], moved, note_dirty)
+            rejected = apply_moves(senders, messages, moved, note_dirty)
+        else:
+            rejected = start = 0
+            for index in [i for i, kind in enumerate(kinds) if kind is not move]:
+                if start < index:
+                    rejected += apply_moves(
+                        senders[start:index], messages[start:index], moved, note_dirty
+                    )
+                if not self._process_message(senders[index], messages[index]):
+                    rejected += 1
+                start = index + 1
+            if start < count:
+                rejected += apply_moves(senders[start:], messages[start:], moved, note_dirty)
+        if rejected:
+            self.stats.messages_rejected += rejected
+            self.engine.metrics.increment("messages_rejected", rejected)
 
-    def _process_message(self, session: PlayerSession, message: Message) -> None:
-        """Apply one message of any kind but MOVE (see :meth:`_drain_messages`)."""
+    def _process_message(self, session: PlayerSession, message: Message) -> bool:
+        """Apply one message of any kind but MOVE (see :meth:`_drain_messages`).
+
+        Returns False, having changed nothing, for a malformed edit: a PLACE,
+        BREAK or TOGGLE whose coordinates or block :data:`MALFORMED` rejects,
+        or whose block lies outside the world's height.
+        """
         avatar = session.avatar
         kind = message.kind
-        if kind is MessageKind.PLACE_BLOCK:
-            target = BlockPos(
-                int(message.payload["x"]), int(message.payload["y"]), int(message.payload["z"])
-            )
-            block = BlockType(int(message.payload.get("block", int(BlockType.STONE))))
+        if (
+            kind is MessageKind.PLACE_BLOCK
+            or kind is MessageKind.BREAK_BLOCK
+            or kind is MessageKind.TOGGLE_CONSTRUCT
+        ):
+            payload = message.payload
             try:
-                self.world.set_block(target, block)
-                avatar.blocks_placed += 1
-                self.stats.blocks_placed += 1
-            except ChunkNotLoadedError:
-                pass  # placing into unloaded terrain is ignored, as in the real games
-            self._notify_construct_edit(target)
-            self._notify_broadcast_edit(target, avatar.player_id)
-        elif kind is MessageKind.BREAK_BLOCK:
-            target = BlockPos(
-                int(message.payload["x"]), int(message.payload["y"]), int(message.payload["z"])
-            )
-            try:
-                self.world.set_block(target, BlockType.AIR)
-                avatar.blocks_broken += 1
-                self.stats.blocks_broken += 1
-            except ChunkNotLoadedError:
-                pass
+                target = BlockPos(int(payload["x"]), int(payload["y"]), int(payload["z"]))
+                block = (
+                    BlockType(int(payload.get("block", int(BlockType.STONE))))
+                    if kind is MessageKind.PLACE_BLOCK
+                    else BlockType.AIR
+                )
+            except MALFORMED:
+                return False
+            if not 0 <= target.y < CHUNK_HEIGHT:
+                return False
+            if kind is not MessageKind.TOGGLE_CONSTRUCT:
+                try:
+                    self.world.set_block(target, block)
+                except ChunkNotLoadedError:
+                    pass  # editing unloaded terrain is ignored, as in the real games
+                else:
+                    if kind is MessageKind.PLACE_BLOCK:
+                        avatar.blocks_placed += 1
+                        self.stats.blocks_placed += 1
+                    else:
+                        avatar.blocks_broken += 1
+                        self.stats.blocks_broken += 1
             self._notify_construct_edit(target)
             self._notify_broadcast_edit(target, avatar.player_id)
         elif kind is MessageKind.CHAT:
             avatar.chat_messages_sent += 1
         elif kind is MessageKind.SET_INVENTORY:
             avatar.inventory_item = str(message.payload.get("item", "stone"))
-        elif kind is MessageKind.TOGGLE_CONSTRUCT:
-            target = BlockPos(
-                int(message.payload["x"]), int(message.payload["y"]), int(message.payload["z"])
-            )
-            self._notify_construct_edit(target)
-            self._notify_broadcast_edit(target, avatar.player_id)
-        elif kind is MessageKind.IDLE:
-            pass
-        else:  # pragma: no cover - defensive
+        elif kind is not MessageKind.IDLE:  # pragma: no cover - defensive
             raise ValueError(f"unhandled message kind {kind!r}")
+        return True
 
     def _build_edit_lookup(self) -> dict[BlockPos, int]:
         """Precompute the construct hit by an edit at any sensitive position.

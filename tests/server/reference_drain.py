@@ -15,6 +15,12 @@ avatar.  On an unbound one, which keeps its own Python-int position as every
 avatar did before the columns, it judges a payload as that drain judged it,
 a coordinate past 64 bits included.
 
+One change since that commit: a malformed message no longer ends the tick.
+A MOVE whose conversion or position write raises, or any other message that
+``_process_message`` turns down, is dropped and counted in
+``stats.messages_rejected`` and the ``messages_rejected`` metric, and the
+drain goes on with the next message.
+
 ``test_drain_differential.py`` drives a server whose ``_drain_messages`` is
 :func:`reference_drain` beside a production one and requires the same
 positions, distances, ``_moved`` order, dirty events and statistics; its
@@ -30,7 +36,7 @@ from types import MethodType
 
 from repro.net.message import Message, MessageKind
 from repro.server.costmodel import TickWork
-from repro.server.entities import Avatar
+from repro.server.entities import MALFORMED, Avatar
 from repro.server.gameloop import GameServer
 from repro.world.coords import CHUNK_SIZE, BlockPos
 
@@ -42,19 +48,29 @@ def reference_drain(server: GameServer, work: TickWork) -> None:
         if player_id not in pending:
             continue
         for message in session.drain():
+            work.actions += 1
+            server.stats.messages_processed += 1
             if message.kind is MessageKind.MOVE:
                 avatar = session.avatar
-                crossed, chunk, distance = reference_move(avatar, message)
+                try:
+                    crossed, chunk, distance = reference_move(avatar, message)
+                except MALFORMED:
+                    reject(server)
+                    continue
                 if crossed:
                     server._moved.append(avatar)
                 if server.interest is not None:
                     server.broadcast.note_dirty(
                         chunk, drift=distance, source_player_id=avatar.player_id
                     )
-            else:
-                server._process_message(session, message)
-            work.actions += 1
-            server.stats.messages_processed += 1
+            elif not server._process_message(session, message):
+                reject(server)
+
+
+def reject(server: GameServer) -> None:
+    """Count one dropped message."""
+    server.stats.messages_rejected += 1
+    server.engine.metrics.increment("messages_rejected")
 
 
 def reference_move(avatar: Avatar, message: Message) -> tuple[bool, tuple[int, int], float]:

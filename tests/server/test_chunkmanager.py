@@ -8,6 +8,7 @@ from repro.server.chunkmanager import (
     ChunkManager,
     GenerationResult,
     LocalTerrainProvider,
+    OwnershipRegion,
     TerrainProvider,
 )
 from repro.server.entities import Avatar, AvatarTable
@@ -337,11 +338,10 @@ def test_protected_chunks_survive_eviction(engine):
     assert not world.is_loaded(pin)
 
 
-class _StripRegion:
+class _StripRegion(OwnershipRegion):
     """Test region: only chunks with non-negative cx are owned."""
 
-    def contains(self, position):
-        return position.cx >= 0
+    min_cx, max_cx = 0, None
 
 
 def test_ownership_region_filters_loading_and_preload(engine):

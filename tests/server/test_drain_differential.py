@@ -18,11 +18,15 @@ cluster whose players also walk over the zone edge (migrations).  Each runs
 with the crossover patched to 1 (every run of MOVEs is an array pass) and to
 a length no run reaches (every run is the scalar loop).
 
-A malformed payload (a missing key, text, None, NaN, infinity, a value past
-64 bits) is checked on its own, against the reference run on avatars that
-keep Python-int positions: the tick raises the exception type the reference
-raises, or ``OverflowError`` for a coordinate past the 64-bit columns, which
-the reference took.
+Malformed messages ride along in those ticks: a MOVE, PLACE or BREAK with a
+missing key, text, None, NaN, infinity, a coordinate past 64 bits or a
+height outside the world.  Both drains drop and count them and go on.  A
+separate case sends nothing but generated, often malformed, MOVEs, PLACEs,
+BREAKs and TOGGLEs from several players, and checks the tick against
+the reference run on avatars that keep Python-int positions: a MOVE the
+reference rejects or takes past the 64-bit columns is dropped with its
+avatar as it stood, every other one is applied, and ``messages_rejected``
+counts the dropped ones.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import build_opencraft_cluster
 from repro.net.message import Message, MessageKind
 from repro.server import GameConfig, entities, make_opencraft
-from repro.server.entities import Avatar
+from repro.server.entities import MALFORMED, Avatar
 from repro.sim import SimulationEngine
-from repro.world.coords import CHUNK_SIZE
+from repro.world.coords import CHUNK_SIZE, BlockPos
 
 from hypothesis_profiles import examples
 from reference_drain import reference_move, use_reference_drain
@@ -63,6 +67,13 @@ sends = st.one_of(
     st.tuples(st.just("float"), slots, offsets, offsets),
     st.tuples(st.just("edge"), slots, st.booleans()),
     st.tuples(st.sampled_from(["place", "break", "chat", "idle"]), slots),
+    st.tuples(
+        st.just("bad"),
+        slots,
+        st.sampled_from([MessageKind.MOVE, MessageKind.PLACE_BLOCK, MessageKind.BREAK_BLOCK]),
+        st.sampled_from(["x", "y", "z"]),
+        st.sampled_from([None, "text", float("nan"), float("inf"), 2**63, -(2**63) - 1]),
+    ),
 )
 between = st.lists(st.tuples(st.sampled_from(["join", "leave"]), slots), max_size=3)
 cases = st.lists(
@@ -174,6 +185,12 @@ def payload_of(send, here, edge_x: int) -> tuple[MessageKind, dict]:
     if kind in ("place", "break"):
         block = {"x": here.x, "y": 66 if kind == "place" else 64, "z": here.z, "block": 1}
         return (MessageKind.PLACE_BLOCK if kind == "place" else MessageKind.BREAK_BLOCK), block
+    if kind == "bad":  # one malformed coordinate, or a missing one (None)
+        _, _, message_kind, axis, value = send
+        payload = {"x": here.x + 1, "y": here.y, "z": here.z, axis: value}
+        if value is None:
+            del payload[axis]
+        return message_kind, payload
     if kind == "chat":
         return MessageKind.CHAT, {"text": "hi"}
     return MessageKind.IDLE, {}
@@ -226,41 +243,54 @@ values = st.one_of(
         [MISSING, None, "text", "7", 3.5, float("nan"), float("inf"), 2**63, -(2**63) - 1]
     ),
 )
-moves = st.lists(st.tuples(slots, values, values, values), min_size=1, max_size=8)
 INT64 = range(-(2**63), 2**63)
 
 
-def reference_outcome(stand_ins: dict, sent: list) -> type | None:
-    """What the message-by-message drain makes of ``sent``, applied to ``stand_ins``.
+def expected_moves(stand_ins: dict, sent: list) -> int:
+    """Apply ``sent`` MOVEs to ``stand_ins`` as the message-by-message drain did; count the drops.
 
-    Returns the type of the first exception, or None.  The stand-ins are
-    unbound avatars: they keep Python-int positions, as every avatar did
-    before the columns.  A MOVE the reference takes to a coordinate past 64
-    bits is malformed for the columns: the outcome is ``OverflowError``, and
-    the stand-in is put back as it stood.
+    The stand-ins are unbound avatars: they keep Python-int positions, as
+    every avatar did before the columns.  A MOVE the reference rejects, or
+    takes to a coordinate past 64 bits, is dropped and the stand-in put back
+    as it stood.
     """
+    dropped = 0
     for slot, message in sent:
         avatar = stand_ins[slot]
         before = avatar.position, avatar.distance_travelled
         try:
             reference_move(avatar, message)
-        except Exception as error:  # noqa: BLE001 - the type is what is compared
-            return type(error)
+        except MALFORMED:
+            dropped += 1
+            continue
         if any(coordinate not in INT64 for coordinate in avatar.position):
             avatar.position, avatar.distance_travelled = before
-            return OverflowError
-    return None
+            dropped += 1
+    return dropped
+
+
+def edit_is_malformed(payload: dict) -> bool:
+    """Whether an edit's coordinates fail ``int()`` or name a block outside the world's height."""
+    try:
+        coordinates = [int(payload[axis]) for axis in "xyz"]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return True
+    return not 0 <= coordinates[1] < 256
+
+
+EDITS = [MessageKind.PLACE_BLOCK, MessageKind.BREAK_BLOCK, MessageKind.TOGGLE_CONSTRUCT]
+messages = st.lists(
+    st.tuples(st.sampled_from([MessageKind.MOVE, *EDITS]), slots, values, values, values),
+    min_size=1,
+    max_size=10,
+)
 
 
 @pytest.mark.parametrize("side", SIDES)
 @settings(max_examples=examples(40))
-@given(case=moves)
-def test_a_malformed_payload_raises_what_the_reference_raises(side, case):
-    """The tick raises where the reference raised, with its exception type.
-
-    The MOVEs before the bad one are applied, and the bad one's avatar is
-    left as it stood.  The tick is never finished.
-    """
+@given(case=messages)
+def test_a_malformed_message_is_dropped_and_counted(side, case):
+    """The tick completes; the bad messages change nothing, and every other one is applied."""
     with crossover(side):
         host = Side("interest", reference=False)
         for slot in range(SLOTS):
@@ -269,37 +299,43 @@ def test_a_malformed_payload_raises_what_the_reference_raises(side, case):
             slot: Avatar(session.player_id, session.name, session.avatar.position)
             for slot, session in host.connected.items()
         }
-        sent = []
-        for slot, *coordinates in case:
+        (server,) = host.servers
+        moves, edits_dropped, placed, broken = [], 0, 0, 0
+        for kind, slot, *coordinates in case:
             payload = {
                 axis: value for axis, value in zip("xyz", coordinates) if value is not MISSING
             }
-            host.send(slot, MessageKind.MOVE, payload)
-            sent.append((slot, Message(MessageKind.MOVE, 0, dict(payload))))
+            host.send(slot, kind, payload)
+            if kind is MessageKind.MOVE:
+                moves.append((slot, Message(kind, 0, dict(payload))))
+            elif edit_is_malformed(payload):
+                edits_dropped += 1
+            elif server.world.block_loaded(BlockPos(*(int(payload[a]) for a in "xyz"))):
+                placed += kind is MessageKind.PLACE_BLOCK
+                broken += kind is MessageKind.BREAK_BLOCK
         # The drain's order: sessions as they joined (slot order), each in arrival order.
-        sent.sort(key=lambda entry: entry[0])
-        expected = reference_outcome(stand_ins, sent)
-        try:
-            host.host.tick_begin()
-            outcome = None
-        except Exception as error:  # noqa: BLE001 - the type is what is compared
-            outcome = type(error)
-    assert outcome is expected
+        moves.sort(key=lambda entry: entry[0])
+        dropped = expected_moves(stand_ins, moves) + edits_dropped
+        host.host.tick()
     assert [
         (session.avatar.position, session.avatar.distance_travelled.hex())
         for session in host.connected.values()
     ] == [
         (avatar.position, avatar.distance_travelled.hex()) for avatar in stand_ins.values()
     ]
+    assert (server.stats.messages_processed, server.stats.messages_rejected) == (len(case), dropped)
+    assert (server.stats.blocks_placed, server.stats.blocks_broken) == (placed, broken)
+    assert server.engine.metrics.counter("messages_rejected") == dropped
 
 
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("axis", "xzy")
-def test_a_move_past_the_64_bit_columns_is_rejected(side, axis):
-    """Coordinates are signed 64-bit: a MOVE past them raises and changes nothing.
+def test_a_move_past_the_64_bit_columns_is_dropped(side, axis):
+    """Coordinates are signed 64-bit: a MOVE past them is dropped and changes nothing.
 
     The message-by-message drain kept Python ints and took it; the columns
-    reject it as malformed.  The first player's MOVE, ahead of it, is applied.
+    turn it down as malformed.  The first player's MOVE, ahead of it, and
+    the second player's next MOVE, after it, are applied.
     """
     with crossover(side):
         host = Side("fanout", reference=False)
@@ -310,7 +346,8 @@ def test_a_move_past_the_64_bit_columns_is_rejected(side, axis):
         host.send(0, MessageKind.MOVE, {"x": start.x + 3, "y": Y, "z": start.z})
         far = {"x": start.x + 5, "y": Y, "z": start.z + 5, axis: 2**63}
         host.send(1, MessageKind.MOVE, far)
-        with pytest.raises(OverflowError):
-            host.host.tick_begin()
+        host.send(1, MessageKind.MOVE, {"x": start.x, "y": Y, "z": start.z + 4})
+        host.host.tick()
     assert walker.position.x == start.x + 3 and walker.distance_travelled == 3.0
-    assert jumper.position == start and jumper.distance_travelled == 0.0
+    assert jumper.position == start.offset(dz=4) and jumper.distance_travelled == 4.0
+    assert host.host.stats.messages_rejected == 1

@@ -1,24 +1,35 @@
-"""Move-path cost guard: a tick's MOVEs are one pass, and a crossing is found once.
+"""Move-path cost guard: a tick's MOVEs are one pass, a crossing is found once and costs its delta.
 
-Frame and C-call counts under ``sys.setprofile`` repeat exactly on any
-machine, so the bounds cannot flake.  A tick's MOVEs enter a fixed set of
-frames, however many there are, and never ``_process_message``.  The
-chunk-view path this guards against looked at
-every avatar's cached view every tick to find the few that had changed chunk
-(150 ``_refresh_player_view`` frames per tick for 150 players), and unioned
-one keep ring per *avatar* on every eviction (150 unions of 489 chunks for a
-crowd standing in one chunk).
+Frame and line counts under ``sys.setprofile`` and ``sys.settrace`` repeat
+exactly on any machine, so the bounds cannot flake.  A tick's MOVEs enter a
+fixed set of frames, however many there are, and never ``_process_message``.
+The chunk-view paths this guards against looked at every avatar's cached view
+every tick to find the few that had changed chunk (150
+``_refresh_player_view`` frames per tick for 150 players), built the whole
+ring of a new centre chunk on a crossing (225 ``ChunkPos`` frames at the
+default view distance), and probed every loaded chunk against a union of
+keep rings in a Python loop on every eviction.
 """
 
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from repro.net.message import Message, MessageKind
 from repro.server import GameConfig, TickWork, make_opencraft
-from repro.server.entities import ARRAY_PASS_MIN_MOVES
+from repro.server.chunkmanager import (
+    ChunkManager,
+    LocalTerrainProvider,
+    _ring_offsets,
+    _ring_reach,
+)
+from repro.server.entities import ARRAY_PASS_MIN_MOVES, Avatar, AvatarTable
 from repro.sim import SimulationEngine
-from repro.world.coords import CHUNK_SIZE, BlockPos
+from repro.storage.local import LocalDiskStorage
+from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos
+from repro.world.terrain import FlatTerrainGenerator
+from repro.world.world import VoxelWorld
 
 PLAYERS = 150
 
@@ -103,17 +114,95 @@ def test_the_frames_a_drain_enters_for_its_moves_do_not_grow_with_the_movers(
     assert frames_of_a_drain(fewer) == frames_of_a_drain(more)
 
 
-@pytest.mark.parametrize("centres", [1, 5])
-def test_an_eviction_unions_one_keep_ring_per_distinct_centre(centres):
-    spawns = [BlockPos(8 + 3 * CHUNK_SIZE * index, 65, 8) for index in range(centres)]
-    server, _ = make_server(spawns=spawns)
-    server.chunks.eviction_interval_ticks = 1
-    _, c_calls = profiled(server.tick)
-    unions = [
-        callee for code, callee in c_calls
-        if code.co_name == "_evict" and callee.__name__ == "update"
-    ]
-    assert len(unions) == centres
+def traced(action):
+    """Run ``action``; returns each call and line event in ``repro`` code as (event, name, line)."""
+    events = []
+
+    def on_event(frame, event, argument):
+        if "/repro/" not in frame.f_code.co_filename.replace("\\", "/"):
+            return None
+        if event in ("call", "line"):
+            events.append((event, frame.f_code.co_name, frame.f_lineno))
+        return on_event
+
+    sys.settrace(on_event)
+    try:
+        action()
+    finally:
+        sys.settrace(None)
+    return events
+
+
+def make_manager():
+    """A flat-world chunk manager (default view distance) and one avatar at the origin, bound to a table."""
+    engine = SimulationEngine(seed=3)
+    generator = FlatTerrainGenerator(seed=1)
+    manager = ChunkManager(
+        engine=engine,
+        world=VoxelWorld(),
+        generator=generator,
+        provider=LocalTerrainProvider(engine, generator),
+        storage=LocalDiskStorage(rng=engine.rng("disk")),
+    )
+    avatar = Avatar(player_id=1, name="p1", position=BlockPos(8, 65, 8))
+    AvatarTable().bind(avatar)
+    return manager, avatar
+
+
+def test_an_eviction_runs_the_same_code_however_many_chunks_are_loaded():
+    """37 or 421 kept chunks, and the same 9 far ones evicted: the same lines run.
+
+    The path this guards against ran two lines per loaded chunk.
+    """
+
+    def eviction(kept_radius_blocks):
+        manager, avatar = make_manager()
+        kept = manager.preload_area(avatar.position, kept_radius_blocks)
+        for _ in range(2):  # the second pass runs with any cache an eviction keeps filled
+            manager.preload_area(BlockPos(8 + 40 * CHUNK_SIZE, 65, 8), 16.0)
+            events = traced(lambda: manager._evict(avatar.table))
+        return kept, manager.world.loaded_chunk_count, events
+
+    few, left_few, events_few = eviction(48.0)
+    many, left_many, events_many = eviction(176.0)
+    assert (few, many) == (37, 421) and (left_few, left_many) == (few, many)
+    assert events_few == events_many
+
+
+@pytest.mark.parametrize("step", [(1, 0), (-1, 1), (0, -3)])
+def test_a_crossing_builds_no_ring(step):
+    """A view that moves to a centre it never had enters fewer frames than its ring has chunks.
+
+    The path this guards against built the whole ring of the new centre, one
+    ``ChunkPos`` frame per chunk (225 at the default view distance).
+    """
+    manager, avatar = make_manager()
+    start = (7001, -7001)
+    manager._refresh_player_view(avatar.player_id, start)
+    target = (start[0] + step[0], start[1] + step[1])
+    frames, _ = profiled(lambda: manager._refresh_player_view(avatar.player_id, target))
+    assert 0 < len(frames) < len(_ring_offsets(manager._view_radius_chunks)) == 225
+
+
+def test_the_integer_keep_test_is_the_ring():
+    """For every keep radius R from 0 to 64, an eviction keeps exactly ``_ring_offsets(R)``.
+
+    The loaded chunks are the square of side 2R + 3 around one avatar's
+    chunk; each is a stand-in that is never dirty.
+    """
+    manager, avatar = make_manager()
+    centre = (3, -5)
+    avatar.position = BlockPos(centre[0] * CHUNK_SIZE, 65, centre[1] * CHUNK_SIZE)
+    for radius in range(65):
+        span = range(-radius - 1, radius + 2)
+        for dx in span:
+            for dz in span:
+                position = ChunkPos(centre[0] + dx, centre[1] + dz)
+                manager.world.add_chunk(SimpleNamespace(position=position, dirty=False))
+        manager._keep_radius_chunks, manager._keep_reach = radius, _ring_reach(radius)
+        manager._evict(avatar.table)
+        kept = [(cx - centre[0], cz - centre[1]) for cx, cz in manager.world.loaded_chunk_positions]
+        assert kept == list(_ring_offsets(radius)), radius
 
 
 def test_a_move_is_routed_only_by_an_interest_map():
@@ -145,7 +234,7 @@ def test_process_message_never_receives_a_move(interest_radius):
 
     def recorded(session, message):
         kinds.append(message.kind)
-        process(session, message)
+        return process(session, message)
 
     server._process_message = recorded
     starts = [session.avatar.position for session in sessions[:3]]
