@@ -4,6 +4,17 @@ Chunks are the unit of terrain generation, loading, caching and storage, just
 as in the paper (a "chunk" there is an area of 16x16x256 blocks, Figure 11).
 Block data is a dense ``uint8`` numpy array so chunks are cheap to copy,
 serialize and hash.
+
+The layout rule: ``Chunk.blocks`` is indexed ``[x, y, z]``, but its memory
+is column-major, ``[x, z, y]``, with strides ``(CHUNK_SIZE * CHUNK_HEIGHT, 1,
+CHUNK_HEIGHT)``: the 256 blocks of one column are adjacent.  That is the
+order terrain generation writes a column in, so a generated chunk takes its
+memory with one in-order copy instead of a transpose.  Every producer gives
+its chunk owned memory in this layout: it copies a column-major array with
+``copy(order="K")`` (a bare ``copy()`` is C order, a transpose) and anything
+else with :func:`column_major`.  Readers index logically and never see the
+difference; ``tobytes()`` is C order, so hashes and stored bytes are those
+of the logical ``[x, y, z]`` array.
 """
 
 from __future__ import annotations
@@ -17,6 +28,15 @@ from repro.world.block import BlockType
 from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, chunk_origin
 
 CHUNK_HEIGHT = 256
+#: a column-major array whose layout ``empty_like``/``zeros_like`` copy
+_LAYOUT = np.empty((CHUNK_SIZE, CHUNK_SIZE, CHUNK_HEIGHT), dtype=np.uint8).transpose(0, 2, 1)
+
+
+def column_major(blocks: np.ndarray) -> np.ndarray:
+    """An owned ``uint8`` copy of the logical ``[x, y, z]`` array ``blocks``, column-major."""
+    out = np.empty_like(_LAYOUT)
+    out[...] = blocks
+    return out
 
 
 @dataclass
@@ -24,9 +44,7 @@ class Chunk:
     """One 16x16x256 column of blocks."""
 
     position: ChunkPos
-    blocks: np.ndarray = field(default_factory=lambda: np.zeros(
-        (CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE), dtype=np.uint8
-    ))
+    blocks: np.ndarray = field(default_factory=lambda: np.zeros_like(_LAYOUT))
     generated_by: str = "unknown"
     dirty: bool = False
 
@@ -38,6 +56,12 @@ class Chunk:
             )
         if self.blocks.dtype != np.uint8:
             self.blocks = self.blocks.astype(np.uint8)
+
+    def __setstate__(self, state: dict) -> None:
+        # An unpickled array lies on the pickle's buffer, in C order below
+        # protocol 5: give the chunk its own column-major memory again.
+        self.__dict__.update(state)
+        self.blocks = column_major(self.blocks)
 
     # -- local (in-chunk) coordinates -------------------------------------------------
 
@@ -78,7 +102,7 @@ class Chunk:
     def copy(self) -> "Chunk":
         return Chunk(
             position=self.position,
-            blocks=self.blocks.copy(),
+            blocks=self.blocks.copy(order="K"),
             generated_by=self.generated_by,
             dirty=self.dirty,
         )

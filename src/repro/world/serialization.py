@@ -5,6 +5,10 @@ to (simulated) storage.  The format is a small header followed by the
 zlib-compressed block array, which gives realistic object sizes: a generated
 default-world chunk compresses to a few kilobytes, terrain data being "the
 most data-intensive" state in the paper's storage discussion.
+
+Version 1 stores the chunk coordinates as 32-bit integers; a chunk beyond
+them (positions are 64-bit) is written as version 2, whose header differs
+only in 64-bit coordinates.  Every chunk that fits keeps the version-1 bytes.
 """
 
 from __future__ import annotations
@@ -14,12 +18,14 @@ import zlib
 
 import numpy as np
 
-from repro.world.chunk import CHUNK_HEIGHT, Chunk
+from repro.world.chunk import CHUNK_HEIGHT, Chunk, column_major
 from repro.world.coords import CHUNK_SIZE, ChunkPos
 
 _MAGIC = b"RCHK"
-_VERSION = 1
-_HEADER = struct.Struct(">4sBiiI")  # magic, version, cx, cz, payload length
+#: header by format version: magic, version, cx, cz, payload length
+_HEADERS = {1: struct.Struct(">4sBiiI"), 2: struct.Struct(">4sBqqI")}
+_PREFIX = struct.Struct(">4sB")  # magic, version
+_INT32 = range(-2 ** 31, 2 ** 31)
 
 
 class ChunkFormatError(ValueError):
@@ -29,20 +35,25 @@ class ChunkFormatError(ValueError):
 def chunk_to_bytes(chunk: Chunk) -> bytes:
     """Serialize a chunk to its storage representation."""
     payload = zlib.compress(chunk.blocks.tobytes(), level=6)
-    header = _HEADER.pack(_MAGIC, _VERSION, chunk.position.cx, chunk.position.cz, len(payload))
-    return header + payload
+    cx, cz = chunk.position.cx, chunk.position.cz
+    version = 1 if cx in _INT32 and cz in _INT32 else 2
+    return _HEADERS[version].pack(_MAGIC, version, cx, cz, len(payload)) + payload
 
 
 def chunk_from_bytes(data: bytes) -> Chunk:
     """Deserialize a chunk from its storage representation."""
-    if len(data) < _HEADER.size:
+    if len(data) < _PREFIX.size:
         raise ChunkFormatError("chunk blob is shorter than the header")
-    magic, version, cx, cz, payload_len = _HEADER.unpack_from(data)
+    magic, version = _PREFIX.unpack_from(data)
     if magic != _MAGIC:
         raise ChunkFormatError(f"bad magic {magic!r}")
-    if version != _VERSION:
+    header = _HEADERS.get(version)
+    if header is None:
         raise ChunkFormatError(f"unsupported chunk format version {version}")
-    payload = data[_HEADER.size:_HEADER.size + payload_len]
+    if len(data) < header.size:
+        raise ChunkFormatError("chunk blob is shorter than the header")
+    _, _, cx, cz, payload_len = header.unpack_from(data)
+    payload = data[header.size:header.size + payload_len]
     if len(payload) != payload_len:
         raise ChunkFormatError("chunk blob payload is truncated")
     raw = zlib.decompress(payload)
@@ -52,5 +63,5 @@ def chunk_from_bytes(data: bytes) -> Chunk:
         raise ChunkFormatError(
             f"decompressed block array has {blocks.size} entries, expected {expected}"
         )
-    blocks = blocks.reshape((CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE)).copy()
+    blocks = column_major(blocks.reshape((CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE)))
     return Chunk(position=ChunkPos(cx, cz), blocks=blocks, generated_by="storage")

@@ -11,6 +11,11 @@ inside a serverless function is bit-identical to one generated locally — the
 property Servo relies on when it offloads generation.  It is also independent
 of batching: :meth:`TerrainGenerator.generate_chunks` may stack many chunks
 into one array program, and each chunk comes out as if generated alone.
+
+Every chunk comes out in the column-major layout of :mod:`repro.world.chunk`.
+The default generator gathers whole ``[x, z, y]`` columns from a strata table,
+which is that layout already, so each chunk's copy is in memory order; the
+flat generator copies a template built in it.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ class FlatTerrainGenerator(TerrainGenerator):
         # Every flat chunk has identical contents, so the column layout is
         # built once and copied — far cheaper than refilling the strata.
         if self._template is None:
-            template = np.zeros_like(Chunk(position=position).blocks)
+            template = Chunk(position=position).blocks
             template[:, 0, :] = int(BlockType.BEDROCK)
             template[:, 1:FLAT_SURFACE_LEVEL - 3, :] = int(BlockType.STONE)
             template[:, FLAT_SURFACE_LEVEL - 3:FLAT_SURFACE_LEVEL, :] = int(BlockType.DIRT)
@@ -75,7 +80,7 @@ class FlatTerrainGenerator(TerrainGenerator):
             self._template = template
         return Chunk(
             position=position,
-            blocks=self._template.copy(),
+            blocks=self._template.copy(order="K"),
             generated_by=f"flat:{self.seed}",
             dirty=False,
         )
@@ -158,10 +163,12 @@ class DefaultTerrainGenerator(TerrainGenerator):
         )
         columns = _STRATA_COLUMNS[heights]  # [chunk, x, z, y]
         columns.put(_COLUMN_STARTS[:count] + heights, surface)
-        blocks = columns.transpose(0, 1, 3, 2)  # [chunk, x, y, z]
+        # The layout rule of world/chunk.py: indexed [chunk, x, y, z], the
+        # memory stays [chunk, x, z, y], and each chunk copies its own in order.
+        blocks = columns.transpose(0, 1, 3, 2)
         generated_by = f"default:{self.seed}"
         return [
-            Chunk(position=position, blocks=blocks[index].copy(),
+            Chunk(position=position, blocks=blocks[index].copy(order="K"),
                   generated_by=generated_by, dirty=False)
             for index, position in enumerate(positions)
         ]

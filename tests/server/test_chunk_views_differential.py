@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster.partition import ZoneRegion
 from repro.server.chunkmanager import ChunkManager, LocalTerrainProvider
@@ -128,8 +128,7 @@ class Side:
                 self.manager.unprotect(self.pins.pop(args[0] % len(self.pins)))
             return
         if kind == "dirty":
-            # Only a chunk whose coordinates fit the storage header's 32 bits can be written.
-            loaded = [p for p in self.world.loaded_chunk_positions if max(map(abs, p)) < 2**31]
+            loaded = self.world.loaded_chunk_positions
             if loaded:
                 self.world._chunks[loaded[args[0] % len(loaded)]].dirty = True
             return
@@ -192,9 +191,18 @@ class Side:
         )
 
 
+#: a chunk dirtied 2**40 blocks out (chunk 2**36) is written back when its player
+#: jumps away: its coordinates do not fit the 32-bit storage header
+FAR_DIRTY_WRITE = (
+    [[("join", 0)], [("teleport", 0, 8, 2**40 + 5)]] + [[]] * 9
+    + [[("dirty", 0)], [("jump", 0, 12, 12)], [], []]
+)
+
+
 @pytest.mark.parametrize("region", REGIONS)
 @settings(max_examples=examples(40))
 @given(case=cases)
+@example(case=FAR_DIRTY_WRITE)
 def test_views_and_eviction_match_the_reference(region, case):
     production = Side(ChunkManager, REGIONS[region])
     reference = Side(ReferenceChunkManager, REGIONS[region])

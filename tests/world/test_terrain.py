@@ -99,6 +99,30 @@ def test_chunk_serialization_round_trip():
     assert np.array_equal(restored.blocks, chunk.blocks)
 
 
+@pytest.mark.parametrize("cx, cz, version", [
+    (2 ** 31 - 1, -2 ** 31, 1),
+    (2 ** 31, 0, 2),
+    (0, -2 ** 31 - 1, 2),
+    (2 ** 40, -2 ** 40, 2),
+])
+def test_a_chunk_beyond_32_bit_coordinates_round_trips(cx, cz, version):
+    chunk = FlatTerrainGenerator(0).generate_chunk(ChunkPos(cx, cz))
+    chunk.blocks[3, 70, 5] = int(BlockType.STONE)
+    data = chunk_to_bytes(chunk)
+    assert data[:5] == b"RCHK" + bytes([version])
+    restored = chunk_from_bytes(data)
+    assert restored.position == ChunkPos(cx, cz)
+    assert np.array_equal(restored.blocks, chunk.blocks)
+
+
+def test_a_chunk_within_32_bit_coordinates_keeps_the_version_1_header():
+    chunk = FlatTerrainGenerator(0).generate_chunk(ChunkPos(-7, 9))
+    data = chunk_to_bytes(chunk)
+    header = b"RCHK\x01" + (-7).to_bytes(4, "big", signed=True) + (9).to_bytes(4, "big")
+    assert data[:13] == header
+    assert int.from_bytes(data[13:17], "big") == len(data) - 17
+
+
 def test_chunk_deserialization_rejects_garbage():
     with pytest.raises(ChunkFormatError):
         chunk_from_bytes(b"not a chunk")
@@ -106,3 +130,6 @@ def test_chunk_deserialization_rejects_garbage():
     data = chunk_to_bytes(chunk)
     with pytest.raises(ChunkFormatError):
         chunk_from_bytes(data[: len(data) // 2])
+    for garbage in (b"RCH", b"RCHK\x03" + data[5:], b"RCHK\x02" + data[5:10]):
+        with pytest.raises(ChunkFormatError):
+            chunk_from_bytes(garbage)

@@ -48,7 +48,9 @@ def _check_chunk(chunk, reference, position):
     assert np.array_equal(blocks, reference.blocks)
     assert blocks.dtype == np.uint8
     assert blocks.shape == (CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE)
-    assert blocks.flags.c_contiguous and blocks.flags.writeable and blocks.flags.owndata
+    # The layout rule of world/chunk.py: column-major memory the chunk owns.
+    assert blocks.strides == (CHUNK_SIZE * CHUNK_HEIGHT, 1, CHUNK_HEIGHT)
+    assert blocks.flags.writeable and blocks.flags.owndata
     assert chunk.dirty is False
     assert chunk.position == position
     assert chunk.generated_by == reference.generated_by
