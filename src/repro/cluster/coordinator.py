@@ -50,7 +50,6 @@ class ShardRecoveryRecord:
     shard_name: str
     killed_round: int
     killed_ms: float
-    respawned_round: int
     respawned_ms: float
     #: rounds the zone was down — the recovery's MTTR, in ticks
     downtime_rounds: int
@@ -81,7 +80,6 @@ class MigrationRecord:
     round_index: int
     time_ms: float
     player_id: int
-    player_name: str
     from_shard: int
     to_shard: int
     latency_ms: float
@@ -288,7 +286,6 @@ class ClusterCoordinator(TickLoop):
             round_index=self.round_index,
             time_ms=self.engine.now_ms,
             player_id=player_id,
-            player_name=session.name,
             from_shard=source_zone,
             to_shard=target_zone,
             latency_ms=latency_ms,
@@ -438,7 +435,6 @@ class ClusterCoordinator(TickLoop):
             shard_name=dead.shard_name,
             killed_round=dead.killed_round,
             killed_ms=dead.killed_ms,
-            respawned_round=self.round_index,
             respawned_ms=self.engine.now_ms,
             downtime_rounds=downtime_rounds,
             sessions_recovered=recovered,

@@ -19,6 +19,9 @@ from typing import Optional
 from repro.server.chunkmanager import OwnershipRegion
 from repro.world.coords import CHUNK_SIZE, BlockPos
 
+#: the width of a zone strip in chunks (16 chunks = 256 blocks)
+ZONE_WIDTH_CHUNKS = 16
+
 
 @dataclass(frozen=True)
 class ZoneRegion(OwnershipRegion):
@@ -36,20 +39,17 @@ class ZoneRegion(OwnershipRegion):
 class WorldPartitioner:
     """Partitions the world into ``shard_count`` contiguous chunk strips.
 
-    Interior boundaries sit at ``i * zone_width_chunks`` (16 chunks = 256
-    blocks in every cluster) for ``i in 1..shard_count-1``; zone 0 extends to
+    Interior boundaries sit at ``i * ZONE_WIDTH_CHUNKS`` for
+    ``i in 1..shard_count-1``; zone 0 extends to
     ``-inf`` and the last zone to ``+inf``.  With one shard there is a single
     unbounded zone (the cluster degenerates to the paper's single-server
     deployment).
     """
 
-    def __init__(self, shard_count: int, zone_width_chunks: int = 16) -> None:
+    def __init__(self, shard_count: int) -> None:
         if shard_count < 1:
             raise ValueError("a cluster needs at least one shard")
-        if zone_width_chunks < 1:
-            raise ValueError("zone_width_chunks must be at least one chunk")
         self.shard_count = int(shard_count)
-        self.zone_width_chunks = int(zone_width_chunks)
 
     # -- ownership -------------------------------------------------------------------
 
@@ -57,7 +57,7 @@ class WorldPartitioner:
         """The zone owning chunk column ``cx`` (clamped: outer zones are unbounded)."""
         if self.shard_count == 1:
             return 0
-        index = cx // self.zone_width_chunks
+        index = cx // ZONE_WIDTH_CHUNKS
         return max(0, min(self.shard_count - 1, index))
 
     def zone_of_block(self, position: BlockPos) -> int:
@@ -72,7 +72,7 @@ class WorldPartitioner:
             )
         if self.shard_count == 1:
             return ZoneRegion(zone_id=0, min_cx=None, max_cx=None)
-        width = self.zone_width_chunks
+        width = ZONE_WIDTH_CHUNKS
         min_cx = None if zone_id == 0 else zone_id * width
         max_cx = None if zone_id == self.shard_count - 1 else (zone_id + 1) * width
         return ZoneRegion(zone_id=zone_id, min_cx=min_cx, max_cx=max_cx)
@@ -91,7 +91,7 @@ class WorldPartitioner:
             )
         if self.shard_count == 1:
             return base
-        center_cx = zone_id * self.zone_width_chunks + self.zone_width_chunks // 2
+        center_cx = zone_id * ZONE_WIDTH_CHUNKS + ZONE_WIDTH_CHUNKS // 2
         return BlockPos(center_cx * CHUNK_SIZE + CHUNK_SIZE // 2, base.y, base.z)
 
     def boundary_spawn(self, boundary_index: int, base: BlockPos) -> BlockPos:
@@ -107,7 +107,7 @@ class WorldPartitioner:
             raise ValueError(
                 f"boundary_index must be in [0, {self.shard_count - 1}), got {boundary_index}"
             )
-        boundary_cx = (boundary_index + 1) * self.zone_width_chunks
+        boundary_cx = (boundary_index + 1) * ZONE_WIDTH_CHUNKS
         return BlockPos(boundary_cx * CHUNK_SIZE - 2, base.y, base.z)
 
     def boundary_count(self) -> int:

@@ -131,11 +131,6 @@ class SimulatedConstruct:
     def block_count(self) -> int:
         return len(self.positions)
 
-    def cell_at(self, pos: BlockPos) -> Cell:
-        if pos not in self.index_of:
-            raise KeyError(f"construct {self.name} has no cell at {pos}")
-        return self.cells[self.index_of[pos]]
-
     def contains(self, pos: BlockPos) -> bool:
         return pos in self.index_of
 
@@ -171,16 +166,14 @@ class SimulatedConstruct:
 
     # -- player interaction ---------------------------------------------------------
 
-    def player_modify(self, pos: BlockPos, new_state: int | None = None) -> int:
-        """Record a player modification of the construct.
+    def player_modify(self, pos: BlockPos) -> int:
+        """Record a player modification at or next to ``pos``.
 
         Returns the new modification counter (the logical timestamp attached
-        to subsequent offload requests).  If ``new_state`` is given the cell's
-        state is changed (e.g. toggling a lever); otherwise only the timestamp
-        advances (e.g. the player changed nearby terrain).
+        to subsequent offload requests).  Only the timestamp advances: an edit
+        of a cell's state (e.g. toggling a lever) is written to the cell by
+        whoever made it.
         """
-        if new_state is not None:
-            self.cell_at(pos).state = int(new_state)
         self.modification_counter += 1
         return self.modification_counter
 

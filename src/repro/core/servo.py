@@ -55,7 +55,6 @@ class ServoRuntime(ServerRuntime):
     config: ServoConfig
     platform: FaasPlatform
     storage: ServoStorageService
-    construct_backend: SpeculativeConstructBackend
     terrain_provider: ServerlessTerrainProvider
 
     @property
@@ -142,7 +141,6 @@ def build_servo_server(
         config=servo_config,
         platform=platform,
         storage=storage,
-        construct_backend=construct_backend,
         terrain_provider=terrain_provider,
     )
 

@@ -56,7 +56,6 @@ class AvailabilityMeasurement:
     lost_player_ticks: int
     constructs_recovered: int
     round_p99_ms: float
-    timeline_digest: str
     #: both same-seed runs produced identical timelines and recovery records
     deterministic: bool
 
@@ -111,7 +110,7 @@ def measure_availability(
         seed=settings.seed,
         warmup_s=settings.warmup_s,
     )
-    (records, digest, p99), deterministic = run_twice(spec, _observe)
+    (records, _, p99), deterministic = run_twice(spec, _observe)
     return AvailabilityMeasurement(
         case=case,
         kills=len(records),
@@ -126,7 +125,6 @@ def measure_availability(
         lost_player_ticks=sum(record.lost_player_ticks for record in records),
         constructs_recovered=sum(record.constructs_recovered for record in records),
         round_p99_ms=p99,
-        timeline_digest=digest,
         deterministic=deterministic,
     )
 

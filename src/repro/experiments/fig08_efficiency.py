@@ -21,6 +21,10 @@ from repro.world.coords import BlockPos
 
 TICK_LEADS = (0, 10, 20, 40)
 SIMULATION_LENGTHS = (50, 100, 200)
+#: simulation length of every run in the tick-lead sweep
+LEAD_SWEEP_STEPS = 50
+#: tick lead of every run in the simulation-length sweep
+LENGTH_SWEEP_LEAD = 20
 #: block count of the construct used by the latency-hiding experiments; its
 #: per-step cost reproduces the paper's ~1.46 s latency for 200-step runs
 OFFLOAD_CONSTRUCT_BLOCKS = 430
@@ -61,7 +65,6 @@ def run_offload_configuration(
     steps: int,
     settings: ExperimentSettings | None = None,
     construct_count: int = DEFAULT_CONSTRUCT_COUNT,
-    construct_blocks: int = OFFLOAD_CONSTRUCT_BLOCKS,
 ) -> OffloadRunResult:
     """Run the latency-hiding workload for one (tick lead, steps) configuration.
 
@@ -76,7 +79,7 @@ def run_offload_configuration(
     server.chunks.preload_area(server.config.spawn_position, 160.0)
     for index in range(construct_count):
         construct = build_sized_construct(
-            construct_blocks, origin=BlockPos(index * 64, 64, 256), looping=False
+            OFFLOAD_CONSTRUCT_BLOCKS, origin=BlockPos(index * 64, 64, 256), looping=False
         )
         server.place_construct(construct)
 
@@ -118,16 +121,14 @@ def run_fig08(
     settings: ExperimentSettings | None = None,
     tick_leads: tuple[int, ...] = TICK_LEADS,
     lengths: tuple[int, ...] = SIMULATION_LENGTHS,
-    lead_sweep_steps: int = 50,
-    length_sweep_lead: int = 20,
 ) -> Fig08Result:
     """Reproduce both panels of Figure 8."""
     settings = settings or ExperimentSettings()
     result = Fig08Result()
     for lead in tick_leads:
-        result.by_tick_lead[lead] = run_offload_configuration(lead, lead_sweep_steps, settings)
+        result.by_tick_lead[lead] = run_offload_configuration(lead, LEAD_SWEEP_STEPS, settings)
     for length in lengths:
-        result.by_length[length] = run_offload_configuration(length_sweep_lead, length, settings)
+        result.by_length[length] = run_offload_configuration(LENGTH_SWEEP_LEAD, length, settings)
     return result
 
 

@@ -66,7 +66,6 @@ class TerrainScalabilityRun:
     workload: str
     supported_players: int
     max_connected: int
-    tick_series: list[tuple[float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -95,7 +94,6 @@ def _run_terrain(
         workload=workload,
         supported_players=supported_players_from_series(times_ms, durations_ms, times_ms, players),
         max_connected=max(players, default=0),
-        tick_series=list(zip(times_ms, durations_ms)),
     )
 
 

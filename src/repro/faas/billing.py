@@ -58,12 +58,8 @@ class BillingModel:
     def invocation_count(self) -> int:
         return len(self.charges)
 
-    def total_cost_usd(self, function_name: str | None = None) -> float:
-        return sum(
-            charge.cost_usd
-            for charge in self.charges
-            if function_name is None or charge.function_name == function_name
-        )
+    def total_cost_usd(self) -> float:
+        return sum(charge.cost_usd for charge in self.charges)
 
     def cost_per_hour_usd(self, window_ms: float) -> float:
         """Cost extrapolated to one hour given the observation window length."""

@@ -27,8 +27,6 @@ class WarmInstancePool:
 
     keep_alive_ms: float = 7 * 60 * 1000.0
     _environments: list[_Environment] = field(default_factory=list)
-    cold_starts: int = 0
-    warm_starts: int = 0
     #: at most every environment's ``last_used_ms``: lowered to each use's
     #: time when that is earlier, and exact after each rebuild in :meth:`_expire`
     _last_used_floor_ms: float = field(default=math.inf, init=False, repr=False, compare=False)
@@ -47,12 +45,10 @@ class WarmInstancePool:
             if environment.busy_until_ms <= now_ms:
                 environment.busy_until_ms = now_ms + duration_ms
                 environment.last_used_ms = now_ms
-                self.warm_starts += 1
                 return False
         self._environments.append(
             _Environment(busy_until_ms=now_ms + duration_ms, last_used_ms=now_ms)
         )
-        self.cold_starts += 1
         return True
 
     def _expire(self, now_ms: float) -> None:

@@ -56,7 +56,6 @@ class Invocation:
     execution_ms: float
     cold_start: bool
     cold_start_ms: float
-    timed_out: bool
     memory_mb: int
     result: Any = field(default=None)
     #: "ok", "timeout", "failure" (function error) or "throttled" (rejected

@@ -108,7 +108,6 @@ class FaasPlatform:
                 execution_ms=0.0,
                 cold_start=False,
                 cold_start_ms=0.0,
-                timed_out=False,
                 memory_mb=definition.memory_mb,
                 result=None,
                 status="throttled",
@@ -157,7 +156,6 @@ class FaasPlatform:
             execution_ms=execution_ms,
             cold_start=cold,
             cold_start_ms=cold_ms,
-            timed_out=timed_out,
             memory_mb=definition.memory_mb,
             result=None if status != "ok" else output.value,
             status=status,

@@ -13,11 +13,11 @@ order against a threshold, so re-associating that sum could flip a flush.
 
 Consistency follows the dyconit model.  A subscription's footprint splits
 into two tiers by distance from its center: *near* chunks (within
-``near_radius_chunks``) flush every tick — players can perceive staleness
+``NEAR_RADIUS_CHUNKS``) flush every tick — players can perceive staleness
 next to them; *far* chunks accumulate delta entries and flush only when an
 error budget would otherwise be violated: entries older than
-``max_staleness_ticks`` ticks, or accumulated positional drift beyond
-``max_drift_blocks`` blocks.  The staleness observed at every flush is
+``MAX_STALENESS_TICKS`` ticks, or accumulated positional drift beyond
+``MAX_DRIFT_BLOCKS`` blocks.  The staleness observed at every flush is
 reported so runs can *prove* the bounds held.
 
 Each dirty event is one delta entry, and entries are encoded on write: an
@@ -70,12 +70,10 @@ MAX_DRIFT_BLOCKS = 8.0
 
 
 @lru_cache(maxsize=32)
-def _tiered_offsets(
-    radius_chunks: int, near_radius_chunks: int
-) -> tuple[tuple[int, int, int], ...]:
+def _tiered_offsets(radius_chunks: int) -> tuple[tuple[int, int, int], ...]:
     """Sorted ``(dx, dz, tier)`` within Chebyshev ``radius_chunks`` of the origin."""
     return tuple(
-        (dx, dz, NEAR if max(abs(dx), abs(dz)) <= near_radius_chunks else FAR)
+        (dx, dz, NEAR if max(abs(dx), abs(dz)) <= NEAR_RADIUS_CHUNKS else FAR)
         for dx in range(-radius_chunks, radius_chunks + 1)
         for dz in range(-radius_chunks, radius_chunks + 1)
     )
@@ -140,25 +138,10 @@ class FlushReport:
 class InterestMap:
     """Chunk-radius subscriptions with tiered, budget-bounded flushing."""
 
-    def __init__(
-        self,
-        radius_chunks: int,
-        near_radius_chunks: int = NEAR_RADIUS_CHUNKS,
-        max_staleness_ticks: int = MAX_STALENESS_TICKS,
-        max_drift_blocks: float = MAX_DRIFT_BLOCKS,
-    ) -> None:
+    def __init__(self, radius_chunks: int) -> None:
         if radius_chunks < 1:
             raise ValueError("an InterestMap needs a positive radius (0/None = full fan-out)")
-        if not 0 <= near_radius_chunks <= radius_chunks:
-            raise ValueError("near_radius_chunks must be within [0, radius_chunks]")
-        if max_staleness_ticks < 1:
-            raise ValueError("max_staleness_ticks must be at least 1")
-        if max_drift_blocks <= 0:
-            raise ValueError("max_drift_blocks must be positive")
         self.radius_chunks = int(radius_chunks)
-        self.near_radius_chunks = int(near_radius_chunks)
-        self.max_staleness_ticks = int(max_staleness_ticks)
-        self.max_drift_blocks = float(max_drift_blocks)
         self._subs: dict[int, Subscription] = {}
         #: inverse index: chunk -> (near subscribers, far subscribers), each
         #: insertion-ordered by player id; a chunk nobody covers has no entry
@@ -209,7 +192,7 @@ class InterestMap:
     def _footprint(self, center: ChunkKey) -> dict[ChunkKey, int]:
         """The chunks a subscription centered on ``center`` covers, sorted, with tiers."""
         cx, cz = center
-        offsets = _tiered_offsets(self.radius_chunks, self.near_radius_chunks)
+        offsets = _tiered_offsets(self.radius_chunks)
         return {(cx + dx, cz + dz): tier for dx, dz, tier in offsets}
 
     def _index_add(self, chunk: ChunkKey, tier: int, sub: Subscription) -> None:
@@ -401,10 +384,7 @@ class InterestMap:
                 staleness = tick_index - (
                     sub.far_first_tick if sub.far_first_tick is not None else tick_index
                 )
-                if (
-                    staleness >= self.max_staleness_ticks
-                    or sub.far_drift >= self.max_drift_blocks
-                ):
+                if staleness >= MAX_STALENESS_TICKS or sub.far_drift >= MAX_DRIFT_BLOCKS:
                     due_far.append((staleness, sub))
         report.far_due = len(due_far)
 
@@ -522,13 +502,13 @@ class InterestMap:
 
     def verify_index(self) -> bool:
         """True when the index matches a from-scratch recomputation, tiers included."""
-        radius, near_radius = self.radius_chunks, self.near_radius_chunks
+        radius = self.radius_chunks
         rebuilt: dict[ChunkKey, tuple[set[int], set[int]]] = {}
         for sub in self._subs.values():
             cx, cz = sub.center
             for x in range(cx - radius, cx + radius + 1):
                 for z in range(cz - radius, cz + radius + 1):
-                    near = abs(x - cx) <= near_radius and abs(z - cz) <= near_radius
+                    near = max(abs(x - cx), abs(z - cz)) <= NEAR_RADIUS_CHUNKS
                     tiers = rebuilt.setdefault((x, z), (set(), set()))
                     tiers[NEAR if near else FAR].add(sub.player_id)
         current = {

@@ -37,8 +37,8 @@ class SeenWindow:
 
     __slots__ = ("_order", "_members")
 
-    def __init__(self, capacity: int = SEEN_WINDOW) -> None:
-        self._order: deque[int] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._order: deque[int] = deque(maxlen=SEEN_WINDOW)
         self._members: set[int] = set()
 
     def add(self, sequence: int) -> bool:

@@ -46,6 +46,12 @@ from repro.world.world import VoxelWorld
 
 #: virtual milliseconds of on-server work to generate one default-world chunk
 CHUNK_GENERATION_WORK_MS = 250.0
+#: worker threads of a local terrain provider
+LOCAL_GENERATION_WORKERS = 2
+#: ready chunks integrated into the world per tick, at most
+MAX_INTEGRATIONS_PER_TICK = 8
+#: ticks between two eviction passes
+EVICTION_INTERVAL_TICKS = 40
 #: chunks stay loaded this many blocks beyond the view distance
 UNLOAD_MARGIN_BLOCKS = 64.0
 #: maximum chunks streamed to one player in one tick
@@ -148,39 +154,28 @@ class TerrainProvider:
 class LocalTerrainProvider(TerrainProvider):
     """Terrain generation on the game server's own machine.
 
-    A fixed pool of worker threads generates chunks sequentially; each chunk
-    takes ``work_ms`` of virtual time, so the provider's throughput is
-    ``workers / work_ms`` chunks per millisecond.  This is the bottleneck that
+    A pool of ``LOCAL_GENERATION_WORKERS`` threads generates chunks; each
+    chunk takes ``work_ms`` of virtual time (``CHUNK_GENERATION_WORK_MS``
+    scaled by the generator's work units, with lognormal jitter), so the
+    provider's throughput is about ``LOCAL_GENERATION_WORKERS / work_ms``
+    chunks per millisecond.  This is the bottleneck that
     makes Opencraft unable to keep up with fast-moving players (Figure 10a),
     and completions interfere with the game loop (accounted by the cost
     model's ``per_local_generation_ms``).
     """
 
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        generator: TerrainGenerator,
-        workers: int = 2,
-        work_ms: float | None = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("a local terrain provider needs at least one worker")
+    def __init__(self, engine: SimulationEngine, generator: TerrainGenerator) -> None:
         self.engine = engine
         self.generator = generator
-        self.workers = int(workers)
-        self.work_ms = float(
-            work_ms
-            if work_ms is not None
-            else CHUNK_GENERATION_WORK_MS * generator.generation_work_units()
-        )
-        self._worker_free_at_ms = [0.0] * self.workers
+        self.work_ms = CHUNK_GENERATION_WORK_MS * generator.generation_work_units()
+        self._worker_free_at_ms = [0.0] * LOCAL_GENERATION_WORKERS
         self._pending = 0
         self._rng = engine.rng("local-terrain")
 
     def request(self, position: ChunkPos, callback: ChunkCallback) -> None:
         now = self.engine.now_ms
         worker_index = min(
-            range(self.workers), key=lambda index: self._worker_free_at_ms[index]
+            range(LOCAL_GENERATION_WORKERS), key=lambda index: self._worker_free_at_ms[index]
         )
         start = max(now, self._worker_free_at_ms[worker_index])
         duration = self.work_ms * float(self._rng.lognormal(0.0, 0.15))
@@ -242,8 +237,6 @@ class ChunkManager:
         provider: TerrainProvider,
         storage: StorageBackend,
         view_distance_blocks: float = 128.0,
-        max_integrations_per_tick: int = 8,
-        eviction_interval_ticks: int = 40,
         region: Optional[OwnershipRegion] = None,
     ) -> None:
         self.engine = engine
@@ -252,8 +245,6 @@ class ChunkManager:
         self.provider = provider
         self.storage = storage
         self.view_distance_blocks = float(view_distance_blocks)
-        self.max_integrations_per_tick = int(max_integrations_per_tick)
-        self.eviction_interval_ticks = int(eviction_interval_ticks)
         self.region = region
         self._view_radius_chunks = int(math.ceil(self.view_distance_blocks / CHUNK_SIZE))
         #: a view step this long or longer along an axis leaves the ring (see _ring_step)
@@ -530,8 +521,8 @@ class ChunkManager:
 
         # 2. Integrate ready chunks (bounded per tick).
         if self._ready:
-            to_integrate = self._ready[: self.max_integrations_per_tick]
-            self._ready = self._ready[self.max_integrations_per_tick:]
+            to_integrate = self._ready[:MAX_INTEGRATIONS_PER_TICK]
+            self._ready = self._ready[MAX_INTEGRATIONS_PER_TICK:]
             for ready in to_integrate:
                 position = ready.chunk.position
                 self._pending.discard(position)
@@ -547,7 +538,7 @@ class ChunkManager:
         report.chunks_streamed = self._stream_to_players()
 
         # 4. Periodic eviction of chunks far outside every player's view.
-        if avatars.avatars and self._tick_counter % self.eviction_interval_ticks == 0:
+        if avatars.avatars and self._tick_counter % EVICTION_INTERVAL_TICKS == 0:
             report.chunks_evicted = self._evict(avatars)
 
         # 5. View-range metric: distance to the closest missing required chunk.

@@ -134,9 +134,8 @@ class TickLoop:
 class ServerStatistics:
     """Aggregate counters maintained across the server's lifetime."""
 
+    #: client messages drained, malformed ones (the ``messages_rejected`` counter) included
     messages_processed: int = 0
-    #: malformed messages dropped unapplied (also counted in ``messages_processed``)
-    messages_rejected: int = 0
     blocks_placed: int = 0
     blocks_broken: int = 0
 
@@ -256,7 +255,6 @@ class GameServer(TickLoop):
             player_id=player_id,
             name=player_name,
             avatar=avatar,
-            connected_at_ms=self.engine.now_ms,
         )
         # Player data is loaded from persistent storage on connect (Figure 3).
         key = f"player_{player_name}"
@@ -384,7 +382,6 @@ class GameServer(TickLoop):
             if start < count:
                 rejected += apply_moves(senders[start:], messages[start:], moved, note_dirty)
         if rejected:
-            self.stats.messages_rejected += rejected
             self.engine.metrics.increment("messages_rejected", rejected)
 
     def _process_message(self, session: PlayerSession, message: Message) -> bool:

@@ -37,7 +37,6 @@ class PlayerSession:
     player_id: int
     name: str
     avatar: Avatar
-    connected_at_ms: float
     _inbox: list[Message] = field(default_factory=list)
     disconnected: bool = False
     #: latency of the storage read that restored this session's state (0 if none)

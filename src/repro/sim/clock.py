@@ -16,13 +16,13 @@ class ClockError(RuntimeError):
 class SimulationClock:
     """A monotonically advancing millisecond clock.
 
-    The clock starts at ``start_ms`` (default 0).  Use :meth:`advance` to move
+    The clock starts at 0.  Use :meth:`advance` to move
     time forward by a delta and :meth:`advance_to` to jump to an absolute
     time.  Both refuse to move the clock backwards.
     """
 
-    def __init__(self, start_ms: float = 0.0) -> None:
-        self._now_ms = float(start_ms)
+    def __init__(self) -> None:
+        self._now_ms = 0.0
 
     @property
     def now_ms(self) -> float:

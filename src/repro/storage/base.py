@@ -22,7 +22,6 @@ class StorageOperation:
     """The outcome of one storage operation."""
 
     key: str
-    operation: str          # "read", "write", "delete"
     latency_ms: float
     size_bytes: int
     hit: bool = True        # False for cache misses (cache backends only)

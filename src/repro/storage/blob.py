@@ -87,7 +87,7 @@ class BlobStorage(DictBackedStorage):
         self.read_count += 1
         self.bytes_read += len(data)
         return StorageOperation(
-            key=key, operation="read", latency_ms=latency, size_bytes=len(data), data=data
+            key=key, latency_ms=latency, size_bytes=len(data), data=data
         )
 
     def write(self, key: str, data: bytes) -> StorageOperation:
@@ -95,11 +95,11 @@ class BlobStorage(DictBackedStorage):
         latency = self.profile.write.sample(self._rng) + self._transfer_ms(len(data))
         self.write_count += 1
         self.bytes_written += len(data)
-        return StorageOperation(key=key, operation="write", latency_ms=latency, size_bytes=len(data))
+        return StorageOperation(key=key, latency_ms=latency, size_bytes=len(data))
 
     def delete(self, key: str) -> StorageOperation:
         size = self._remove(key)
-        return StorageOperation(key=key, operation="delete", latency_ms=5.0, size_bytes=size)
+        return StorageOperation(key=key, latency_ms=5.0, size_bytes=size)
 
 
 # ---------------------------------------------------------------------------------

@@ -27,9 +27,7 @@ class CacheStatistics:
 
     hits: int = 0
     misses: int = 0
-    prefetches: int = 0
     evictions: int = 0
-    writebacks: int = 0
 
 
 class CachedStorage(StorageBackend):
@@ -74,7 +72,6 @@ class CachedStorage(StorageBackend):
                 # Never lose dirty data: evicting a dirty entry forces a write-back.
                 self._remote.write(evicted_key, evicted_data)
                 self._dirty.discard(evicted_key)
-                self.stats.writebacks += 1
 
     def is_cached(self, key: str) -> bool:
         return key in self._entries
@@ -88,7 +85,7 @@ class CachedStorage(StorageBackend):
             latency = self._hit_latency.sample(self._rng)
             self.stats.hits += 1
             return StorageOperation(
-                key=key, operation="read", latency_ms=latency, size_bytes=len(data),
+                key=key, latency_ms=latency, size_bytes=len(data),
                 hit=True, data=data,
             )
         remote_op = self._remote.read(key)
@@ -96,15 +93,15 @@ class CachedStorage(StorageBackend):
         self.stats.misses += 1
         latency = remote_op.latency_ms + self._hit_latency.sample(self._rng)
         return StorageOperation(
-            key=key, operation="read", latency_ms=latency,
-            size_bytes=remote_op.size_bytes, hit=False, data=remote_op.data,
+            key=key, latency_ms=latency, size_bytes=remote_op.size_bytes, hit=False,
+            data=remote_op.data,
         )
 
     def write(self, key: str, data: bytes) -> StorageOperation:
         self._insert(key, bytes(data))
         self._dirty.add(key)
         latency = self._hit_latency.sample(self._rng)
-        return StorageOperation(key=key, operation="write", latency_ms=latency, size_bytes=len(data))
+        return StorageOperation(key=key, latency_ms=latency, size_bytes=len(data))
 
     def delete(self, key: str) -> StorageOperation:
         self._entries.pop(key, None)
@@ -138,7 +135,6 @@ class CachedStorage(StorageBackend):
         except ObjectNotFoundError:
             return 0.0
         self._insert(key, remote_op.data or b"")
-        self.stats.prefetches += 1
         return remote_op.latency_ms
 
     def flush(self) -> list[StorageOperation]:
@@ -149,6 +145,5 @@ class CachedStorage(StorageBackend):
             if data is None:
                 continue
             operations.append(self._remote.write(key, data))
-            self.stats.writebacks += 1
         self._dirty.clear()
         return operations

@@ -12,6 +12,9 @@ import numpy as np
 from repro.sim.latency import LogNormalLatency
 from repro.storage.base import DictBackedStorage, StorageOperation
 
+#: reads served while the page cache is cold after boot
+BOOT_WINDOW_READS = 12
+
 
 class LocalDiskStorage(DictBackedStorage):
     """Local disk with page-cache-like behaviour.
@@ -23,15 +26,10 @@ class LocalDiskStorage(DictBackedStorage):
 
     name = "local"
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        boot_window_reads: int = 12,
-    ) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         super().__init__()
         self._rng = rng
         self._reads_served = 0
-        self._boot_window_reads = int(boot_window_reads)
         self._read_latency = LogNormalLatency(median_ms=1.6, sigma=0.45, floor_ms=0.3, cap_ms=40.0)
         self._boot_latency = LogNormalLatency(median_ms=35.0, sigma=0.55, floor_ms=10.0, cap_ms=125.0)
         self._write_latency = LogNormalLatency(median_ms=2.5, sigma=0.5, floor_ms=0.5, cap_ms=60.0)
@@ -40,21 +38,21 @@ class LocalDiskStorage(DictBackedStorage):
 
     def read(self, key: str) -> StorageOperation:
         data = self._get(key)
-        in_boot_window = self._reads_served < self._boot_window_reads
+        in_boot_window = self._reads_served < BOOT_WINDOW_READS
         self._reads_served += 1
         if in_boot_window and self._rng.random() < self._boot_miss_probability:
             latency = self._boot_latency.sample(self._rng)
         else:
             latency = self._read_latency.sample(self._rng)
         return StorageOperation(
-            key=key, operation="read", latency_ms=latency, size_bytes=len(data), data=data
+            key=key, latency_ms=latency, size_bytes=len(data), data=data
         )
 
     def write(self, key: str, data: bytes) -> StorageOperation:
         self._put(key, data)
         latency = self._write_latency.sample(self._rng)
-        return StorageOperation(key=key, operation="write", latency_ms=latency, size_bytes=len(data))
+        return StorageOperation(key=key, latency_ms=latency, size_bytes=len(data))
 
     def delete(self, key: str) -> StorageOperation:
         size = self._remove(key)
-        return StorageOperation(key=key, operation="delete", latency_ms=0.5, size_bytes=size)
+        return StorageOperation(key=key, latency_ms=0.5, size_bytes=size)

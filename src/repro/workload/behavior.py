@@ -74,10 +74,8 @@ class BoundedAreaBehavior(WalkerBehavior):
     """
 
     code = "A"
-
-    def __init__(self, radius_blocks: float = 12.0, speed_blocks_per_s: float = 3.0) -> None:
-        self.radius_blocks = float(radius_blocks)
-        self.speed_blocks_per_s = float(speed_blocks_per_s)
+    radius_blocks = 12.0
+    speed_blocks_per_s = 3.0
 
 
 class ConvergeBehavior(WalkerBehavior):

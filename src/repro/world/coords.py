@@ -52,16 +52,6 @@ class ChunkPos(NamedTuple):
     cx: int
     cz: int
 
-    def neighbours(self, radius: int = 1) -> list["ChunkPos"]:
-        """All chunk positions within a square ``radius`` (excluding self)."""
-        out = []
-        for dx in range(-radius, radius + 1):
-            for dz in range(-radius, radius + 1):
-                if dx == 0 and dz == 0:
-                    continue
-                out.append(ChunkPos(self.cx + dx, self.cz + dz))
-        return out
-
     def key(self) -> str:
         """A stable string key used as a storage object name."""
         return f"{CHUNK_KEY_PREFIX}{self.cx}_{self.cz}"

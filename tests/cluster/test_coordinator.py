@@ -4,6 +4,7 @@ import pytest
 
 from repro.check import check
 from repro.cluster import build_opencraft_cluster, build_servo_cluster
+from repro.cluster.partition import ZONE_WIDTH_CHUNKS
 from repro.constructs.library import build_wire_line
 from repro.server import GameConfig
 from repro.sim import SimulationEngine
@@ -134,7 +135,7 @@ def test_migrated_player_keeps_acting_on_the_new_shard(engine):
 
 def test_constructs_route_to_the_owning_shard(engine):
     cluster = make_cluster(engine, shards=2)
-    boundary_x = cluster.partitioner.zone_width_chunks * CHUNK_SIZE
+    boundary_x = ZONE_WIDTH_CHUNKS * CHUNK_SIZE
     left = build_wire_line(length=3, origin=BlockPos(4, 66, 4))
     right = build_wire_line(length=3, origin=BlockPos(boundary_x + 4, 66, 4))
     # Straddles the boundary: it belongs to the zone of its first cell.

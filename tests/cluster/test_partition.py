@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.cluster.partition import WorldPartitioner, ZoneRegion
+from repro.cluster.partition import ZONE_WIDTH_CHUNKS as W, WorldPartitioner, ZoneRegion
 from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos
 
 
 def test_partitioner_validates_arguments():
     with pytest.raises(ValueError):
         WorldPartitioner(0)
-    with pytest.raises(ValueError):
-        WorldPartitioner(2, zone_width_chunks=0)
 
 
 def test_single_shard_owns_everything():
@@ -25,21 +23,21 @@ def test_single_shard_owns_everything():
 
 
 def test_zones_are_contiguous_strips_with_unbounded_edges():
-    partitioner = WorldPartitioner(4, zone_width_chunks=8)
-    # Interior boundaries at cx = 8, 16, 24.
+    partitioner = WorldPartitioner(4)
+    # Interior boundaries at cx = W, 2W, 3W.
     assert partitioner.zone_of_cx(-500) == 0
-    assert partitioner.zone_of_cx(7) == 0
-    assert partitioner.zone_of_cx(8) == 1
-    assert partitioner.zone_of_cx(15) == 1
-    assert partitioner.zone_of_cx(16) == 2
-    assert partitioner.zone_of_cx(24) == 3
+    assert partitioner.zone_of_cx(W - 1) == 0
+    assert partitioner.zone_of_cx(W) == 1
+    assert partitioner.zone_of_cx(2 * W - 1) == 1
+    assert partitioner.zone_of_cx(2 * W) == 2
+    assert partitioner.zone_of_cx(3 * W) == 3
     assert partitioner.zone_of_cx(9999) == 3
 
 
 def test_every_chunk_has_exactly_one_owner():
-    partitioner = WorldPartitioner(3, zone_width_chunks=4)
+    partitioner = WorldPartitioner(3)
     regions = [partitioner.region(zone) for zone in range(partitioner.shard_count)]
-    for cx in range(-20, 40):
+    for cx in range(-W - 4, 3 * W + 4):
         position = ChunkPos(cx, 7)
         owners = [region.zone_id for region in regions if region.contains(position)]
         # The spellings of "who owns this" agree, negatives included.
@@ -48,13 +46,13 @@ def test_every_chunk_has_exactly_one_owner():
 
 
 def test_block_exactly_on_zone_edge_belongs_to_the_right_zone():
-    partitioner = WorldPartitioner(2, zone_width_chunks=8)
-    boundary_x = 8 * CHUNK_SIZE  # first block of the boundary chunk
+    partitioner = WorldPartitioner(2)
+    boundary_x = W * CHUNK_SIZE  # first block of the boundary chunk
     assert partitioner.zone_of_block(BlockPos(boundary_x, 65, 0)) == 1
     assert partitioner.zone_of_block(BlockPos(boundary_x - 1, 65, 0)) == 0
     # The zone regions agree with zone_of_block on the edge.
-    assert partitioner.region(1).contains(ChunkPos(8, 0))
-    assert not partitioner.region(0).contains(ChunkPos(8, 0))
+    assert partitioner.region(1).contains(ChunkPos(W, 0))
+    assert not partitioner.region(0).contains(ChunkPos(W, 0))
 
 
 def test_region_validates_zone_id():
@@ -75,7 +73,7 @@ def test_zone_region_dataclass_contains():
 
 def test_spawns_land_in_their_zone():
     base = BlockPos(8, 65, 8)
-    partitioner = WorldPartitioner(4, zone_width_chunks=8)
+    partitioner = WorldPartitioner(4)
     for zone in range(4):
         spawn = partitioner.zone_spawn(zone, base)
         assert partitioner.zone_of_block(spawn) == zone
@@ -84,7 +82,7 @@ def test_spawns_land_in_their_zone():
         spawn = partitioner.boundary_spawn(boundary, base)
         # Boundary spawns sit just left of the edge, owned by the left zone.
         assert partitioner.zone_of_block(spawn) == boundary
-        edge_x = (boundary + 1) * 8 * CHUNK_SIZE
+        edge_x = (boundary + 1) * W * CHUNK_SIZE
         assert 0 < edge_x - spawn.x <= CHUNK_SIZE
 
 

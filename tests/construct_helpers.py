@@ -1,4 +1,4 @@
-"""Construct edits and twins for the tests: a lever flip, and a copy to step side by side."""
+"""Construct edits and twins for the tests: cell reads and edits, and a copy to step beside."""
 
 from repro.constructs.circuit import Cell, SimulatedConstruct
 from repro.constructs.components import ComponentType
@@ -22,8 +22,19 @@ def clone_construct(construct: SimulatedConstruct) -> SimulatedConstruct:
     return clone
 
 
+def cell_at(construct: SimulatedConstruct, position: BlockPos) -> Cell:
+    """The construct's cell at ``position``."""
+    return construct.cells[construct.index_of[position]]
+
+
+def set_cell(construct: SimulatedConstruct, position: BlockPos, state: int) -> int:
+    """Set one cell's state as a player would; returns the new modification counter."""
+    cell_at(construct, position).state = int(state)
+    return construct.player_modify(position)
+
+
 def toggle_lever(construct: SimulatedConstruct, position: BlockPos) -> int:
     """Flip a lever cell as a player would; returns the new modification counter."""
-    cell = construct.cell_at(position)
+    cell = cell_at(construct, position)
     assert cell.component is ComponentType.LEVER, f"cell at {position} is not a lever"
-    return construct.player_modify(position, 0 if cell.state > 0 else 1)
+    return set_cell(construct, position, 0 if cell.state > 0 else 1)

@@ -26,7 +26,7 @@ from repro.constructs.library import (
     build_wire_line,
     standard_construct,
 )
-from construct_helpers import clone_construct
+from construct_helpers import clone_construct, set_cell
 from repro.constructs.simulator import ReferenceConstructSimulator
 
 BUILDERS = {
@@ -88,8 +88,8 @@ def test_batched_matches_reference_after_mid_run_player_edits():
     # Players edit half the fleet mid-run (toggle the first cell of each).
     for construct, reference_construct in zip(fleet[::2], reference_fleet[::2]):
         position = construct.positions[0]
-        construct.player_modify(position, new_state=1)
-        reference_construct.player_modify(position, new_state=1)
+        set_cell(construct, position, 1)
+        set_cell(reference_construct, position, 1)
 
     for _ in range(40):
         step_batched(stepper, fleet)

@@ -16,7 +16,7 @@ from repro.constructs.library import (
     standard_construct,
 )
 from repro.constructs.compiled import compile_circuit
-from construct_helpers import clone_construct
+from construct_helpers import cell_at, clone_construct, set_cell
 from repro.constructs.state import ConstructState, state_hash
 from repro.world.coords import BlockPos
 
@@ -66,7 +66,7 @@ def test_wire_line_propagates_power_one_block_per_step():
     lamp_states = []
     for _ in range(8):
         compiled.step()
-        lamp_states.append(construct.cell_at(lamp_pos).state)
+        lamp_states.append(cell_at(construct, lamp_pos).state)
     # The lamp eventually turns on and stays on.
     assert lamp_states[-1] == 1
     assert 0 in lamp_states  # it was off while the signal propagated
@@ -78,7 +78,7 @@ def test_wire_line_without_power_stays_dark():
     for _ in range(6):
         compiled.step()
     lamp_pos = construct.positions[-1]
-    assert construct.cell_at(lamp_pos).state == 0
+    assert cell_at(construct, lamp_pos).state == 0
 
 
 def test_clock_circuit_state_is_periodic():
@@ -95,7 +95,7 @@ def test_oscillator_toggles_lamp():
     seen_states = set()
     for _ in range(16):
         compiled.step()
-        seen_states.add(construct.cell_at(lamp_pos).state)
+        seen_states.add(cell_at(construct, lamp_pos).state)
     assert seen_states == {0, 1}
 
 
@@ -136,7 +136,7 @@ def test_apply_row_rejects_a_wrong_length_and_copies_the_row():
 def test_player_modify_advances_logical_timestamp():
     construct = build_wire_line(length=2, powered=False)
     assert construct.modification_counter == 0
-    construct.player_modify(construct.positions[0], new_state=1)
+    set_cell(construct, construct.positions[0], 1)
     assert construct.modification_counter == 1
     construct.player_modify(BlockPos(500, 64, 500))  # nearby terrain edit
     assert construct.modification_counter == 2

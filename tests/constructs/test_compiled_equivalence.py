@@ -21,7 +21,7 @@ from repro.constructs.library import (
     build_wire_line,
     standard_construct,
 )
-from construct_helpers import clone_construct
+from construct_helpers import cell_at, clone_construct, set_cell
 from repro.constructs.simulator import ReferenceConstructSimulator
 from repro.server.sc_engine import LocalConstructBackend
 from repro.world.coords import BlockPos
@@ -75,8 +75,8 @@ def test_compiled_matches_reference_after_mid_run_player_edit(name):
     assert compiled_trace(compiled_subject, 20) == reference_trace(reference_subject, 20)
     # A player toggles/retunes the first cell mid-run on both copies.
     edit_position = compiled_subject.positions[0]
-    compiled_subject.player_modify(edit_position, new_state=1)
-    reference_subject.player_modify(edit_position, new_state=1)
+    set_cell(compiled_subject, edit_position, 1)
+    set_cell(reference_subject, edit_position, 1)
     assert compiled_trace(compiled_subject, 40) == reference_trace(reference_subject, 40)
 
 
@@ -150,8 +150,8 @@ def test_quiescence_wakeup_matches_reference_after_lever_toggle():
     # Toggle the lever: the backend must wake the construct and re-simulate.
     lever_position = door.positions[0]
     backend.on_player_modify(door.construct_id, lever_position)
-    door.cell_at(lever_position).state = 1
-    reference_door.player_modify(lever_position, new_state=1)
+    cell_at(door, lever_position).state = 1
+    set_cell(reference_door, lever_position, 1)
 
     woke_reports = []
     for tick in range(12, 24):

@@ -49,7 +49,7 @@ def test_servo_runs_a_construct_workload_and_offloads(engine):
     assert runtime.platform.billing.invocation_count >= 10
     assert engine.metrics.counter("offload_invocations") >= 10
     # Construct state really advanced (one step per tick).
-    constructs = runtime.construct_backend.constructs()
+    constructs = server.constructs.constructs()
     assert constructs[0].step == pytest.approx(len(server.tick_records), abs=1)
 
 
@@ -72,7 +72,7 @@ def test_servo_matches_opencraft_construct_states_functionally():
     opencraft.run_ticks(80)
     servo_states = [
         [cell.state for cell in construct.cells]
-        for construct in servo.runtime.construct_backend.constructs()
+        for construct in servo.constructs.constructs()
     ]
     opencraft_states = [
         [cell.state for cell in construct.cells]

@@ -11,6 +11,7 @@ from repro.constructs.loop_detection import CompressedStateSequence
 from repro.core.offload import SC_SIMULATION_FUNCTION, SimulationHandler
 from repro.core.speculative import SpeculativeConstructBackend
 from repro.faas import AWS_LAMBDA, FaasPlatform, FunctionDefinition
+from construct_helpers import cell_at
 from repro.sim import SimulationEngine
 
 
@@ -328,7 +329,7 @@ def test_player_edit_wakes_a_quiescent_construct(engine):
 
     lever_position = construct.positions[0]
     backend.on_player_modify(construct.construct_id, lever_position)
-    construct.cell_at(lever_position).state = 1
+    cell_at(construct, lever_position).state = 1
     woke = backend.tick(200)
     engine.advance_by(50.0)
     assert woke.skipped_quiescent == 0

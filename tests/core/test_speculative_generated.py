@@ -35,7 +35,7 @@ from repro.constructs.library import (
     build_sized_construct,
     build_wire_line,
 )
-from construct_helpers import clone_construct, toggle_lever
+from construct_helpers import cell_at, clone_construct, set_cell, toggle_lever
 from repro.constructs.simulator import ReferenceConstructSimulator
 from repro.core import ServoConfig
 from repro.core.offload import SC_SIMULATION_FUNCTION, SimulationHandler
@@ -116,8 +116,8 @@ def apply_edit(backend, twins, references, kind, selector, new_state) -> None:
             toggle_lever(reference, position)
         elif kind == "set_state":
             backend.on_player_modify(construct.construct_id, position)
-            construct.cell_at(position).state = new_state
-            reference.player_modify(position, new_state)
+            cell_at(construct, position).state = new_state
+            set_cell(reference, position, new_state)
         else:  # terrain next to the construct: only the timestamp moves
             backend.on_player_modify(construct.construct_id, position.offset(dy=-1))
             reference.player_modify(position.offset(dy=-1))

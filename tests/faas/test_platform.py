@@ -53,7 +53,7 @@ def test_concurrent_invocations_trigger_extra_cold_starts(platform):
     first = platform.invoke("echo", 1)
     second = platform.invoke("echo", 2)
     assert first.cold_start and second.cold_start
-    assert platform._pools["echo"].cold_starts == 2
+    assert len(platform._pools["echo"]._environments) == 2
 
 
 def test_warm_environment_expires_after_keep_alive(platform, engine):
@@ -80,7 +80,7 @@ def test_timeout_truncates_execution(engine):
         )
     )
     invocation = platform.invoke("slow", None)
-    assert invocation.timed_out is True
+    assert invocation.status == "timeout"
     assert invocation.execution_ms == 500.0
     assert invocation.result is None
 
@@ -141,7 +141,6 @@ def test_timed_out_invocation_releases_its_warm_slot_at_the_deadline(engine):
     )
     submitted = engine.now_ms
     invocation = platform.invoke("slow", {})
-    assert invocation.timed_out
     assert invocation.status == "timeout"
     assert invocation.result is None
     assert invocation.execution_ms == 1.0

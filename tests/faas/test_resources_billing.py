@@ -67,15 +67,14 @@ def test_warm_pool_reuses_free_environments():
     pool = WarmInstancePool(keep_alive_ms=10_000.0)
     assert pool.acquire(now_ms=0.0, duration_ms=100.0) is True
     assert pool.acquire(now_ms=200.0, duration_ms=100.0) is False
-    assert pool.cold_starts == 1
-    assert pool.warm_starts == 1
+    assert len(pool._environments) == 1
 
 
 def test_warm_pool_concurrency_needs_extra_environments():
     pool = WarmInstancePool(keep_alive_ms=10_000.0)
     assert pool.acquire(now_ms=0.0, duration_ms=1000.0) is True
     assert pool.acquire(now_ms=10.0, duration_ms=1000.0) is True
-    assert pool.cold_starts == 2
+    assert len(pool._environments) == 2
 
 
 def test_warm_pool_expires_idle_environments():
@@ -99,8 +98,7 @@ def test_billing_cost_formula_matches_rates():
     charge = billing.record("fn", time_ms=0.0, execution_ms=1000.0, memory_mb=1024)
     expected = 0.2 / 1_000_000 + 1.0 * rates.usd_per_gb_second
     assert charge.cost_usd == pytest.approx(expected)
-    assert billing.total_cost_usd("fn") == pytest.approx(expected)
-    assert billing.total_cost_usd("other") == 0.0
+    assert billing.total_cost_usd() == pytest.approx(expected)
 
 
 @settings(max_examples=examples(30))

@@ -68,23 +68,21 @@ acquisitions = st.lists(
 @given(sequence=acquisitions)
 def test_the_pool_acquires_as_one_that_always_rescans(sequence):
     pool, reference = WarmInstancePool(keep_alive_ms=KEEP_ALIVE_MS), RescanningPool(KEEP_ALIVE_MS)
-    clock, colds = 0.0, 0
+    clock = 0.0
     for gap, ahead, duration in sequence:
         clock += gap
         cold = reference.acquire(clock + ahead, duration)
         assert pool.acquire(clock + ahead, duration) is cold
         assert pool._environments == reference._environments
-        colds += cold
-    assert (pool.cold_starts, pool.warm_starts) == (colds, len(sequence) - colds)
 
 
 def test_a_pool_in_steady_use_rescans_once_per_keep_alive():
     """One environment reused every millisecond for ten keep-alives: about ten rescans, not 900."""
     pool = WarmInstancePool(keep_alive_ms=KEEP_ALIVE_MS)
-    rescans, environments = 0, pool._environments
+    rescans, environments, colds = 0, pool._environments, 0
     for now in range(int(10 * KEEP_ALIVE_MS)):
-        pool.acquire(float(now), 0.5)
+        colds += pool.acquire(float(now), 0.5)
         rescans += pool._environments is not environments
         environments = pool._environments
-    assert pool.cold_starts == 1
+    assert colds == 1
     assert rescans <= 10

@@ -96,13 +96,13 @@ def test_sequences_are_stamped_per_player_monotonically(engine):
 
 
 def test_seen_window_is_bounded_and_forgets_oldest():
-    window = SeenWindow(capacity=4)
-    for sequence in range(1, 5):
-        assert window.add(sequence)
-    assert not window.add(4)  # recent duplicate rejected
-    assert window.add(5)  # evicts 1
-    assert window.add(1)  # old enough to have left the window
     assert SEEN_WINDOW == 512
+    window = SeenWindow()
+    for sequence in range(1, SEEN_WINDOW + 1):
+        assert window.add(sequence)
+    assert not window.add(SEEN_WINDOW)  # recent duplicate rejected
+    assert window.add(SEEN_WINDOW + 1)  # evicts 1
+    assert window.add(1)  # old enough to have left the window
 
 
 def test_without_a_channel_messages_go_straight_to_the_inbox(engine):

@@ -83,7 +83,7 @@ def test_receiver_rejects_duplicates_and_misrouted_batches():
 
 def test_flushes_through_a_duplicating_wire_apply_exactly_once(make_session):
     """End to end: InterestMap -> batch sink -> duplicating wire -> receiver."""
-    interest = InterestMap(radius_chunks=2, near_radius_chunks=1)
+    interest = InterestMap(radius_chunks=2)
     session = make_session(1)
     interest.subscribe(session)
     receivers = {1: BatchReceiver(player_id=1)}

@@ -8,15 +8,9 @@ from repro.server import GameConfig, make_opencraft
 from repro.world.coords import CHUNK_SIZE
 
 
-def test_interest_map_validates_its_budgets():
+def test_interest_map_rejects_a_radius_below_one():
     with pytest.raises(ValueError):
         InterestMap(radius_chunks=0)
-    with pytest.raises(ValueError):
-        InterestMap(radius_chunks=2, near_radius_chunks=3)
-    with pytest.raises(ValueError):
-        InterestMap(radius_chunks=2, max_staleness_ticks=0)
-    with pytest.raises(ValueError):
-        InterestMap(radius_chunks=2, max_drift_blocks=0.0)
 
 
 def test_subscribe_covers_the_chebyshev_square(make_session):
@@ -63,7 +57,7 @@ def test_update_center_moves_only_the_footprint_delta(make_session):
 
 
 def test_update_center_moves_chunks_between_tiers(make_session):
-    interest = InterestMap(radius_chunks=2, near_radius_chunks=1)
+    interest = InterestMap(radius_chunks=2)
     interest.subscribe(make_session(1))  # center (0, 0)
     interest.update_center(1, (1, 0))
     interest.note_dirty((2, 0))  # was far (distance 2), now near
@@ -75,7 +69,7 @@ def test_update_center_moves_chunks_between_tiers(make_session):
 
 
 def test_verify_index_checks_the_tier_not_only_the_footprint(make_session):
-    interest = InterestMap(radius_chunks=2, near_radius_chunks=1)
+    interest = InterestMap(radius_chunks=2)
     interest.subscribe(make_session(1))
     near, far = interest._index[(2, 0)]
     near[1] = far.pop(1)  # still indexed under the chunk, but in the wrong half

@@ -48,12 +48,12 @@ def test_migration_imports_pending_far_state(make_session):
     """Pending far-tier deltas survive the handoff (no lost staleness debt)."""
     from repro.interest import InterestMap
 
-    source = InterestMap(radius_chunks=2, near_radius_chunks=0, max_staleness_ticks=10)
-    target = InterestMap(radius_chunks=2, near_radius_chunks=0, max_staleness_ticks=10)
+    source = InterestMap(radius_chunks=2)
+    target = InterestMap(radius_chunks=2)
     session = make_session(1)
     source.subscribe(session)
     for drift in (1.0, 1.0, 0.5):
-        source.note_dirty((1, 1), drift=drift)
+        source.note_dirty((2, 2), drift=drift)  # two chunks out: the far tier
     state = source.export_state(1)
     assert state == SubscriptionState(
         near_entries=0, far_entries=3, far_first_tick=0, far_drift=2.5

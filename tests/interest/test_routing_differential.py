@@ -24,7 +24,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.interest import InterestMap
+from repro.interest import NEAR_RADIUS_CHUNKS, InterestMap
 from repro.world.coords import CHUNK_SIZE, BlockPos
 
 from hypothesis_profiles import examples
@@ -40,7 +40,7 @@ class ReferenceRouter(InterestMap):
             if distance > self.radius_chunks or sub.player_id == source_player_id:
                 continue  # not subscribed / a player needs no update about itself
             delivered = True
-            if distance <= self.near_radius_chunks:
+            if distance <= NEAR_RADIUS_CHUNKS:
                 sub.near_entries += 1
             else:
                 sub.far_entries += 1
@@ -75,13 +75,9 @@ EVENTS = st.lists(st.tuples(CHUNKS, DRIFTS), min_size=1, max_size=4)
 
 
 class RoutingMachine(RuleBasedStateMachine):
-    @initialize(radius=st.integers(1, 3), near=st.sampled_from(["zero", "one", "radius"]))
-    def build(self, radius, near):
-        near_radius = {"zero": 0, "one": 1, "radius": radius}[near]
-        self.maps = [
-            cls(radius, near_radius, max_staleness_ticks=3, max_drift_blocks=4.0)
-            for cls in (InterestMap, ReferenceRouter)
-        ]
+    @initialize(radius=st.integers(1, 3))
+    def build(self, radius):
+        self.maps = [cls(radius) for cls in (InterestMap, ReferenceRouter)]
         self.batches = ([], [])
         for interest, sink in zip(self.maps, self.batches):
             interest.record_dirty_log = True

@@ -1,8 +1,6 @@
 """Dyconit budgets: far-tier staleness and drift bounds always hold."""
 
-from rebudget import rebudget_interest
-
-from repro.interest import InterestMap
+from repro.interest import MAX_DRIFT_BLOCKS, MAX_STALENESS_TICKS, InterestMap
 from repro.server import GameConfig, make_opencraft
 from repro.sim import SimulationEngine
 from repro.sim.metrics import CONSISTENCY_ERROR_HISTOGRAM, metric_name
@@ -11,7 +9,7 @@ from repro.world.coords import CHUNK_SIZE, BlockPos
 
 
 def test_near_tier_flushes_every_tick(make_session):
-    interest = InterestMap(radius_chunks=2, near_radius_chunks=1)
+    interest = InterestMap(radius_chunks=2)
     interest.subscribe(make_session(1))
     interest.note_dirty((0, 0), source_player_id=None)
     report = interest.flush(tick_index=0)
@@ -21,33 +19,28 @@ def test_near_tier_flushes_every_tick(make_session):
 
 
 def test_far_tier_waits_for_the_staleness_budget(make_session):
-    interest = InterestMap(
-        radius_chunks=3, near_radius_chunks=0, max_staleness_ticks=4,
-        max_drift_blocks=1e9,
-    )
+    interest = InterestMap(radius_chunks=3)
     interest.subscribe(make_session(1))
-    interest.note_dirty((2, 0))  # outside near radius 0 -> far tier
-    for tick in range(4):
+    interest.note_dirty((2, 0))  # two chunks out, past the near radius -> far tier
+    for tick in range(MAX_STALENESS_TICKS):
         report = interest.flush(tick_index=tick)
         assert report.flushes == 0, f"flushed early at staleness {tick}"
-    # Tick 4: the oldest entry is exactly max_staleness_ticks old -> due.
-    report = interest.flush(tick_index=4)
+    # The oldest entry is exactly MAX_STALENESS_TICKS old -> due.
+    report = interest.flush(tick_index=MAX_STALENESS_TICKS)
     assert report.far_flushes == 1
-    assert report.staleness_max == 4
+    assert report.staleness_max == MAX_STALENESS_TICKS
 
 
 def test_drift_budget_forces_an_early_flush(make_session):
-    interest = InterestMap(
-        radius_chunks=3, near_radius_chunks=0, max_staleness_ticks=1000,
-        max_drift_blocks=8.0,
-    )
+    assert 5.0 < MAX_DRIFT_BLOCKS <= 10.0 and MAX_STALENESS_TICKS > 1
+    interest = InterestMap(radius_chunks=3)
     interest.subscribe(make_session(1))
     interest.note_dirty((2, 0), drift=5.0)
     report = interest.flush(tick_index=0)
     assert report.flushes == 0  # 5 blocks of drift is still within budget
     interest.note_dirty((2, 0), drift=5.0)
-    report = interest.flush(tick_index=1)
-    assert report.far_flushes == 1  # 10 blocks crossed the 8-block budget
+    report = interest.flush(tick_index=1)  # one tick old: inside the staleness budget
+    assert report.far_flushes == 1  # 10 blocks crossed the drift budget
     assert report.drift_max == 10.0
 
 
@@ -64,13 +57,10 @@ def test_source_player_never_receives_its_own_action(make_session):
 
 def test_gameloop_staleness_never_exceeds_the_configured_bound():
     """Property over a full run: every flush's staleness is within budget."""
-    bound = 4
+    bound = MAX_STALENESS_TICKS
     config = GameConfig(world_type="flat", interest_radius_chunks=4)
     engine = SimulationEngine(seed=11)
     server = make_opencraft(engine, config)
-    rebudget_interest(
-        server, near_radius_chunks=0, max_staleness_ticks=bound, max_drift_blocks=1e9
-    )
     server.chunks.preload_area(config.spawn_position, 200.0)
     editor = server.connect_player("editor")
     # Observers two chunks away: the editor's chunk lands in their far tier.

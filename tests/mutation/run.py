@@ -105,8 +105,12 @@ def main() -> int:
         tree = Path(tmp)
         _copy(tree)
         for name in sorted(set(probes) - {"prelude"}):
-            if len(_probe_outputs(tree, probes["prelude"] + probes[name])) != 1:
+            outputs = _probe_outputs(tree, probes["prelude"] + probes[name])
+            if len(outputs) != 1:
                 failed.append(f"probe {name} differs on the clean tree")
+            elif next(iter(outputs)).startswith("exit "):
+                # A probe that crashes prints one output and would hide every kill.
+                failed.append(f"probe {name} crashes on the clean tree")
         # A killer that fails without any mutant would count as a false kill.
         killers = sorted({test_id for row in rows for test_id in row.oracle + row.pin})
         if killers and _pytest(tree, killers) != 0:

@@ -17,9 +17,8 @@ a coordinate past 64 bits included.
 
 One change since that commit: a malformed message no longer ends the tick.
 A MOVE whose conversion or position write raises, or any other message that
-``_process_message`` turns down, is dropped and counted in
-``stats.messages_rejected`` and the ``messages_rejected`` metric, and the
-drain goes on with the next message.
+``_process_message`` turns down, is dropped and counted in the
+``messages_rejected`` metric, and the drain goes on with the next message.
 
 ``test_drain_differential.py`` drives a server whose ``_drain_messages`` is
 :func:`reference_drain` beside a production one and requires the same
@@ -69,7 +68,6 @@ def reference_drain(server: GameServer, work: TickWork) -> None:
 
 def reject(server: GameServer) -> None:
     """Count one dropped message."""
-    server.stats.messages_rejected += 1
     server.engine.metrics.increment("messages_rejected")
 
 

@@ -5,8 +5,8 @@ lands on two chunk managers fed the same inputs: a join, a leave, a one-chunk
 step in any of the 8 directions, a jump of several chunks, a teleport (far,
 negative and across the origin), a crossing and a return within one tick, a
 listing as moved of an avatar that stayed in its chunk, a pin on a loaded
-chunk, the release of a pin, and an edit that dirties a loaded chunk.  Every other
-tick evicts.  One manager is production's; the other is
+chunk, the release of a pin, an edit that dirties a loaded chunk, and an
+eviction pass (``_evict``, as the periodic one runs it).  One manager is production's; the other is
 :class:`reference_chunk_views.ReferenceChunkManager`, whose views and
 eviction are the code they replaced.  They run with no region and with a
 ``ZoneRegion`` strip a few chunks wide.
@@ -59,6 +59,7 @@ events = st.one_of(
     st.tuples(st.just("protect"), st.integers(min_value=0, max_value=10**6)),
     st.tuples(st.just("unprotect"), st.integers(min_value=0, max_value=7)),
     st.tuples(st.just("dirty"), st.integers(min_value=0, max_value=10**6)),
+    st.tuples(st.just("evict")),
 )
 cases = st.lists(st.lists(events, max_size=6), min_size=2, max_size=14)
 
@@ -75,13 +76,11 @@ class Side:
             engine=self.engine,
             world=self.world,
             generator=generator,
-            provider=LocalTerrainProvider(self.engine, generator, workers=2, work_ms=30.0),
+            provider=LocalTerrainProvider(self.engine, generator),
             storage=self.storage,
             # A view ring of 4 chunks and a keep ring of 8, on whose edge
             # chunks lie (6² + 6² = 8² + 8), so a keep test off by one shows.
             view_distance_blocks=64.0,
-            max_integrations_per_tick=6,
-            eviction_interval_ticks=2,
             region=region,
         )
         self.manager.preload_area(BlockPos(8, Y, 8), 40.0)
@@ -131,6 +130,10 @@ class Side:
             loaded = self.world.loaded_chunk_positions
             if loaded:
                 self.world._chunks[loaded[args[0] % len(loaded)]].dirty = True
+            return
+        if kind == "evict":
+            if self.table.avatars:
+                self.log.append(("evicted", self.manager._evict(self.table)))
             return
         slot = args[0]
         avatar = self.avatars.get(slot)
@@ -195,7 +198,7 @@ class Side:
 #: jumps away: its coordinates do not fit the 32-bit storage header
 FAR_DIRTY_WRITE = (
     [[("join", 0)], [("teleport", 0, 8, 2**40 + 5)]] + [[]] * 9
-    + [[("dirty", 0)], [("jump", 0, 12, 12)], [], []]
+    + [[("evict",), ("dirty", 0)], [("jump", 0, 12, 12)], [("evict",)], []]
 )
 
 

@@ -4,8 +4,9 @@ Each case is a list of ticks; before each tick a generated handful of player
 events lands: a join (a name used before reconnects with its stored state),
 a small step, a teleport across many chunks (negative coordinates and across
 the origin included), two MOVEs in one tick (one that returns to the chunk it
-left, one that crosses twice), a leave, and a join-then-leave between two
-ticks.  The cluster case also walks players across the zone edge and back.
+left, one that crosses twice), a leave, a join-then-leave between two
+ticks, and an eviction pass on every server (``_evict``, as the periodic one
+runs it).  The cluster case also walks players across the zone edge and back.
 
 After every tick the host passes ``repro.check.check`` (chunk views,
 refcounts and interest index against a recomputation, a view for every
@@ -52,6 +53,7 @@ events = st.one_of(
     st.tuples(st.just("there_and_back"), slots, far, far),
     st.tuples(st.just("two_hops"), slots, far, far),
     st.tuples(st.just("cross_edge"), slots, st.booleans()),
+    st.tuples(st.just("evict")),
 )
 cases = st.lists(st.lists(events, max_size=6), min_size=1, max_size=12)
 
@@ -68,6 +70,11 @@ class Players:
         self.settling: set[int] = set()
 
     def apply(self, event) -> None:
+        if event == ("evict",):
+            for server in getattr(self.host, "shards", [self.host]):
+                if server.avatars.avatars:
+                    server.chunks._evict(server.avatars)
+            return
         kind, slot, *args = event
         session = self.sessions.get(slot)
         if kind in ("join", "join_then_leave"):
@@ -113,26 +120,18 @@ def make_config(interest_radius):
     )
 
 
-def make_server(servo: bool, interest_radius, eviction_interval: int = 40):
+def make_server(servo: bool, interest_radius):
     config = make_config(interest_radius)
     engine = SimulationEngine(seed=11)
     server = build_servo_server(engine, config) if servo else make_opencraft(engine, config)
     server.chunks.preload_area(config.spawn_position, 48.0)
-    server.chunks.eviction_interval_ticks = eviction_interval
     return server
 
 
 @settings(max_examples=examples(100))
-@given(
-    case=cases,
-    servo=st.booleans(),
-    interest_radius=st.sampled_from([None, 2, 4]),
-    eviction_interval=st.integers(min_value=1, max_value=4),
-)
-def test_views_and_subscriptions_follow_the_avatars_on_one_server(
-    case, servo, interest_radius, eviction_interval
-):
-    server = make_server(servo, interest_radius, eviction_interval)
+@given(case=cases, servo=st.booleans(), interest_radius=st.sampled_from([None, 2, 4]))
+def test_views_and_subscriptions_follow_the_avatars_on_one_server(case, servo, interest_radius):
+    server = make_server(servo, interest_radius)
     players = Players(server)
     for tick_events in case:
         for event in tick_events:

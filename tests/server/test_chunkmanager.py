@@ -2,9 +2,10 @@
 
 from collections import Counter
 
-import pytest
-
 from repro.server.chunkmanager import (
+    EVICTION_INTERVAL_TICKS,
+    LOCAL_GENERATION_WORKERS,
+    MAX_INTEGRATIONS_PER_TICK,
     ChunkManager,
     GenerationResult,
     LocalTerrainProvider,
@@ -20,11 +21,11 @@ from repro.world.terrain import FlatTerrainGenerator
 from repro.world.world import VoxelWorld
 
 
-def make_manager(engine, storage=None, view_distance=48.0, workers=2):
+def make_manager(engine, storage=None, view_distance=48.0):
     storage = storage or LocalDiskStorage(rng=engine.rng("disk"))
     generator = FlatTerrainGenerator(seed=1)
     world = VoxelWorld()
-    provider = LocalTerrainProvider(engine, generator, workers=workers, work_ms=100.0)
+    provider = LocalTerrainProvider(engine, generator)
     manager = ChunkManager(
         engine=engine,
         world=world,
@@ -32,8 +33,6 @@ def make_manager(engine, storage=None, view_distance=48.0, workers=2):
         provider=provider,
         storage=storage,
         view_distance_blocks=view_distance,
-        max_integrations_per_tick=4,
-        eviction_interval_ticks=5,
     )
     return manager, world, provider
 
@@ -74,10 +73,11 @@ def test_missing_chunks_are_requested_and_eventually_integrated(engine):
 def test_integrations_are_bounded_per_tick(engine):
     manager, world, _ = make_manager(engine)
     avatar = avatar_at(0, 0)
-    manager.update(avatar.table, [avatar])
+    requested = manager.update(avatar.table, [avatar]).chunks_requested
+    assert requested > MAX_INTEGRATIONS_PER_TICK
     engine.advance_by(60_000.0)  # let every generation finish
     report = manager.update(avatar.table, [])
-    assert report.chunks_integrated <= manager.max_integrations_per_tick
+    assert report.chunks_integrated == MAX_INTEGRATIONS_PER_TICK
 
 
 class BurstProvider(TerrainProvider):
@@ -113,7 +113,7 @@ def test_a_chunk_waiting_for_integration_is_not_requested_again(engine):
     avatar = avatar_at(0, 0)
     manager.update(avatar.table, [avatar])
     provider.deliver()  # every reply lands at once: more than one tick can integrate
-    assert len(provider.requests) > 2 * manager.max_integrations_per_tick
+    assert len(provider.requests) > 2 * MAX_INTEGRATIONS_PER_TICK
     integrated = sum(manager.update(avatar.table, []).chunks_integrated for _ in range(20))
     assert set(provider.requests.values()) == {1}
     assert integrated == world.loaded_chunk_count == len(provider.requests)
@@ -224,7 +224,7 @@ def test_eviction_removes_far_chunks_and_persists_dirty_ones(engine):
     world._chunks[ChunkPos(0, 0)].dirty = True
     avatar = avatar_at(2000, 2000)
     evicted_total = manager.update(avatar.table, [avatar]).chunks_evicted
-    for _ in range(manager.eviction_interval_ticks):
+    for _ in range(EVICTION_INTERVAL_TICKS):
         evicted_total += manager.update(avatar.table, []).chunks_evicted
     assert evicted_total > 0
     assert storage.exists(ChunkPos(0, 0).key())
@@ -238,7 +238,7 @@ def test_an_evicted_edit_comes_back_from_storage(engine):
     world.set_block(edited, BlockType.STONE)
     away = avatar_at(2000, 2000)
     manager.update(away.table, [away])
-    for _ in range(manager.eviction_interval_ticks):
+    for _ in range(EVICTION_INTERVAL_TICKS):
         manager.update(away.table, [])
     assert not world.is_loaded(ChunkPos(0, 0))
     # The player returns: the chunk is read back, edit included, not regenerated.
@@ -257,7 +257,7 @@ def test_a_protected_chunk_far_from_every_player_survives_eviction(engine):
     manager.protect([ChunkPos(0, 0)])
     avatar = avatar_at(5000, 5000)
     manager.update(avatar.table, [avatar])
-    for _ in range(manager.eviction_interval_ticks):
+    for _ in range(EVICTION_INTERVAL_TICKS):
         manager.update(avatar.table, [])
     assert world.is_loaded(ChunkPos(0, 0))
 
@@ -288,22 +288,18 @@ def test_persist_dirty_writes_every_dirty_chunk(engine):
 
 def test_local_provider_throughput_is_limited_by_workers(engine):
     generator = FlatTerrainGenerator(seed=0)
-    provider = LocalTerrainProvider(engine, generator, workers=1, work_ms=200.0)
+    provider = LocalTerrainProvider(engine, generator)
     completions = []
-    for index in range(6):
+    requests = 3 * LOCAL_GENERATION_WORKERS
+    for index in range(requests):
         provider.request(ChunkPos(index, 0), lambda chunk, result: completions.append(engine.now_ms))
-    assert provider.pending_count() == 6
-    engine.advance_by(650.0)
-    # One worker at 200 ms per chunk finishes roughly three chunks in 650 ms.
-    assert 2 <= len(completions) <= 4
-    engine.advance_by(10_000.0)
-    assert len(completions) == 6
+    assert provider.pending_count() == requests
+    engine.advance_by(2.5 * provider.work_ms)
+    # Each worker finishes roughly two chunks in two and a half chunk times.
+    assert LOCAL_GENERATION_WORKERS < len(completions) < requests
+    engine.advance_by(100 * provider.work_ms)
+    assert len(completions) == requests
     assert provider.pending_count() == 0
-
-
-def test_local_provider_requires_a_worker(engine):
-    with pytest.raises(ValueError):
-        LocalTerrainProvider(engine, FlatTerrainGenerator(seed=0), workers=0)
 
 
 def test_protect_and_unprotect_are_reference_counted(engine):
@@ -329,11 +325,11 @@ def test_protected_chunks_survive_eviction(engine):
     far = avatar_at(2000, 2000)
     manager.preload_area(far.position, 48.0)
     manager.update(far.table, [far])
-    for _ in range(5):
+    for _ in range(EVICTION_INTERVAL_TICKS):
         manager.update(far.table, [])
     assert world.is_loaded(pin)
     manager.unprotect([pin])
-    for _ in range(6):
+    for _ in range(EVICTION_INTERVAL_TICKS):
         manager.update(far.table, [])
     assert not world.is_loaded(pin)
 
@@ -347,7 +343,7 @@ class _StripRegion(OwnershipRegion):
 def test_ownership_region_filters_loading_and_preload(engine):
     generator = FlatTerrainGenerator(seed=1)
     world = VoxelWorld()
-    provider = LocalTerrainProvider(engine, generator, workers=2, work_ms=50.0)
+    provider = LocalTerrainProvider(engine, generator)
     manager = ChunkManager(
         engine=engine,
         world=world,

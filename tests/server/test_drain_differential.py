@@ -323,7 +323,7 @@ def test_a_malformed_message_is_dropped_and_counted(side, case):
     ] == [
         (avatar.position, avatar.distance_travelled.hex()) for avatar in stand_ins.values()
     ]
-    assert (server.stats.messages_processed, server.stats.messages_rejected) == (len(case), dropped)
+    assert server.stats.messages_processed == len(case)
     assert (server.stats.blocks_placed, server.stats.blocks_broken) == (placed, broken)
     assert server.engine.metrics.counter("messages_rejected") == dropped
 
@@ -350,4 +350,4 @@ def test_a_move_past_the_64_bit_columns_is_dropped(side, axis):
         host.host.tick()
     assert walker.position.x == start.x + 3 and walker.distance_travelled == 3.0
     assert jumper.position == start.offset(dz=4) and jumper.distance_travelled == 4.0
-    assert host.host.stats.messages_rejected == 1
+    assert host.host.engine.metrics.counter("messages_rejected") == 1

@@ -283,7 +283,7 @@ def test_a_server_built_without_services_gets_the_all_local_defaults(make_server
     assert isinstance(server.storage, LocalDiskStorage)
     assert server.chunks.storage is server.storage
     assert isinstance(server.chunks.provider, LocalTerrainProvider)
-    assert server.chunks.provider.workers == 2
+    assert len(server.chunks.provider._worker_free_at_ms) == 2
     assert server.chunks.provider.generator is server.chunks.generator
     assert isinstance(server.constructs, LocalConstructBackend)
     assert server.constructs.interval == server.cost_model.construct_tick_interval == 2

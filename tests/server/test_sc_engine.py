@@ -4,6 +4,7 @@ import pytest
 
 from repro.constructs.library import build_clock, build_wire_line, standard_construct
 from repro.constructs.compiled import compile_circuit
+from construct_helpers import cell_at
 from repro.server.sc_engine import LocalConstructBackend
 
 
@@ -79,11 +80,11 @@ def test_player_modification_rebuilds_groups_and_keeps_divergent_constructs_sepa
     backend.register_construct(second)
     # Toggle the lever of the first construct only: states must diverge.
     backend.on_player_modify(first.construct_id, first.positions[0])
-    first.cell_at(first.positions[0]).state = 1
+    cell_at(first, first.positions[0]).state = 1
     for tick in range(6):
         backend.tick(tick)
-    lamp_first = first.cell_at(first.positions[-1]).state
-    lamp_second = second.cell_at(second.positions[-1]).state
+    lamp_first = cell_at(first, first.positions[-1]).state
+    lamp_second = cell_at(second, second.positions[-1]).state
     assert lamp_first == 1
     assert lamp_second == 0
     assert backend.verify_states()

@@ -10,11 +10,6 @@ def test_clock_starts_at_zero_by_default():
     assert clock.now_ms == 0.0
 
 
-def test_clock_starts_at_custom_time():
-    clock = SimulationClock(start_ms=250.0)
-    assert clock.now_ms == 250.0
-
-
 def test_advance_moves_time_forward():
     clock = SimulationClock()
     assert clock.advance(50.0) == 50.0
@@ -23,7 +18,8 @@ def test_advance_moves_time_forward():
 
 
 def test_advance_by_zero_is_allowed():
-    clock = SimulationClock(start_ms=10.0)
+    clock = SimulationClock()
+    clock.advance(10.0)
     clock.advance(0.0)
     assert clock.now_ms == 10.0
 
@@ -41,12 +37,14 @@ def test_advance_to_absolute_time():
 
 
 def test_advance_to_current_time_is_noop():
-    clock = SimulationClock(start_ms=42.0)
+    clock = SimulationClock()
+    clock.advance(42.0)
     clock.advance_to(42.0)
     assert clock.now_ms == 42.0
 
 
 def test_advance_to_past_raises():
-    clock = SimulationClock(start_ms=100.0)
+    clock = SimulationClock()
+    clock.advance(100.0)
     with pytest.raises(ClockError):
         clock.advance_to(99.0)

@@ -56,7 +56,7 @@ def test_local_list_keys_and_sizes(local):
 
 
 def test_local_latency_is_fast_after_boot(rng):
-    storage = LocalDiskStorage(rng=rng, boot_window_reads=5)
+    storage = LocalDiskStorage(rng=rng)
     storage.write("key", b"x" * 100)
     latencies = [storage.read("key").latency_ms for _ in range(500)]
     steady = latencies[50:]

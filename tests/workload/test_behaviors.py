@@ -35,10 +35,10 @@ def drive(behavior, ticks, seed=0):
 
 
 def test_bounded_behavior_stays_within_radius():
-    behavior = BoundedAreaBehavior(radius_blocks=10.0, speed_blocks_per_s=4.0)
+    behavior = BoundedAreaBehavior()
     position, messages = drive(behavior, 600)
-    assert abs(position.x - SPAWN.x) <= 11
-    assert abs(position.z - SPAWN.z) <= 11
+    assert abs(position.x - SPAWN.x) <= behavior.radius_blocks + 1
+    assert abs(position.z - SPAWN.z) <= behavior.radius_blocks + 1
     assert all(message.kind is MessageKind.MOVE for message in messages)
 
 

@@ -58,6 +58,7 @@ schedules = st.one_of(
 #: per generated argument, the attribute a production behaviour fixes it in
 #: (None: a constructor argument); the reference takes every one as an argument
 FIXED_KNOBS = {
+    "BoundedAreaBehavior": ("radius_blocks", "speed_blocks_per_s"),
     "ConvergeBehavior": ("speed_blocks_per_s", "crowd_radius_blocks", "target"),
     "IncreasingSpeedStarBehavior": (None, None, "initial_speed_blocks_per_s", None),
     "RandomBehavior": ("roam_radius_blocks",),

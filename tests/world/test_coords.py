@@ -36,13 +36,6 @@ def test_block_neighbours_are_six_axis_aligned():
     assert BlockPos(1, 1, 3) in neighbours
 
 
-def test_chunk_neighbours_excludes_self():
-    centre = ChunkPos(0, 0)
-    ring = centre.neighbours(radius=1)
-    assert len(ring) == 8
-    assert centre not in ring
-
-
 def test_chunk_key_is_stable():
     assert ChunkPos(3, -4).key() == "chunk_3_-4"
 
