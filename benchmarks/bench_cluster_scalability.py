@@ -26,8 +26,8 @@ def test_cluster_aggregate_capacity_scales_with_shards(benchmark, settings, repo
     )
     report_sink.append(("Cluster scalability: max players vs shards", format_cluster_scalability(result)))
 
-    single = result.row(1)
-    quad = result.row(4)
+    rows = {row.shard_count: row for row in result.rows}
+    single, quad = rows[1], rows[4]
     # A 4-shard cluster sustains at least twice the single-server population...
     assert single.max_players > 0
     assert quad.max_players >= 2 * single.max_players

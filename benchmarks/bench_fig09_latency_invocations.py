@@ -30,10 +30,11 @@ def test_fig09_latency_invocations_and_cost(benchmark, settings, report_sink):
     assert 0.5 * PAPER_MEAN_LATENCY_200_STEPS_MS < mean_ms[200] < 2.0 * PAPER_MEAN_LATENCY_200_STEPS_MS
 
     # The invocation rate roughly halves as the length doubles.
-    ratio = result.invocations_per_minute(50) / max(result.invocations_per_minute(100), 1e-9)
+    runs = result.runs
+    ratio = runs[50].invocations_per_minute() / max(runs[100].invocations_per_minute(), 1e-9)
     assert 1.5 < ratio < 3.0
 
     # Cost is within an order of magnitude of one VM.
-    cost = result.cost_per_hour_usd(100)
+    cost = runs[100].cost_per_hour_usd()
     assert cost < 10 * C5N_XLARGE_USD_PER_HOUR
     assert cost > 0

@@ -39,7 +39,7 @@ def cost_per_hour(steps: int, memory_mb: int, constructs: int = 50,
         end_step = construct.step + steps
         construct.apply_row(invocation.result.sequence.row_at(end_step), end_step)
         engine.advance_by(steps * 50.0)
-    single_construct_cost = platform.billing.cost_per_hour_usd(game_time_ms)
+    single_construct_cost = platform.billing.total_cost_usd() * 3_600_000.0 / game_time_ms
     return single_construct_cost * constructs
 
 

@@ -41,11 +41,12 @@ def main(players: int = 20, constructs: int = 25, duration_s: float = 30.0,
     runtime = server.runtime
     efficiency = server.engine.metrics.histogram("speculation_efficiency")
     print("\nServerless offloading")
-    print(f"  function invocations:      {runtime.billing.invocation_count}")
+    print(f"  function invocations:      {len(runtime.billing.charges)}")
     print(f"  construct loops detected:  {result.counters.get('loops_detected', 0):.0f}")
     if len(efficiency):
         print(f"  median speculation efficiency: {efficiency.percentile(50):.2f}")
-    print(f"  estimated cost per hour:   ${runtime.cost_per_hour_usd(result.end_virtual_ms):.3f}")
+    cost_per_hour = runtime.billing.total_cost_usd() * 3_600_000.0 / result.end_virtual_ms
+    print(f"  estimated cost per hour:   ${cost_per_hour:.3f}")
     return result
 
 

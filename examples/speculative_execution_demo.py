@@ -59,7 +59,7 @@ def main(ticks: int = 400, post_edit_ticks: int = 100) -> SpeculativeConstructBa
           f"invocations={farm_record.invocations_issued}")
     print(f"  clock  : merged={clock_record.merged_steps:4d} fallback={clock_record.fallback_steps:3d} "
           f"invocations={clock_record.invocations_issued} (loop detected -> no re-invocation)")
-    efficiency = backend.efficiency_samples()
+    efficiency = backend.metrics.histogram("speculation_efficiency").samples
     print(f"  speculation efficiency samples: {[round(sample, 2) for sample in efficiency[:6]]} ...")
 
     # A player toggles a block next to the farm: the logical timestamp advances

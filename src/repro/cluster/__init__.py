@@ -19,11 +19,10 @@ store:
 
 from repro.cluster.assembly import build_opencraft_cluster, build_servo_cluster
 from repro.cluster.coordinator import ClusterChunks, ClusterCoordinator, MigrationRecord
-from repro.cluster.partition import WorldPartitioner, ZoneRegion
+from repro.cluster.partition import WorldPartitioner
 
 __all__ = [
     "WorldPartitioner",
-    "ZoneRegion",
     "ClusterChunks",
     "ClusterCoordinator",
     "MigrationRecord",

@@ -47,9 +47,6 @@ class ShardRecoveryRecord:
     """One completed shard crash-recovery cycle (kill through respawn)."""
 
     shard_index: int
-    shard_name: str
-    killed_round: int
-    killed_ms: float
     respawned_ms: float
     #: rounds the zone was down — the recovery's MTTR, in ticks
     downtime_rounds: int
@@ -67,7 +64,6 @@ class _DeadShard:
     """Book-keeping for a killed shard awaiting respawn."""
 
     kill: "ShardKill"
-    shard_name: str
     killed_round: int
     killed_ms: float
     lost_player_ticks: int = field(default=0)
@@ -165,10 +161,6 @@ class ClusterCoordinator(TickLoop):
     def player_count(self) -> int:
         return sum(shard.player_count for shard in self.shards)
 
-    @property
-    def construct_count(self) -> int:
-        return sum(shard.construct_count for shard in self.shards)
-
     def spawn_points(self) -> list[BlockPos]:
         """Every spawn position the coordinator hands out (for preloading)."""
         base = self.config.spawn_position
@@ -244,12 +236,6 @@ class ClusterCoordinator(TickLoop):
         zone = self.partitioner.zone_of_block(construct.positions[0])
         self._construct_homes[construct.construct_id] = zone
         self.shards[zone].place_construct(construct)
-
-    def remove_construct(self, construct_id: int) -> None:
-        zone = self._construct_homes.pop(construct_id, None)
-        if zone is None:
-            raise KeyError(f"no construct with id {construct_id} in the cluster")
-        self.shards[zone].remove_construct(construct_id)
 
     # -- migration -------------------------------------------------------------------
 
@@ -388,7 +374,6 @@ class ClusterCoordinator(TickLoop):
         shard = self.shards[slot]
         self._dead[slot] = _DeadShard(
             kill=kill,
-            shard_name=shard.name,
             killed_round=self.round_index,
             killed_ms=self.engine.now_ms,
         )
@@ -432,9 +417,6 @@ class ClusterCoordinator(TickLoop):
         downtime_rounds = self.round_index - dead.killed_round
         record = ShardRecoveryRecord(
             shard_index=slot,
-            shard_name=dead.shard_name,
-            killed_round=dead.killed_round,
-            killed_ms=dead.killed_ms,
             respawned_ms=self.engine.now_ms,
             downtime_rounds=downtime_rounds,
             sessions_recovered=recovered,

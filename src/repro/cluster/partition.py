@@ -13,27 +13,11 @@ same seed produce the same migration schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.server.chunkmanager import OwnershipRegion
 from repro.world.coords import CHUNK_SIZE, BlockPos
 
 #: the width of a zone strip in chunks (16 chunks = 256 blocks)
 ZONE_WIDTH_CHUNKS = 16
-
-
-@dataclass(frozen=True)
-class ZoneRegion(OwnershipRegion):
-    """One shard's ownership zone: a strip of chunks along the x axis.
-
-    ``min_cx`` is inclusive, ``max_cx`` exclusive; ``None`` means unbounded
-    (the outermost zones own everything beyond the last boundary).
-    """
-
-    zone_id: int
-    min_cx: Optional[int]
-    max_cx: Optional[int]
 
 
 class WorldPartitioner:
@@ -64,18 +48,18 @@ class WorldPartitioner:
         """The zone owning a block position."""
         return self.zone_of_cx(position.x // CHUNK_SIZE)
 
-    def region(self, zone_id: int) -> ZoneRegion:
+    def region(self, zone_id: int) -> OwnershipRegion:
         """The ownership region of one zone."""
         if not 0 <= zone_id < self.shard_count:
             raise ValueError(
                 f"zone_id must be in [0, {self.shard_count}), got {zone_id}"
             )
         if self.shard_count == 1:
-            return ZoneRegion(zone_id=0, min_cx=None, max_cx=None)
+            return OwnershipRegion(min_cx=None, max_cx=None)
         width = ZONE_WIDTH_CHUNKS
         min_cx = None if zone_id == 0 else zone_id * width
         max_cx = None if zone_id == self.shard_count - 1 else (zone_id + 1) * width
-        return ZoneRegion(zone_id=zone_id, min_cx=min_cx, max_cx=max_cx)
+        return OwnershipRegion(min_cx=min_cx, max_cx=max_cx)
 
     # -- spawn placement -------------------------------------------------------------
 

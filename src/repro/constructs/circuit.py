@@ -131,9 +131,6 @@ class SimulatedConstruct:
     def block_count(self) -> int:
         return len(self.positions)
 
-    def contains(self, pos: BlockPos) -> bool:
-        return pos in self.index_of
-
     def bounding_box(self) -> tuple[BlockPos, BlockPos]:
         xs = [p.x for p in self.positions]
         ys = [p.y for p in self.positions]

@@ -40,9 +40,6 @@ class ConstructState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", dict(self.states))
 
-    def value(self, pos: BlockPos) -> int:
-        return int(self.states[pos])
-
     def digest(self) -> str:
         return state_hash(self.states)
 

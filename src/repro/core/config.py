@@ -27,6 +27,11 @@ class ServoConfig:
     def __post_init__(self) -> None:
         if self.provider not in ("aws", "azure"):
             raise ValueError(f"unknown provider {self.provider!r}; expected 'aws' or 'azure'")
+        for name, value in (
+            ("steps_per_invocation", self.steps_per_invocation), ("tick_lead", self.tick_lead)
+        ):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.steps_per_invocation < 1:
             raise ValueError("steps_per_invocation must be at least 1")
         if self.tick_lead < 0:

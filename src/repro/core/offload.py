@@ -110,12 +110,9 @@ class OffloadRequest:
 class OffloadReply:
     """The result of one construct-simulation invocation."""
 
-    construct_id: int | None
     #: echoed logical timestamp; the server discards the reply if it is stale
     timestamp: int
     sequence: CompressedStateSequence
-    #: how many steps were actually simulated inside the function
-    simulated_steps: int
     loop_detected: bool = False
 
 
@@ -185,10 +182,8 @@ class SimulationHandler:
 
         sequence, steps_executed, work_ms = cached
         reply = OffloadReply(
-            construct_id=payload.construct_id,
             timestamp=payload.timestamp,
             sequence=sequence,
-            simulated_steps=steps_executed,
             loop_detected=sequence.is_looping,
         )
         return FunctionOutput(value=reply, work_ms_single_vcpu=work_ms)

@@ -61,10 +61,6 @@ class ServoRuntime(ServerRuntime):
     def billing(self):
         return self.platform.billing
 
-    def cost_per_hour_usd(self, window_ms: float) -> float:
-        """Servo's serverless cost extrapolated to one hour of operation."""
-        return self.platform.billing.cost_per_hour_usd(window_ms)
-
     def before_tick(self, server: GameServer, tick_index: int) -> None:
         """The prefetcher runs periodically, off the latency-critical path."""
         if tick_index % PREFETCH_INTERVAL_TICKS == 0:

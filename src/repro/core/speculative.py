@@ -302,6 +302,3 @@ class SpeculativeConstructBackend(ConstructBackend):
 
     def record_for(self, construct_id: int) -> SpeculationRecord:
         return self._records[construct_id]
-
-    def efficiency_samples(self) -> list[float]:
-        return self.metrics.histogram("speculation_efficiency").samples

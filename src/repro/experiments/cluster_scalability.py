@@ -31,8 +31,6 @@ class ClusterMeasurement:
     players: int
     #: P99 tick duration per shard over the measurement window
     per_shard_p99_ms: dict[str, float]
-    #: P99 of the lockstep round durations (the slowest shard each round)
-    round_p99_ms: float
     #: completed player migrations over the whole run
     migrations: int
     #: median migration handoff latency (0.0 when no migrations occurred)
@@ -64,12 +62,6 @@ class ClusterScalabilityResult:
     game: str
     budget_ms: float
     rows: list[ClusterScalabilityRow] = field(default_factory=list)
-
-    def row(self, shard_count: int) -> ClusterScalabilityRow:
-        for row in self.rows:
-            if row.shard_count == shard_count:
-                return row
-        raise KeyError(f"no row for shard_count={shard_count}")
 
     def baseline_row(self) -> ClusterScalabilityRow:
         """The row with the fewest shards (the comparison baseline)."""
@@ -115,7 +107,6 @@ def measure_cluster(
         shard_count=shards,
         players=players,
         per_shard_p99_ms=per_shard_p99,
-        round_p99_ms=percentile(round_durations_ms, 99),
         migrations=len(migration_samples),
         migration_latency_p50_ms=(
             percentile(migration_samples, 50) if migration_samples else 0.0

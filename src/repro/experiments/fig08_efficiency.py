@@ -35,8 +35,6 @@ DEFAULT_CONSTRUCT_COUNT = 20
 class OffloadRunResult:
     """Measurements from one (tick lead, simulation length) configuration."""
 
-    tick_lead: int
-    steps: int
     efficiency_samples: list[float] = field(default_factory=list)
     latency_samples_ms: list[float] = field(default_factory=list)
     invocations: int = 0
@@ -99,8 +97,6 @@ def run_offload_configuration(
     assert runtime is not None
     metrics = engine.metrics
     return OffloadRunResult(
-        tick_lead=tick_lead,
-        steps=steps,
         efficiency_samples=metrics.histogram("speculation_efficiency").samples,
         latency_samples_ms=metrics.histogram("offload_latency_ms").samples,
         invocations=int(metrics.counter("offload_invocations")),

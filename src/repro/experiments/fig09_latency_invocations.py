@@ -23,12 +23,6 @@ class Fig09Result:
 
     runs: dict[int, OffloadRunResult] = field(default_factory=dict)
 
-    def invocations_per_minute(self, steps: int) -> float:
-        return self.runs[steps].invocations_per_minute()
-
-    def cost_per_hour_usd(self, steps: int) -> float:
-        return self.runs[steps].cost_per_hour_usd()
-
 
 def run_fig09(
     settings: ExperimentSettings | None = None,

@@ -57,7 +57,6 @@ class Fig10Result:
     runs: dict[str, TerrainQosRun] = field(default_factory=dict)
     players: int = 5
     duration_s: float = 0.0
-    speed_increase_interval_s: float = 200.0
 
 
 def _run_game(
@@ -107,11 +106,7 @@ def run_fig10(
         duration_s = max(settings.duration_s * 10.0, 120.0)
     if speed_increase_interval_s is None:
         speed_increase_interval_s = duration_s / 5.0
-    result = Fig10Result(
-        players=PLAYERS,
-        duration_s=duration_s,
-        speed_increase_interval_s=speed_increase_interval_s,
-    )
+    result = Fig10Result(players=PLAYERS, duration_s=duration_s)
     for game in GAMES:
         result.runs[game] = _run_game(game, settings, duration_s, speed_increase_interval_s)
     return result

@@ -63,7 +63,6 @@ class TerrainScalabilityRun:
     """One game's run for one workload."""
 
     game: str
-    workload: str
     supported_players: int
     max_connected: int
 
@@ -73,9 +72,7 @@ class Fig12aResult:
     runs: dict[tuple[str, str], TerrainScalabilityRun] = field(default_factory=dict)
 
 
-def _run_terrain(
-    game: str, workload: str, seed: int, scenario: WorkloadSpec
-) -> TerrainScalabilityRun:
+def _run_terrain(game: str, seed: int, scenario: WorkloadSpec) -> TerrainScalabilityRun:
     """One default-terrain run without warm-up, read as a supported-player count."""
     result = run_spec(
         RunSpec(
@@ -91,7 +88,6 @@ def _run_terrain(
     players = [record.players for record in records]
     return TerrainScalabilityRun(
         game=game,
-        workload=workload,
         supported_players=supported_players_from_series(times_ms, durations_ms, times_ms, players),
         max_connected=max(players, default=0),
     )
@@ -117,8 +113,7 @@ def run_fig12a(
                     "join_interval_s": join_interval_s,
                 },
             )
-            workload = f"S{speed:g}"
-            result.runs[(game, workload)] = _run_terrain(game, workload, settings.seed, scenario)
+            result.runs[(game, f"S{speed:g}")] = _run_terrain(game, settings.seed, scenario)
     return result
 
 
@@ -164,7 +159,7 @@ def run_fig12b(
     result = Fig12bResult()
     for game in GAMES:
         result.supported[game] = [
-            _run_terrain(game, "R", settings.seed + repetition * 101, scenario).supported_players
+            _run_terrain(game, settings.seed + repetition * 101, scenario).supported_players
             for repetition in range(settings.repetitions)
         ]
     return result

@@ -17,10 +17,7 @@ from repro.faas.providers import BillingRates
 class InvocationCharge:
     """The billed quantities of one invocation."""
 
-    function_name: str
-    time_ms: float
     billed_duration_ms: float
-    memory_mb: int
     cost_usd: float
 
 
@@ -31,7 +28,7 @@ class BillingModel:
     rates: BillingRates
     charges: list[InvocationCharge] = field(default_factory=list)
 
-    def record(self, function_name: str, time_ms: float, execution_ms: float, memory_mb: int) -> InvocationCharge:
+    def record(self, execution_ms: float, memory_mb: int) -> InvocationCharge:
         """Record one invocation and return its charge."""
         increment = self.rates.billing_increment_ms
         billed_ms = max(self.rates.minimum_billed_ms, execution_ms)
@@ -42,32 +39,11 @@ class BillingModel:
             self.rates.usd_per_million_requests / 1_000_000.0
             + gb_seconds * self.rates.usd_per_gb_second
         )
-        charge = InvocationCharge(
-            function_name=function_name,
-            time_ms=time_ms,
-            billed_duration_ms=billed_ms,
-            memory_mb=memory_mb,
-            cost_usd=cost,
-        )
+        charge = InvocationCharge(billed_duration_ms=billed_ms, cost_usd=cost)
         self.charges.append(charge)
         return charge
 
     # -- summaries --------------------------------------------------------------------
 
-    @property
-    def invocation_count(self) -> int:
-        return len(self.charges)
-
     def total_cost_usd(self) -> float:
         return sum(charge.cost_usd for charge in self.charges)
-
-    def cost_per_hour_usd(self, window_ms: float) -> float:
-        """Cost extrapolated to one hour given the observation window length."""
-        if window_ms <= 0:
-            raise ValueError("window_ms must be positive")
-        return self.total_cost_usd() * (3_600_000.0 / window_ms)
-
-    def invocations_per_minute(self, window_ms: float) -> float:
-        if window_ms <= 0:
-            raise ValueError("window_ms must be positive")
-        return len(self.charges) * (60_000.0 / window_ms)

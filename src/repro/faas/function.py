@@ -56,15 +56,9 @@ class Invocation:
     execution_ms: float
     cold_start: bool
     cold_start_ms: float
-    memory_mb: int
     result: Any = field(default=None)
     #: "ok", "timeout", "failure" (function error) or "throttled" (rejected
     #: at the control plane); anything but "ok" means ``result`` is None
     status: str = "ok"
     #: attempts behind this record (> 1 only for retry aggregates)
     attempts: int = 1
-
-    @property
-    def overhead_ms(self) -> float:
-        """Latency not spent executing the handler (network, control plane, cold start)."""
-        return self.latency_ms - self.execution_ms

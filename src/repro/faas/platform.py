@@ -108,7 +108,6 @@ class FaasPlatform:
                 execution_ms=0.0,
                 cold_start=False,
                 cold_start_ms=0.0,
-                memory_mb=definition.memory_mb,
                 result=None,
                 status="throttled",
             )
@@ -156,13 +155,12 @@ class FaasPlatform:
             execution_ms=execution_ms,
             cold_start=cold,
             cold_start_ms=cold_ms,
-            memory_mb=definition.memory_mb,
             result=None if status != "ok" else output.value,
             status=status,
         )
         # Failed and timed-out executions are billed for their execution
         # time, exactly as real providers bill them.
-        self.billing.record(name, submitted_ms, execution_ms, definition.memory_mb)
+        self.billing.record(execution_ms, definition.memory_mb)
         self.invocations.append(invocation)
         self._trace_invocation(invocation)
         return invocation

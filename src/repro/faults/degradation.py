@@ -30,9 +30,6 @@ class DegradationController:
         self.server_name = server_name
         self._record = record
         self._over_budget = False
-        #: ticks in which this controller shed at least one broadcast (the
-        #: ``broadcast_updates_shed`` counter sums what they shed)
-        self.shedding_ticks = 0
 
     def shed_count(self, due: int, unit: str) -> int:
         """How many of the ``due`` broadcast ``unit``s to shed this tick (0 under budget).
@@ -44,7 +41,6 @@ class DegradationController:
             return 0
         shed = int(due * self.policy.shed_fraction)
         if shed > 0:
-            self.shedding_ticks += 1
             self.metrics.increment("broadcast_updates_shed", shed)
             if self._record is not None:
                 self._record("degradation.shed", f"{self.server_name} {unit}={shed}")

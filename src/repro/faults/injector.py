@@ -46,9 +46,6 @@ class FaultTimeline:
     def record(self, time_ms: float, kind: str, detail: str = "") -> None:
         self.events.append(FaultEvent(time_ms=time_ms, kind=kind, detail=detail))
 
-    def count(self, kind_prefix: str = "") -> int:
-        return sum(1 for event in self.events if event.kind.startswith(kind_prefix))
-
     def digest(self) -> str:
         """A stable hash of the full timeline (the rerun-determinism gate)."""
         hasher = hashlib.sha256()

@@ -25,7 +25,6 @@ The four sections:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -325,10 +324,3 @@ class FaultPlan:
         if self.degradation is not None:
             out["degradation"] = self.degradation.to_dict()
         return out
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

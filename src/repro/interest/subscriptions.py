@@ -125,8 +125,6 @@ class FlushReport:
     flushes: int = 0
     near_flushes: int = 0
     far_flushes: int = 0
-    #: far batches whose budget expired this tick (before shedding)
-    far_due: int = 0
     #: due far batches deferred by graceful degradation (budget widening)
     flushes_shed: int = 0
     #: largest staleness (ticks) observed across this tick's flushes
@@ -386,7 +384,6 @@ class InterestMap:
                 )
                 if staleness >= MAX_STALENESS_TICKS or sub.far_drift >= MAX_DRIFT_BLOCKS:
                     due_far.append((staleness, sub))
-        report.far_due = len(due_far)
 
         shed = shed_far(len(due_far)) if shed_far is not None and due_far else 0
         if shed > 0:

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.obs.telemetry import INSTANT_PHASE, SPAN_PHASE, Telemetry
+
+if TYPE_CHECKING:
+    from repro.sim.metrics import MetricRegistry
 
 #: the trace's single virtual "process"
 TRACE_PID = 1
@@ -135,7 +138,7 @@ def _prom_value(value: float) -> str:
     return repr(float(value))
 
 
-def prometheus_text(metrics: Any) -> str:
+def prometheus_text(metrics: MetricRegistry) -> str:
     """A Prometheus exposition-style dump of a :class:`MetricRegistry`.
 
     Per-shard histogram variants (``base:shard``, see

@@ -188,41 +188,6 @@ class Telemetry(NullTelemetry):
             return nullcontext()
         return self.profiler.section(section)
 
-    # -- introspection --------------------------------------------------------------
-
-    def spans(self, category: Optional[str] = None) -> list[TraceEvent]:
-        """Recorded spans, optionally filtered by category."""
-        return [
-            event
-            for event in self.events
-            if event.phase == SPAN_PHASE
-            and (category is None or event.category == category)
-        ]
-
-    def instants(self, category: Optional[str] = None) -> list[TraceEvent]:
-        """Recorded instant events, optionally filtered by category."""
-        return [
-            event
-            for event in self.events
-            if event.phase == INSTANT_PHASE
-            and (category is None or event.category == category)
-        ]
-
-    def virtual_digest(self) -> str:
-        """A stable hash of the full virtual-time record.
-
-        Wall-clock data lives only in :attr:`profiler`, never in
-        :attr:`events`, so the digest is reproducible from the seed even for
-        profiled runs.
-        """
-        import hashlib
-
-        hasher = hashlib.sha256()
-        for event in self.events:
-            hasher.update(repr(event.to_dict()).encode("utf-8"))
-            hasher.update(b";")
-        return hasher.hexdigest()
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -40,7 +40,7 @@ from repro.sim.engine import SimulationEngine
 from repro.storage.base import StorageBackend, StorageOperation
 from repro.world.chunk import Chunk
 from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, block_to_chunk
-from repro.world.serialization import chunk_from_bytes, chunk_to_bytes
+from repro.world.serialization import ChunkFormatError, chunk_from_bytes, chunk_to_bytes
 from repro.world.terrain import TerrainGenerator
 from repro.world.world import VoxelWorld
 
@@ -114,6 +114,7 @@ class GenerationResult:
 ChunkCallback = Callable[[Chunk, GenerationResult], None]
 
 
+@dataclass(frozen=True)
 class OwnershipRegion:
     """A server's ownership region in a partitioned world: a strip of chunk columns.
 
@@ -367,7 +368,7 @@ class ChunkManager:
     def _on_chunk_loaded(self, position: ChunkPos, operation: StorageOperation) -> None:
         try:
             chunk = chunk_from_bytes(operation.data or b"")
-        except Exception:
+        except ChunkFormatError:
             # A corrupt stored chunk falls back to regeneration.
             self.provider.request(position, self._on_chunk_available)
             return

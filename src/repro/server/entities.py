@@ -24,11 +24,15 @@ import math
 from array import array
 from operator import attrgetter, itemgetter, sub
 from itertools import compress
-from typing import Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.world.coords import CHUNK_SIZE, BlockPos
+
+if TYPE_CHECKING:
+    from repro.net.message import Message
+    from repro.server.session import PlayerSession
 
 #: a run of at least this many MOVEs is applied by the numpy pass, a shorter
 #: one by the loop: the pass costs about thirty numpy calls, the loop one
@@ -176,8 +180,8 @@ class AvatarTable:
 
     def apply_moves(
         self,
-        senders: Sequence,
-        moves: Sequence,
+        senders: Sequence["PlayerSession"],
+        moves: Sequence["Message"],
         moved: list[Avatar],
         note_dirty: Optional[Callable[..., None]],
     ) -> int:
@@ -198,7 +202,7 @@ class AvatarTable:
         after it are applied.  Returns how many were dropped.
         """
         if len(moves) >= ARRAY_PASS_MIN_MOVES:
-            avatars = list(map(_AVATAR, senders))
+            avatars: list[Avatar] = list(map(_AVATAR, senders))
             stepped = self._move_array(avatars, list(map(_PAYLOAD, moves)))
             if stepped is not None:
                 distances, cxs, czs, crossed = stepped

@@ -136,8 +136,6 @@ class ServerStatistics:
 
     #: client messages drained, malformed ones (the ``messages_rejected`` counter) included
     messages_processed: int = 0
-    blocks_placed: int = 0
-    blocks_broken: int = 0
 
 
 class GameServer(TickLoop):
@@ -261,7 +259,6 @@ class GameServer(TickLoop):
         if self.storage.exists(key):
             operation = self.storage.read(key)
             self.engine.metrics.histogram("player_load_ms").record(operation.latency_ms)
-            session.restore_latency_ms = operation.latency_ms
             restore_avatar_state(avatar, operation.data or b"", restore_position=position is None)
         else:
             self.storage.write(key, snapshot_session(session))
@@ -343,10 +340,6 @@ class GameServer(TickLoop):
         self.chunks.unprotect(self._construct_pins.pop(construct_id, []))
         self.construct_anchors.pop(construct_id, None)
 
-    @property
-    def construct_count(self) -> int:
-        return len(self.constructs.constructs())
-
     # -- message processing --------------------------------------------------------------
 
     def _drain_messages(self, work: TickWork) -> None:
@@ -418,10 +411,8 @@ class GameServer(TickLoop):
                 else:
                     if kind is MessageKind.PLACE_BLOCK:
                         avatar.blocks_placed += 1
-                        self.stats.blocks_placed += 1
                     else:
                         avatar.blocks_broken += 1
-                        self.stats.blocks_broken += 1
             self._notify_construct_edit(target)
             self._notify_broadcast_edit(target, avatar.player_id)
         elif kind is MessageKind.CHAT:

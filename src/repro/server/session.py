@@ -39,8 +39,6 @@ class PlayerSession:
     avatar: Avatar
     _inbox: list[Message] = field(default_factory=list)
     disconnected: bool = False
-    #: latency of the storage read that restored this session's state (0 if none)
-    restore_latency_ms: float = 0.0
     #: updates accounted before/outside the attached broadcast clock
     _updates_sent_base: int = 0
     _broadcast_clock: Optional["FullFanout"] = None

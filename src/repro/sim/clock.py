@@ -16,9 +16,8 @@ class ClockError(RuntimeError):
 class SimulationClock:
     """A monotonically advancing millisecond clock.
 
-    The clock starts at 0.  Use :meth:`advance` to move
-    time forward by a delta and :meth:`advance_to` to jump to an absolute
-    time.  Both refuse to move the clock backwards.
+    The clock starts at 0.  :meth:`advance_to` moves it to an absolute time
+    and refuses to move it backwards.
     """
 
     def __init__(self) -> None:
@@ -27,13 +26,6 @@ class SimulationClock:
     @property
     def now_ms(self) -> float:
         """Current virtual time in milliseconds."""
-        return self._now_ms
-
-    def advance(self, delta_ms: float) -> float:
-        """Advance the clock by ``delta_ms`` milliseconds and return the new time."""
-        if delta_ms < 0:
-            raise ClockError(f"cannot advance clock by negative delta {delta_ms!r}")
-        self._now_ms += float(delta_ms)
         return self._now_ms
 
     def advance_to(self, time_ms: float) -> float:

@@ -239,11 +239,6 @@ class Histogram:
         # np.percentile returns identical values for sorted and raw input.
         return percentile(self._samples.sorted_view(), q)
 
-    def mean(self) -> float:
-        if len(self._samples) == 0:
-            raise ValueError(f"histogram {self.name!r} is empty")
-        return float(self._samples.view().mean())
-
     def maximum(self) -> float:
         if len(self._samples) == 0:
             raise ValueError(f"histogram {self.name!r} is empty")
@@ -254,9 +249,6 @@ class Histogram:
         # (numpy's pairwise sum is order-sensitive) to stay bit-identical to
         # the list-based implementation.
         return boxplot_stats(self._samples.view())
-
-    def fraction_exceeding(self, threshold: float) -> float:
-        return fraction_exceeding(self._samples.view(), threshold)
 
 
 @dataclass
@@ -285,10 +277,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self._values)
-
-    @property
-    def times_ms(self) -> list[float]:
-        return self._times.view().tolist()
 
     @property
     def values(self) -> list[float]:

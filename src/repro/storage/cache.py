@@ -27,7 +27,6 @@ class CacheStatistics:
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
 
 
 class CachedStorage(StorageBackend):
@@ -67,7 +66,6 @@ class CachedStorage(StorageBackend):
         self._entries.move_to_end(key)
         while len(self._entries) > self._capacity:
             evicted_key, evicted_data = self._entries.popitem(last=False)
-            self.stats.evictions += 1
             if evicted_key in self._dirty:
                 # Never lose dirty data: evicting a dirty entry forces a write-back.
                 self._remote.write(evicted_key, evicted_data)

@@ -34,7 +34,6 @@ class ScenarioResult:
     """Measurements collected from one scenario run."""
 
     scenario_name: str
-    server_name: str
     players: int
     constructs: int
     duration_s: float
@@ -127,7 +126,6 @@ class Scenario:
         records = server.tick_records[measured_from:]
         return ScenarioResult(
             scenario_name=self.name,
-            server_name=server.name,
             players=self.players,
             constructs=self.constructs,
             duration_s=self.duration_s,

@@ -75,14 +75,6 @@ class Chunk:
             raise KeyError(f"block {pos} is outside the world height range")
         return lx, pos.y, lz
 
-    def contains(self, pos: BlockPos) -> bool:
-        origin = chunk_origin(self.position)
-        return (
-            origin.x <= pos.x < origin.x + CHUNK_SIZE
-            and origin.z <= pos.z < origin.z + CHUNK_SIZE
-            and 0 <= pos.y < CHUNK_HEIGHT
-        )
-
     # -- block access ------------------------------------------------------------------
 
     def get_block(self, pos: BlockPos) -> BlockType:
@@ -95,9 +87,6 @@ class Chunk:
         self.dirty = True
 
     # -- summary helpers ----------------------------------------------------------------
-
-    def block_count(self, block_type: BlockType) -> int:
-        return int(np.count_nonzero(self.blocks == int(block_type)))
 
     def copy(self) -> "Chunk":
         return Chunk(

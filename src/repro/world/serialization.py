@@ -56,7 +56,10 @@ def chunk_from_bytes(data: bytes) -> Chunk:
     payload = data[header.size:header.size + payload_len]
     if len(payload) != payload_len:
         raise ChunkFormatError("chunk blob payload is truncated")
-    raw = zlib.decompress(payload)
+    try:
+        raw = zlib.decompress(payload)
+    except zlib.error as error:
+        raise ChunkFormatError(f"chunk blob payload does not decompress: {error}") from error
     expected = CHUNK_SIZE * CHUNK_HEIGHT * CHUNK_SIZE
     blocks = np.frombuffer(raw, dtype=np.uint8)
     if blocks.size != expected:

@@ -36,9 +36,6 @@ FLAT_SURFACE_LEVEL = 64
 class TerrainGenerator:
     """Interface for terrain generators."""
 
-    #: name used in scenario configuration ("default" or "flat")
-    world_type: str = "abstract"
-
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
 
@@ -61,8 +58,6 @@ class TerrainGenerator:
 
 class FlatTerrainGenerator(TerrainGenerator):
     """An infinite plain: bedrock, stone, dirt and a grass surface."""
-
-    world_type = "flat"
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)
@@ -119,8 +114,6 @@ _COLUMN_STARTS = np.arange(CHUNKS_PER_PASS * CHUNK_SIZE * CHUNK_SIZE).reshape(
 
 class DefaultTerrainGenerator(TerrainGenerator):
     """Noise-based terrain with mountains, beaches, water and snow caps."""
-
-    world_type = "default"
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)

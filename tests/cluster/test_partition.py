@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cluster.partition import ZONE_WIDTH_CHUNKS as W, WorldPartitioner, ZoneRegion
+from repro.cluster.partition import ZONE_WIDTH_CHUNKS as W, WorldPartitioner
+from repro.server.chunkmanager import OwnershipRegion
 from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos
 
 
@@ -39,7 +40,7 @@ def test_every_chunk_has_exactly_one_owner():
     regions = [partitioner.region(zone) for zone in range(partitioner.shard_count)]
     for cx in range(-W - 4, 3 * W + 4):
         position = ChunkPos(cx, 7)
-        owners = [region.zone_id for region in regions if region.contains(position)]
+        owners = [zone for zone, region in enumerate(regions) if region.contains(position)]
         # The spellings of "who owns this" agree, negatives included.
         assert owners == [partitioner.zone_of_cx(cx)]
         assert owners == [partitioner.zone_of_block(BlockPos(cx * CHUNK_SIZE + 5, 65, -3))]
@@ -63,8 +64,8 @@ def test_region_validates_zone_id():
         partitioner.zone_spawn(-1, BlockPos(0, 65, 0))
 
 
-def test_zone_region_dataclass_contains():
-    region = ZoneRegion(zone_id=1, min_cx=4, max_cx=8)
+def test_ownership_region_contains():
+    region = OwnershipRegion(min_cx=4, max_cx=8)
     assert not region.contains(ChunkPos(3, 0))
     assert region.contains(ChunkPos(4, 0))
     assert region.contains(ChunkPos(7, -2))

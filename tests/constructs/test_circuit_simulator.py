@@ -157,7 +157,7 @@ def test_construct_state_equality_and_membership():
     assert state != other_step
     assert state.states == other_step.states
     assert len(state) == 1
-    assert state.value(BlockPos(0, 0, 0)) == 1
+    assert state.states[BlockPos(0, 0, 0)] == 1
 
 
 def test_sized_construct_hits_target_block_count():

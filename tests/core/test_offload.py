@@ -105,7 +105,7 @@ def test_handler_reply_matches_local_simulation():
     output = handler(request)
     reply = output.value
     assert isinstance(reply, OffloadReply)
-    assert reply.simulated_steps == 25
+    assert reply.sequence.explicit_length == 25
     assert not reply.loop_detected
 
     # The reply's states must equal what the server would compute locally.
@@ -124,7 +124,7 @@ def test_handler_detects_loops_and_stops_early():
     output = handler(request)
     reply = output.value
     assert reply.loop_detected
-    assert reply.simulated_steps < 200
+    assert reply.sequence.explicit_length < 200
     assert output.work_ms_single_vcpu < simulation_work_ms(construct.block_count, 200)
     # The looping sequence still matches direct simulation far into the future.
     local = clone_construct(construct)
@@ -146,14 +146,12 @@ def test_handler_memoises_identical_requests_across_translations():
     handler = SimulationHandler()
     first = build_sized_construct(60, origin=BlockPos(0, 64, 0))
     second = build_sized_construct(60, origin=BlockPos(512, 64, 512))
-    first.construct_id, second.construct_id = 1, 2
     reply_a = handler(OffloadRequest.from_construct(first, steps=30)).value
     reply_b = handler(OffloadRequest.from_construct(second, steps=30)).value
     # Same dynamics: the memo hands both constructs the very same matrix, and
     # each reads it against its own cells.
     assert reply_a.sequence.states is reply_b.sequence.states
     assert not reply_a.sequence.states.flags.writeable
-    assert (reply_a.construct_id, reply_b.construct_id) == (first.construct_id, second.construct_id)
     for _ in range(5):
         compile_circuit(second).step()
     assert reply_b.sequence.row_at(5).tolist() == [cell.state for cell in second.cells]

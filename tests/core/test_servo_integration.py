@@ -46,7 +46,7 @@ def test_servo_runs_a_construct_workload_and_offloads(engine):
     result = scenario.run(server)
     runtime = server.runtime
     assert len(result.tick_durations_ms) > 80
-    assert runtime.platform.billing.invocation_count >= 10
+    assert len(runtime.platform.billing.charges) >= 10
     assert engine.metrics.counter("offload_invocations") >= 10
     # Construct state really advanced (one step per tick).
     constructs = server.constructs.constructs()
@@ -114,10 +114,7 @@ def test_servo_cost_accounting_is_exposed(engine):
     scenario = behaviour_a(players=2, constructs=5, duration_s=3.0)
     scenario.warmup_s = 0.5
     scenario.run(server)
-    runtime = server.runtime
-    window_ms = engine.now_ms
-    assert runtime.billing.total_cost_usd() > 0
-    assert runtime.cost_per_hour_usd(window_ms) > 0
+    assert server.runtime.billing.total_cost_usd() > 0
 
 
 def test_servo_storage_goes_through_its_cache_and_prefetches(engine):

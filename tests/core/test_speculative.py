@@ -37,7 +37,7 @@ def run_ticks(engine, backend, ticks, tick_ms=50.0):
 def test_registration_issues_the_first_invocation(engine):
     backend, platform = make_backend(engine)
     backend.register_construct(build_counter_farm(hoppers=2))
-    assert platform.billing.invocation_count == 1
+    assert len(platform.billing.charges) == 1
     assert engine.metrics.counter("offload_invocations") == 1
 
 
@@ -84,7 +84,7 @@ def test_looping_construct_needs_only_one_invocation(engine):
     construct = build_clock(period=4, lamps=1)
     backend.register_construct(construct)
     run_ticks(engine, backend, 300)
-    assert platform.billing.invocation_count == 1
+    assert len(platform.billing.charges) == 1
     assert engine.metrics.counter("loops_detected") == 1
 
 
@@ -115,7 +115,7 @@ def test_aperiodic_construct_reinvokes_with_tick_lead(engine):
     backend.register_construct(construct)
     run_ticks(engine, backend, 200)
     # 200 ticks / 50 steps per invocation -> roughly 4-6 invocations.
-    assert 3 <= platform.billing.invocation_count <= 7
+    assert 3 <= len(platform.billing.charges) <= 7
 
 
 def test_player_modification_invalidates_speculation(engine):
@@ -173,7 +173,7 @@ def test_a_reply_of_the_wrong_width_is_counted_as_a_failure_and_never_merged(eng
     failures = engine.metrics.counter("offload_failures")
     assert failures >= 2, "every consumed reply must have been rejected"
     assert engine.metrics.counter("offload_local_fallbacks") == failures
-    assert platform.billing.invocation_count > failures  # it kept trying
+    assert len(platform.billing.charges) > failures  # it kept trying
     assert not backend.record_for(construct.construct_id).available
     assert sum(report.merged_speculative for report in reports) == 0
     assert sum(report.simulated_locally for report in reports) == 200
@@ -186,7 +186,7 @@ def test_efficiency_samples_are_recorded_between_zero_and_one(engine):
     backend, _ = make_backend(engine)
     backend.register_construct(build_counter_farm(hoppers=2))
     run_ticks(engine, backend, 120)
-    samples = backend.efficiency_samples()
+    samples = backend.metrics.histogram("speculation_efficiency").samples
     assert samples, "each consumed invocation must produce an efficiency sample"
     assert all(0.0 <= value <= 1.0 for value in samples)
 
@@ -197,7 +197,7 @@ def test_sufficient_tick_lead_reaches_full_efficiency(engine):
     construct = build_counter_farm(hoppers=2)
     backend.register_construct(construct)
     run_ticks(engine, backend, 400)
-    samples = backend.efficiency_samples()
+    samples = backend.metrics.histogram("speculation_efficiency").samples
     # After the first (cold) invocation, replies arrive well before they are
     # needed, so later invocations reach 100 % efficiency.
     assert samples[-1] == pytest.approx(1.0)
@@ -210,7 +210,7 @@ def test_remove_construct_stops_offloading(engine):
     backend.register_construct(construct)
     backend.remove_construct(construct.construct_id)
     run_ticks(engine, backend, 50)
-    assert platform.billing.invocation_count == 1  # only the registration invocation
+    assert len(platform.billing.charges) == 1  # only the registration invocation
     with pytest.raises(KeyError):
         backend.record_for(construct.construct_id)
 
@@ -283,7 +283,7 @@ def test_a_looping_clock_replays_its_reply_and_still_pays_the_merges(engine):
     record = backend.record_for(construct.construct_id)
     merged = sum(report.merged_speculative for report in reports)
     assert record.merged_steps == merged and merged + record.fallback_steps == 200
-    assert platform.billing.invocation_count == record.invocations_issued == 1
+    assert len(platform.billing.charges) == record.invocations_issued == 1
     simulator = ReferenceConstructSimulator()
     for _ in range(200):
         simulator.step(reference)
@@ -314,7 +314,7 @@ def test_a_construct_enters_the_replay_only_once_its_invocation_is_consumed(engi
         engine.advance_by(50.0)
         assert report.merged_speculative == 1
         assert not backend.replay.replaying or record.pending is None
-    assert record.pending is None and len(backend.efficiency_samples()) == 1
+    assert record.pending is None and len(backend.metrics.histogram("speculation_efficiency").samples) == 1
     assert [replay.construct for replay in backend.replay.replaying] == [construct]
 
 

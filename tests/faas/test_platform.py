@@ -30,7 +30,6 @@ def test_invoke_runs_handler_and_returns_result(platform):
     assert invocation.result == {"echo": {"x": 1}}
     assert invocation.function_name == "echo"
     assert invocation.latency_ms > invocation.execution_ms > 0
-    assert invocation.memory_mb == 1769
 
 
 def test_invoke_unregistered_function_raises(platform):
@@ -90,19 +89,8 @@ def test_billing_accumulates_cost_and_rates(platform, engine):
         platform.invoke("echo", None)
         engine.advance_by(6_000.0)
     billing = platform.billing
-    assert billing.invocation_count == 10
+    assert len(billing.charges) == 10
     assert billing.total_cost_usd() > 0
-    assert billing.invocations_per_minute(window_ms=60_000.0) == pytest.approx(10.0)
-    assert billing.cost_per_hour_usd(window_ms=60_000.0) == pytest.approx(
-        billing.total_cost_usd() * 60.0
-    )
-
-
-def test_billing_rejects_bad_windows(platform):
-    with pytest.raises(ValueError):
-        platform.billing.cost_per_hour_usd(0.0)
-    with pytest.raises(ValueError):
-        platform.billing.invocations_per_minute(-5.0)
 
 
 def test_function_definition_validation():
@@ -119,13 +107,6 @@ def test_provider_lookup_and_profiles():
         provider_by_name("gcp")
     assert AWS_LAMBDA.billing.usd_per_gb_second > 0
     assert AZURE_FUNCTIONS.keep_alive_ms < AWS_LAMBDA.keep_alive_ms + 1e9
-
-
-def test_invocation_overhead_property(platform):
-    invocation = platform.invoke("echo", None)
-    assert invocation.overhead_ms == pytest.approx(
-        invocation.latency_ms - invocation.execution_ms
-    )
 
 
 def test_timed_out_invocation_releases_its_warm_slot_at_the_deadline(engine):

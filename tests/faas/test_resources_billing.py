@@ -86,16 +86,16 @@ def test_warm_pool_expires_idle_environments():
 
 def test_billing_minimum_and_rounding():
     billing = BillingModel(rates=BillingRates(usd_per_million_requests=0.2, usd_per_gb_second=1e-5))
-    charge = billing.record("fn", time_ms=0.0, execution_ms=0.4, memory_mb=1024)
+    charge = billing.record(execution_ms=0.4, memory_mb=1024)
     assert charge.billed_duration_ms == 1.0
-    charge = billing.record("fn", time_ms=0.0, execution_ms=100.3, memory_mb=1024)
+    charge = billing.record(execution_ms=100.3, memory_mb=1024)
     assert charge.billed_duration_ms == pytest.approx(101.0)
 
 
 def test_billing_cost_formula_matches_rates():
     rates = BillingRates(usd_per_million_requests=0.2, usd_per_gb_second=0.0000166667)
     billing = BillingModel(rates=rates)
-    charge = billing.record("fn", time_ms=0.0, execution_ms=1000.0, memory_mb=1024)
+    charge = billing.record(execution_ms=1000.0, memory_mb=1024)
     expected = 0.2 / 1_000_000 + 1.0 * rates.usd_per_gb_second
     assert charge.cost_usd == pytest.approx(expected)
     assert billing.total_cost_usd() == pytest.approx(expected)
@@ -108,8 +108,8 @@ def test_billing_cost_formula_matches_rates():
 )
 def test_billing_cost_is_monotone_in_duration_and_memory(execution_ms, memory_mb):
     billing = BillingModel(rates=BillingRates(usd_per_million_requests=0.2, usd_per_gb_second=1e-5))
-    small = billing.record("fn", 0.0, execution_ms, memory_mb).cost_usd
-    bigger = billing.record("fn", 0.0, execution_ms * 2, memory_mb).cost_usd
-    more_memory = billing.record("fn", 0.0, execution_ms, memory_mb * 2).cost_usd
+    small = billing.record(execution_ms, memory_mb).cost_usd
+    bigger = billing.record(execution_ms * 2, memory_mb).cost_usd
+    more_memory = billing.record(execution_ms, memory_mb * 2).cost_usd
     assert bigger >= small
     assert more_memory >= small

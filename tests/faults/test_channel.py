@@ -8,6 +8,8 @@ from repro.net.channel import SEEN_WINDOW, FaultyMessageChannel, SeenWindow
 from repro.net.message import Message, MessageKind
 from repro.server import GameConfig, make_opencraft
 
+from fault_helpers import fault_count
+
 
 def make_channel(engine, net):
     injector = FaultInjector(engine, FaultPlan.from_dict({"net": net}))
@@ -39,7 +41,7 @@ def test_dropped_messages_never_reach_the_inbox(engine):
     session.enqueue(move(session.player_id))
     assert len(session._inbox) == 0
     assert engine.metrics.counter("net_messages_dropped") == 1.0
-    assert injector.timeline.count("net.drop") == 1
+    assert fault_count(injector.timeline, "net.drop") == 1
 
 
 def test_duplicated_messages_are_applied_exactly_once(engine):

@@ -27,7 +27,6 @@ def test_overrun_sheds_the_configured_fraction_next_tick(engine):
     # A tick back under budget stops the shedding.
     controller.observe(40.0)
     assert controller.shed_count(100, "players") == 0
-    assert controller.shedding_ticks == 1
     assert engine.metrics.counter("broadcast_updates_shed") == 50.0
 
 
@@ -56,5 +55,4 @@ def test_gameloop_sheds_after_an_overlong_tick(engine):
     for _ in range(10):
         server.tick()
     assert engine.metrics.counter("broadcast_updates_shed") > 0.0
-    assert server.degradation.shedding_ticks > 0
     assert engine.metrics.counter("broadcast_updates_shed") >= 30  # 0.5 * 60 players per shed tick

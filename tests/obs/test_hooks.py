@@ -19,6 +19,8 @@ from repro.server.config import GameConfig
 from repro.server.costmodel import TickWork
 from repro.world.coords import ChunkPos
 
+from telemetry_helpers import instants, spans
+
 
 @pytest.fixture
 def hub(engine) -> Telemetry:
@@ -44,14 +46,14 @@ class TestTickSpans:
         server = build_game_server("opencraft", engine, GameConfig(world_type="flat"))
         server.connect_player()
         server.run_ticks(5)
-        spans = hub.spans("tick")
-        assert len(spans) == 5
-        assert [span.args["index"] for span in spans] == list(range(5))
-        assert all(span.track == server.name for span in spans)
-        assert [span.ts_ms for span in spans] == [
+        ticks = spans(hub, "tick")
+        assert len(ticks) == 5
+        assert [span.args["index"] for span in ticks] == list(range(5))
+        assert all(span.track == server.name for span in ticks)
+        assert [span.ts_ms for span in ticks] == [
             record.start_ms for record in server.tick_records
         ]
-        assert [span.dur_ms for span in spans] == [
+        assert [span.dur_ms for span in ticks] == [
             record.duration_ms for record in server.tick_records
         ]
 
@@ -73,13 +75,13 @@ class TestTickSpans:
             origin = BlockPos(-40 + (index % 12) * 8, 64, -40 + (index // 12) * 6)
             server.place_construct(standard_construct(index, origin=origin))
         server.run_ticks(60)
-        spans = hub.spans("tick")
-        overlong = [span for span in spans if span.dur_ms > 50.0]
+        ticks = spans(hub, "tick")
+        overlong = [span for span in ticks if span.dur_ms > 50.0]
         assert len(overlong) == 30  # every other tick simulates the constructs
         for span in overlong:
             cost = span.args["cost_ms"]
             assert max(cost, key=cost.get) == "constructs.local", span.args
-        assert list(spans[0].args["cost_ms"]) == list(
+        assert list(ticks[0].args["cost_ms"]) == list(
             server.cost_model.breakdown(TickWork())
         )
 
@@ -95,9 +97,9 @@ class TestRoundSpans:
             cluster.connect_player()
         for _ in range(30):
             cluster.tick()
-        ticks = hub.spans("tick")
+        ticks = spans(hub, "tick")
         bounding = []
-        for round_span in hub.spans("round"):
+        for round_span in spans(hub, "round"):
             shard_ticks = [span for span in ticks if span.ts_ms == round_span.ts_ms]
             assert len(shard_ticks) == 4
             slowest = max(shard_ticks, key=lambda span: span.dur_ms)
@@ -115,7 +117,7 @@ class TestFaasSpans:
             TERRAIN_GENERATION_FUNCTION,
             TerrainRequest(world_type="flat", seed=3, cx=0, cz=0),
         )
-        (span,) = hub.spans("faas")
+        (span,) = spans(hub, "faas")
         assert span.name == TERRAIN_GENERATION_FUNCTION
         assert span.ts_ms == invocation.submitted_ms
         assert span.dur_ms == invocation.latency_ms
@@ -131,10 +133,10 @@ class TestFaasSpans:
             TERRAIN_GENERATION_FUNCTION,
             TerrainRequest(world_type="flat", seed=3, cx=0, cz=0),
         )
-        (span,) = hub.spans("faas")
+        (span,) = spans(hub, "faas")
         assert span.args["status"] == "throttled"
         # ... and the injected fault shows as a fault-category instant.
-        assert [e.name for e in hub.instants("fault")] == ["faas.throttled"]
+        assert [e.name for e in instants(hub, "fault")] == ["faas.throttled"]
 
 
 class TestTerrainSpans:
@@ -151,11 +153,11 @@ class TestTerrainSpans:
         assert len(delivered) == 1
         assert delivered[0].source == "local-fallback"
         # One span per request, covering every attempt; one faas span each.
-        (span,) = hub.spans("terrain")
+        (span,) = spans(hub, "terrain")
         assert span.args == {"cx": 1, "cz": 2, "status": "failure", "attempts": 2}
         assert span.dur_ms == delivered[0].latency_ms
-        assert len(hub.spans("faas")) == 2
-        fallbacks = [e for e in hub.instants("terrain") if e.name == "local-fallback"]
+        assert len(spans(hub, "faas")) == 2
+        fallbacks = [e for e in instants(hub, "terrain") if e.name == "local-fallback"]
         assert len(fallbacks) == 1
 
 
@@ -167,7 +169,7 @@ class TestFaultFoldIn:
         engine.advance_to(42.0)
         injector.record("shard.kill", "shard=1")
         assert injector.timeline.events[-1].kind == "shard.kill"
-        (instant,) = hub.instants("fault")
+        (instant,) = instants(hub, "fault")
         assert instant.name == "shard.kill"
         assert instant.ts_ms == 42.0
         assert instant.args == {"detail": "shard=1"}

@@ -14,6 +14,8 @@ from repro.obs.telemetry import (
 )
 from repro.sim import SimulationEngine
 
+from telemetry_helpers import instants, spans, virtual_digest
+
 
 class TestNullTelemetry:
     def test_disabled_and_noop(self):
@@ -62,9 +64,9 @@ class TestTelemetry:
         hub.span("tick", "tick", start_ms=0.0, duration_ms=1.0)
         hub.span("faas", "fn", start_ms=0.0, duration_ms=2.0)
         hub.instant("fault", "net.drop", ts_ms=1.0)
-        assert [e.category for e in hub.spans()] == ["tick", "faas"]
-        assert [e.name for e in hub.spans("faas")] == ["fn"]
-        assert [e.name for e in hub.instants()] == ["net.drop"]
+        assert [e.category for e in spans(hub)] == ["tick", "faas"]
+        assert [e.name for e in spans(hub, "faas")] == ["fn"]
+        assert [e.name for e in instants(hub)] == ["net.drop"]
         assert sorted({event.category for event in hub.events}) == ["faas", "fault", "tick"]
 
     def test_virtual_digest_is_stable_and_order_sensitive(self, engine):
@@ -72,11 +74,11 @@ class TestTelemetry:
         for hub in (first, second):
             hub.span("tick", "tick", start_ms=0.0, duration_ms=1.0)
             hub.instant("fault", "kind", ts_ms=2.0)
-        assert first.virtual_digest() == second.virtual_digest()
+        assert virtual_digest(first) == virtual_digest(second)
         third = Telemetry(engine)
         third.instant("fault", "kind", ts_ms=2.0)
         third.span("tick", "tick", start_ms=0.0, duration_ms=1.0)
-        assert third.virtual_digest() != first.virtual_digest()
+        assert virtual_digest(third) != virtual_digest(first)
 
     def test_profiling_accumulates_but_never_touches_the_digest(self, engine):
         hub = Telemetry(engine, profile=True)
@@ -89,7 +91,7 @@ class TestTelemetry:
         assert stats["server.tick"]["wall_s"] >= 0.0
         plain = Telemetry(engine)
         plain.span("tick", "tick", start_ms=0.0, duration_ms=1.0)
-        assert hub.virtual_digest() == plain.virtual_digest()
+        assert virtual_digest(hub) == virtual_digest(plain)
 
     def test_profile_is_noop_without_opt_in(self, engine):
         hub = Telemetry(engine)

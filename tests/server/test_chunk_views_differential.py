@@ -8,8 +8,8 @@ listing as moved of an avatar that stayed in its chunk, a pin on a loaded
 chunk, the release of a pin, an edit that dirties a loaded chunk, and an
 eviction pass (``_evict``, as the periodic one runs it).  One manager is production's; the other is
 :class:`reference_chunk_views.ReferenceChunkManager`, whose views and
-eviction are the code they replaced.  They run with no region and with a
-``ZoneRegion`` strip a few chunks wide.
+eviction are the code they replaced.  They run with no region and with an
+``OwnershipRegion`` strip a few chunks wide.
 
 After every tick the two agree exactly: the reference counts, the
 unavailable set, every player's send queue and sent set, the loaded chunks,
@@ -24,8 +24,7 @@ import dataclasses
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cluster.partition import ZoneRegion
-from repro.server.chunkmanager import ChunkManager, LocalTerrainProvider
+from repro.server.chunkmanager import ChunkManager, LocalTerrainProvider, OwnershipRegion
 from repro.server.entities import Avatar, AvatarTable
 from repro.sim import SimulationEngine
 from repro.storage.local import LocalDiskStorage
@@ -40,7 +39,7 @@ SLOTS = 4
 Y = 65
 #: the 8 one-chunk steps
 DIRECTIONS = [(dx, dz) for dx in (-1, 0, 1) for dz in (-1, 0, 1) if (dx, dz) != (0, 0)]
-REGIONS = {"none": None, "zone": ZoneRegion(zone_id=1, min_cx=-2, max_cx=4)}
+REGIONS = {"none": None, "zone": OwnershipRegion(min_cx=-2, max_cx=4)}
 
 slots = st.integers(min_value=0, max_value=SLOTS - 1)
 chunks = st.integers(min_value=-12, max_value=12)

@@ -334,10 +334,8 @@ def test_protected_chunks_survive_eviction(engine):
     assert not world.is_loaded(pin)
 
 
-class _StripRegion(OwnershipRegion):
-    """Test region: only chunks with non-negative cx are owned."""
-
-    min_cx, max_cx = 0, None
+#: only chunks with non-negative cx are owned
+STRIP = OwnershipRegion(min_cx=0, max_cx=None)
 
 
 def test_ownership_region_filters_loading_and_preload(engine):
@@ -351,7 +349,7 @@ def test_ownership_region_filters_loading_and_preload(engine):
         provider=provider,
         storage=LocalDiskStorage(rng=engine.rng("disk")),
         view_distance_blocks=48.0,
-        region=_StripRegion(),
+        region=STRIP,
     )
     manager.preload_area(BlockPos(0, 65, 0), 64.0)
     assert all(position.cx >= 0 for position in world.loaded_chunk_positions)

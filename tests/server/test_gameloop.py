@@ -80,8 +80,8 @@ def test_place_and_break_block_messages_edit_the_world(opencraft):
     )
     opencraft.tick()
     assert opencraft.world.get_block(target) == BlockType.AIR
-    assert opencraft.stats.blocks_placed == 1
-    assert opencraft.stats.blocks_broken == 1
+    assert session.avatar.blocks_placed == 1
+    assert session.avatar.blocks_broken == 1
 
 
 def test_edits_in_unloaded_terrain_are_ignored(opencraft):
@@ -90,7 +90,7 @@ def test_edits_in_unloaded_terrain_are_ignored(opencraft):
         Message(MessageKind.PLACE_BLOCK, session.player_id, {"x": 10_000, "y": 70, "z": 10_000})
     )
     opencraft.tick()  # must not raise
-    assert opencraft.stats.blocks_placed == 0
+    assert session.avatar.blocks_placed == 0
 
 
 def test_chat_and_inventory_messages_update_counters(opencraft):
@@ -105,10 +105,10 @@ def test_chat_and_inventory_messages_update_counters(opencraft):
 def test_place_construct_writes_blocks_and_registers(opencraft):
     construct = build_wire_line(length=3, origin=BlockPos(2, 66, 2))
     opencraft.place_construct(construct)
-    assert opencraft.construct_count == 1
+    assert len(opencraft.constructs.constructs()) == 1
     assert opencraft.world.get_block(BlockPos(2, 66, 2)) == BlockType.POWER_SOURCE
     opencraft.remove_construct(construct.construct_id)
-    assert opencraft.construct_count == 0
+    assert len(opencraft.constructs.constructs()) == 0
 
 
 def test_breaking_a_construct_block_advances_its_timestamp(opencraft):
@@ -158,7 +158,6 @@ def test_disconnect_persists_player_state_and_records_save_latency(engine):
     restored = server.connect_player("carol")
     assert restored.avatar.blocks_placed == 7
     assert restored.avatar.inventory_item == "torch"
-    assert restored.restore_latency_ms > 0.0
 
 
 def test_a_reconnecting_player_is_subscribed_where_its_stored_position_puts_it(engine):

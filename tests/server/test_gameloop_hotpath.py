@@ -34,7 +34,7 @@ def test_remove_construct_clears_only_its_own_cells(opencraft):
     opencraft.place_construct(first)
     opencraft.place_construct(second)
     opencraft.remove_construct(first.construct_id)
-    assert opencraft.construct_count == 1
+    assert len(opencraft.constructs.constructs()) == 1
     # The second construct's cells survive and still route edits.
     assert all(
         opencraft._construct_cells.get(cell.position) == second.construct_id

@@ -10,26 +10,6 @@ def test_clock_starts_at_zero_by_default():
     assert clock.now_ms == 0.0
 
 
-def test_advance_moves_time_forward():
-    clock = SimulationClock()
-    assert clock.advance(50.0) == 50.0
-    assert clock.advance(25.5) == 75.5
-    assert clock.now_ms == 75.5
-
-
-def test_advance_by_zero_is_allowed():
-    clock = SimulationClock()
-    clock.advance(10.0)
-    clock.advance(0.0)
-    assert clock.now_ms == 10.0
-
-
-def test_advance_negative_raises():
-    clock = SimulationClock()
-    with pytest.raises(ClockError):
-        clock.advance(-1.0)
-
-
 def test_advance_to_absolute_time():
     clock = SimulationClock()
     clock.advance_to(123.0)
@@ -38,13 +18,13 @@ def test_advance_to_absolute_time():
 
 def test_advance_to_current_time_is_noop():
     clock = SimulationClock()
-    clock.advance(42.0)
+    clock.advance_to(42.0)
     clock.advance_to(42.0)
     assert clock.now_ms == 42.0
 
 
 def test_advance_to_past_raises():
     clock = SimulationClock()
-    clock.advance(100.0)
+    clock.advance_to(100.0)
     with pytest.raises(ClockError):
         clock.advance_to(99.0)

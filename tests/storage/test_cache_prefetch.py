@@ -60,7 +60,6 @@ def test_cache_eviction_respects_capacity_and_preserves_dirty_data(rng):
     # Every written object survives somewhere (cache or remote).
     for index in range(8):
         assert cache.exists(f"key-{index}")
-    assert cache.stats.evictions > 0
 
 
 def test_cache_delete_removes_everywhere(cache_and_blob):

@@ -69,7 +69,7 @@ def test_speculative_execution_demo_main(capsys):
     out = capsys.readouterr().out
     assert "loop detected" in out
     assert "speculation invalidated" in out
-    assert backend.efficiency_samples()
+    assert backend.metrics.histogram("speculation_efficiency").samples
 
 
 def test_terrain_generation_demo_main(capsys):

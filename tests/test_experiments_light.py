@@ -68,8 +68,9 @@ def test_cluster_scalability_experiment_tiny_run():
 
     tiny = TINY.scaled(duration_s=2.0, max_players=100, warmup_s=1.0)
     result = run_cluster_scalability(tiny, game="servo-cluster", shard_counts=(1, 2))
-    assert result.row(1).max_players > 0
-    assert result.row(2).max_players >= result.row(1).max_players
+    rows = {row.shard_count: row for row in result.rows}
+    assert rows[1].max_players > 0
+    assert rows[2].max_players >= rows[1].max_players
     report = format_cluster_scalability(result)
     assert "shards" in report and "migrations" in report
 

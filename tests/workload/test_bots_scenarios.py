@@ -52,7 +52,7 @@ def test_place_standard_constructs_registers_them():
     server = make_server()
     constructs = place_standard_constructs(server, 7)
     assert len(constructs) == 7
-    assert server.construct_count == 7
+    assert len(server.constructs.constructs()) == 7
     with pytest.raises(ValueError):
         place_standard_constructs(server, -1)
 

@@ -26,17 +26,11 @@ def test_chunk_rejects_out_of_bounds_access():
         chunk.get_block(BlockPos(0, CHUNK_HEIGHT, 0))
 
 
-def test_chunk_contains_respects_world_position():
-    chunk = Chunk(position=ChunkPos(1, 1))
-    assert chunk.contains(BlockPos(16, 0, 16))
-    assert not chunk.contains(BlockPos(0, 0, 0))
-
-
 def test_chunk_block_counts():
     chunk = Chunk(position=ChunkPos(0, 0))
     chunk.set_block(BlockPos(3, 10, 3), BlockType.STONE)
     chunk.set_block(BlockPos(3, 20, 3), BlockType.GRASS)
-    assert chunk.block_count(BlockType.STONE) == 1
+    assert np.count_nonzero(chunk.blocks == BlockType.STONE) == 1
 
 
 def test_chunk_copy_is_independent():

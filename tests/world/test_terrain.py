@@ -73,7 +73,7 @@ def test_default_generator_differs_across_seeds():
 
 def test_default_generator_has_bedrock_floor_and_bounded_heights():
     chunk = DefaultTerrainGenerator(seed=7).generate_chunk(ChunkPos(5, 5))
-    assert chunk.block_count(BlockType.BEDROCK) == 256
+    assert np.count_nonzero(chunk.blocks == BlockType.BEDROCK) == 256
     for lx in range(0, 16, 5):
         for lz in range(0, 16, 5):
             surface = np.nonzero(chunk.blocks[lx, :, lz])[0].max()
