@@ -113,7 +113,6 @@ class OffloadReply:
     #: echoed logical timestamp; the server discards the reply if it is stale
     timestamp: int
     sequence: CompressedStateSequence
-    loop_detected: bool = False
 
 
 def _build_canonical_construct(payload: OffloadRequest) -> SimulatedConstruct:
@@ -181,9 +180,5 @@ class SimulationHandler:
                 del self._cache[next(iter(self._cache))]
 
         sequence, steps_executed, work_ms = cached
-        reply = OffloadReply(
-            timestamp=payload.timestamp,
-            sequence=sequence,
-            loop_detected=sequence.is_looping,
-        )
+        reply = OffloadReply(timestamp=payload.timestamp, sequence=sequence)
         return FunctionOutput(value=reply, work_ms_single_vcpu=work_ms)

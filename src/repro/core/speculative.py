@@ -216,7 +216,7 @@ class SpeculativeConstructBackend(ConstructBackend):
             # speculative states are inconsistent with the new correct state.
             self.metrics.increment("speculation_discarded")
             return
-        if reply.loop_detected:
+        if reply.sequence.is_looping:
             self.metrics.increment("loops_detected")
         record.available.append(reply)
 

@@ -25,9 +25,8 @@ PLAYERS = 5
 
 @dataclass
 class TerrainQosRun:
-    """Time series collected from one game's Sinc run."""
+    """Time series collected from one game's Sinc run (``Fig10Result.runs`` files it by game)."""
 
-    game: str
     #: (time s, min distance to missing terrain in blocks)
     view_range: list[tuple[float, float]] = field(default_factory=list)
     #: (time s, tick duration ms)
@@ -82,7 +81,7 @@ def _run_game(
     start_ms = engine.now_ms
     server.run_for_seconds(duration_s, before_tick=driver)
 
-    run = TerrainQosRun(game=game)
+    run = TerrainQosRun()
     for record in server.tick_records:
         time_s = (record.start_ms - start_ms) / 1000.0
         run.view_range.append((time_s, record.view_range_blocks))

@@ -60,9 +60,8 @@ def supported_players_from_series(
 
 @dataclass
 class TerrainScalabilityRun:
-    """One game's run for one workload."""
+    """One game's run for one workload (``Fig12aResult.runs`` files it by both)."""
 
-    game: str
     supported_players: int
     max_connected: int
 
@@ -87,7 +86,6 @@ def _run_terrain(game: str, seed: int, scenario: WorkloadSpec) -> TerrainScalabi
     durations_ms = [record.duration_ms for record in records]
     players = [record.players for record in records]
     return TerrainScalabilityRun(
-        game=game,
         supported_players=supported_players_from_series(times_ms, durations_ms, times_ms, players),
         max_connected=max(players, default=0),
     )

@@ -43,20 +43,21 @@ def _check_keys(data: Mapping, allowed: frozenset[str], what: str) -> None:
         )
 
 
-def _check_rate(value: Any, what: str) -> float:
+def _check_number(value: Any, what: str) -> float:
+    """``value``, checked to be an ``int`` or ``float`` before anything compares it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
+    return value
+
+
+def _check_rate(value: Any, what: str) -> None:
+    if not 0.0 <= _check_number(value, what) <= 1.0:
         raise ValueError(f"{what} must be in [0, 1], got {value!r}")
-    return float(value)
 
 
-def _check_non_negative(value: Any, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    if value < 0:
+def _check_non_negative(value: Any, what: str) -> None:
+    if not _check_number(value, what) >= 0:  # NaN fails too
         raise ValueError(f"{what} must be non-negative, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class RetryPolicy:
             raise ValueError(f"retry.max_attempts must be at least 1, got {self.max_attempts!r}")
         _check_non_negative(self.backoff_base_ms, "retry.backoff_base_ms")
         _check_non_negative(self.jitter_ms, "retry.jitter_ms")
-        if self.backoff_multiplier < 1.0:
+        if not _check_number(self.backoff_multiplier, "retry.backoff_multiplier") >= 1.0:
             raise ValueError(
                 f"retry.backoff_multiplier must be >= 1, got {self.backoff_multiplier!r}"
             )
@@ -254,7 +255,7 @@ class DegradationPolicy:
     shed_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.budget_ms <= 0:
+        if not _check_number(self.budget_ms, "degradation.budget_ms") > 0:
             raise ValueError(f"degradation.budget_ms must be positive, got {self.budget_ms!r}")
         _check_rate(self.shed_fraction, "degradation.shed_fraction")
 

@@ -1,26 +1,36 @@
-"""Chunks: 16x16x256 columns of blocks.
+"""Chunks: 16x16x256 columns of blocks, stored as sixteen 16x16x16 sections.
 
 Chunks are the unit of terrain generation, loading, caching and storage, just
 as in the paper (a "chunk" there is an area of 16x16x256 blocks, Figure 11).
-Block data is a dense ``uint8`` numpy array so chunks are cheap to copy,
-serialize and hash.
+Most of a chunk is air or solid stone, so, as in Minecraft's own chunk
+format, its blocks are kept per section: section ``s`` holds the blocks with
+``y`` in ``[16 s, 16 s + 16)``.
 
-The layout rule: ``Chunk.blocks`` is indexed ``[x, y, z]``, but its memory
-is column-major, ``[x, z, y]``, with strides ``(CHUNK_SIZE * CHUNK_HEIGHT, 1,
-CHUNK_HEIGHT)``: the 256 blocks of one column are adjacent.  That is the
-order terrain generation writes a column in, so a generated chunk takes its
-memory with one in-order copy instead of a transpose.  Every producer gives
-its chunk owned memory in this layout: it copies a column-major array with
-``copy(order="K")`` (a bare ``copy()`` is C order, a transpose) and anything
-else with :func:`column_major`.  Readers index logically and never see the
-difference; ``tobytes()`` is C order, so hashes and stored bytes are those
-of the logical ``[x, y, z]`` array.
+The storage rule, which every producer of a chunk keeps:
+
+* a section that holds one block type is that block id, a plain ``int``,
+  and costs no array;
+* any other section is a 4 KiB ``uint8`` array indexed ``[x, z, y - 16 s]``,
+  its 16-block column pieces adjacent, the order terrain generation writes
+  columns in;
+* sections may be shared between chunks (every flat chunk shares its
+  generator's template), so a chunk writes in place only into the sections
+  its ``_owned`` mask marks as its own, and ``set_block`` copies any other
+  section first.  A producer marks a section owned only when no other chunk
+  holds it.
+
+Ownership is the mask, never the array's ``writeable`` flag:
+``copy.deepcopy`` and pickle give two chunks that shared a read-only section
+one *writeable* array they still share, and both masks still mark it shared.
+
+Readers index logically: :meth:`Chunk.get_block`, and :attr:`Chunk.blocks`,
+a read-only ``[x, y, z]`` array in C order whose bytes are what hashes and
+stored chunks are made of.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,40 +38,69 @@ from repro.world.block import BlockType
 from repro.world.coords import CHUNK_SIZE, BlockPos, ChunkPos, chunk_origin
 
 CHUNK_HEIGHT = 256
-#: a column-major array whose layout ``empty_like``/``zeros_like`` copy
-_LAYOUT = np.empty((CHUNK_SIZE, CHUNK_SIZE, CHUNK_HEIGHT), dtype=np.uint8).transpose(0, 2, 1)
+SECTION_HEIGHT = 16
+SECTIONS = CHUNK_HEIGHT // SECTION_HEIGHT
+#: the shape of a section's array: ``[x, z, y - 16 s]``
+SECTION_SHAPE = (CHUNK_SIZE, CHUNK_SIZE, SECTION_HEIGHT)
+#: a section: one block id, or a ``uint8`` array of :data:`SECTION_SHAPE`
+Section = int | np.ndarray
 
 
-def column_major(blocks: np.ndarray) -> np.ndarray:
-    """An owned ``uint8`` copy of the logical ``[x, y, z]`` array ``blocks``, column-major."""
-    out = np.empty_like(_LAYOUT)
-    out[...] = blocks
-    return out
+def _by_section(blocks: np.ndarray) -> np.ndarray:
+    """``[s, x, z, y - 16 s]``: the sections of the logical ``[x, y, z]`` array ``blocks``, a view."""
+    return blocks.reshape(CHUNK_SIZE, SECTIONS, SECTION_HEIGHT, CHUNK_SIZE).transpose(1, 0, 3, 2)
 
 
-@dataclass
+def _split(blocks: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The one-block table and the stacked other sections of a logical ``[x, y, z]`` array."""
+    expected = (CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE)
+    if blocks.shape != expected:
+        raise ValueError(f"chunk block array must have shape {expected}, got {blocks.shape}")
+    flat = _by_section(blocks).astype(np.uint8, order="C").reshape(SECTIONS, -1)
+    first = flat[:, 0]
+    one_block = (flat == first[:, None]).all(axis=1)
+    table = np.where(one_block, first, np.int16(-1)).tolist()
+    return table, flat[~one_block].reshape(-1, *SECTION_SHAPE)
+
+
 class Chunk:
-    """One 16x16x256 column of blocks."""
+    """One 16x16x256 column of blocks.
 
-    position: ChunkPos
-    blocks: np.ndarray = field(default_factory=lambda: np.zeros_like(_LAYOUT))
-    generated_by: str = "unknown"
-    dirty: bool = False
+    ``Chunk(position)`` is all air; ``blocks`` gives the contents as a logical
+    ``[x, y, z]`` array.  Producers that already hold sections pass
+    ``sections``, a list of :data:`SECTIONS` entries, instead: each entry is a
+    :data:`Section` the chunk may share, or ``-1`` for the next section of
+    ``stack`` (``[k, *SECTION_SHAPE]``), which then belongs to this chunk
+    alone.  The chunk keeps the ``sections`` list itself.
+    """
 
-    def __post_init__(self) -> None:
-        expected = (CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE)
-        if self.blocks.shape != expected:
-            raise ValueError(
-                f"chunk block array must have shape {expected}, got {self.blocks.shape}"
-            )
-        if self.blocks.dtype != np.uint8:
-            self.blocks = self.blocks.astype(np.uint8)
-
-    def __setstate__(self, state: dict) -> None:
-        # An unpickled array lies on the pickle's buffer, in C order below
-        # protocol 5: give the chunk its own column-major memory again.
-        self.__dict__.update(state)
-        self.blocks = column_major(self.blocks)
+    def __init__(
+        self,
+        position: ChunkPos,
+        blocks: np.ndarray | None = None,
+        generated_by: str = "unknown",
+        dirty: bool = False,
+        *,
+        sections: list[Section] | None = None,
+        stack: np.ndarray | None = None,
+    ) -> None:
+        self.position = position
+        self.generated_by = generated_by
+        self.dirty = dirty
+        if blocks is not None:
+            sections, stack = _split(blocks)
+        elif sections is None:
+            sections = [int(BlockType.AIR)] * SECTIONS
+        #: bit ``s`` is set when section ``s`` is an array no other chunk holds
+        self._owned = 0
+        if stack is not None:
+            taken = 0
+            for index in range(SECTIONS):
+                if sections[index] < 0:
+                    sections[index] = stack[taken]
+                    self._owned |= 1 << index
+                    taken += 1
+        self._sections = sections
 
     # -- local (in-chunk) coordinates -------------------------------------------------
 
@@ -79,21 +118,45 @@ class Chunk:
 
     def get_block(self, pos: BlockPos) -> BlockType:
         lx, ly, lz = self._local(pos)
-        return BlockType(int(self.blocks[lx, ly, lz]))
+        section = self._sections[ly >> 4]
+        if type(section) is int:
+            return BlockType(section)
+        return BlockType(int(section[lx, lz, ly & 15]))
 
     def set_block(self, pos: BlockPos, block_type: BlockType) -> None:
         lx, ly, lz = self._local(pos)
-        self.blocks[lx, ly, lz] = int(block_type)
+        index = ly >> 4
+        if not self._owned >> index & 1:
+            # Copy on first write: the section may be shared, or a block id.
+            section = self._sections[index]
+            if type(section) is int:
+                self._sections[index] = np.full(SECTION_SHAPE, section, dtype=np.uint8)
+            else:
+                self._sections[index] = section.copy()
+            self._owned |= 1 << index
+        self._sections[index][lx, lz, ly & 15] = int(block_type)
         self.dirty = True
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The blocks as a read-only logical ``[x, y, z]`` array in C order (assembled on each read)."""
+        blocks = np.empty((CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE), dtype=np.uint8)
+        destination = _by_section(blocks)
+        for index, section in enumerate(self._sections):
+            destination[index] = section
+        blocks.flags.writeable = False
+        return blocks
 
     # -- summary helpers ----------------------------------------------------------------
 
     def copy(self) -> "Chunk":
+        """A chunk with the same blocks; the two share every section until one writes it."""
+        self._owned = 0
         return Chunk(
             position=self.position,
-            blocks=self.blocks.copy(order="K"),
             generated_by=self.generated_by,
             dirty=self.dirty,
+            sections=self._sections[:],
         )
 
     def content_hash(self) -> int:
@@ -103,9 +166,10 @@ class Chunk:
         salts ``str``/``bytes`` hashes per process (PYTHONHASHSEED), so the
         old tuple hash silently differed between processes while claiming
         stability.  This digest is a pure function of the chunk's position
-        and block bytes — equal content always hashes equally, anywhere.
+        and logical block bytes — equal content always hashes equally,
+        anywhere, however the chunk's sections are stored.
         """
         digest = hashlib.sha256()
         digest.update(f"{self.position.cx}:{self.position.cz}:".encode("ascii"))
-        digest.update(self.blocks.tobytes())
+        digest.update(self.blocks)
         return int.from_bytes(digest.digest()[:8], "little")

@@ -18,7 +18,7 @@ import zlib
 
 import numpy as np
 
-from repro.world.chunk import CHUNK_HEIGHT, Chunk, column_major
+from repro.world.chunk import CHUNK_HEIGHT, Chunk
 from repro.world.coords import CHUNK_SIZE, ChunkPos
 
 _MAGIC = b"RCHK"
@@ -34,7 +34,7 @@ class ChunkFormatError(ValueError):
 
 def chunk_to_bytes(chunk: Chunk) -> bytes:
     """Serialize a chunk to its storage representation."""
-    payload = zlib.compress(chunk.blocks.tobytes(), level=6)
+    payload = zlib.compress(chunk.blocks, level=6)  # the logical [x, y, z] bytes, C order
     cx, cz = chunk.position.cx, chunk.position.cz
     version = 1 if cx in _INT32 and cz in _INT32 else 2
     return _HEADERS[version].pack(_MAGIC, version, cx, cz, len(payload)) + payload
@@ -66,5 +66,5 @@ def chunk_from_bytes(data: bytes) -> Chunk:
         raise ChunkFormatError(
             f"decompressed block array has {blocks.size} entries, expected {expected}"
         )
-    blocks = column_major(blocks.reshape((CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE)))
+    blocks = blocks.reshape((CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE))
     return Chunk(position=ChunkPos(cx, cz), blocks=blocks, generated_by="storage")

@@ -12,10 +12,11 @@ property Servo relies on when it offloads generation.  It is also independent
 of batching: :meth:`TerrainGenerator.generate_chunks` may stack many chunks
 into one array program, and each chunk comes out as if generated alone.
 
-Every chunk comes out in the column-major layout of :mod:`repro.world.chunk`.
-The default generator gathers whole ``[x, z, y]`` columns from a strata table,
-which is that layout already, so each chunk's copy is in memory order; the
-flat generator copies a template built in it.
+Every chunk comes out in the sections of :mod:`repro.world.chunk`.  The flat
+generator hands every chunk its template's sections, shared.  The default
+generator gathers whole ``[x, z, y]`` columns from a strata table, reads which
+sections hold one block from the surface heights alone, and gives each chunk
+its own copy of just its other sections.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.world.block import BlockType
-from repro.world.chunk import CHUNK_HEIGHT, Chunk
+from repro.world.chunk import (
+    CHUNK_HEIGHT,
+    SECTION_HEIGHT,
+    SECTION_SHAPE,
+    SECTIONS,
+    Chunk,
+    Section,
+)
 from repro.world.coords import CHUNK_SIZE, ChunkPos
 from repro.world.noise import LayeredNoise, sample_fields
 
@@ -61,27 +69,35 @@ class FlatTerrainGenerator(TerrainGenerator):
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)
-        self._template: np.ndarray | None = None
+        self._template: list[Section] | None = None
 
     def generate_chunk(self, position: ChunkPos) -> Chunk:
-        # Every flat chunk has identical contents, so the column layout is
-        # built once and copied — far cheaper than refilling the strata.
+        # Every flat chunk has identical contents, so every chunk shares the
+        # template's sections and copies one only when it is written.
         if self._template is None:
-            template = Chunk(position=position).blocks
-            template[:, 0, :] = int(BlockType.BEDROCK)
-            template[:, 1:FLAT_SURFACE_LEVEL - 3, :] = int(BlockType.STONE)
-            template[:, FLAT_SURFACE_LEVEL - 3:FLAT_SURFACE_LEVEL, :] = int(BlockType.DIRT)
-            template[:, FLAT_SURFACE_LEVEL, :] = int(BlockType.GRASS)
-            self._template = template
+            self._template = _flat_sections()
         return Chunk(
             position=position,
-            blocks=self._template.copy(order="K"),
             generated_by=f"flat:{self.seed}",
             dirty=False,
+            sections=self._template[:],
         )
 
     def generation_work_units(self) -> float:
         return 0.1
+
+
+def _flat_sections() -> list[Section]:
+    """The flat world's sections: its one column, broadcast read-only over each section."""
+    column = np.full(CHUNK_HEIGHT, int(BlockType.AIR), dtype=np.uint8)
+    column[0] = int(BlockType.BEDROCK)
+    column[1:FLAT_SURFACE_LEVEL - 3] = int(BlockType.STONE)
+    column[FLAT_SURFACE_LEVEL - 3:FLAT_SURFACE_LEVEL] = int(BlockType.DIRT)
+    column[FLAT_SURFACE_LEVEL] = int(BlockType.GRASS)
+    return [
+        int(piece[0]) if (piece == piece[0]).all() else np.broadcast_to(piece, SECTION_SHAPE)
+        for piece in column.reshape(SECTIONS, SECTION_HEIGHT)
+    ]
 
 
 def _strata_columns() -> np.ndarray:
@@ -102,7 +118,26 @@ def _strata_columns() -> np.ndarray:
     )
 
 
+def _section_blocks() -> np.ndarray:
+    """``[height, s]``: the block filling section ``s`` of the column of that surface height.
+
+    ``-1`` marks a section of more than one block type; the section the
+    surface block is written into is always one.  For every section, the
+    heights that fill it with one block type form one contiguous range per
+    type (the column is the same above its surface, and stone far below), so
+    a chunk's section holds one block exactly when its lowest and highest
+    columns fill it with the same block.
+    """
+    pieces = _STRATA_COLUMNS.reshape(CHUNK_HEIGHT, SECTIONS, SECTION_HEIGHT)
+    first = pieces[:, :, 0]
+    one_block = (pieces == first[:, :, None]).all(axis=2)
+    heights = np.arange(CHUNK_HEIGHT)
+    one_block[heights, heights // SECTION_HEIGHT] = False
+    return np.where(one_block, first, np.int16(-1))
+
+
 _STRATA_COLUMNS = _strata_columns()
+_SECTION_BLOCKS = _section_blocks()
 #: chunks per pass of the stacked kernel: bounds a pass's arrays (peak memory)
 #: and keeps them in cache
 CHUNKS_PER_PASS = 16
@@ -156,14 +191,18 @@ class DefaultTerrainGenerator(TerrainGenerator):
         )
         columns = _STRATA_COLUMNS[heights]  # [chunk, x, z, y]
         columns.put(_COLUMN_STARTS[:count] + heights, surface)
-        # The layout rule of world/chunk.py: indexed [chunk, x, y, z], the
-        # memory stays [chunk, x, z, y], and each chunk copies its own in order.
-        blocks = columns.transpose(0, 1, 3, 2)
+        one_block = _SECTION_BLOCKS[heights.min(axis=(1, 2))]  # [chunk, s]
+        one_block[one_block != _SECTION_BLOCKS[heights.max(axis=(1, 2))]] = -1
+        mixed = one_block < 0
+        # [chunk, s, x, z, y - 16 s]; a boolean index copies a chunk's mixed
+        # sections out into one array that chunk owns.
+        sections = columns.reshape(
+            count, CHUNK_SIZE, CHUNK_SIZE, SECTIONS, SECTION_HEIGHT).transpose(0, 3, 1, 2, 4)
         generated_by = f"default:{self.seed}"
         return [
-            Chunk(position=position, blocks=blocks[index].copy(order="K"),
-                  generated_by=generated_by, dirty=False)
-            for index, position in enumerate(positions)
+            Chunk(position=position, generated_by=generated_by, dirty=False,
+                  sections=table, stack=sections[index][mixed[index]])
+            for index, (position, table) in enumerate(zip(positions, one_block.tolist()))
         ]
 
     def generation_work_units(self) -> float:

@@ -106,7 +106,7 @@ def test_handler_reply_matches_local_simulation():
     reply = output.value
     assert isinstance(reply, OffloadReply)
     assert reply.sequence.explicit_length == 25
-    assert not reply.loop_detected
+    assert not reply.sequence.is_looping
 
     # The reply's states must equal what the server would compute locally.
     local = clone_construct(construct)
@@ -123,7 +123,7 @@ def test_handler_detects_loops_and_stops_early():
     request = OffloadRequest.from_construct(construct, steps=200, detect_loops=True)
     output = handler(request)
     reply = output.value
-    assert reply.loop_detected
+    assert reply.sequence.is_looping
     assert reply.sequence.explicit_length < 200
     assert output.work_ms_single_vcpu < simulation_work_ms(construct.block_count, 200)
     # The looping sequence still matches direct simulation far into the future.

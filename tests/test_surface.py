@@ -1189,6 +1189,7 @@ PUT_BACK_FIELDS = [
     ("repro.interest.subscriptions", "FlushReport", "far_due"),
     ("repro.faults.degradation", "DegradationController", "shedding_ticks"),
     ("repro.world.terrain", "TerrainGenerator", "world_type"),
+    ("repro.core.offload", "OffloadReply", "loop_detected"),
 ]
 
 

@@ -66,7 +66,6 @@ def layered_noise(seed, octaves, base_scale, x, z, persistence=0.5, lacunarity=2
 
 def generate_default_chunk(seed, position):
     """``DefaultTerrainGenerator(seed).generate_chunk(position)``, column by column."""
-    chunk = Chunk(position=position, generated_by=f"default:{seed}")
     origin = chunk_origin(position)
     xs = np.arange(origin.x, origin.x + CHUNK_SIZE)
     zs = np.arange(origin.z, origin.z + CHUNK_SIZE)
@@ -77,7 +76,7 @@ def generate_default_chunk(seed, position):
     height = SEA_LEVEL - 10.0 + (20.0 + 70.0 * roughness) * base
     heights = np.clip(np.round(height), 1, CHUNK_HEIGHT - 2).astype(np.int64)
 
-    blocks = chunk.blocks
+    blocks = np.zeros((CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE), dtype=np.uint8)
     blocks[:, 0, :] = int(BlockType.BEDROCK)
     y_axis = np.arange(CHUNK_HEIGHT).reshape(1, CHUNK_HEIGHT, 1)
     height_grid = heights.reshape(CHUNK_SIZE, 1, CHUNK_SIZE)
@@ -102,5 +101,4 @@ def generate_default_chunk(seed, position):
             if surface_y < SEA_LEVEL:
                 blocks[lx, surface_y + 1:SEA_LEVEL + 1, lz] = int(BlockType.WATER)
 
-    chunk.dirty = False
-    return chunk
+    return Chunk(position=position, blocks=blocks, generated_by=f"default:{seed}")

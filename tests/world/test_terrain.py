@@ -5,7 +5,7 @@ import pytest
 
 from repro.world.block import BlockType
 from repro.world.chunk import CHUNK_HEIGHT
-from repro.world.coords import ChunkPos
+from repro.world.coords import ChunkPos, chunk_origin
 from repro.world.noise import LayeredNoise, sample_fields
 from repro.world.serialization import (
     ChunkFormatError,
@@ -13,6 +13,8 @@ from repro.world.serialization import (
     chunk_to_bytes,
 )
 from repro.world.terrain import (
+    _SECTION_BLOCKS,
+    _STRATA_COLUMNS,
     DefaultTerrainGenerator,
     FlatTerrainGenerator,
     make_terrain_generator,
@@ -107,7 +109,7 @@ def test_chunk_serialization_round_trip():
 ])
 def test_a_chunk_beyond_32_bit_coordinates_round_trips(cx, cz, version):
     chunk = FlatTerrainGenerator(0).generate_chunk(ChunkPos(cx, cz))
-    chunk.blocks[3, 70, 5] = int(BlockType.STONE)
+    chunk.set_block(chunk_origin(chunk.position).offset(3, 70, 5), BlockType.STONE)
     data = chunk_to_bytes(chunk)
     assert data[:5] == b"RCHK" + bytes([version])
     restored = chunk_from_bytes(data)
@@ -133,3 +135,17 @@ def test_chunk_deserialization_rejects_garbage():
     for garbage in (b"RCH", b"RCHK\x03" + data[5:], b"RCHK\x02" + data[5:10]):
         with pytest.raises(ChunkFormatError):
             chunk_from_bytes(garbage)
+
+
+def test_each_one_block_section_value_holds_over_one_range_of_heights():
+    # The generator reads a chunk's section as one block when its lowest and
+    # highest surface heights agree on it, which is exact only if each value
+    # of a section's column of the table covers one contiguous run of heights.
+    heights = np.arange(CHUNK_HEIGHT)
+    for section in range(_SECTION_BLOCKS.shape[1]):
+        column = _SECTION_BLOCKS[:, section]
+        for block in set(column.tolist()) - {-1}:
+            rows = heights[column == block]
+            assert rows[-1] - rows[0] + 1 == rows.size, (section, block)
+            pieces = _STRATA_COLUMNS[rows, section * 16:section * 16 + 16]
+            assert (pieces == block).all() and (rows // 16 != section).all()

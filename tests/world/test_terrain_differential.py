@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from chunk_rule import assert_storage_rule
 from reference_terrain import generate_default_chunk, layered_noise, value_noise
 
-from repro.world.chunk import CHUNK_HEIGHT
-from repro.world.coords import CHUNK_SIZE, ChunkPos
+from repro.world.block import BlockType
+from repro.world.chunk import CHUNK_HEIGHT, SECTION_HEIGHT
+from repro.world.coords import CHUNK_SIZE, ChunkPos, chunk_origin
 from repro.world.noise import LayeredNoise, sample_fields
 from repro.world.terrain import CHUNKS_PER_PASS, DefaultTerrainGenerator
 
@@ -48,9 +50,7 @@ def _check_chunk(chunk, reference, position):
     assert np.array_equal(blocks, reference.blocks)
     assert blocks.dtype == np.uint8
     assert blocks.shape == (CHUNK_SIZE, CHUNK_HEIGHT, CHUNK_SIZE)
-    # The layout rule of world/chunk.py: column-major memory the chunk owns.
-    assert blocks.strides == (CHUNK_SIZE * CHUNK_HEIGHT, 1, CHUNK_HEIGHT)
-    assert blocks.flags.writeable and blocks.flags.owndata
+    assert_storage_rule(chunk)
     assert chunk.dirty is False
     assert chunk.position == position
     assert chunk.generated_by == reference.generated_by
@@ -73,8 +73,10 @@ def test_a_stacked_batch_equals_the_per_column_reference(seed, positions):
     references = [generate_default_chunk(seed, position) for position in positions]
     for chunk, reference, position in zip(chunks, references, positions):
         _check_chunk(chunk, reference, position)
-    # Every chunk owns its bytes: editing one leaves its batch-mates alone.
-    chunks[0].blocks[:] = 255
+    # Every chunk owns its sections: editing one leaves its batch-mates alone.
+    origin = chunk_origin(positions[0])
+    for y in range(0, CHUNK_HEIGHT, SECTION_HEIGHT):
+        chunks[0].set_block(origin.offset(0, y, 0), BlockType.LAMP)
     for chunk, reference in zip(chunks[1:], references[1:]):
         assert np.array_equal(chunk.blocks, reference.blocks)
 
